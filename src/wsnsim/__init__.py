@@ -32,7 +32,6 @@ from .model import (
 from .partitioning import (
     FcmParams,
     HardPartition,
-    MembershipMatrix,
     defuzzify,
     fcm_centroids,
     fcm_init,

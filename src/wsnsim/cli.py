@@ -118,14 +118,11 @@ class RunSpec:
                                       max_iter=self.fcm_max_iter)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-        raise CliError(f"unknown protocol {name!r}")
+        raise CliError(f"unknown protocol {name!r} (protocols)")
 
     def validate(self) -> None:
         if not self.protocols:
             raise CliError("at least one protocol required (protocols)")
-        for name in self.protocols:
-            if name not in PROTOCOL_CHOICES:
-                raise CliError(f"unknown protocol {name!r} (protocols)")
         if not self.seeds:
             raise CliError("at least one seed required (seeds)")
         if self.max_rounds < 1:
@@ -136,6 +133,8 @@ class RunSpec:
             raise CliError(f"k={self.k} exceeds n_nodes={self.n_nodes} (k)")
         if self.k is not None and self.k < 1:
             raise CliError("k must be >= 1 (k)")
+        for name in self.protocols:
+            self.protocol(name)  # an unknown name or bad parameters raise CliError
 
 
 def _read_config_file(path: Path) -> dict[str, str]:
@@ -373,12 +372,14 @@ def cmd_sweep(spec: RunSpec) -> int:
     )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["cluster_count", "kmeans_iterations", "fuzzy_iterations"])
-    for k, km, fz in rows:
-        writer.writerow([k, repr(km), repr(fz)])
+    writer.writerow(["cluster_count", "kmeans_iterations", "fuzzy_iterations",
+                     "fuzzy_at_cap"])
+    for k, km, fz, capped in rows:
+        writer.writerow([k, repr(km), repr(fz), capped])
     (out / "iteration_sweep.csv").write_text(buf.getvalue(), encoding="utf-8")
-    for k, km, fz in rows:
-        print(f"k={k} kmeans_mean_iters={km:.2f} fuzzy_mean_iters={fz:.2f}")
+    for k, km, fz, capped in rows:
+        print(f"k={k} kmeans_mean_iters={km:.2f} fuzzy_mean_iters={fz:.2f} "
+              f"fuzzy_at_cap={capped}")
     return 0
 
 

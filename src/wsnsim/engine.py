@@ -54,6 +54,9 @@ class KmeansFormation:
     k: int | None = None
     max_iter: int = 100
 
+    def __post_init__(self):
+        _check_formation(self.k, self.max_iter)
+
 
 @dataclass(frozen=True)
 class FuzzyFormation:
@@ -63,6 +66,20 @@ class FuzzyFormation:
     m: float = 2.0
     tol: float = 1e-4
     max_iter: int = 100
+
+    def __post_init__(self):
+        _check_formation(self.k, self.max_iter)
+        if not self.m > 1.0:
+            raise ValueError("fuzzifier m must be > 1")
+        if not self.tol > 0:
+            raise ValueError("tol must be > 0")
+
+
+def _check_formation(k: int | None, max_iter: int) -> None:
+    if k is not None and k < 1:
+        raise ValueError("k must be >= 1")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
 
 
 Protocol = Union[LeachParams, HeedParams, EecsParams, KmeansFormation, FuzzyFormation]
@@ -276,12 +293,15 @@ def sweep_iterations(
     fcm_m: float = 2.0,
     fcm_tol: float = 1e-4,
     max_iter: int = 100,
-) -> list[tuple[int, float, float]]:
+) -> list[tuple[int, float, float, int]]:
     """Convergence-iteration comparison of the two centroid formations.
 
     For each seed, nodes are deployed once and both formations run over every
-    cluster count in the grid; rows are (k, mean kmeans iterations, mean
-    fuzzy iterations) with means taken across seeds.
+    cluster count in the grid. Rows are (k, mean kmeans iterations, mean
+    fuzzy iterations, fuzzy runs at the cap), with means taken across seeds.
+    The last field counts the seeds whose fuzzy run used all max_iter pairs;
+    such a run may have stopped short of tol, which makes the fuzzy mean a
+    lower bound.
 
     As in ``run_simulation``, each fuzzy run draws its FCM seed from the
     generator that deployed the nodes, after deployment. Seeding FCM with the
@@ -301,7 +321,8 @@ def sweep_iterations(
             per_cell[k][0].append(km_iters)
             per_cell[k][1].append(fz_iters)
     return [
-        (k, sum(per_cell[k][0]) / len(seeds), sum(per_cell[k][1]) / len(seeds))
+        (k, sum(per_cell[k][0]) / len(seeds), sum(per_cell[k][1]) / len(seeds),
+         per_cell[k][1].count(max_iter))
         for k in grid
     ]
 

@@ -1,4 +1,8 @@
-"""Position clustering: hard k-means and soft fuzzy c-means.
+"""Point clustering on arrays: hard k-means and soft fuzzy c-means.
+
+Points and centroids are float arrays of shape (n, 2) and (k, 2), and fuzzy
+memberships are an (n, k) array whose rows sum to 1. Callers build the point
+array once per formation; every step below takes and returns arrays.
 
 Both runners report how many iterations they took to converge, because the
 simulator compares the two algorithms on exactly that number. One k-means
@@ -7,6 +11,11 @@ centroids+memberships pair, so the counts compare like with like.
 
 All tie-breaks (nearest centroid, argmax membership) go to the lowest index,
 which keeps every run deterministic for a given seed.
+
+Each step repeats, bit for bit, the arithmetic of the per-cluster loops kept
+in the tests as oracles: sums run over points in index order and distances
+are sqrt(dx*dx + dy*dy). ``w.T @ points`` and ``np.hypot`` round differently
+and would move the simulator's outputs.
 """
 
 from __future__ import annotations
@@ -15,15 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Node, Position
-
 
 @dataclass
 class HardPartition:
     """Result of a k-means run over a fixed point set."""
 
     assignment: np.ndarray  # (n,) cluster index per point
-    centroids: list[Position]
+    centroids: np.ndarray  # (k, 2)
     iterations: int
     objective: float  # sum of squared point-to-centroid distances, m^2
     objective_history: list[float]  # objective after each iteration
@@ -42,84 +49,54 @@ class FcmParams:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.m <= 1.0:
+        if not self.m > 1.0:
             raise ValueError("fuzzifier m must be > 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
 
-class MembershipMatrix:
-    """n x k fuzzy membership values; every row sums to 1."""
-
-    def __init__(self, u: np.ndarray):
-        u = np.asarray(u, dtype=float)
-        if u.ndim != 2:
-            raise ValueError("membership matrix must be 2-D")
-        self.u = u
-        self.n, self.k = u.shape
-
-    def validate(self, tol: float = 1e-9) -> None:
-        if np.any(self.u < -tol) or np.any(self.u > 1 + tol):
-            raise ValueError("membership values outside [0, 1]")
-        if np.any(np.abs(self.u.sum(axis=1) - 1.0) > tol):
-            raise ValueError("membership rows must sum to 1")
-
-
-def positions_array(items: list[Position] | list[Node]) -> np.ndarray:
-    """Stack positions (or node positions) into an (n, 2) float array."""
-    if items and isinstance(items[0], Node):
-        return np.array([(n.pos.x, n.pos.y) for n in items], dtype=float)
-    return np.array([(p.x, p.y) for p in items], dtype=float)
-
-
-def _to_positions(arr: np.ndarray) -> list[Position]:
-    return [Position(float(x), float(y)) for x, y in arr]
-
-
 def _dist_matrix(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centroids[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    dx = points[:, 0, None] - centroids[None, :, 0]
+    dy = points[:, 1, None] - centroids[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 # --- k-means -----------------------------------------------------------------
 
 
-def kmeans_init(nodes: list[Node], k: int) -> list[Position]:
-    """Initial centroids: positions of the k alive nodes with the most energy.
+def kmeans_init(points: np.ndarray, energy: np.ndarray, k: int) -> np.ndarray:
+    """Initial centroids: the points of the k nodes with the most energy.
 
-    Energy ties go to the lower node id.
+    Energy ties go to the lower index, which is the lower node id when the
+    rows are in id order.
     """
-    alive = [n for n in nodes if n.alive]
-    if k > len(alive):
-        raise ValueError(f"k={k} exceeds alive node count {len(alive)}")
-    ranked = sorted(alive, key=lambda n: (-n.energy, n.id))
-    return [n.pos for n in ranked[:k]]
+    if k > len(points):
+        raise ValueError(f"k={k} exceeds alive node count {len(points)}")
+    return points[np.argsort(-energy, kind="stable")[:k]]
 
 
-def kmeans_assign(points: list[Position], centroids: list[Position]) -> np.ndarray:
+def kmeans_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Map each point to its nearest centroid (ties: lowest centroid index)."""
-    if not centroids:
+    if len(centroids) == 0:
         raise ValueError("at least one centroid required")
-    d = _dist_matrix(positions_array(points), positions_array(centroids))
-    return d.argmin(axis=1)
+    return _dist_matrix(points, centroids).argmin(axis=1)
 
 
 def kmeans_update(
-    points: list[Position], assignment: np.ndarray, k: int, previous: list[Position]
-) -> list[Position]:
+    points: np.ndarray, assignment: np.ndarray, previous: np.ndarray
+) -> np.ndarray:
     """Recompute centroids as cluster means; an empty cluster keeps its previous centroid."""
-    pts = positions_array(points)
-    out = []
-    for j in range(k):
-        mask = assignment == j
-        if mask.any():
-            m = pts[mask].mean(axis=0)
-            out.append(Position(float(m[0]), float(m[1])))
-        else:
-            out.append(previous[j])
-    return out
+    k = len(previous)
+    counts = np.bincount(assignment, minlength=k)
+    sums = np.stack(
+        [np.bincount(assignment, weights=points[:, c], minlength=k) for c in (0, 1)], axis=1
+    )
+    centroids = previous.copy()
+    filled = counts > 0
+    centroids[filled] = sums[filled] / counts[filled, None]
+    return centroids
 
 
 def _objective(pts: np.ndarray, assignment: np.ndarray, cents: np.ndarray) -> float:
@@ -127,40 +104,26 @@ def _objective(pts: np.ndarray, assignment: np.ndarray, cents: np.ndarray) -> fl
     return float((diff * diff).sum())
 
 
-def kmeans_run(
-    nodes: list[Node],
-    k: int,
-    max_iter: int = 100,
-    init: list[Position] | None = None,
-) -> HardPartition:
-    """Lloyd iteration until the assignment stops changing (or max_iter).
-
-    ``init`` overrides the default max-energy initialization; it is mainly
-    useful when comparing against an externally chosen starting point.
-    """
-    points = [n.pos for n in nodes if n.alive]
-    centroids = list(init) if init is not None else kmeans_init(nodes, k)
-    if len(centroids) != k:
-        raise ValueError("init must supply exactly k centroids")
-
-    pts = positions_array(points)
-    prev_assignment: np.ndarray | None = None
+def kmeans_run(points: np.ndarray, init: np.ndarray, max_iter: int = 100) -> HardPartition:
+    """Lloyd iteration from the k centroids in ``init`` until the assignment
+    stops changing (or max_iter)."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    centroids = init
+    prev_assignment = None
     history: list[float] = []
-    iterations = 0
-    while iterations < max_iter:
+    while len(history) < max_iter:
         assignment = kmeans_assign(points, centroids)
         if prev_assignment is not None and np.array_equal(assignment, prev_assignment):
             break
-        centroids = kmeans_update(points, assignment, k, centroids)
+        centroids = kmeans_update(points, assignment, centroids)
         prev_assignment = assignment
-        iterations += 1
-        history.append(_objective(pts, assignment, positions_array(centroids)))
+        history.append(_objective(points, assignment, centroids))
 
-    assert prev_assignment is not None
     return HardPartition(
         assignment=prev_assignment,
         centroids=centroids,
-        iterations=iterations,
+        iterations=len(history),
         objective=history[-1],
         objective_history=history,
     )
@@ -169,7 +132,7 @@ def kmeans_run(
 # --- fuzzy c-means ------------------------------------------------------------
 
 
-def fcm_init(n: int, k: int, seed: int) -> MembershipMatrix:
+def fcm_init(n: int, k: int, seed: int) -> np.ndarray:
     """Random row-normalized memberships from a seeded generator."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
@@ -181,71 +144,70 @@ def fcm_init(n: int, k: int, seed: int) -> MembershipMatrix:
     if degenerate.any():
         u[degenerate] = 1.0
         sums = u.sum(axis=1, keepdims=True)
-    return MembershipMatrix(u / sums)
+    return u / sums
 
 
-def fcm_centroids(points: list[Position], u: MembershipMatrix, m: float) -> list[Position]:
+def fcm_centroids(points: np.ndarray, u: np.ndarray, m: float) -> np.ndarray:
     """Membership-weighted centroids; an all-zero column falls back to the global mean."""
-    pts = positions_array(points)
-    w = u.u**m
+    w = u**m
     totals = w.sum(axis=0)  # (k,)
-    cents = np.empty((u.k, 2))
-    for j in range(u.k):
-        if totals[j] > 0:
-            cents[j] = (w[:, j, None] * pts).sum(axis=0) / totals[j]
-        else:
-            cents[j] = pts.mean(axis=0)
-    return _to_positions(cents)
+    sums = (w[:, :, None] * points[:, None, :]).sum(axis=0)  # (k, 2)
+    filled = totals > 0
+    centroids = sums / np.where(filled, totals, 1.0)[:, None]
+    if not filled.all():
+        centroids[~filled] = points.mean(axis=0)
+    return centroids
 
 
-def fcm_memberships(points: list[Position], centroids: list[Position], m: float) -> MembershipMatrix:
+def _inverse_distance(d: np.ndarray, m: float) -> np.ndarray:
+    w = d ** (-2.0 / (m - 1.0))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def fcm_memberships(points: np.ndarray, centroids: np.ndarray, m: float) -> np.ndarray:
     """Inverse-distance memberships with exponent 2/(m-1).
 
     A point sitting exactly on one or more centroids splits its membership
     equally among the coincident centroids (the limit of the update rule).
     """
-    if m <= 1.0:
+    if not m > 1.0:
         raise ValueError("fuzzifier m must be > 1")
-    if not centroids:
+    if len(centroids) == 0:
         raise ValueError("at least one centroid required")
-    d = _dist_matrix(positions_array(points), positions_array(centroids))
-    u = np.zeros_like(d)
+    d = _dist_matrix(points, centroids)
+    if d.all():  # no point sits on a centroid
+        return _inverse_distance(d, m)
     coincident = d == 0.0
-    singular_rows = coincident.any(axis=1)
-    if singular_rows.any():
-        hits = coincident[singular_rows]
-        u[singular_rows] = hits / hits.sum(axis=1, keepdims=True)
-    regular = ~singular_rows
-    if regular.any():
-        w = d[regular] ** (-2.0 / (m - 1.0))
-        u[regular] = w / w.sum(axis=1, keepdims=True)
-    return MembershipMatrix(u)
+    singular = coincident.any(axis=1)
+    u = np.empty_like(d)
+    hits = coincident[singular]
+    u[singular] = hits / hits.sum(axis=1, keepdims=True)
+    u[~singular] = _inverse_distance(d[~singular], m)
+    return u
 
 
-def fcm_run(
-    points: list[Position], params: FcmParams
-) -> tuple[MembershipMatrix, list[Position], int]:
+def fcm_run(points: np.ndarray, params: FcmParams) -> tuple[np.ndarray, np.ndarray, int]:
     """Alternate centroid and membership updates until the memberships settle.
 
     Convergence is max |u_new - u_old| < params.tol; iteration count is the
-    number of centroids+memberships pairs performed.
+    number of centroids+memberships pairs performed. Returns the memberships,
+    the centroids and that count.
     """
-    if not points:
+    if len(points) == 0:
         raise ValueError("at least one point required")
     u = fcm_init(len(points), params.k, params.seed)
-    centroids: list[Position] = []
     iterations = 0
     for _ in range(params.max_iter):
         centroids = fcm_centroids(points, u, params.m)
         u_new = fcm_memberships(points, centroids, params.m)
         iterations += 1
-        delta = float(np.abs(u_new.u - u.u).max())
+        delta = np.abs(u_new - u).max()
         u = u_new
         if delta < params.tol:
             break
     return u, centroids, iterations
 
 
-def defuzzify(u: MembershipMatrix) -> np.ndarray:
+def defuzzify(u: np.ndarray) -> np.ndarray:
     """Hard assignment by row argmax (ties: lowest cluster index)."""
-    return u.u.argmax(axis=1)
+    return u.argmax(axis=1)

@@ -23,13 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Node, Position, euclidean_distance
-from .partitioning import (
-    FcmParams,
-    defuzzify,
-    fcm_run,
-    kmeans_run,
-    positions_array,
-)
+from .partitioning import FcmParams, defuzzify, fcm_run, kmeans_init, kmeans_run
 
 
 @dataclass
@@ -120,6 +114,11 @@ class EecsParams:
 
 def _alive(nodes: list[Node]) -> list[Node]:
     return [n for n in nodes if n.alive]
+
+
+def _positions(nodes: list[Node]) -> np.ndarray:
+    """(n, 2) array of the nodes' positions, in list order."""
+    return np.array([(n.pos.x, n.pos.y) for n in nodes], dtype=float)
 
 
 # --- rotation election (LEACH) -------------------------------------------------
@@ -261,7 +260,7 @@ def heed_form_clusters(
     if not alive:
         raise ValueError("no alive nodes")
     n = len(alive)
-    pos = positions_array(alive)
+    pos = _positions(alive)
     ids = np.array([a.id for a in alive])
     energy = np.array([a.energy for a in alive])
     diff = pos[:, None, :] - pos[None, :, :]
@@ -406,23 +405,25 @@ def eecs_form_clusters(nodes: list[Node], bs: Position, params: EecsParams, rng)
 # --- centroid-based formation (k-means / fuzzy c-means) -------------------------
 
 
-def _head_by_energy(members: list[Node], centroid: Position) -> int:
-    """Max residual energy; ties by distance to the centroid, then lowest id."""
+def _head_by_energy(members: list[Node], cx: float, cy: float) -> int:
+    """Max residual energy; ties by distance to the centroid (cx, cy), then lowest id."""
     return min(
         members,
-        key=lambda n: (-n.energy, euclidean_distance(n.pos, centroid), n.id),
+        key=lambda n: (-n.energy, math.hypot(n.pos.x - cx, n.pos.y - cy), n.id),
     ).id
 
 
 def _centroid_cluster_set(
-    alive: list[Node], assignment: np.ndarray, centroids: list[Position], k: int
+    alive: list[Node], assignment: np.ndarray, centroids: np.ndarray
 ) -> ClusterSet:
+    groups: list[list[Node]] = [[] for _ in centroids]
+    for node, j in zip(alive, assignment.tolist()):
+        groups[j].append(node)
     clusters: list[Cluster] = []
-    for j in range(k):
-        group = [alive[i] for i in range(len(alive)) if assignment[i] == j]
+    for group, (cx, cy) in zip(groups, centroids.tolist()):
         if not group:
             continue
-        head = _head_by_energy(group, centroids[j])
+        head = _head_by_energy(group, cx, cy)
         clusters.append(Cluster(head=head, members=[n.id for n in group if n.id != head]))
     return ClusterSet(clusters=clusters)
 
@@ -430,10 +431,10 @@ def _centroid_cluster_set(
 def kmeans_form_clusters(nodes: list[Node], k: int, max_iter: int = 100) -> tuple[ClusterSet, int]:
     """Cluster alive nodes by position with k-means; head each cluster by energy."""
     alive = sorted(_alive(nodes), key=lambda n: n.id)
-    if k > len(alive):
-        raise ValueError(f"k={k} exceeds alive node count {len(alive)}")
-    part = kmeans_run(alive, k, max_iter=max_iter)
-    return _centroid_cluster_set(alive, part.assignment, part.centroids, k), part.iterations
+    pts = _positions(alive)
+    init = kmeans_init(pts, np.array([n.energy for n in alive]), k)
+    part = kmeans_run(pts, init, max_iter=max_iter)
+    return _centroid_cluster_set(alive, part.assignment, part.centroids), part.iterations
 
 
 def fuzzy_form_clusters(nodes: list[Node], fcm: FcmParams) -> tuple[ClusterSet, int]:
@@ -441,6 +442,5 @@ def fuzzy_form_clusters(nodes: list[Node], fcm: FcmParams) -> tuple[ClusterSet, 
     alive = sorted(_alive(nodes), key=lambda n: n.id)
     if fcm.k > len(alive):
         raise ValueError(f"k={fcm.k} exceeds alive node count {len(alive)}")
-    u, centroids, iterations = fcm_run([n.pos for n in alive], fcm)
-    assignment = defuzzify(u)
-    return _centroid_cluster_set(alive, assignment, centroids, fcm.k), iterations
+    u, centroids, iterations = fcm_run(_positions(alive), fcm)
+    return _centroid_cluster_set(alive, defuzzify(u), centroids), iterations

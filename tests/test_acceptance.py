@@ -30,6 +30,7 @@ from wsnsim.partitioning import (
     defuzzify,
     fcm_memberships,
     fcm_run,
+    kmeans_init,
     kmeans_run,
 )
 from wsnsim.protocols import (
@@ -152,9 +153,9 @@ class TestCriterion4IterationTrend:
             max_iter=100,
         )
         elapsed = time.monotonic() - start
-        claim_wins = sum(1 for _, km, fz in rows if fz <= km)
-        kmeans_wins = sum(1 for _, km, fz in rows if km < fz)
-        cells = " ".join(f"k={k}:{km:.1f}/{fz:.1f}" for k, km, fz in rows)
+        claim_wins = sum(1 for _, km, fz, _ in rows if fz <= km)
+        kmeans_wins = sum(1 for _, km, fz, _ in rows if km < fz)
+        cells = " ".join(f"k={k}:{km:.1f}/{fz:.1f}" for k, km, fz, _ in rows)
         detail = (
             f"kmeans<fuzzy in {kmeans_wins}/{len(rows)} cells (needs all); "
             f"source claim fuzzy<=kmeans in {claim_wins}/{len(rows)} (needs 7); "
@@ -242,17 +243,17 @@ class TestCriterion7NumericalProperties:
         for _ in range(1000):
             n = int(rng.integers(1, 25))
             k = int(rng.integers(1, 8))
-            points = [Position(*rng.uniform(0, 100, 2)) for _ in range(n)]
+            points = np.array([rng.uniform(0, 100, 2) for _ in range(n)])
             if rng.random() < 0.2:  # exercise the coincident-centroid path too
-                centroids = [points[0]] + [
-                    Position(*rng.uniform(0, 100, 2)) for _ in range(k - 1)
-                ]
+                centroids = np.array(
+                    [points[0]] + [rng.uniform(0, 100, 2) for _ in range(k - 1)]
+                )
             else:
-                centroids = [Position(*rng.uniform(0, 100, 2)) for _ in range(k)]
+                centroids = np.array([rng.uniform(0, 100, 2) for _ in range(k)])
             u = fcm_memberships(points, centroids, m=2.0)
-            if np.any(np.abs(u.u.sum(axis=1) - 1.0) > 1e-9):
+            if np.any(np.abs(u.sum(axis=1) - 1.0) > 1e-9):
                 violations += 1
-            if np.any(u.u < 0) or np.any(u.u > 1):
+            if np.any(u < 0) or np.any(u > 1):
                 violations += 1
         report("7a membership rows", violations == 0, "1000 cases at 1e-9")
         assert violations == 0
@@ -263,12 +264,10 @@ class TestCriterion7NumericalProperties:
         for _ in range(1000):
             n = int(rng.integers(2, 40))
             k = int(rng.integers(1, min(n, 8) + 1))
-            nodes = [
-                Node(id=i, pos=Position(*rng.uniform(0, 100, 2)),
-                     energy=float(rng.uniform(0.1, 1.0)))
-                for i in range(n)
-            ]
-            part = kmeans_run(nodes, k)
+            draws = [(rng.uniform(0, 100, 2), float(rng.uniform(0.1, 1.0))) for _ in range(n)]
+            points = np.array([xy for xy, _ in draws])
+            energy = np.array([e for _, e in draws])
+            part = kmeans_run(points, kmeans_init(points, energy, k))
             history = part.objective_history
             if any(b > a * (1 + 1e-12) + 1e-12 for a, b in zip(history, history[1:])):
                 violations += 1
@@ -371,9 +370,8 @@ class TestCriterion8OracleEquivalence:
             n = int(rng.integers(2, 13))
             pts = rng.uniform(0, 100, (n, 2))
             best, mask = brute_force_best_split(pts)
-            nodes = [Node(id=i, pos=Position(*pts[i]), energy=1.0) for i in range(n)]
-            init = [Position(*pts[mask].mean(axis=0)), Position(*pts[~mask].mean(axis=0))]
-            part = kmeans_run(nodes, 2, init=init)
+            init = np.array([pts[mask].mean(axis=0), pts[~mask].mean(axis=0)])
+            part = kmeans_run(pts, init)
             if part.objective > best * (1 + 1e-6) + 1e-9:
                 failures += 1
         report("8a kmeans oracle", failures == 0, "500 instances of <=12 points")
@@ -396,8 +394,7 @@ class TestCriterion8OracleEquivalence:
             if len(pts) < 2:
                 continue
             best, _ = brute_force_best_split(pts)
-            points = [Position(*p) for p in pts]
-            u, _, _ = fcm_run(points, FcmParams(k=2, m=2.0, seed=trial))
+            u, _, _ = fcm_run(pts, FcmParams(k=2, m=2.0, seed=trial))
             got = hard_objective(pts, defuzzify(u))
             if got > best * (1 + 1e-6) + 1e-9:
                 failures += 1

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from wsnsim.cli import main
 
 
@@ -45,6 +47,22 @@ class TestRun:
         assert len(doc["reports"]) == 10
 
 
+class TestIterationCaps:
+    @pytest.mark.parametrize("args", [
+        ["run", "--protocol", "kmeans", "--fcm-max-iter", "0"],
+        ["run", "--protocol", "fuzzy", "--fcm-max-iter", "0"],
+        ["run", "--protocol", "fuzzy", "--fcm-tol", "0"],
+        ["run", "--protocol", "fuzzy", "--fcm-m", "1"],
+        ["sweep", "--grid", "3", "--nodes", "20", "--fcm-max-iter", "0"],
+    ])
+    def test_invalid_cap_is_a_one_line_error(self, args, tmp_path, capsys):
+        code = run_cli(args + ["--seed", "1", "--rounds", "5", "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+
 class TestCompare:
     def test_requires_two_protocols(self, tmp_path, capsys):
         code = run_cli(["compare", "--protocol", "leach", "--seed", "1",
@@ -83,8 +101,20 @@ class TestSweep:
                         "--nodes", "40", "--out", out])
         assert code == 0
         lines = (out / "iteration_sweep.csv").read_text().splitlines()
-        assert lines[0] == "cluster_count,kmeans_iterations,fuzzy_iterations"
+        assert lines[0] == "cluster_count,kmeans_iterations,fuzzy_iterations,fuzzy_at_cap"
         assert len(lines) == 3
+
+    def test_counts_fuzzy_runs_at_the_cap(self, tmp_path, capsys):
+        # at tol=1e-300 no fuzzy run settles before its 7th pair
+        out = tmp_path / "o"
+        code = run_cli(["sweep", "--grid", "3,6", "--seed", "1", "--seed", "2",
+                        "--nodes", "30", "--fcm-max-iter", "7", "--fcm-tol", "1e-300",
+                        "--out", out])
+        assert code == 0
+        rows = [l.split(",") for l in (out / "iteration_sweep.csv").read_text().splitlines()[1:]]
+        assert [(r[2], r[3]) for r in rows] == [("7.0", "2"), ("7.0", "2")]
+        printed = capsys.readouterr().out.splitlines()
+        assert all(line.endswith(" fuzzy_at_cap=2") for line in printed)
 
     def test_range_syntax(self, tmp_path):
         out = tmp_path / "o"

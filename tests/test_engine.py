@@ -226,8 +226,9 @@ class TestHelpers:
             NetworkConfig(n_nodes=30, seed=1), grid=[3, 6], seeds=[1, 2]
         )
         assert [r[0] for r in rows] == [3, 6]
-        for _, km, fz in rows:
+        for _, km, fz, capped in rows:
             assert km >= 1 and fz >= 1
+            assert 0 <= capped <= 2
 
     def test_kmeans_k_clamped_as_network_dies(self):
         # a shrinking network must not raise once alive < k

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wsnsim.model import NetworkConfig, Node, Position, deploy_nodes
 from wsnsim.partitioning import (
     FcmParams,
-    MembershipMatrix,
     defuzzify,
     fcm_centroids,
     fcm_init,
@@ -17,20 +19,29 @@ from wsnsim.partitioning import (
     kmeans_run,
     kmeans_update,
 )
+from wsnsim.protocols import kmeans_form_clusters
 
 
-def nodes_at(coords, energies=None):
-    energies = energies or [1.0] * len(coords)
-    return [
-        Node(id=i, pos=Position(*xy), energy=e)
-        for i, (xy, e) in enumerate(zip(coords, energies))
-    ]
+def pts(*coords):
+    """An (n, 2) float array of the given (x, y) pairs."""
+    return np.array(coords, dtype=float).reshape(-1, 2)
+
+
+def kmeans_from_energy(points, energy, k, max_iter=100):
+    """k-means from the energy-ranked init, as the k-means formation runs it."""
+    return kmeans_run(points, kmeans_init(points, np.asarray(energy, dtype=float), k), max_iter)
+
+
+def assert_memberships(u, tol=1e-9):
+    """Membership rows lie in [0, 1] and sum to 1."""
+    assert u.ndim == 2
+    assert not np.any(u < -tol) and not np.any(u > 1 + tol), "membership outside [0, 1]"
+    assert not np.any(np.abs(u.sum(axis=1) - 1.0) > tol), "membership row does not sum to 1"
 
 
 def brute_force_two_partition(points):
     """Best 2-partition objective by exhaustive enumeration (n <= 12)."""
-    pts = np.array([(p.x, p.y) for p in points])
-    n = len(pts)
+    n = len(points)
     best = math.inf
     best_mask = None
     for bits in range(1, 2 ** (n - 1)):  # nonempty, label-symmetric halves
@@ -38,7 +49,7 @@ def brute_force_two_partition(points):
         if mask.all():
             continue
         obj = 0.0
-        for part in (pts[mask], pts[~mask]):
+        for part in (points[mask], points[~mask]):
             centroid = part.mean(axis=0)
             obj += ((part - centroid) ** 2).sum()
         if obj < best:
@@ -47,12 +58,135 @@ def brute_force_two_partition(points):
     return best, best_mask
 
 
-def hard_objective(pts: np.ndarray, assignment: np.ndarray) -> float:
+def hard_objective(points: np.ndarray, assignment: np.ndarray) -> float:
     obj = 0.0
     for j in np.unique(assignment):
-        part = pts[assignment == j]
+        part = points[assignment == j]
         obj += ((part - part.mean(axis=0)) ** 2).sum()
     return float(obj)
+
+
+# --- oracles: per-cluster loops the array steps must match bit for bit -------
+
+
+def distances_loop(points, centroids):
+    return np.array([
+        [math.sqrt((px - cx) * (px - cx) + (py - cy) * (py - cy))
+         for cx, cy in centroids.tolist()]
+        for px, py in points.tolist()
+    ]).reshape(len(points), len(centroids))
+
+
+def kmeans_update_loop(points, assignment, previous):
+    centroids = previous.copy()
+    for j in range(len(previous)):
+        mask = assignment == j
+        if mask.any():
+            centroids[j] = points[mask].mean(axis=0)
+    return centroids
+
+
+def fcm_centroids_loop(points, u, m):
+    w = u**m
+    totals = w.sum(axis=0)
+    centroids = np.empty((u.shape[1], 2))
+    for j in range(u.shape[1]):
+        if totals[j] > 0:
+            centroids[j] = (w[:, j, None] * points).sum(axis=0) / totals[j]
+        else:
+            centroids[j] = points.mean(axis=0)
+    return centroids
+
+
+def fcm_memberships_loop(points, centroids, m):
+    u = np.empty((len(points), len(centroids)))
+    for i, d in enumerate(distances_loop(points, centroids)):
+        hits = d == 0.0
+        if hits.any():
+            u[i] = hits / hits.sum()
+        else:
+            w = d ** (-2.0 / (m - 1.0))
+            u[i] = w / w.sum()
+    return u
+
+
+# small integers make coincident points and centroids likely
+coordinates = st.one_of(
+    st.integers(0, 6).map(float), st.floats(0, 100, allow_nan=False, allow_infinity=False)
+)
+fuzzifiers = st.sampled_from([1.5, 2.0, 3.0])
+
+
+@st.composite
+def points_and_centroids(draw):
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 6))
+    points = draw(arrays(np.float64, (n, 2), elements=coordinates))
+    centroids = draw(arrays(np.float64, (k, 2), elements=coordinates))
+    for j in range(k):  # some centroids sit exactly on a point
+        if draw(st.booleans()):
+            centroids[j] = points[draw(st.integers(0, n - 1))]
+    return points, centroids
+
+
+@st.composite
+def points_and_memberships(draw):
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 6))
+    points = draw(arrays(np.float64, (n, 2), elements=coordinates))
+    u = draw(arrays(np.float64, (n, k), elements=st.floats(0, 1)))
+    for j in range(k):  # all-zero columns take the global-mean fallback
+        if draw(st.booleans()):
+            u[:, j] = 0.0
+    return points, u
+
+
+@st.composite
+def points_and_assignment(draw):
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 8))  # k above the used labels leaves clusters empty
+    points = draw(arrays(np.float64, (n, 2), elements=coordinates))
+    assignment = draw(arrays(np.intp, n, elements=st.integers(0, k - 1)))
+    previous = draw(arrays(np.float64, (k, 2), elements=coordinates))
+    return points, assignment, previous
+
+
+class TestArrayStepsMatchLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(points_and_assignment())
+    def test_kmeans_update(self, case):
+        points, assignment, previous = case
+        got = kmeans_update(points, assignment, previous)
+        assert np.array_equal(got, kmeans_update_loop(points, assignment, previous))
+
+    @settings(max_examples=300, deadline=None)
+    @given(points_and_centroids())
+    def test_kmeans_assign(self, case):
+        points, centroids = case
+        expected = distances_loop(points, centroids).argmin(axis=1)
+        assert np.array_equal(kmeans_assign(points, centroids), expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(points_and_memberships(), fuzzifiers)
+    def test_fcm_centroids(self, case, m):
+        points, u = case
+        got = fcm_centroids(points, u, m)
+        assert np.array_equal(got, fcm_centroids_loop(points, u, m))
+
+    @settings(max_examples=300, deadline=None)
+    @given(points_and_centroids(), fuzzifiers)
+    def test_fcm_memberships(self, case, m):
+        points, centroids = case
+        # a distance of ~1e-160 overflows d**-2 on both sides alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = fcm_memberships(points, centroids, m)
+            expected = fcm_memberships_loop(points, centroids, m)
+        assert np.array_equal(got, expected, equal_nan=True)
+
+    def test_previous_centroids_are_not_modified(self):
+        previous = pts((9, 9), (7, 7))
+        kmeans_update(pts((3, 4)), np.array([0]), previous)
+        assert previous.tolist() == [[9, 9], [7, 7]]
 
 
 # acceptance criterion 4's sweep: deployments of the default scenario at
@@ -62,9 +196,12 @@ CRITERION4_GRID = range(10, 101, 10)
 
 
 def criterion4_cell(seed):
-    """Nodes of one criterion-4 deployment and the generator that placed them."""
+    """Positions and energies of one criterion-4 deployment, and the
+    generator that placed them."""
     rng = np.random.default_rng(seed)
-    return deploy_nodes(NetworkConfig(seed=seed), rng), rng
+    nodes = deploy_nodes(NetworkConfig(seed=seed), rng)
+    points = pts(*[(n.pos.x, n.pos.y) for n in nodes])
+    return points, np.array([n.energy for n in nodes]), rng
 
 
 def fcm_pairs(points, u, params):
@@ -74,119 +211,107 @@ def fcm_pairs(points, u, params):
     Returns (pairs performed, final memberships).
     """
     for pair in range(1, params.max_iter + 1):
-        centroids = fcm_centroids(points, MembershipMatrix(u), params.m)
-        u_new = fcm_memberships(points, centroids, params.m).u
+        centroids = fcm_centroids(points, u, params.m)
+        u_new = fcm_memberships(points, centroids, params.m)
         if np.abs(u_new - u).max() < params.tol:
             return pair, u_new
         u = u_new
     return params.max_iter, u
 
 
-def kmeans_updates(nodes, k, max_iter):
+def kmeans_updates(points, energy, k, max_iter):
     """Assign+update pairs from the energy-ranked init until the assignment
     repeats, or until max_iter pairs.
 
     Returns (update steps performed, last assignment, centroids).
     """
-    points = [n.pos for n in nodes if n.alive]
-    centroids = kmeans_init(nodes, k)
+    centroids = kmeans_init(points, energy, k)
     assignments = []
     while len(assignments) < max_iter:
         assignment = kmeans_assign(points, centroids)
         if assignments and np.array_equal(assignment, assignments[-1]):
             break
-        centroids = kmeans_update(points, assignment, k, centroids)
+        centroids = kmeans_update(points, assignment, centroids)
         assignments.append(assignment)
     return len(assignments), assignments[-1], centroids
 
 
 class TestKmeansInit:
     def test_picks_highest_energy(self):
-        nodes = nodes_at([(0, 0), (1, 0), (2, 0), (3, 0)], energies=[5, 3, 9, 1])
-        cents = kmeans_init(nodes, 2)
-        assert (cents[0].x, cents[0].y) == (2, 0)  # energy 9
-        assert (cents[1].x, cents[1].y) == (0, 0)  # energy 5
+        cents = kmeans_init(pts((0, 0), (1, 0), (2, 0), (3, 0)), np.array([5, 3, 9, 1.0]), 2)
+        assert cents.tolist() == [[2, 0], [0, 0]]  # energy 9, then 5
 
     def test_ties_break_to_lower_id(self):
-        nodes = nodes_at([(0, 0), (1, 0), (2, 0)], energies=[1, 1, 1])
-        cents = kmeans_init(nodes, 2)
-        assert [(c.x, c.y) for c in cents] == [(0, 0), (1, 0)]
+        # rows are in id order, so the lower index is the lower id
+        cents = kmeans_init(pts((0, 0), (1, 0), (2, 0)), np.ones(3), 2)
+        assert cents.tolist() == [[0, 0], [1, 0]]
 
     def test_k_equals_alive_count(self):
-        nodes = nodes_at([(0, 0), (1, 1)])
-        cents = kmeans_init(nodes, 2)
-        assert {(c.x, c.y) for c in cents} == {(0, 0), (1, 1)}
+        cents = kmeans_init(pts((0, 0), (1, 1)), np.ones(2), 2)
+        assert {tuple(c) for c in cents.tolist()} == {(0, 0), (1, 1)}
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
-            kmeans_init(nodes_at([(0, 0)]), 2)
+            kmeans_init(pts((0, 0)), np.ones(1), 2)
 
     def test_dead_nodes_excluded(self):
-        nodes = nodes_at([(0, 0), (1, 0)], energies=[9, 1])
-        nodes[0].alive = False
-        cents = kmeans_init(nodes, 1)
-        assert (cents[0].x, cents[0].y) == (1, 0)
+        # the formation seeds from alive nodes only: (1,0) and (10,0) stay
+        # apart, where a dead, richest seed at (0,0) would have left both
+        # alive nodes with the seed at (1,0)
+        nodes = [Node(id=0, pos=Position(0, 0), energy=9.0, alive=False),
+                 Node(id=1, pos=Position(1, 0), energy=1.0),
+                 Node(id=2, pos=Position(10, 0), energy=0.5)]
+        cs, _ = kmeans_form_clusters(nodes, 2)
+        assert [(c.head, c.members) for c in cs.clusters] == [(1, []), (2, [])]
 
 
 class TestKmeansAssign:
     def test_tie_goes_to_lower_index(self):
-        a = kmeans_assign([Position(0.5, 0)], [Position(0, 0), Position(1, 0)])
-        assert a.tolist() == [0]
+        assert kmeans_assign(pts((0.5, 0)), pts((0, 0), (1, 0))).tolist() == [0]
 
     def test_single_centroid(self):
-        a = kmeans_assign([Position(0, 0), Position(9, 9)], [Position(4, 4)])
-        assert a.tolist() == [0, 0]
+        assert kmeans_assign(pts((0, 0), (9, 9)), pts((4, 4))).tolist() == [0, 0]
 
     def test_nearest_by_inspection(self):
-        a = kmeans_assign(
-            [Position(0, 0), Position(10, 0)], [Position(1, 0), Position(9, 0)]
-        )
+        a = kmeans_assign(pts((0, 0), (10, 0)), pts((1, 0), (9, 0)))
         assert a.tolist() == [0, 1]
 
     def test_empty_centroids(self):
         with pytest.raises(ValueError):
-            kmeans_assign([Position(0, 0)], [])
+            kmeans_assign(pts((0, 0)), pts())
 
 
 class TestKmeansUpdate:
     def test_mean(self):
-        cents = kmeans_update(
-            [Position(0, 0), Position(2, 0)], np.array([0, 0]), 1, [Position(9, 9)]
-        )
-        assert (cents[0].x, cents[0].y) == (1, 0)
+        cents = kmeans_update(pts((0, 0), (2, 0)), np.array([0, 0]), pts((9, 9)))
+        assert cents.tolist() == [[1, 0]]
 
     def test_singleton(self):
-        cents = kmeans_update(
-            [Position(3, 4)], np.array([0]), 2, [Position(0, 0), Position(7, 7)]
-        )
-        assert (cents[0].x, cents[0].y) == (3, 4)
+        cents = kmeans_update(pts((3, 4)), np.array([0]), pts((0, 0), (7, 7)))
+        assert cents[0].tolist() == [3, 4]
 
     def test_empty_cluster_keeps_previous(self):
-        cents = kmeans_update(
-            [Position(3, 4)], np.array([0]), 2, [Position(0, 0), Position(7, 7)]
-        )
-        assert (cents[1].x, cents[1].y) == (7, 7)
+        cents = kmeans_update(pts((3, 4)), np.array([0]), pts((0, 0), (7, 7)))
+        assert cents[1].tolist() == [7, 7]
 
 
 class TestKmeansRun:
     def test_unit_square_from_bottom_corners(self):
         # energies steer the max-energy init onto the two bottom corners
-        nodes = nodes_at([(0, 0), (1, 0), (0, 1), (1, 1)], energies=[4, 3, 2, 1])
-        part = kmeans_run(nodes, 2)
+        points = pts((0, 0), (1, 0), (0, 1), (1, 1))
+        part = kmeans_from_energy(points, [4, 3, 2, 1], 2)
         assert part.iterations <= 2
-        assert {(c.x, c.y) for c in part.centroids} == {(0.0, 0.5), (1.0, 0.5)}
-        best, _ = brute_force_two_partition([n.pos for n in nodes])
+        assert {tuple(c) for c in part.centroids.tolist()} == {(0.0, 0.5), (1.0, 0.5)}
+        best, _ = brute_force_two_partition(points)
         assert part.objective == pytest.approx(best, rel=1e-12)
 
     def test_k1_single_iteration_global_mean(self):
-        nodes = nodes_at([(0, 0), (2, 0), (4, 6)])
-        part = kmeans_run(nodes, 1)
+        part = kmeans_from_energy(pts((0, 0), (2, 0), (4, 6)), [1, 1, 1], 1)
         assert part.iterations == 1
-        assert (part.centroids[0].x, part.centroids[0].y) == (2.0, 2.0)
+        assert part.centroids.tolist() == [[2.0, 2.0]]
 
     def test_k_equals_n_zero_objective(self):
-        nodes = nodes_at([(0, 0), (5, 0), (0, 5), (7, 7)])
-        part = kmeans_run(nodes, 4)
+        part = kmeans_from_energy(pts((0, 0), (5, 0), (0, 5), (7, 7)), [1] * 4, 4)
         assert part.objective == pytest.approx(0.0, abs=1e-12)
         # each point owns its own centroid per the brute-force argument
         assert sorted(part.assignment.tolist()) == [0, 1, 2, 3]
@@ -196,31 +321,30 @@ class TestKmeansRun:
         for _ in range(50):
             n = int(rng.integers(5, 30))
             k = int(rng.integers(1, min(n, 6)))
-            nodes = nodes_at(
-                [tuple(rng.uniform(0, 100, 2)) for _ in range(n)],
-                energies=list(rng.uniform(0.1, 1.0, n)),
-            )
-            part = kmeans_run(nodes, k)
+            points = pts(*[tuple(rng.uniform(0, 100, 2)) for _ in range(n)])
+            part = kmeans_from_energy(points, rng.uniform(0.1, 1.0, n), k)
             for a, b in zip(part.objective_history, part.objective_history[1:]):
                 assert b <= a + 1e-9
 
     def test_explicit_init_override(self):
-        nodes = nodes_at([(0, 0), (1, 0), (0, 1), (1, 1)])
-        part = kmeans_run(nodes, 2, init=[Position(0, 0), Position(1, 0)])
-        assert {(c.x, c.y) for c in part.centroids} == {(0.0, 0.5), (1.0, 0.5)}
+        part = kmeans_run(pts((0, 0), (1, 0), (0, 1), (1, 1)), pts((0, 0), (1, 0)))
+        assert {tuple(c) for c in part.centroids.tolist()} == {(0.0, 0.5), (1.0, 0.5)}
+
+    def test_rejects_zero_iteration_cap(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            kmeans_run(pts((0, 0), (1, 0)), pts((0, 0)), max_iter=0)
 
     # at k=30 four update steps move a single node before the assignment repeats
     @pytest.mark.parametrize("k, max_iter", [(10, 100), (30, 100), (50, 100), (10, 3)])
     def test_count_is_update_steps_until_assignment_repeats(self, k, max_iter):
-        nodes, _ = criterion4_cell(0)
-        steps, assignment, centroids = kmeans_updates(nodes, k, max_iter)
-        part = kmeans_run(nodes, k, max_iter=max_iter)
+        points, energy, _ = criterion4_cell(0)
+        steps, assignment, centroids = kmeans_updates(points, energy, k, max_iter)
+        part = kmeans_from_energy(points, energy, k, max_iter=max_iter)
         assert part.iterations == steps
         assert np.array_equal(part.assignment, assignment)
-        assert part.centroids == centroids
+        assert np.array_equal(part.centroids, centroids)
         if steps < max_iter:
             # stopped by the rule: the final centroids reproduce the assignment
-            points = [n.pos for n in nodes]
             assert np.array_equal(kmeans_assign(points, part.centroids), part.assignment)
 
     def test_oracle_equivalence_small_instances(self):
@@ -229,30 +353,22 @@ class TestKmeansRun:
         rng = np.random.default_rng(11)
         for _ in range(25):
             n = int(rng.integers(2, 13))
-            nodes = nodes_at([tuple(rng.uniform(0, 100, 2)) for _ in range(n)])
-            points = [x.pos for x in nodes]
+            points = pts(*[tuple(rng.uniform(0, 100, 2)) for _ in range(n)])
             best, mask = brute_force_two_partition(points)
-            pts = np.array([(p.x, p.y) for p in points])
-            init = [
-                Position(*pts[mask].mean(axis=0)),
-                Position(*pts[~mask].mean(axis=0)),
-            ]
-            part = kmeans_run(nodes, 2, init=init)
+            init = np.array([points[mask].mean(axis=0), points[~mask].mean(axis=0)])
+            part = kmeans_run(points, init)
             assert part.objective <= best * (1 + 1e-6) + 1e-9
 
 
 class TestFcmInit:
     def test_rows_sum_to_one(self):
-        u = fcm_init(17, 4, seed=3)
-        assert np.allclose(u.u.sum(axis=1), 1.0, atol=1e-9)
-        u.validate()
+        assert_memberships(fcm_init(17, 4, seed=3))
 
     def test_deterministic(self):
-        assert np.array_equal(fcm_init(8, 3, seed=5).u, fcm_init(8, 3, seed=5).u)
+        assert np.array_equal(fcm_init(8, 3, seed=5), fcm_init(8, 3, seed=5))
 
     def test_k1_all_ones(self):
-        u = fcm_init(6, 1, seed=0)
-        assert np.all(u.u == 1.0)
+        assert np.all(fcm_init(6, 1, seed=0) == 1.0)
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
@@ -261,103 +377,89 @@ class TestFcmInit:
 
 class TestFcmCentroids:
     def test_equal_memberships_give_global_mean(self):
-        points = [Position(0, 0), Position(2, 0), Position(4, 6)]
-        u = MembershipMatrix(np.full((3, 2), 0.5))
-        cents = fcm_centroids(points, u, m=2.0)
-        for c in cents:
-            assert (c.x, c.y) == (2.0, 2.0)
+        cents = fcm_centroids(pts((0, 0), (2, 0), (4, 6)), np.full((3, 2), 0.5), m=2.0)
+        assert cents.tolist() == [[2.0, 2.0], [2.0, 2.0]]
 
     def test_one_hot_recovers_point(self):
-        points = [Position(3, 4), Position(8, 8)]
-        u = MembershipMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        cents = fcm_centroids(points, u, m=2.0)
-        assert (cents[0].x, cents[0].y) == (3, 4)
-        assert (cents[1].x, cents[1].y) == (8, 8)
+        cents = fcm_centroids(pts((3, 4), (8, 8)), np.array([[1.0, 0.0], [0.0, 1.0]]), m=2.0)
+        assert cents.tolist() == [[3, 4], [8, 8]]
 
     def test_hand_evaluated_weighted_mean(self):
         # 1-D points {0, 2}, memberships to cluster j {0.9, 0.1}, m=2:
         # (0.81*0 + 0.01*2) / 0.82 = 0.024390...
-        points = [Position(0, 0), Position(2, 0)]
-        u = MembershipMatrix(np.array([[0.9, 0.1], [0.1, 0.9]]))
-        cents = fcm_centroids(points, u, m=2.0)
-        assert cents[0].x == pytest.approx(0.02 / 0.82, rel=1e-12)
-        assert cents[0].y == 0.0
+        u = np.array([[0.9, 0.1], [0.1, 0.9]])
+        cents = fcm_centroids(pts((0, 0), (2, 0)), u, m=2.0)
+        assert cents[0, 0] == pytest.approx(0.02 / 0.82, rel=1e-12)
+        assert cents[0, 1] == 0.0
 
     def test_zero_column_falls_back_to_mean(self):
-        points = [Position(0, 0), Position(4, 0)]
-        u = MembershipMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        cents = fcm_centroids(points, u, m=2.0)
-        assert (cents[1].x, cents[1].y) == (2.0, 0.0)
+        u = np.array([[1.0, 0.0], [1.0, 0.0]])
+        cents = fcm_centroids(pts((0, 0), (4, 0)), u, m=2.0)
+        assert cents[1].tolist() == [2.0, 0.0]
 
 
 class TestFcmMemberships:
     def test_coincident_point_gets_full_membership(self):
-        u = fcm_memberships([Position(1, 3)], [Position(1, 3), Position(9, 9)], m=2.0)
-        assert u.u.tolist() == [[1.0, 0.0]]
+        u = fcm_memberships(pts((1, 3)), pts((1, 3), (9, 9)), m=2.0)
+        assert u.tolist() == [[1.0, 0.0]]
 
     def test_coincident_with_two_centroids_splits(self):
-        u = fcm_memberships(
-            [Position(1, 3)], [Position(1, 3), Position(1, 3), Position(9, 9)], m=2.0
-        )
-        assert u.u.tolist() == [[0.5, 0.5, 0.0]]
+        u = fcm_memberships(pts((1, 3)), pts((1, 3), (1, 3), (9, 9)), m=2.0)
+        assert u.tolist() == [[0.5, 0.5, 0.0]]
 
     def test_equidistant_splits_evenly(self):
-        u = fcm_memberships([Position(0.5, 0)], [Position(0, 0), Position(1, 0)], m=2.0)
-        assert u.u[0] == pytest.approx([0.5, 0.5], abs=1e-12)
+        u = fcm_memberships(pts((0.5, 0)), pts((0, 0), (1, 0)), m=2.0)
+        assert u[0] == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_hand_evaluated_inverse_square(self):
         # x=0 with centroids at 1 and 3, m=2: u = (0.9, 0.1)
-        u = fcm_memberships([Position(0, 0)], [Position(1, 0), Position(3, 0)], m=2.0)
-        assert u.u[0] == pytest.approx([0.9, 0.1], rel=1e-12)
+        u = fcm_memberships(pts((0, 0)), pts((1, 0), (3, 0)), m=2.0)
+        assert u[0] == pytest.approx([0.9, 0.1], rel=1e-12)
 
     def test_rows_sum_to_one_randomized(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
             n = int(rng.integers(1, 20))
             k = int(rng.integers(1, 6))
-            points = [Position(*rng.uniform(0, 100, 2)) for _ in range(n)]
-            cents = [Position(*rng.uniform(0, 100, 2)) for _ in range(k)]
-            u = fcm_memberships(points, cents, m=2.0)
-            u.validate()
+            points = pts(*[rng.uniform(0, 100, 2) for _ in range(n)])
+            cents = pts(*[rng.uniform(0, 100, 2) for _ in range(k)])
+            assert_memberships(fcm_memberships(points, cents, m=2.0))
 
     def test_nearest_centroid_gets_strict_row_max(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
-            points = [Position(*rng.uniform(0, 100, 2))]
-            cents = [Position(*rng.uniform(0, 100, 2)) for _ in range(4)]
-            d = [math.hypot(points[0].x - c.x, points[0].y - c.y) for c in cents]
+            points = pts(rng.uniform(0, 100, 2))
+            cents = pts(*[rng.uniform(0, 100, 2) for _ in range(4)])
+            d = [math.hypot(*(points[0] - c)) for c in cents]
             order = sorted(range(4), key=lambda j: d[j])
             if math.isclose(d[order[0]], d[order[1]]):
                 continue
             u = fcm_memberships(points, cents, m=2.0)
-            assert u.u[0].argmax() == order[0]
-            assert u.u[0][order[0]] > max(
-                v for j, v in enumerate(u.u[0]) if j != order[0]
-            )
+            assert u[0].argmax() == order[0]
+            assert u[0][order[0]] > max(v for j, v in enumerate(u[0]) if j != order[0])
 
     def test_invalid_fuzzifier(self):
         with pytest.raises(ValueError):
-            fcm_memberships([Position(0, 0)], [Position(1, 1)], m=1.0)
+            fcm_memberships(pts((0, 0)), pts((1, 1)), m=1.0)
 
 
 class TestFcmRun:
     def test_k1_converges_immediately(self):
-        points = [Position(0, 0), Position(2, 0), Position(4, 6)]
-        u, cents, iterations = fcm_run(points, FcmParams(k=1, seed=0))
+        u, cents, iterations = fcm_run(pts((0, 0), (2, 0), (4, 6)), FcmParams(k=1, seed=0))
         assert iterations == 1
-        assert (cents[0].x, cents[0].y) == (2.0, 2.0)
-        assert np.all(u.u == 1.0)
+        assert cents.tolist() == [[2.0, 2.0]]
+        assert np.all(u == 1.0)
 
     def test_infinite_tol_single_iteration(self):
-        points = [Position(0, 0), Position(5, 5), Position(9, 0)]
+        points = pts((0, 0), (5, 5), (9, 0))
         _, _, iterations = fcm_run(points, FcmParams(k=2, tol=math.inf, seed=1))
         assert iterations == 1
 
     def test_deterministic_per_seed(self):
-        points = [Position(float(i), float(i % 3)) for i in range(9)]
+        points = pts(*[(float(i), float(i % 3)) for i in range(9)])
         r1 = fcm_run(points, FcmParams(k=3, seed=21))
         r2 = fcm_run(points, FcmParams(k=3, seed=21))
-        assert np.array_equal(r1[0].u, r2[0].u)
+        assert np.array_equal(r1[0], r2[0])
         assert r1[2] == r2[2]
 
     def test_two_blobs_match_brute_force(self):
@@ -365,30 +467,27 @@ class TestFcmRun:
         for trial in range(10):
             n1 = int(rng.integers(2, 7))
             n2 = int(rng.integers(2, 7))
-            blob1 = [Position(*(rng.normal(0, 1.5, 2))) for _ in range(n1)]
-            blob2 = [Position(*(rng.normal(40, 1.5, 2))) for _ in range(n2)]
-            points = blob1 + blob2
+            blob1 = [rng.normal(0, 1.5, 2) for _ in range(n1)]
+            blob2 = [rng.normal(40, 1.5, 2) for _ in range(n2)]
+            points = pts(*blob1, *blob2)
             u, _, _ = fcm_run(points, FcmParams(k=2, seed=trial))
-            assignment = defuzzify(u)
-            pts = np.array([(p.x, p.y) for p in points])
             best, _ = brute_force_two_partition(points)
-            assert hard_objective(pts, assignment) == pytest.approx(best, rel=1e-6)
+            assert hard_objective(points, defuzzify(u)) == pytest.approx(best, rel=1e-6)
 
     @pytest.mark.parametrize("k, max_iter", [(10, 100), (50, 100), (10, 5)])
     def test_count_is_first_pair_below_tol(self, k, max_iter):
-        nodes, rng = criterion4_cell(0)
-        points = [n.pos for n in nodes]
+        points, _, rng = criterion4_cell(0)
         params = FcmParams(k=k, max_iter=max_iter, seed=int(rng.integers(0, 2**63)))
-        pairs, u = fcm_pairs(points, fcm_init(len(points), k, params.seed).u, params)
+        pairs, u = fcm_pairs(points, fcm_init(len(points), k, params.seed), params)
         got_u, _, iterations = fcm_run(points, params)
         assert iterations == pairs
-        assert np.array_equal(got_u.u, u)
+        assert np.array_equal(got_u, u)
 
     def test_membership_rows_stay_normalized(self):
         rng = np.random.default_rng(29)
-        points = [Position(*rng.uniform(0, 50, 2)) for _ in range(30)]
+        points = pts(*[rng.uniform(0, 50, 2) for _ in range(30)])
         u, _, _ = fcm_run(points, FcmParams(k=4, seed=3))
-        u.validate()
+        assert_memberships(u)
 
 
 class TestCriterion4Unreachable:
@@ -400,13 +499,12 @@ class TestCriterion4Unreachable:
         params = FcmParams(k=1, m=2.0, tol=1e-4, max_iter=100)  # k is unused here
         not_slower = []
         for seed in CRITERION4_SEEDS:
-            nodes, _ = criterion4_cell(seed)
-            points = [n.pos for n in nodes]
+            points, energy, _ = criterion4_cell(seed)
             for k in CRITERION4_GRID:
-                part = kmeans_run(nodes, k, max_iter=params.max_iter)
-                u0 = fcm_memberships(points, part.centroids, params.m).u
+                part = kmeans_from_energy(points, energy, k, max_iter=params.max_iter)
+                u0 = fcm_memberships(points, part.centroids, params.m)
                 pairs, _ = fcm_pairs(points, u0, params)
-                if k == len(nodes):
+                if k == len(points):
                     assert (pairs, part.iterations) == (1, 1), seed
                 elif pairs <= part.iterations:
                     not_slower.append((seed, k, pairs, part.iterations))
@@ -415,10 +513,10 @@ class TestCriterion4Unreachable:
 
 class TestDefuzzify:
     def test_argmax(self):
-        assert defuzzify(MembershipMatrix(np.array([[0.2, 0.8]]))).tolist() == [1]
+        assert defuzzify(np.array([[0.2, 0.8]])).tolist() == [1]
 
     def test_tie_breaks_low(self):
-        assert defuzzify(MembershipMatrix(np.array([[0.5, 0.5]]))).tolist() == [0]
+        assert defuzzify(np.array([[0.5, 0.5]])).tolist() == [0]
 
     def test_k1(self):
-        assert defuzzify(MembershipMatrix(np.ones((4, 1)))).tolist() == [0, 0, 0, 0]
+        assert defuzzify(np.ones((4, 1))).tolist() == [0, 0, 0, 0]

@@ -333,11 +333,13 @@ class TestCentroidFormations:
         assert all(c.members == [] for c in cs.clusters)
 
     def test_kmeans_iterations_passthrough(self):
-        from wsnsim.partitioning import kmeans_run
+        from wsnsim.partitioning import kmeans_init, kmeans_run
 
-        nodes = nodes_at([(i * 3 % 40, i * 7 % 40) for i in range(20)])
+        coords = [(i * 3 % 40, i * 7 % 40) for i in range(20)]
+        nodes = nodes_at(coords)
         cs, iterations = kmeans_form_clusters(nodes, 3)
-        assert iterations == kmeans_run(nodes, 3).iterations
+        points = np.array(coords, dtype=float)
+        assert iterations == kmeans_run(points, kmeans_init(points, np.ones(20), 3)).iterations
 
     def test_fuzzy_k1_max_energy_head(self):
         nodes = nodes_at([(0, 0), (5, 5), (9, 0)], energies=[0.2, 0.9, 0.4])
