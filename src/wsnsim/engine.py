@@ -55,7 +55,10 @@ class KmeansFormation:
     max_iter: int = 100
 
     def __post_init__(self):
-        _check_formation(self.k, self.max_iter)
+        if self.k is not None and self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -68,18 +71,9 @@ class FuzzyFormation:
     max_iter: int = 100
 
     def __post_init__(self):
-        _check_formation(self.k, self.max_iter)
-        if not self.m > 1.0:
-            raise ValueError("fuzzifier m must be > 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
-
-
-def _check_formation(k: int | None, max_iter: int) -> None:
-    if k is not None and k < 1:
-        raise ValueError("k must be >= 1")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+        # FcmParams' own checks, made here so a bad value fails before round 0
+        FcmParams(k=1 if self.k is None else self.k, m=self.m, tol=self.tol,
+                  max_iter=self.max_iter)
 
 
 Protocol = Union[LeachParams, HeedParams, EecsParams, KmeansFormation, FuzzyFormation]
