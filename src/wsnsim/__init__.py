@@ -49,8 +49,8 @@ from .protocols import (
     enforce_ch_separation,
     form_clusters_nearest,
     fuzzy_form_clusters,
-    heed_cost,
     heed_form_clusters,
+    heed_geometry,
     kmeans_form_clusters,
     leach_elect,
     leach_eligible,

@@ -135,6 +135,8 @@ class RunSpec:
             raise CliError("k must be >= 1 (k)")
         for name in self.protocols:
             self.protocol(name)  # an unknown name or bad parameters raise CliError
+        for seed in self.seeds:
+            self.network_config(seed)  # likewise for the scenario and each seed
 
 
 def _read_config_file(path: Path) -> dict[str, str]:
@@ -167,9 +169,9 @@ def _apply_config_values(spec: RunSpec, values: dict[str, str]) -> None:
         if key == "protocols":
             spec.protocols = [p.strip() for p in raw.split(",") if p.strip()]
         elif key == "seeds":
-            spec.seeds = [int(s) for s in raw.replace(",", " ").split()]
+            spec.seeds = _parse_ints(raw, "seeds")
         elif key == "grid":
-            spec.grid = [int(s) for s in raw.replace(",", " ").split()]
+            spec.grid = _parse_grid(raw)
         elif key == "out_dir":
             spec.out_dir = Path(raw)
         elif key == "formats":
@@ -188,16 +190,23 @@ def _apply_config_values(spec: RunSpec, values: dict[str, str]) -> None:
             raise CliError(f"unknown config key {key!r}")
 
 
+def _parse_ints(text: str, key: str, sep: str = ",") -> list[int]:
+    try:
+        return [int(v) for v in text.replace(sep, " ").split()]
+    except ValueError as exc:
+        raise CliError(f"invalid integer in {key}: {text!r}") from exc
+
+
 def _parse_grid(text: str) -> list[int]:
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
+        bounds = _parse_ints(text, "grid", sep=":")
+        if len(bounds) != 3:
             raise CliError("grid range must be start:stop:step")
-        start, stop, step = (int(p) for p in parts)
+        start, stop, step = bounds
         if step <= 0:
             raise CliError("grid step must be > 0 (grid)")
         return list(range(start, stop + 1, step))
-    return [int(v) for v in text.split(",") if v.strip()]
+    return _parse_ints(text, "grid")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,6 +363,8 @@ def cmd_sweep(spec: RunSpec) -> int:
     for k in spec.grid:
         if not 1 <= k <= spec.n_nodes:
             raise CliError(f"grid value {k} outside 1..n_nodes (grid)")
+    if len(set(spec.grid)) != len(spec.grid):
+        raise CliError(f"grid repeats a cluster count: {spec.grid} (grid)")
     out = spec.out_dir
     try:
         out.mkdir(parents=True, exist_ok=True)

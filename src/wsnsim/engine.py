@@ -21,16 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import (
-    NetworkConfig,
-    Node,
-    aggregate_energy,
-    consume,
-    deploy_nodes,
-    euclidean_distance,
-    rx_energy,
-    tx_energy,
-)
+from .model import NetworkConfig, Node, deploy_nodes, tx_energy
 from .partitioning import FcmParams
 from .protocols import (
     ClusterSet,
@@ -154,8 +145,7 @@ def _form_clusters(state: SimState, protocol: Protocol) -> tuple[ClusterSet, int
                                           protocol.ch_separation)
         return form_clusters_nearest(nodes, heads), 0
     if isinstance(protocol, HeedParams):
-        cluster_set, _ = heed_form_clusters(nodes, protocol, rng, cfg.initial_energy)
-        return cluster_set, 0
+        return heed_form_clusters(nodes, protocol, rng)[0], 0
     if isinstance(protocol, EecsParams):
         return eecs_form_clusters(nodes, cfg.bs_pos, protocol, rng), 0
     alive = sum(1 for n in nodes if n.alive)
@@ -171,21 +161,6 @@ def _form_clusters(state: SimState, protocol: Protocol) -> tuple[ClusterSet, int
     raise TypeError(f"unknown protocol {protocol!r}")
 
 
-class _Ledger:
-    """Charges energy to nodes, tracking totals and the unpayable remainder."""
-
-    def __init__(self):
-        self.charged = 0.0
-        self.clamped = 0.0
-
-    def charge(self, node: Node, cost: float) -> None:
-        self.charged += cost
-        shortfall = cost - node.energy
-        if shortfall > 0:
-            self.clamped += shortfall
-        consume(node, cost)
-
-
 def run_round(state: SimState, protocol: Protocol) -> tuple[SimState, RoundReport]:
     """Advance the simulation by one setup + steady-state cycle."""
     alive_before = state.alive_count()
@@ -194,70 +169,71 @@ def run_round(state: SimState, protocol: Protocol) -> tuple[SimState, RoundRepor
 
     cfg = state.config
     radio = cfg.radio
+    bs_x, bs_y = cfg.bs_pos.x, cfg.bs_pos.y
     by_id = {n.id: n for n in state.nodes}
     cluster_set, clustering_iterations = _form_clusters(state, protocol)
     head_ids = set(cluster_set.head_ids)
-    ledger = _Ledger()
+    # tx_energy, rx_energy and aggregate_energy with their per-bit products
+    # hoisted, in the same association
+    elec_header = radio.e_elec * radio.header_bits
+    amp_header = radio.e_amp * radio.header_bits
+    elec_data = radio.e_elec * radio.data_bits
+    amp_data = radio.e_amp * radio.data_bits
+    da_data = radio.e_da * radio.data_bits
+    charged = clamped = 0.0
+
+    def pay(node: Node, cost: float) -> bool:
+        """``consume``, counting unpaid energy as clamped; True iff ``node`` survives."""
+        nonlocal charged, clamped
+        charged += cost
+        if node.energy > cost:
+            node.energy -= cost
+            return True
+        clamped += cost - node.energy
+        node.energy, node.alive = 0.0, False
+        return False
 
     # -- setup: head advertisements, heard network-wide
     advert_cost = tx_energy(radio, radio.header_bits, cfg.diagonal)
-    delivered_adverts: set[int] = set()
-    for head_id in sorted(head_ids):
-        head = by_id[head_id]
-        ledger.charge(head, advert_cost)
-        if head.alive:
-            delivered_adverts.add(head_id)
-    n_adverts = len(delivered_adverts)
+    delivered_adverts = {h for h in sorted(head_ids) if pay(by_id[h], advert_cost)}
     for node in sorted(state.nodes, key=lambda n: n.id):
-        if not node.alive:
-            continue
-        heard = n_adverts - (1 if node.id in delivered_adverts else 0)
-        if heard > 0:
-            ledger.charge(node, heard * rx_energy(radio, radio.header_bits))
+        heard = len(delivered_adverts) - (1 if node.id in delivered_adverts else 0)
+        if node.alive and heard > 0:
+            pay(node, heard * elec_header)
 
-    # -- setup: join messages back to the chosen head
+    # -- setup: join messages back to the chosen head; each member's distance
+    # to its head is computed once, for the join and for the data message
+    joined: list[tuple[Node, list[tuple[Node, float]]]] = []
     for cluster in cluster_set.clusters:
         head = by_id[cluster.head]
+        links = []
         for member_id in sorted(cluster.members):
             member = by_id[member_id]
             if not member.alive:
                 continue
-            ledger.charge(member, tx_energy(
-                radio, radio.header_bits, euclidean_distance(member.pos, head.pos)))
-            if member.alive and head.alive:
-                ledger.charge(head, rx_energy(radio, radio.header_bits))
+            d = math.hypot(member.pos.x - head.pos.x, member.pos.y - head.pos.y)
+            links.append((member, d))
+            if pay(member, elec_header + amp_header * d * d) and head.alive:
+                pay(head, elec_header)
+        joined.append((head, links))
 
     # -- steady state: member data, head aggregation and uplink
     delivered = 0
-    for cluster in cluster_set.clusters:
-        head = by_id[cluster.head]
+    for head, links in joined:
         received = 0
-        for member_id in sorted(cluster.members):
-            member = by_id[member_id]
-            if not member.alive:
-                continue
-            ledger.charge(member, tx_energy(
-                radio, radio.data_bits, euclidean_distance(member.pos, head.pos)))
-            if member.alive and head.alive:
-                ledger.charge(head, rx_energy(radio, radio.data_bits))
-                if head.alive:
-                    received += 1
-        if head.alive:
-            ledger.charge(head, aggregate_energy(radio, radio.data_bits, received + 1))
-        if head.alive:
-            ledger.charge(head, tx_energy(
-                radio, radio.data_bits, euclidean_distance(head.pos, cfg.bs_pos)))
-            if head.alive:
-                delivered += 1
+        for member, d in links:
+            if (member.alive and pay(member, elec_data + amp_data * d * d)
+                    and head.alive and pay(head, elec_data)):
+                received += 1
+        if head.alive and pay(head, da_data * (received + 1)):
+            d = math.hypot(head.pos.x - bs_x, head.pos.y - bs_y)
+            delivered += pay(head, elec_data + amp_data * d * d)
 
     for orphan_id in sorted(cluster_set.orphans):
         orphan = by_id[orphan_id]
-        if not orphan.alive:
-            continue
-        ledger.charge(orphan, tx_energy(
-            radio, radio.data_bits, euclidean_distance(orphan.pos, cfg.bs_pos)))
         if orphan.alive:
-            delivered += 1
+            d = math.hypot(orphan.pos.x - bs_x, orphan.pos.y - bs_y)
+            delivered += pay(orphan, elec_data + amp_data * d * d)
 
     for node in state.nodes:
         if node.id in head_ids:
@@ -273,8 +249,8 @@ def run_round(state: SimState, protocol: Protocol) -> tuple[SimState, RoundRepor
         ch_count=len(head_ids),
         bs_messages_delivered=delivered,
         clustering_iterations=clustering_iterations,
-        energy_charged=ledger.charged,
-        energy_clamped=ledger.clamped,
+        energy_charged=charged,
+        energy_clamped=clamped,
     )
     state.round += 1
     return state, report
@@ -302,6 +278,8 @@ def sweep_iterations(
     deployment seed itself would make its initial memberships replay the
     node coordinates.
     """
+    if len(set(grid)) != len(grid):
+        raise ValueError(f"grid repeats a cluster count: {grid}")
     per_cell: dict[int, tuple[list[int], list[int]]] = {k: ([], []) for k in grid}
     for seed in seeds:
         config = replace(base_config, seed=seed)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Node, Position, euclidean_distance
+from .model import Node, Position, check_range, euclidean_distance, hypot
 from .partitioning import FcmParams, defuzzify, fcm_run, kmeans_init, kmeans_run
 
 
@@ -66,6 +66,7 @@ class LeachParams:
     def __post_init__(self):
         if not 0 < self.p <= 1:
             raise ValueError("p must be in (0, 1]")
+        check_range("ch_separation", self.ch_separation, 0.0)
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,10 @@ class HeedParams:
     def __post_init__(self):
         if not 0 < self.p_min <= self.c_prob <= 1:
             raise ValueError("require 0 < p_min <= c_prob <= 1")
-        if self.cluster_radius <= 0:
-            raise ValueError("cluster_radius must be > 0")
+        check_range("cluster_radius", self.cluster_radius, 0.0, strict=True)
         if self.announce_waves < 1:
             raise ValueError("announce_waves must be >= 1")
+        check_range("ch_separation", self.ch_separation, 0.0)
 
     @property
     def iteration_bound(self) -> int:
@@ -106,10 +107,11 @@ class EecsParams:
             raise ValueError("p must be in (0, 1]")
         if not 0 <= self.w <= 1:
             raise ValueError("w must be in [0, 1]")
-        if self.suppress_radius < 0 or self.join_radius <= 0:
-            raise ValueError("radii must be positive")
+        check_range("suppress_radius", self.suppress_radius, 0.0)
+        check_range("join_radius", self.join_radius, 0.0, strict=True)
         if not 0 < self.head_fraction <= 1:
             raise ValueError("head_fraction must be in (0, 1]")
+        check_range("ch_separation", self.ch_separation, 0.0)
 
 
 def _alive(nodes: list[Node]) -> list[Node]:
@@ -118,7 +120,7 @@ def _alive(nodes: list[Node]) -> list[Node]:
 
 def _positions(nodes: list[Node]) -> np.ndarray:
     """(n, 2) array of the nodes' positions, in list order."""
-    return np.array([(n.pos.x, n.pos.y) for n in nodes], dtype=float)
+    return np.array([(n.pos.x, n.pos.y) for n in nodes], dtype=float).reshape(-1, 2)
 
 
 # --- rotation election (LEACH) -------------------------------------------------
@@ -161,19 +163,24 @@ def leach_elect(nodes: list[Node], params: LeachParams, r: int, rng) -> set[int]
     depend on eligibility. If nobody self-elects, the alive node with the
     most energy (ties: lowest id) stands in as head for the round.
     """
-    alive = _alive(nodes)
+    alive = sorted(_alive(nodes), key=lambda n: n.id)
     if not alive:
         raise ValueError("no alive nodes")
-    heads: set[int] = set()
-    for node in sorted(alive, key=lambda n: n.id):
-        draw = float(rng.random())
-        t = leach_threshold(params.p, r, leach_eligible(node, params.p, r))
-        if draw < t:
-            heads.add(node.id)
+    # an ineligible node's threshold is 0, which no draw in [0, 1) is below
+    t = leach_threshold(params.p, r, True)
+    period_pos = r % rotation_period(params.p)  # leach_eligible, hoisted
+    draws = rng.random(len(alive)).tolist()
+    heads = {n.id for n, draw in zip(alive, draws)
+             if draw < t and n.rounds_since_ch >= period_pos}
     if not heads:
-        fallback = min(alive, key=lambda n: (-n.energy, n.id))
-        heads.add(fallback.id)
+        heads.add(min(alive, key=lambda n: (-n.energy, n.id)).id)
     return heads
+
+
+def _distances(nodes: list[Node], heads: list[Node]) -> np.ndarray:
+    """(len(nodes), len(heads)) block of ``euclidean_distance`` values."""
+    pos, hpos = _positions(nodes), _positions(heads)
+    return hypot(pos[:, 0, None] - hpos[:, 0], pos[:, 1, None] - hpos[:, 1])
 
 
 def form_clusters_nearest(nodes: list[Node], ch_ids: set[int]) -> ClusterSet:
@@ -186,13 +193,13 @@ def form_clusters_nearest(nodes: list[Node], ch_ids: set[int]) -> ClusterSet:
     for h in heads:
         if h not in by_id:
             raise ValueError(f"cluster head {h} is not an alive node")
-    clusters = {h: Cluster(head=h) for h in heads}
-    for node in alive:
-        if node.id in ch_ids:
-            continue
-        best = min(heads, key=lambda h: (euclidean_distance(node.pos, by_id[h].pos), h))
-        clusters[best].members.append(node.id)
-    return ClusterSet(clusters=[clusters[h] for h in heads])
+    clusters = [Cluster(head=h) for h in heads]
+    plain = [n for n in alive if n.id not in ch_ids]
+    # heads are in id order, so argmin's first minimum is the lowest id
+    nearest = _distances(plain, [by_id[h] for h in heads]).argmin(axis=1)
+    for node, j in zip(plain, nearest.tolist()):
+        clusters[j].members.append(node.id)
+    return ClusterSet(clusters=clusters)
 
 
 def enforce_ch_separation(ch_ids: set[int], nodes: list[Node], min_dist: float) -> set[int]:
@@ -225,28 +232,31 @@ def heed_announce_prob(params: HeedParams, energy, reference: float):
     return np.clip(np.maximum(params.c_prob * ratio**2, params.p_min), None, 1.0)
 
 
-def heed_cost(node: Node, candidate: Node, nodes: list[Node], radius: float) -> float:
-    """Communication cost of attaching to ``candidate``: mean squared distance
-    from the candidate to its alive neighbors within ``radius``.
+def heed_geometry(pos: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairwise distances, the within-``radius`` neighbor mask and each
+    candidate's attachment cost, for the (n, 2) positions ``pos``.
 
-    A candidate without neighbors gets the worst in-range cost, radius^2.
-    Lower is better; callers break ties on the lower candidate id.
+    The cost is the mean squared distance to the candidate's neighbors, or
+    radius^2 without neighbors. Lower is better; ties go to the lower id.
     """
-    sq = [
-        euclidean_distance(candidate.pos, other.pos) ** 2
-        for other in nodes
-        if other.alive and other.id != candidate.id
-        and euclidean_distance(candidate.pos, other.pos) <= radius
-    ]
-    return sum(sq) / len(sq) if sq else radius * radius
+    # in place, in the order of sqrt(dx*dx + dy*dy), with no (n, n, 2) temporary
+    dist = pos[:, None, 0] - pos[None, :, 0]
+    dist *= dist
+    dy = pos[:, None, 1] - pos[None, :, 1]
+    dy *= dy
+    dist += dy
+    np.sqrt(dist, out=dist)
+    in_range = dist <= radius
+    np.fill_diagonal(in_range, False)
+    neighbor_counts = in_range.sum(axis=1)
+    sq = np.where(in_range, dist, 0.0)
+    sq *= sq
+    cost = np.where(neighbor_counts > 0,
+                    sq.sum(axis=1) / np.maximum(neighbor_counts, 1), radius**2)
+    return dist, in_range, cost
 
 
-def heed_form_clusters(
-    nodes: list[Node],
-    params: HeedParams,
-    rng,
-    initial_energy: float,
-) -> tuple[ClusterSet, int]:
+def heed_form_clusters(nodes: list[Node], params: HeedParams, rng) -> tuple[ClusterSet, int]:
     """Iterative election: a node with no candidate in earshot announces with
     a residual-energy probability that doubles each pass; an announced
     candidate settles as final head iff no cheaper candidate is in its
@@ -260,23 +270,9 @@ def heed_form_clusters(
     if not alive:
         raise ValueError("no alive nodes")
     n = len(alive)
-    pos = _positions(alive)
     ids = np.array([a.id for a in alive])
     energy = np.array([a.energy for a in alive])
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    in_range = dist <= params.cluster_radius
-    np.fill_diagonal(in_range, False)
-
-    # per-candidate attachment cost: mean squared neighbor distance, radius^2
-    # when isolated (matches heed_cost on the same inputs)
-    sq = dist * dist
-    neighbor_counts = in_range.sum(axis=1)
-    cost = np.where(
-        neighbor_counts > 0,
-        (sq * in_range).sum(axis=1) / np.maximum(neighbor_counts, 1),
-        params.cluster_radius**2,
-    )
+    dist, in_range, cost = heed_geometry(_positions(alive), params.cluster_radius)
 
     prob = heed_announce_prob(params, energy, float(energy.max()))
 
@@ -300,39 +296,34 @@ def heed_form_clusters(
     if not announced.any():
         announced[int(np.lexsort((ids, -energy))[0])] = True  # richest stands in
 
-    heard = in_range & announced[None, :]
-    heard |= np.diag(announced)
-    final = np.zeros(n, dtype=bool)
-    for i in np.flatnonzero(announced):
-        keys = np.where(heard[i], rank, n)
-        if int(keys.argmin()) == i:
-            final[i] = True
-
-    head_idx = np.flatnonzero(final)
+    # a candidate settles iff it has the lowest rank among the candidates it
+    # hears, itself included
+    cand = np.flatnonzero(announced)
+    heard = in_range[cand] & announced
+    heard[np.arange(len(cand)), cand] = True
+    head_idx = cand[np.where(heard, rank, n).argmin(axis=1) == cand]
     heads = {int(ids[i]) for i in head_idx}
     if params.ch_separation > 0:
         heads = enforce_ch_separation(heads, alive, params.ch_separation)
         head_idx = np.flatnonzero(np.isin(ids, sorted(heads)))
 
-    clusters = {int(ids[i]): Cluster(head=int(ids[i])) for i in head_idx}
-    for i in range(n):
-        if int(ids[i]) in heads:
-            continue
-        choices = [j for j in head_idx if in_range[i, j]]
-        if choices:
-            best = min(choices, key=lambda j: (cost[j], ids[j]))
-        else:
-            best = min(head_idx, key=lambda j: (dist[i, j], ids[j]))
-        clusters[int(ids[best])].members.append(int(ids[i]))
-    ordered = [clusters[h] for h in sorted(clusters)]
-    return ClusterSet(clusters=ordered), iterations
+    # the lowest-rank head in range, else the nearest head (ties: lowest id,
+    # as head_idx is in id order)
+    reach = in_range[:, head_idx]
+    best = np.where(reach.any(axis=1), np.where(reach, rank[head_idx], n).argmin(axis=1),
+                    dist[:, head_idx].argmin(axis=1))
+    clusters = [Cluster(head=int(ids[i])) for i in head_idx]
+    for node, j in zip(alive, best.tolist()):
+        if node.id not in heads:
+            clusters[j].members.append(node.id)
+    return ClusterSet(clusters=clusters), iterations
 
 
 # --- candidate suppression with sink-aware sizing (EECS) ------------------------
 
 
-def eecs_head_quota(alive_count: int, head_fraction: float = 0.05) -> int:
-    """Target head count: the 5%-of-nodes heuristic, at least one."""
+def eecs_head_quota(alive_count: int, head_fraction: float) -> int:
+    """Target head count: head_fraction of the alive nodes, at least one."""
     return max(1, math.ceil(head_fraction * alive_count))
 
 
@@ -354,8 +345,8 @@ def eecs_form_clusters(nodes: list[Node], bs: Position, params: EecsParams, rng)
     if not alive:
         raise ValueError("no alive nodes")
 
-    draws = {n.id: float(rng.random()) for n in alive}
-    candidates = [n for n in alive if draws[n.id] < params.p]
+    draws = rng.random(len(alive)).tolist()
+    candidates = [n for n, draw in zip(alive, draws) if draw < params.p]
     if not candidates:
         candidates = [min(alive, key=lambda n: (-n.energy, n.id))]
 
@@ -372,34 +363,28 @@ def eecs_form_clusters(nodes: list[Node], bs: Position, params: EecsParams, rng)
     heads = {n.id for n in kept}
     if params.ch_separation > 0:
         heads = enforce_ch_separation(heads, alive, params.ch_separation)
-        kept = [n for n in kept if n.id in heads]
+    # id order, so every argmin below breaks ties on the lowest head id
+    kept = sorted((n for n in kept if n.id in heads), key=lambda n: n.id)
+    clusters = [Cluster(head=n.id) for n in kept]
+    plain = [n for n in alive if n.id not in heads]
 
-    bs_dist = {n.id: euclidean_distance(n.pos, bs) for n in kept}
-    d_bs_min = min(bs_dist.values())
-    d_bs_max = max(bs_dist.values())
-    bs_span = d_bs_max - d_bs_min
+    bs_dist = hypot(*(_positions(kept) - (bs.x, bs.y)).T)
+    d_bs_min = bs_dist.min()
+    bs_span = bs_dist.max() - d_bs_min
+    bs_term = (bs_dist - d_bs_min) / bs_span if bs_span > 0 else np.zeros(len(kept))
 
-    clusters = {h: Cluster(head=h) for h in sorted(heads)}
-    for node in alive:
-        if node.id in heads:
-            continue
-        dists = {h.id: euclidean_distance(node.pos, h.pos) for h in kept}
-        # heads compete for the node only within its join radius; a node with
-        # no head that close simply attaches to the nearest one
-        reachable = [h for h in kept if dists[h.id] <= params.join_radius]
-        if not reachable:
-            best = min(kept, key=lambda h: (dists[h.id], h.id))
-        else:
-            d_max = max(dists[h.id] for h in reachable)
-
-            def cost(h: Node) -> float:
-                member_term = dists[h.id] / d_max if d_max > 0 else 0.0
-                bs_term = (bs_dist[h.id] - d_bs_min) / bs_span if bs_span > 0 else 0.0
-                return params.w * member_term + (1.0 - params.w) * bs_term
-
-            best = min(reachable, key=lambda h: (cost(h), h.id))
-        clusters[best.id].members.append(node.id)
-    return ClusterSet(clusters=[clusters[h] for h in sorted(clusters)])
+    dists = _distances(plain, kept)
+    # heads compete for a node only within its join radius; a node with no
+    # head that close simply attaches to the nearest one
+    reach = dists <= params.join_radius
+    d_max = np.where(reach, dists, -np.inf).max(axis=1, keepdims=True)
+    member_term = np.divide(dists, d_max, out=np.zeros_like(dists), where=d_max > 0)
+    cost = params.w * member_term + (1.0 - params.w) * bs_term
+    best = np.where(reach.any(axis=1), np.where(reach, cost, np.inf).argmin(axis=1),
+                    dists.argmin(axis=1))
+    for node, j in zip(plain, best.tolist()):
+        clusters[j].members.append(node.id)
+    return ClusterSet(clusters=clusters)
 
 
 # --- centroid-based formation (k-means / fuzzy c-means) -------------------------

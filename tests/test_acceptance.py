@@ -225,8 +225,7 @@ class TestCriterion6HeedTermination:
                 for i in range(n)
             ]
             _, iterations = heed_form_clusters(
-                nodes, params, np.random.default_rng(int(rng.integers(2**32))),
-                initial_energy=1.0,
+                nodes, params, np.random.default_rng(int(rng.integers(2**32)))
             )
             worst = max(worst, iterations)
             if iterations > bound:
@@ -317,8 +316,7 @@ class TestCriterion7NumericalProperties:
                 form_clusters_nearest(
                     nodes, leach_elect(nodes, LeachParams(), case, np.random.default_rng(seed))
                 ),
-                heed_form_clusters(nodes, HeedParams(), np.random.default_rng(seed),
-                                   initial_energy=1.0)[0],
+                heed_form_clusters(nodes, HeedParams(), np.random.default_rng(seed))[0],
                 eecs_form_clusters(nodes, Position(50, 175), EecsParams(),
                                    np.random.default_rng(seed)),
                 kmeans_form_clusters(nodes, k)[0],

@@ -63,6 +63,44 @@ class TestIterationCaps:
         assert not (tmp_path / "o").exists()
 
 
+class TestRejectedInputs:
+    """Each input ends in one `error:` line naming the field, and exit 2."""
+
+    @pytest.mark.parametrize("args,field", [
+        (["run", "--protocol", "leach", "--initial-energy", "nan"], "initial_energy"),
+        (["run", "--protocol", "leach", "--initial-energy", "inf"], "initial_energy"),
+        (["run", "--protocol", "leach", "--seed", "-1"], "seed"),
+        (["run", "--protocol", "leach", "--seed", "1", "--seed", "-1"], "seed"),
+        (["run", "--protocol", "leach", "--width", "nan"], "width"),
+        (["run", "--protocol", "leach", "--bs-y", "inf"], "bs_y"),
+        (["run", "--protocol", "heed", "--heed-radius", "nan"], "cluster_radius"),
+        (["run", "--protocol", "eecs", "--ch-separation", "nan"], "ch_separation"),
+        (["sweep", "--grid", "1:x:2", "--nodes", "20"], "grid"),
+        (["sweep", "--grid", "5,5", "--nodes", "30"], "grid"),
+    ])
+    def test_flag(self, args, field, tmp_path, capsys):
+        code = run_cli(args + ["--rounds", "3", "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and field in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,text,field", [
+        ("run", "seeds = 1, x\n", "seeds"),
+        ("run", "initial_energy = nan\n", "initial_energy"),
+        ("sweep", "grid = 5, 5\n", "grid"),
+    ])
+    def test_config_file(self, command, text, field, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        code = run_cli([command, "--config", cfg, "--protocol", "leach", "--nodes", "20",
+                        "--rounds", "3", "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and field in err
+
+
 class TestCompare:
     def test_requires_two_protocols(self, tmp_path, capsys):
         code = run_cli(["compare", "--protocol", "leach", "--seed", "1",

@@ -230,6 +230,11 @@ class TestHelpers:
             assert km >= 1 and fz >= 1
             assert 0 <= capped <= 2
 
+    def test_sweep_iterations_rejects_repeated_grid_value(self):
+        # a repeated k would pool both cells' runs and divide by the seed count once
+        with pytest.raises(ValueError, match="repeats"):
+            sweep_iterations(NetworkConfig(n_nodes=30, seed=1), grid=[5, 5], seeds=[1])
+
     def test_kmeans_k_clamped_as_network_dies(self):
         # a shrinking network must not raise once alive < k
         config = NetworkConfig(n_nodes=12, initial_energy=0.01, seed=43)

@@ -153,6 +153,23 @@ class TestDeploy:
         with pytest.raises(ValueError):
             NetworkConfig(initial_energy=0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(initial_energy=math.nan), dict(initial_energy=math.inf),
+        dict(arena=(math.nan, 100.0)), dict(arena=(100.0, math.inf)),
+        dict(bs_pos=Position(math.nan, 175.0)), dict(bs_pos=Position(50.0, -math.inf)),
+        dict(seed=-1),
+    ])
+    def test_config_rejects_non_finite_and_out_of_range(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs)).replace("arena", "width|height")
+                           .replace("bs_pos", "bs_x|bs_y")):
+            NetworkConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["e_elec", "e_amp", "e_da"])
+    def test_radio_rejects_non_finite(self, field):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=field):
+                RadioModel(**{field: value})
+
     def test_diagonal(self):
         assert NetworkConfig(arena=(60.0, 80.0)).diagonal == 100.0
         assert NetworkConfig().diagonal == pytest.approx(math.hypot(100, 100))

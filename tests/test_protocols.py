@@ -15,8 +15,8 @@ from wsnsim.protocols import (
     form_clusters_nearest,
     fuzzy_form_clusters,
     heed_announce_prob,
-    heed_cost,
     heed_form_clusters,
+    heed_geometry,
     kmeans_form_clusters,
     leach_elect,
     leach_eligible,
@@ -180,18 +180,19 @@ class TestEnforceChSeparation:
         assert len(enforce_ch_separation({0, 1, 2}, nodes, 1000.0)) == 1
 
 
+def heed_costs(coords, radius):
+    return heed_geometry(np.array(coords, dtype=float), radius)[2]
+
+
 class TestHeedCost:
     def test_single_neighbor(self):
-        nodes = nodes_at([(0, 0), (3, 0)])
-        assert heed_cost(nodes[1], nodes[0], nodes, radius=25.0) == pytest.approx(9.0)
+        assert heed_costs([(0, 0), (3, 0)], radius=25.0)[0] == pytest.approx(9.0)
 
     def test_isolated_candidate_costs_radius_squared(self):
-        nodes = nodes_at([(0, 0), (90, 90)])
-        assert heed_cost(nodes[1], nodes[0], nodes, radius=25.0) == 625.0
+        assert heed_costs([(0, 0), (90, 90)], radius=25.0)[0] == 625.0
 
     def test_mean_over_neighbors(self):
-        nodes = nodes_at([(0, 0), (3, 0), (4, 0)])
-        cost = heed_cost(nodes[1], nodes[0], nodes, radius=25.0)
+        cost = heed_costs([(0, 0), (3, 0), (4, 0)], radius=25.0)[0]
         assert cost == pytest.approx((9 + 16) / 2)
 
     def test_announce_prob_full_energy_equals_c_prob(self):
@@ -211,7 +212,7 @@ class TestHeedFormClusters:
     def test_single_node_heads_itself(self):
         nodes = nodes_at([(5, 5)])
         cs, iterations = heed_form_clusters(
-            nodes, HeedParams(), np.random.default_rng(0), initial_energy=1.0
+            nodes, HeedParams(), np.random.default_rng(0)
         )
         assert cs.clusters[0].head == 0
         assert cs.clusters[0].members == []
@@ -229,8 +230,7 @@ class TestHeedFormClusters:
                 energies=list(rng.uniform(0.01, 1.0, n)),
             )
             cs, iterations = heed_form_clusters(
-                nodes, params, np.random.default_rng(int(rng.integers(2**32))),
-                initial_energy=1.0,
+                nodes, params, np.random.default_rng(int(rng.integers(2**32)))
             )
             assert iterations <= bound
             check_partition(cs, nodes)
@@ -239,10 +239,10 @@ class TestHeedFormClusters:
         nodes1 = nodes_at([(i * 7 % 50, i * 13 % 50) for i in range(30)])
         nodes2 = nodes_at([(i * 7 % 50, i * 13 % 50) for i in range(30)])
         cs1, it1 = heed_form_clusters(
-            nodes1, HeedParams(), np.random.default_rng(5), initial_energy=1.0
+            nodes1, HeedParams(), np.random.default_rng(5)
         )
         cs2, it2 = heed_form_clusters(
-            nodes2, HeedParams(), np.random.default_rng(5), initial_energy=1.0
+            nodes2, HeedParams(), np.random.default_rng(5)
         )
         assert it1 == it2
         assert [(c.head, c.members) for c in cs1.clusters] == [
