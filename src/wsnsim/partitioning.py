@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import check_range
+
 
 @dataclass
 class HardPartition:
@@ -49,9 +51,8 @@ class FcmParams:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not self.m > 1.0:
-            raise ValueError("fuzzifier m must be > 1")
-        if not self.tol > 0:
+        check_range("fuzzifier m", self.m, 1.0, strict=True)
+        if not self.tol > 0:  # an infinite tol stops after the first pair
             raise ValueError("tol must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")

@@ -75,6 +75,7 @@ class TestRejectedInputs:
         (["run", "--protocol", "leach", "--bs-y", "inf"], "bs_y"),
         (["run", "--protocol", "heed", "--heed-radius", "nan"], "cluster_radius"),
         (["run", "--protocol", "eecs", "--ch-separation", "nan"], "ch_separation"),
+        (["run", "--protocol", "fuzzy", "--fcm-m", "inf"], "fuzzifier m"),
         (["sweep", "--grid", "1:x:2", "--nodes", "20"], "grid"),
         (["sweep", "--grid", "5,5", "--nodes", "30"], "grid"),
     ])

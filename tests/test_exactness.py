@@ -261,14 +261,14 @@ def oracle_eecs_form_clusters(nodes, bs, params, rng):
     return ClusterSet(clusters=[clusters[h] for h in sorted(clusters)])
 
 
-def random_network(rng, n, grid=False, energy_high=1.0):
+def random_network(rng, n, grid=False):
     """Nodes with shuffled, gapped ids, some dead; ``grid`` puts them on
     integer points so that equal distances (ties) are common."""
     ids = rng.permutation(3 * n)[:n]
     nodes = []
     for i in ids.tolist():
         xy = rng.integers(0, 12, 2) * 5.0 if grid else rng.uniform(0, 100, 2)
-        energy = float(rng.uniform(0.01, energy_high))
+        energy = float(rng.uniform(0.01, 1.0))
         alive = rng.random() > 0.15
         nodes.append(Node(id=i, pos=Position(*xy.tolist()),
                           energy=energy if alive else 0.0, alive=alive))
