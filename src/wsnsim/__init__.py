@@ -15,7 +15,6 @@ from .engine import (
     run_round,
     run_simulation,
     sweep_iterations,
-    time_of,
 )
 from .model import (
     NetworkConfig,
@@ -45,6 +44,7 @@ from .partitioning import (
 from .protocols import (
     Cluster,
     ClusterSet,
+    Geometry,
     eecs_form_clusters,
     enforce_ch_separation,
     form_clusters_nearest,

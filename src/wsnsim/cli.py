@@ -31,6 +31,7 @@ from .metrics import (
     summarize,
 )
 from .model import NetworkConfig, Position, RadioModel
+from .partitioning import FcmUnderflow
 
 PROTOCOL_CHOICES = ("leach", "heed", "eecs", "kmeans", "fuzzy")
 
@@ -365,12 +366,6 @@ def cmd_sweep(spec: RunSpec) -> int:
             raise CliError(f"grid value {k} outside 1..n_nodes (grid)")
     if len(set(spec.grid)) != len(spec.grid):
         raise CliError(f"grid repeats a cluster count: {spec.grid} (grid)")
-    out = spec.out_dir
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot create output directory {out}: {exc}") from exc
-
     from .engine import sweep_iterations
 
     rows = sweep_iterations(
@@ -381,6 +376,11 @@ def cmd_sweep(spec: RunSpec) -> int:
         fcm_tol=spec.fcm_tol,
         max_iter=spec.fcm_max_iter,
     )
+    out = spec.out_dir
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create output directory {out}: {exc}") from exc
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["cluster_count", "kmeans_iterations", "fuzzy_iterations",
@@ -405,7 +405,7 @@ def main(argv=None) -> int:
             return cmd_compare(spec)
         if args.command == "sweep":
             return cmd_sweep(spec)
-    except CliError as exc:
+    except (CliError, FcmUnderflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -16,7 +16,7 @@ run is a pure function of (config, protocol).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -26,6 +26,7 @@ from .partitioning import FcmParams
 from .protocols import (
     ClusterSet,
     EecsParams,
+    Geometry,
     HeedParams,
     LeachParams,
     eecs_form_clusters,
@@ -93,10 +94,12 @@ class SimState:
     round: int = 0
     bs_messages: int = 0
     rng: np.random.Generator = None  # type: ignore[assignment]
+    geometry: Geometry = field(init=False)  # of ``nodes``, for the whole run
 
     def __post_init__(self):
         if self.rng is None:
             self.rng = np.random.default_rng(self.config.seed)
+        self.geometry = Geometry(self.nodes, self.config.bs_pos)
 
     def alive_count(self) -> int:
         return sum(1 for n in self.nodes if n.alive)
@@ -124,40 +127,33 @@ class ExperimentResult:
     total_bs_messages: int
 
 
-def time_of(report_round: int, seconds_per_round: float) -> float:
-    """Map a round index onto a wall-clock axis."""
-    if seconds_per_round <= 0:
-        raise ValueError("seconds_per_round must be > 0")
-    return report_round * seconds_per_round
-
-
 def default_cluster_count(alive: int) -> int:
     """The 5%-of-nodes heuristic for centroid formations."""
     return max(1, math.ceil(0.05 * alive))
 
 
 def _form_clusters(state: SimState, protocol: Protocol) -> tuple[ClusterSet, int]:
-    nodes, cfg, rng = state.nodes, state.config, state.rng
+    nodes, geom, rng = state.nodes, state.geometry, state.rng
     if isinstance(protocol, LeachParams):
-        heads = leach_elect(nodes, protocol, state.round, rng)
+        heads = leach_elect(geom, protocol, state.round, rng)
         if protocol.ch_separation > 0:
             heads = enforce_ch_separation(heads, [n for n in nodes if n.alive],
                                           protocol.ch_separation)
-        return form_clusters_nearest(nodes, heads), 0
+        return form_clusters_nearest(geom, heads), 0
     if isinstance(protocol, HeedParams):
-        return heed_form_clusters(nodes, protocol, rng)[0], 0
+        return heed_form_clusters(geom, protocol, rng)[0], 0
     if isinstance(protocol, EecsParams):
-        return eecs_form_clusters(nodes, cfg.bs_pos, protocol, rng), 0
+        return eecs_form_clusters(geom, protocol, rng), 0
     alive = sum(1 for n in nodes if n.alive)
     k = protocol.k if protocol.k is not None else default_cluster_count(alive)
     k = min(k, alive)  # never more clusters than alive nodes as the network dies
     if isinstance(protocol, KmeansFormation):
-        return kmeans_form_clusters(nodes, k, max_iter=protocol.max_iter)
+        return kmeans_form_clusters(geom, k, max_iter=protocol.max_iter)
     if isinstance(protocol, FuzzyFormation):
         seed = int(rng.integers(0, 2**63))
         params = FcmParams(k=k, m=protocol.m, tol=protocol.tol,
                            max_iter=protocol.max_iter, seed=seed)
-        return fuzzy_form_clusters(nodes, params)
+        return fuzzy_form_clusters(geom, params)
     raise TypeError(f"unknown protocol {protocol!r}")
 
 
@@ -196,7 +192,7 @@ def run_round(state: SimState, protocol: Protocol) -> tuple[SimState, RoundRepor
     # -- setup: head advertisements, heard network-wide
     advert_cost = tx_energy(radio, radio.header_bits, cfg.diagonal)
     delivered_adverts = {h for h in sorted(head_ids) if pay(by_id[h], advert_cost)}
-    for node in sorted(state.nodes, key=lambda n: n.id):
+    for node in state.geometry.nodes:  # in id order
         heard = len(delivered_adverts) - (1 if node.id in delivered_adverts else 0)
         if node.alive and heard > 0:
             pay(node, heard * elec_header)
@@ -284,12 +280,12 @@ def sweep_iterations(
     for seed in seeds:
         config = replace(base_config, seed=seed)
         rng = np.random.default_rng(config.seed)
-        nodes = deploy_nodes(config, rng)
+        geom = Geometry(deploy_nodes(config, rng), config.bs_pos)
         for k in grid:
-            _, km_iters = kmeans_form_clusters(nodes, k, max_iter=max_iter)
+            _, km_iters = kmeans_form_clusters(geom, k, max_iter=max_iter)
             params = FcmParams(k=k, m=fcm_m, tol=fcm_tol, max_iter=max_iter,
                                seed=int(rng.integers(0, 2**63)))
-            _, fz_iters = fuzzy_form_clusters(nodes, params)
+            _, fz_iters = fuzzy_form_clusters(geom, params)
             per_cell[k][0].append(km_iters)
             per_cell[k][1].append(fz_iters)
     return [

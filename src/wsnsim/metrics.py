@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -59,14 +60,20 @@ class SummaryStats:
     per_protocol: list[ProtocolSummary]
 
 
-def _column(results: dict[str, ExperimentResult], sample_rounds, value) -> SeriesTable:
-    names = sorted(results)
-    index = [float(r) for r in sample_rounds]
+def _column(results: dict[str, ExperimentResult], sample_rounds, per_round,
+            past_end: float | None) -> SeriesTable:
+    """Sample ``per_round(res)``, one value per round, for each protocol.
+
+    A sampled round past a run's end reads ``past_end``, or the run's last
+    value when that is None (0.0 for a run without rounds).
+    """
     columns: dict[str, list[float]] = {}
-    for name in names:
-        res = results[name]
-        columns[name] = [value(res, r) for r in sample_rounds]
-    return SeriesTable(index_label="round", index=index, columns=columns)
+    for name in sorted(results):
+        values = per_round(results[name])
+        tail = past_end if past_end is not None else (values[-1] if values else 0.0)
+        columns[name] = [values[r] if r < len(values) else tail for r in sample_rounds]
+    return SeriesTable(index_label="round", index=[float(r) for r in sample_rounds],
+                       columns=columns)
 
 
 def alive_series(results: dict[str, ExperimentResult], sample_rounds) -> SeriesTable:
@@ -74,13 +81,8 @@ def alive_series(results: dict[str, ExperimentResult], sample_rounds) -> SeriesT
 
     Rounds past a run's end (the network died earlier) read as 0 alive.
     """
-
-    def value(res: ExperimentResult, r: int) -> float:
-        if r < len(res.reports):
-            return float(res.reports[r].alive_after)
-        return 0.0
-
-    return _column(results, sample_rounds, value)
+    return _column(results, sample_rounds,
+                   lambda res: [float(rep.alive_after) for rep in res.reports], 0.0)
 
 
 def bs_series(results: dict[str, ExperimentResult], sample_rounds) -> SeriesTable:
@@ -89,26 +91,9 @@ def bs_series(results: dict[str, ExperimentResult], sample_rounds) -> SeriesTabl
     Columns are non-decreasing and plateau at the run's total once the
     network is dead.
     """
-    names = sorted(results)
-    index = [float(r) for r in sample_rounds]
-    columns: dict[str, list[float]] = {}
-    for name in names:
-        res = results[name]
-        cumulative = []
-        total = 0
-        for rep in res.reports:
-            total += rep.bs_messages_delivered
-            cumulative.append(total)
-        col = []
-        for r in sample_rounds:
-            if not cumulative:
-                col.append(0.0)
-            elif r < len(cumulative):
-                col.append(float(cumulative[r]))
-            else:
-                col.append(float(cumulative[-1]))
-        columns[name] = col
-    return SeriesTable(index_label="round", index=index, columns=columns)
+    return _column(results, sample_rounds, lambda res: [
+        float(total) for total in
+        itertools.accumulate(rep.bs_messages_delivered for rep in res.reports)], None)
 
 
 def _mean_std(values: list[float]) -> tuple[float | None, float | None]:

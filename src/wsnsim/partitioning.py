@@ -38,6 +38,11 @@ class HardPartition:
     objective_history: list[float]  # objective after each iteration
 
 
+class FcmUnderflow(ValueError):
+    """Fuzzy memberships came out NaN: with the fuzzifier m this close to 1,
+    d ** (-2 / (m - 1)) underflows to 0 for every centroid of a point."""
+
+
 @dataclass(frozen=True)
 class FcmParams:
     """Fuzzy c-means knobs. The fuzzifier m must be strictly > 1."""
@@ -192,20 +197,26 @@ def fcm_run(points: np.ndarray, params: FcmParams) -> tuple[np.ndarray, np.ndarr
 
     Convergence is max |u_new - u_old| < params.tol; iteration count is the
     number of centroids+memberships pairs performed. Returns the memberships,
-    the centroids and that count.
+    the centroids and that count; raises FcmUnderflow if the memberships end
+    as NaN.
     """
     if len(points) == 0:
         raise ValueError("at least one point required")
     u = fcm_init(len(points), params.k, params.seed)
     iterations = 0
-    for _ in range(params.max_iter):
-        centroids = fcm_centroids(points, u, params.m)
-        u_new = fcm_memberships(points, centroids, params.m)
-        iterations += 1
-        delta = np.abs(u_new - u).max()
-        u = u_new
-        if delta < params.tol:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        for _ in range(params.max_iter):
+            centroids = fcm_centroids(points, u, params.m)
+            u_new = fcm_memberships(points, centroids, params.m)
+            iterations += 1
+            delta = np.abs(u_new - u).max()
+            u = u_new
+            if delta < params.tol:
+                break
+    # a NaN row makes every later centroid NaN, so checking the last pair suffices
+    if np.isnan(u).any():
+        raise FcmUnderflow(f"fuzzifier m={params.m!r} is too close to 1: "
+                           "the memberships underflow to 0/0")
     return u, centroids, iterations
 
 

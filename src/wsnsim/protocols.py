@@ -2,8 +2,9 @@
 
 Each strategy maps the current alive-node set (plus its parameters and the
 round's randomness) to a ClusterSet: who heads a cluster, who belongs to it,
-and who is left to transmit straight to the base station. Five strategies are
-implemented:
+and who is left to transmit straight to the base station. Strategies read
+positions and distances from a ``Geometry``, built once per deployment since
+nodes never move. Five strategies are implemented:
 
 * probabilistic rotation election with nearest-head clustering (LEACH style)
 * iterative residual-energy election with cost-based attachment (HEED style)
@@ -114,13 +115,49 @@ class EecsParams:
         check_range("ch_separation", self.ch_separation, 0.0)
 
 
-def _alive(nodes: list[Node]) -> list[Node]:
-    return [n for n in nodes if n.alive]
+class Geometry:
+    """What a deployment fixes for a whole run: nodes never move.
 
+    Rows follow ascending node id. ``pos`` is the (n, 2) position array and
+    ``bs_dist`` each node's ``euclidean_distance`` to the base station; both
+    are built once. HEED's pairwise arrays depend on the alive set as well,
+    so ``heed`` keeps them for the set it last saw. A run builds one of these
+    from its deployment; any other caller builds one from its node list.
+    """
 
-def _positions(nodes: list[Node]) -> np.ndarray:
-    """(n, 2) array of the nodes' positions, in list order."""
-    return np.array([(n.pos.x, n.pos.y) for n in nodes], dtype=float).reshape(-1, 2)
+    def __init__(self, nodes: list[Node], bs: Position):
+        self.nodes = sorted(nodes, key=lambda n: n.id)
+        self.ids = np.array([n.id for n in self.nodes], dtype=int)
+        self.pos = np.array([(n.pos.x, n.pos.y) for n in self.nodes],
+                            dtype=float).reshape(-1, 2)
+        self.bs_dist = hypot(self.pos[:, 0] - bs.x, self.pos[:, 1] - bs.y)
+        self._heed_key: tuple | None = None
+        self._heed: tuple = ()
+
+    def alive(self) -> tuple[list[Node], np.ndarray]:
+        """The alive nodes in id order, and their rows."""
+        rows = [i for i, n in enumerate(self.nodes) if n.alive]
+        return [self.nodes[i] for i in rows], np.array(rows, dtype=np.intp)
+
+    def distances(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """(len(rows), len(cols)) block of ``euclidean_distance`` values."""
+        a, b = self.pos[rows], self.pos[cols]
+        return hypot(a[:, 0, None] - b[:, 0], a[:, 1, None] - b[:, 1])
+
+    def heed(self, rows: np.ndarray, radius: float) -> tuple:
+        """``heed_geometry`` over ``rows`` plus each row's rank in (cost, id)
+        order, rebuilt only when the alive ids or the radius change. The
+        arrays are shared between calls and read-only."""
+        ids = self.ids[rows]
+        key = (radius, ids.tobytes())
+        if key != self._heed_key:
+            dist, in_range, cost = heed_geometry(self.pos[rows], radius)
+            rank = np.empty(len(rows), dtype=int)
+            rank[np.lexsort((ids, cost))] = np.arange(len(rows))
+            for a in (dist, in_range, cost, rank):
+                a.flags.writeable = False
+            self._heed_key, self._heed = key, (dist, in_range, cost, rank)
+        return self._heed
 
 
 # --- rotation election (LEACH) -------------------------------------------------
@@ -156,14 +193,14 @@ def leach_eligible(node: Node, p: float, r: int) -> bool:
     return node.rounds_since_ch >= r % rotation_period(p)
 
 
-def leach_elect(nodes: list[Node], params: LeachParams, r: int, rng) -> set[int]:
+def leach_elect(geom: Geometry, params: LeachParams, r: int, rng) -> set[int]:
     """Per-node threshold election; guarantees at least one head via fallback.
 
     Every alive node draws once (in id order) so the random stream does not
     depend on eligibility. If nobody self-elects, the alive node with the
     most energy (ties: lowest id) stands in as head for the round.
     """
-    alive = sorted(_alive(nodes), key=lambda n: n.id)
+    alive, _ = geom.alive()
     if not alive:
         raise ValueError("no alive nodes")
     # an ineligible node's threshold is 0, which no draw in [0, 1) is below
@@ -177,28 +214,21 @@ def leach_elect(nodes: list[Node], params: LeachParams, r: int, rng) -> set[int]
     return heads
 
 
-def _distances(nodes: list[Node], heads: list[Node]) -> np.ndarray:
-    """(len(nodes), len(heads)) block of ``euclidean_distance`` values."""
-    pos, hpos = _positions(nodes), _positions(heads)
-    return hypot(pos[:, 0, None] - hpos[:, 0], pos[:, 1, None] - hpos[:, 1])
-
-
-def form_clusters_nearest(nodes: list[Node], ch_ids: set[int]) -> ClusterSet:
+def form_clusters_nearest(geom: Geometry, ch_ids: set[int]) -> ClusterSet:
     """Attach every non-head alive node to its nearest head (ties: lowest head id)."""
     if not ch_ids:
         raise ValueError("ch_ids must not be empty")
-    alive = _alive(nodes)
-    by_id = {n.id: n for n in alive}
-    heads = sorted(ch_ids)
-    for h in heads:
-        if h not in by_id:
-            raise ValueError(f"cluster head {h} is not an alive node")
-    clusters = [Cluster(head=h) for h in heads]
-    plain = [n for n in alive if n.id not in ch_ids]
-    # heads are in id order, so argmin's first minimum is the lowest id
-    nearest = _distances(plain, [by_id[h] for h in heads]).argmin(axis=1)
-    for node, j in zip(plain, nearest.tolist()):
-        clusters[j].members.append(node.id)
+    _, rows = geom.alive()
+    ids = geom.ids[rows]
+    missing = ch_ids - set(ids.tolist())
+    if missing:
+        raise ValueError(f"cluster head {min(missing)} is not an alive node")
+    is_head = np.isin(ids, list(ch_ids))
+    # rows are in id order, so argmin's first minimum is the lowest head id
+    clusters = [Cluster(head=h) for h in ids[is_head].tolist()]
+    nearest = geom.distances(rows[~is_head], rows[is_head]).argmin(axis=1)
+    for node_id, j in zip(ids[~is_head].tolist(), nearest.tolist()):
+        clusters[j].members.append(node_id)
     return ClusterSet(clusters=clusters)
 
 
@@ -256,7 +286,7 @@ def heed_geometry(pos: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarra
     return dist, in_range, cost
 
 
-def heed_form_clusters(nodes: list[Node], params: HeedParams, rng) -> tuple[ClusterSet, int]:
+def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[ClusterSet, int]:
     """Iterative election: a node with no candidate in earshot announces with
     a residual-energy probability that doubles each pass; an announced
     candidate settles as final head iff no cheaper candidate is in its
@@ -266,20 +296,18 @@ def heed_form_clusters(nodes: list[Node], params: HeedParams, rng) -> tuple[Clus
     Returns the cluster set and the number of iterations the election took,
     which never exceeds ceil(log2(1/p_min)) + 1.
     """
-    alive = sorted(_alive(nodes), key=lambda n: n.id)
+    alive, rows = geom.alive()
     if not alive:
         raise ValueError("no alive nodes")
     n = len(alive)
-    ids = np.array([a.id for a in alive])
+    ids = geom.ids[rows]
     energy = np.array([a.energy for a in alive])
-    dist, in_range, cost = heed_geometry(_positions(alive), params.cluster_radius)
+    # rank encodes the (cost, id) order so a plain argmin resolves ties by id
+    dist, in_range, _, rank = geom.heed(rows, params.cluster_radius)
 
     prob = heed_announce_prob(params, energy, float(energy.max()))
 
     announced = np.zeros(n, dtype=bool)
-    # rank encodes the (cost, id) order so a plain argmin resolves ties by id
-    rank = np.empty(n, dtype=int)
-    rank[np.lexsort((ids, cost))] = np.arange(n)
     bound = params.iteration_bound
     waves = min(params.announce_waves, bound)
     iterations = 0
@@ -327,7 +355,7 @@ def eecs_head_quota(alive_count: int, head_fraction: float) -> int:
     return max(1, math.ceil(head_fraction * alive_count))
 
 
-def eecs_form_clusters(nodes: list[Node], bs: Position, params: EecsParams, rng) -> ClusterSet:
+def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
     """Probability-p candidacy, energy-ranked suppression, cost-based joins.
 
     Candidates are scanned from highest residual energy down (ties: lower
@@ -341,7 +369,7 @@ def eecs_form_clusters(nodes: list[Node], bs: Position, params: EecsParams, rng)
     members and spend less on receiving and aggregation to offset their
     longer uplink.
     """
-    alive = sorted(_alive(nodes), key=lambda n: n.id)
+    alive, rows = geom.alive()
     if not alive:
         raise ValueError("no alive nodes")
 
@@ -363,17 +391,18 @@ def eecs_form_clusters(nodes: list[Node], bs: Position, params: EecsParams, rng)
     heads = {n.id for n in kept}
     if params.ch_separation > 0:
         heads = enforce_ch_separation(heads, alive, params.ch_separation)
-    # id order, so every argmin below breaks ties on the lowest head id
-    kept = sorted((n for n in kept if n.id in heads), key=lambda n: n.id)
-    clusters = [Cluster(head=n.id) for n in kept]
-    plain = [n for n in alive if n.id not in heads]
+    # rows are in id order, so every argmin below breaks ties on the lowest head id
+    ids = geom.ids[rows]
+    is_head = np.isin(ids, list(heads))
+    head_rows = rows[is_head]
+    clusters = [Cluster(head=h) for h in ids[is_head].tolist()]
 
-    bs_dist = hypot(*(_positions(kept) - (bs.x, bs.y)).T)
+    bs_dist = geom.bs_dist[head_rows]
     d_bs_min = bs_dist.min()
     bs_span = bs_dist.max() - d_bs_min
-    bs_term = (bs_dist - d_bs_min) / bs_span if bs_span > 0 else np.zeros(len(kept))
+    bs_term = (bs_dist - d_bs_min) / bs_span if bs_span > 0 else np.zeros(len(head_rows))
 
-    dists = _distances(plain, kept)
+    dists = geom.distances(rows[~is_head], head_rows)
     # heads compete for a node only within its join radius; a node with no
     # head that close simply attaches to the nearest one
     reach = dists <= params.join_radius
@@ -382,8 +411,8 @@ def eecs_form_clusters(nodes: list[Node], bs: Position, params: EecsParams, rng)
     cost = params.w * member_term + (1.0 - params.w) * bs_term
     best = np.where(reach.any(axis=1), np.where(reach, cost, np.inf).argmin(axis=1),
                     dists.argmin(axis=1))
-    for node, j in zip(plain, best.tolist()):
-        clusters[j].members.append(node.id)
+    for node_id, j in zip(ids[~is_head].tolist(), best.tolist()):
+        clusters[j].members.append(node_id)
     return ClusterSet(clusters=clusters)
 
 
@@ -413,19 +442,19 @@ def _centroid_cluster_set(
     return ClusterSet(clusters=clusters)
 
 
-def kmeans_form_clusters(nodes: list[Node], k: int, max_iter: int = 100) -> tuple[ClusterSet, int]:
+def kmeans_form_clusters(geom: Geometry, k: int, max_iter: int = 100) -> tuple[ClusterSet, int]:
     """Cluster alive nodes by position with k-means; head each cluster by energy."""
-    alive = sorted(_alive(nodes), key=lambda n: n.id)
-    pts = _positions(alive)
+    alive, rows = geom.alive()
+    pts = geom.pos[rows]
     init = kmeans_init(pts, np.array([n.energy for n in alive]), k)
     part = kmeans_run(pts, init, max_iter=max_iter)
     return _centroid_cluster_set(alive, part.assignment, part.centroids), part.iterations
 
 
-def fuzzy_form_clusters(nodes: list[Node], fcm: FcmParams) -> tuple[ClusterSet, int]:
+def fuzzy_form_clusters(geom: Geometry, fcm: FcmParams) -> tuple[ClusterSet, int]:
     """Cluster alive nodes with fuzzy c-means, defuzzify, head each cluster by energy."""
-    alive = sorted(_alive(nodes), key=lambda n: n.id)
+    alive, rows = geom.alive()
     if fcm.k > len(alive):
         raise ValueError(f"k={fcm.k} exceeds alive node count {len(alive)}")
-    u, centroids, iterations = fcm_run(_positions(alive), fcm)
+    u, centroids, iterations = fcm_run(geom.pos[rows], fcm)
     return _centroid_cluster_set(alive, defuzzify(u), centroids), iterations

@@ -34,6 +34,7 @@ from wsnsim.partitioning import (
     kmeans_run,
 )
 from wsnsim.protocols import (
+    Geometry,
     eecs_form_clusters,
     fuzzy_form_clusters,
     heed_form_clusters,
@@ -45,6 +46,7 @@ from wsnsim.protocols import (
 )
 
 SEEDS = list(range(30))
+BS = Position(50, 175)
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -195,7 +197,7 @@ class TestCriterion5Rotation:
             served = collections.Counter()
             for step in range(period):
                 r = window * period + step
-                heads = leach_elect(nodes, params, r, rng)
+                heads = leach_elect(Geometry(nodes, BS), params, r, rng)
                 served.update(heads)
                 by_id = {n.id: n for n in nodes}
                 for h in heads:
@@ -225,7 +227,7 @@ class TestCriterion6HeedTermination:
                 for i in range(n)
             ]
             _, iterations = heed_form_clusters(
-                nodes, params, np.random.default_rng(int(rng.integers(2**32)))
+                Geometry(nodes, BS), params, np.random.default_rng(int(rng.integers(2**32)))
             )
             worst = max(worst, iterations)
             if iterations > bound:
@@ -233,6 +235,30 @@ class TestCriterion6HeedTermination:
         report("6 termination bound", violations == 0,
                f"1000 instances, worst={worst}, bound={bound}")
         assert violations == 0
+
+    def test_doubling_to_one_within_bound(self):
+        # the default 2 waves stop the loop long before the probabilities
+        # double to 1; with as many waves as the bound allows, that path runs
+        # and the bound is what stops it
+        rng = np.random.default_rng(2025)
+        bound = HeedParams().iteration_bound
+        params = HeedParams(announce_waves=bound)
+        worst = 0
+        for _ in range(1000):
+            n = int(rng.integers(1, 80))
+            nodes = [
+                Node(id=i, pos=Position(*rng.uniform(0, 100, 2)),
+                     energy=float(rng.uniform(0.001, 1.0)))
+                for i in range(n)
+            ]
+            _, iterations = heed_form_clusters(
+                Geometry(nodes, BS), params, np.random.default_rng(int(rng.integers(2**32)))
+            )
+            worst = max(worst, iterations)
+        report("6 termination bound, doubling to 1", 2 < worst <= bound,
+               f"1000 instances, announce_waves={bound}, worst={worst}, bound={bound}")
+        assert worst <= bound
+        assert worst > 2  # the doubling ran past the default wave count
 
 
 class TestCriterion7NumericalProperties:
@@ -312,15 +338,15 @@ class TestCriterion7NumericalProperties:
             alive_ids = {node.id for node in nodes}
             seed = int(rng.integers(2**32))
             k = int(rng.integers(1, min(n, 6) + 1))
+            geom = Geometry(nodes, BS)
             cluster_sets = [
                 form_clusters_nearest(
-                    nodes, leach_elect(nodes, LeachParams(), case, np.random.default_rng(seed))
+                    geom, leach_elect(geom, LeachParams(), case, np.random.default_rng(seed))
                 ),
-                heed_form_clusters(nodes, HeedParams(), np.random.default_rng(seed))[0],
-                eecs_form_clusters(nodes, Position(50, 175), EecsParams(),
-                                   np.random.default_rng(seed)),
-                kmeans_form_clusters(nodes, k)[0],
-                fuzzy_form_clusters(nodes, FcmParams(k=k, seed=seed))[0],
+                heed_form_clusters(geom, HeedParams(), np.random.default_rng(seed))[0],
+                eecs_form_clusters(geom, EecsParams(), np.random.default_rng(seed)),
+                kmeans_form_clusters(geom, k)[0],
+                fuzzy_form_clusters(geom, FcmParams(k=k, seed=seed))[0],
             ]
             for cs in cluster_sets:
                 checked += 1

@@ -78,6 +78,8 @@ class TestRejectedInputs:
         (["run", "--protocol", "fuzzy", "--fcm-m", "inf"], "fuzzifier m"),
         (["sweep", "--grid", "1:x:2", "--nodes", "20"], "grid"),
         (["sweep", "--grid", "5,5", "--nodes", "30"], "grid"),
+        (["run", "--protocol", "fuzzy", "--fcm-m", "1.001", "--seed", "1"], "fuzzifier m"),
+        (["sweep", "--grid", "5", "--fcm-m", "1.001", "--nodes", "30"], "fuzzifier m"),
     ])
     def test_flag(self, args, field, tmp_path, capsys):
         code = run_cli(args + ["--rounds", "3", "--out", tmp_path / "o"])

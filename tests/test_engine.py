@@ -15,7 +15,6 @@ from wsnsim.engine import (
     run_round,
     run_simulation,
     sweep_iterations,
-    time_of,
 )
 from wsnsim.metrics import result_to_dict
 from wsnsim.model import NetworkConfig, Node, Position, RadioModel, deploy_nodes
@@ -196,23 +195,6 @@ class TestRunSimulation:
         assert protocol_name(EecsParams()) == "eecs"
         assert protocol_name(KmeansFormation()) == "kmeans"
         assert protocol_name(FuzzyFormation()) == "fuzzy"
-
-
-class TestTimeOf:
-    def test_round_zero(self):
-        assert time_of(0, 7.0) == 0.0
-
-    def test_scaling(self):
-        assert time_of(10, 7.0) == 70.0
-
-    def test_monotone(self):
-        times = [time_of(r, 2.5) for r in range(20)]
-        assert times == sorted(times)
-        assert len(set(times)) == len(times)
-
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            time_of(3, 0.0)
 
 
 class TestHelpers:

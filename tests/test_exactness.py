@@ -42,6 +42,7 @@ from wsnsim.model import (
 from wsnsim.protocols import (
     Cluster,
     ClusterSet,
+    Geometry,
     eecs_form_clusters,
     eecs_head_quota,
     enforce_ch_separation,
@@ -117,6 +118,9 @@ class TestHypot:
 # --- scalar formation oracles ---------------------------------------------------
 
 
+BS = Position(50.0, 175.0)
+
+
 def alive_of(nodes):
     return [n for n in nodes if n.alive]
 
@@ -139,7 +143,8 @@ def oracle_form_clusters_nearest(nodes, ch_ids):
     by_id = {n.id: n for n in alive}
     heads = sorted(ch_ids)
     clusters = {h: Cluster(head=h) for h in heads}
-    for node in alive:
+    # members in id order, as every formation lists them
+    for node in sorted(alive, key=lambda n: n.id):
         if node.id in ch_ids:
             continue
         best = min(heads, key=lambda h: (euclidean_distance(node.pos, by_id[h].pos), h))
@@ -295,12 +300,12 @@ class TestFormationsMatchScalarOracles:
         params = LeachParams(p=float(rng.uniform(0.02, 0.5)))
         r = int(rng.integers(0, 60))
         a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        heads = leach_elect(nodes, params, r, a)
+        heads = leach_elect(Geometry(nodes, BS), params, r, a)
         assert heads == oracle_leach_elect(nodes, params, r, b)
         assert a.random() == b.random()  # the streams stay in step
         if sep:
             heads = enforce_ch_separation(heads, alive_of(nodes), sep)
-        assert shape(form_clusters_nearest(nodes, heads)) == shape(
+        assert shape(form_clusters_nearest(Geometry(nodes, BS), heads)) == shape(
             oracle_form_clusters_nearest(nodes, heads))
 
     @pytest.mark.parametrize("seed,grid,sep", NETWORKS)
@@ -310,7 +315,7 @@ class TestFormationsMatchScalarOracles:
         params = HeedParams(cluster_radius=float(rng.uniform(5, 40)),
                             announce_waves=int(rng.integers(1, 5)), ch_separation=sep)
         a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        got, it_got = heed_form_clusters(nodes, params, a)
+        got, it_got = heed_form_clusters(Geometry(nodes, BS), params, a)
         expected, it_expected = oracle_heed_form_clusters(nodes, params, b)
         assert it_got == it_expected
         assert shape(got) == shape(expected)
@@ -326,7 +331,7 @@ class TestFormationsMatchScalarOracles:
                             head_fraction=float(rng.uniform(0.02, 0.3)), ch_separation=sep)
         bs = Position(50.0, float(rng.choice([50.0, 175.0])))
         a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        got = eecs_form_clusters(nodes, bs, params, a)
+        got = eecs_form_clusters(Geometry(nodes, bs), params, a)
         assert shape(got) == shape(oracle_eecs_form_clusters(nodes, bs, params, b))
         assert a.random() == b.random()
 

@@ -92,6 +92,18 @@ class TestBsSeries:
         assert all(b >= a for a, b in zip(col, col[1:]))
         assert col[-1] == float(res.total_bs_messages)
 
+    def test_run_without_rounds_reads_zero(self):
+        empty = make_result(deliveries=(), alive=())
+        assert bs_series({"leach": empty}, [0, 5]).columns["leach"] == [0.0, 0.0]
+        assert alive_series({"leach": empty}, [0, 5]).columns["leach"] == [0.0, 0.0]
+
+    def test_past_end_of_a_run_cut_short(self):
+        # a run that stopped with nodes alive: the delivery total plateaus,
+        # while the alive count past its end reads 0 as for a dead network
+        short = make_result(deliveries=(5, 4), alive=(10, 9))
+        assert bs_series({"leach": short}, [0, 1, 2]).columns["leach"] == [5.0, 9.0, 9.0]
+        assert alive_series({"leach": short}, [0, 1, 2]).columns["leach"] == [10.0, 9.0, 0.0]
+
 
 class TestSummarize:
     def test_single_seed_std_zero(self):

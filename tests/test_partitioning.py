@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from wsnsim.model import NetworkConfig, Node, Position, deploy_nodes
 from wsnsim.partitioning import (
     FcmParams,
+    FcmUnderflow,
     defuzzify,
     fcm_centroids,
     fcm_init,
@@ -19,7 +20,7 @@ from wsnsim.partitioning import (
     kmeans_run,
     kmeans_update,
 )
-from wsnsim.protocols import kmeans_form_clusters
+from wsnsim.protocols import Geometry, kmeans_form_clusters
 
 
 def pts(*coords):
@@ -261,7 +262,7 @@ class TestKmeansInit:
         nodes = [Node(id=0, pos=Position(0, 0), energy=9.0, alive=False),
                  Node(id=1, pos=Position(1, 0), energy=1.0),
                  Node(id=2, pos=Position(10, 0), energy=0.5)]
-        cs, _ = kmeans_form_clusters(nodes, 2)
+        cs, _ = kmeans_form_clusters(Geometry(nodes, Position(50, 175)), 2)
         assert [(c.head, c.members) for c in cs.clusters] == [(1, []), (2, [])]
 
 
@@ -454,6 +455,15 @@ class TestFcmRun:
         points = pts((0, 0), (5, 5), (9, 0))
         _, _, iterations = fcm_run(points, FcmParams(k=2, tol=math.inf, seed=1))
         assert iterations == 1
+
+    def test_fuzzifier_near_one_raises(self):
+        # d ** -2000 underflows to 0 for every distance above about 1.4, so
+        # each row is 0/0; m = 1.5 (exponent -4) is fine on the same points
+        points = pts((0, 0), (30, 5), (60, 60), (90, 10))
+        with pytest.raises(FcmUnderflow, match="fuzzifier m=1.001"):
+            fcm_run(points, FcmParams(k=2, m=1.001, seed=0))
+        u, _, _ = fcm_run(points, FcmParams(k=2, m=1.5, seed=0))
+        assert not np.isnan(u).any()
 
     def test_deterministic_per_seed(self):
         points = pts(*[(float(i), float(i % 3)) for i in range(9)])

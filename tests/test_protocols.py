@@ -1,12 +1,15 @@
 import collections
+import copy
 
 import numpy as np
 import pytest
 
-from wsnsim.model import NetworkConfig, Node, Position, deploy_nodes
+from wsnsim.engine import SimState, run_round
+from wsnsim.model import NetworkConfig, Node, Position, deploy_nodes, euclidean_distance
 from wsnsim.partitioning import FcmParams
 from wsnsim.protocols import (
     EecsParams,
+    Geometry,
     HeedParams,
     LeachParams,
     eecs_form_clusters,
@@ -50,6 +53,10 @@ def nodes_at(coords, energies=None):
     ]
 
 
+def geom(nodes, bs=Position(50, 175)):
+    return Geometry(nodes, bs)
+
+
 def check_partition(cluster_set, nodes):
     cluster_set.validate({n.id for n in nodes if n.alive})
 
@@ -77,16 +84,16 @@ class TestLeachThreshold:
 class TestLeachElect:
     def test_fallback_elects_max_energy(self):
         nodes = nodes_at([(0, 0), (1, 0), (2, 0)], energies=[0.3, 0.9, 0.5])
-        heads = leach_elect(nodes, LeachParams(p=0.05), 0, HighRng())
+        heads = leach_elect(geom(nodes), LeachParams(p=0.05), 0, HighRng())
         assert heads == {1}
 
     def test_fallback_tie_breaks_low_id(self):
         nodes = nodes_at([(0, 0), (1, 0)], energies=[0.5, 0.5])
-        assert leach_elect(nodes, LeachParams(p=0.05), 5, HighRng()) == {0}
+        assert leach_elect(geom(nodes), LeachParams(p=0.05), 5, HighRng()) == {0}
 
     def test_period_end_elects_everyone_eligible(self):
         nodes = nodes_at([(i, 0) for i in range(5)])
-        heads = leach_elect(nodes, LeachParams(p=0.05), 19, HighRng())
+        heads = leach_elect(geom(nodes), LeachParams(p=0.05), 19, HighRng())
         assert heads == {0, 1, 2, 3, 4}
 
     def test_recent_head_is_ineligible_next_round(self):
@@ -110,7 +117,7 @@ class TestLeachElect:
             elected = collections.Counter()
             for step in range(20):
                 r = window * 20 + step
-                heads = leach_elect(nodes, params, r, rng)
+                heads = leach_elect(geom(nodes), params, r, rng)
                 by_id = {n.id: n for n in nodes}
                 for h in heads:
                     t = leach_threshold(
@@ -128,7 +135,7 @@ class TestLeachElect:
         rng = ZeroRng()
         served = collections.Counter()
         for r in range(20):
-            heads = leach_elect(nodes, params, r, rng)
+            heads = leach_elect(geom(nodes), params, r, rng)
             served.update(heads)
             for n in nodes:
                 n.rounds_since_ch = 0 if n.id in heads else n.rounds_since_ch + 1
@@ -138,7 +145,7 @@ class TestLeachElect:
 class TestFormClustersNearest:
     def test_single_head_takes_all(self):
         nodes = nodes_at([(0, 0), (5, 0), (9, 9)])
-        cs = form_clusters_nearest(nodes, {1})
+        cs = form_clusters_nearest(geom(nodes), {1})
         assert cs.clusters[0].head == 1
         assert sorted(cs.clusters[0].members) == [0, 2]
         assert cs.orphans == []
@@ -146,20 +153,20 @@ class TestFormClustersNearest:
 
     def test_tie_goes_to_lower_head_id(self):
         nodes = nodes_at([(0, 0), (10, 0), (5, 0)])
-        cs = form_clusters_nearest(nodes, {0, 1})
+        cs = form_clusters_nearest(geom(nodes), {0, 1})
         by_head = {c.head: c.members for c in cs.clusters}
         assert by_head[0] == [2]
         assert by_head[1] == []
 
     def test_nearest_by_inspection(self):
         nodes = nodes_at([(0, 0), (10, 0), (2, 0)])
-        cs = form_clusters_nearest(nodes, {0, 1})
+        cs = form_clusters_nearest(geom(nodes), {0, 1})
         by_head = {c.head: c.members for c in cs.clusters}
         assert by_head[0] == [2]
 
     def test_empty_heads_rejected(self):
         with pytest.raises(ValueError):
-            form_clusters_nearest(nodes_at([(0, 0)]), set())
+            form_clusters_nearest(geom(nodes_at([(0, 0)])), set())
 
 
 class TestEnforceChSeparation:
@@ -208,11 +215,81 @@ class TestHeedCost:
         assert HeedParams(p_min=1e-4, max_iterations=None).iteration_bound == 15
 
 
+def shape(cluster_set):
+    return [(c.head, c.members) for c in cluster_set.clusters], cluster_set.orphans
+
+
+class TestGeometry:
+    def test_rows_in_id_order(self):
+        rng = np.random.default_rng(5)
+        nodes = [Node(id=int(i), pos=Position(*rng.uniform(0, 100, 2).tolist()), energy=1.0)
+                 for i in rng.permutation(40)]
+        bs = Position(50.0, 175.0)
+        g = Geometry(nodes, bs)
+        assert g.ids.tolist() == list(range(40))
+        assert [n.id for n in g.nodes] == list(range(40))
+        by_id = {n.id: n for n in nodes}
+        assert g.pos.tolist() == [[by_id[i].pos.x, by_id[i].pos.y] for i in range(40)]
+        # the sink distances equal euclidean_distance bit for bit
+        assert g.bs_dist.tolist() == [euclidean_distance(by_id[i].pos, bs) for i in range(40)]
+
+    def test_alive_rows(self):
+        nodes = nodes_at([(0, 0), (1, 0), (2, 0), (3, 0)])
+        nodes[1].alive = nodes[3].alive = False
+        alive, rows = geom(nodes).alive()
+        assert [n.id for n in alive] == [0, 2]
+        assert rows.tolist() == [0, 2]
+
+    def test_heed_arrays_are_read_only(self):
+        g = geom(nodes_at([(0, 0), (3, 0), (40, 0)]))
+        for a in g.heed(np.arange(3), 20.0):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_heed_rebuilds_for_other_ids_or_radius(self):
+        # the key is the alive ids and the radius: a set of the same size, or
+        # the same set at another radius, gets its own arrays
+        rng = np.random.default_rng(9)
+        g = geom(nodes_at([tuple(xy) for xy in rng.uniform(0, 100, (30, 2)).tolist()]))
+        for rows, radius in [(np.arange(20), 20.0), (np.arange(10, 30), 20.0),
+                             (np.arange(10, 30), 35.0), (np.arange(10, 30), 35.0)]:
+            dist, in_range, cost = heed_geometry(g.pos[rows], radius)
+            got = g.heed(rows, radius)
+            assert np.array_equal(got[0], dist)
+            assert np.array_equal(got[1], in_range)
+            assert np.array_equal(got[2], cost)
+            assert got[3].tolist() == np.argsort(np.lexsort((rows, cost))).tolist()
+
+    @pytest.mark.parametrize("sep", [0.0, 15.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_heed_memo_matches_fresh_geometry_as_nodes_die(self, seed, sep):
+        # the run's geometry keeps HEED's arrays across rounds; a fresh one
+        # built from the same nodes each round must give the same formation
+        rng = np.random.default_rng(seed)
+        config = NetworkConfig(n_nodes=60, seed=seed)
+        nodes = [Node(id=i, pos=Position(*rng.uniform(0, 100, 2).tolist()),
+                      energy=float(rng.uniform(1e-3, 2e-2))) for i in range(60)]
+        state = SimState(nodes=nodes, config=config)
+        params = HeedParams(ch_separation=sep)
+        alive_sets = set()
+        while state.alive_count() > 0:
+            alive_sets.add(tuple(n.id for n in nodes if n.alive))
+            a, b = copy.deepcopy(state.rng), copy.deepcopy(state.rng)
+            got, it_got = heed_form_clusters(state.geometry, params, a)
+            fresh = Geometry(state.nodes, config.bs_pos)
+            expected, it_expected = heed_form_clusters(fresh, params, b)
+            assert shape(got) == shape(expected)
+            assert it_got == it_expected
+            assert a.bit_generator.state == b.bit_generator.state
+            state, _ = run_round(state, params)
+        assert len(alive_sets) > 5  # the alive set changed many times
+
+
 class TestHeedFormClusters:
     def test_single_node_heads_itself(self):
         nodes = nodes_at([(5, 5)])
         cs, iterations = heed_form_clusters(
-            nodes, HeedParams(), np.random.default_rng(0)
+            geom(nodes), HeedParams(), np.random.default_rng(0)
         )
         assert cs.clusters[0].head == 0
         assert cs.clusters[0].members == []
@@ -230,7 +307,7 @@ class TestHeedFormClusters:
                 energies=list(rng.uniform(0.01, 1.0, n)),
             )
             cs, iterations = heed_form_clusters(
-                nodes, params, np.random.default_rng(int(rng.integers(2**32)))
+                geom(nodes), params, np.random.default_rng(int(rng.integers(2**32)))
             )
             assert iterations <= bound
             check_partition(cs, nodes)
@@ -239,10 +316,10 @@ class TestHeedFormClusters:
         nodes1 = nodes_at([(i * 7 % 50, i * 13 % 50) for i in range(30)])
         nodes2 = nodes_at([(i * 7 % 50, i * 13 % 50) for i in range(30)])
         cs1, it1 = heed_form_clusters(
-            nodes1, HeedParams(), np.random.default_rng(5)
+            geom(nodes1), HeedParams(), np.random.default_rng(5)
         )
         cs2, it2 = heed_form_clusters(
-            nodes2, HeedParams(), np.random.default_rng(5)
+            geom(nodes2), HeedParams(), np.random.default_rng(5)
         )
         assert it1 == it2
         assert [(c.head, c.members) for c in cs1.clusters] == [
@@ -260,11 +337,11 @@ class TestEecsFormClusters:
                 energies=list(rng_points.uniform(0.1, 1.0, n)),
             )
             cs = eecs_form_clusters(
-                nodes, Position(50, 175), EecsParams(w=1.0),
+                geom(nodes, Position(50, 175)), EecsParams(w=1.0),
                 np.random.default_rng(trial),
             )
             heads = {c.head for c in cs.clusters}
-            expected = form_clusters_nearest(nodes, heads)
+            expected = form_clusters_nearest(geom(nodes), heads)
             assert [(c.head, sorted(c.members)) for c in cs.clusters] == [
                 (c.head, sorted(c.members)) for c in expected.clusters
             ]
@@ -272,7 +349,7 @@ class TestEecsFormClusters:
     def test_single_candidate_takes_all(self):
         nodes = nodes_at([(0, 0), (50, 50), (99, 99)], energies=[0.9, 0.5, 0.4])
         cs = eecs_form_clusters(
-            nodes, Position(50, 175), EecsParams(p=1.0, head_fraction=1e-9),
+            geom(nodes, Position(50, 175)), EecsParams(p=1.0, head_fraction=1e-9),
             np.random.default_rng(0),
         )
         assert len(cs.clusters) == 1
@@ -282,8 +359,7 @@ class TestEecsFormClusters:
         # node 2 sits equidistant from both heads; head 1 is nearer the BS
         nodes = nodes_at([(0, 0), (10, 0), (5, 8)], energies=[1.0, 1.0, 0.1])
         cs = eecs_form_clusters(
-            nodes,
-            Position(10, 100),
+            geom(nodes, Position(10, 100)),
             EecsParams(p=1.0, w=0.5, suppress_radius=5.0, head_fraction=0.5),
             np.random.default_rng(0),
         )
@@ -300,7 +376,7 @@ class TestEecsFormClusters:
                 energies=list(rng.uniform(0.01, 1.0, n)),
             )
             cs = eecs_form_clusters(
-                nodes, Position(50, 175), EecsParams(),
+                geom(nodes, Position(50, 175)), EecsParams(),
                 np.random.default_rng(int(rng.integers(2**32))),
             )
             check_partition(cs, nodes)
@@ -314,7 +390,7 @@ class TestEecsFormClusters:
             energies=[1.0] * 100,
         )
         cs = eecs_form_clusters(
-            nodes, Position(50, 175), EecsParams(p=1.0), np.random.default_rng(0)
+            geom(nodes, Position(50, 175)), EecsParams(p=1.0), np.random.default_rng(0)
         )
         assert len(cs.clusters) == 6
 
@@ -322,13 +398,13 @@ class TestEecsFormClusters:
 class TestCentroidFormations:
     def test_kmeans_k1_max_energy_head(self):
         nodes = nodes_at([(0, 0), (5, 5), (9, 0)], energies=[0.2, 0.9, 0.4])
-        cs, _ = kmeans_form_clusters(nodes, 1)
+        cs, _ = kmeans_form_clusters(geom(nodes), 1)
         assert cs.clusters[0].head == 1
         check_partition(cs, nodes)
 
     def test_kmeans_k_equals_n_singletons(self):
         nodes = nodes_at([(0, 0), (10, 0), (0, 10), (10, 10)])
-        cs, _ = kmeans_form_clusters(nodes, 4)
+        cs, _ = kmeans_form_clusters(geom(nodes), 4)
         assert sorted(c.head for c in cs.clusters) == [0, 1, 2, 3]
         assert all(c.members == [] for c in cs.clusters)
 
@@ -337,13 +413,13 @@ class TestCentroidFormations:
 
         coords = [(i * 3 % 40, i * 7 % 40) for i in range(20)]
         nodes = nodes_at(coords)
-        cs, iterations = kmeans_form_clusters(nodes, 3)
+        cs, iterations = kmeans_form_clusters(geom(nodes), 3)
         points = np.array(coords, dtype=float)
         assert iterations == kmeans_run(points, kmeans_init(points, np.ones(20), 3)).iterations
 
     def test_fuzzy_k1_max_energy_head(self):
         nodes = nodes_at([(0, 0), (5, 5), (9, 0)], energies=[0.2, 0.9, 0.4])
-        cs, iterations = fuzzy_form_clusters(nodes, FcmParams(k=1, seed=0))
+        cs, iterations = fuzzy_form_clusters(geom(nodes), FcmParams(k=1, seed=0))
         assert cs.clusters[0].head == 1
         assert iterations == 1
 
@@ -353,7 +429,7 @@ class TestCentroidFormations:
         blob2 = [(float(x) + 50, float(y)) for x, y in rng.normal(0, 1.0, (6, 2))]
         energies = [0.1, 0.9, 0.2, 0.3, 0.4, 0.5, 0.6, 0.2, 0.95, 0.3, 0.1, 0.2]
         nodes = nodes_at(blob1 + blob2, energies=energies)
-        cs, _ = fuzzy_form_clusters(nodes, FcmParams(k=2, seed=1))
+        cs, _ = fuzzy_form_clusters(geom(nodes), FcmParams(k=2, seed=1))
         heads = {c.head for c in cs.clusters}
         assert heads == {1, 8}  # max energy within each blob
         check_partition(cs, nodes)
@@ -361,15 +437,15 @@ class TestCentroidFormations:
     def test_fuzzy_equal_energy_tie_break(self):
         # equal energies: head is the member nearest its cluster centroid
         nodes = nodes_at([(0, 0), (2, 0), (1, 0)])
-        cs, _ = fuzzy_form_clusters(nodes, FcmParams(k=1, seed=0))
+        cs, _ = fuzzy_form_clusters(geom(nodes), FcmParams(k=1, seed=0))
         assert cs.clusters[0].head == 2  # centroid (1,0) is node 2's position
 
     def test_k_above_alive_count_rejected(self):
         nodes = nodes_at([(0, 0), (1, 1)])
         with pytest.raises(ValueError):
-            kmeans_form_clusters(nodes, 3)
+            kmeans_form_clusters(geom(nodes), 3)
         with pytest.raises(ValueError):
-            fuzzy_form_clusters(nodes, FcmParams(k=3, seed=0))
+            fuzzy_form_clusters(geom(nodes), FcmParams(k=3, seed=0))
 
     def test_partitions_randomized(self):
         rng = np.random.default_rng(47)
@@ -380,10 +456,10 @@ class TestCentroidFormations:
                 [tuple(rng.uniform(0, 100, 2)) for _ in range(n)],
                 energies=list(rng.uniform(0.01, 1.0, n)),
             )
-            cs1, _ = kmeans_form_clusters(nodes, k)
+            cs1, _ = kmeans_form_clusters(geom(nodes), k)
             check_partition(cs1, nodes)
             cs2, _ = fuzzy_form_clusters(
-                nodes, FcmParams(k=k, seed=int(rng.integers(2**32)))
+                geom(nodes), FcmParams(k=k, seed=int(rng.integers(2**32)))
             )
             check_partition(cs2, nodes)
 
@@ -394,11 +470,11 @@ class TestDeterminism:
         for make_rng in (lambda: np.random.default_rng(3),):
             nodes_a = deploy_nodes(cfg)
             nodes_b = deploy_nodes(cfg)
-            la = leach_elect(nodes_a, LeachParams(), 4, make_rng())
-            lb = leach_elect(nodes_b, LeachParams(), 4, make_rng())
+            la = leach_elect(geom(nodes_a), LeachParams(), 4, make_rng())
+            lb = leach_elect(geom(nodes_b), LeachParams(), 4, make_rng())
             assert la == lb
-            ea = eecs_form_clusters(nodes_a, cfg.bs_pos, EecsParams(), make_rng())
-            eb = eecs_form_clusters(nodes_b, cfg.bs_pos, EecsParams(), make_rng())
+            ea = eecs_form_clusters(geom(nodes_a, cfg.bs_pos), EecsParams(), make_rng())
+            eb = eecs_form_clusters(geom(nodes_b, cfg.bs_pos), EecsParams(), make_rng())
             assert [(c.head, c.members) for c in ea.clusters] == [
                 (c.head, c.members) for c in eb.clusters
             ]
