@@ -244,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, help="cluster count for kmeans/fuzzy")
         p.add_argument("--fcm-m", type=float, dest="fcm_m")
         p.add_argument("--fcm-tol", type=float, dest="fcm_tol")
-        p.add_argument("--fcm-max-iter", type=int, dest="fcm_max_iter")
+        p.add_argument("--fcm-max-iter", type=int, dest="fcm_max_iter",
+                       help="cap on fuzzy c-means iterations; also caps k-means' "
+                            "Lloyd steps, in run, compare and sweep alike")
         p.add_argument("--ch-separation", type=float, dest="ch_separation")
 
     p_run = sub.add_parser("run", help="simulate selected protocols and export results")

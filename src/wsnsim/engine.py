@@ -133,18 +133,17 @@ def default_cluster_count(alive: int) -> int:
 
 
 def _form_clusters(state: SimState, protocol: Protocol) -> tuple[ClusterSet, int]:
-    nodes, geom, rng = state.nodes, state.geometry, state.rng
+    geom, rng = state.geometry, state.rng
     if isinstance(protocol, LeachParams):
         heads = leach_elect(geom, protocol, state.round, rng)
         if protocol.ch_separation > 0:
-            heads = enforce_ch_separation(heads, [n for n in nodes if n.alive],
-                                          protocol.ch_separation)
+            heads = enforce_ch_separation(heads, geom.alive()[0], protocol.ch_separation)
         return form_clusters_nearest(geom, heads), 0
     if isinstance(protocol, HeedParams):
         return heed_form_clusters(geom, protocol, rng)[0], 0
     if isinstance(protocol, EecsParams):
         return eecs_form_clusters(geom, protocol, rng), 0
-    alive = sum(1 for n in nodes if n.alive)
+    alive = len(geom.alive()[1])
     k = protocol.k if protocol.k is not None else default_cluster_count(alive)
     k = min(k, alive)  # never more clusters than alive nodes as the network dies
     if isinstance(protocol, KmeansFormation):
@@ -177,16 +176,19 @@ def run_round(state: SimState, protocol: Protocol) -> tuple[SimState, RoundRepor
     amp_data = radio.e_amp * radio.data_bits
     da_data = radio.e_da * radio.data_bits
     charged = clamped = 0.0
+    deaths = 0
 
     def pay(node: Node, cost: float) -> bool:
-        """``consume``, counting unpaid energy as clamped; True iff ``node`` survives."""
-        nonlocal charged, clamped
+        """``consume``, counting unpaid energy as clamped; True iff ``node`` survives.
+        Only alive nodes are charged, so each False is one death."""
+        nonlocal charged, clamped, deaths
         charged += cost
         if node.energy > cost:
             node.energy -= cost
             return True
         clamped += cost - node.energy
         node.energy, node.alive = 0.0, False
+        deaths += 1
         return False
 
     # -- setup: head advertisements, heard network-wide
@@ -241,7 +243,7 @@ def run_round(state: SimState, protocol: Protocol) -> tuple[SimState, RoundRepor
     report = RoundReport(
         round=state.round,
         alive_before=alive_before,
-        alive_after=state.alive_count(),
+        alive_after=alive_before - deaths,
         ch_count=len(head_ids),
         bs_messages_delivered=delivered,
         clustering_iterations=clustering_iterations,
@@ -302,9 +304,11 @@ def run_simulation(config: NetworkConfig, protocol: Protocol, max_rounds: int) -
     reports: list[RoundReport] = []
     first_death: int | None = None
     last_death: int | None = None
-    while state.round < max_rounds and state.alive_count() > 0:
+    alive = state.alive_count()
+    while state.round < max_rounds and alive > 0:
         state, report = run_round(state, protocol)
         reports.append(report)
+        alive = report.alive_after
         if first_death is None and report.alive_after < config.n_nodes:
             first_death = report.round
         if last_death is None and report.alive_after == 0:

@@ -97,6 +97,18 @@ def euclidean_distance(a: Position, b: Position) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) block of dx*dx + dy*dy between the rows of two (n, 2)
+    arrays, built in place in that order. Its square root is bit-equal to
+    ``np.sqrt(dx * dx + dy * dy)``, not to ``hypot``."""
+    d2 = a[:, 0, None] - b[:, 0]
+    d2 *= d2
+    dy = a[:, 1, None] - b[:, 1]
+    dy *= dy
+    d2 += dy
+    return d2
+
+
 _VELTKAMP = 134217729.0  # 2**27 + 1, splits a double into two 26-bit halves
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import check_range
+from .model import check_range, squared_distances
 
 
 @dataclass
@@ -39,8 +39,10 @@ class HardPartition:
 
 
 class FcmUnderflow(ValueError):
-    """Fuzzy memberships came out NaN: with the fuzzifier m this close to 1,
-    d ** (-2 / (m - 1)) underflows to 0 for every centroid of a point."""
+    """Fuzzy memberships came out NaN: d ** (-2 / (m - 1)) left the float
+    range for a point. It underflows to 0 for every centroid when the
+    fuzzifier m is too close to 1, and overflows to inf when the point lies
+    within about 1e-154 m of a centroid (for m = 2)."""
 
 
 @dataclass(frozen=True)
@@ -64,9 +66,8 @@ class FcmParams:
 
 
 def _dist_matrix(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    dx = points[:, 0, None] - centroids[None, :, 0]
-    dy = points[:, 1, None] - centroids[None, :, 1]
-    return np.sqrt(dx * dx + dy * dy)
+    d = squared_distances(points, centroids)
+    return np.sqrt(d, out=d)
 
 
 # --- k-means -----------------------------------------------------------------
@@ -213,8 +214,17 @@ def fcm_run(points: np.ndarray, params: FcmParams) -> tuple[np.ndarray, np.ndarr
             u = u_new
             if delta < params.tol:
                 break
-    # a NaN row makes every later centroid NaN, so checking the last pair suffices
-    if np.isnan(u).any():
+    nan_rows = np.isnan(u).any(axis=1)
+    if nan_rows.any():
+        # the centroids stay finite (a NaN column falls back to the mean), so
+        # the last pair's weights show which way they left the float range
+        d = _dist_matrix(points[nan_rows], centroids)
+        with np.errstate(over="ignore", divide="ignore"):
+            overflow = np.isinf(d ** (-2.0 / (params.m - 1.0))).any()
+        if overflow:
+            raise FcmUnderflow(
+                f"a point lies {d.min():.3g} m from a centroid: d ** (-2/(m-1)) "
+                f"overflows with m={params.m!r}, so the memberships are inf/inf")
         raise FcmUnderflow(f"fuzzifier m={params.m!r} is too close to 1: "
                            "the memberships underflow to 0/0")
     return u, centroids, iterations

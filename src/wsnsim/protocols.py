@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Node, Position, check_range, euclidean_distance, hypot
+from .model import (Node, Position, check_range, euclidean_distance, hypot,
+                    squared_distances)
 from .partitioning import FcmParams, defuzzify, fcm_run, kmeans_init, kmeans_run
 
 
@@ -144,6 +145,31 @@ class Geometry:
         a, b = self.pos[rows], self.pos[cols]
         return hypot(a[:, 0, None] - b[:, 0], a[:, 1, None] - b[:, 1])
 
+    def nearest(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``distances(rows, cols).argmin(axis=1)``, bit for bit, mostly without
+        computing the exact distances.
+
+        The argmin runs on d2 = dx*dx + dy*dy. A row's answer stands only when
+        its second-smallest d2 exceeds the smallest by a relative 1e-12, the
+        smallest is above 1e-290 and the second is finite. fl(d2) and
+        ``hypot`` each lie within a few ulps of the true values, so a gap
+        that wide can neither reorder them nor make a rounding tie. Any other
+        row (a tie, a coincident or underflowing pair) takes the argmin of the
+        exact distances.
+        """
+        d2 = squared_distances(self.pos[rows], self.pos[cols])
+        best = d2.argmin(axis=1)
+        if d2.shape[1] < 2:
+            return best
+        at = np.arange(len(best))
+        first = d2[at, best]
+        d2[at, best] = np.inf
+        second = d2.min(axis=1)
+        unsure = ~((second > first * (1.0 + 1e-12)) & (first > 1e-290) & np.isfinite(second))
+        if unsure.any():
+            best[unsure] = self.distances(rows[unsure], cols).argmin(axis=1)
+        return best
+
     def heed(self, rows: np.ndarray, radius: float) -> tuple:
         """``heed_geometry`` over ``rows`` plus each row's rank in (cost, id)
         order, rebuilt only when the alive ids or the radius change. The
@@ -214,19 +240,30 @@ def leach_elect(geom: Geometry, params: LeachParams, r: int, rng) -> set[int]:
     return heads
 
 
+def _head_mask(ids: np.ndarray, heads: set[int]) -> np.ndarray:
+    """Mask over the ascending ``ids`` that marks ``heads``; a head missing
+    from ``ids`` raises ValueError, naming the lowest such head."""
+    want = np.array(sorted(heads), dtype=ids.dtype)
+    at = np.searchsorted(ids, want)
+    hit = at < len(ids)
+    hit[hit] = ids[at[hit]] == want[hit]
+    if not hit.all():
+        raise ValueError(f"cluster head {want[~hit][0]} is not an alive node")
+    mask = np.zeros(len(ids), dtype=bool)
+    mask[at] = True
+    return mask
+
+
 def form_clusters_nearest(geom: Geometry, ch_ids: set[int]) -> ClusterSet:
     """Attach every non-head alive node to its nearest head (ties: lowest head id)."""
     if not ch_ids:
         raise ValueError("ch_ids must not be empty")
     _, rows = geom.alive()
     ids = geom.ids[rows]
-    missing = ch_ids - set(ids.tolist())
-    if missing:
-        raise ValueError(f"cluster head {min(missing)} is not an alive node")
-    is_head = np.isin(ids, list(ch_ids))
+    is_head = _head_mask(ids, ch_ids)
     # rows are in id order, so argmin's first minimum is the lowest head id
     clusters = [Cluster(head=h) for h in ids[is_head].tolist()]
-    nearest = geom.distances(rows[~is_head], rows[is_head]).argmin(axis=1)
+    nearest = geom.nearest(rows[~is_head], rows[is_head])
     for node_id, j in zip(ids[~is_head].tolist(), nearest.tolist()):
         clusters[j].members.append(node_id)
     return ClusterSet(clusters=clusters)
@@ -269,12 +306,7 @@ def heed_geometry(pos: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarra
     The cost is the mean squared distance to the candidate's neighbors, or
     radius^2 without neighbors. Lower is better; ties go to the lower id.
     """
-    # in place, in the order of sqrt(dx*dx + dy*dy), with no (n, n, 2) temporary
-    dist = pos[:, None, 0] - pos[None, :, 0]
-    dist *= dist
-    dy = pos[:, None, 1] - pos[None, :, 1]
-    dy *= dy
-    dist += dy
+    dist = squared_distances(pos, pos)  # no (n, n, 2) temporary
     np.sqrt(dist, out=dist)
     in_range = dist <= radius
     np.fill_diagonal(in_range, False)
@@ -315,7 +347,7 @@ def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[Cluster
         iterations += 1
         # only nodes with no candidate in earshot roll an announcement;
         # everyone else defers, which is what thins the candidate set
-        covered = announced | (in_range & announced[None, :]).any(axis=1)
+        covered = announced | in_range[:, announced].any(axis=1)
         if covered.all():
             break
         draws = rng.random(n)
@@ -333,7 +365,7 @@ def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[Cluster
     heads = {int(ids[i]) for i in head_idx}
     if params.ch_separation > 0:
         heads = enforce_ch_separation(heads, alive, params.ch_separation)
-        head_idx = np.flatnonzero(np.isin(ids, sorted(heads)))
+        head_idx = np.searchsorted(ids, sorted(heads))
 
     # the lowest-rank head in range, else the nearest head (ties: lowest id,
     # as head_idx is in id order)
@@ -379,21 +411,24 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
         candidates = [min(alive, key=lambda n: (-n.energy, n.id))]
 
     quota = eecs_head_quota(len(alive), params.head_fraction)
-    kept: list[Node] = []
+    radius = params.suppress_radius
+    heads: set[int] = set()
+    kept: list[tuple[float, float]] = []  # the heads' positions
     for cand in sorted(candidates, key=lambda n: (-n.energy, n.id)):
         if len(kept) >= quota:
             break
-        if all(
-            euclidean_distance(cand.pos, other.pos) > params.suppress_radius
-            for other in kept
-        ):
-            kept.append(cand)
-    heads = {n.id for n in kept}
+        x, y = cand.pos.x, cand.pos.y
+        for kx, ky in kept:  # euclidean_distance, inlined
+            if math.hypot(x - kx, y - ky) <= radius:
+                break
+        else:
+            kept.append((x, y))
+            heads.add(cand.id)
     if params.ch_separation > 0:
         heads = enforce_ch_separation(heads, alive, params.ch_separation)
     # rows are in id order, so every argmin below breaks ties on the lowest head id
     ids = geom.ids[rows]
-    is_head = np.isin(ids, list(heads))
+    is_head = _head_mask(ids, heads)
     head_rows = rows[is_head]
     clusters = [Cluster(head=h) for h in ids[is_head].tolist()]
 

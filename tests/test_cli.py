@@ -80,6 +80,9 @@ class TestRejectedInputs:
         (["sweep", "--grid", "5,5", "--nodes", "30"], "grid"),
         (["run", "--protocol", "fuzzy", "--fcm-m", "1.001", "--seed", "1"], "fuzzifier m"),
         (["sweep", "--grid", "5", "--fcm-m", "1.001", "--nodes", "30"], "fuzzifier m"),
+        # nodes within about 1e-154 m of a centroid overflow d ** -2 instead
+        (["run", "--protocol", "fuzzy", "--width", "1e-160", "--height", "1e-160",
+          "--bs-x", "0", "--bs-y", "0", "--seed", "1"], "from a centroid"),
     ])
     def test_flag(self, args, field, tmp_path, capsys):
         code = run_cli(args + ["--rounds", "3", "--out", tmp_path / "o"])

@@ -143,6 +143,26 @@ class TestRunRound:
             booked = report.energy_charged - report.energy_clamped
             assert drop == pytest.approx(booked, rel=1e-9, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "protocol",
+        [LeachParams(), HeedParams(), EecsParams(), KmeansFormation(k=3), FuzzyFormation(k=3)],
+        ids=lambda p: type(p).__name__,
+    )
+    def test_alive_after_equals_a_recount(self, protocol):
+        # the report carries alive_before minus the deaths pay() saw; energies
+        # of a few rounds' worth make nodes die part-way through rounds
+        rng = np.random.default_rng(29)
+        config = NetworkConfig(n_nodes=40, seed=29)
+        nodes = [Node(id=i, pos=Position(*rng.uniform(0, 100, 2).tolist()),
+                      energy=float(rng.uniform(1e-5, 3e-3))) for i in range(40)]
+        state = SimState(nodes=nodes, config=config)
+        clamped_rounds = 0
+        while state.alive_count() > 0:
+            state, report = run_round(state, protocol)
+            assert report.alive_after == state.alive_count()
+            clamped_rounds += report.energy_clamped > 0
+        assert clamped_rounds > 0
+
     def test_centroid_protocols_report_iterations(self):
         config = NetworkConfig(n_nodes=25, seed=19)
         state = SimState(nodes=deploy_nodes(config), config=config)

@@ -348,6 +348,71 @@ class TestFormationsMatchScalarOracles:
             [heed_cost(c, nodes, radius) for c in nodes], rel=1e-12)
 
 
+# --- the certified nearest-head join ---------------------------------------------
+
+
+def tie_network(rng, n, kind):
+    """Alive nodes whose distances defeat the d2 certificate: exact ties on an
+    integer grid, coincident nodes, nodes on the bisectors of node pairs
+    (where rounding decides the nearer end), or a 1e-160 m arena where every
+    d2 underflows to 0 while the exact distances still differ."""
+    if kind == "grid":
+        xy = rng.integers(0, 6, (n, 2)) * 1.0
+    elif kind == "coincident":
+        xy = rng.uniform(0, 100, (max(1, n // 4), 2))[rng.integers(0, max(1, n // 4), n)]
+    elif kind == "bisector":
+        ends = rng.uniform(0, 100, (max(2, n // 4), 2))
+        a, b = ends[rng.integers(0, len(ends), (2, n - len(ends)))]
+        mid, normal = (a + b) / 2, (b - a)[:, ::-1] * [-1.0, 1.0]
+        xy = np.vstack([ends, mid + rng.uniform(-2, 2, (len(mid), 1)) * normal])
+    else:
+        xy = rng.uniform(0, 1e-160, (n, 2))
+    ids = rng.permutation(3 * n)[:n]
+    return [Node(id=int(i), pos=Position(*p), energy=1.0) for i, p in zip(ids, xy.tolist())]
+
+
+def count_exact_rows(monkeypatch, geom):
+    """Make ``geom.distances`` count the rows it is asked for."""
+    counted = [0]
+
+    def distances(rows, cols):
+        counted[0] += len(rows)
+        return Geometry.distances(geom, rows, cols)
+
+    monkeypatch.setattr(geom, "distances", distances)
+    return counted
+
+
+TIE_NETWORKS = [(seed, kind) for seed in range(15)
+                for kind in ("grid", "coincident", "bisector", "tiny")]
+
+
+class TestCertifiedJoin:
+    @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
+    def test_tie_networks_match_oracle_through_the_exact_path(self, monkeypatch, seed, kind):
+        rng = np.random.default_rng(seed)
+        nodes = tie_network(rng, int(rng.integers(20, 120)), kind)
+        heads = {n.id for n in nodes[:len(nodes) // 4]} if kind == "bisector" else (
+            {n.id for n in nodes if rng.random() < 0.2} or {nodes[0].id})
+        geom = Geometry(nodes, BS)
+        exact = count_exact_rows(monkeypatch, geom)
+        got = form_clusters_nearest(geom, heads)
+        assert shape(got) == shape(oracle_form_clusters_nearest(nodes, heads))
+        if len(heads) > 1:
+            assert exact[0] > 0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_blocks_need_no_exact_rows(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        geom = Geometry([Node(id=i, pos=Position(*p), energy=1.0)
+                         for i, p in enumerate(rng.uniform(0, 100, (1000, 2)).tolist())], BS)
+        rows, cols = np.arange(950), np.arange(950, 1000)
+        exact = count_exact_rows(monkeypatch, geom)
+        got = geom.nearest(rows, cols)
+        assert exact[0] == 0
+        assert np.array_equal(got, Geometry.distances(geom, rows, cols).argmin(axis=1))
+
+
 # --- the per-charge ledger ------------------------------------------------------
 
 

@@ -465,6 +465,13 @@ class TestFcmRun:
         u, _, _ = fcm_run(points, FcmParams(k=2, m=1.5, seed=0))
         assert not np.isnan(u).any()
 
+    def test_point_next_to_a_centroid_overflows(self):
+        # at this scale d ** -2 overflows for any m = 2 distance, so each row
+        # is inf/inf; the message names the distance, not the fuzzifier
+        points = pts((0, 0), (3, 1), (1, 4), (4, 4)) * 1e-160
+        with pytest.raises(FcmUnderflow, match="from a centroid.*overflows with m=2.0"):
+            fcm_run(points, FcmParams(k=2, seed=0))
+
     def test_deterministic_per_seed(self):
         points = pts(*[(float(i), float(i % 3)) for i in range(9)])
         r1 = fcm_run(points, FcmParams(k=3, seed=21))
