@@ -7,11 +7,9 @@ from .engine import (
     HeedParams,
     KmeansFormation,
     LeachParams,
-    Protocol,
     RoundReport,
     SimState,
     SimulationComplete,
-    protocol_name,
     run_round,
     run_simulation,
     sweep_iterations,
@@ -22,7 +20,6 @@ from .model import (
     Position,
     RadioModel,
     aggregate_energy,
-    consume,
     deploy_nodes,
     euclidean_distance,
     rx_energy,
@@ -53,7 +50,6 @@ from .protocols import (
     heed_geometry,
     kmeans_form_clusters,
     leach_elect,
-    leach_eligible,
     leach_threshold,
 )
 

@@ -11,16 +11,17 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .engine import (
+    PROTOCOLS,
     EecsParams,
     FuzzyFormation,
     HeedParams,
     KmeansFormation,
     LeachParams,
-    Protocol,
     run_simulation,
 )
 from .metrics import (
@@ -33,7 +34,22 @@ from .metrics import (
 from .model import NetworkConfig, Position, RadioModel
 from .partitioning import FcmUnderflow
 
-PROTOCOL_CHOICES = ("leach", "heed", "eecs", "kmeans", "fuzzy")
+# The protocol parameters the CLI sets: key -> (owner classes, field). The
+# flag is --key with dashes, the config-file key is the key itself, and
+# either one sets the field, with its annotated type, on every owner class.
+PROTOCOL_KEYS = {
+    "leach_p": ((LeachParams,), "p"),
+    "heed_c_prob": ((HeedParams,), "c_prob"),
+    "heed_p_min": ((HeedParams,), "p_min"),
+    "heed_radius": ((HeedParams,), "cluster_radius"),
+    "eecs_p": ((EecsParams,), "p"),
+    "eecs_w": ((EecsParams,), "w"),
+    "k": ((KmeansFormation, FuzzyFormation), "k"),
+    "fcm_m": ((FuzzyFormation,), "m"),
+    "fcm_tol": ((FuzzyFormation,), "tol"),
+    "fcm_max_iter": ((KmeansFormation, FuzzyFormation), "max_iter"),
+    "ch_separation": ((LeachParams, HeedParams, EecsParams), "ch_separation"),
+}
 
 # NetworkConfig presets; the alternate geometry uses the larger arena with
 # the base station just outside the top edge
@@ -66,18 +82,15 @@ class RunSpec:
     thin: int = 1
     out_dir: Path = field(default_factory=lambda: Path("out"))
     formats: tuple[str, ...] = ("csv", "json")
-    leach_p: float = 0.05
-    heed_c_prob: float = 0.05
-    heed_p_min: float = 1e-4
-    heed_radius: float = 20.0
-    eecs_p: float = 0.5
-    eecs_w: float = 0.5
-    k: int | None = None
-    fcm_m: float = 2.0
-    fcm_tol: float = 1e-4
-    fcm_max_iter: int = 100
-    ch_separation: float = 0.0
     grid: list[int] = field(default_factory=list)
+    # the PROTOCOL_KEYS that were set; the params classes default the rest
+    protocol_values: dict[str, int | float] = field(default_factory=dict)
+
+    def set_value(self, key: str, value) -> None:
+        if key in PROTOCOL_KEYS:
+            self.protocol_values[key] = value
+        else:
+            setattr(self, key, value)
 
     def network_config(self, seed: int) -> NetworkConfig:
         try:
@@ -86,40 +99,23 @@ class RunSpec:
                 arena=(self.width, self.height),
                 bs_pos=Position(self.bs_x, self.bs_y),
                 initial_energy=self.initial_energy,
-                radio=RadioModel(
-                    e_elec=self.e_elec,
-                    e_amp=self.e_amp,
-                    e_da=self.e_da,
-                    data_bits=self.data_bits,
-                    header_bits=self.header_bits,
-                ),
+                radio=RadioModel(**{f.name: getattr(self, f.name) for f in fields(RadioModel)}),
                 seed=seed,
             )
         except ValueError as exc:
             raise CliError(str(exc)) from exc
 
-    def protocol(self, name: str) -> Protocol:
+    def protocol(self, name: str):
+        if name not in PROTOCOLS:
+            raise CliError(f"unknown protocol {name!r} (protocols)")
+        cls = PROTOCOLS[name]
+        values = {attr: self.protocol_values[key]
+                  for key, (owners, attr) in PROTOCOL_KEYS.items()
+                  if cls in owners and key in self.protocol_values}
         try:
-            if name == "leach":
-                return LeachParams(p=self.leach_p, ch_separation=self.ch_separation)
-            if name == "heed":
-                return HeedParams(
-                    c_prob=self.heed_c_prob,
-                    p_min=self.heed_p_min,
-                    cluster_radius=self.heed_radius,
-                    ch_separation=self.ch_separation,
-                )
-            if name == "eecs":
-                return EecsParams(p=self.eecs_p, w=self.eecs_w,
-                                  ch_separation=self.ch_separation)
-            if name == "kmeans":
-                return KmeansFormation(k=self.k, max_iter=self.fcm_max_iter)
-            if name == "fuzzy":
-                return FuzzyFormation(k=self.k, m=self.fcm_m, tol=self.fcm_tol,
-                                      max_iter=self.fcm_max_iter)
+            return cls(**values)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-        raise CliError(f"unknown protocol {name!r} (protocols)")
 
     def validate(self) -> None:
         if not self.protocols:
@@ -130,10 +126,11 @@ class RunSpec:
             raise CliError("max_rounds must be >= 1")
         if self.thin < 1:
             raise CliError("thin must be >= 1")
-        if self.k is not None and self.k > self.n_nodes:
-            raise CliError(f"k={self.k} exceeds n_nodes={self.n_nodes} (k)")
-        if self.k is not None and self.k < 1:
-            raise CliError("k must be >= 1 (k)")
+        if not self.formats or not set(self.formats) <= {"csv", "json"}:
+            raise CliError(f"formats must be csv, json or both, got {self.formats} (formats)")
+        k = self.protocol_values.get("k")
+        if k is not None and not 1 <= k <= self.n_nodes:
+            raise CliError(f"k={k} outside 1..n_nodes={self.n_nodes} (k)")
         for name in self.protocols:
             self.protocol(name)  # an unknown name or bad parameters raise CliError
         for seed in self.seeds:
@@ -157,12 +154,17 @@ def _read_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-_INT_KEYS = {"n_nodes", "data_bits", "header_bits", "max_rounds", "thin", "k",
-             "fcm_max_iter"}
-_FLOAT_KEYS = {"width", "height", "bs_x", "bs_y", "initial_energy", "e_elec",
-               "e_amp", "e_da", "leach_p", "heed_c_prob", "heed_p_min",
-               "heed_radius", "eecs_p", "eecs_w", "fcm_m", "fcm_tol",
-               "ch_separation"}
+def _field_type(cls, name: str) -> type:
+    """The annotated type of field ``name`` of ``cls``; ``int | None`` gives int."""
+    hint = get_type_hints(cls)[name]
+    return (get_args(hint) or (hint,))[0]
+
+
+# config keys of one number: RunSpec's int and float fields, the protocol keys
+_NUMBER_KEYS = {
+    **{key: t for key, t in get_type_hints(RunSpec).items() if t in (int, float)},
+    **{key: _field_type(owners[0], attr) for key, (owners, attr) in PROTOCOL_KEYS.items()},
+}
 
 
 def _apply_config_values(spec: RunSpec, values: dict[str, str]) -> None:
@@ -177,16 +179,13 @@ def _apply_config_values(spec: RunSpec, values: dict[str, str]) -> None:
             spec.out_dir = Path(raw)
         elif key == "formats":
             spec.formats = tuple(f.strip() for f in raw.split(",") if f.strip())
-        elif key in _INT_KEYS:
+        elif key in _NUMBER_KEYS:
+            kind = _NUMBER_KEYS[key]
             try:
-                setattr(spec, key, int(raw))
+                spec.set_value(key, kind(raw))
             except ValueError as exc:
-                raise CliError(f"invalid integer for {key}: {raw!r}") from exc
-        elif key in _FLOAT_KEYS:
-            try:
-                setattr(spec, key, float(raw))
-            except ValueError as exc:
-                raise CliError(f"invalid number for {key}: {raw!r}") from exc
+                noun = "integer" if kind is int else "number"
+                raise CliError(f"invalid {noun} for {key}: {raw!r}") from exc
         else:
             raise CliError(f"unknown config key {key!r}")
 
@@ -221,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="flat key=value config file")
         p.add_argument("--preset", choices=sorted(PRESETS),
                        help="geometry preset overriding arena and BS position")
-        p.add_argument("--protocol", action="append", choices=PROTOCOL_CHOICES,
+        p.add_argument("--protocol", action="append", choices=PROTOCOLS,
                        help="protocol to run (repeatable)")
         p.add_argument("--seed", action="append", type=int,
                        help="RNG seed (repeatable)")
@@ -235,19 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--thin", type=int, help="sample every Nth round in series output")
         p.add_argument("--out", type=Path, dest="out_dir", help="output directory")
         p.add_argument("--format", choices=("csv", "json", "both"), dest="format")
-        p.add_argument("--leach-p", type=float, dest="leach_p")
-        p.add_argument("--heed-c-prob", type=float, dest="heed_c_prob")
-        p.add_argument("--heed-p-min", type=float, dest="heed_p_min")
-        p.add_argument("--heed-radius", type=float, dest="heed_radius")
-        p.add_argument("--eecs-p", type=float, dest="eecs_p")
-        p.add_argument("--eecs-w", type=float, dest="eecs_w")
-        p.add_argument("--k", type=int, help="cluster count for kmeans/fuzzy")
-        p.add_argument("--fcm-m", type=float, dest="fcm_m")
-        p.add_argument("--fcm-tol", type=float, dest="fcm_tol")
-        p.add_argument("--fcm-max-iter", type=int, dest="fcm_max_iter",
-                       help="cap on fuzzy c-means iterations; also caps k-means' "
-                            "Lloyd steps, in run, compare and sweep alike")
-        p.add_argument("--ch-separation", type=float, dest="ch_separation")
+        for key, (owners, attr) in PROTOCOL_KEYS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=_NUMBER_KEYS[key],
+                           help=f"{attr} of {'/'.join(cls.name for cls in owners)}")
 
     p_run = sub.add_parser("run", help="simulate selected protocols and export results")
     add_common(p_run)
@@ -267,13 +256,10 @@ def _spec_from_args(args) -> RunSpec:
     if args.preset:
         for key, value in PRESETS[args.preset].items():
             setattr(spec, key, value)
-    for key in ("n_nodes", "width", "height", "bs_x", "bs_y", "initial_energy",
-                "max_rounds", "thin", "out_dir", "leach_p", "heed_c_prob",
-                "heed_p_min", "heed_radius", "eecs_p", "eecs_w", "k", "fcm_m",
-                "fcm_tol", "fcm_max_iter", "ch_separation"):
-        value = getattr(args, key, None)
+    for key in (*_NUMBER_KEYS, "out_dir"):
+        value = getattr(args, key, None)  # None: no such flag, or not given
         if value is not None:
-            setattr(spec, key, value)
+            spec.set_value(key, value)
     if args.protocol:
         spec.protocols = list(args.protocol)
     if args.seed:
@@ -302,12 +288,16 @@ def _sample_rounds(results, thin: int) -> list[int]:
     return list(range(0, horizon, thin))
 
 
-def _write_outputs(spec: RunSpec, results) -> None:
-    out = spec.out_dir
+def _make_out_dir(spec: RunSpec) -> Path:
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        spec.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise CliError(f"cannot create output directory {out}: {exc}") from exc
+        raise CliError(f"cannot create output directory {spec.out_dir}: {exc}") from exc
+    return spec.out_dir
+
+
+def _write_outputs(spec: RunSpec, results) -> None:
+    out = _make_out_dir(spec)
     if "json" in spec.formats:
         for (name, seed), res in sorted(results.items()):
             export_json(res, out / f"{name}_seed{seed}.json")
@@ -370,19 +360,16 @@ def cmd_sweep(spec: RunSpec) -> int:
         raise CliError(f"grid repeats a cluster count: {spec.grid} (grid)")
     from .engine import sweep_iterations
 
+    fuzzy = spec.protocol("fuzzy")  # its max_iter caps k-means too (fcm_max_iter)
     rows = sweep_iterations(
         base_config=spec.network_config(spec.seeds[0]),
         grid=spec.grid,
         seeds=spec.seeds,
-        fcm_m=spec.fcm_m,
-        fcm_tol=spec.fcm_tol,
-        max_iter=spec.fcm_max_iter,
+        fcm_m=fuzzy.m,
+        fcm_tol=fuzzy.tol,
+        max_iter=fuzzy.max_iter,
     )
-    out = spec.out_dir
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot create output directory {out}: {exc}") from exc
+    out = _make_out_dir(spec)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["cluster_count", "kmeans_iterations", "fuzzy_iterations",
@@ -396,21 +383,17 @@ def cmd_sweep(spec: RunSpec) -> int:
     return 0
 
 
+COMMANDS = {"run": cmd_run, "compare": cmd_compare, "sweep": cmd_sweep}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        spec = _spec_from_args(args)
-        if args.command == "run":
-            return cmd_run(spec)
-        if args.command == "compare":
-            return cmd_compare(spec)
-        if args.command == "sweep":
-            return cmd_sweep(spec)
+        return COMMANDS[args.command](_spec_from_args(args))
     except (CliError, FcmUnderflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Union
+from typing import ClassVar
 
 import numpy as np
 
-from .model import NetworkConfig, Node, deploy_nodes, tx_energy
+from .model import NetworkConfig, Node, aggregate_energy, deploy_nodes, rx_energy, tx_energy
 from .partitioning import FcmParams
 from .protocols import (
     ClusterSet,
@@ -43,6 +43,7 @@ from .protocols import (
 class KmeansFormation:
     """Centroid formation with k-means; k=None means 5% of the alive count."""
 
+    name: ClassVar[str] = "kmeans"
     k: int | None = None
     max_iter: int = 100
 
@@ -57,6 +58,7 @@ class KmeansFormation:
 class FuzzyFormation:
     """Centroid formation with fuzzy c-means; k=None means 5% of the alive count."""
 
+    name: ClassVar[str] = "fuzzy"
     k: int | None = None
     m: float = 2.0
     tol: float = 1e-4
@@ -66,21 +68,6 @@ class FuzzyFormation:
         # FcmParams' own checks, made here so a bad value fails before round 0
         FcmParams(k=1 if self.k is None else self.k, m=self.m, tol=self.tol,
                   max_iter=self.max_iter)
-
-
-Protocol = Union[LeachParams, HeedParams, EecsParams, KmeansFormation, FuzzyFormation]
-
-PROTOCOL_NAMES: dict[type, str] = {
-    LeachParams: "leach",
-    HeedParams: "heed",
-    EecsParams: "eecs",
-    KmeansFormation: "kmeans",
-    FuzzyFormation: "fuzzy",
-}
-
-
-def protocol_name(protocol: Protocol) -> str:
-    return PROTOCOL_NAMES[type(protocol)]
 
 
 class SimulationComplete(Exception):
@@ -132,31 +119,54 @@ def default_cluster_count(alive: int) -> int:
     return max(1, math.ceil(0.05 * alive))
 
 
-def _form_clusters(state: SimState, protocol: Protocol) -> tuple[ClusterSet, int]:
-    geom, rng = state.geometry, state.rng
-    if isinstance(protocol, LeachParams):
-        heads = leach_elect(geom, protocol, state.round, rng)
-        if protocol.ch_separation > 0:
-            heads = enforce_ch_separation(heads, geom.alive()[0], protocol.ch_separation)
-        return form_clusters_nearest(geom, heads), 0
-    if isinstance(protocol, HeedParams):
-        return heed_form_clusters(geom, protocol, rng)[0], 0
-    if isinstance(protocol, EecsParams):
-        return eecs_form_clusters(geom, protocol, rng), 0
+def _cluster_count(geom: Geometry, k: int | None) -> int:
     alive = len(geom.alive()[1])
-    k = protocol.k if protocol.k is not None else default_cluster_count(alive)
-    k = min(k, alive)  # never more clusters than alive nodes as the network dies
-    if isinstance(protocol, KmeansFormation):
-        return kmeans_form_clusters(geom, k, max_iter=protocol.max_iter)
-    if isinstance(protocol, FuzzyFormation):
-        seed = int(rng.integers(0, 2**63))
-        params = FcmParams(k=k, m=protocol.m, tol=protocol.tol,
-                           max_iter=protocol.max_iter, seed=seed)
-        return fuzzy_form_clusters(geom, params)
-    raise TypeError(f"unknown protocol {protocol!r}")
+    k = k if k is not None else default_cluster_count(alive)
+    return min(k, alive)  # never more clusters than alive nodes as the network dies
 
 
-def run_round(state: SimState, protocol: Protocol) -> tuple[SimState, RoundReport]:
+def _leach(state: SimState, protocol: LeachParams) -> tuple[ClusterSet, int]:
+    geom = state.geometry
+    heads = leach_elect(geom, protocol, state.round, state.rng)
+    if protocol.ch_separation > 0:
+        heads = enforce_ch_separation(heads, geom.alive()[0], protocol.ch_separation)
+    return form_clusters_nearest(geom, heads), 0
+
+
+def _heed(state: SimState, protocol: HeedParams) -> tuple[ClusterSet, int]:
+    return heed_form_clusters(state.geometry, protocol, state.rng)[0], 0
+
+
+def _eecs(state: SimState, protocol: EecsParams) -> tuple[ClusterSet, int]:
+    return eecs_form_clusters(state.geometry, protocol, state.rng), 0
+
+
+def _kmeans(state: SimState, protocol: KmeansFormation) -> tuple[ClusterSet, int]:
+    k = _cluster_count(state.geometry, protocol.k)
+    return kmeans_form_clusters(state.geometry, k, max_iter=protocol.max_iter)
+
+
+def _fuzzy(state: SimState, protocol: FuzzyFormation) -> tuple[ClusterSet, int]:
+    k = _cluster_count(state.geometry, protocol.k)
+    seed = int(state.rng.integers(0, 2**63))
+    params = FcmParams(k=k, m=protocol.m, tol=protocol.tol,
+                       max_iter=protocol.max_iter, seed=seed)
+    return fuzzy_form_clusters(state.geometry, params)
+
+
+# params type -> its round's formation. The formations call the protocols'
+# functions through this module's globals, where a wrapper installed as
+# ``wsnsim.engine.leach_elect`` (or any other) intercepts every call.
+FORMATIONS = {LeachParams: _leach, HeedParams: _heed, EecsParams: _eecs,
+              KmeansFormation: _kmeans, FuzzyFormation: _fuzzy}
+PROTOCOLS = {cls.name: cls for cls in FORMATIONS}
+
+
+def _form_clusters(state: SimState, protocol) -> tuple[ClusterSet, int]:
+    return FORMATIONS[type(protocol)](state, protocol)
+
+
+def run_round(state: SimState, protocol) -> tuple[SimState, RoundReport]:
     """Advance the simulation by one setup + steady-state cycle."""
     alive_before = state.alive_count()
     if alive_before == 0:
@@ -168,19 +178,20 @@ def run_round(state: SimState, protocol: Protocol) -> tuple[SimState, RoundRepor
     by_id = {n.id: n for n in state.nodes}
     cluster_set, clustering_iterations = _form_clusters(state, protocol)
     head_ids = set(cluster_set.head_ids)
-    # tx_energy, rx_energy and aggregate_energy with their per-bit products
-    # hoisted, in the same association
-    elec_header = radio.e_elec * radio.header_bits
+    # the per-bit products hoisted, in tx_energy's association;
+    # aggregate_energy(radio, b, n) is (e_da * b) * n
+    elec_header = rx_energy(radio, radio.header_bits)
     amp_header = radio.e_amp * radio.header_bits
-    elec_data = radio.e_elec * radio.data_bits
+    elec_data = rx_energy(radio, radio.data_bits)
     amp_data = radio.e_amp * radio.data_bits
-    da_data = radio.e_da * radio.data_bits
+    da_data = aggregate_energy(radio, radio.data_bits, 1)
     charged = clamped = 0.0
     deaths = 0
 
     def pay(node: Node, cost: float) -> bool:
-        """``consume``, counting unpaid energy as clamped; True iff ``node`` survives.
-        Only alive nodes are charged, so each False is one death."""
+        """Charge ``cost`` to ``node``, clamping its energy at 0 and counting
+        the unpaid part as clamped; True iff ``node`` survives. Only alive
+        nodes are charged, so each False is one death."""
         nonlocal charged, clamped, deaths
         charged += cost
         if node.energy > cost:
@@ -297,7 +308,7 @@ def sweep_iterations(
     ]
 
 
-def run_simulation(config: NetworkConfig, protocol: Protocol, max_rounds: int) -> ExperimentResult:
+def run_simulation(config: NetworkConfig, protocol, max_rounds: int) -> ExperimentResult:
     """Deploy, then run rounds until every node is dead or max_rounds is hit."""
     rng = np.random.default_rng(config.seed)
     state = SimState(nodes=deploy_nodes(config, rng), config=config, rng=rng)
@@ -314,7 +325,7 @@ def run_simulation(config: NetworkConfig, protocol: Protocol, max_rounds: int) -
         if last_death is None and report.alive_after == 0:
             last_death = report.round
     return ExperimentResult(
-        protocol=protocol_name(protocol),
+        protocol=protocol.name,
         config=config,
         reports=reports,
         first_death_round=first_death,

@@ -11,7 +11,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 from .engine import ExperimentResult, RoundReport
 from .model import NetworkConfig, Position, RadioModel
@@ -177,25 +177,13 @@ def export_csv(table, destination) -> None:
         for row in table.rows():
             writer.writerow([_render(v) for v in row])
     elif isinstance(table, SummaryStats):
-        writer.writerow(
-            ["protocol", "seed", "first_death_round", "last_death_round",
-             "total_bs_messages", "mean_clustering_iterations"]
-        )
-        for run in table.per_run:
-            writer.writerow([_render(v) for v in (
-                run.protocol, run.seed, run.first_death_round, run.last_death_round,
-                run.total_bs_messages, run.mean_clustering_iterations)])
+        def section(cls, rows):
+            writer.writerow([f.name for f in fields(cls)])
+            writer.writerows([_render(v) for v in astuple(row)] for row in rows)
+
+        section(RunSummary, table.per_run)
         writer.writerow([])
-        writer.writerow(
-            ["protocol", "runs", "mean_first_death", "std_first_death",
-             "mean_last_death", "std_last_death", "mean_total_bs_messages",
-             "std_total_bs_messages", "mean_clustering_iterations"]
-        )
-        for agg in table.per_protocol:
-            writer.writerow([_render(v) for v in (
-                agg.protocol, agg.runs, agg.mean_first_death, agg.std_first_death,
-                agg.mean_last_death, agg.std_last_death, agg.mean_total_bs_messages,
-                agg.std_total_bs_messages, agg.mean_clustering_iterations)])
+        section(ProtocolSummary, table.per_protocol)
     else:
         raise TypeError(f"cannot export {type(table).__name__} as CSV")
     _write_text(destination, buf.getvalue())

@@ -18,8 +18,13 @@ NEVER_CLUSTER_HEAD = 1 << 30
 
 
 def check_range(name: str, value: float, low: float = -math.inf, *, strict: bool = False):
-    """Raise ValueError unless ``value`` is finite and >= ``low`` (> when ``strict``)."""
-    if not (math.isfinite(value) and (value > low if strict else value >= low)):
+    """Raise ValueError unless ``value`` is finite and >= ``low`` (> when
+    ``strict``). An int that no float can hold counts as not finite."""
+    try:
+        ok = math.isfinite(value) and (value > low if strict else value >= low)
+    except OverflowError:
+        ok = False
+    if not ok:
         bound = f" and {'>' if strict else '>='} {low:g}" if low > -math.inf else ""
         raise ValueError(f"{name} must be finite{bound}, got {value!r}")
 
@@ -60,7 +65,7 @@ class RadioModel:
     header_bits: int = 200  # 25-byte header / control message
 
     def __post_init__(self):
-        for name in ("e_elec", "e_amp", "e_da"):
+        for name in ("e_elec", "e_amp", "e_da", "data_bits", "header_bits"):
             check_range(name, getattr(self, name), 0.0)
         if not 0 < self.header_bits < self.data_bits:
             raise ValueError("require data_bits > header_bits > 0")
@@ -196,18 +201,3 @@ def rx_energy(radio: RadioModel, bits: int) -> float:
 def aggregate_energy(radio: RadioModel, bits: int, n_signals: int) -> float:
     """Energy for a cluster head to fuse ``n_signals`` messages of ``bits`` each."""
     return radio.e_da * bits * n_signals
-
-
-def consume(node: Node, cost: float) -> Node:
-    """Charge ``cost`` joules to ``node``, clamping at zero.
-
-    A node whose energy reaches zero is dead from that point on; the energy
-    that could not be paid is simply lost (the transmission it would have
-    funded is considered failed).
-    """
-    if cost < 0:
-        raise ValueError("cost must be >= 0")
-    remaining = node.energy - cost
-    node.energy = remaining if remaining > 0 else 0.0
-    node.alive = node.energy > 0
-    return node

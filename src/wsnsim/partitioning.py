@@ -34,15 +34,14 @@ class HardPartition:
     assignment: np.ndarray  # (n,) cluster index per point
     centroids: np.ndarray  # (k, 2)
     iterations: int
-    objective: float  # sum of squared point-to-centroid distances, m^2
-    objective_history: list[float]  # objective after each iteration
 
 
 class FcmUnderflow(ValueError):
-    """Fuzzy memberships came out NaN: d ** (-2 / (m - 1)) left the float
-    range for a point. It underflows to 0 for every centroid when the
-    fuzzifier m is too close to 1, and overflows to inf when the point lies
-    within about 1e-154 m of a centroid (for m = 2)."""
+    """Fuzzy memberships came out NaN or all zero: d ** (-2 / (m - 1)) left
+    the float range for a point. It underflows to 0 for every centroid when
+    the fuzzifier m is too close to 1, and it or its sum over the centroids
+    overflows to inf when the point lies within about 1e-154 m of a centroid
+    (for m = 2)."""
 
 
 @dataclass(frozen=True)
@@ -106,11 +105,6 @@ def kmeans_update(
     return centroids
 
 
-def _objective(pts: np.ndarray, assignment: np.ndarray, cents: np.ndarray) -> float:
-    diff = pts - cents[assignment]
-    return float((diff * diff).sum())
-
-
 def kmeans_run(points: np.ndarray, init: np.ndarray, max_iter: int = 100) -> HardPartition:
     """Lloyd iteration from the k centroids in ``init`` until the assignment
     stops changing (or max_iter)."""
@@ -118,22 +112,16 @@ def kmeans_run(points: np.ndarray, init: np.ndarray, max_iter: int = 100) -> Har
         raise ValueError("max_iter must be >= 1")
     centroids = init
     prev_assignment = None
-    history: list[float] = []
-    while len(history) < max_iter:
+    iterations = 0
+    while iterations < max_iter:
         assignment = kmeans_assign(points, centroids)
         if prev_assignment is not None and np.array_equal(assignment, prev_assignment):
             break
         centroids = kmeans_update(points, assignment, centroids)
         prev_assignment = assignment
-        history.append(_objective(points, assignment, centroids))
-
-    return HardPartition(
-        assignment=prev_assignment,
-        centroids=centroids,
-        iterations=len(history),
-        objective=history[-1],
-        objective_history=history,
-    )
+        iterations += 1
+    return HardPartition(assignment=prev_assignment, centroids=centroids,
+                         iterations=iterations)
 
 
 # --- fuzzy c-means ------------------------------------------------------------
@@ -198,8 +186,8 @@ def fcm_run(points: np.ndarray, params: FcmParams) -> tuple[np.ndarray, np.ndarr
 
     Convergence is max |u_new - u_old| < params.tol; iteration count is the
     number of centroids+memberships pairs performed. Returns the memberships,
-    the centroids and that count; raises FcmUnderflow if the memberships end
-    as NaN.
+    the centroids and that count; raises FcmUnderflow if a membership row
+    ends as NaN or all zeros.
     """
     if len(points) == 0:
         raise ValueError("at least one point required")
@@ -214,17 +202,20 @@ def fcm_run(points: np.ndarray, params: FcmParams) -> tuple[np.ndarray, np.ndarr
             u = u_new
             if delta < params.tol:
                 break
-    nan_rows = np.isnan(u).any(axis=1)
-    if nan_rows.any():
+    # a NaN row is 0/0 or inf/inf; a row of zeros is finite weights over a
+    # sum that overflowed. Either way its max is not above 0
+    bad_rows = ~(u.max(axis=1) > 0)
+    if bad_rows.any():
         # the centroids stay finite (a NaN column falls back to the mean), so
-        # the last pair's weights show which way they left the float range
-        d = _dist_matrix(points[nan_rows], centroids)
+        # the last pair's weight sums show which way they left the float range
+        d = _dist_matrix(points[bad_rows], centroids)
         with np.errstate(over="ignore", divide="ignore"):
-            overflow = np.isinf(d ** (-2.0 / (params.m - 1.0))).any()
+            overflow = np.isinf((d ** (-2.0 / (params.m - 1.0))).sum(axis=1)).any()
         if overflow:
             raise FcmUnderflow(
-                f"a point lies {d.min():.3g} m from a centroid: d ** (-2/(m-1)) "
-                f"overflows with m={params.m!r}, so the memberships are inf/inf")
+                f"a point lies {d.min():.3g} m from a centroid: the sum of "
+                f"d ** (-2/(m-1)) overflows with m={params.m!r}, so the "
+                "memberships are divided by inf")
         raise FcmUnderflow(f"fuzzifier m={params.m!r} is too close to 1: "
                            "the memberships underflow to 0/0")
     return u, centroids, iterations

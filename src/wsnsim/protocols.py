@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -62,6 +63,7 @@ class ClusterSet:
 
 @dataclass(frozen=True)
 class LeachParams:
+    name: ClassVar[str] = "leach"
     p: float = 0.05  # desired cluster-head fraction
     ch_separation: float = 0.0  # optional minimum head spacing, 0 disables
 
@@ -73,6 +75,7 @@ class LeachParams:
 
 @dataclass(frozen=True)
 class HeedParams:
+    name: ClassVar[str] = "heed"
     c_prob: float = 0.05  # initial probability scale
     p_min: float = 1e-4  # probability floor
     cluster_radius: float = 20.0  # neighborhood radius, meters
@@ -97,6 +100,7 @@ class HeedParams:
 
 @dataclass(frozen=True)
 class EecsParams:
+    name: ClassVar[str] = "eecs"
     p: float = 0.5  # candidate fraction (suppression thins the surplus)
     w: float = 0.5  # member-distance weight vs head-to-BS distance
     suppress_radius: float = 30.0  # earshot within which weaker candidates yield
@@ -193,14 +197,12 @@ def rotation_period(p: float) -> int:
     return math.ceil(1.0 / p)
 
 
-def leach_threshold(p: float, r: int, eligible: bool) -> float:
+def leach_threshold(p: float, r: int) -> float:
     """Election threshold p / (1 - p * (r mod ceil(1/p))), clamped to [0, 1].
 
-    Ineligible nodes get 0. The clamp makes the end-of-period value exactly
-    1.0, where every still-eligible node must elect itself.
+    The clamp makes the end-of-period value exactly 1.0, where every
+    still-eligible node must elect itself.
     """
-    if not eligible:
-        return 0.0
     rm = r % rotation_period(p)
     denom = 1.0 - p * rm
     if denom <= 0.0:
@@ -208,30 +210,23 @@ def leach_threshold(p: float, r: int, eligible: bool) -> float:
     return min(1.0, p / denom)
 
 
-def leach_eligible(node: Node, p: float, r: int) -> bool:
-    """In the election set iff the node has not served since the current
-    rotation period began.
-
-    Periods are aligned to multiples of ceil(1/p): when ``r mod ceil(1/p)``
-    wraps to 0 every node becomes eligible again, which is what keeps the
-    threshold formula's expected head count constant over the period.
-    """
-    return node.rounds_since_ch >= r % rotation_period(p)
-
-
 def leach_elect(geom: Geometry, params: LeachParams, r: int, rng) -> set[int]:
     """Per-node threshold election; guarantees at least one head via fallback.
 
-    Every alive node draws once (in id order) so the random stream does not
-    depend on eligibility. If nobody self-elects, the alive node with the
-    most energy (ties: lowest id) stands in as head for the round.
+    A node is in the election set iff it has not served since the current
+    rotation period began. Periods are aligned to multiples of ceil(1/p):
+    when ``r mod ceil(1/p)`` wraps to 0 every node becomes eligible again,
+    which is what keeps the threshold formula's expected head count constant
+    over the period. Every alive node draws once (in id order) so the random
+    stream does not depend on eligibility. If nobody self-elects, the alive
+    node with the most energy (ties: lowest id) stands in as head for the
+    round.
     """
     alive, _ = geom.alive()
     if not alive:
         raise ValueError("no alive nodes")
-    # an ineligible node's threshold is 0, which no draw in [0, 1) is below
-    t = leach_threshold(params.p, r, True)
-    period_pos = r % rotation_period(params.p)  # leach_eligible, hoisted
+    t = leach_threshold(params.p, r)
+    period_pos = r % rotation_period(params.p)
     draws = rng.random(len(alive)).tolist()
     heads = {n.id for n, draw in zip(alive, draws)
              if draw < t and n.rounds_since_ch >= period_pos}

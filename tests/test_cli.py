@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from wsnsim.cli import main
+from wsnsim.cli import _NUMBER_KEYS, PROTOCOL_KEYS, _spec_from_args, build_parser, main
+from wsnsim.engine import PROTOCOLS
 
 
 def run_cli(args):
@@ -83,6 +85,8 @@ class TestRejectedInputs:
         # nodes within about 1e-154 m of a centroid overflow d ** -2 instead
         (["run", "--protocol", "fuzzy", "--width", "1e-160", "--height", "1e-160",
           "--bs-x", "0", "--bs-y", "0", "--seed", "1"], "from a centroid"),
+        # an int no float can hold
+        (["run", "--protocol", "leach", "--seed", "1" + "0" * 400], "seed"),
     ])
     def test_flag(self, args, field, tmp_path, capsys):
         code = run_cli(args + ["--rounds", "3", "--out", tmp_path / "o"])
@@ -96,6 +100,12 @@ class TestRejectedInputs:
         ("run", "seeds = 1, x\n", "seeds"),
         ("run", "initial_energy = nan\n", "initial_energy"),
         ("sweep", "grid = 5, 5\n", "grid"),
+        ("run", "formats = xml\n", "formats"),
+        ("run", "formats = csv, xml\n", "formats"),
+        ("run", "formats =\n", "formats"),
+        # an int no float can hold
+        pytest.param("run", "data_bits = 1" + "0" * 400 + "\n", "data_bits",
+                     id="run-huge-data_bits"),
     ])
     def test_config_file(self, command, text, field, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -105,6 +115,84 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and field in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+
+# each protocol key: the protocols whose params it sets, the field, and a
+# valid value other than the default
+KEYS = {
+    "leach_p": ({"leach"}, "p", 0.25),
+    "heed_c_prob": ({"heed"}, "c_prob", 0.5),
+    "heed_p_min": ({"heed"}, "p_min", 0.01),
+    "heed_radius": ({"heed"}, "cluster_radius", 12.5),
+    "eecs_p": ({"eecs"}, "p", 0.25),
+    "eecs_w": ({"eecs"}, "w", 0.75),
+    "k": ({"kmeans", "fuzzy"}, "k", 3),
+    "fcm_m": ({"fuzzy"}, "m", 1.5),
+    "fcm_tol": ({"fuzzy"}, "tol", 1e-3),
+    "fcm_max_iter": ({"kmeans", "fuzzy"}, "max_iter", 7),
+    "ch_separation": ({"leach", "heed", "eecs"}, "ch_separation", 4.0),
+}
+
+
+class TestProtocolKeys:
+    """PROTOCOL_KEYS is the contract between the CLI and the params classes."""
+
+    def test_table(self):
+        assert {key: ({cls.name for cls in owners}, attr)
+                for key, (owners, attr) in PROTOCOL_KEYS.items()} == {
+            key: (names, attr) for key, (names, attr, _) in KEYS.items()}
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key", sorted(KEYS))
+    def test_sets_its_field_on_its_owners_only(self, key, source, tmp_path):
+        names, attr, value = KEYS[key]
+        if source == "flag":
+            argv = ["run", "--" + key.replace("_", "-"), str(value)]
+        else:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            argv = ["run", "--config", str(cfg)]
+        spec = _spec_from_args(build_parser().parse_args(argv))
+        for name, cls in PROTOCOLS.items():
+            got = spec.protocol(name)
+            if name in names:
+                assert getattr(cls(), attr) != value
+                assert got == cls(**{attr: value})
+                assert type(getattr(got, attr)) is type(value)
+            else:
+                assert got == cls()
+
+    @staticmethod
+    def commands() -> dict[str, argparse.ArgumentParser]:
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return sub.choices
+
+    def test_protocol_choices_are_the_protocols(self):
+        for parser in self.commands().values():
+            action = next(a for a in parser._actions if a.dest == "protocol")
+            assert list(action.choices) == list(PROTOCOLS)
+
+    def test_flag_names_are_kept(self):
+        # the golden argv and users' scripts name these flags
+        flags = {command: {s for a in parser._actions for s in a.option_strings}
+                 for command, parser in self.commands().items()}
+        common = {"-h", "--help", "--config", "--preset", "--protocol", "--seed", "--nodes",
+                  "--width", "--height", "--bs-x", "--bs-y", "--initial-energy", "--rounds",
+                  "--thin", "--out", "--format", "--leach-p", "--heed-c-prob",
+                  "--heed-p-min", "--heed-radius", "--eecs-p", "--eecs-w", "--k", "--fcm-m",
+                  "--fcm-tol", "--fcm-max-iter", "--ch-separation"}
+        assert flags == {"run": common, "compare": common, "sweep": common | {"--grid"}}
+
+    def test_config_number_keys_are_kept(self):
+        ints = {"n_nodes", "data_bits", "header_bits", "max_rounds", "thin", "k",
+                "fcm_max_iter"}
+        floats = {"width", "height", "bs_x", "bs_y", "initial_energy", "e_elec", "e_amp",
+                  "e_da", "leach_p", "heed_c_prob", "heed_p_min", "heed_radius", "eecs_p",
+                  "eecs_w", "fcm_m", "fcm_tol", "ch_separation"}
+        assert _NUMBER_KEYS == {**dict.fromkeys(ints, int), **dict.fromkeys(floats, float)}
 
 
 class TestCompare:

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import wsnsim.engine
 from wsnsim.engine import (
+    PROTOCOLS,
     EecsParams,
     FuzzyFormation,
     HeedParams,
@@ -11,7 +14,6 @@ from wsnsim.engine import (
     SimState,
     SimulationComplete,
     default_cluster_count,
-    protocol_name,
     run_round,
     run_simulation,
     sweep_iterations,
@@ -210,11 +212,13 @@ class TestRunSimulation:
         assert res.first_death_round <= res.last_death_round
 
     def test_protocol_names(self):
-        assert protocol_name(LeachParams()) == "leach"
-        assert protocol_name(HeedParams()) == "heed"
-        assert protocol_name(EecsParams()) == "eecs"
-        assert protocol_name(KmeansFormation()) == "kmeans"
-        assert protocol_name(FuzzyFormation()) == "fuzzy"
+        classes = [LeachParams, HeedParams, EecsParams, KmeansFormation, FuzzyFormation]
+        assert PROTOCOLS == dict(zip(["leach", "heed", "eecs", "kmeans", "fuzzy"], classes))
+        config = NetworkConfig(n_nodes=10, seed=1)
+        for name, cls in PROTOCOLS.items():
+            assert run_simulation(config, cls(), max_rounds=1).protocol == name
+        # a class attribute, not a field: the params' dict and outputs omit it
+        assert "name" not in dataclasses.asdict(HeedParams())
 
 
 class TestHelpers:

@@ -33,7 +33,6 @@ from wsnsim.model import (
     Node,
     Position,
     aggregate_energy,
-    consume,
     euclidean_distance,
     hypot,
     rx_energy,
@@ -51,8 +50,8 @@ from wsnsim.protocols import (
     heed_form_clusters,
     heed_geometry,
     leach_elect,
-    leach_eligible,
     leach_threshold,
+    rotation_period,
 )
 
 # --- math.hypot ----------------------------------------------------------------
@@ -130,8 +129,9 @@ def oracle_leach_elect(nodes, params, r, rng):
     heads = set()
     for node in sorted(alive, key=lambda n: n.id):
         draw = float(rng.random())
-        t = leach_threshold(params.p, r, leach_eligible(node, params.p, r))
-        if draw < t:
+        # eligible iff the node has not served since the period began
+        eligible = node.rounds_since_ch >= r % rotation_period(params.p)
+        if eligible and draw < leach_threshold(params.p, r):
             heads.add(node.id)
     if not heads:
         heads.add(min(alive, key=lambda n: (-n.energy, n.id)).id)
@@ -426,7 +426,9 @@ class Ledger:
         shortfall = cost - node.energy
         if shortfall > 0:
             self.clamped += shortfall
-        consume(node, cost)
+        remaining = node.energy - cost  # clamped at 0, where the node dies
+        node.energy = remaining if remaining > 0 else 0.0
+        node.alive = node.energy > 0
 
 
 def oracle_run_round(state, protocol):

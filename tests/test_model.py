@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from wsnsim.engine import LeachParams, SimState, run_round
 from wsnsim.model import (
     NetworkConfig,
     Node,
     Position,
     RadioModel,
     aggregate_energy,
-    consume,
     deploy_nodes,
     euclidean_distance,
     rx_energy,
@@ -17,10 +17,32 @@ from wsnsim.model import (
 )
 
 RADIO = RadioModel(e_elec=50e-9, e_amp=100e-12, e_da=5e-9)
+# powers of two make every charge and subtraction exact
+EXACT_RADIO = RadioModel(e_elec=2.0**-20, e_amp=2.0**-34, e_da=2.0**-22,
+                         data_bits=4096, header_bits=256)
 
 
 def make_node(energy=0.5, x=0.0, y=0.0, node_id=0):
     return Node(id=node_id, pos=Position(x, y), energy=energy)
+
+
+def one_node_config(energy, radio=RADIO):
+    # arena diagonal hypot(60, 80) = 100; the BS is 100 m from the node at the origin
+    return NetworkConfig(n_nodes=1, arena=(60.0, 80.0), bs_pos=Position(0.0, 100.0),
+                         initial_energy=energy, radio=radio, seed=0)
+
+
+def one_node_round_cost(radio):
+    """A lone node's round: it advertises at the arena diagonal, aggregates
+    its own signal and uplinks it to the BS, both 100 m away."""
+    return (tx_energy(radio, radio.header_bits, 100.0)
+            + aggregate_energy(radio, radio.data_bits, 1)
+            + tx_energy(radio, radio.data_bits, 100.0))
+
+
+def one_node_round(energy, radio=RADIO):
+    state = SimState(nodes=[make_node(energy)], config=one_node_config(energy, radio))
+    return run_round(state, LeachParams())
 
 
 class TestEuclideanDistance:
@@ -85,35 +107,44 @@ class TestRadioEnergy:
 
 
 class TestConsume:
+    """How a round consumes a node's energy, read from ``run_round``: each
+    charge is paid in full, or the node's energy clamps at 0 and it dies."""
+
     def test_partial(self):
-        node = make_node(energy=1.0)
-        consume(node, 0.3)
-        assert node.energy == pytest.approx(0.7)
-        assert node.alive
+        state, report = one_node_round(1.0)
+        assert state.nodes[0].energy == pytest.approx(1.0 - one_node_round_cost(RADIO))
+        assert state.nodes[0].alive
+        assert report.energy_clamped == 0.0
 
     def test_exact_boundary_kills(self):
-        node = make_node(energy=0.2)
-        consume(node, 0.2)
-        assert node.energy == 0.0
-        assert not node.alive
+        state, report = one_node_round(one_node_round_cost(EXACT_RADIO), radio=EXACT_RADIO)
+        assert state.nodes[0].energy == 0.0
+        assert not state.nodes[0].alive
+        assert report.energy_clamped == 0.0
 
     def test_clamps_at_zero(self):
-        node = make_node(energy=0.1)
-        consume(node, 5.0)
-        assert node.energy == 0.0
-        assert not node.alive
+        # the advert alone costs 2.1e-4 J; what the node cannot pay is clamped
+        state, report = one_node_round(1e-6)
+        assert state.nodes[0].energy == 0.0
+        assert not state.nodes[0].alive
+        assert report.energy_charged - report.energy_clamped == pytest.approx(1e-6)
 
     def test_alive_tracks_energy(self):
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            node = make_node(energy=float(rng.uniform(0, 1)))
-            consume(node, float(rng.uniform(0, 1)))
-            assert node.energy >= 0.0
-            assert node.alive == (node.energy > 0)
+        nodes = [make_node(float(rng.uniform(0, 2e-3)), *rng.uniform(0, 100, 2), node_id=i)
+                 for i in range(30)]
+        state = SimState(nodes=nodes, config=NetworkConfig(n_nodes=30, seed=3))
+        while state.alive_count() > 0:
+            state, _ = run_round(state, LeachParams())
+            for node in state.nodes:
+                assert node.energy >= 0.0
+                assert node.alive == (node.energy > 0)
 
     def test_negative_cost_rejected(self):
-        with pytest.raises(ValueError):
-            consume(make_node(), -0.1)
+        # every charge is built from these constants, so none can be negative
+        for field in ("e_elec", "e_amp", "e_da"):
+            with pytest.raises(ValueError, match=field):
+                RadioModel(**{field: -1e-12})
 
 
 class TestDeploy:

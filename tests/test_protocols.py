@@ -22,7 +22,6 @@ from wsnsim.protocols import (
     heed_geometry,
     kmeans_form_clusters,
     leach_elect,
-    leach_eligible,
     leach_threshold,
 )
 
@@ -63,22 +62,27 @@ def check_partition(cluster_set, nodes):
 
 class TestLeachThreshold:
     def test_round_zero(self):
-        assert leach_threshold(0.05, 0, True) == pytest.approx(0.05)
+        assert leach_threshold(0.05, 0) == pytest.approx(0.05)
 
     def test_period_end_is_exactly_one(self):
-        assert leach_threshold(0.05, 19, True) == 1.0
+        assert leach_threshold(0.05, 19) == 1.0
 
     def test_ineligible_is_zero(self):
+        # node 0 served in the round before: every draw is 0, below any
+        # positive threshold, yet it elects only when a new period begins
         for r in range(25):
-            assert leach_threshold(0.05, r, False) == 0.0
+            nodes = [Node(id=0, pos=Position(0, 0), energy=1.0, rounds_since_ch=0),
+                     Node(id=1, pos=Position(1, 0), energy=0.5)]
+            heads = leach_elect(geom(nodes), LeachParams(p=0.05), r, ZeroRng())
+            assert heads == ({1} if r % 20 else {0, 1})
 
     def test_wraps_at_period(self):
-        assert leach_threshold(0.05, 20, True) == pytest.approx(0.05)
+        assert leach_threshold(0.05, 20) == pytest.approx(0.05)
 
     def test_always_within_unit_interval(self):
         for p in (0.01, 0.05, 0.3, 1.0):
             for r in range(60):
-                assert 0.0 <= leach_threshold(p, r, True) <= 1.0
+                assert 0.0 <= leach_threshold(p, r) <= 1.0
 
 
 class TestLeachElect:
@@ -97,19 +101,22 @@ class TestLeachElect:
         assert heads == {0, 1, 2, 3, 4}
 
     def test_recent_head_is_ineligible_next_round(self):
-        node = Node(id=0, pos=Position(0, 0), energy=1.0, rounds_since_ch=0)
-        assert not leach_eligible(node, 0.05, r=6)
-        assert leach_threshold(0.05, 6, leach_eligible(node, 0.05, r=6)) == 0.0
+        # the richer node 0 headed round 5; a 0 draw elects only node 1
+        nodes = [Node(id=0, pos=Position(0, 0), energy=1.0, rounds_since_ch=0),
+                 Node(id=1, pos=Position(1, 0), energy=0.5)]
+        assert leach_elect(geom(nodes), LeachParams(p=0.05), 6, ZeroRng()) == {1}
 
     def test_eligibility_resets_each_period(self):
-        node = Node(id=0, pos=Position(0, 0), energy=1.0, rounds_since_ch=0)
-        assert leach_eligible(node, 0.05, r=20)
+        nodes = [Node(id=0, pos=Position(0, 0), energy=1.0, rounds_since_ch=0),
+                 Node(id=1, pos=Position(1, 0), energy=0.5)]
+        assert leach_elect(geom(nodes), LeachParams(p=0.05), 20, ZeroRng()) == {0, 1}
 
     def test_rotation_exactly_once_per_window(self):
         # With forced-zero draws every eligible node elects, so threshold
         # elections must cover each node exactly once per 20-round window;
-        # electionless rounds appoint a stand-in with threshold 0, which is
-        # not a rotation election.
+        # electionless rounds appoint a stand-in, which is not a rotation
+        # election. A head that already served in the window can only be
+        # that stand-in: alone, once every node has served.
         params = LeachParams(p=0.05)
         nodes = nodes_at([(i % 10, i // 10) for i in range(40)])
         rng = ZeroRng()
@@ -118,13 +125,10 @@ class TestLeachElect:
             for step in range(20):
                 r = window * 20 + step
                 heads = leach_elect(geom(nodes), params, r, rng)
-                by_id = {n.id: n for n in nodes}
-                for h in heads:
-                    t = leach_threshold(
-                        params.p, r, leach_eligible(by_id[h], params.p, r)
-                    )
-                    if t > 0.0:
-                        elected[h] += 1
+                if heads & set(elected):
+                    assert len(heads) == 1 and len(elected) == len(nodes)
+                else:
+                    elected.update(heads)
                 for n in nodes:  # engine bookkeeping
                     n.rounds_since_ch = 0 if n.id in heads else n.rounds_since_ch + 1
             assert all(elected[n.id] == 1 for n in nodes)
