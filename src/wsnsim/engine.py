@@ -16,7 +16,7 @@ run is a pure function of (config, protocol).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -76,20 +76,20 @@ class SimulationComplete(Exception):
 
 @dataclass
 class SimState:
-    nodes: list[Node]
+    nodes: InitVar[list[Node]]  # copied into ``geometry``, which holds the run's state
     config: NetworkConfig
     round: int = 0
     bs_messages: int = 0
     rng: np.random.Generator = None  # type: ignore[assignment]
-    geometry: Geometry = field(init=False)  # of ``nodes``, for the whole run
+    geometry: Geometry = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, nodes: list[Node]):
         if self.rng is None:
             self.rng = np.random.default_rng(self.config.seed)
-        self.geometry = Geometry(self.nodes, self.config.bs_pos)
+        self.geometry = Geometry(nodes, self.config.bs_pos)
 
     def alive_count(self) -> int:
-        return sum(1 for n in self.nodes if n.alive)
+        return int(np.count_nonzero(self.geometry.energy > 0))
 
 
 @dataclass
@@ -120,7 +120,7 @@ def default_cluster_count(alive: int) -> int:
 
 
 def _cluster_count(geom: Geometry, k: int | None) -> int:
-    alive = len(geom.alive()[1])
+    alive = len(geom.alive())
     k = k if k is not None else default_cluster_count(alive)
     return min(k, alive)  # never more clusters than alive nodes as the network dies
 
@@ -129,7 +129,7 @@ def _leach(state: SimState, protocol: LeachParams) -> tuple[ClusterSet, int]:
     geom = state.geometry
     heads = leach_elect(geom, protocol, state.round, state.rng)
     if protocol.ch_separation > 0:
-        heads = enforce_ch_separation(heads, geom.alive()[0], protocol.ch_separation)
+        heads = enforce_ch_separation(geom, heads, protocol.ch_separation)
     return form_clusters_nearest(geom, heads), 0
 
 
@@ -174,10 +174,13 @@ def run_round(state: SimState, protocol) -> tuple[SimState, RoundReport]:
 
     cfg = state.config
     radio = cfg.radio
-    bs_x, bs_y = cfg.bs_pos.x, cfg.bs_pos.y
-    by_id = {n.id: n for n in state.nodes}
+    geom = state.geometry
     cluster_set, clustering_iterations = _form_clusters(state, protocol)
-    head_ids = set(cluster_set.head_ids)
+    # the cluster set names node ids; the ledger charges rows of Python lists
+    row_of, xy = geom.row_of, geom.xy
+    head_rows = [row_of[h] for h in cluster_set.head_ids]
+    energy = geom.energy.tolist()
+    bs_dist = geom.bs_dist.tolist()
     # the per-bit products hoisted, in tx_energy's association;
     # aggregate_energy(radio, b, n) is (e_da * b) * n
     elec_header = rx_energy(radio, radio.header_bits)
@@ -188,42 +191,42 @@ def run_round(state: SimState, protocol) -> tuple[SimState, RoundReport]:
     charged = clamped = 0.0
     deaths = 0
 
-    def pay(node: Node, cost: float) -> bool:
-        """Charge ``cost`` to ``node``, clamping its energy at 0 and counting
-        the unpaid part as clamped; True iff ``node`` survives. Only alive
+    def pay(row: int, cost: float) -> bool:
+        """Charge ``cost`` to ``row``, clamping its energy at 0 and counting
+        the unpaid part as clamped; True iff the node survives. Only alive
         nodes are charged, so each False is one death."""
         nonlocal charged, clamped, deaths
         charged += cost
-        if node.energy > cost:
-            node.energy -= cost
+        left = energy[row]
+        if left > cost:
+            energy[row] = left - cost
             return True
-        clamped += cost - node.energy
-        node.energy, node.alive = 0.0, False
+        clamped += cost - left
+        energy[row] = 0.0
         deaths += 1
         return False
 
     # -- setup: head advertisements, heard network-wide
     advert_cost = tx_energy(radio, radio.header_bits, cfg.diagonal)
-    delivered_adverts = {h for h in sorted(head_ids) if pay(by_id[h], advert_cost)}
-    for node in state.geometry.nodes:  # in id order
-        heard = len(delivered_adverts) - (1 if node.id in delivered_adverts else 0)
-        if node.alive and heard > 0:
-            pay(node, heard * elec_header)
+    delivered_adverts = {h for h in sorted(head_rows) if pay(h, advert_cost)}
+    for row, left in enumerate(energy):  # in id order
+        heard = len(delivered_adverts) - (1 if row in delivered_adverts else 0)
+        if left > 0.0 and heard > 0:
+            pay(row, heard * elec_header)
 
     # -- setup: join messages back to the chosen head; each member's distance
     # to its head is computed once, for the join and for the data message
-    joined: list[tuple[Node, list[tuple[Node, float]]]] = []
-    for cluster in cluster_set.clusters:
-        head = by_id[cluster.head]
+    joined: list[tuple[int, list[tuple[int, float]]]] = []
+    for head, cluster in zip(head_rows, cluster_set.clusters):
+        hx, hy = xy[head]
         links = []
-        for member_id in sorted(cluster.members):
-            member = by_id[member_id]
-            if not member.alive:
-                continue
-            d = math.hypot(member.pos.x - head.pos.x, member.pos.y - head.pos.y)
-            links.append((member, d))
-            if pay(member, elec_header + amp_header * d * d) and head.alive:
-                pay(head, elec_header)
+        for member in sorted([row_of[m] for m in cluster.members]):
+            if energy[member] > 0.0:
+                mx, my = xy[member]
+                d = math.hypot(mx - hx, my - hy)
+                links.append((member, d))
+                if pay(member, elec_header + amp_header * d * d) and energy[head] > 0.0:
+                    pay(head, elec_header)
         joined.append((head, links))
 
     # -- steady state: member data, head aggregation and uplink
@@ -231,31 +234,28 @@ def run_round(state: SimState, protocol) -> tuple[SimState, RoundReport]:
     for head, links in joined:
         received = 0
         for member, d in links:
-            if (member.alive and pay(member, elec_data + amp_data * d * d)
-                    and head.alive and pay(head, elec_data)):
+            if (energy[member] > 0.0 and pay(member, elec_data + amp_data * d * d)
+                    and energy[head] > 0.0 and pay(head, elec_data)):
                 received += 1
-        if head.alive and pay(head, da_data * (received + 1)):
-            d = math.hypot(head.pos.x - bs_x, head.pos.y - bs_y)
+        if energy[head] > 0.0 and pay(head, da_data * (received + 1)):
+            d = bs_dist[head]
             delivered += pay(head, elec_data + amp_data * d * d)
 
-    for orphan_id in sorted(cluster_set.orphans):
-        orphan = by_id[orphan_id]
-        if orphan.alive:
-            d = math.hypot(orphan.pos.x - bs_x, orphan.pos.y - bs_y)
+    for orphan in sorted([row_of[o] for o in cluster_set.orphans]):
+        if energy[orphan] > 0.0:
+            d = bs_dist[orphan]
             delivered += pay(orphan, elec_data + amp_data * d * d)
 
-    for node in state.nodes:
-        if node.id in head_ids:
-            node.rounds_since_ch = 0
-        else:
-            node.rounds_since_ch += 1
+    geom.energy[:] = energy
+    geom.rounds_since_ch += 1
+    geom.rounds_since_ch[head_rows] = 0
 
     state.bs_messages += delivered
     report = RoundReport(
         round=state.round,
         alive_before=alive_before,
         alive_after=alive_before - deaths,
-        ch_count=len(head_ids),
+        ch_count=len(head_rows),
         bs_messages_delivered=delivered,
         clustering_iterations=clustering_iterations,
         energy_charged=charged,

@@ -242,7 +242,7 @@ def export_json(payload, destination) -> None:
         }
     else:
         raise TypeError(f"cannot export {type(payload).__name__} as JSON")
-    _write_text(destination, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_text(destination, json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def load_result_json(source) -> ExperimentResult:

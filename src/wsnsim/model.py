@@ -39,12 +39,11 @@ class Position:
 
 @dataclass
 class Node:
-    """One sensor node. A node is alive exactly while its energy is > 0."""
+    """One sensor node's deployment record; a run keeps its state in ``Geometry``."""
 
     id: int
     pos: Position
     energy: float
-    alive: bool = True
     rounds_since_ch: int = NEVER_CLUSTER_HEAD
 
 
@@ -90,6 +89,21 @@ class NetworkConfig:
         check_range("bs_y", self.bs_pos.y)
         check_range("initial_energy", self.initial_energy, 0.0, strict=True)
         check_range("seed", self.seed, 0)
+        # no message travels farther than across the arena or from one of its
+        # corners to the base station; a sum of n such squared distances (a
+        # HEED cost, say) must stay finite
+        bs, n = self.bs_pos, self.n_nodes
+        reach = max(self.diagonal, *(math.hypot(x - bs.x, y - bs.y)
+                                     for x in (0.0, self.arena[0]) for y in (0.0, self.arena[1])))
+        check_range("n_nodes times the squared range of a message", n * reach * reach)
+        # per round, each node sends at most two messages and hears at most n
+        # adverts, the heads hear two messages per member and fuse at most n
+        # signals in all; the sum of those charges must stay finite
+        r = self.radio
+        check_range("the most energy a round can charge",
+                    2 * n * tx_energy(r, r.data_bits, reach)
+                    + n * (n + 2) * rx_energy(r, r.data_bits)
+                    + aggregate_energy(r, r.data_bits, n))
 
     @property
     def diagonal(self) -> float:

@@ -24,8 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .model import (Node, Position, check_range, euclidean_distance, hypot,
-                    squared_distances)
+from .model import Node, Position, check_range, hypot, squared_distances
 from .partitioning import FcmParams, defuzzify, fcm_run, kmeans_init, kmeans_run
 
 
@@ -70,6 +69,7 @@ class LeachParams:
     def __post_init__(self):
         if not 0 < self.p <= 1:
             raise ValueError("p must be in (0, 1]")
+        check_range("1/p", 1.0 / self.p)  # the rotation period
         check_range("ch_separation", self.ch_separation, 0.0)
 
 
@@ -86,7 +86,9 @@ class HeedParams:
     def __post_init__(self):
         if not 0 < self.p_min <= self.c_prob <= 1:
             raise ValueError("require 0 < p_min <= c_prob <= 1")
+        check_range("1/p_min", 1.0 / self.p_min)  # in iteration_bound
         check_range("cluster_radius", self.cluster_radius, 0.0, strict=True)
+        check_range("cluster_radius**2", self.cluster_radius * self.cluster_radius)
         if self.announce_waves < 1:
             raise ValueError("announce_waves must be >= 1")
         check_range("ch_separation", self.ch_separation, 0.0)
@@ -121,28 +123,39 @@ class EecsParams:
 
 
 class Geometry:
-    """What a deployment fixes for a whole run: nodes never move.
+    """A run's node state, one row per node in ascending id order.
 
-    Rows follow ascending node id. ``pos`` is the (n, 2) position array and
-    ``bs_dist`` each node's ``euclidean_distance`` to the base station; both
-    are built once. HEED's pairwise arrays depend on the alive set as well,
-    so ``heed`` keeps them for the set it last saw. A run builds one of these
-    from its deployment; any other caller builds one from its node list.
+    ``pos`` is the (n, 2) position array and ``bs_dist`` each node's
+    ``euclidean_distance`` to the base station; nodes never move. ``energy``
+    and ``rounds_since_ch`` are copied from the node records once and change
+    as the run goes; a row is alive exactly while its energy is > 0. HEED's
+    pairwise arrays depend on the alive set as well, so ``heed`` keeps them
+    for the set it last saw.
     """
 
     def __init__(self, nodes: list[Node], bs: Position):
-        self.nodes = sorted(nodes, key=lambda n: n.id)
-        self.ids = np.array([n.id for n in self.nodes], dtype=int)
-        self.pos = np.array([(n.pos.x, n.pos.y) for n in self.nodes],
-                            dtype=float).reshape(-1, 2)
+        nodes = sorted(nodes, key=lambda n: n.id)
+        self.ids = np.array([n.id for n in nodes], dtype=int)
+        self.pos = np.array([(n.pos.x, n.pos.y) for n in nodes], dtype=float).reshape(-1, 2)
         self.bs_dist = hypot(self.pos[:, 0] - bs.x, self.pos[:, 1] - bs.y)
+        # for the scalar ledger: each id's row, and the positions as Python floats
+        self.row_of = {node_id: row for row, node_id in enumerate(self.ids.tolist())}
+        self.xy = self.pos.tolist()
+        self.energy = np.array([n.energy for n in nodes], dtype=float)
+        self.rounds_since_ch = np.array([n.rounds_since_ch for n in nodes], dtype=np.int64)
         self._heed_key: tuple | None = None
         self._heed: tuple = ()
 
-    def alive(self) -> tuple[list[Node], np.ndarray]:
-        """The alive nodes in id order, and their rows."""
-        rows = [i for i, n in enumerate(self.nodes) if n.alive]
-        return [self.nodes[i] for i in rows], np.array(rows, dtype=np.intp)
+    def alive(self) -> np.ndarray:
+        """The rows of the alive nodes, ascending; ValueError if there are none."""
+        rows = np.flatnonzero(self.energy > 0)
+        if not len(rows):
+            raise ValueError("no alive nodes")
+        return rows
+
+    def by_energy(self, rows: np.ndarray) -> np.ndarray:
+        """The ascending ``rows``, most energy first; ties keep the lowest id first."""
+        return rows[np.argsort(-self.energy[rows], kind="stable")]
 
     def distances(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """(len(rows), len(cols)) block of ``euclidean_distance`` values."""
@@ -222,17 +235,14 @@ def leach_elect(geom: Geometry, params: LeachParams, r: int, rng) -> set[int]:
     node with the most energy (ties: lowest id) stands in as head for the
     round.
     """
-    alive, _ = geom.alive()
-    if not alive:
-        raise ValueError("no alive nodes")
+    rows = geom.alive()
     t = leach_threshold(params.p, r)
     period_pos = r % rotation_period(params.p)
-    draws = rng.random(len(alive)).tolist()
-    heads = {n.id for n, draw in zip(alive, draws)
-             if draw < t and n.rounds_since_ch >= period_pos}
-    if not heads:
-        heads.add(min(alive, key=lambda n: (-n.energy, n.id)).id)
-    return heads
+    draws = rng.random(len(rows))
+    heads = rows[(draws < t) & (geom.rounds_since_ch[rows] >= period_pos)]
+    if not len(heads):
+        heads = geom.by_energy(rows)[:1]
+    return set(geom.ids[heads].tolist())
 
 
 def _head_mask(ids: np.ndarray, heads: set[int]) -> np.ndarray:
@@ -253,7 +263,7 @@ def form_clusters_nearest(geom: Geometry, ch_ids: set[int]) -> ClusterSet:
     """Attach every non-head alive node to its nearest head (ties: lowest head id)."""
     if not ch_ids:
         raise ValueError("ch_ids must not be empty")
-    _, rows = geom.alive()
+    rows = geom.alive()
     ids = geom.ids[rows]
     is_head = _head_mask(ids, ch_ids)
     # rows are in id order, so argmin's first minimum is the lowest head id
@@ -264,18 +274,21 @@ def form_clusters_nearest(geom: Geometry, ch_ids: set[int]) -> ClusterSet:
     return ClusterSet(clusters=clusters)
 
 
-def enforce_ch_separation(ch_ids: set[int], nodes: list[Node], min_dist: float) -> set[int]:
-    """Greedy thinning: keep heads in descending-energy order, drop any within
-    min_dist of an already kept head. Always keeps at least one."""
+def enforce_ch_separation(geom: Geometry, ch_ids: set[int], min_dist: float) -> set[int]:
+    """Greedy thinning: keep heads in descending-energy order (ties: lowest
+    id), drop any within min_dist of an already kept head. Always keeps at
+    least one."""
     if not ch_ids:
         raise ValueError("ch_ids must not be empty")
-    by_id = {n.id: n for n in nodes}
-    order = sorted(ch_ids, key=lambda i: (-by_id[i].energy, i))
-    kept: list[int] = []
-    for cand in order:
-        if all(euclidean_distance(by_id[cand].pos, by_id[k].pos) >= min_dist for k in kept):
-            kept.append(cand)
-    return set(kept)
+    rows = geom.by_energy(geom.ids.searchsorted(sorted(ch_ids)))
+    kept: list[tuple[float, float]] = []  # the kept heads' positions
+    heads: set[int] = set()
+    for (x, y), head in zip(geom.pos[rows].tolist(), geom.ids[rows].tolist()):
+        # euclidean_distance, inlined
+        if all(math.hypot(x - kx, y - ky) >= min_dist for kx, ky in kept):
+            kept.append((x, y))
+            heads.add(head)
+    return heads
 
 
 # --- iterative residual-energy election (HEED) ---------------------------------
@@ -323,15 +336,13 @@ def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[Cluster
     Returns the cluster set and the number of iterations the election took,
     which never exceeds ceil(log2(1/p_min)) + 1.
     """
-    alive, rows = geom.alive()
-    if not alive:
-        raise ValueError("no alive nodes")
-    n = len(alive)
+    rows = geom.alive()
+    n = len(rows)
     ids = geom.ids[rows]
-    energy = np.array([a.energy for a in alive])
     # rank encodes the (cost, id) order so a plain argmin resolves ties by id
     dist, in_range, _, rank = geom.heed(rows, params.cluster_radius)
 
+    energy = geom.energy[rows]
     prob = heed_announce_prob(params, energy, float(energy.max()))
 
     announced = np.zeros(n, dtype=bool)
@@ -349,7 +360,7 @@ def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[Cluster
         announced |= ~covered & ((prob >= 1.0) | (draws < prob))
         prob = np.minimum(prob * 2.0, 1.0)
     if not announced.any():
-        announced[int(np.lexsort((ids, -energy))[0])] = True  # richest stands in
+        announced[rows.searchsorted(geom.by_energy(rows)[0])] = True  # the richest stands in
 
     # a candidate settles iff it has the lowest rank among the candidates it
     # hears, itself included
@@ -359,7 +370,7 @@ def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[Cluster
     head_idx = cand[np.where(heard, rank, n).argmin(axis=1) == cand]
     heads = {int(ids[i]) for i in head_idx}
     if params.ch_separation > 0:
-        heads = enforce_ch_separation(heads, alive, params.ch_separation)
+        heads = enforce_ch_separation(geom, heads, params.ch_separation)
         head_idx = np.searchsorted(ids, sorted(heads))
 
     # the lowest-rank head in range, else the nearest head (ties: lowest id,
@@ -368,9 +379,9 @@ def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[Cluster
     best = np.where(reach.any(axis=1), np.where(reach, rank[head_idx], n).argmin(axis=1),
                     dist[:, head_idx].argmin(axis=1))
     clusters = [Cluster(head=int(ids[i])) for i in head_idx]
-    for node, j in zip(alive, best.tolist()):
-        if node.id not in heads:
-            clusters[j].members.append(node.id)
+    for node_id, j in zip(ids.tolist(), best.tolist()):
+        if node_id not in heads:
+            clusters[j].members.append(node_id)
     return ClusterSet(clusters=clusters), iterations
 
 
@@ -396,31 +407,26 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
     members and spend less on receiving and aggregation to offset their
     longer uplink.
     """
-    alive, rows = geom.alive()
-    if not alive:
-        raise ValueError("no alive nodes")
+    rows = geom.alive()
+    candidates = geom.by_energy(rows[rng.random(len(rows)) < params.p])
+    if not len(candidates):
+        candidates = geom.by_energy(rows)[:1]
 
-    draws = rng.random(len(alive)).tolist()
-    candidates = [n for n, draw in zip(alive, draws) if draw < params.p]
-    if not candidates:
-        candidates = [min(alive, key=lambda n: (-n.energy, n.id))]
-
-    quota = eecs_head_quota(len(alive), params.head_fraction)
+    quota = eecs_head_quota(len(rows), params.head_fraction)
     radius = params.suppress_radius
     heads: set[int] = set()
     kept: list[tuple[float, float]] = []  # the heads' positions
-    for cand in sorted(candidates, key=lambda n: (-n.energy, n.id)):
+    for (x, y), cand in zip(geom.pos[candidates].tolist(), geom.ids[candidates].tolist()):
         if len(kept) >= quota:
             break
-        x, y = cand.pos.x, cand.pos.y
         for kx, ky in kept:  # euclidean_distance, inlined
             if math.hypot(x - kx, y - ky) <= radius:
                 break
         else:
             kept.append((x, y))
-            heads.add(cand.id)
+            heads.add(cand)
     if params.ch_separation > 0:
-        heads = enforce_ch_separation(heads, alive, params.ch_separation)
+        heads = enforce_ch_separation(geom, heads, params.ch_separation)
     # rows are in id order, so every argmin below breaks ties on the lowest head id
     ids = geom.ids[rows]
     is_head = _head_mask(ids, heads)
@@ -449,42 +455,39 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
 # --- centroid-based formation (k-means / fuzzy c-means) -------------------------
 
 
-def _head_by_energy(members: list[Node], cx: float, cy: float) -> int:
-    """Max residual energy; ties by distance to the centroid (cx, cy), then lowest id."""
-    return min(
-        members,
-        key=lambda n: (-n.energy, math.hypot(n.pos.x - cx, n.pos.y - cy), n.id),
-    ).id
-
-
 def _centroid_cluster_set(
-    alive: list[Node], assignment: np.ndarray, centroids: np.ndarray
+    geom: Geometry, rows: np.ndarray, assignment: np.ndarray, centroids: np.ndarray
 ) -> ClusterSet:
-    groups: list[list[Node]] = [[] for _ in centroids]
-    for node, j in zip(alive, assignment.tolist()):
-        groups[j].append(node)
+    """Group ``rows`` by ``assignment``; each group's head has the most
+    energy, ties going to the nearest to its centroid, then the lowest id."""
+    ids, energy = geom.ids[rows].tolist(), geom.energy[rows].tolist()
+    pos = geom.pos[rows].tolist()
+    groups: list[list[int]] = [[] for _ in centroids]
+    for i, j in enumerate(assignment.tolist()):
+        groups[j].append(i)
     clusters: list[Cluster] = []
     for group, (cx, cy) in zip(groups, centroids.tolist()):
         if not group:
             continue
-        head = _head_by_energy(group, cx, cy)
-        clusters.append(Cluster(head=head, members=[n.id for n in group if n.id != head]))
+        head = min(group, key=lambda i: (-energy[i], math.hypot(pos[i][0] - cx, pos[i][1] - cy),
+                                         ids[i]))
+        clusters.append(Cluster(head=ids[head], members=[ids[i] for i in group if i != head]))
     return ClusterSet(clusters=clusters)
 
 
 def kmeans_form_clusters(geom: Geometry, k: int, max_iter: int = 100) -> tuple[ClusterSet, int]:
     """Cluster alive nodes by position with k-means; head each cluster by energy."""
-    alive, rows = geom.alive()
+    rows = geom.alive()
     pts = geom.pos[rows]
-    init = kmeans_init(pts, np.array([n.energy for n in alive]), k)
+    init = kmeans_init(pts, geom.energy[rows], k)
     part = kmeans_run(pts, init, max_iter=max_iter)
-    return _centroid_cluster_set(alive, part.assignment, part.centroids), part.iterations
+    return _centroid_cluster_set(geom, rows, part.assignment, part.centroids), part.iterations
 
 
 def fuzzy_form_clusters(geom: Geometry, fcm: FcmParams) -> tuple[ClusterSet, int]:
     """Cluster alive nodes with fuzzy c-means, defuzzify, head each cluster by energy."""
-    alive, rows = geom.alive()
-    if fcm.k > len(alive):
-        raise ValueError(f"k={fcm.k} exceeds alive node count {len(alive)}")
+    rows = geom.alive()
+    if fcm.k > len(rows):
+        raise ValueError(f"k={fcm.k} exceeds alive node count {len(rows)}")
     u, centroids, iterations = fcm_run(geom.pos[rows], fcm)
-    return _centroid_cluster_set(alive, defuzzify(u), centroids), iterations
+    return _centroid_cluster_set(geom, rows, defuzzify(u), centroids), iterations

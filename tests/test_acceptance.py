@@ -317,9 +317,9 @@ class TestCriterion7NumericalProperties:
             )
             state = SimState(nodes=deploy_nodes(config), config=config)
             protocol = protocols[case % len(protocols)]
-            before = sum(node.energy for node in state.nodes)
+            before = sum(state.geometry.energy.tolist())
             state, rep = run_round(state, protocol)
-            after = sum(node.energy for node in state.nodes)
+            after = sum(state.geometry.energy.tolist())
             booked = rep.energy_charged - rep.energy_clamped
             drop = before - after
             scale = max(abs(booked), abs(drop), 1e-30)

@@ -87,6 +87,16 @@ class TestRejectedInputs:
           "--bs-x", "0", "--bs-y", "0", "--seed", "1"], "from a centroid"),
         # an int no float can hold
         (["run", "--protocol", "leach", "--seed", "1" + "0" * 400], "seed"),
+        # squared distances that overflow: to the base station, across the
+        # arena, and HEED's radius
+        (["run", "--protocol", "leach", "--bs-x", "1e300"], "squared range"),
+        (["run", "--protocol", "kmeans", "--width", "1e200", "--height", "1e200"],
+         "squared range"),
+        (["run", "--protocol", "heed", "--heed-radius", "1e200"], "cluster_radius**2"),
+        # probabilities whose reciprocal overflows
+        (["run", "--protocol", "leach", "--leach-p", "1e-310"], "1/p"),
+        (["run", "--protocol", "heed", "--heed-p-min", "5e-324", "--heed-c-prob", "1e-300"],
+         "1/p_min"),
     ])
     def test_flag(self, args, field, tmp_path, capsys):
         code = run_cli(args + ["--rounds", "3", "--out", tmp_path / "o"])
@@ -106,6 +116,12 @@ class TestRejectedInputs:
         # an int no float can hold
         pytest.param("run", "data_bits = 1" + "0" * 400 + "\n", "data_bits",
                      id="run-huge-data_bits"),
+        # charges that overflow, and an arena whose squared distances do
+        # even when the amplifier costs nothing
+        pytest.param("run", "e_amp = 1e305\n", "most energy a round can charge",
+                     id="run-huge-e_amp"),
+        pytest.param("run", "e_amp = 0\nwidth = 1e200\nheight = 1e200\n", "squared range",
+                     id="run-huge-arena"),
     ])
     def test_config_file(self, command, text, field, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

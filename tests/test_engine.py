@@ -55,13 +55,35 @@ def fresh_state(config: NetworkConfig, pos=(0.0, 0.0)) -> SimState:
     return SimState(nodes=[node], config=config)
 
 
+def record_cluster_sets(monkeypatch) -> list:
+    """Make the engine append each round's (cluster set, iterations) to the
+    returned list."""
+    formed = []
+    form = wsnsim.engine._form_clusters
+
+    def recording(state, protocol):
+        formed.append(form(state, protocol))
+        return formed[-1]
+
+    monkeypatch.setattr(wsnsim.engine, "_form_clusters", recording)
+    return formed
+
+
+def assert_heads_reset(geom, cluster_set, before):
+    """The rotation counter is 0 exactly for the round's heads; every other
+    row's counter grew by one."""
+    is_head = np.isin(geom.ids, cluster_set.head_ids)
+    assert (geom.rounds_since_ch == 0).tolist() == is_head.tolist()
+    assert (geom.rounds_since_ch[~is_head] == before[~is_head] + 1).all()
+
+
 class TestRunRoundSingleNode:
     def test_exact_energy_dies_and_message_not_counted(self):
         cost = single_node_round_cost()
         state = fresh_state(exact_config(cost))
         state, report = run_round(state, LeachParams())
-        assert state.nodes[0].energy == 0.0
-        assert not state.nodes[0].alive
+        assert state.geometry.energy[0] == 0.0
+        assert state.alive_count() == 0
         assert report.alive_after == 0
         assert report.bs_messages_delivered == 0
         assert state.bs_messages == 0
@@ -70,10 +92,10 @@ class TestRunRoundSingleNode:
         cost = single_node_round_cost()
         state = fresh_state(exact_config(10 * cost))
         state, report = run_round(state, LeachParams())
-        assert state.nodes[0].alive
+        assert state.alive_count() == 1
         assert report.bs_messages_delivered == 1
         assert state.bs_messages == 1
-        assert state.nodes[0].energy == pytest.approx(9 * cost, rel=1e-12)
+        assert state.geometry.energy[0] == pytest.approx(9 * cost, rel=1e-12)
 
 
 class TestRunRound:
@@ -113,20 +135,29 @@ class TestRunRound:
         assert report.clustering_iterations == 0
         assert state.round == 1
 
-    def test_rounds_since_ch_updates(self):
+    def test_rounds_since_ch_updates(self, monkeypatch):
         config = NetworkConfig(seed=13)
         state = SimState(nodes=deploy_nodes(config), config=config)
-        state, _ = run_round(state, LeachParams())
-        served = [n for n in state.nodes if n.rounds_since_ch == 0]
-        rested = [n for n in state.nodes if n.rounds_since_ch != 0]
-        assert served  # at least the fallback head
-        assert all(n.rounds_since_ch > 10**6 for n in rested)  # fresh + 1
+        geom = state.geometry
+        formed = record_cluster_sets(monkeypatch)
+        for r in range(25):
+            if r == 7:  # round 6's heads die between the rounds
+                geom.energy[geom.rounds_since_ch == 0] = 0.0
+            alive_ids = set(geom.ids[geom.energy > 0].tolist())
+            before = geom.rounds_since_ch.copy()
+            state, report = run_round(state, LeachParams())
+            cluster_set = formed[-1][0]
+            assert cluster_set.head_ids  # at least the fallback head
+            cluster_set.validate(alive_ids)  # the dead rows take no part
+            assert_heads_reset(geom, cluster_set, before)
+            assert report.alive_after == state.alive_count()
+            if r == 0:
+                assert (geom.rounds_since_ch[geom.rounds_since_ch != 0] > 10**6).all()
 
     def test_raises_when_all_dead(self):
         config = NetworkConfig(n_nodes=1, seed=0)
         state = fresh_state(config)
-        state.nodes[0].energy = 0.0
-        state.nodes[0].alive = False
+        state.geometry.energy[0] = 0.0
         with pytest.raises(SimulationComplete):
             run_round(state, LeachParams())
 
@@ -138,9 +169,9 @@ class TestRunRound:
         config = NetworkConfig(n_nodes=30, seed=17)
         state = SimState(nodes=deploy_nodes(config), config=config)
         for _ in range(5):
-            before = sum(n.energy for n in state.nodes)
+            before = sum(state.geometry.energy.tolist())
             state, report = run_round(state, protocol)
-            after = sum(n.energy for n in state.nodes)
+            after = sum(state.geometry.energy.tolist())
             drop = before - after
             booked = report.energy_charged - report.energy_clamped
             assert drop == pytest.approx(booked, rel=1e-9, abs=1e-15)
@@ -150,7 +181,7 @@ class TestRunRound:
         [LeachParams(), HeedParams(), EecsParams(), KmeansFormation(k=3), FuzzyFormation(k=3)],
         ids=lambda p: type(p).__name__,
     )
-    def test_alive_after_equals_a_recount(self, protocol):
+    def test_alive_after_equals_a_recount(self, monkeypatch, protocol):
         # the report carries alive_before minus the deaths pay() saw; energies
         # of a few rounds' worth make nodes die part-way through rounds
         rng = np.random.default_rng(29)
@@ -158,12 +189,25 @@ class TestRunRound:
         nodes = [Node(id=i, pos=Position(*rng.uniform(0, 100, 2).tolist()),
                       energy=float(rng.uniform(1e-5, 3e-3))) for i in range(40)]
         state = SimState(nodes=nodes, config=config)
-        clamped_rounds = 0
+        geom = state.geometry
+        formed = record_cluster_sets(monkeypatch)
+        clamped_rounds = killed = 0
         while state.alive_count() > 0:
+            if state.round % 3 == 2:  # the richest row dies between rounds
+                geom.energy[geom.by_energy(geom.alive())[0]] = 0.0
+                killed += 1
+            if state.alive_count() == 0:
+                break
+            alive_ids = set(geom.ids[geom.energy > 0].tolist())
+            before = geom.rounds_since_ch.copy()
             state, report = run_round(state, protocol)
+            # only the rows alive at the round's start take part in it
+            formed[-1][0].validate(alive_ids)
+            assert report.alive_before == len(alive_ids)
             assert report.alive_after == state.alive_count()
+            assert_heads_reset(geom, formed[-1][0], before)
             clamped_rounds += report.energy_clamped > 0
-        assert clamped_rounds > 0
+        assert clamped_rounds > 0 and killed > 0
 
     def test_centroid_protocols_report_iterations(self):
         config = NetworkConfig(n_nodes=25, seed=19)

@@ -121,7 +121,7 @@ BS = Position(50.0, 175.0)
 
 
 def alive_of(nodes):
-    return [n for n in nodes if n.alive]
+    return [n for n in nodes if n.energy > 0]
 
 
 def oracle_leach_elect(nodes, params, r, rng):
@@ -158,10 +158,20 @@ def heed_cost(candidate, nodes, radius):
     sq = [
         euclidean_distance(candidate.pos, other.pos) ** 2
         for other in nodes
-        if other.alive and other.id != candidate.id
+        if other.energy > 0 and other.id != candidate.id
         and euclidean_distance(candidate.pos, other.pos) <= radius
     ]
     return sum(sq) / len(sq) if sq else radius * radius
+
+
+def oracle_enforce_ch_separation(ch_ids, nodes, min_dist):
+    by_id = {n.id: n for n in nodes}
+    order = sorted(ch_ids, key=lambda i: (-by_id[i].energy, i))
+    kept = []
+    for cand in order:
+        if all(euclidean_distance(by_id[cand].pos, by_id[k].pos) >= min_dist for k in kept):
+            kept.append(cand)
+    return set(kept)
 
 
 def oracle_heed_form_clusters(nodes, params, rng):
@@ -208,7 +218,7 @@ def oracle_heed_form_clusters(nodes, params, rng):
     head_idx = np.flatnonzero(final)
     heads = {int(ids[i]) for i in head_idx}
     if params.ch_separation > 0:
-        heads = enforce_ch_separation(heads, alive, params.ch_separation)
+        heads = oracle_enforce_ch_separation(heads, alive, params.ch_separation)
         head_idx = np.flatnonzero(np.isin(ids, sorted(heads)))
 
     clusters = {int(ids[i]): Cluster(head=int(ids[i])) for i in head_idx}
@@ -239,7 +249,7 @@ def oracle_eecs_form_clusters(nodes, bs, params, rng):
             kept.append(cand)
     heads = {n.id for n in kept}
     if params.ch_separation > 0:
-        heads = enforce_ch_separation(heads, alive, params.ch_separation)
+        heads = oracle_enforce_ch_separation(heads, alive, params.ch_separation)
         kept = [n for n in kept if n.id in heads]
 
     bs_dist = {n.id: euclidean_distance(n.pos, bs) for n in kept}
@@ -275,10 +285,9 @@ def random_network(rng, n, grid=False):
         xy = rng.integers(0, 12, 2) * 5.0 if grid else rng.uniform(0, 100, 2)
         energy = float(rng.uniform(0.01, 1.0))
         alive = rng.random() > 0.15
-        nodes.append(Node(id=i, pos=Position(*xy.tolist()),
-                          energy=energy if alive else 0.0, alive=alive))
-    if not any(n.alive for n in nodes):
-        nodes[0].alive, nodes[0].energy = True, 0.5
+        nodes.append(Node(id=i, pos=Position(*xy.tolist()), energy=energy if alive else 0.0))
+    if not alive_of(nodes):
+        nodes[0].energy = 0.5
     return nodes
 
 
@@ -304,7 +313,9 @@ class TestFormationsMatchScalarOracles:
         assert heads == oracle_leach_elect(nodes, params, r, b)
         assert a.random() == b.random()  # the streams stay in step
         if sep:
-            heads = enforce_ch_separation(heads, alive_of(nodes), sep)
+            expected = oracle_enforce_ch_separation(heads, alive_of(nodes), sep)
+            heads = enforce_ch_separation(Geometry(nodes, BS), heads, sep)
+            assert heads == expected
         assert shape(form_clusters_nearest(Geometry(nodes, BS), heads)) == shape(
             oracle_form_clusters_nearest(nodes, heads))
 
@@ -428,16 +439,20 @@ class Ledger:
             self.clamped += shortfall
         remaining = node.energy - cost  # clamped at 0, where the node dies
         node.energy = remaining if remaining > 0 else 0.0
-        node.alive = node.energy > 0
 
 
-def oracle_run_round(state, protocol):
-    alive_before = state.alive_count()
+def oracle_run_round(state, nodes, protocol):
+    """One round charged to the Node records ``nodes`` (in id order) one
+    charge at a time; ``state`` only forms the clusters, from their energies
+    and counters."""
+    alive_before = len(alive_of(nodes))
     if alive_before == 0:
         raise SimulationComplete(f"no alive nodes at round {state.round}")
     cfg = state.config
     radio = cfg.radio
-    by_id = {n.id: n for n in state.nodes}
+    by_id = {n.id: n for n in nodes}
+    state.geometry.energy[:] = [n.energy for n in nodes]
+    state.geometry.rounds_since_ch[:] = [n.rounds_since_ch for n in nodes]
     cluster_set, clustering_iterations = _form_clusters(state, protocol)
     head_ids = set(cluster_set.head_ids)
     ledger = Ledger()
@@ -447,11 +462,11 @@ def oracle_run_round(state, protocol):
     for head_id in sorted(head_ids):
         head = by_id[head_id]
         ledger.charge(head, advert_cost)
-        if head.alive:
+        if head.energy > 0:
             delivered_adverts.add(head_id)
     n_adverts = len(delivered_adverts)
-    for node in sorted(state.nodes, key=lambda n: n.id):
-        if not node.alive:
+    for node in sorted(nodes, key=lambda n: n.id):
+        if node.energy <= 0:
             continue
         heard = n_adverts - (1 if node.id in delivered_adverts else 0)
         if heard > 0:
@@ -461,11 +476,11 @@ def oracle_run_round(state, protocol):
         head = by_id[cluster.head]
         for member_id in sorted(cluster.members):
             member = by_id[member_id]
-            if not member.alive:
+            if member.energy <= 0:
                 continue
             ledger.charge(member, tx_energy(
                 radio, radio.header_bits, euclidean_distance(member.pos, head.pos)))
-            if member.alive and head.alive:
+            if member.energy > 0 and head.energy > 0:
                 ledger.charge(head, rx_energy(radio, radio.header_bits))
 
     delivered = 0
@@ -474,36 +489,36 @@ def oracle_run_round(state, protocol):
         received = 0
         for member_id in sorted(cluster.members):
             member = by_id[member_id]
-            if not member.alive:
+            if member.energy <= 0:
                 continue
             ledger.charge(member, tx_energy(
                 radio, radio.data_bits, euclidean_distance(member.pos, head.pos)))
-            if member.alive and head.alive:
+            if member.energy > 0 and head.energy > 0:
                 ledger.charge(head, rx_energy(radio, radio.data_bits))
-                if head.alive:
+                if head.energy > 0:
                     received += 1
-        if head.alive:
+        if head.energy > 0:
             ledger.charge(head, aggregate_energy(radio, radio.data_bits, received + 1))
-        if head.alive:
+        if head.energy > 0:
             ledger.charge(head, tx_energy(
                 radio, radio.data_bits, euclidean_distance(head.pos, cfg.bs_pos)))
-            if head.alive:
+            if head.energy > 0:
                 delivered += 1
 
     for orphan_id in sorted(cluster_set.orphans):
         orphan = by_id[orphan_id]
-        if not orphan.alive:
+        if orphan.energy <= 0:
             continue
         ledger.charge(orphan, tx_energy(
             radio, radio.data_bits, euclidean_distance(orphan.pos, cfg.bs_pos)))
-        if orphan.alive:
+        if orphan.energy > 0:
             delivered += 1
 
-    for node in state.nodes:
+    for node in nodes:
         node.rounds_since_ch = 0 if node.id in head_ids else node.rounds_since_ch + 1
     state.bs_messages += delivered
     report = RoundReport(
-        round=state.round, alive_before=alive_before, alive_after=state.alive_count(),
+        round=state.round, alive_before=alive_before, alive_after=len(alive_of(nodes)),
         ch_count=len(head_ids), bs_messages_delivered=delivered,
         clustering_iterations=clustering_iterations,
         energy_charged=ledger.charged, energy_clamped=ledger.clamped,
@@ -513,7 +528,8 @@ def oracle_run_round(state, protocol):
 
 
 def node_state(state):
-    return [(n.id, n.energy, n.alive, n.rounds_since_ch) for n in state.nodes]
+    geom = state.geometry
+    return list(zip(geom.ids.tolist(), geom.energy.tolist(), geom.rounds_since_ch.tolist()))
 
 
 PROTOCOLS = [LeachParams(), HeedParams(), EecsParams(), KmeansFormation(k=3),
@@ -532,13 +548,14 @@ class TestLedgerMatchesPerChargeOracle:
         nodes = [Node(id=i, pos=Position(*rng.uniform(0, 100, 2).tolist()),
                       energy=float(rng.uniform(1e-5, 3e-3))) for i in range(40)]
         new = SimState(nodes=nodes, config=config, rng=np.random.default_rng(seed))
-        old = copy.deepcopy(new)
+        old = SimState(nodes=nodes, config=config, rng=np.random.default_rng(seed))
+        old_nodes = copy.deepcopy(nodes)
         clamped_rounds = 0
         while new.alive_count() > 0 and new.round < 60:
             new, got = run_round(new, protocol)
-            old, expected = oracle_run_round(old, protocol)
+            old, expected = oracle_run_round(old, old_nodes, protocol)
             assert got == expected
-            assert node_state(new) == node_state(old)
+            assert node_state(new) == [(n.id, n.energy, n.rounds_since_ch) for n in old_nodes]
             assert new.bs_messages == old.bs_messages
             clamped_rounds += got.energy_clamped > 0
         assert clamped_rounds > 0  # the dying paths were taken

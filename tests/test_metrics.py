@@ -199,6 +199,12 @@ class TestExports:
         with pytest.raises(TypeError):
             export_json(42, tmp_path / "x.json")
 
+    def test_json_refuses_non_finite_values(self, tmp_path):
+        res = make_result()
+        res.reports[0].energy_charged = float("inf")
+        with pytest.raises(ValueError):
+            export_json(res, tmp_path / "r.json")
+
     def test_json_round_trip_equality(self, tmp_path):
         res = run_simulation(NetworkConfig(n_nodes=15, seed=3), LeachParams(), 40)
         path = tmp_path / "r.json"

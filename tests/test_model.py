@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wsnsim.engine import LeachParams, SimState, run_round
+from wsnsim.engine import HeedParams, LeachParams, SimState, run_round, run_simulation
 from wsnsim.model import (
     NetworkConfig,
     Node,
@@ -112,21 +112,21 @@ class TestConsume:
 
     def test_partial(self):
         state, report = one_node_round(1.0)
-        assert state.nodes[0].energy == pytest.approx(1.0 - one_node_round_cost(RADIO))
-        assert state.nodes[0].alive
+        assert state.geometry.energy[0] == pytest.approx(1.0 - one_node_round_cost(RADIO))
+        assert state.alive_count() == 1
         assert report.energy_clamped == 0.0
 
     def test_exact_boundary_kills(self):
         state, report = one_node_round(one_node_round_cost(EXACT_RADIO), radio=EXACT_RADIO)
-        assert state.nodes[0].energy == 0.0
-        assert not state.nodes[0].alive
+        assert state.geometry.energy[0] == 0.0
+        assert state.alive_count() == 0
         assert report.energy_clamped == 0.0
 
     def test_clamps_at_zero(self):
         # the advert alone costs 2.1e-4 J; what the node cannot pay is clamped
         state, report = one_node_round(1e-6)
-        assert state.nodes[0].energy == 0.0
-        assert not state.nodes[0].alive
+        assert state.geometry.energy[0] == 0.0
+        assert state.alive_count() == 0
         assert report.energy_charged - report.energy_clamped == pytest.approx(1e-6)
 
     def test_alive_tracks_energy(self):
@@ -135,10 +135,9 @@ class TestConsume:
                  for i in range(30)]
         state = SimState(nodes=nodes, config=NetworkConfig(n_nodes=30, seed=3))
         while state.alive_count() > 0:
-            state, _ = run_round(state, LeachParams())
-            for node in state.nodes:
-                assert node.energy >= 0.0
-                assert node.alive == (node.energy > 0)
+            state, report = run_round(state, LeachParams())
+            assert (state.geometry.energy >= 0.0).all()
+            assert report.alive_after == np.count_nonzero(state.geometry.energy > 0)
 
     def test_negative_cost_rejected(self):
         # every charge is built from these constants, so none can be negative
@@ -166,7 +165,6 @@ class TestDeploy:
         (node,) = deploy_nodes(cfg)
         assert 0 <= node.pos.x <= 100 and 0 <= node.pos.y <= 100
         assert node.energy == 0.25
-        assert node.alive
 
     def test_hundred_nodes_inside_arena(self):
         nodes = deploy_nodes(NetworkConfig(seed=5))
@@ -194,6 +192,21 @@ class TestDeploy:
         with pytest.raises(ValueError, match=next(iter(kwargs)).replace("arena", "width|height")
                            .replace("bs_pos", "bs_x|bs_y")):
             NetworkConfig(**kwargs)
+
+    # the CLI tests refuse a far base station, a huge arena and a huge e_amp;
+    # these overflow only through the node count
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(arena=(1e153, 1e153), n_nodes=10**4), "squared range"),
+        (dict(radio=RadioModel(e_elec=1e303)), "a round can charge"),
+    ])
+    def test_config_rejects_overflowing_distances_and_charges(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            NetworkConfig(**kwargs)
+
+    def test_far_but_finite_scenario_charges_finite_energy(self):
+        config = NetworkConfig(n_nodes=30, bs_pos=Position(50.0, 1e150), seed=2)
+        reports = run_simulation(config, HeedParams(), 3).reports
+        assert all(math.isfinite(r.energy_charged) for r in reports)
 
     @pytest.mark.parametrize("field", ["e_elec", "e_amp", "e_da"])
     def test_radio_rejects_non_finite(self, field):

@@ -257,9 +257,9 @@ class TestKmeansInit:
 
     def test_dead_nodes_excluded(self):
         # the formation seeds from alive nodes only: (1,0) and (10,0) stay
-        # apart, where a dead, richest seed at (0,0) would have left both
+        # apart, where a seed at the dead node (0,0) would have left both
         # alive nodes with the seed at (1,0)
-        nodes = [Node(id=0, pos=Position(0, 0), energy=9.0, alive=False),
+        nodes = [Node(id=0, pos=Position(0, 0), energy=0.0),
                  Node(id=1, pos=Position(1, 0), energy=1.0),
                  Node(id=2, pos=Position(10, 0), energy=0.5)]
         cs, _ = kmeans_form_clusters(Geometry(nodes, Position(50, 175)), 2)

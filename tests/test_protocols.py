@@ -57,7 +57,7 @@ def geom(nodes, bs=Position(50, 175)):
 
 
 def check_partition(cluster_set, nodes):
-    cluster_set.validate({n.id for n in nodes if n.alive})
+    cluster_set.validate({n.id for n in nodes if n.energy > 0})
 
 
 class TestLeachThreshold:
@@ -176,19 +176,19 @@ class TestFormClustersNearest:
 class TestEnforceChSeparation:
     def test_zero_distance_is_identity(self):
         nodes = nodes_at([(0, 0), (1, 0)])
-        assert enforce_ch_separation({0, 1}, nodes, 0.0) == {0, 1}
+        assert enforce_ch_separation(geom(nodes), {0, 1}, 0.0) == {0, 1}
 
     def test_close_pair_keeps_higher_energy(self):
         nodes = nodes_at([(0, 0), (10, 0)], energies=[0.4, 0.9])
-        assert enforce_ch_separation({0, 1}, nodes, 50.0) == {1}
+        assert enforce_ch_separation(geom(nodes), {0, 1}, 50.0) == {1}
 
     def test_far_apart_unchanged(self):
         nodes = nodes_at([(0, 0), (80, 0), (0, 80)])
-        assert enforce_ch_separation({0, 1, 2}, nodes, 50.0) == {0, 1, 2}
+        assert enforce_ch_separation(geom(nodes), {0, 1, 2}, 50.0) == {0, 1, 2}
 
     def test_always_keeps_at_least_one(self):
         nodes = nodes_at([(0, 0), (1, 0), (2, 0)])
-        assert len(enforce_ch_separation({0, 1, 2}, nodes, 1000.0)) == 1
+        assert len(enforce_ch_separation(geom(nodes), {0, 1, 2}, 1000.0)) == 1
 
 
 def heed_costs(coords, radius):
@@ -226,23 +226,26 @@ def shape(cluster_set):
 class TestGeometry:
     def test_rows_in_id_order(self):
         rng = np.random.default_rng(5)
-        nodes = [Node(id=int(i), pos=Position(*rng.uniform(0, 100, 2).tolist()), energy=1.0)
+        nodes = [Node(id=int(i), pos=Position(*rng.uniform(0, 100, 2).tolist()),
+                      energy=float(rng.uniform(0, 1)), rounds_since_ch=int(rng.integers(9)))
                  for i in rng.permutation(40)]
         bs = Position(50.0, 175.0)
         g = Geometry(nodes, bs)
         assert g.ids.tolist() == list(range(40))
-        assert [n.id for n in g.nodes] == list(range(40))
         by_id = {n.id: n for n in nodes}
         assert g.pos.tolist() == [[by_id[i].pos.x, by_id[i].pos.y] for i in range(40)]
+        assert g.energy.tolist() == [by_id[i].energy for i in range(40)]
+        assert g.rounds_since_ch.tolist() == [by_id[i].rounds_since_ch for i in range(40)]
         # the sink distances equal euclidean_distance bit for bit
         assert g.bs_dist.tolist() == [euclidean_distance(by_id[i].pos, bs) for i in range(40)]
 
     def test_alive_rows(self):
-        nodes = nodes_at([(0, 0), (1, 0), (2, 0), (3, 0)])
-        nodes[1].alive = nodes[3].alive = False
-        alive, rows = geom(nodes).alive()
-        assert [n.id for n in alive] == [0, 2]
-        assert rows.tolist() == [0, 2]
+        g = geom(nodes_at([(0, 0), (1, 0), (2, 0), (3, 0)]))
+        g.energy[[1, 3]] = 0.0
+        assert g.alive().tolist() == [0, 2]
+        g.energy[:] = 0.0
+        with pytest.raises(ValueError, match="no alive nodes"):
+            g.alive()
 
     def test_heed_arrays_are_read_only(self):
         g = geom(nodes_at([(0, 0), (3, 0), (40, 0)]))
@@ -277,10 +280,11 @@ class TestGeometry:
         params = HeedParams(ch_separation=sep)
         alive_sets = set()
         while state.alive_count() > 0:
-            alive_sets.add(tuple(n.id for n in nodes if n.alive))
+            alive_sets.add(tuple(state.geometry.alive().tolist()))
             a, b = copy.deepcopy(state.rng), copy.deepcopy(state.rng)
             got, it_got = heed_form_clusters(state.geometry, params, a)
-            fresh = Geometry(state.nodes, config.bs_pos)
+            fresh = Geometry(nodes, config.bs_pos)
+            fresh.energy[:] = state.geometry.energy
             expected, it_expected = heed_form_clusters(fresh, params, b)
             assert shape(got) == shape(expected)
             assert it_got == it_expected
