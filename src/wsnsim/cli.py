@@ -85,8 +85,10 @@ class RunSpec:
     grid: list[int] = field(default_factory=list)
     # the PROTOCOL_KEYS that were set; the params classes default the rest
     protocol_values: dict[str, int | float] = field(default_factory=dict)
+    given: set[str] = field(default_factory=set)  # the keys set_value was given
 
     def set_value(self, key: str, value) -> None:
+        self.given.add(key)
         if key in PROTOCOL_KEYS:
             self.protocol_values[key] = value
         else:
@@ -178,7 +180,7 @@ def _apply_config_values(spec: RunSpec, values: dict[str, str]) -> None:
         elif key == "out_dir":
             spec.out_dir = Path(raw)
         elif key == "formats":
-            spec.formats = tuple(f.strip() for f in raw.split(",") if f.strip())
+            spec.set_value(key, tuple(f.strip() for f in raw.split(",") if f.strip()))
         elif key in _NUMBER_KEYS:
             kind = _NUMBER_KEYS[key]
             try:
@@ -267,7 +269,7 @@ def _spec_from_args(args) -> RunSpec:
     if not spec.seeds:
         spec.seeds = [1]
     if getattr(args, "format", None):
-        spec.formats = ("csv", "json") if args.format == "both" else (args.format,)
+        spec.set_value("formats", ("csv", "json") if args.format == "both" else (args.format,))
     if getattr(args, "grid", None):
         spec.grid = _parse_grid(args.grid)
     return spec
@@ -347,6 +349,10 @@ def cmd_compare(spec: RunSpec) -> int:
     return 0
 
 
+# keys of run and compare that a sweep has no use for -> their flags
+SWEEP_IGNORES = {"max_rounds": "--rounds", "thin": "--thin", "formats": "--format"}
+
+
 def cmd_sweep(spec: RunSpec) -> int:
     if not spec.grid:
         raise CliError("sweep needs a non-empty cluster-count grid (grid)")
@@ -358,6 +364,14 @@ def cmd_sweep(spec: RunSpec) -> int:
             raise CliError(f"grid value {k} outside 1..n_nodes (grid)")
     if len(set(spec.grid)) != len(spec.grid):
         raise CliError(f"grid repeats a cluster count: {spec.grid} (grid)")
+    others = [name for name in spec.protocols if name not in ("kmeans", "fuzzy")]
+    if others:
+        raise CliError(f"sweep compares kmeans and fuzzy only, not {', '.join(others)} "
+                       "(protocols)")
+    for key, flag in SWEEP_IGNORES.items():
+        if key in spec.given:
+            raise CliError(f"sweep takes no {flag} ({key}): it simulates no rounds and "
+                           "writes only iteration_sweep.csv")
     from .engine import sweep_iterations
 
     fuzzy = spec.protocol("fuzzy")  # its max_iter caps k-means too (fcm_max_iter)

@@ -1,21 +1,27 @@
 """Point clustering on arrays: hard k-means and soft fuzzy c-means.
 
-Points and centroids are float arrays of shape (n, 2) and (k, 2), and fuzzy
-memberships are an (n, k) array whose rows sum to 1. Callers build the point
-array once per formation; every step below takes and returns arrays.
+The public functions take and return points (n, 2), centroids (k, 2) and
+memberships (n, k) whose rows sum to 1. They and the runners share one kernel,
+``_Workspace``: points transposed once to (2, 1, n), centroids (2, k), and
+distances, weights and memberships indexed (k, n), allocated once per run, so
+a step is a fixed sequence of ``out=`` ufunc calls. Below k = 8 the buffers lie
+along the points, so each inner loop runs over all n; from 8 they lie along the
+centroids, where argmin and the row sums want them.
 
 Both runners report how many iterations they took to converge, because the
 simulator compares the two algorithms on exactly that number. One k-means
 iteration is one assign+update pair; one fuzzy iteration is one
-centroids+memberships pair, so the counts compare like with like.
+centroids+memberships pair, so the counts compare like with like. All
+tie-breaks (nearest centroid, argmax membership) go to the lowest index, which
+keeps every run deterministic for a given seed.
 
-All tie-breaks (nearest centroid, argmax membership) go to the lowest index,
-which keeps every run deterministic for a given seed.
-
-Each step repeats, bit for bit, the arithmetic of the per-cluster loops kept
-in the tests as oracles: sums run over points in index order and distances
-are sqrt(dx*dx + dy*dy). ``w.T @ points`` and ``np.hypot`` round differently
-and would move the simulator's outputs.
+Each step repeats, bit for bit, the per-cluster loops kept in the tests as
+oracles. Distances are sqrt(dx*dx + dy*dy), not ``np.hypot``. Sums over points
+run in point order, not as ``w.T @ points``: by ``np.bincount`` for k-means and
+for FCM by ``np.add.accumulate`` along the points, plus 0.0 as a reduce starts
+from +0.0 (numpy reduces an (n, 1) column pairwise, which FCM repeats at k = 1).
+A membership row's sum over the centroids is a reduce over them: in order for
+k < 8 and pairwise from 8, as ``(n, k).sum(axis=1)`` adds.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import check_range, squared_distances
+from .model import check_range
 
 
 @dataclass
@@ -64,9 +70,67 @@ class FcmParams:
             raise ValueError("max_iter must be >= 1")
 
 
-def _dist_matrix(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d = squared_distances(points, centroids)
-    return np.sqrt(d, out=d)
+class _Workspace:
+    """The kernel: centroid-major buffers for one point set and k centroids."""
+
+    def __init__(self, points: np.ndarray, k: int, centroids: np.ndarray | None = None,
+                 memberships: int = 0):
+        if k < 1:
+            raise ValueError("at least one centroid required")
+        n, planes = len(points), 3 + memberships
+        self.points = points
+        self.pt = np.array(points.T, dtype=float).reshape(2, 1, n)  # x and y rows
+        self.c = np.empty((2, k)) if centroids is None else np.array(centroids.T, dtype=float)
+        # planes 0-2: dx, dy, distances (in 0) or FCM's w, w*x, w*y; then memberships
+        buf = np.empty((planes, k, n)) if k < 8 else np.empty((planes, n, k)).transpose(0, 2, 1)
+        self.work, self.u = buf[:3], buf[3:]
+        self.sums, self.tot = np.empty((3, k)), np.empty(n)
+
+    def distances(self) -> np.ndarray:
+        """sqrt(dx*dx + dy*dy) from each centroid (row) to each point."""
+        dxy, d = self.work[:2], self.work[0]
+        np.subtract(self.pt, self.c[:, :, None], out=dxy)
+        np.multiply(dxy, dxy, out=dxy)
+        np.add(dxy[0], dxy[1], out=d)
+        return np.sqrt(d, out=d)
+
+    def kmeans_update(self, assignment: np.ndarray) -> np.ndarray:
+        """Cluster means into the centroids; an empty cluster keeps its centroid."""
+        counts = np.bincount(assignment, minlength=self.c.shape[1])
+        filled = counts > 0
+        for row, x in zip(self.c, self.pt[:, 0]):
+            row[filled] = np.bincount(assignment, x, len(counts))[filled] / counts[filled]
+        return self.c
+
+    def fcm_centroids(self, u: np.ndarray, m: float) -> np.ndarray:
+        """Membership-weighted centroids; an all-zero weight column takes the mean."""
+        work, sums, w, totals = self.work, self.sums, self.work[0], self.sums[0]
+        w[...] = u
+        w **= m  # as ``u ** m``, which numpy computes as a square for m = 2
+        column = np.add.reduce(w[0]) if len(w) == 1 else None  # numpy sums (n, 1) pairwise
+        np.multiply(w, self.pt, out=work[1:])
+        np.add(np.add.accumulate(work, axis=2, out=work)[:, :, -1], 0.0, out=sums)
+        if column is not None:
+            sums[0] = column
+        if np.minimum.reduce(totals) > 0:
+            return np.divide(sums[1:], totals, out=self.c)
+        filled = totals > 0  # not a zero or NaN total
+        np.divide(sums[1:], np.where(filled, totals, 1.0), out=self.c)
+        self.c[:, ~filled] = self.points.mean(axis=0)[:, None]
+        return self.c
+
+    def fcm_memberships(self, p: float, out: np.ndarray) -> np.ndarray:
+        """Memberships d ** p over their sum across the centroids, into out."""
+        w = self.distances()
+        if coincident := np.count_nonzero(w) < w.size:  # a point on a centroid
+            cols = np.flatnonzero((w == 0.0).any(axis=0))
+            hits = w[:, cols] == 0.0
+            w[:, cols] = 1.0  # any finite weight: the equal split replaces the column
+        w **= p
+        np.divide(w, np.add.reduce(w, axis=0, out=self.tot), out=out)
+        if coincident:
+            out[:, cols] = hits / hits.sum(axis=0)
+        return out
 
 
 # --- k-means -----------------------------------------------------------------
@@ -85,24 +149,12 @@ def kmeans_init(points: np.ndarray, energy: np.ndarray, k: int) -> np.ndarray:
 
 def kmeans_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Map each point to its nearest centroid (ties: lowest centroid index)."""
-    if len(centroids) == 0:
-        raise ValueError("at least one centroid required")
-    return _dist_matrix(points, centroids).argmin(axis=1)
+    return _Workspace(points, len(centroids), centroids).distances().argmin(axis=0)
 
 
-def kmeans_update(
-    points: np.ndarray, assignment: np.ndarray, previous: np.ndarray
-) -> np.ndarray:
+def kmeans_update(points: np.ndarray, assignment: np.ndarray, previous: np.ndarray) -> np.ndarray:
     """Recompute centroids as cluster means; an empty cluster keeps its previous centroid."""
-    k = len(previous)
-    counts = np.bincount(assignment, minlength=k)
-    sums = np.stack(
-        [np.bincount(assignment, weights=points[:, c], minlength=k) for c in (0, 1)], axis=1
-    )
-    centroids = previous.copy()
-    filled = counts > 0
-    centroids[filled] = sums[filled] / counts[filled, None]
-    return centroids
+    return _Workspace(points, len(previous), previous).kmeans_update(assignment).T.copy()
 
 
 def kmeans_run(points: np.ndarray, init: np.ndarray, max_iter: int = 100) -> HardPartition:
@@ -110,17 +162,16 @@ def kmeans_run(points: np.ndarray, init: np.ndarray, max_iter: int = 100) -> Har
     stops changing (or max_iter)."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    centroids = init
-    prev_assignment = None
-    iterations = 0
+    ws = _Workspace(points, len(init), init)
+    prev_assignment, iterations = None, 0
     while iterations < max_iter:
-        assignment = kmeans_assign(points, centroids)
+        assignment = ws.distances().argmin(axis=0)
         if prev_assignment is not None and np.array_equal(assignment, prev_assignment):
             break
-        centroids = kmeans_update(points, assignment, centroids)
+        ws.kmeans_update(assignment)
         prev_assignment = assignment
         iterations += 1
-    return HardPartition(assignment=prev_assignment, centroids=centroids,
+    return HardPartition(assignment=prev_assignment, centroids=ws.c.T.copy(),
                          iterations=iterations)
 
 
@@ -144,41 +195,16 @@ def fcm_init(n: int, k: int, seed: int) -> np.ndarray:
 
 def fcm_centroids(points: np.ndarray, u: np.ndarray, m: float) -> np.ndarray:
     """Membership-weighted centroids; an all-zero column falls back to the global mean."""
-    w = u**m
-    totals = w.sum(axis=0)  # (k,)
-    sums = (w[:, :, None] * points[:, None, :]).sum(axis=0)  # (k, 2)
-    filled = totals > 0
-    centroids = sums / np.where(filled, totals, 1.0)[:, None]
-    if not filled.all():
-        centroids[~filled] = points.mean(axis=0)
-    return centroids
-
-
-def _inverse_distance(d: np.ndarray, m: float) -> np.ndarray:
-    w = d ** (-2.0 / (m - 1.0))
-    return w / w.sum(axis=1, keepdims=True)
+    return _Workspace(points, u.shape[1]).fcm_centroids(u.T, m).T.copy()
 
 
 def fcm_memberships(points: np.ndarray, centroids: np.ndarray, m: float) -> np.ndarray:
-    """Inverse-distance memberships with exponent 2/(m-1).
-
-    A point sitting exactly on one or more centroids splits its membership
-    equally among the coincident centroids (the limit of the update rule).
-    """
+    """Inverse-distance memberships with exponent 2/(m-1). A point exactly on one or more
+    centroids splits its membership equally among them (the limit of the update rule)."""
     if not m > 1.0:
         raise ValueError("fuzzifier m must be > 1")
-    if len(centroids) == 0:
-        raise ValueError("at least one centroid required")
-    d = _dist_matrix(points, centroids)
-    if d.all():  # no point sits on a centroid
-        return _inverse_distance(d, m)
-    coincident = d == 0.0
-    singular = coincident.any(axis=1)
-    u = np.empty_like(d)
-    hits = coincident[singular]
-    u[singular] = hits / hits.sum(axis=1, keepdims=True)
-    u[~singular] = _inverse_distance(d[~singular], m)
-    return u
+    ws = _Workspace(points, len(centroids), centroids, memberships=1)
+    return ws.fcm_memberships(-2.0 / (m - 1.0), ws.u[0]).T.copy()
 
 
 def fcm_run(points: np.ndarray, params: FcmParams) -> tuple[np.ndarray, np.ndarray, int]:
@@ -191,34 +217,33 @@ def fcm_run(points: np.ndarray, params: FcmParams) -> tuple[np.ndarray, np.ndarr
     """
     if len(points) == 0:
         raise ValueError("at least one point required")
-    u = fcm_init(len(points), params.k, params.seed)
-    iterations = 0
+    ws = _Workspace(points, params.k, memberships=2)
+    u, u_new = ws.u
+    u[...] = fcm_init(len(points), params.k, params.seed).T
+    p = -2.0 / (params.m - 1.0)
+    change = ws.work[1]  # free once the distances are taken
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        for _ in range(params.max_iter):
-            centroids = fcm_centroids(points, u, params.m)
-            u_new = fcm_memberships(points, centroids, params.m)
-            iterations += 1
-            delta = np.abs(u_new - u).max()
-            u = u_new
+        for iterations in range(1, params.max_iter + 1):
+            ws.fcm_centroids(u, params.m)
+            ws.fcm_memberships(p, u_new)
+            np.subtract(u_new, u, out=change)
+            delta = np.maximum.reduce(np.abs(change, out=change), axis=None)
+            u, u_new = u_new, u
             if delta < params.tol:
                 break
     # a NaN row is 0/0 or inf/inf; a row of zeros is finite weights over a
     # sum that overflowed. Either way its max is not above 0
-    bad_rows = ~(u.max(axis=1) > 0)
-    if bad_rows.any():
-        # the centroids stay finite (a NaN column falls back to the mean), so
+    bad = ~(np.maximum.reduce(u, axis=0) > 0)
+    if bad.any():
         # the last pair's weight sums show which way they left the float range
-        d = _dist_matrix(points[bad_rows], centroids)
-        with np.errstate(over="ignore", divide="ignore"):
-            overflow = np.isinf((d ** (-2.0 / (params.m - 1.0))).sum(axis=1)).any()
-        if overflow:
+        if np.isinf(ws.tot[bad]).any():
             raise FcmUnderflow(
-                f"a point lies {d.min():.3g} m from a centroid: the sum of "
-                f"d ** (-2/(m-1)) overflows with m={params.m!r}, so the "
+                f"a point lies {ws.distances()[:, bad].min():.3g} m from a centroid: "
+                f"the sum of d ** (-2/(m-1)) overflows with m={params.m!r}, so the "
                 "memberships are divided by inf")
         raise FcmUnderflow(f"fuzzifier m={params.m!r} is too close to 1: "
                            "the memberships underflow to 0/0")
-    return u, centroids, iterations
+    return u.T.copy(), ws.c.T.copy(), iterations
 
 
 def defuzzify(u: np.ndarray) -> np.ndarray:

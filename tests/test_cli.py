@@ -99,7 +99,8 @@ class TestRejectedInputs:
          "1/p_min"),
     ])
     def test_flag(self, args, field, tmp_path, capsys):
-        code = run_cli(args + ["--rounds", "3", "--out", tmp_path / "o"])
+        rounds = [] if args[0] == "sweep" else ["--rounds", "3"]  # a sweep takes no rounds
+        code = run_cli(args + rounds + ["--out", tmp_path / "o"])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and field in err
@@ -290,6 +291,49 @@ class TestSweep:
                         "--out", tmp_path / "o"])
         assert code != 0
         assert "grid" in capsys.readouterr().err
+
+    # a sweep forms k-means and fuzzy clusters once per seed and writes one
+    # CSV: any other protocol, a round count, a thinning or a format would be
+    # silently ignored
+    @pytest.mark.parametrize("flags,field", [
+        (["--protocol", "leach", "--rounds", "5", "--thin", "3", "--format", "json"],
+         "protocols"),
+        (["--protocol", "kmeans", "--protocol", "heed"], "protocols"),
+        (["--rounds", "5"], "max_rounds"),
+        (["--rounds", "3000"], "max_rounds"),  # the default, given explicitly
+        (["--thin", "3"], "thin"),
+        (["--format", "both"], "formats"),
+    ], ids=["leach-and-more", "heed", "rounds", "default-rounds", "thin", "format"])
+    def test_ignored_flag_rejected(self, flags, field, tmp_path, capsys):
+        code = run_cli(["sweep", "--grid", "3", "--nodes", "10", "--seed", "1", *flags,
+                        "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and field in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text,field", [
+        ("protocols = kmeans, leach\n", "protocols"),
+        ("max_rounds = 5\n", "max_rounds"),
+        ("thin = 3\n", "thin"),
+        ("formats = json\n", "formats"),
+    ], ids=["protocols", "max_rounds", "thin", "formats"])
+    def test_ignored_config_key_rejected(self, text, field, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        code = run_cli(["sweep", "--config", cfg, "--grid", "3", "--nodes", "10",
+                        "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and field in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_kmeans_and_fuzzy_protocols_accepted(self, tmp_path):
+        code = run_cli(["sweep", "--grid", "3", "--nodes", "10", "--seed", "1",
+                        "--protocol", "fuzzy", "--protocol", "kmeans", "--out", tmp_path / "o"])
+        assert code == 0
 
 
 class TestConfigFile:

@@ -59,6 +59,12 @@ def invocations(draw):
     return command, flags, "\n".join(lines) + "\n"
 
 
+# what a sweep would silently ignore: it forms k-means and fuzzy clusters only,
+# simulates no rounds and writes one CSV
+IGNORED_BY_SWEEP = ("--rounds", "--thin", "--format", "max_rounds", "thin", "formats",
+                    *(f"--protocol={p}" for p in PROTOCOLS if p not in ("kmeans", "fuzzy")))
+
+
 def refuse(constant):
     raise ValueError(f"non-finite JSON constant {constant}")
 
@@ -69,8 +75,10 @@ def run(command, flags, config):
         (tmp / "exp.cfg").write_text(config)
         out, err = io.StringIO(), io.StringIO()
         # small defaults that the drawn flags may override; the file's
-        # n_nodes and max_rounds are parsed but lose to them
-        argv = [command, f"--config={tmp / 'exp.cfg'}", "--rounds=3", "--nodes=20",
+        # n_nodes and max_rounds are parsed but lose to them. A sweep takes no
+        # round count
+        rounds = [] if command == "sweep" else ["--rounds=3"]
+        argv = [command, f"--config={tmp / 'exp.cfg'}", *rounds, "--nodes=20",
                 f"--out={tmp / 'o'}", *flags]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -90,9 +98,14 @@ def run(command, flags, config):
 @example(("run", ["--protocol=leach", "--leach-p=1e-310"], ""))
 @example(("run", ["--protocol=heed", "--heed-p-min=5e-324", "--heed-c-prob=1e-300"], ""))
 @example(("run", ["--protocol=heed", "--heed-radius=1e200"], ""))
+@example(("sweep", ["--grid=3", "--protocol=leach", "--nodes=10", "--seed=1", "--rounds=5",
+                    "--thin=3"], "formats = json\n"))
 def test_exit_code_error_line_and_finite_json(invocation):
-    code, err, documents = run(*invocation)
+    command, flags, config = invocation
+    code, err, documents = run(command, flags, config)
     assert code in (0, 2)
+    if command == "sweep" and code == 0:
+        assert not [f for f in (*flags, *config.splitlines()) if f.startswith(IGNORED_BY_SWEEP)]
     assert "Traceback" not in err
     if code == 2:
         assert sum("error:" in line for line in err.splitlines()) == 1

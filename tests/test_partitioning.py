@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -118,10 +118,12 @@ coordinates = st.one_of(
 fuzzifiers = st.sampled_from([1.5, 2.0, 3.0])
 
 
+# k reaches 20: numpy sums a membership row in order below k = 8 and
+# pairwise from 8, and the kernels repeat both
 @st.composite
 def points_and_centroids(draw):
     n = draw(st.integers(1, 12))
-    k = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 20))
     points = draw(arrays(np.float64, (n, 2), elements=coordinates))
     centroids = draw(arrays(np.float64, (k, 2), elements=coordinates))
     for j in range(k):  # some centroids sit exactly on a point
@@ -133,7 +135,7 @@ def points_and_centroids(draw):
 @st.composite
 def points_and_memberships(draw):
     n = draw(st.integers(1, 12))
-    k = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 20))
     points = draw(arrays(np.float64, (n, 2), elements=coordinates))
     u = draw(arrays(np.float64, (n, k), elements=st.floats(0, 1)))
     for j in range(k):  # all-zero columns take the global-mean fallback
@@ -145,7 +147,7 @@ def points_and_memberships(draw):
 @st.composite
 def points_and_assignment(draw):
     n = draw(st.integers(1, 12))
-    k = draw(st.integers(1, 8))  # k above the used labels leaves clusters empty
+    k = draw(st.integers(1, 20))  # k above the used labels leaves clusters empty
     points = draw(arrays(np.float64, (n, 2), elements=coordinates))
     assignment = draw(arrays(np.intp, n, elements=st.integers(0, k - 1)))
     previous = draw(arrays(np.float64, (k, 2), elements=coordinates))
@@ -169,6 +171,9 @@ class TestArrayStepsMatchLoops:
 
     @settings(max_examples=300, deadline=None)
     @given(points_and_memberships(), fuzzifiers)
+    # numpy sums a weight column of (n, 1) pairwise: the four 2**-54 weights
+    # summed as a group survive against 1.0, where added one by one they vanish
+    @example((pts(*[(1.0, 2.0)] * 12), np.array([[1.0]] + [[2.0**-27]] * 11)), 2.0)
     def test_fcm_centroids(self, case, m):
         points, u = case
         got = fcm_centroids(points, u, m)
@@ -206,33 +211,34 @@ def criterion4_cell(seed):
 
 
 def fcm_pairs(points, u, params):
-    """Centroids+memberships pairs from memberships ``u`` until the first pair
-    that moves no membership by tol or more, or until max_iter pairs.
+    """Centroids+memberships pairs of the loop oracles from memberships ``u``
+    until the first pair that moves no membership by tol or more, or until
+    max_iter pairs.
 
-    Returns (pairs performed, final memberships).
+    Returns (pairs performed, final memberships, final centroids).
     """
     for pair in range(1, params.max_iter + 1):
-        centroids = fcm_centroids(points, u, params.m)
-        u_new = fcm_memberships(points, centroids, params.m)
+        centroids = fcm_centroids_loop(points, u, params.m)
+        u_new = fcm_memberships_loop(points, centroids, params.m)
         if np.abs(u_new - u).max() < params.tol:
-            return pair, u_new
+            return pair, u_new, centroids
         u = u_new
-    return params.max_iter, u
+    return params.max_iter, u, centroids
 
 
 def kmeans_updates(points, energy, k, max_iter):
-    """Assign+update pairs from the energy-ranked init until the assignment
-    repeats, or until max_iter pairs.
+    """Assign+update pairs of the loop oracles from the energy-ranked init
+    until the assignment repeats, or until max_iter pairs.
 
     Returns the assignment of each update step performed, and the centroids.
     """
     centroids = kmeans_init(points, energy, k)
     assignments = []
     while len(assignments) < max_iter:
-        assignment = kmeans_assign(points, centroids)
+        assignment = distances_loop(points, centroids).argmin(axis=1)
         if assignments and np.array_equal(assignment, assignments[-1]):
             break
-        centroids = kmeans_update(points, assignment, centroids)
+        centroids = kmeans_update_loop(points, assignment, centroids)
         assignments.append(assignment)
     return assignments, centroids
 
@@ -519,10 +525,39 @@ class TestFcmRun:
     def test_count_is_first_pair_below_tol(self, k, max_iter):
         points, _, rng = criterion4_cell(0)
         params = FcmParams(k=k, max_iter=max_iter, seed=int(rng.integers(0, 2**63)))
-        pairs, u = fcm_pairs(points, fcm_init(len(points), k, params.seed), params)
-        got_u, _, iterations = fcm_run(points, params)
+        pairs, u, centroids = fcm_pairs(points, fcm_init(len(points), k, params.seed), params)
+        got_u, got_centroids, iterations = fcm_run(points, params)
         assert iterations == pairs
         assert np.array_equal(got_u, u)
+        assert np.array_equal(got_centroids, centroids)
+
+    def test_point_becomes_coincident_partway(self):
+        # with the points 100 m apart, each pair takes a centroid's gap to its
+        # point to about the fourth power (in units of 100 m): within a few
+        # pairs the gap underflows and the centroid lands exactly on its
+        # point, whose memberships then take the equal-split rule
+        points = pts((0, 0), (100, 0), (0, 100))
+        params = FcmParams(k=3, tol=1e-300, seed=0)
+        u0 = fcm_init(3, 3, params.seed)
+        assert distances_loop(points, fcm_centroids_loop(points, u0, params.m)).all()
+        pairs, u, centroids = fcm_pairs(points, u0, params)
+        assert not distances_loop(points, centroids).all()
+        got_u, got_centroids, iterations = fcm_run(points, params)
+        assert (iterations, got_u.tobytes(), got_centroids.tobytes()) == (
+            pairs, u.tobytes(), centroids.tobytes())
+
+    def test_negative_and_negative_zero_coordinates(self):
+        # every x is -0.0 and the y's are at or below 0: the centroids' x sums
+        # of -0.0 terms start from +0.0 as the oracle's reduce does, so the
+        # bytes match, sign of zero included
+        points = pts((-0.0, -3.0), (-0.0, -0.0), (-0.0, -12.5), (-0.0, -1.0), (-0.0, -7.0))
+        for k, m in ((1, 2.0), (2, 2.0), (3, 3.0)):
+            params = FcmParams(k=k, m=m, seed=k)
+            pairs, u, centroids = fcm_pairs(points, fcm_init(5, k, params.seed), params)
+            got_u, got_centroids, iterations = fcm_run(points, params)
+            assert (iterations, got_u.tobytes(), got_centroids.tobytes()) == (
+                pairs, u.tobytes(), centroids.tobytes())
+            assert not np.signbit(got_centroids[:, 0]).any()
 
     def test_membership_rows_stay_normalized(self):
         rng = np.random.default_rng(29)
@@ -544,7 +579,7 @@ class TestCriterion4Unreachable:
             for k in CRITERION4_GRID:
                 part = kmeans_from_energy(points, energy, k, max_iter=params.max_iter)
                 u0 = fcm_memberships(points, part.centroids, params.m)
-                pairs, _ = fcm_pairs(points, u0, params)
+                pairs, _, _ = fcm_pairs(points, u0, params)
                 if k == len(points):
                     assert (pairs, part.iterations) == (1, 1), seed
                 elif pairs <= part.iterations:
