@@ -124,6 +124,10 @@ class RunSpec:
             raise CliError("at least one protocol required (protocols)")
         if not self.seeds:
             raise CliError("at least one seed required (seeds)")
+        for key in ("protocols", "seeds", "grid"):  # a repeat would run or weigh twice
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise CliError(f"{key} must not repeat a value: {values} ({key})")
         if self.max_rounds < 1:
             raise CliError("max_rounds must be >= 1")
         if self.thin < 1:
@@ -362,8 +366,6 @@ def cmd_sweep(spec: RunSpec) -> int:
     for k in spec.grid:
         if not 1 <= k <= spec.n_nodes:
             raise CliError(f"grid value {k} outside 1..n_nodes (grid)")
-    if len(set(spec.grid)) != len(spec.grid):
-        raise CliError(f"grid repeats a cluster count: {spec.grid} (grid)")
     others = [name for name in spec.protocols if name not in ("kmeans", "fuzzy")]
     if others:
         raise CliError(f"sweep compares kmeans and fuzzy only, not {', '.join(others)} "

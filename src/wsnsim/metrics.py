@@ -207,7 +207,8 @@ def result_to_dict(result: ExperimentResult) -> dict:
         "first_death_round": result.first_death_round,
         "last_death_round": result.last_death_round,
         "total_bs_messages": result.total_bs_messages,
-        "reports": [asdict(r) for r in result.reports],
+        # RoundReport holds only numbers, so a shallow copy equals asdict's deep one
+        "reports": [dict(vars(r)) for r in result.reports],
     }
 
 

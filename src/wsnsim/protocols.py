@@ -129,8 +129,8 @@ class Geometry:
     ``euclidean_distance`` to the base station; nodes never move. ``energy``
     and ``rounds_since_ch`` are copied from the node records once and change
     as the run goes; a row is alive exactly while its energy is > 0. HEED's
-    pairwise arrays depend on the alive set as well, so ``heed`` keeps them
-    for the set it last saw.
+    neighbor mask and costs depend on the alive set as well, so ``heed``
+    keeps them for the set it last saw.
     """
 
     def __init__(self, nodes: list[Node], bs: Position):
@@ -194,12 +194,12 @@ class Geometry:
         ids = self.ids[rows]
         key = (radius, ids.tobytes())
         if key != self._heed_key:
-            dist, in_range, cost = heed_geometry(self.pos[rows], radius)
+            in_range, cost = heed_geometry(self.pos[rows], radius)
             rank = np.empty(len(rows), dtype=int)
             rank[np.lexsort((ids, cost))] = np.arange(len(rows))
-            for a in (dist, in_range, cost, rank):
+            for a in (in_range, cost, rank):
                 a.flags.writeable = False
-            self._heed_key, self._heed = key, (dist, in_range, cost, rank)
+            self._heed_key, self._heed = key, (in_range, cost, rank)
         return self._heed
 
 
@@ -304,26 +304,35 @@ def heed_announce_prob(params: HeedParams, energy, reference: float):
     if reference <= 0:
         raise ValueError("reference energy must be > 0")
     ratio = np.asarray(energy, dtype=float) / reference
-    return np.clip(np.maximum(params.c_prob * ratio**2, params.p_min), None, 1.0)
+    return np.minimum(np.maximum(params.c_prob * ratio**2, params.p_min), 1.0)
 
 
-def heed_geometry(pos: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairwise distances, the within-``radius`` neighbor mask and each
-    candidate's attachment cost, for the (n, 2) positions ``pos``.
+_HEED_BLOCK = 2**16  # elements in each row block of heed_geometry's float arrays
+
+
+def heed_geometry(pos: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The within-``radius`` neighbor mask and each candidate's attachment
+    cost, for the (n, 2) positions ``pos``.
 
     The cost is the mean squared distance to the candidate's neighbors, or
     radius^2 without neighbors. Lower is better; ties go to the lower id.
+    Built a block of rows at a time, with no n × n float array; each cost row
+    is still summed over its whole row, in numpy's pairwise order.
     """
-    dist = squared_distances(pos, pos)  # no (n, n, 2) temporary
-    np.sqrt(dist, out=dist)
-    in_range = dist <= radius
-    np.fill_diagonal(in_range, False)
+    n = len(pos)
+    in_range = np.empty((n, n), dtype=bool)
+    total = np.empty(n)
+    step = max(1, _HEED_BLOCK // max(n, 1))
+    for s in range(0, n, step):
+        d = np.sqrt(squared_distances(pos[s:s + step], pos))
+        block = np.less_equal(d, radius, out=in_range[s:s + step])
+        np.fill_diagonal(block[:, s:], False)  # no node is its own neighbor
+        sq = np.where(block, d, 0.0)
+        sq *= sq
+        sq.sum(axis=1, out=total[s:s + step])
     neighbor_counts = in_range.sum(axis=1)
-    sq = np.where(in_range, dist, 0.0)
-    sq *= sq
-    cost = np.where(neighbor_counts > 0,
-                    sq.sum(axis=1) / np.maximum(neighbor_counts, 1), radius**2)
-    return dist, in_range, cost
+    cost = np.where(neighbor_counts > 0, total / np.maximum(neighbor_counts, 1), radius**2)
+    return in_range, cost
 
 
 def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[ClusterSet, int]:
@@ -339,8 +348,9 @@ def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[Cluster
     rows = geom.alive()
     n = len(rows)
     ids = geom.ids[rows]
-    # rank encodes the (cost, id) order so a plain argmin resolves ties by id
-    dist, in_range, _, rank = geom.heed(rows, params.cluster_radius)
+    # rank encodes the (cost, id) order so a plain argmin resolves ties by id;
+    # in_range is symmetric, so its rows are read in place of its columns
+    in_range, _, rank = geom.heed(rows, params.cluster_radius)
 
     energy = geom.energy[rows]
     prob = heed_announce_prob(params, energy, float(energy.max()))
@@ -353,32 +363,32 @@ def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[Cluster
         iterations += 1
         # only nodes with no candidate in earshot roll an announcement;
         # everyone else defers, which is what thins the candidate set
-        covered = announced | in_range[:, announced].any(axis=1)
+        covered = announced | in_range[announced].any(axis=0)
         if covered.all():
             break
-        draws = rng.random(n)
-        announced |= ~covered & ((prob >= 1.0) | (draws < prob))
+        # draws lie in [0, 1), so a probability of 1 always announces
+        announced |= ~covered & (rng.random(n) < prob)
         prob = np.minimum(prob * 2.0, 1.0)
     if not announced.any():
         announced[rows.searchsorted(geom.by_energy(rows)[0])] = True  # the richest stands in
 
-    # a candidate settles iff it has the lowest rank among the candidates it
-    # hears, itself included
+    # a candidate settles iff its rank is below that of every candidate it hears
     cand = np.flatnonzero(announced)
-    heard = in_range[cand] & announced
-    heard[np.arange(len(cand)), cand] = True
-    head_idx = cand[np.where(heard, rank, n).argmin(axis=1) == cand]
-    heads = {int(ids[i]) for i in head_idx}
+    rival = np.where(in_range[cand] & announced, rank, n).min(axis=1)
+    head_idx = cand[rank[cand] < rival]
+    heads = set(ids[head_idx].tolist())
     if params.ch_separation > 0:
         heads = enforce_ch_separation(geom, heads, params.ch_separation)
         head_idx = np.searchsorted(ids, sorted(heads))
 
     # the lowest-rank head in range, else the nearest head (ties: lowest id,
     # as head_idx is in id order)
-    reach = in_range[:, head_idx]
-    best = np.where(reach.any(axis=1), np.where(reach, rank[head_idx], n).argmin(axis=1),
-                    dist[:, head_idx].argmin(axis=1))
-    clusters = [Cluster(head=int(ids[i])) for i in head_idx]
+    reach = in_range[head_idx]  # (heads, n)
+    best = np.where(reach, rank[head_idx, None], n).argmin(axis=0)
+    far = np.flatnonzero(~reach.any(axis=0))
+    d = squared_distances(geom.pos[rows[far]], geom.pos[rows[head_idx]])
+    best[far] = np.sqrt(d, out=d).argmin(axis=1)
+    clusters = [Cluster(head=h) for h in ids[head_idx].tolist()]
     for node_id, j in zip(ids.tolist(), best.tolist()):
         if node_id not in heads:
             clusters[j].members.append(node_id)
@@ -469,8 +479,9 @@ def _centroid_cluster_set(
     for group, (cx, cy) in zip(groups, centroids.tolist()):
         if not group:
             continue
-        head = min(group, key=lambda i: (-energy[i], math.hypot(pos[i][0] - cx, pos[i][1] - cy),
-                                         ids[i]))
+        top = max(energy[i] for i in group)  # only its ties need the distance
+        head = min((i for i in group if energy[i] == top),
+                   key=lambda i: (math.hypot(pos[i][0] - cx, pos[i][1] - cy), ids[i]))
         clusters.append(Cluster(head=ids[head], members=[ids[i] for i in group if i != head]))
     return ClusterSet(clusters=clusters)
 

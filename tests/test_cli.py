@@ -97,6 +97,12 @@ class TestRejectedInputs:
         (["run", "--protocol", "leach", "--leach-p", "1e-310"], "1/p"),
         (["run", "--protocol", "heed", "--heed-p-min", "5e-324", "--heed-c-prob", "1e-300"],
          "1/p_min"),
+        # a repeated run would be simulated twice and written once, and a
+        # compare of one protocol given twice would rank that one alone
+        (["run", "--protocol", "leach", "--protocol", "leach"], "protocols"),
+        (["run", "--protocol", "leach", "--seed", "1", "--seed", "2", "--seed", "1"], "seeds"),
+        (["compare", "--protocol", "leach", "--protocol", "leach"], "protocols"),
+        (["sweep", "--grid", "5", "--nodes", "30", "--seed", "1", "--seed", "1"], "seeds"),
     ])
     def test_flag(self, args, field, tmp_path, capsys):
         rounds = [] if args[0] == "sweep" else ["--rounds", "3"]  # a sweep takes no rounds
@@ -114,6 +120,7 @@ class TestRejectedInputs:
         ("run", "formats = xml\n", "formats"),
         ("run", "formats = csv, xml\n", "formats"),
         ("run", "formats =\n", "formats"),
+        ("run", "seeds = 1, 1\n", "seeds"),
         # an int no float can hold
         pytest.param("run", "data_bits = 1" + "0" * 400 + "\n", "data_bits",
                      id="run-huge-data_bits"),
@@ -132,6 +139,21 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and field in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,text", [
+        ("run", "protocols = leach, leach\n"),
+        ("compare", "protocols = leach, eecs, leach\n"),
+        ("sweep", "protocols = kmeans, fuzzy, kmeans\ngrid = 3\n"),
+    ])
+    def test_config_file_repeated_protocol(self, command, text, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        code = run_cli([command, "--config", cfg, "--nodes", "20", "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "protocols" in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
 

@@ -100,10 +100,17 @@ def run(command, flags, config):
 @example(("run", ["--protocol=heed", "--heed-radius=1e200"], ""))
 @example(("sweep", ["--grid=3", "--protocol=leach", "--nodes=10", "--seed=1", "--rounds=5",
                     "--thin=3"], "formats = json\n"))
+@example(("compare", ["--protocol=leach", "--protocol=leach"], ""))
+@example(("run", ["--protocol=eecs", "--seed=2", "--seed=2"], ""))
+@example(("run", [], "protocols = heed, heed\n"))
 def test_exit_code_error_line_and_finite_json(invocation):
     command, flags, config = invocation
     code, err, documents = run(command, flags, config)
     assert code in (0, 2)
+    if code == 0:  # a repeated protocol or seed is refused
+        for prefix in ("--protocol=", "--seed="):
+            given = [f for f in flags if f.startswith(prefix)]
+            assert len(set(given)) == len(given)
     if command == "sweep" and code == 0:
         assert not [f for f in (*flags, *config.splitlines()) if f.startswith(IGNORED_BY_SWEEP)]
     assert "Traceback" not in err

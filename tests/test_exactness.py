@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from wsnsim import protocols
 from wsnsim.engine import (
     EecsParams,
     FuzzyFormation,
@@ -174,23 +175,29 @@ def oracle_enforce_ch_separation(ch_ids, nodes, min_dist):
     return set(kept)
 
 
-def oracle_heed_form_clusters(nodes, params, rng):
-    alive = sorted(alive_of(nodes), key=lambda n: n.id)
-    n = len(alive)
-    pos = np.array([(a.pos.x, a.pos.y) for a in alive], dtype=float)
-    ids = np.array([a.id for a in alive])
-    energy = np.array([a.energy for a in alive])
+def oracle_heed_geometry(pos, radius):
+    """HEED's distances, neighbor mask and costs from whole n x n arrays."""
     diff = pos[:, None, :] - pos[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
-    in_range = dist <= params.cluster_radius
+    in_range = dist <= radius
     np.fill_diagonal(in_range, False)
     sq = dist * dist
     neighbor_counts = in_range.sum(axis=1)
     cost = np.where(
         neighbor_counts > 0,
         (sq * in_range).sum(axis=1) / np.maximum(neighbor_counts, 1),
-        params.cluster_radius**2,
+        radius**2,
     )
+    return dist, in_range, cost
+
+
+def oracle_heed_form_clusters(nodes, params, rng):
+    alive = sorted(alive_of(nodes), key=lambda n: n.id)
+    n = len(alive)
+    pos = np.array([(a.pos.x, a.pos.y) for a in alive], dtype=float)
+    ids = np.array([a.id for a in alive])
+    energy = np.array([a.energy for a in alive])
+    dist, in_range, cost = oracle_heed_geometry(pos, params.cluster_radius)
     prob = heed_announce_prob(params, energy, float(energy.max()))
     announced = np.zeros(n, dtype=bool)
     rank = np.empty(n, dtype=int)
@@ -297,6 +304,19 @@ def shape(cluster_set):
 
 NETWORKS = [(seed, grid, sep) for seed in range(40) for grid in (False, True)
             for sep in (0.0, 15.0)]
+# from seed 100 on, HEED's networks have 350 to 600 nodes, enough alive ones
+# for heed_geometry to build them in two row blocks or more
+HEED_NETWORKS = NETWORKS + [(seed, grid, sep) for seed in range(100, 103)
+                            for grid in (False, True) for sep in (0.0, 15.0)]
+
+
+def heed_network(rng, seed, grid, n_max):
+    if seed < 100:
+        return random_network(rng, int(rng.integers(1, n_max)), grid)
+    nodes = random_network(rng, int(rng.integers(350, 600)), grid)
+    alive = len(alive_of(nodes))
+    assert alive > protocols._HEED_BLOCK // alive  # two row blocks or more
+    return nodes
 
 
 class TestFormationsMatchScalarOracles:
@@ -319,10 +339,10 @@ class TestFormationsMatchScalarOracles:
         assert shape(form_clusters_nearest(Geometry(nodes, BS), heads)) == shape(
             oracle_form_clusters_nearest(nodes, heads))
 
-    @pytest.mark.parametrize("seed,grid,sep", NETWORKS)
+    @pytest.mark.parametrize("seed,grid,sep", HEED_NETWORKS)
     def test_heed(self, seed, grid, sep):
         rng = np.random.default_rng(seed)
-        nodes = random_network(rng, int(rng.integers(1, 90)), grid)
+        nodes = heed_network(rng, seed, grid, 90)
         params = HeedParams(cluster_radius=float(rng.uniform(5, 40)),
                             announce_waves=int(rng.integers(1, 5)), ch_separation=sep)
         a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
@@ -346,17 +366,33 @@ class TestFormationsMatchScalarOracles:
         assert shape(got) == shape(oracle_eecs_form_clusters(nodes, bs, params, b))
         assert a.random() == b.random()
 
-    @pytest.mark.parametrize("seed,grid", [(s, g) for s in range(20) for g in (False, True)])
+    @pytest.mark.parametrize("seed,grid", [(s, g) for s in [*range(20), 100, 101]
+                                           for g in (False, True)])
     def test_heed_cost(self, seed, grid):
         # the scalar cost was never bit-equal to the array one (math.hypot and
         # sequential sums against sqrt(dx*dx + dy*dy) and pairwise sums)
         rng = np.random.default_rng(seed)
-        nodes = alive_of(random_network(rng, int(rng.integers(1, 60)), grid))
+        nodes = alive_of(heed_network(rng, seed, grid, 60))
         radius = float(rng.uniform(5, 40))
         pos = np.array([(n.pos.x, n.pos.y) for n in nodes])
-        _, _, cost = heed_geometry(pos, radius)
+        _, cost = heed_geometry(pos, radius)
         assert cost.tolist() == pytest.approx(
             [heed_cost(c, nodes, radius) for c in nodes], rel=1e-12)
+
+    @pytest.mark.parametrize("seed,grid", [(s, g) for s in [*range(10), *range(100, 106)]
+                                           for g in (False, True)])
+    def test_heed_geometry_in_row_blocks(self, seed, grid):
+        # built a row block at a time, the mask and the costs equal those of
+        # the whole n x n arrays bit for bit: each cost row is still summed
+        # over its whole row, in numpy's pairwise order
+        rng = np.random.default_rng(seed)
+        nodes = alive_of(heed_network(rng, seed, grid, 90))
+        pos = np.array([(n.pos.x, n.pos.y) for n in nodes])
+        radius = float(rng.integers(1, 31)) if grid else float(rng.uniform(1, 30))
+        _, in_range, cost = oracle_heed_geometry(pos, radius)
+        got_in_range, got_cost = heed_geometry(pos, radius)
+        assert np.array_equal(got_in_range, in_range)
+        assert got_cost.tobytes() == cost.tobytes()
 
 
 # --- the certified nearest-head join ---------------------------------------------

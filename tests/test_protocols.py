@@ -1,5 +1,6 @@
 import collections
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,7 +193,7 @@ class TestEnforceChSeparation:
 
 
 def heed_costs(coords, radius):
-    return heed_geometry(np.array(coords, dtype=float), radius)[2]
+    return heed_geometry(np.array(coords, dtype=float), radius)[1]
 
 
 class TestHeedCost:
@@ -260,12 +261,11 @@ class TestGeometry:
         g = geom(nodes_at([tuple(xy) for xy in rng.uniform(0, 100, (30, 2)).tolist()]))
         for rows, radius in [(np.arange(20), 20.0), (np.arange(10, 30), 20.0),
                              (np.arange(10, 30), 35.0), (np.arange(10, 30), 35.0)]:
-            dist, in_range, cost = heed_geometry(g.pos[rows], radius)
+            in_range, cost = heed_geometry(g.pos[rows], radius)
             got = g.heed(rows, radius)
-            assert np.array_equal(got[0], dist)
-            assert np.array_equal(got[1], in_range)
-            assert np.array_equal(got[2], cost)
-            assert got[3].tolist() == np.argsort(np.lexsort((rows, cost))).tolist()
+            assert np.array_equal(got[0], in_range)
+            assert np.array_equal(got[1], cost)
+            assert got[2].tolist() == np.argsort(np.lexsort((rows, cost))).tolist()
 
     @pytest.mark.parametrize("sep", [0.0, 15.0])
     @pytest.mark.parametrize("seed", range(4))
@@ -333,6 +333,18 @@ class TestHeedFormClusters:
         assert [(c.head, c.members) for c in cs1.clusters] == [
             (c.head, c.members) for c in cs2.clusters
         ]
+
+    def test_peak_memory_at_n_1000(self):
+        # the n x n neighbor mask takes 1 MB; the float distances exist only a
+        # row block at a time (a whole n x n float64 array would take 8 MB)
+        g = Geometry(deploy_nodes(NetworkConfig(n_nodes=1000, seed=1)), Position(50, 175))
+        tracemalloc.start()
+        try:
+            heed_form_clusters(g, HeedParams(), np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestEecsFormClusters:
@@ -447,6 +459,11 @@ class TestCentroidFormations:
         nodes = nodes_at([(0, 0), (2, 0), (1, 0)])
         cs, _ = fuzzy_form_clusters(geom(nodes), FcmParams(k=1, seed=0))
         assert cs.clusters[0].head == 2  # centroid (1,0) is node 2's position
+        # the distance only breaks ties on the most energy: node 2 is the
+        # nearest to the centroid (1.125, 0), node 3 the nearest of the richest
+        nodes = nodes_at([(0, 0), (2, 0), (1, 0), (1.5, 0)], energies=[0.5, 0.5, 0.4, 0.5])
+        cs, _ = fuzzy_form_clusters(geom(nodes), FcmParams(k=1, seed=0))
+        assert cs.clusters[0].head == 3
 
     def test_k_above_alive_count_rejected(self):
         nodes = nodes_at([(0, 0), (1, 1)])
