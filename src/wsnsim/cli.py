@@ -8,10 +8,8 @@ from a flat key=value file (--config); explicit flags win over file values.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -23,8 +21,10 @@ from .engine import (
     KmeansFormation,
     LeachParams,
     run_simulation,
+    sweep_iterations,
 )
 from .metrics import (
+    SeriesTable,
     alive_series,
     bs_series,
     export_csv,
@@ -51,11 +51,43 @@ PROTOCOL_KEYS = {
     "ch_separation": ((LeachParams, HeedParams, EecsParams), "ch_separation"),
 }
 
-# NetworkConfig presets; the alternate geometry uses the larger arena with
-# the base station just outside the top edge
+RUNS, ALL = ("run", "compare"), ("run", "compare", "sweep")
+# The scenario keys: key -> (flag, NetworkConfig field, commands that read
+# it). A flag of None marks a config-only key. The keys of a field fill it in
+# this order: arena = (width, height), bs_pos = Position(bs_x, bs_y) and
+# radio = RadioModel(e_elec, ...); a key not given keeps NetworkConfig's
+# default. A sweep charges no energy, so it reads no energy key.
+SCENARIO_KEYS = {
+    "n_nodes": ("--nodes", "n_nodes", ALL),
+    "width": ("--width", "arena", ALL),
+    "height": ("--height", "arena", ALL),
+    "bs_x": ("--bs-x", "bs_pos", ALL),
+    "bs_y": ("--bs-y", "bs_pos", ALL),
+    "initial_energy": ("--initial-energy", "initial_energy", RUNS),
+    **{f.name: (None, "radio", RUNS) for f in fields(RadioModel)},
+}
+# NetworkConfig field -> its scenario keys, and the fields built of several
+_FIELDS = {target: [key for key, (_, t, _) in SCENARIO_KEYS.items() if t == target]
+           for _, target, _ in SCENARIO_KEYS.values()}
+_BUILD = {"arena": lambda width, height: (width, height), "bs_pos": Position,
+          "radio": RadioModel}
+# NetworkConfig's default of each scenario key, the one source of the defaults
+DEFAULTS: dict[str, int | float] = {}
+for _field, _value in zip((f.name for f in fields(NetworkConfig)), astuple(NetworkConfig())):
+    DEFAULTS.update(zip(_FIELDS.get(_field, ()), _value if _field in _BUILD else (_value,)))
+
+# The commands that read a key, where not all of them do: the scenario keys'
+# readers, and those of the keys a sweep has no use for (its grid gives k; it
+# simulates no rounds and writes one CSV). Beyond this, a protocol key is read
+# only where one of its owners runs, and thin only where CSV is written.
+READERS = {**{key: readers for key, (_, _, readers) in SCENARIO_KEYS.items()},
+           "grid": ("sweep",), "k": RUNS, "max_rounds": RUNS, "thin": RUNS, "formats": RUNS}
+
+# geometry presets, which set the arena and BS position only; the alternate
+# geometry is the larger arena with the base station just outside the top edge
 PRESETS = {
-    "default": dict(n_nodes=100, width=100.0, height=100.0, bs_x=50.0, bs_y=175.0),
-    "table1": dict(n_nodes=100, width=1000.0, height=1000.0, bs_x=500.0, bs_y=200.0),
+    "default": {key: DEFAULTS[key] for key in (*_FIELDS["arena"], *_FIELDS["bs_pos"])},
+    "table1": dict(width=1000.0, height=1000.0, bs_x=500.0, bs_y=200.0),
 }
 
 
@@ -67,43 +99,31 @@ class CliError(Exception):
 class RunSpec:
     protocols: list[str]
     seeds: list[int]
-    n_nodes: int = 100
-    width: float = 100.0
-    height: float = 100.0
-    bs_x: float = 50.0
-    bs_y: float = 175.0
-    initial_energy: float = 0.5
-    e_elec: float = 50e-9
-    e_amp: float = 100e-12
-    e_da: float = 5e-9
-    data_bits: int = 4000
-    header_bits: int = 200
     max_rounds: int = 3000
     thin: int = 1
     out_dir: Path = field(default_factory=lambda: Path("out"))
     formats: tuple[str, ...] = ("csv", "json")
     grid: list[int] = field(default_factory=list)
-    # the PROTOCOL_KEYS that were set; the params classes default the rest
-    protocol_values: dict[str, int | float] = field(default_factory=dict)
+    # the SCENARIO_KEYS and PROTOCOL_KEYS given; NetworkConfig and the params
+    # classes default the rest
+    values: dict[str, int | float] = field(default_factory=dict)
     given: set[str] = field(default_factory=set)  # the keys set_value was given
 
     def set_value(self, key: str, value) -> None:
         self.given.add(key)
-        if key in PROTOCOL_KEYS:
-            self.protocol_values[key] = value
+        if key in SCENARIO_KEYS or key in PROTOCOL_KEYS:
+            self.values[key] = value
         else:
             setattr(self, key, value)
 
     def network_config(self, seed: int) -> NetworkConfig:
+        # each class is built once from all its values: a check that sees
+        # some given values with the defaults of others may fail
+        values = {**DEFAULTS, **self.values}
         try:
-            return NetworkConfig(
-                n_nodes=self.n_nodes,
-                arena=(self.width, self.height),
-                bs_pos=Position(self.bs_x, self.bs_y),
-                initial_energy=self.initial_energy,
-                radio=RadioModel(**{f.name: getattr(self, f.name) for f in fields(RadioModel)}),
-                seed=seed,
-            )
+            return NetworkConfig(seed=seed, **{
+                target: _BUILD[target](*(values[key] for key in keys)) if target in _BUILD
+                else values[target] for target, keys in _FIELDS.items()})
         except ValueError as exc:
             raise CliError(str(exc)) from exc
 
@@ -111,9 +131,9 @@ class RunSpec:
         if name not in PROTOCOLS:
             raise CliError(f"unknown protocol {name!r} (protocols)")
         cls = PROTOCOLS[name]
-        values = {attr: self.protocol_values[key]
+        values = {attr: self.values[key]
                   for key, (owners, attr) in PROTOCOL_KEYS.items()
-                  if cls in owners and key in self.protocol_values}
+                  if cls in owners and key in self.values}
         try:
             return cls(**values)
         except ValueError as exc:
@@ -128,19 +148,31 @@ class RunSpec:
             values = getattr(self, key)
             if len(set(values)) != len(values):
                 raise CliError(f"{key} must not repeat a value: {values} ({key})")
-        if self.max_rounds < 1:
-            raise CliError("max_rounds must be >= 1")
-        if self.thin < 1:
-            raise CliError("thin must be >= 1")
+        for key in ("max_rounds", "thin"):
+            if getattr(self, key) < 1:
+                raise CliError(f"{key} must be >= 1")
         if not self.formats or not set(self.formats) <= {"csv", "json"}:
             raise CliError(f"formats must be csv, json or both, got {self.formats} (formats)")
-        k = self.protocol_values.get("k")
-        if k is not None and not 1 <= k <= self.n_nodes:
-            raise CliError(f"k={k} outside 1..n_nodes={self.n_nodes} (k)")
+        k, n_nodes = self.values.get("k"), self.values.get("n_nodes", DEFAULTS["n_nodes"])
+        if k is not None and not 1 <= k <= n_nodes:
+            raise CliError(f"k={k} outside 1..n_nodes={n_nodes} (k)")
         for name in self.protocols:
             self.protocol(name)  # an unknown name or bad parameters raise CliError
         for seed in self.seeds:
             self.network_config(seed)  # likewise for the scenario and each seed
+
+    def refuse_unread(self, command: str, running) -> None:
+        """Refuse a given key that ``command`` would not read (see READERS)
+        when it runs the protocols named in ``running``."""
+        for key in sorted(self.given):
+            if command not in READERS.get(key, ALL):
+                raise CliError(f"{command} does not read {key} (read by {'/'.join(READERS[key])})")
+            if key in PROTOCOL_KEYS:
+                owners = [cls.name for cls in PROTOCOL_KEYS[key][0]]
+                if not set(owners) & set(running):
+                    raise CliError(f"{command} does not read {key}: no {'/'.join(owners)} runs")
+            if key == "thin" and "csv" not in self.formats:
+                raise CliError(f"{command} does not read thin: it writes no CSV")
 
 
 def _read_config_file(path: Path) -> dict[str, str]:
@@ -166,9 +198,11 @@ def _field_type(cls, name: str) -> type:
     return (get_args(hint) or (hint,))[0]
 
 
-# config keys of one number: RunSpec's int and float fields, the protocol keys
+# config keys of one number: RunSpec's int and float fields, the scenario keys
+# with the types of their defaults, the protocol keys
 _NUMBER_KEYS = {
     **{key: t for key, t in get_type_hints(RunSpec).items() if t in (int, float)},
+    **{key: type(value) for key, value in DEFAULTS.items()},
     **{key: _field_type(owners[0], attr) for key, (owners, attr) in PROTOCOL_KEYS.items()},
 }
 
@@ -180,7 +214,7 @@ def _apply_config_values(spec: RunSpec, values: dict[str, str]) -> None:
         elif key == "seeds":
             spec.seeds = _parse_ints(raw, "seeds")
         elif key == "grid":
-            spec.grid = _parse_grid(raw)
+            spec.set_value(key, _parse_grid(raw))
         elif key == "out_dir":
             spec.out_dir = Path(raw)
         elif key == "formats":
@@ -221,8 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Round-based clustered sensor-network lifetime simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, text in (("run", "simulate selected protocols and export results"),
+                          ("compare", "run >=2 protocols and emit comparison tables"),
+                          ("sweep", "cluster-count sweep of kmeans vs fuzzy formation")):
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config", type=Path, help="flat key=value config file")
         p.add_argument("--preset", choices=sorted(PRESETS),
                        help="geometry preset overriding arena and BS position")
@@ -230,12 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="protocol to run (repeatable)")
         p.add_argument("--seed", action="append", type=int,
                        help="RNG seed (repeatable)")
-        p.add_argument("--nodes", type=int, dest="n_nodes")
-        p.add_argument("--width", type=float)
-        p.add_argument("--height", type=float)
-        p.add_argument("--bs-x", type=float, dest="bs_x")
-        p.add_argument("--bs-y", type=float, dest="bs_y")
-        p.add_argument("--initial-energy", type=float, dest="initial_energy")
+        for key, (flag, _, _) in SCENARIO_KEYS.items():
+            if flag:
+                p.add_argument(flag, dest=key, type=_NUMBER_KEYS[key])
         p.add_argument("--rounds", type=int, dest="max_rounds")
         p.add_argument("--thin", type=int, help="sample every Nth round in series output")
         p.add_argument("--out", type=Path, dest="out_dir", help="output directory")
@@ -243,15 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         for key, (owners, attr) in PROTOCOL_KEYS.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=_NUMBER_KEYS[key],
                            help=f"{attr} of {'/'.join(cls.name for cls in owners)}")
-
-    p_run = sub.add_parser("run", help="simulate selected protocols and export results")
-    add_common(p_run)
-    p_cmp = sub.add_parser("compare", help="run >=2 protocols and emit comparison tables")
-    add_common(p_cmp)
-    p_sweep = sub.add_parser("sweep", help="cluster-count sweep of kmeans vs fuzzy formation")
-    add_common(p_sweep)
-    p_sweep.add_argument("--grid", type=str,
-                         help="cluster counts, e.g. 10,20,30 or 10:100:10")
+    sub.choices["sweep"].add_argument("--grid", type=str,
+                                      help="cluster counts, e.g. 10,20,30 or 10:100:10")
     return parser
 
 
@@ -260,8 +286,7 @@ def _spec_from_args(args) -> RunSpec:
     if args.config:
         _apply_config_values(spec, _read_config_file(args.config))
     if args.preset:
-        for key, value in PRESETS[args.preset].items():
-            setattr(spec, key, value)
+        spec.values.update(PRESETS[args.preset])
     for key in (*_NUMBER_KEYS, "out_dir"):
         value = getattr(args, key, None)  # None: no such flag, or not given
         if value is not None:
@@ -275,23 +300,8 @@ def _spec_from_args(args) -> RunSpec:
     if getattr(args, "format", None):
         spec.set_value("formats", ("csv", "json") if args.format == "both" else (args.format,))
     if getattr(args, "grid", None):
-        spec.grid = _parse_grid(args.grid)
+        spec.set_value("grid", _parse_grid(args.grid))
     return spec
-
-
-def _execute(spec: RunSpec) -> dict[tuple[str, int], object]:
-    results = {}
-    for name in spec.protocols:
-        protocol = spec.protocol(name)
-        for seed in spec.seeds:
-            config = spec.network_config(seed)
-            results[(name, seed)] = run_simulation(config, protocol, spec.max_rounds)
-    return results
-
-
-def _sample_rounds(results, thin: int) -> list[int]:
-    horizon = max((len(r.reports) for r in results.values()), default=0)
-    return list(range(0, horizon, thin))
 
 
 def _make_out_dir(spec: RunSpec) -> Path:
@@ -302,114 +312,88 @@ def _make_out_dir(spec: RunSpec) -> Path:
     return spec.out_dir
 
 
-def _write_outputs(spec: RunSpec, results) -> None:
+def cmd_run(spec: RunSpec, command: str = "run") -> dict:
+    spec.validate()
+    spec.refuse_unread(command, spec.protocols)
+    results = {(name, seed): run_simulation(spec.network_config(seed), spec.protocol(name),
+                                            spec.max_rounds)
+               for name in spec.protocols for seed in spec.seeds}
     out = _make_out_dir(spec)
     if "json" in spec.formats:
         for (name, seed), res in sorted(results.items()):
             export_json(res, out / f"{name}_seed{seed}.json")
     if "csv" in spec.formats:
-        sample = _sample_rounds(results, spec.thin)
+        horizon = max((len(r.reports) for r in results.values()), default=0)
+        sample = list(range(0, horizon, spec.thin))
         # series averaged per protocol would hide seed variance; emit the
         # first seed's series plus the cross-seed summary
-        first_seed = spec.seeds[0]
-        per_protocol = {name: results[(name, first_seed)] for name in spec.protocols}
+        per_protocol = {name: results[(name, spec.seeds[0])] for name in spec.protocols}
         export_csv(alive_series(per_protocol, sample), out / "alive_series.csv")
         export_csv(bs_series(per_protocol, sample), out / "bs_series.csv")
         export_csv(summarize(results), out / "summary.csv")
-
-
-def _print_run_lines(results) -> None:
     for (name, seed), res in sorted(results.items()):
         first = res.first_death_round if res.first_death_round is not None else "-"
         print(f"{name} seed={seed} first_death={first} "
               f"bs_messages={res.total_bs_messages}")
+    return results
 
 
-def cmd_run(spec: RunSpec) -> int:
-    spec.validate()
-    results = _execute(spec)
-    _write_outputs(spec, results)
-    _print_run_lines(results)
-    return 0
-
-
-def cmd_compare(spec: RunSpec) -> int:
+def cmd_compare(spec: RunSpec) -> None:
     if len(spec.protocols) < 2:
         raise CliError("compare needs at least two protocols (protocols)")
-    spec.validate()
-    results = _execute(spec)
-    _write_outputs(spec, results)
-    _print_run_lines(results)
-    stats = summarize(results)
+    stats = summarize(cmd_run(spec, "compare"))
     ranked = sorted(
         (p for p in stats.per_protocol if p.mean_first_death is not None),
         key=lambda p: -(p.mean_first_death or 0),
     )
-    if ranked:
-        order = " > ".join(p.protocol for p in ranked)
-        print(f"mean first-death ordering: {order}")
-    else:
-        print("mean first-death ordering: (no deaths observed)")
-    return 0
+    order = " > ".join(p.protocol for p in ranked) or "(no deaths observed)"
+    print(f"mean first-death ordering: {order}")
 
 
-# keys of run and compare that a sweep has no use for -> their flags
-SWEEP_IGNORES = {"max_rounds": "--rounds", "thin": "--thin", "formats": "--format"}
-
-
-def cmd_sweep(spec: RunSpec) -> int:
+def cmd_sweep(spec: RunSpec) -> None:
     if not spec.grid:
         raise CliError("sweep needs a non-empty cluster-count grid (grid)")
     if not spec.protocols:
         spec.protocols = ["kmeans", "fuzzy"]  # the sweep always compares these two
     spec.validate()
+    base_config = spec.network_config(spec.seeds[0])
     for k in spec.grid:
-        if not 1 <= k <= spec.n_nodes:
+        if not 1 <= k <= base_config.n_nodes:
             raise CliError(f"grid value {k} outside 1..n_nodes (grid)")
     others = [name for name in spec.protocols if name not in ("kmeans", "fuzzy")]
     if others:
         raise CliError(f"sweep compares kmeans and fuzzy only, not {', '.join(others)} "
                        "(protocols)")
-    for key, flag in SWEEP_IGNORES.items():
-        if key in spec.given:
-            raise CliError(f"sweep takes no {flag} ({key}): it simulates no rounds and "
-                           "writes only iteration_sweep.csv")
-    from .engine import sweep_iterations
-
+    spec.refuse_unread("sweep", ("kmeans", "fuzzy"))  # it always compares these two
     fuzzy = spec.protocol("fuzzy")  # its max_iter caps k-means too (fcm_max_iter)
     rows = sweep_iterations(
-        base_config=spec.network_config(spec.seeds[0]),
+        base_config=base_config,
         grid=spec.grid,
         seeds=spec.seeds,
         fcm_m=fuzzy.m,
         fcm_tol=fuzzy.tol,
         max_iter=fuzzy.max_iter,
     )
-    out = _make_out_dir(spec)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["cluster_count", "kmeans_iterations", "fuzzy_iterations",
-                     "fuzzy_at_cap"])
-    for k, km, fz, capped in rows:
-        writer.writerow([k, repr(km), repr(fz), capped])
-    (out / "iteration_sweep.csv").write_text(buf.getvalue(), encoding="utf-8")
+    ks, kmeans_iters, fuzzy_iters, at_cap = zip(*rows)
+    export_csv(SeriesTable("cluster_count", list(ks), {
+        "kmeans_iterations": kmeans_iters, "fuzzy_iterations": fuzzy_iters,
+        "fuzzy_at_cap": at_cap}), _make_out_dir(spec) / "iteration_sweep.csv")
     for k, km, fz, capped in rows:
         print(f"k={k} kmeans_mean_iters={km:.2f} fuzzy_mean_iters={fz:.2f} "
               f"fuzzy_at_cap={capped}")
-    return 0
 
 
 COMMANDS = {"run": cmd_run, "compare": cmd_compare, "sweep": cmd_sweep}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](_spec_from_args(args))
+        COMMANDS[args.command](_spec_from_args(args))
     except (CliError, FcmUnderflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

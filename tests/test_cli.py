@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from wsnsim.cli import _NUMBER_KEYS, PROTOCOL_KEYS, _spec_from_args, build_parser, main
+from wsnsim.cli import _NUMBER_KEYS, PROTOCOL_KEYS, RunSpec, _spec_from_args, build_parser, main
 from wsnsim.engine import PROTOCOLS
+from wsnsim.model import NetworkConfig, Position, RadioModel
 
 
 def run_cli(args):
@@ -234,6 +235,74 @@ class TestProtocolKeys:
         assert _NUMBER_KEYS == {**dict.fromkeys(ints, int), **dict.fromkeys(floats, float)}
 
 
+# each scenario key: its flag (None: config file only), a valid value other
+# than the default, and the NetworkConfig that value gives
+SCENARIO = {
+    "n_nodes": ("--nodes", 20, NetworkConfig(n_nodes=20)),
+    "width": ("--width", 80.0, NetworkConfig(arena=(80.0, 100.0))),
+    "height": ("--height", 90.0, NetworkConfig(arena=(100.0, 90.0))),
+    "bs_x": ("--bs-x", 10.0, NetworkConfig(bs_pos=Position(10.0, 175.0))),
+    "bs_y": ("--bs-y", 120.0, NetworkConfig(bs_pos=Position(50.0, 120.0))),
+    "initial_energy": ("--initial-energy", 0.25, NetworkConfig(initial_energy=0.25)),
+    "e_elec": (None, 4e-8, NetworkConfig(radio=RadioModel(e_elec=4e-8))),
+    "e_amp": (None, 2e-10, NetworkConfig(radio=RadioModel(e_amp=2e-10))),
+    "e_da": (None, 1e-9, NetworkConfig(radio=RadioModel(e_da=1e-9))),
+    "data_bits": (None, 3000, NetworkConfig(radio=RadioModel(data_bits=3000))),
+    "header_bits": (None, 150, NetworkConfig(radio=RadioModel(header_bits=150))),
+}
+
+
+class TestScenarioKeys:
+    """NetworkConfig holds the scenario defaults; each key sets one value."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_no_key_given_is_the_network_config_default(self, seed):
+        assert RunSpec(protocols=[], seeds=[]).network_config(seed) == NetworkConfig(seed=seed)
+
+    @pytest.mark.parametrize("key,source", [
+        (key, source) for key in sorted(SCENARIO) for source in ("flag", "config")
+        if source == "config" or SCENARIO[key][0]])
+    def test_lands_in_its_field(self, key, source, tmp_path):
+        flag, value, expected = SCENARIO[key]
+        if source == "flag":
+            argv = ["run", flag, str(value)]
+        else:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            argv = ["run", "--config", str(cfg)]
+        assert _spec_from_args(build_parser().parse_args(argv)).network_config(1) == expected
+
+    def test_values_checked_together(self, tmp_path):
+        # data_bits = 150 would fail against the default header_bits of 200
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("data_bits = 150\nheader_bits = 100\n")
+        spec = _spec_from_args(build_parser().parse_args(["run", "--config", str(cfg)]))
+        assert spec.network_config(1).radio == RadioModel(data_bits=150, header_bits=100)
+
+    # every key a command reads, at a valid value, still runs
+    @pytest.mark.parametrize("command,flags,text", [
+        ("run", ["--protocol", "leach", "--nodes", "12", "--width", "80", "--height", "90",
+                 "--bs-x", "10", "--bs-y", "120", "--initial-energy", "0.4", "--leach-p", "0.1",
+                 "--ch-separation", "1", "--thin", "2", "--format", "csv"], ""),
+        ("run", ["--protocol", "heed", "--heed-c-prob", "0.1", "--heed-p-min", "1e-3",
+                 "--heed-radius", "30"],
+         "e_elec = 4e-8\ne_amp = 2e-10\ne_da = 1e-9\ndata_bits = 3000\nheader_bits = 150\n"),
+        ("compare", ["--protocol", "eecs", "--protocol", "kmeans", "--eecs-p", "0.1",
+                     "--eecs-w", "0.5", "--k", "3", "--fcm-max-iter", "20"], "thin = 1\n"),
+        ("run", ["--protocol", "fuzzy", "--fcm-m", "1.5", "--fcm-tol", "1e-3"],
+         "formats = csv, json\nk = 4\n"),
+        ("sweep", ["--grid", "3", "--nodes", "12", "--width", "80", "--height", "90",
+                   "--bs-x", "10", "--bs-y", "120", "--fcm-m", "1.5", "--fcm-tol", "1e-3",
+                   "--fcm-max-iter", "20"], "seeds = 1, 2\n"),
+    ])
+    def test_read_keys_accepted(self, command, flags, text, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        rounds = [] if command == "sweep" else ["--rounds", "2"]
+        assert run_cli([command, "--config", cfg, *flags, *rounds,
+                        "--out", tmp_path / "o"]) == 0
+
+
 class TestCompare:
     def test_requires_two_protocols(self, tmp_path, capsys):
         code = run_cli(["compare", "--protocol", "leach", "--seed", "1",
@@ -314,38 +383,66 @@ class TestSweep:
         assert code != 0
         assert "grid" in capsys.readouterr().err
 
-    # a sweep forms k-means and fuzzy clusters once per seed and writes one
-    # CSV: any other protocol, a round count, a thinning or a format would be
-    # silently ignored
-    @pytest.mark.parametrize("flags,field", [
-        (["--protocol", "leach", "--rounds", "5", "--thin", "3", "--format", "json"],
+    # each command refuses a key it would silently ignore: a sweep forms
+    # k-means and fuzzy clusters once per seed for each k of its grid and
+    # writes one CSV; a run or compare has no grid, reads a protocol key only
+    # when one of its owners runs, and thin only when it writes CSV
+    BASE = {"run": ["--nodes", "10", "--rounds", "2"],
+            "compare": ["--nodes", "10", "--rounds", "2"],
+            "sweep": ["--grid", "3", "--nodes", "10", "--seed", "1"]}
+
+    @pytest.mark.parametrize("command,flags,field", [
+        ("sweep", ["--protocol", "leach", "--rounds", "5", "--thin", "3", "--format", "json"],
          "protocols"),
-        (["--protocol", "kmeans", "--protocol", "heed"], "protocols"),
-        (["--rounds", "5"], "max_rounds"),
-        (["--rounds", "3000"], "max_rounds"),  # the default, given explicitly
-        (["--thin", "3"], "thin"),
-        (["--format", "both"], "formats"),
-    ], ids=["leach-and-more", "heed", "rounds", "default-rounds", "thin", "format"])
-    def test_ignored_flag_rejected(self, flags, field, tmp_path, capsys):
-        code = run_cli(["sweep", "--grid", "3", "--nodes", "10", "--seed", "1", *flags,
-                        "--out", tmp_path / "o"])
+        ("sweep", ["--protocol", "kmeans", "--protocol", "heed"], "protocols"),
+        ("sweep", ["--rounds", "5"], "max_rounds"),
+        ("sweep", ["--rounds", "3000"], "max_rounds"),  # the default, given explicitly
+        ("sweep", ["--thin", "3"], "thin"),
+        ("sweep", ["--format", "both"], "formats"),
+        ("run", ["--protocol", "leach", "--format", "json", "--thin", "3"], "thin"),
+        ("compare", ["--protocol", "leach", "--protocol", "eecs", "--format", "json",
+                     "--thin", "1"], "thin"),
+        ("run", ["--protocol", "leach", "--k", "4"], "k"),
+        ("run", ["--protocol", "kmeans", "--fcm-m", "3"], "fcm_m"),
+        ("compare", ["--protocol", "kmeans", "--protocol", "fuzzy", "--leach-p", "0.1"],
+         "leach_p"),
+        ("sweep", ["--k", "5"], "k"),
+        ("sweep", ["--initial-energy", "0.5"], "initial_energy"),
+        ("sweep", ["--heed-radius", "30"], "heed_radius"),
+        ("sweep", ["--ch-separation", "0"], "ch_separation"),
+    ], ids=["leach-and-more", "heed", "rounds", "default-rounds", "thin", "format",
+            "run-thin-json", "compare-thin-json", "run-k", "run-fcm_m", "compare-leach_p",
+            "sweep-k", "sweep-initial_energy", "sweep-heed_radius", "sweep-ch_separation"])
+    def test_ignored_flag_rejected(self, command, flags, field, tmp_path, capsys):
+        code = run_cli([command, *self.BASE[command], *flags, "--out", tmp_path / "o"])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and field in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("text,field", [
-        ("protocols = kmeans, leach\n", "protocols"),
-        ("max_rounds = 5\n", "max_rounds"),
-        ("thin = 3\n", "thin"),
-        ("formats = json\n", "formats"),
-    ], ids=["protocols", "max_rounds", "thin", "formats"])
-    def test_ignored_config_key_rejected(self, text, field, tmp_path, capsys):
+    @pytest.mark.parametrize("command,text,field", [
+        ("sweep", "protocols = kmeans, leach\n", "protocols"),
+        ("sweep", "max_rounds = 5\n", "max_rounds"),
+        ("sweep", "thin = 3\n", "thin"),
+        ("sweep", "formats = json\n", "formats"),
+        ("run", "protocols = leach\ngrid = 3\n", "grid"),
+        ("compare", "protocols = leach, heed\ngrid = 3\n", "grid"),
+        ("run", "protocols = leach\nformats = json\nthin = 2\n", "thin"),
+        ("run", "protocols = leach, heed\nfcm_tol = 0.001\n", "fcm_tol"),
+        ("compare", "protocols = kmeans, fuzzy\neecs_w = 0.5\n", "eecs_w"),
+        ("sweep", "k = 5\n", "k"),
+        ("sweep", "initial_energy = 0.5\n", "initial_energy"),
+        ("sweep", "e_amp = 1e-10\n", "e_amp"),
+        ("sweep", "data_bits = 4000\n", "data_bits"),  # the default, given explicitly
+        ("sweep", "leach_p = 0.1\n", "leach_p"),
+    ], ids=["protocols", "max_rounds", "thin", "formats", "run-grid", "compare-grid",
+            "run-thin-json", "run-fcm_tol", "compare-eecs_w", "sweep-k",
+            "sweep-initial_energy", "sweep-e_amp", "sweep-data_bits", "sweep-leach_p"])
+    def test_ignored_config_key_rejected(self, command, text, field, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(text)
-        code = run_cli(["sweep", "--config", cfg, "--grid", "3", "--nodes", "10",
-                        "--out", tmp_path / "o"])
+        code = run_cli([command, "--config", cfg, *self.BASE[command], "--out", tmp_path / "o"])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and field in err
@@ -397,3 +494,17 @@ class TestConfigFile:
         doc = json.loads((out / "leach_seed1.json").read_text())
         assert doc["config"]["arena"] == [1000.0, 1000.0]
         assert doc["config"]["bs_pos"] == [500.0, 200.0]
+
+    # a preset sets the arena and BS position only, over the config file
+    @pytest.mark.parametrize("preset,text,n_nodes,arena,bs_pos", [
+        ("table1", "n_nodes = 20\n", 20, [1000.0, 1000.0], [500.0, 200.0]),
+        ("default", "bs_y = 300\n", 100, [100.0, 100.0], [50.0, 175.0]),
+    ], ids=["table1-n_nodes", "default-bs_y"])
+    def test_preset_over_config_file(self, preset, text, n_nodes, arena, bs_pos, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert run_cli(["run", "--config", cfg, "--preset", preset, "--protocol", "leach",
+                        "--rounds", "2", "--out", out]) == 0
+        config = json.loads((out / "leach_seed1.json").read_text())["config"]
+        assert (config["n_nodes"], config["arena"], config["bs_pos"]) == (n_nodes, arena, bs_pos)

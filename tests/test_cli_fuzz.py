@@ -1,7 +1,8 @@
 """The CLI contract under fuzzing: any argv or config-file text ends in exit
 0 with finite JSON, or in exit 2 with one ``error:`` line, never in a
-traceback. Sizes stay small (nodes <= 50, rounds <= 5, at most 3
-protocols), so each case runs in milliseconds."""
+traceback, and never in exit 0 after a key the command does not read.
+Sizes stay small (nodes <= 50, rounds <= 5, at most 3 protocols), so each
+case runs in milliseconds."""
 
 import contextlib
 import io
@@ -35,34 +36,72 @@ def value(key):
     return numbers
 
 
-# the keys a run reads, as flags where the CLI has one and config lines otherwise
-FLAG_KEYS = sorted(k for k in _NUMBER_KEYS if k not in ("e_elec", "e_amp", "e_da",
-                                                        "data_bits", "header_bits"))
+RADIO_KEYS = ("e_elec", "e_amp", "e_da", "data_bits", "header_bits")  # config file only
+
+# Who reads what, written out here from the README's reader table. A command
+# never reads the keys of NEVER_READ; a protocol key is read only where one of
+# its OWNERS runs (a sweep runs kmeans and fuzzy), and thin only where CSV is
+# written.
+NEVER_READ = {
+    "run": {"grid"},
+    "compare": {"grid"},
+    "sweep": {"max_rounds", "thin", "formats", "initial_energy", *RADIO_KEYS, "k", "leach_p",
+              "heed_c_prob", "heed_p_min", "heed_radius", "eecs_p", "eecs_w", "ch_separation"},
+}
+OWNERS = {
+    "leach_p": {"leach"}, "heed_c_prob": {"heed"}, "heed_p_min": {"heed"},
+    "heed_radius": {"heed"}, "eecs_p": {"eecs"}, "eecs_w": {"eecs"},
+    "k": {"kmeans", "fuzzy"}, "fcm_m": {"fuzzy"}, "fcm_tol": {"fuzzy"},
+    "fcm_max_iter": {"kmeans", "fuzzy"}, "ch_separation": {"leach", "heed", "eecs"},
+}
+
+
+def unread(command, keys, protocols, writes_csv=True):
+    """The keys of ``keys`` that ``command`` would not read."""
+    runs = {"kmeans", "fuzzy"} if command == "sweep" else set(protocols)
+    return sorted(key for key in keys if key in NEVER_READ[command]
+                  or key in OWNERS and not OWNERS[key] & runs
+                  or key == "thin" and not writes_csv)
+
+
+def given_keys(flags, config):
+    """The keys an invocation sets, by flag or by config-file line."""
+    names = [f[2:].split("=", 1)[0] for f in flags]
+    names = [{"nodes": "n_nodes", "rounds": "max_rounds", "format": "formats"}.get(n, n)
+             for n in names if n not in ("protocol", "seed")]
+    lines = [line.split("=", 1)[0] for line in config.splitlines() if "=" in line]
+    return {name.strip().replace("-", "_") for name in names + lines}
+
+
+def writes_csv(flags, config):
+    """Whether CSV is written: a --format flag wins over a formats line."""
+    formats = [line for line in config.splitlines() if line.startswith("formats")]
+    formats += [f.split("=", 1)[1] for f in flags if f.startswith("--format=")]
+    return not formats or "csv" in formats[-1] or formats[-1] == "both"
 
 
 @st.composite
 def invocations(draw):
     command = draw(st.sampled_from(["run", "compare", "sweep"]))
-    flags = [f"--protocol={p}" for p in draw(
-        st.lists(st.sampled_from(sorted(PROTOCOLS)), max_size=3, unique=True))]
+    protocols = draw(st.lists(st.sampled_from(sorted(PROTOCOLS)), max_size=3, unique=True))
+    flags = [f"--protocol={p}" for p in protocols]
     flags += [f"--seed={s}" for s in draw(st.lists(st.integers(-1, 3), max_size=2))]
-    for key in draw(st.lists(st.sampled_from(FLAG_KEYS), max_size=5, unique=True)):
+    # mostly keys the command reads, so that exit 0 stays common; a key it
+    # does not read one time in four
+    read = [key for key in sorted(_NUMBER_KEYS) if not unread(command, [key], protocols)]
+    keys = draw(st.sampled_from([read, read, read, sorted(_NUMBER_KEYS)]))
+    for key in draw(st.lists(st.sampled_from([k for k in keys if k not in RADIO_KEYS]),
+                             max_size=5, unique=True)):
         flags.append(f"--{FLAGS.get(key, key.replace('_', '-'))}={draw(value(key))}")
     if command == "sweep" and draw(st.booleans()):
         flags.append("--grid=" + ",".join(map(str, draw(
             st.lists(st.integers(-1, 50), min_size=1, max_size=3)))))
     lines = [f"{key} = {draw(value(key))}" for key in draw(
-        st.lists(st.sampled_from(sorted(_NUMBER_KEYS)), max_size=4, unique=True))]
+        st.lists(st.sampled_from(keys), max_size=4, unique=True))]
     lines += draw(st.lists(st.sampled_from(["# comment", "", "x", "formats = json",
                                             "formats = csv, xml", "seeds = 1, 2"]),
                            max_size=2))
     return command, flags, "\n".join(lines) + "\n"
-
-
-# what a sweep would silently ignore: it forms k-means and fuzzy clusters only,
-# simulates no rounds and writes one CSV
-IGNORED_BY_SWEEP = ("--rounds", "--thin", "--format", "max_rounds", "thin", "formats",
-                    *(f"--protocol={p}" for p in PROTOCOLS if p not in ("kmeans", "fuzzy")))
 
 
 def refuse(constant):
@@ -103,6 +142,10 @@ def run(command, flags, config):
 @example(("compare", ["--protocol=leach", "--protocol=leach"], ""))
 @example(("run", ["--protocol=eecs", "--seed=2", "--seed=2"], ""))
 @example(("run", [], "protocols = heed, heed\n"))
+@example(("run", ["--protocol=leach", "--nodes=10", "--rounds=2"], "grid = 3\n"))
+@example(("sweep", ["--grid=3", "--k=5"], ""))
+@example(("run", ["--protocol=leach", "--k=4"], ""))
+@example(("run", ["--protocol=leach", "--format=json", "--thin=3"], ""))
 def test_exit_code_error_line_and_finite_json(invocation):
     command, flags, config = invocation
     code, err, documents = run(command, flags, config)
@@ -111,8 +154,12 @@ def test_exit_code_error_line_and_finite_json(invocation):
         for prefix in ("--protocol=", "--seed="):
             given = [f for f in flags if f.startswith(prefix)]
             assert len(set(given)) == len(given)
-    if command == "sweep" and code == 0:
-        assert not [f for f in (*flags, *config.splitlines()) if f.startswith(IGNORED_BY_SWEEP)]
+    if code == 0:
+        protocols = [f.split("=", 1)[1] for f in flags if f.startswith("--protocol=")]
+        assert not unread(command, given_keys(flags, config), protocols,
+                          writes_csv(flags, config))
+        if command == "sweep":  # it compares kmeans and fuzzy only
+            assert set(protocols) <= {"kmeans", "fuzzy"}
     assert "Traceback" not in err
     if code == 2:
         assert sum("error:" in line for line in err.splitlines()) == 1
