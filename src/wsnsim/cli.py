@@ -177,6 +177,7 @@ class RunSpec:
 
 def _read_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -187,8 +188,11 @@ def _read_config_file(path: Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key = value")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise CliError(f"{path}:{lineno}: {key} repeats line {first_line[key]}")
+        first_line[key] = lineno
+        values[key] = value
     return values
 
 
@@ -360,10 +364,9 @@ def cmd_sweep(spec: RunSpec) -> None:
     for k in spec.grid:
         if not 1 <= k <= base_config.n_nodes:
             raise CliError(f"grid value {k} outside 1..n_nodes (grid)")
-    others = [name for name in spec.protocols if name not in ("kmeans", "fuzzy")]
-    if others:
-        raise CliError(f"sweep compares kmeans and fuzzy only, not {', '.join(others)} "
-                       "(protocols)")
+    if set(spec.protocols) != {"kmeans", "fuzzy"}:
+        raise CliError("sweep compares kmeans with fuzzy: name both or neither, not "
+                       f"{', '.join(spec.protocols)} (protocols)")
     spec.refuse_unread("sweep", ("kmeans", "fuzzy"))  # it always compares these two
     fuzzy = spec.protocol("fuzzy")  # its max_iter caps k-means too (fcm_max_iter)
     rows = sweep_iterations(

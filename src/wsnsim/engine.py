@@ -191,10 +191,12 @@ def run_round(state: SimState, protocol) -> tuple[SimState, RoundReport]:
     charged = clamped = 0.0
     deaths = 0
 
+    # Every charge, in pay or written out in the per-node loops below, has
+    # pay's body and is made in pay's order: it is levied in full, a node
+    # left with nothing keeps 0 and dies, and the unpaid part counts as
+    # clamped. Only alive nodes are charged, so each death is counted once.
     def pay(row: int, cost: float) -> bool:
-        """Charge ``cost`` to ``row``, clamping its energy at 0 and counting
-        the unpaid part as clamped; True iff the node survives. Only alive
-        nodes are charged, so each False is one death."""
+        """Charge ``cost`` to ``row``; True iff the node survives."""
         nonlocal charged, clamped, deaths
         charged += cost
         left = energy[row]
@@ -206,40 +208,70 @@ def run_round(state: SimState, protocol) -> tuple[SimState, RoundReport]:
         deaths += 1
         return False
 
-    # -- setup: head advertisements, heard network-wide
+    # -- setup: head advertisements, heard network-wide; a head that
+    # delivered one hears only the others' (a charge of 0 changes nothing)
     advert_cost = tx_energy(radio, radio.header_bits, cfg.diagonal)
     delivered_adverts = {h for h in sorted(head_rows) if pay(h, advert_cost)}
+    hear_all = len(delivered_adverts) * elec_header
+    hear_others = (len(delivered_adverts) - 1) * elec_header
     for row, left in enumerate(energy):  # in id order
-        heard = len(delivered_adverts) - (1 if row in delivered_adverts else 0)
-        if left > 0.0 and heard > 0:
-            pay(row, heard * elec_header)
+        if left > 0.0:
+            cost = hear_others if row in delivered_adverts else hear_all
+            charged += cost
+            if left > cost:
+                energy[row] = left - cost
+            else:
+                clamped += cost - left
+                energy[row] = 0.0
+                deaths += 1
 
-    # -- setup: join messages back to the chosen head; each member's distance
-    # to its head is computed once, for the join and for the data message
-    joined: list[tuple[int, list[tuple[int, float]]]] = []
+    # -- each cluster's alive members and their distances to its head, for
+    # the join and the data message; a member's energy changes only through
+    # its own charges, so the members alive now are the ones that join
+    joined = []
     for head, cluster in zip(head_rows, cluster_set.clusters):
         hx, hy = xy[head]
         links = []
         for member in sorted([row_of[m] for m in cluster.members]):
             if energy[member] > 0.0:
                 mx, my = xy[member]
-                d = math.hypot(mx - hx, my - hy)
-                links.append((member, d))
-                if pay(member, elec_header + amp_header * d * d) and energy[head] > 0.0:
-                    pay(head, elec_header)
+                links.append((member, math.hypot(mx - hx, my - hy)))
         joined.append((head, links))
 
-    # -- steady state: member data, head aggregation and uplink
+    # -- setup: join messages to the head, then steady state: member data,
+    # head aggregation and uplink. In each exchange an alive member sends at
+    # elec + amp*d*d and, if it survives while its head is alive, the head
+    # pays elec to receive; only the cluster's head and members are charged
+    # in its exchange, so the head's energy is held in ``left_head``
     delivered = 0
-    for head, links in joined:
-        received = 0
-        for member, d in links:
-            if (energy[member] > 0.0 and pay(member, elec_data + amp_data * d * d)
-                    and energy[head] > 0.0 and pay(head, elec_data)):
-                received += 1
-        if energy[head] > 0.0 and pay(head, da_data * (received + 1)):
-            d = bs_dist[head]
-            delivered += pay(head, elec_data + amp_data * d * d)
+    for elec, amp, steady in ((elec_header, amp_header, False), (elec_data, amp_data, True)):
+        for head, links in joined:
+            left_head = energy[head]
+            received = 0
+            for member, d in links:
+                left = energy[member]
+                if left > 0.0:
+                    cost = elec + amp * d * d
+                    charged += cost
+                    if left > cost:
+                        energy[member] = left - cost
+                        if left_head > 0.0:
+                            charged += elec
+                            if left_head > elec:
+                                left_head -= elec
+                                received += 1
+                            else:
+                                clamped += elec - left_head
+                                left_head = 0.0
+                                deaths += 1
+                    else:
+                        clamped += cost - left
+                        energy[member] = 0.0
+                        deaths += 1
+            energy[head] = left_head
+            if steady and left_head > 0.0 and pay(head, da_data * (received + 1)):
+                d = bs_dist[head]
+                delivered += pay(head, elec_data + amp_data * d * d)
 
     for orphan in sorted([row_of[o] for o in cluster_set.orphans]):
         if energy[orphan] > 0.0:

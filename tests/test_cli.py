@@ -131,6 +131,9 @@ class TestRejectedInputs:
                      id="run-huge-e_amp"),
         pytest.param("run", "e_amp = 0\nwidth = 1e200\nheight = 1e200\n", "squared range",
                      id="run-huge-arena"),
+        # a repeated key would keep only its last value
+        pytest.param("run", "n_nodes = 10\nseeds = 1\nn_nodes = 20\n",
+                     ":3: n_nodes repeats line 1", id="run-repeated-key"),
     ])
     def test_config_file(self, command, text, field, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -410,9 +413,11 @@ class TestSweep:
         ("sweep", ["--initial-energy", "0.5"], "initial_energy"),
         ("sweep", ["--heed-radius", "30"], "heed_radius"),
         ("sweep", ["--ch-separation", "0"], "ch_separation"),
+        ("sweep", ["--protocol", "kmeans"], "protocols"),  # it would still run fuzzy
     ], ids=["leach-and-more", "heed", "rounds", "default-rounds", "thin", "format",
             "run-thin-json", "compare-thin-json", "run-k", "run-fcm_m", "compare-leach_p",
-            "sweep-k", "sweep-initial_energy", "sweep-heed_radius", "sweep-ch_separation"])
+            "sweep-k", "sweep-initial_energy", "sweep-heed_radius", "sweep-ch_separation",
+            "kmeans-alone"])
     def test_ignored_flag_rejected(self, command, flags, field, tmp_path, capsys):
         code = run_cli([command, *self.BASE[command], *flags, "--out", tmp_path / "o"])
         err = capsys.readouterr().err
