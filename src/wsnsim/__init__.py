@@ -16,8 +16,6 @@ from .engine import (
 )
 from .model import (
     NetworkConfig,
-    Node,
-    Position,
     RadioModel,
     aggregate_energy,
     deploy_nodes,

@@ -31,7 +31,7 @@ from .metrics import (
     export_json,
     summarize,
 )
-from .model import NetworkConfig, Position, RadioModel
+from .model import NetworkConfig, RadioModel
 from .partitioning import FcmUnderflow
 
 # The protocol parameters the CLI sets: key -> (owner classes, field). The
@@ -54,7 +54,7 @@ PROTOCOL_KEYS = {
 RUNS, ALL = ("run", "compare"), ("run", "compare", "sweep")
 # The scenario keys: key -> (flag, NetworkConfig field, commands that read
 # it). A flag of None marks a config-only key. The keys of a field fill it in
-# this order: arena = (width, height), bs_pos = Position(bs_x, bs_y) and
+# this order: arena = (width, height), bs_pos = (bs_x, bs_y) and
 # radio = RadioModel(e_elec, ...); a key not given keeps NetworkConfig's
 # default. A sweep charges no energy, so it reads no energy key.
 SCENARIO_KEYS = {
@@ -69,8 +69,8 @@ SCENARIO_KEYS = {
 # NetworkConfig field -> its scenario keys, and the fields built of several
 _FIELDS = {target: [key for key, (_, t, _) in SCENARIO_KEYS.items() if t == target]
            for _, target, _ in SCENARIO_KEYS.values()}
-_BUILD = {"arena": lambda width, height: (width, height), "bs_pos": Position,
-          "radio": RadioModel}
+_BUILD = {"arena": lambda width, height: (width, height),
+          "bs_pos": lambda bs_x, bs_y: (bs_x, bs_y), "radio": RadioModel}
 # NetworkConfig's default of each scenario key, the one source of the defaults
 DEFAULTS: dict[str, int | float] = {}
 for _field, _value in zip((f.name for f in fields(NetworkConfig)), astuple(NetworkConfig())):

@@ -9,19 +9,20 @@ straight to the base station.
 
 A message counts at the base station only if its sender is still alive after
 paying the full transmission cost. Nodes that die mid-round take no further
-part in that round. All per-node processing runs in ascending id order, so a
-run is a pure function of (config, protocol).
+part in that round. All per-node processing runs in ascending row order (a
+node's row in the run's ``Geometry`` is its deployment index), so a run is
+a pure function of (config, protocol).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
-from .model import NetworkConfig, Node, aggregate_energy, deploy_nodes, rx_energy, tx_energy
+from .model import NetworkConfig, aggregate_energy, deploy_nodes, rx_energy, tx_energy
 from .partitioning import FcmParams
 from .protocols import (
     ClusterSet,
@@ -36,6 +37,7 @@ from .protocols import (
     kmeans_form_clusters,
     leach_elect,
     enforce_ch_separation,
+    head_quota,
 )
 
 
@@ -76,17 +78,15 @@ class SimulationComplete(Exception):
 
 @dataclass
 class SimState:
-    nodes: InitVar[list[Node]]  # copied into ``geometry``, which holds the run's state
+    geometry: Geometry  # the run's node state
     config: NetworkConfig
     round: int = 0
     bs_messages: int = 0
     rng: np.random.Generator = None  # type: ignore[assignment]
-    geometry: Geometry = field(init=False)
 
-    def __post_init__(self, nodes: list[Node]):
+    def __post_init__(self):
         if self.rng is None:
             self.rng = np.random.default_rng(self.config.seed)
-        self.geometry = Geometry(nodes, self.config.bs_pos)
 
     def alive_count(self) -> int:
         return int(np.count_nonzero(self.geometry.energy > 0))
@@ -114,14 +114,9 @@ class ExperimentResult:
     total_bs_messages: int
 
 
-def default_cluster_count(alive: int) -> int:
-    """The 5%-of-nodes heuristic for centroid formations."""
-    return max(1, math.ceil(0.05 * alive))
-
-
 def _cluster_count(geom: Geometry, k: int | None) -> int:
     alive = len(geom.alive())
-    k = k if k is not None else default_cluster_count(alive)
+    k = k if k is not None else head_quota(alive, 0.05)
     return min(k, alive)  # never more clusters than alive nodes as the network dies
 
 
@@ -176,11 +171,9 @@ def run_round(state: SimState, protocol) -> tuple[SimState, RoundReport]:
     radio = cfg.radio
     geom = state.geometry
     cluster_set, clustering_iterations = _form_clusters(state, protocol)
-    # the cluster set names node ids; the ledger charges rows of Python lists
-    row_of, xy = geom.row_of, geom.xy
-    head_rows = [row_of[h] for h in cluster_set.head_ids]
+    # the ledger charges rows of Python lists
+    head_rows, xy, bs_dist = cluster_set.heads, geom.xy, geom.bs_d
     energy = geom.energy.tolist()
-    bs_dist = geom.bs_dist.tolist()
     # the per-bit products hoisted, in tx_energy's association;
     # aggregate_energy(radio, b, n) is (e_da * b) * n
     elec_header = rx_energy(radio, radio.header_bits)
@@ -214,7 +207,7 @@ def run_round(state: SimState, protocol) -> tuple[SimState, RoundReport]:
     delivered_adverts = {h for h in sorted(head_rows) if pay(h, advert_cost)}
     hear_all = len(delivered_adverts) * elec_header
     hear_others = (len(delivered_adverts) - 1) * elec_header
-    for row, left in enumerate(energy):  # in id order
+    for row, left in enumerate(energy):  # in row order
         if left > 0.0:
             cost = hear_others if row in delivered_adverts else hear_all
             charged += cost
@@ -232,7 +225,7 @@ def run_round(state: SimState, protocol) -> tuple[SimState, RoundReport]:
     for head, cluster in zip(head_rows, cluster_set.clusters):
         hx, hy = xy[head]
         links = []
-        for member in sorted([row_of[m] for m in cluster.members]):
+        for member in sorted(cluster.members):
             if energy[member] > 0.0:
                 mx, my = xy[member]
                 links.append((member, math.hypot(mx - hx, my - hy)))
@@ -273,7 +266,7 @@ def run_round(state: SimState, protocol) -> tuple[SimState, RoundReport]:
                 d = bs_dist[head]
                 delivered += pay(head, elec_data + amp_data * d * d)
 
-    for orphan in sorted([row_of[o] for o in cluster_set.orphans]):
+    for orphan in sorted(cluster_set.orphans):
         if energy[orphan] > 0.0:
             d = bs_dist[orphan]
             delivered += pay(orphan, elec_data + amp_data * d * d)
@@ -325,7 +318,7 @@ def sweep_iterations(
     for seed in seeds:
         config = replace(base_config, seed=seed)
         rng = np.random.default_rng(config.seed)
-        geom = Geometry(deploy_nodes(config, rng), config.bs_pos)
+        geom = Geometry(deploy_nodes(config, rng), config.bs_pos, config.initial_energy)
         for k in grid:
             _, km_iters = kmeans_form_clusters(geom, k, max_iter=max_iter)
             params = FcmParams(k=k, m=fcm_m, tol=fcm_tol, max_iter=max_iter,
@@ -343,7 +336,8 @@ def sweep_iterations(
 def run_simulation(config: NetworkConfig, protocol, max_rounds: int) -> ExperimentResult:
     """Deploy, then run rounds until every node is dead or max_rounds is hit."""
     rng = np.random.default_rng(config.seed)
-    state = SimState(nodes=deploy_nodes(config, rng), config=config, rng=rng)
+    geom = Geometry(deploy_nodes(config, rng), config.bs_pos, config.initial_energy)
+    state = SimState(geometry=geom, config=config, rng=rng)
     reports: list[RoundReport] = []
     first_death: int | None = None
     last_death: int | None = None

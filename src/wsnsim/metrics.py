@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, astuple, dataclass, fields
 
 from .engine import ExperimentResult, RoundReport
-from .model import NetworkConfig, Position, RadioModel
+from .model import NetworkConfig, RadioModel
 
 
 @dataclass
@@ -193,7 +193,7 @@ def _config_dict(config: NetworkConfig) -> dict:
     return {
         "n_nodes": config.n_nodes,
         "arena": list(config.arena),
-        "bs_pos": [config.bs_pos.x, config.bs_pos.y],
+        "bs_pos": list(config.bs_pos),
         "initial_energy": config.initial_energy,
         "radio": asdict(config.radio),
         "seed": config.seed,
@@ -217,7 +217,7 @@ def result_from_dict(doc: dict) -> ExperimentResult:
     config = NetworkConfig(
         n_nodes=cfg["n_nodes"],
         arena=tuple(cfg["arena"]),
-        bs_pos=Position(*cfg["bs_pos"]),
+        bs_pos=tuple(cfg["bs_pos"]),
         initial_energy=cfg["initial_energy"],
         radio=RadioModel(**cfg["radio"]),
         seed=cfg["seed"],

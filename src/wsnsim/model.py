@@ -1,4 +1,4 @@
-"""Network model: nodes, geometry, deployment and the radio energy accounting.
+"""Network model: deployment, distances and the radio energy accounting.
 
 Every protocol in this package charges transmit/receive/aggregation costs
 against the same first-order radio model: a fixed per-bit electronics cost
@@ -30,24 +30,6 @@ def check_range(name: str, value: float, low: float = -math.inf, *, strict: bool
 
 
 @dataclass(frozen=True)
-class Position:
-    """A point in the deployment plane, in meters."""
-
-    x: float
-    y: float
-
-
-@dataclass
-class Node:
-    """One sensor node's deployment record; a run keeps its state in ``Geometry``."""
-
-    id: int
-    pos: Position
-    energy: float
-    rounds_since_ch: int = NEVER_CLUSTER_HEAD
-
-
-@dataclass(frozen=True)
 class RadioModel:
     """Per-bit energy constants of the radio and aggregation hardware.
 
@@ -76,7 +58,7 @@ class NetworkConfig:
 
     n_nodes: int = 100
     arena: tuple[float, float] = (100.0, 100.0)
-    bs_pos: Position = field(default_factory=lambda: Position(50.0, 175.0))
+    bs_pos: tuple[float, float] = (50.0, 175.0)
     initial_energy: float = 0.5  # joules
     radio: RadioModel = field(default_factory=RadioModel)
     seed: int = 1
@@ -85,15 +67,15 @@ class NetworkConfig:
         check_range("n_nodes", self.n_nodes, 1)
         check_range("width", self.arena[0], 0.0, strict=True)
         check_range("height", self.arena[1], 0.0, strict=True)
-        check_range("bs_x", self.bs_pos.x)
-        check_range("bs_y", self.bs_pos.y)
+        check_range("bs_x", self.bs_pos[0])
+        check_range("bs_y", self.bs_pos[1])
         check_range("initial_energy", self.initial_energy, 0.0, strict=True)
         check_range("seed", self.seed, 0)
         # no message travels farther than across the arena or from one of its
         # corners to the base station; a sum of n such squared distances (a
         # HEED cost, say) must stay finite
-        bs, n = self.bs_pos, self.n_nodes
-        reach = max(self.diagonal, *(math.hypot(x - bs.x, y - bs.y)
+        (bx, by), n = self.bs_pos, self.n_nodes
+        reach = max(self.diagonal, *(math.hypot(x - bx, y - by)
                                      for x in (0.0, self.arena[0]) for y in (0.0, self.arena[1])))
         check_range("n_nodes times the squared range of a message", n * reach * reach)
         # per round, each node sends at most two messages and hears at most n
@@ -111,9 +93,9 @@ class NetworkConfig:
         return math.hypot(self.arena[0], self.arena[1])
 
 
-def euclidean_distance(a: Position, b: Position) -> float:
-    """Plane distance between two positions, in meters."""
-    return math.hypot(a.x - b.x, a.y - b.y)
+def euclidean_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
+    """Plane distance between two (x, y) points, in meters."""
+    return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -185,8 +167,8 @@ def hypot(dx, dy) -> np.ndarray:
     return out
 
 
-def deploy_nodes(config: NetworkConfig, rng: np.random.Generator | None = None) -> list[Node]:
-    """Scatter n_nodes uniformly over the arena.
+def deploy_nodes(config: NetworkConfig, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Scatter n_nodes uniformly over the arena; returns the (n, 2) positions.
 
     Positions come from ``rng`` when given, otherwise from a fresh generator
     seeded with ``config.seed``; equal seeds give bit-identical layouts.
@@ -196,10 +178,7 @@ def deploy_nodes(config: NetworkConfig, rng: np.random.Generator | None = None) 
     width, height = config.arena
     xs = rng.uniform(0.0, width, config.n_nodes)
     ys = rng.uniform(0.0, height, config.n_nodes)
-    return [
-        Node(id=i, pos=Position(float(xs[i]), float(ys[i])), energy=config.initial_energy)
-        for i in range(config.n_nodes)
-    ]
+    return np.column_stack((xs, ys))
 
 
 def tx_energy(radio: RadioModel, bits: int, d: float) -> float:

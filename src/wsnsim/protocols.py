@@ -4,7 +4,8 @@ Each strategy maps the current alive-node set (plus its parameters and the
 round's randomness) to a ClusterSet: who heads a cluster, who belongs to it,
 and who is left to transmit straight to the base station. Strategies read
 positions and distances from a ``Geometry``, built once per deployment since
-nodes never move. Five strategies are implemented:
+nodes never move, and name each node by its row there: its deployment index.
+Five strategies are implemented:
 
 * probabilistic rotation election with nearest-head clustering (LEACH style)
 * iterative residual-energy election with cost-based attachment (HEED style)
@@ -13,7 +14,7 @@ nodes never move. Five strategies are implemented:
 * fuzzy c-means over node positions, heads picked the same way
 
 Everything is deterministic given the node set, the parameters and the
-generator state; ties always resolve to the lowest id or index.
+generator state; ties always resolve to the lowest row or index.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .model import Node, Position, check_range, hypot, squared_distances
+from .model import NEVER_CLUSTER_HEAD, check_range, hypot, squared_distances
 from .partitioning import FcmParams, defuzzify, fcm_run, kmeans_init, kmeans_run
 
 
@@ -42,10 +43,10 @@ class ClusterSet:
     orphans: list[int] = field(default_factory=list)  # transmit directly to the BS
 
     @property
-    def head_ids(self) -> list[int]:
+    def heads(self) -> list[int]:
         return [c.head for c in self.clusters]
 
-    def validate(self, alive_ids: set[int]) -> None:
+    def validate(self, alive_rows: set[int]) -> None:
         """Check the exactly-once partition invariant over the alive nodes."""
         seen: list[int] = []
         for c in self.clusters:
@@ -56,7 +57,7 @@ class ClusterSet:
         seen.extend(self.orphans)
         if len(seen) != len(set(seen)):
             raise ValueError("a node appears more than once in the cluster set")
-        if set(seen) != alive_ids:
+        if set(seen) != alive_rows:
             raise ValueError("cluster set does not cover the alive nodes exactly")
 
 
@@ -80,7 +81,6 @@ class HeedParams:
     p_min: float = 1e-4  # probability floor
     cluster_radius: float = 20.0  # neighborhood radius, meters
     announce_waves: int = 2  # announcement passes before candidates settle
-    max_iterations: int | None = None  # None = ceil(log2(1/p_min)) + 1
     ch_separation: float = 0.0
 
     def __post_init__(self):
@@ -95,9 +95,8 @@ class HeedParams:
 
     @property
     def iteration_bound(self) -> int:
-        """Hard cap on election iterations, ceil(log2(1/p_min)) + 1 at most."""
-        bound = math.ceil(math.log2(1.0 / self.p_min)) + 1
-        return bound if self.max_iterations is None else min(self.max_iterations, bound)
+        """Hard cap on election iterations, ceil(log2(1/p_min)) + 1."""
+        return math.ceil(math.log2(1.0 / self.p_min)) + 1
 
 
 @dataclass(frozen=True)
@@ -123,26 +122,24 @@ class EecsParams:
 
 
 class Geometry:
-    """A run's node state, one row per node in ascending id order.
+    """A run's node state, one row per node; a node's row is its deployment index.
 
-    ``pos`` is the (n, 2) position array and ``bs_dist`` each node's
-    ``euclidean_distance`` to the base station; nodes never move. ``energy``
-    and ``rounds_since_ch`` are copied from the node records once and change
-    as the run goes; a row is alive exactly while its energy is > 0. HEED's
-    neighbor mask and costs depend on the alive set as well, so ``heed``
-    keeps them for the set it last saw.
+    ``pos`` is the (n, 2) position array and ``bs_dist`` each row's
+    ``euclidean_distance`` to the (x, y) base station; nodes never move.
+    ``energy`` (a scalar or one value per row) and ``rounds_since_ch`` (from
+    ``NEVER_CLUSTER_HEAD``) change as the run goes; a row is alive exactly
+    while its energy is > 0. HEED's neighbor mask and costs depend on the
+    alive set as well, so ``heed`` keeps them for the set it last saw.
     """
 
-    def __init__(self, nodes: list[Node], bs: Position):
-        nodes = sorted(nodes, key=lambda n: n.id)
-        self.ids = np.array([n.id for n in nodes], dtype=int)
-        self.pos = np.array([(n.pos.x, n.pos.y) for n in nodes], dtype=float).reshape(-1, 2)
-        self.bs_dist = hypot(self.pos[:, 0] - bs.x, self.pos[:, 1] - bs.y)
-        # for the scalar ledger: each id's row, and the positions as Python floats
-        self.row_of = {node_id: row for row, node_id in enumerate(self.ids.tolist())}
+    def __init__(self, pos, bs: tuple[float, float], energy):
+        self.pos = np.array(pos, dtype=float).reshape(-1, 2)
+        self.bs_dist = hypot(self.pos[:, 0] - bs[0], self.pos[:, 1] - bs[1])
+        # for the scalar ledger: the positions and sink distances as Python floats
         self.xy = self.pos.tolist()
-        self.energy = np.array([n.energy for n in nodes], dtype=float)
-        self.rounds_since_ch = np.array([n.rounds_since_ch for n in nodes], dtype=np.int64)
+        self.bs_d = self.bs_dist.tolist()
+        self.energy = np.full(len(self.pos), energy, dtype=float)
+        self.rounds_since_ch = np.full(len(self.pos), NEVER_CLUSTER_HEAD, dtype=np.int64)
         self._heed_key: tuple | None = None
         self._heed: tuple = ()
 
@@ -154,7 +151,7 @@ class Geometry:
         return rows
 
     def by_energy(self, rows: np.ndarray) -> np.ndarray:
-        """The ascending ``rows``, most energy first; ties keep the lowest id first."""
+        """The ascending ``rows``, most energy first; ties keep the lowest row first."""
         return rows[np.argsort(-self.energy[rows], kind="stable")]
 
     def distances(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -188,15 +185,14 @@ class Geometry:
         return best
 
     def heed(self, rows: np.ndarray, radius: float) -> tuple:
-        """``heed_geometry`` over ``rows`` plus each row's rank in (cost, id)
-        order, rebuilt only when the alive ids or the radius change. The
+        """``heed_geometry`` over ``rows`` plus each row's rank in (cost, row)
+        order, rebuilt only when the alive rows or the radius change. The
         arrays are shared between calls and read-only."""
-        ids = self.ids[rows]
-        key = (radius, ids.tobytes())
+        key = (radius, rows.tobytes())
         if key != self._heed_key:
             in_range, cost = heed_geometry(self.pos[rows], radius)
             rank = np.empty(len(rows), dtype=int)
-            rank[np.lexsort((ids, cost))] = np.arange(len(rows))
+            rank[np.lexsort((rows, cost))] = np.arange(len(rows))
             for a in (in_range, cost, rank):
                 a.flags.writeable = False
             self._heed_key, self._heed = key, (in_range, cost, rank)
@@ -230,10 +226,10 @@ def leach_elect(geom: Geometry, params: LeachParams, r: int, rng) -> set[int]:
     rotation period began. Periods are aligned to multiples of ceil(1/p):
     when ``r mod ceil(1/p)`` wraps to 0 every node becomes eligible again,
     which is what keeps the threshold formula's expected head count constant
-    over the period. Every alive node draws once (in id order) so the random
+    over the period. Every alive node draws once (in row order) so the random
     stream does not depend on eligibility. If nobody self-elects, the alive
-    node with the most energy (ties: lowest id) stands in as head for the
-    round.
+    node with the most energy (ties: lowest row) stands in as head for the
+    round. Returns the heads' rows.
     """
     rows = geom.alive()
     t = leach_threshold(params.p, r)
@@ -242,48 +238,47 @@ def leach_elect(geom: Geometry, params: LeachParams, r: int, rng) -> set[int]:
     heads = rows[(draws < t) & (geom.rounds_since_ch[rows] >= period_pos)]
     if not len(heads):
         heads = geom.by_energy(rows)[:1]
-    return set(geom.ids[heads].tolist())
+    return set(heads.tolist())
 
 
-def _head_mask(ids: np.ndarray, heads: set[int]) -> np.ndarray:
-    """Mask over the ascending ``ids`` that marks ``heads``; a head missing
-    from ``ids`` raises ValueError, naming the lowest such head."""
-    want = np.array(sorted(heads), dtype=ids.dtype)
-    at = np.searchsorted(ids, want)
-    hit = at < len(ids)
-    hit[hit] = ids[at[hit]] == want[hit]
+def _head_mask(rows: np.ndarray, heads: set[int]) -> np.ndarray:
+    """Mask over the ascending alive ``rows`` that marks ``heads``; a head
+    missing from ``rows`` raises ValueError, naming the lowest such head."""
+    want = np.array(sorted(heads), dtype=rows.dtype)
+    at = np.searchsorted(rows, want)
+    hit = at < len(rows)
+    hit[hit] = rows[at[hit]] == want[hit]
     if not hit.all():
         raise ValueError(f"cluster head {want[~hit][0]} is not an alive node")
-    mask = np.zeros(len(ids), dtype=bool)
+    mask = np.zeros(len(rows), dtype=bool)
     mask[at] = True
     return mask
 
 
-def form_clusters_nearest(geom: Geometry, ch_ids: set[int]) -> ClusterSet:
-    """Attach every non-head alive node to its nearest head (ties: lowest head id)."""
-    if not ch_ids:
-        raise ValueError("ch_ids must not be empty")
+def form_clusters_nearest(geom: Geometry, ch_rows: set[int]) -> ClusterSet:
+    """Attach every non-head alive node to its nearest head (ties: lowest head row)."""
+    if not ch_rows:
+        raise ValueError("ch_rows must not be empty")
     rows = geom.alive()
-    ids = geom.ids[rows]
-    is_head = _head_mask(ids, ch_ids)
-    # rows are in id order, so argmin's first minimum is the lowest head id
-    clusters = [Cluster(head=h) for h in ids[is_head].tolist()]
+    is_head = _head_mask(rows, ch_rows)
+    # rows are ascending, so argmin's first minimum is the lowest head row
+    clusters = [Cluster(head=h) for h in rows[is_head].tolist()]
     nearest = geom.nearest(rows[~is_head], rows[is_head])
-    for node_id, j in zip(ids[~is_head].tolist(), nearest.tolist()):
-        clusters[j].members.append(node_id)
+    for row, j in zip(rows[~is_head].tolist(), nearest.tolist()):
+        clusters[j].members.append(row)
     return ClusterSet(clusters=clusters)
 
 
-def enforce_ch_separation(geom: Geometry, ch_ids: set[int], min_dist: float) -> set[int]:
+def enforce_ch_separation(geom: Geometry, ch_rows: set[int], min_dist: float) -> set[int]:
     """Greedy thinning: keep heads in descending-energy order (ties: lowest
-    id), drop any within min_dist of an already kept head. Always keeps at
+    row), drop any within min_dist of an already kept head. Always keeps at
     least one."""
-    if not ch_ids:
-        raise ValueError("ch_ids must not be empty")
-    rows = geom.by_energy(geom.ids.searchsorted(sorted(ch_ids)))
+    if not ch_rows:
+        raise ValueError("ch_rows must not be empty")
+    rows = geom.by_energy(np.array(sorted(ch_rows), dtype=int))
     kept: list[tuple[float, float]] = []  # the kept heads' positions
     heads: set[int] = set()
-    for (x, y), head in zip(geom.pos[rows].tolist(), geom.ids[rows].tolist()):
+    for (x, y), head in zip(geom.pos[rows].tolist(), rows.tolist()):
         # euclidean_distance, inlined
         if all(math.hypot(x - kx, y - ky) >= min_dist for kx, ky in kept):
             kept.append((x, y))
@@ -315,7 +310,7 @@ def heed_geometry(pos: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarra
     cost, for the (n, 2) positions ``pos``.
 
     The cost is the mean squared distance to the candidate's neighbors, or
-    radius^2 without neighbors. Lower is better; ties go to the lower id.
+    radius^2 without neighbors. Lower is better; ties go to the lower row.
     Built a block of rows at a time, with no n × n float array; each cost row
     is still summed over its whole row, in numpy's pairwise order.
     """
@@ -347,8 +342,7 @@ def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[Cluster
     """
     rows = geom.alive()
     n = len(rows)
-    ids = geom.ids[rows]
-    # rank encodes the (cost, id) order so a plain argmin resolves ties by id;
+    # rank encodes the (cost, row) order so a plain argmin resolves ties by row;
     # in_range is symmetric, so its rows are read in place of its columns
     in_range, _, rank = geom.heed(rows, params.cluster_radius)
 
@@ -376,29 +370,29 @@ def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[Cluster
     cand = np.flatnonzero(announced)
     rival = np.where(in_range[cand] & announced, rank, n).min(axis=1)
     head_idx = cand[rank[cand] < rival]
-    heads = set(ids[head_idx].tolist())
+    heads = set(rows[head_idx].tolist())
     if params.ch_separation > 0:
         heads = enforce_ch_separation(geom, heads, params.ch_separation)
-        head_idx = np.searchsorted(ids, sorted(heads))
+        head_idx = np.searchsorted(rows, sorted(heads))
 
-    # the lowest-rank head in range, else the nearest head (ties: lowest id,
-    # as head_idx is in id order)
+    # the lowest-rank head in range, else the nearest head (ties: lowest row,
+    # as head_idx is ascending)
     reach = in_range[head_idx]  # (heads, n)
     best = np.where(reach, rank[head_idx, None], n).argmin(axis=0)
     far = np.flatnonzero(~reach.any(axis=0))
     d = squared_distances(geom.pos[rows[far]], geom.pos[rows[head_idx]])
     best[far] = np.sqrt(d, out=d).argmin(axis=1)
-    clusters = [Cluster(head=h) for h in ids[head_idx].tolist()]
-    for node_id, j in zip(ids.tolist(), best.tolist()):
-        if node_id not in heads:
-            clusters[j].members.append(node_id)
+    clusters = [Cluster(head=h) for h in rows[head_idx].tolist()]
+    for row, j in zip(rows.tolist(), best.tolist()):
+        if row not in heads:
+            clusters[j].members.append(row)
     return ClusterSet(clusters=clusters), iterations
 
 
 # --- candidate suppression with sink-aware sizing (EECS) ------------------------
 
 
-def eecs_head_quota(alive_count: int, head_fraction: float) -> int:
+def head_quota(alive_count: int, head_fraction: float) -> int:
     """Target head count: head_fraction of the alive nodes, at least one."""
     return max(1, math.ceil(head_fraction * alive_count))
 
@@ -407,7 +401,7 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
     """Probability-p candidacy, energy-ranked suppression, cost-based joins.
 
     Candidates are scanned from highest residual energy down (ties: lower
-    id); each survivor suppresses every weaker candidate in its earshot, and
+    row); each survivor suppresses every weaker candidate in its earshot, and
     the scan stops at the head_fraction-of-alive quota. This keeps head duty
     with the locally best-charged nodes while holding the head count at the
     level that balances member uplinks against per-head base-station traffic.
@@ -422,11 +416,11 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
     if not len(candidates):
         candidates = geom.by_energy(rows)[:1]
 
-    quota = eecs_head_quota(len(rows), params.head_fraction)
+    quota = head_quota(len(rows), params.head_fraction)
     radius = params.suppress_radius
     heads: set[int] = set()
     kept: list[tuple[float, float]] = []  # the heads' positions
-    for (x, y), cand in zip(geom.pos[candidates].tolist(), geom.ids[candidates].tolist()):
+    for (x, y), cand in zip(geom.pos[candidates].tolist(), candidates.tolist()):
         if len(kept) >= quota:
             break
         for kx, ky in kept:  # euclidean_distance, inlined
@@ -437,11 +431,10 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
             heads.add(cand)
     if params.ch_separation > 0:
         heads = enforce_ch_separation(geom, heads, params.ch_separation)
-    # rows are in id order, so every argmin below breaks ties on the lowest head id
-    ids = geom.ids[rows]
-    is_head = _head_mask(ids, heads)
+    # rows are ascending, so every argmin below breaks ties on the lowest head row
+    is_head = _head_mask(rows, heads)
     head_rows = rows[is_head]
-    clusters = [Cluster(head=h) for h in ids[is_head].tolist()]
+    clusters = [Cluster(head=h) for h in head_rows.tolist()]
 
     bs_dist = geom.bs_dist[head_rows]
     d_bs_min = bs_dist.min()
@@ -457,8 +450,8 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
     cost = params.w * member_term + (1.0 - params.w) * bs_term
     best = np.where(reach.any(axis=1), np.where(reach, cost, np.inf).argmin(axis=1),
                     dists.argmin(axis=1))
-    for node_id, j in zip(ids[~is_head].tolist(), best.tolist()):
-        clusters[j].members.append(node_id)
+    for row, j in zip(rows[~is_head].tolist(), best.tolist()):
+        clusters[j].members.append(row)
     return ClusterSet(clusters=clusters)
 
 
@@ -469,8 +462,8 @@ def _centroid_cluster_set(
     geom: Geometry, rows: np.ndarray, assignment: np.ndarray, centroids: np.ndarray
 ) -> ClusterSet:
     """Group ``rows`` by ``assignment``; each group's head has the most
-    energy, ties going to the nearest to its centroid, then the lowest id."""
-    ids, energy = geom.ids[rows].tolist(), geom.energy[rows].tolist()
+    energy, ties going to the nearest to its centroid, then the lowest row."""
+    row, energy = rows.tolist(), geom.energy[rows].tolist()
     pos = geom.pos[rows].tolist()
     groups: list[list[int]] = [[] for _ in centroids]
     for i, j in enumerate(assignment.tolist()):
@@ -481,8 +474,8 @@ def _centroid_cluster_set(
             continue
         top = max(energy[i] for i in group)  # only its ties need the distance
         head = min((i for i in group if energy[i] == top),
-                   key=lambda i: (math.hypot(pos[i][0] - cx, pos[i][1] - cy), ids[i]))
-        clusters.append(Cluster(head=ids[head], members=[ids[i] for i in group if i != head]))
+                   key=lambda i: (math.hypot(pos[i][0] - cx, pos[i][1] - cy), i))
+        clusters.append(Cluster(head=row[head], members=[row[i] for i in group if i != head]))
     return ClusterSet(clusters=clusters)
 
 

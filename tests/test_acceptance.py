@@ -24,7 +24,7 @@ from wsnsim.engine import (
     run_simulation,
     sweep_iterations,
 )
-from wsnsim.model import NetworkConfig, Node, Position, deploy_nodes
+from wsnsim.model import NetworkConfig, deploy_nodes
 from wsnsim.partitioning import (
     FcmParams,
     defuzzify,
@@ -47,7 +47,14 @@ from wsnsim.protocols import (
 )
 
 SEEDS = list(range(30))
-BS = Position(50, 175)
+BS = (50, 175)
+
+
+def random_geometry(rng, n, min_energy):
+    """n nodes, each drawing its position in the 100 m square and then its
+    energy in [min_energy, 1)."""
+    draws = [(rng.uniform(0, 100, 2), float(rng.uniform(min_energy, 1.0))) for _ in range(n)]
+    return Geometry([xy for xy, _ in draws], BS, [e for _, e in draws])
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -187,10 +194,7 @@ class TestCriterion5Rotation:
     def test_every_node_elected_exactly_once_per_window(self):
         params = LeachParams(p=0.05)
         period = math.ceil(1 / params.p)
-        nodes = [
-            Node(id=i, pos=Position(float(i % 10), float(i // 10)), energy=1.0)
-            for i in range(60)
-        ]
+        geom = Geometry([(i % 10, i // 10) for i in range(60)], BS, 1.0)
         rng = ZeroDraws()
         ok = True
         for window in range(3):
@@ -198,19 +202,19 @@ class TestCriterion5Rotation:
             served = collections.Counter()
             for step in range(period):
                 r = window * period + step
-                heads = leach_elect(Geometry(nodes, BS), params, r, rng)
+                heads = leach_elect(geom, params, r, rng)
                 served.update(heads)
                 # zero draws elect every eligible node, so a head that served
                 # earlier in the window can only be the stand-in of a round
                 # with no election: alone, once every node has served
                 if heads & set(elected):
-                    ok = ok and len(heads) == 1 and len(elected) == len(nodes)
+                    ok = ok and len(heads) == 1 and len(elected) == 60
                 else:
                     elected.update(heads)
-                for n in nodes:
-                    n.rounds_since_ch = 0 if n.id in heads else n.rounds_since_ch + 1
-            ok = ok and all(elected[n.id] == 1 for n in nodes)
-            ok = ok and all(served[n.id] >= 1 for n in nodes)
+                geom.rounds_since_ch += 1  # the engine's rotation bookkeeping
+                geom.rounds_since_ch[list(heads)] = 0
+            ok = ok and all(elected[row] == 1 for row in range(60))
+            ok = ok and all(served[row] >= 1 for row in range(60))
         report("5b rotation guarantee", ok, "3 windows of 20 rounds, 60 nodes")
         assert ok
 
@@ -224,14 +228,9 @@ class TestCriterion6HeedTermination:
         violations = 0
         worst = 0
         for _ in range(1000):
-            n = int(rng.integers(1, 80))
-            nodes = [
-                Node(id=i, pos=Position(*rng.uniform(0, 100, 2)),
-                     energy=float(rng.uniform(0.001, 1.0)))
-                for i in range(n)
-            ]
             _, iterations = heed_form_clusters(
-                Geometry(nodes, BS), params, np.random.default_rng(int(rng.integers(2**32)))
+                random_geometry(rng, int(rng.integers(1, 80)), 0.001), params,
+                np.random.default_rng(int(rng.integers(2**32)))
             )
             worst = max(worst, iterations)
             if iterations > bound:
@@ -249,14 +248,9 @@ class TestCriterion6HeedTermination:
         params = HeedParams(announce_waves=bound)
         worst = 0
         for _ in range(1000):
-            n = int(rng.integers(1, 80))
-            nodes = [
-                Node(id=i, pos=Position(*rng.uniform(0, 100, 2)),
-                     energy=float(rng.uniform(0.001, 1.0)))
-                for i in range(n)
-            ]
             _, iterations = heed_form_clusters(
-                Geometry(nodes, BS), params, np.random.default_rng(int(rng.integers(2**32)))
+                random_geometry(rng, int(rng.integers(1, 80)), 0.001), params,
+                np.random.default_rng(int(rng.integers(2**32)))
             )
             worst = max(worst, iterations)
         report("6 termination bound, doubling to 1", 2 < worst <= bound,
@@ -315,7 +309,8 @@ class TestCriterion7NumericalProperties:
                 initial_energy=float(rng.uniform(0.002, 0.05)),
                 seed=int(rng.integers(2**32)),
             )
-            state = SimState(nodes=deploy_nodes(config), config=config)
+            geom = Geometry(deploy_nodes(config), config.bs_pos, config.initial_energy)
+            state = SimState(geometry=geom, config=config)
             protocol = protocols[case % len(protocols)]
             before = sum(state.geometry.energy.tolist())
             state, rep = run_round(state, protocol)
@@ -334,15 +329,10 @@ class TestCriterion7NumericalProperties:
         checked = 0
         for case in range(200):
             n = int(rng.integers(1, 50))
-            nodes = [
-                Node(id=i, pos=Position(*rng.uniform(0, 100, 2)),
-                     energy=float(rng.uniform(0.01, 1.0)))
-                for i in range(n)
-            ]
-            alive_ids = {node.id for node in nodes}
+            geom = random_geometry(rng, n, 0.01)
+            alive_rows = set(range(n))
             seed = int(rng.integers(2**32))
             k = int(rng.integers(1, min(n, 6) + 1))
-            geom = Geometry(nodes, BS)
             cluster_sets = [
                 form_clusters_nearest(
                     geom, leach_elect(geom, LeachParams(), case, np.random.default_rng(seed))
@@ -355,7 +345,7 @@ class TestCriterion7NumericalProperties:
             for cs in cluster_sets:
                 checked += 1
                 try:
-                    cs.validate(alive_ids)
+                    cs.validate(alive_rows)
                 except ValueError:
                     violations += 1
         report("7d partition invariant", violations == 0,

@@ -5,7 +5,7 @@ import pytest
 
 from wsnsim.cli import _NUMBER_KEYS, PROTOCOL_KEYS, RunSpec, _spec_from_args, build_parser, main
 from wsnsim.engine import PROTOCOLS
-from wsnsim.model import NetworkConfig, Position, RadioModel
+from wsnsim.model import NetworkConfig, RadioModel
 
 
 def run_cli(args):
@@ -244,8 +244,8 @@ SCENARIO = {
     "n_nodes": ("--nodes", 20, NetworkConfig(n_nodes=20)),
     "width": ("--width", 80.0, NetworkConfig(arena=(80.0, 100.0))),
     "height": ("--height", 90.0, NetworkConfig(arena=(100.0, 90.0))),
-    "bs_x": ("--bs-x", 10.0, NetworkConfig(bs_pos=Position(10.0, 175.0))),
-    "bs_y": ("--bs-y", 120.0, NetworkConfig(bs_pos=Position(50.0, 120.0))),
+    "bs_x": ("--bs-x", 10.0, NetworkConfig(bs_pos=(10.0, 175.0))),
+    "bs_y": ("--bs-y", 120.0, NetworkConfig(bs_pos=(50.0, 120.0))),
     "initial_energy": ("--initial-energy", 0.25, NetworkConfig(initial_energy=0.25)),
     "e_elec": (None, 4e-8, NetworkConfig(radio=RadioModel(e_elec=4e-8))),
     "e_amp": (None, 2e-10, NetworkConfig(radio=RadioModel(e_amp=2e-10))),

@@ -13,14 +13,13 @@ from wsnsim.engine import (
     LeachParams,
     SimState,
     SimulationComplete,
-    default_cluster_count,
     run_round,
     run_simulation,
     sweep_iterations,
 )
 from wsnsim.metrics import result_to_dict
-from wsnsim.model import NetworkConfig, Node, Position, RadioModel, deploy_nodes
-from wsnsim.protocols import Cluster, ClusterSet
+from wsnsim.model import NetworkConfig, RadioModel, deploy_nodes
+from wsnsim.protocols import Cluster, ClusterSet, Geometry
 
 # powers of two make every charge and subtraction exact in binary floating
 # point, so the death-at-exactly-zero boundary is deterministic
@@ -34,7 +33,7 @@ def exact_config(initial_energy: float) -> NetworkConfig:
     return NetworkConfig(
         n_nodes=1,
         arena=(60.0, 80.0),
-        bs_pos=Position(0.0, 100.0),
+        bs_pos=(0.0, 100.0),
         initial_energy=initial_energy,
         radio=EXACT_RADIO,
         seed=0,
@@ -51,8 +50,12 @@ def single_node_round_cost() -> float:
 
 
 def fresh_state(config: NetworkConfig, pos=(0.0, 0.0)) -> SimState:
-    node = Node(id=0, pos=Position(*pos), energy=config.initial_energy)
-    return SimState(nodes=[node], config=config)
+    return SimState(geometry=Geometry([pos], config.bs_pos, config.initial_energy), config=config)
+
+
+def deployed_state(config: NetworkConfig) -> SimState:
+    geom = Geometry(deploy_nodes(config), config.bs_pos, config.initial_energy)
+    return SimState(geometry=geom, config=config)
 
 
 def record_cluster_sets(monkeypatch) -> list:
@@ -72,7 +75,7 @@ def record_cluster_sets(monkeypatch) -> list:
 def assert_heads_reset(geom, cluster_set, before):
     """The rotation counter is 0 exactly for the round's heads; every other
     row's counter grew by one."""
-    is_head = np.isin(geom.ids, cluster_set.head_ids)
+    is_head = np.isin(np.arange(len(geom.energy)), cluster_set.heads)
     assert (geom.rounds_since_ch == 0).tolist() == is_head.tolist()
     assert (geom.rounds_since_ch[~is_head] == before[~is_head] + 1).all()
 
@@ -101,13 +104,9 @@ class TestRunRoundSingleNode:
 class TestRunRound:
     def test_head_with_three_members_delivers_one_message(self):
         config = NetworkConfig(n_nodes=4, seed=3)
-        nodes = [
-            Node(id=0, pos=Position(50, 50), energy=0.5),
-            Node(id=1, pos=Position(40, 50), energy=0.4),
-            Node(id=2, pos=Position(60, 50), energy=0.4),
-            Node(id=3, pos=Position(50, 40), energy=0.4),
-        ]
-        state = SimState(nodes=nodes, config=config)
+        geom = Geometry([(50, 50), (40, 50), (60, 50), (50, 40)], config.bs_pos,
+                        [0.5, 0.4, 0.4, 0.4])
+        state = SimState(geometry=geom, config=config)
         # k=1 puts everyone in one cluster headed by the max-energy node
         state, report = run_round(state, KmeansFormation(k=1))
         assert report.ch_count == 1
@@ -115,11 +114,8 @@ class TestRunRound:
 
     def test_orphans_transmit_directly(self, monkeypatch):
         config = NetworkConfig(n_nodes=2, seed=0)
-        nodes = [
-            Node(id=0, pos=Position(10, 10), energy=0.5),
-            Node(id=1, pos=Position(90, 90), energy=0.5),
-        ]
-        state = SimState(nodes=nodes, config=config)
+        state = SimState(geometry=Geometry([(10, 10), (90, 90)], config.bs_pos, 0.5),
+                         config=config)
         cs = ClusterSet(clusters=[Cluster(head=0, members=[])], orphans=[1])
         monkeypatch.setattr(wsnsim.engine, "_form_clusters", lambda s, p: (cs, 0))
         state, report = run_round(state, LeachParams())
@@ -127,7 +123,7 @@ class TestRunRound:
 
     def test_round_report_bookkeeping(self):
         config = NetworkConfig(seed=11)
-        state = SimState(nodes=deploy_nodes(config), config=config)
+        state = deployed_state(config)
         state, report = run_round(state, LeachParams())
         assert report.round == 0
         assert report.alive_before == 100
@@ -137,18 +133,18 @@ class TestRunRound:
 
     def test_rounds_since_ch_updates(self, monkeypatch):
         config = NetworkConfig(seed=13)
-        state = SimState(nodes=deploy_nodes(config), config=config)
+        state = deployed_state(config)
         geom = state.geometry
         formed = record_cluster_sets(monkeypatch)
         for r in range(25):
             if r == 7:  # round 6's heads die between the rounds
                 geom.energy[geom.rounds_since_ch == 0] = 0.0
-            alive_ids = set(geom.ids[geom.energy > 0].tolist())
+            alive_rows = set(np.flatnonzero(geom.energy > 0).tolist())
             before = geom.rounds_since_ch.copy()
             state, report = run_round(state, LeachParams())
             cluster_set = formed[-1][0]
-            assert cluster_set.head_ids  # at least the fallback head
-            cluster_set.validate(alive_ids)  # the dead rows take no part
+            assert cluster_set.heads  # at least the fallback head
+            cluster_set.validate(alive_rows)  # the dead rows take no part
             assert_heads_reset(geom, cluster_set, before)
             assert report.alive_after == state.alive_count()
             if r == 0:
@@ -167,7 +163,7 @@ class TestRunRound:
     )
     def test_energy_conservation_every_protocol(self, protocol):
         config = NetworkConfig(n_nodes=30, seed=17)
-        state = SimState(nodes=deploy_nodes(config), config=config)
+        state = deployed_state(config)
         for _ in range(5):
             before = sum(state.geometry.energy.tolist())
             state, report = run_round(state, protocol)
@@ -186,9 +182,9 @@ class TestRunRound:
         # of a few rounds' worth make nodes die part-way through rounds
         rng = np.random.default_rng(29)
         config = NetworkConfig(n_nodes=40, seed=29)
-        nodes = [Node(id=i, pos=Position(*rng.uniform(0, 100, 2).tolist()),
-                      energy=float(rng.uniform(1e-5, 3e-3))) for i in range(40)]
-        state = SimState(nodes=nodes, config=config)
+        nodes = [(rng.uniform(0, 100, 2), float(rng.uniform(1e-5, 3e-3))) for _ in range(40)]
+        geom = Geometry([xy for xy, _ in nodes], config.bs_pos, [e for _, e in nodes])
+        state = SimState(geometry=geom, config=config)
         geom = state.geometry
         formed = record_cluster_sets(monkeypatch)
         clamped_rounds = killed = 0
@@ -198,12 +194,12 @@ class TestRunRound:
                 killed += 1
             if state.alive_count() == 0:
                 break
-            alive_ids = set(geom.ids[geom.energy > 0].tolist())
+            alive_rows = set(np.flatnonzero(geom.energy > 0).tolist())
             before = geom.rounds_since_ch.copy()
             state, report = run_round(state, protocol)
             # only the rows alive at the round's start take part in it
-            formed[-1][0].validate(alive_ids)
-            assert report.alive_before == len(alive_ids)
+            formed[-1][0].validate(alive_rows)
+            assert report.alive_before == len(alive_rows)
             assert report.alive_after == state.alive_count()
             assert_heads_reset(geom, formed[-1][0], before)
             clamped_rounds += report.energy_clamped > 0
@@ -211,7 +207,7 @@ class TestRunRound:
 
     def test_centroid_protocols_report_iterations(self):
         config = NetworkConfig(n_nodes=25, seed=19)
-        state = SimState(nodes=deploy_nodes(config), config=config)
+        state = deployed_state(config)
         _, report = run_round(state, KmeansFormation())
         assert report.clustering_iterations >= 1
 
@@ -266,11 +262,6 @@ class TestRunSimulation:
 
 
 class TestHelpers:
-    def test_default_cluster_count(self):
-        assert default_cluster_count(100) == 5
-        assert default_cluster_count(1) == 1
-        assert default_cluster_count(101) == 6
-
     def test_sweep_iterations_shape(self):
         rows = sweep_iterations(
             NetworkConfig(n_nodes=30, seed=1), grid=[3, 6], seeds=[1, 2]

@@ -5,10 +5,16 @@ election, the EECS and HEED formations and the per-charge ledger as they
 were written before they moved to arrays. Each new version must give the
 same ClusterSet, the same random stream and the same floating-point values,
 compared with ``==``.
+
+The oracles name nodes by ids that are gapped and shuffled (``OracleNode``).
+Each test builds the ``Geometry`` from the nodes in id order and maps the rows
+of the results back to ids through that order, so the oracles' lowest-id
+tie-breaks check the formations' lowest-row ones.
 """
 
 import copy
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -31,9 +37,8 @@ from wsnsim.engine import (
     run_round,
 )
 from wsnsim.model import (
+    NEVER_CLUSTER_HEAD,
     NetworkConfig,
-    Node,
-    Position,
     aggregate_energy,
     euclidean_distance,
     hypot,
@@ -45,12 +50,12 @@ from wsnsim.protocols import (
     ClusterSet,
     Geometry,
     eecs_form_clusters,
-    eecs_head_quota,
     enforce_ch_separation,
     form_clusters_nearest,
     heed_announce_prob,
     heed_form_clusters,
     heed_geometry,
+    head_quota,
     leach_elect,
     leach_threshold,
     rotation_period,
@@ -119,7 +124,32 @@ class TestHypot:
 # --- scalar formation oracles ---------------------------------------------------
 
 
-BS = Position(50.0, 175.0)
+BS = (50.0, 175.0)
+
+
+@dataclass
+class OracleNode:
+    """A node as the oracles see it: an id of its own and an (x, y) position."""
+
+    id: int
+    pos: tuple[float, float]
+    energy: float
+    rounds_since_ch: int = NEVER_CLUSTER_HEAD
+
+
+def geometry_of(nodes, bs=BS):
+    """The ``Geometry`` of ``nodes``, one row per node in id order, and the
+    ids in that order: row r holds the node whose id is ``ids[r]``."""
+    nodes = sorted(nodes, key=lambda n: n.id)
+    geom = Geometry([n.pos for n in nodes], bs, [n.energy for n in nodes])
+    geom.rounds_since_ch[:] = [n.rounds_since_ch for n in nodes]
+    return geom, [n.id for n in nodes]
+
+
+def ids_of(cluster_set, ids):
+    """``cluster_set`` with every row replaced by its node's id."""
+    clusters = [Cluster(ids[c.head], [ids[m] for m in c.members]) for c in cluster_set.clusters]
+    return ClusterSet(clusters, [ids[o] for o in cluster_set.orphans])
 
 
 def alive_of(nodes):
@@ -195,7 +225,7 @@ def oracle_heed_geometry(pos, radius):
 def oracle_heed_form_clusters(nodes, params, rng):
     alive = sorted(alive_of(nodes), key=lambda n: n.id)
     n = len(alive)
-    pos = np.array([(a.pos.x, a.pos.y) for a in alive], dtype=float)
+    pos = np.array([a.pos for a in alive], dtype=float)
     ids = np.array([a.id for a in alive])
     energy = np.array([a.energy for a in alive])
     dist, in_range, cost = oracle_heed_geometry(pos, params.cluster_radius)
@@ -248,7 +278,7 @@ def oracle_eecs_form_clusters(nodes, bs, params, rng):
     candidates = [n for n in alive if draws[n.id] < params.p]
     if not candidates:
         candidates = [min(alive, key=lambda n: (-n.energy, n.id))]
-    quota = eecs_head_quota(len(alive), params.head_fraction)
+    quota = head_quota(len(alive), params.head_fraction)
     kept = []
     for cand in sorted(candidates, key=lambda n: (-n.energy, n.id)):
         if len(kept) >= quota:
@@ -293,7 +323,7 @@ def random_network(rng, n, grid=False):
         xy = rng.integers(0, 12, 2) * 5.0 if grid else rng.uniform(0, 100, 2)
         energy = float(rng.uniform(0.01, 1.0))
         alive = rng.random() > 0.15
-        nodes.append(Node(id=i, pos=Position(*xy.tolist()), energy=energy if alive else 0.0))
+        nodes.append(OracleNode(id=i, pos=tuple(xy.tolist()), energy=energy if alive else 0.0))
     if not alive_of(nodes):
         nodes[0].energy = 0.5
     return nodes
@@ -330,15 +360,16 @@ class TestFormationsMatchScalarOracles:
         params = LeachParams(p=float(rng.uniform(0.02, 0.5)))
         r = int(rng.integers(0, 60))
         a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        heads = leach_elect(Geometry(nodes, BS), params, r, a)
-        assert heads == oracle_leach_elect(nodes, params, r, b)
+        geom, ids = geometry_of(nodes)
+        heads = leach_elect(geom, params, r, a)
+        assert {ids[h] for h in heads} == oracle_leach_elect(nodes, params, r, b)
         assert a.random() == b.random()  # the streams stay in step
         if sep:
-            expected = oracle_enforce_ch_separation(heads, alive_of(nodes), sep)
-            heads = enforce_ch_separation(Geometry(nodes, BS), heads, sep)
-            assert heads == expected
-        assert shape(form_clusters_nearest(Geometry(nodes, BS), heads)) == shape(
-            oracle_form_clusters_nearest(nodes, heads))
+            expected = oracle_enforce_ch_separation({ids[h] for h in heads}, alive_of(nodes), sep)
+            heads = enforce_ch_separation(geom, heads, sep)
+            assert {ids[h] for h in heads} == expected
+        assert shape(ids_of(form_clusters_nearest(geom, heads), ids)) == shape(
+            oracle_form_clusters_nearest(nodes, {ids[h] for h in heads}))
 
     @pytest.mark.parametrize("seed,grid,sep", HEED_NETWORKS)
     def test_heed(self, seed, grid, sep):
@@ -347,10 +378,11 @@ class TestFormationsMatchScalarOracles:
         params = HeedParams(cluster_radius=float(rng.uniform(5, 40)),
                             announce_waves=int(rng.integers(1, 5)), ch_separation=sep)
         a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        got, it_got = heed_form_clusters(Geometry(nodes, BS), params, a)
+        geom, ids = geometry_of(nodes)
+        got, it_got = heed_form_clusters(geom, params, a)
         expected, it_expected = oracle_heed_form_clusters(nodes, params, b)
         assert it_got == it_expected
-        assert shape(got) == shape(expected)
+        assert shape(ids_of(got, ids)) == shape(expected)
         assert a.random() == b.random()
 
     @pytest.mark.parametrize("seed,grid,sep", NETWORKS)
@@ -361,10 +393,11 @@ class TestFormationsMatchScalarOracles:
                             suppress_radius=float(rng.uniform(0, 40)),
                             join_radius=float(rng.uniform(5, 60)),
                             head_fraction=float(rng.uniform(0.02, 0.3)), ch_separation=sep)
-        bs = Position(50.0, float(rng.choice([50.0, 175.0])))
+        bs = (50.0, float(rng.choice([50.0, 175.0])))
         a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        got = eecs_form_clusters(Geometry(nodes, bs), params, a)
-        assert shape(got) == shape(oracle_eecs_form_clusters(nodes, bs, params, b))
+        geom, ids = geometry_of(nodes, bs)
+        got = eecs_form_clusters(geom, params, a)
+        assert shape(ids_of(got, ids)) == shape(oracle_eecs_form_clusters(nodes, bs, params, b))
         assert a.random() == b.random()
 
     @pytest.mark.parametrize("seed,grid", [(s, g) for s in [*range(20), 100, 101]
@@ -375,7 +408,7 @@ class TestFormationsMatchScalarOracles:
         rng = np.random.default_rng(seed)
         nodes = alive_of(heed_network(rng, seed, grid, 60))
         radius = float(rng.uniform(5, 40))
-        pos = np.array([(n.pos.x, n.pos.y) for n in nodes])
+        pos = np.array([n.pos for n in nodes])
         _, cost = heed_geometry(pos, radius)
         assert cost.tolist() == pytest.approx(
             [heed_cost(c, nodes, radius) for c in nodes], rel=1e-12)
@@ -388,7 +421,7 @@ class TestFormationsMatchScalarOracles:
         # over its whole row, in numpy's pairwise order
         rng = np.random.default_rng(seed)
         nodes = alive_of(heed_network(rng, seed, grid, 90))
-        pos = np.array([(n.pos.x, n.pos.y) for n in nodes])
+        pos = np.array([n.pos for n in nodes])
         radius = float(rng.integers(1, 31)) if grid else float(rng.uniform(1, 30))
         _, in_range, cost = oracle_heed_geometry(pos, radius)
         got_in_range, got_cost = heed_geometry(pos, radius)
@@ -416,7 +449,7 @@ def tie_network(rng, n, kind):
     else:
         xy = rng.uniform(0, 1e-160, (n, 2))
     ids = rng.permutation(3 * n)[:n]
-    return [Node(id=int(i), pos=Position(*p), energy=1.0) for i, p in zip(ids, xy.tolist())]
+    return [OracleNode(id=int(i), pos=tuple(p), energy=1.0) for i, p in zip(ids, xy.tolist())]
 
 
 def count_exact_rows(monkeypatch, geom):
@@ -442,18 +475,17 @@ class TestCertifiedJoin:
         nodes = tie_network(rng, int(rng.integers(20, 120)), kind)
         heads = {n.id for n in nodes[:len(nodes) // 4]} if kind == "bisector" else (
             {n.id for n in nodes if rng.random() < 0.2} or {nodes[0].id})
-        geom = Geometry(nodes, BS)
+        geom, ids = geometry_of(nodes)
         exact = count_exact_rows(monkeypatch, geom)
-        got = form_clusters_nearest(geom, heads)
-        assert shape(got) == shape(oracle_form_clusters_nearest(nodes, heads))
+        got = form_clusters_nearest(geom, {ids.index(h) for h in heads})
+        assert shape(ids_of(got, ids)) == shape(oracle_form_clusters_nearest(nodes, heads))
         if len(heads) > 1:
             assert exact[0] > 0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_blocks_need_no_exact_rows(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
-        geom = Geometry([Node(id=i, pos=Position(*p), energy=1.0)
-                         for i, p in enumerate(rng.uniform(0, 100, (1000, 2)).tolist())], BS)
+        geom = Geometry(rng.uniform(0, 100, (1000, 2)), BS, 1.0)
         rows, cols = np.arange(950), np.arange(950, 1000)
         exact = count_exact_rows(monkeypatch, geom)
         got = geom.nearest(rows, cols)
@@ -482,8 +514,8 @@ class Ledger:
 
 
 def oracle_run_round(state, nodes, protocol, deaths):
-    """One round charged to the Node records ``nodes`` (in id order) one
-    charge at a time; ``state`` only forms the clusters, from their energies
+    """One round charged to ``nodes``, whose ids are the rows of ``state``'s
+    geometry, one charge at a time; ``state`` only forms the clusters, from their energies
     and counters. The phase of each charge that kills is appended to
     ``deaths``."""
     alive_before = len(alive_of(nodes))
@@ -495,7 +527,7 @@ def oracle_run_round(state, nodes, protocol, deaths):
     state.geometry.energy[:] = [n.energy for n in nodes]
     state.geometry.rounds_since_ch[:] = [n.rounds_since_ch for n in nodes]
     cluster_set, clustering_iterations = _form_clusters(state, protocol)
-    head_ids = set(cluster_set.head_ids)
+    head_ids = set(cluster_set.heads)
     ledger = Ledger(deaths)
 
     advert_cost = tx_energy(radio, radio.header_bits, cfg.diagonal)
@@ -571,7 +603,7 @@ def oracle_run_round(state, nodes, protocol, deaths):
 
 def node_state(state):
     geom = state.geometry
-    return list(zip(geom.ids.tolist(), geom.energy.tolist(), geom.rounds_since_ch.tolist()))
+    return list(zip(range(len(geom.energy)), geom.energy.tolist(), geom.rounds_since_ch.tolist()))
 
 
 PROTOCOLS = [LeachParams(), HeedParams(), EecsParams(), KmeansFormation(k=3),
@@ -591,11 +623,13 @@ def low_energy_lifetime(protocol, seed):
     phases of the oracle's deaths."""
     rng = np.random.default_rng(seed)
     config = NetworkConfig(n_nodes=40, seed=seed,
-                           bs_pos=Position(50.0, float(rng.choice([50.0, 175.0]))))
-    nodes = [Node(id=i, pos=Position(*rng.uniform(0, 100, 2).tolist()),
-                  energy=float(rng.uniform(1e-5, 3e-3))) for i in range(40)]
-    new = SimState(nodes=nodes, config=config, rng=np.random.default_rng(seed))
-    old = SimState(nodes=nodes, config=config, rng=np.random.default_rng(seed))
+                           bs_pos=(50.0, float(rng.choice([50.0, 175.0]))))
+    nodes = [OracleNode(id=i, pos=tuple(rng.uniform(0, 100, 2).tolist()),
+                        energy=float(rng.uniform(1e-5, 3e-3))) for i in range(40)]
+    new = SimState(geometry=geometry_of(nodes, config.bs_pos)[0], config=config,
+                   rng=np.random.default_rng(seed))
+    old = SimState(geometry=geometry_of(nodes, config.bs_pos)[0], config=config,
+                   rng=np.random.default_rng(seed))
     old_nodes = copy.deepcopy(nodes)
     deaths = []
     clamped_rounds = 0
@@ -612,7 +646,7 @@ def low_energy_lifetime(protocol, seed):
 
 def leave_orphans(monkeypatch):
     """Makes the engine's and the oracle's formations leave every member
-    whose id is a multiple of 3 an orphan; no protocol forms orphans."""
+    whose row is a multiple of 3 an orphan; no protocol forms orphans."""
     form = _form_clusters
 
     def formed(state, protocol):

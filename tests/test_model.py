@@ -5,9 +5,8 @@ import pytest
 
 from wsnsim.engine import HeedParams, LeachParams, SimState, run_round, run_simulation
 from wsnsim.model import (
+    NEVER_CLUSTER_HEAD,
     NetworkConfig,
-    Node,
-    Position,
     RadioModel,
     aggregate_energy,
     deploy_nodes,
@@ -15,6 +14,7 @@ from wsnsim.model import (
     rx_energy,
     tx_energy,
 )
+from wsnsim.protocols import Geometry
 
 RADIO = RadioModel(e_elec=50e-9, e_amp=100e-12, e_da=5e-9)
 # powers of two make every charge and subtraction exact
@@ -22,13 +22,9 @@ EXACT_RADIO = RadioModel(e_elec=2.0**-20, e_amp=2.0**-34, e_da=2.0**-22,
                          data_bits=4096, header_bits=256)
 
 
-def make_node(energy=0.5, x=0.0, y=0.0, node_id=0):
-    return Node(id=node_id, pos=Position(x, y), energy=energy)
-
-
 def one_node_config(energy, radio=RADIO):
     # arena diagonal hypot(60, 80) = 100; the BS is 100 m from the node at the origin
-    return NetworkConfig(n_nodes=1, arena=(60.0, 80.0), bs_pos=Position(0.0, 100.0),
+    return NetworkConfig(n_nodes=1, arena=(60.0, 80.0), bs_pos=(0.0, 100.0),
                          initial_energy=energy, radio=radio, seed=0)
 
 
@@ -41,24 +37,25 @@ def one_node_round_cost(radio):
 
 
 def one_node_round(energy, radio=RADIO):
-    state = SimState(nodes=[make_node(energy)], config=one_node_config(energy, radio))
+    config = one_node_config(energy, radio)
+    state = SimState(geometry=Geometry([(0.0, 0.0)], config.bs_pos, energy), config=config)
     return run_round(state, LeachParams())
 
 
 class TestEuclideanDistance:
     def test_three_four_five(self):
-        assert euclidean_distance(Position(0, 0), Position(3, 4)) == 5.0
+        assert euclidean_distance((0, 0), (3, 4)) == 5.0
 
     def test_identity(self):
-        assert euclidean_distance(Position(7, 2), Position(7, 2)) == 0.0
+        assert euclidean_distance((7, 2), (7, 2)) == 0.0
 
     def test_axis_aligned(self):
-        assert euclidean_distance(Position(50, 175), Position(50, 75)) == 100.0
+        assert euclidean_distance((50, 175), (50, 75)) == 100.0
 
     def test_metric_properties_on_random_triples(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            pts = [Position(*rng.uniform(-50, 50, 2)) for _ in range(3)]
+            pts = [tuple(rng.uniform(-50, 50, 2)) for _ in range(3)]
             a, b, c = pts
             dab = euclidean_distance(a, b)
             assert dab == euclidean_distance(b, a)
@@ -131,9 +128,10 @@ class TestConsume:
 
     def test_alive_tracks_energy(self):
         rng = np.random.default_rng(3)
-        nodes = [make_node(float(rng.uniform(0, 2e-3)), *rng.uniform(0, 100, 2), node_id=i)
-                 for i in range(30)]
-        state = SimState(nodes=nodes, config=NetworkConfig(n_nodes=30, seed=3))
+        nodes = [(float(rng.uniform(0, 2e-3)), *rng.uniform(0, 100, 2)) for _ in range(30)]
+        config = NetworkConfig(n_nodes=30, seed=3)
+        geom = Geometry([xy for _, *xy in nodes], config.bs_pos, [e for e, *_ in nodes])
+        state = SimState(geometry=geom, config=config)
         while state.alive_count() > 0:
             state, report = run_round(state, LeachParams())
             assert (state.geometry.energy >= 0.0).all()
@@ -151,28 +149,38 @@ class TestDeploy:
         cfg = NetworkConfig(seed=99)
         a = deploy_nodes(cfg)
         b = deploy_nodes(cfg)
-        assert [(n.pos.x, n.pos.y) for n in a] == [(n.pos.x, n.pos.y) for n in b]
+        assert a.tobytes() == b.tobytes()
 
     def test_different_seeds_differ(self):
         a = deploy_nodes(NetworkConfig(seed=1))
         b = deploy_nodes(NetworkConfig(seed=2))
-        assert any(
-            (x.pos.x, x.pos.y) != (y.pos.x, y.pos.y) for x, y in zip(a, b)
-        )
+        assert any(tuple(x) != tuple(y) for x, y in zip(a.tolist(), b.tolist()))
 
     def test_single_node(self):
         cfg = NetworkConfig(n_nodes=1, initial_energy=0.25, seed=4)
-        (node,) = deploy_nodes(cfg)
-        assert 0 <= node.pos.x <= 100 and 0 <= node.pos.y <= 100
-        assert node.energy == 0.25
+        ((x, y),) = deploy_nodes(cfg).tolist()
+        assert 0 <= x <= 100 and 0 <= y <= 100
+        geom = Geometry(deploy_nodes(cfg), cfg.bs_pos, cfg.initial_energy)
+        assert geom.energy.tolist() == [0.25]
+        assert geom.rounds_since_ch.tolist() == [NEVER_CLUSTER_HEAD]
 
     def test_hundred_nodes_inside_arena(self):
-        nodes = deploy_nodes(NetworkConfig(seed=5))
-        assert len(nodes) == 100
-        for n in nodes:
-            assert 0 <= n.pos.x <= 100
-            assert 0 <= n.pos.y <= 100
-        assert sorted(n.id for n in nodes) == list(range(100))
+        pos = deploy_nodes(NetworkConfig(seed=5))
+        assert pos.shape == (100, 2)
+        assert ((0 <= pos) & (pos <= 100)).all()
+
+    def test_returns_the_x_then_the_y_draws(self):
+        # row i is (the i-th x draw, the i-th y draw), bit for bit, and the
+        # generator is left just past the two draws
+        cfg = NetworkConfig(n_nodes=50, arena=(30.0, 70.0), seed=11)
+        ref, rng = np.random.default_rng(11), np.random.default_rng(11)
+        xs, ys = ref.uniform(0.0, 30.0, 50), ref.uniform(0.0, 70.0, 50)
+        pos = deploy_nodes(cfg, rng)
+        assert pos.shape == (50, 2)
+        assert pos[:, 0].tobytes() == xs.tobytes()
+        assert pos[:, 1].tobytes() == ys.tobytes()
+        assert rng.random() == ref.random()
+        assert deploy_nodes(cfg).tobytes() == pos.tobytes()  # rng defaults to the seed
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -185,7 +193,7 @@ class TestDeploy:
     @pytest.mark.parametrize("kwargs", [
         dict(initial_energy=math.nan), dict(initial_energy=math.inf),
         dict(arena=(math.nan, 100.0)), dict(arena=(100.0, math.inf)),
-        dict(bs_pos=Position(math.nan, 175.0)), dict(bs_pos=Position(50.0, -math.inf)),
+        dict(bs_pos=(math.nan, 175.0)), dict(bs_pos=(50.0, -math.inf)),
         dict(seed=-1),
     ])
     def test_config_rejects_non_finite_and_out_of_range(self, kwargs):
@@ -204,7 +212,7 @@ class TestDeploy:
             NetworkConfig(**kwargs)
 
     def test_far_but_finite_scenario_charges_finite_energy(self):
-        config = NetworkConfig(n_nodes=30, bs_pos=Position(50.0, 1e150), seed=2)
+        config = NetworkConfig(n_nodes=30, bs_pos=(50.0, 1e150), seed=2)
         reports = run_simulation(config, HeedParams(), 3).reports
         assert all(math.isfinite(r.energy_charged) for r in reports)
 

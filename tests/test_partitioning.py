@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wsnsim.model import NetworkConfig, Node, Position, deploy_nodes
+from wsnsim.model import NetworkConfig, deploy_nodes
 from wsnsim.partitioning import (
     FcmParams,
     FcmUnderflow,
@@ -205,9 +205,9 @@ def criterion4_cell(seed):
     """Positions and energies of one criterion-4 deployment, and the
     generator that placed them."""
     rng = np.random.default_rng(seed)
-    nodes = deploy_nodes(NetworkConfig(seed=seed), rng)
-    points = pts(*[(n.pos.x, n.pos.y) for n in nodes])
-    return points, np.array([n.energy for n in nodes]), rng
+    config = NetworkConfig(seed=seed)
+    points = deploy_nodes(config, rng)
+    return points, np.full(len(points), config.initial_energy), rng
 
 
 def fcm_pairs(points, u, params):
@@ -265,10 +265,8 @@ class TestKmeansInit:
         # the formation seeds from alive nodes only: (1,0) and (10,0) stay
         # apart, where a seed at the dead node (0,0) would have left both
         # alive nodes with the seed at (1,0)
-        nodes = [Node(id=0, pos=Position(0, 0), energy=0.0),
-                 Node(id=1, pos=Position(1, 0), energy=1.0),
-                 Node(id=2, pos=Position(10, 0), energy=0.5)]
-        cs, _ = kmeans_form_clusters(Geometry(nodes, Position(50, 175)), 2)
+        geom = Geometry([(0, 0), (1, 0), (10, 0)], (50, 175), [0.0, 1.0, 0.5])
+        cs, _ = kmeans_form_clusters(geom, 2)
         assert [(c.head, c.members) for c in cs.clusters] == [(1, []), (2, [])]
 
 
