@@ -262,6 +262,12 @@ class TestRunSimulation:
 
 
 class TestHelpers:
+    def test_default_cluster_count(self):
+        # with k=None the centroid formations ask for 5% of the alive nodes, at least one
+        for alive, k in [(100, 5), (1, 1), (101, 6)]:
+            geom = Geometry(np.zeros((alive, 2)), (0.0, 0.0), 0.5)
+            assert wsnsim.engine._cluster_count(geom, None) == k
+
     def test_sweep_iterations_shape(self):
         rows = sweep_iterations(
             NetworkConfig(n_nodes=30, seed=1), grid=[3, 6], seeds=[1, 2]
