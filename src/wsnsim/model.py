@@ -157,13 +157,15 @@ def hypot(dx, dy) -> np.ndarray:
     csum, frac3 = _add(csum, frac3, -lo * lo)
     out = (h + (csum - 1.0 + (frac1 + frac2 + frac3)) / (2.0 * h)) / scale
     if rare:
+        out = np.where(big == 0.0, 0.0, out)  # as for a node's distance to itself
+    if rare and tiny.any():  # most special blocks hold zeros only
         csum, frac1 = 1.0, 0.0
         with np.errstate(invalid="ignore", divide="ignore"):
             for v in (dx, dy):
                 x = v / big
                 csum, frac1 = _add(csum, frac1, x * x)
             small = big * np.sqrt(csum - 1.0 + frac1)
-        out = np.where(tiny, small, np.where(big == 0.0, 0.0, out))
+        out = np.where(tiny, small, out)
     return out
 
 

@@ -121,6 +121,9 @@ class EecsParams:
         check_range("ch_separation", self.ch_separation, 0.0)
 
 
+_BLOCK = 2**16  # the one element budget: heed_geometry's row blocks, EECS's store
+
+
 class Geometry:
     """A run's node state, one row per node; a node's row is its deployment index.
 
@@ -130,6 +133,7 @@ class Geometry:
     ``NEVER_CLUSTER_HEAD``) change as the run goes; a row is alive exactly
     while its energy is > 0. HEED's neighbor mask and costs depend on the
     alive set as well, so ``heed`` keeps them for the set it last saw.
+    ``head_distances`` keeps each EECS head's exact distances to every row.
     """
 
     def __init__(self, pos, bs: tuple[float, float], energy):
@@ -142,6 +146,10 @@ class Geometry:
         self.rounds_since_ch = np.full(len(self.pos), NEVER_CLUSTER_HEAD, dtype=np.int64)
         self._heed_key: tuple | None = None
         self._heed: tuple = ()
+        n = len(self.pos)
+        self._near = np.empty((min(n, _BLOCK // max(n, 1)), n))  # one row per stored head
+        self._slot = np.full(n, -1)  # each head's row in _near, -1 if not stored
+        self._stored = 0
 
     def alive(self) -> np.ndarray:
         """The rows of the alive nodes, ascending; ValueError if there are none."""
@@ -158,6 +166,25 @@ class Geometry:
         """(len(rows), len(cols)) block of ``euclidean_distance`` values."""
         a, b = self.pos[rows], self.pos[cols]
         return hypot(a[:, 0, None] - b[:, 0], a[:, 1, None] - b[:, 1])
+
+    def head_distances(self, rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        """``distances(rows, heads)``, bit for bit. Heads not yet stored take
+        one ``distances`` block over all n rows, kept for the run while
+        ``_BLOCK`` elements last; a head past them is computed again in each
+        round it heads. Nodes never move, so no death makes a stored row stale."""
+        slot = self._slot[heads]
+        old, new = np.flatnonzero(slot >= 0), np.flatnonzero(slot < 0)
+        out = np.empty((len(heads), len(rows)))
+        out[old] = self._near[slot[old, None], rows]
+        if len(new):
+            block = self.distances(np.arange(len(self.pos)), heads[new]).T
+            out[new] = block[:, rows]
+            fit = new[:len(self._near) - self._stored]
+            end = self._stored + len(fit)
+            self._near[self._stored:end] = block[:len(fit)]
+            self._slot[heads[fit]] = np.arange(self._stored, end)
+            self._stored = end
+        return out.T
 
     def nearest(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """``distances(rows, cols).argmin(axis=1)``, bit for bit, mostly without
@@ -302,9 +329,6 @@ def heed_announce_prob(params: HeedParams, energy, reference: float):
     return np.minimum(np.maximum(params.c_prob * ratio**2, params.p_min), 1.0)
 
 
-_HEED_BLOCK = 2**16  # elements in each row block of heed_geometry's float arrays
-
-
 def heed_geometry(pos: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """The within-``radius`` neighbor mask and each candidate's attachment
     cost, for the (n, 2) positions ``pos``.
@@ -317,7 +341,7 @@ def heed_geometry(pos: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarra
     n = len(pos)
     in_range = np.empty((n, n), dtype=bool)
     total = np.empty(n)
-    step = max(1, _HEED_BLOCK // max(n, 1))
+    step = max(1, _BLOCK // max(n, 1))
     for s in range(0, n, step):
         d = np.sqrt(squared_distances(pos[s:s + step], pos))
         block = np.less_equal(d, radius, out=in_range[s:s + step])
@@ -441,7 +465,7 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
     bs_span = bs_dist.max() - d_bs_min
     bs_term = (bs_dist - d_bs_min) / bs_span if bs_span > 0 else np.zeros(len(head_rows))
 
-    dists = geom.distances(rows[~is_head], head_rows)
+    dists = geom.head_distances(rows[~is_head], head_rows)
     # heads compete for a node only within its join radius; a node with no
     # head that close simply attaches to the nearest one
     reach = dists <= params.join_radius

@@ -346,7 +346,7 @@ def heed_network(rng, seed, grid, n_max):
         return random_network(rng, int(rng.integers(1, n_max)), grid)
     nodes = random_network(rng, int(rng.integers(350, 600)), grid)
     alive = len(alive_of(nodes))
-    assert alive > protocols._HEED_BLOCK // alive  # two row blocks or more
+    assert alive > protocols._BLOCK // alive  # two row blocks or more
     return nodes
 
 
@@ -399,6 +399,35 @@ class TestFormationsMatchScalarOracles:
         got = eecs_form_clusters(geom, params, a)
         assert shape(ids_of(got, ids)) == shape(oracle_eecs_form_clusters(nodes, bs, params, b))
         assert a.random() == b.random()
+
+    @pytest.mark.parametrize("seed,grid,sep", [c for c in NETWORKS if c[0] < 8])
+    def test_eecs_warm_store(self, monkeypatch, seed, grid, sep):
+        # one Geometry through 30 formations: a head that heads again reads its
+        # stored distances, computed before later deaths
+        rng = np.random.default_rng(seed)
+        nodes = sorted(random_network(rng, int(rng.integers(20, 90)), grid), key=lambda n: n.id)
+        params = EecsParams(p=float(rng.uniform(0.05, 1.0)), w=float(rng.choice([0.0, 0.5, 1.0])),
+                            suppress_radius=float(rng.uniform(0, 40)),
+                            join_radius=float(rng.uniform(5, 60)),
+                            head_fraction=float(rng.uniform(0.02, 0.3)), ch_separation=sep)
+        bs = (50.0, float(rng.choice([50.0, 175.0])))
+        a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        geom, ids = geometry_of(nodes, bs)
+        exact = count_exact_elements(monkeypatch, geom)
+        headed = []
+        for _ in range(30):
+            got = eecs_form_clusters(geom, params, a)
+            assert shape(ids_of(got, ids)) == shape(oracle_eecs_form_clusters(nodes, bs, params, b))
+            headed += got.heads
+            # heads drain faster than members, and a few nodes die outright
+            for row, node in enumerate(nodes):
+                node.energy *= float(rng.uniform(0.5, 0.8) if row in got.heads
+                                     else rng.uniform(0.9, 1.0)) * (rng.random() > 0.03)
+            assert alive_of(nodes)
+            geom.energy[:] = [n.energy for n in nodes]
+        # each head's distances to all n rows were computed once, and read
+        # again whenever it headed again
+        assert exact[0] == len(nodes) * len(set(headed)) < len(nodes) * len(headed)
 
     @pytest.mark.parametrize("seed,grid", [(s, g) for s in [*range(20), 100, 101]
                                            for g in (False, True)])
@@ -458,6 +487,18 @@ def count_exact_rows(monkeypatch, geom):
 
     def distances(rows, cols):
         counted[0] += len(rows)
+        return Geometry.distances(geom, rows, cols)
+
+    monkeypatch.setattr(geom, "distances", distances)
+    return counted
+
+
+def count_exact_elements(monkeypatch, geom):
+    """Make ``geom.distances`` count the distances it computes."""
+    counted = [0]
+
+    def distances(rows, cols):
+        counted[0] += len(rows) * len(cols)
         return Geometry.distances(geom, rows, cols)
 
     monkeypatch.setattr(geom, "distances", distances)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wsnsim.engine import SimState, run_round
+from wsnsim.engine import SimState, run_round, run_simulation
 from wsnsim.model import NEVER_CLUSTER_HEAD, NetworkConfig, deploy_nodes, euclidean_distance
 from wsnsim.partitioning import FcmParams
 from wsnsim.protocols import (
@@ -404,6 +404,39 @@ class TestEecsFormClusters:
             np.random.default_rng(0)
         )
         assert len(cs.clusters) == 6
+
+    def test_exact_distances_once_per_head(self, monkeypatch):
+        # a paper lifetime draws its 2 708 head terms from the 100 nodes; each
+        # head's distances to all n rows are computed once, not every round
+        # (250 652 distances when the join computed its block every round)
+        counted, exact = [0], Geometry.distances
+
+        def distances(self, rows, cols):
+            counted[0] += len(rows) * len(cols)
+            return exact(self, rows, cols)
+
+        monkeypatch.setattr(Geometry, "distances", distances)
+        run_simulation(NetworkConfig(seed=1), EecsParams(), 3000)
+        assert 0 < counted[0] <= 100 * 100
+
+    def test_peak_memory_at_n_1000(self):
+        # the store of head rows holds at most 2**16 distances (0.5 MB, 65
+        # heads at n = 1000); every head's row kept would take 8 MB
+        config = NetworkConfig(n_nodes=1000, seed=1)
+        pos, rng = deploy_nodes(config), np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            g = Geometry(pos, config.bs_pos, config.initial_energy)
+            heads = []
+            for _ in range(20):
+                round_heads = eecs_form_clusters(g, EecsParams(), rng).heads
+                g.energy[round_heads] *= 0.5
+                heads += round_heads
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(set(heads)) > 65  # more heads than the store holds
+        assert peak < 4 * 2**20
 
 
 class TestCentroidFormations:
