@@ -6,7 +6,13 @@ memberships (n, k) whose rows sum to 1. They and the runners share one kernel,
 distances, weights and memberships indexed (k, n), allocated once per run, so
 a step is a fixed sequence of ``out=`` ufunc calls. Below k = 8 the buffers lie
 along the points, so each inner loop runs over all n; from 8 they lie along the
-centroids, where argmin and the row sums want them.
+centroids, where argmin and the row sums want them. There a Lloyd step
+recomputes only the distance rows of the centroids that the last update moved
+(when at most half did; an empty cluster's centroid never moves), in plane 1's
+memory, and keeps the rest: each entry is one elementwise sequence over one
+(centroid, point) pair, so a kept row holds the bits a new one would. Below
+k = 8 every step computes the whole block, which there costs less than a
+partial one.
 
 Both runners report how many iterations they took to converge, because the
 simulator compares the two algorithms on exactly that number. One k-means
@@ -82,25 +88,49 @@ class _Workspace:
         self.pt = np.array(points.T, dtype=float).reshape(2, 1, n)  # x and y rows
         self.c = np.empty((2, k)) if centroids is None else np.array(centroids.T, dtype=float)
         # planes 0-2: dx, dy, distances (in 0) or FCM's w, w*x, w*y; then memberships
-        buf = np.empty((planes, k, n)) if k < 8 else np.empty((planes, n, k)).transpose(0, 2, 1)
+        if k < 8:
+            buf, self.spare = np.empty((planes, k, n)), None
+        else:  # plane 1's memory, flat, takes the rows of the centroids that moved
+            base = np.empty((planes, n, k))
+            buf, self.spare = base.transpose(0, 2, 1), base[1].reshape(-1)
         self.work, self.u = buf[:3], buf[3:]
-        self.sums, self.tot = np.empty((3, k)), np.empty(n)
+        self.sums, self.tot, self.prev = np.empty((3, k)), np.empty(n), np.empty((2, k))
 
-    def distances(self) -> np.ndarray:
-        """sqrt(dx*dx + dy*dy) from each centroid (row) to each point."""
-        dxy, d = self.work[:2], self.work[0]
-        np.subtract(self.pt, self.c[:, :, None], out=dxy)
+    def distances(self, moved: np.ndarray | None = None) -> np.ndarray:
+        """sqrt(dx*dx + dy*dy) from each centroid (row) to each point.
+
+        Given the centroids that ``moved`` since the last call, at most half of
+        them, only their rows are computed, in plane 1's memory, and the other
+        rows are kept: the same elementwise sequence gives the same bits."""
+        d = self.work[0]
+        partial = moved is not None and 2 * len(moved) <= len(d)
+        if partial:
+            dxy = self.spare[:2 * len(moved) * d.shape[1]].reshape(2, len(moved), d.shape[1])
+        else:
+            dxy, moved = self.work[:2], slice(None)
+        np.subtract(self.pt, self.c[:, moved, None], out=dxy)
         np.multiply(dxy, dxy, out=dxy)
-        np.add(dxy[0], dxy[1], out=d)
-        return np.sqrt(d, out=d)
+        np.add(dxy[0], dxy[1], out=dxy[0])
+        np.sqrt(dxy[0], out=dxy[0])
+        if partial:
+            d[moved] = dxy[0]
+        return d
 
-    def kmeans_update(self, assignment: np.ndarray) -> np.ndarray:
-        """Cluster means into the centroids; an empty cluster keeps its centroid."""
+    def kmeans_update(self, assignment: np.ndarray) -> np.ndarray | None:
+        """Cluster means into the centroids; an empty cluster keeps its centroid.
+
+        From k = 8 returns the indices of the centroids whose value changed;
+        below it, None: every row is recomputed there."""
+        if self.spare is not None:
+            np.copyto(self.prev, self.c)
         counts = np.bincount(assignment, minlength=self.c.shape[1])
         filled = counts > 0
         for row, x in zip(self.c, self.pt[:, 0]):
             row[filled] = np.bincount(assignment, x, len(counts))[filled] / counts[filled]
-        return self.c
+        if self.spare is None:
+            return None
+        changed = self.c != self.prev  # -0.0 == 0.0, and both square to 0
+        return np.flatnonzero(changed[0] | changed[1])
 
     def fcm_centroids(self, u: np.ndarray, m: float) -> np.ndarray:
         """Membership-weighted centroids; an all-zero weight column takes the mean."""
@@ -154,7 +184,9 @@ def kmeans_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 def kmeans_update(points: np.ndarray, assignment: np.ndarray, previous: np.ndarray) -> np.ndarray:
     """Recompute centroids as cluster means; an empty cluster keeps its previous centroid."""
-    return _Workspace(points, len(previous), previous).kmeans_update(assignment).T.copy()
+    ws = _Workspace(points, len(previous), previous)
+    ws.kmeans_update(assignment)
+    return ws.c.T.copy()
 
 
 def kmeans_run(points: np.ndarray, init: np.ndarray, max_iter: int = 100) -> HardPartition:
@@ -163,12 +195,12 @@ def kmeans_run(points: np.ndarray, init: np.ndarray, max_iter: int = 100) -> Har
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     ws = _Workspace(points, len(init), init)
-    prev_assignment, iterations = None, 0
+    prev_assignment, iterations, moved = None, 0, None
     while iterations < max_iter:
-        assignment = ws.distances().argmin(axis=0)
+        assignment = ws.distances(moved).argmin(axis=0)
         if prev_assignment is not None and np.array_equal(assignment, prev_assignment):
             break
-        ws.kmeans_update(assignment)
+        moved = ws.kmeans_update(assignment)
         prev_assignment = assignment
         iterations += 1
     return HardPartition(assignment=prev_assignment, centroids=ws.c.T.copy(),

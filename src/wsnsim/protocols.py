@@ -170,20 +170,23 @@ class Geometry:
     def head_distances(self, rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
         """``distances(rows, heads)``, bit for bit. Heads not yet stored take
         one ``distances`` block over all n rows, kept for the run while
-        ``_BLOCK`` elements last; a head past them is computed again in each
-        round it heads. Nodes never move, so no death makes a stored row stale."""
+        ``_BLOCK`` elements last; a head past them gets only ``rows``, again in
+        each round it heads. Nodes never move, so no death makes a stored row stale."""
         slot = self._slot[heads]
         old, new = np.flatnonzero(slot >= 0), np.flatnonzero(slot < 0)
+        room = len(self._near) - self._stored
+        fit, spill = new[:room], new[room:]
         out = np.empty((len(heads), len(rows)))
         out[old] = self._near[slot[old, None], rows]
-        if len(new):
-            block = self.distances(np.arange(len(self.pos)), heads[new]).T
-            out[new] = block[:, rows]
-            fit = new[:len(self._near) - self._stored]
+        if len(fit):
+            block = self.distances(np.arange(len(self.pos)), heads[fit]).T
+            out[fit] = block[:, rows]
             end = self._stored + len(fit)
-            self._near[self._stored:end] = block[:len(fit)]
+            self._near[self._stored:end] = block
             self._slot[heads[fit]] = np.arange(self._stored, end)
             self._stored = end
+        if len(spill):
+            out[spill] = self.distances(rows, heads[spill]).T
         return out.T
 
     def nearest(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from wsnsim import partitioning
+from wsnsim.engine import KmeansFormation, run_simulation
 from wsnsim.model import NetworkConfig, deploy_nodes
 from wsnsim.partitioning import (
     FcmParams,
@@ -19,6 +22,7 @@ from wsnsim.partitioning import (
     kmeans_init,
     kmeans_run,
     kmeans_update,
+    _Workspace,
 )
 from wsnsim.protocols import Geometry, kmeans_form_clusters
 
@@ -369,6 +373,100 @@ class TestKmeansRun:
             init = np.array([points[mask].mean(axis=0), points[~mask].mean(axis=0)])
             part = kmeans_run(points, init)
             assert hard_objective(points, part.assignment) <= best * (1 + 1e-6) + 1e-9
+
+
+# seeds whose 4k random points (see reuse_network) empty a cluster that had
+# points at the step before, found by search
+EMPTYING_SEED = {8: 468, 13: 321, 50: 14}
+
+
+def reuse_network(kind, k):
+    """Points and energies of one network for the moved-centroid reuse tests."""
+    if kind == "ties":
+        # each point of a 9 x 9 grid twice in a row: the richest rows are the
+        # even grid points, so the init puts two centroids on each (the second
+        # never gets a point), and the odd ones lie equidistant from two or four
+        grid = np.array([(x, y) for y in range(0, 90, 10) for x in range(0, 90, 10)], dtype=float)
+        even = (grid[:, 0] % 20 == 0) & (grid[:, 1] % 20 == 0)
+        return np.repeat(grid, 2, axis=0), np.repeat(np.where(even, 1.0, 0.5), 2)
+    rng = np.random.default_rng(EMPTYING_SEED[k] if kind == "emptying" else k)
+    # singletons: k = n, so each centroid starts on its point and none moves
+    n = {"emptying": 4 * k, "singletons": k}.get(kind, 200)
+    return rng.uniform(0, 100, (n, 2)), rng.uniform(0.1, 1.0, n)
+
+
+class TestMovedCentroidReuse:
+    """From k = 8 a Lloyd step recomputes only the distance rows of the
+    centroids that moved; every output must match the loop oracles."""
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 100])
+    @pytest.mark.parametrize("kind", ["random", "ties", "emptying", "singletons"])
+    @pytest.mark.parametrize("k", [8, 13, 50])
+    def test_matches_full_recompute(self, monkeypatch, k, kind, max_iter):
+        points, energy = reuse_network(kind, k)
+        assignments, centroids = kmeans_updates(points, energy, k, max_iter)
+        calls, exact = [], _Workspace.distances
+
+        def distances(self, moved=None):
+            calls.append(moved)
+            return exact(self, moved)
+
+        monkeypatch.setattr(_Workspace, "distances", distances)
+        part = kmeans_from_energy(points, energy, k, max_iter=max_iter)
+        assert part.iterations == len(assignments)
+        assert np.array_equal(part.assignment, assignments[-1])
+        assert part.centroids.tobytes() == centroids.tobytes()
+        if max_iter < 100:
+            return
+        # the networks hold what they are meant to, and the partial rows ran
+        if kind == "singletons":
+            assert [len(m) for m in calls[1:]] == [0]
+            return
+        assert any(m is not None and 0 < 2 * len(m) <= k for m in calls)
+        counts = [np.bincount(a, minlength=k) for a in assignments]
+        if kind == "emptying":
+            assert any(((a > 0) & (b == 0)).any() for a, b in zip(counts, counts[1:]))
+        if kind == "ties":
+            init = kmeans_init(points, energy, k)
+            d = distances_loop(points, init)
+            nearest = [{tuple(c) for c in init[row == row.min()].tolist()} for row in d]
+            assert any(len(s) > 1 for s in nearest)  # equidistant from two places
+            assert (counts[0] == 0).any()  # a centroid on a duplicate stays empty
+
+    def test_distance_rows_on_dense_1000(self, monkeypatch):
+        # the 20 rounds of dense-1000 (n = 1000, k = 50, seed 1) take 425 Lloyd
+        # steps and 445 distance blocks: 22 250 rows when each block computes
+        # all 50; about 42% of the centroids move in a step, and 11 439 rows
+        # are computed when only theirs are
+        rows = [0]
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def sqrt(self, x, *args, **kwargs):  # one call per distance block
+                rows[0] += len(x)
+                return np.sqrt(x, *args, **kwargs)
+
+        monkeypatch.setattr(partitioning, "np", CountingNumpy())
+        run_simulation(NetworkConfig(n_nodes=1000, seed=1), KmeansFormation(), 20)
+        assert 0 < rows[0] <= 11_500
+
+    def test_peak_memory_at_n_1000(self):
+        # the (3, k, n) work planes take 1.2 MB at k = 50 and numpy's ufunc
+        # buffers about 130 kB more; the moved rows reuse plane 1's memory, where
+        # a fresh (2, m, n) block would add 16 kB per moved centroid
+        points = deploy_nodes(NetworkConfig(n_nodes=1000, seed=1))
+        init = kmeans_init(points, np.ones(len(points)), 50)
+        plane = 50 * len(points) * 8
+        tracemalloc.start()
+        try:
+            part = kmeans_run(points, init)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert part.iterations > 2
+        assert peak < 3.5 * plane
 
 
 class TestFcmInit:

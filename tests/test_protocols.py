@@ -419,6 +419,20 @@ class TestEecsFormClusters:
         run_simulation(NetworkConfig(seed=1), EecsParams(), 3000)
         assert 0 < counted[0] <= 100 * 100
 
+    def test_exact_distances_past_the_store_at_n_1000(self, monkeypatch):
+        # 20 rounds at n = 1000 draw 192 head terms from 184 distinct heads, and
+        # the store holds 65; a head that does not fit takes only the rows of
+        # the nodes that are not heads (185 000 distances over all 1000 rows)
+        counted, exact = [0], Geometry.distances
+
+        def distances(self, rows, cols):
+            counted[0] += len(rows) * len(cols)
+            return exact(self, rows, cols)
+
+        monkeypatch.setattr(Geometry, "distances", distances)
+        run_simulation(NetworkConfig(n_nodes=1000, seed=1), EecsParams(), 20)
+        assert counted[0] == 183_835
+
     def test_peak_memory_at_n_1000(self):
         # the store of head rows holds at most 2**16 distances (0.5 MB, 65
         # heads at n = 1000); every head's row kept would take 8 MB
