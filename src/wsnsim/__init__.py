@@ -1,12 +1,7 @@
 """Round-based lifetime simulator for clustered wireless sensor networks."""
 
 from .engine import (
-    EecsParams,
     ExperimentResult,
-    FuzzyFormation,
-    HeedParams,
-    KmeansFormation,
-    LeachParams,
     RoundReport,
     SimState,
     SimulationComplete,
@@ -23,23 +18,16 @@ from .model import (
     rx_energy,
     tx_energy,
 )
-from .partitioning import (
-    FcmParams,
-    HardPartition,
-    defuzzify,
-    fcm_centroids,
-    fcm_init,
-    fcm_memberships,
-    fcm_run,
-    kmeans_assign,
-    kmeans_init,
-    kmeans_run,
-    kmeans_update,
-)
+from .partitioning import defuzzify, fcm_init, fcm_run, kmeans_init, kmeans_run
 from .protocols import (
     Cluster,
     ClusterSet,
+    EecsParams,
+    FuzzyFormation,
     Geometry,
+    HeedParams,
+    KmeansFormation,
+    LeachParams,
     eecs_form_clusters,
     enforce_ch_separation,
     form_clusters_nearest,

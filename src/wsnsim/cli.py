@@ -368,15 +368,8 @@ def cmd_sweep(spec: RunSpec) -> None:
         raise CliError("sweep compares kmeans with fuzzy: name both or neither, not "
                        f"{', '.join(spec.protocols)} (protocols)")
     spec.refuse_unread("sweep", ("kmeans", "fuzzy"))  # it always compares these two
-    fuzzy = spec.protocol("fuzzy")  # its max_iter caps k-means too (fcm_max_iter)
-    rows = sweep_iterations(
-        base_config=base_config,
-        grid=spec.grid,
-        seeds=spec.seeds,
-        fcm_m=fuzzy.m,
-        fcm_tol=fuzzy.tol,
-        max_iter=fuzzy.max_iter,
-    )
+    # the fuzzy parameters; their max_iter caps k-means too (fcm_max_iter)
+    rows = sweep_iterations(base_config, spec.grid, spec.seeds, spec.protocol("fuzzy"))
     ks, kmeans_iters, fuzzy_iters, at_cap = zip(*rows)
     export_csv(SeriesTable("cluster_count", list(ks), {
         "kmeans_iterations": kmeans_iters, "fuzzy_iterations": fuzzy_iters,

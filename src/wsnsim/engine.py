@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import ClassVar
 
 import numpy as np
 
 from .model import NetworkConfig, aggregate_energy, deploy_nodes, rx_energy, tx_energy
-from .partitioning import FcmParams
 from .protocols import (
     ClusterSet,
     EecsParams,
+    FuzzyFormation,
     Geometry,
     HeedParams,
+    KmeansFormation,
     LeachParams,
     eecs_form_clusters,
     form_clusters_nearest,
@@ -39,37 +39,6 @@ from .protocols import (
     enforce_ch_separation,
     head_quota,
 )
-
-
-@dataclass(frozen=True)
-class KmeansFormation:
-    """Centroid formation with k-means; k=None means 5% of the alive count."""
-
-    name: ClassVar[str] = "kmeans"
-    k: int | None = None
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if self.k is not None and self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-
-@dataclass(frozen=True)
-class FuzzyFormation:
-    """Centroid formation with fuzzy c-means; k=None means 5% of the alive count."""
-
-    name: ClassVar[str] = "fuzzy"
-    k: int | None = None
-    m: float = 2.0
-    tol: float = 1e-4
-    max_iter: int = 100
-
-    def __post_init__(self):
-        # FcmParams' own checks, made here so a bad value fails before round 0
-        FcmParams(k=1 if self.k is None else self.k, m=self.m, tol=self.tol,
-                  max_iter=self.max_iter)
 
 
 class SimulationComplete(Exception):
@@ -144,9 +113,7 @@ def _kmeans(state: SimState, protocol: KmeansFormation) -> tuple[ClusterSet, int
 def _fuzzy(state: SimState, protocol: FuzzyFormation) -> tuple[ClusterSet, int]:
     k = _cluster_count(state.geometry, protocol.k)
     seed = int(state.rng.integers(0, 2**63))
-    params = FcmParams(k=k, m=protocol.m, tol=protocol.tol,
-                       max_iter=protocol.max_iter, seed=seed)
-    return fuzzy_form_clusters(state.geometry, params)
+    return fuzzy_form_clusters(state.geometry, protocol, k, seed)
 
 
 # params type -> its round's formation. The formations call the protocols'
@@ -294,9 +261,7 @@ def sweep_iterations(
     base_config: NetworkConfig,
     grid: list[int],
     seeds: list[int],
-    fcm_m: float = 2.0,
-    fcm_tol: float = 1e-4,
-    max_iter: int = 100,
+    fuzzy: FuzzyFormation = FuzzyFormation(),
 ) -> list[tuple[int, float, float, int]]:
     """Convergence-iteration comparison of the two centroid formations.
 
@@ -305,7 +270,8 @@ def sweep_iterations(
     fuzzy iterations, fuzzy runs at the cap), with means taken across seeds.
     The last field counts the seeds whose fuzzy run used all max_iter pairs;
     such a run may have stopped short of tol, which makes the fuzzy mean a
-    lower bound.
+    lower bound. ``fuzzy`` gives m, tol and max_iter, which caps k-means
+    too; the grid gives k.
 
     As in ``run_simulation``, each fuzzy run draws its FCM seed from the
     generator that deployed the nodes, after deployment. Seeding FCM with the
@@ -314,21 +280,21 @@ def sweep_iterations(
     """
     if len(set(grid)) != len(grid):
         raise ValueError(f"grid repeats a cluster count: {grid}")
+    if not seeds:
+        raise ValueError("at least one seed required (seeds)")
     per_cell: dict[int, tuple[list[int], list[int]]] = {k: ([], []) for k in grid}
     for seed in seeds:
         config = replace(base_config, seed=seed)
         rng = np.random.default_rng(config.seed)
         geom = Geometry(deploy_nodes(config, rng), config.bs_pos, config.initial_energy)
         for k in grid:
-            _, km_iters = kmeans_form_clusters(geom, k, max_iter=max_iter)
-            params = FcmParams(k=k, m=fcm_m, tol=fcm_tol, max_iter=max_iter,
-                               seed=int(rng.integers(0, 2**63)))
-            _, fz_iters = fuzzy_form_clusters(geom, params)
+            _, km_iters = kmeans_form_clusters(geom, k, max_iter=fuzzy.max_iter)
+            _, fz_iters = fuzzy_form_clusters(geom, fuzzy, k, int(rng.integers(0, 2**63)))
             per_cell[k][0].append(km_iters)
             per_cell[k][1].append(fz_iters)
     return [
         (k, sum(per_cell[k][0]) / len(seeds), sum(per_cell[k][1]) / len(seeds),
-         per_cell[k][1].count(max_iter))
+         per_cell[k][1].count(fuzzy.max_iter))
         for k in grid
     ]
 

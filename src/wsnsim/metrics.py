@@ -189,21 +189,10 @@ def export_csv(table, destination) -> None:
     _write_text(destination, buf.getvalue())
 
 
-def _config_dict(config: NetworkConfig) -> dict:
-    return {
-        "n_nodes": config.n_nodes,
-        "arena": list(config.arena),
-        "bs_pos": list(config.bs_pos),
-        "initial_energy": config.initial_energy,
-        "radio": asdict(config.radio),
-        "seed": config.seed,
-    }
-
-
 def result_to_dict(result: ExperimentResult) -> dict:
     return {
         "protocol": result.protocol,
-        "config": _config_dict(result.config),
+        "config": asdict(result.config),  # JSON writes its tuples as lists
         "first_death_round": result.first_death_round,
         "last_death_round": result.last_death_round,
         "total_bs_messages": result.total_bs_messages,
@@ -213,15 +202,10 @@ def result_to_dict(result: ExperimentResult) -> dict:
 
 
 def result_from_dict(doc: dict) -> ExperimentResult:
-    cfg = doc["config"]
-    config = NetworkConfig(
-        n_nodes=cfg["n_nodes"],
-        arena=tuple(cfg["arena"]),
-        bs_pos=tuple(cfg["bs_pos"]),
-        initial_energy=cfg["initial_energy"],
-        radio=RadioModel(**cfg["radio"]),
-        seed=cfg["seed"],
-    )
+    # asdict's tuples come back from JSON as lists, and the radio as a dict
+    config = NetworkConfig(**{key: RadioModel(**value) if key == "radio" else
+                              tuple(value) if isinstance(value, list) else value
+                              for key, value in doc["config"].items()})
     return ExperimentResult(
         protocol=doc["protocol"],
         config=config,

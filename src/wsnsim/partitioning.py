@@ -1,7 +1,7 @@
 """Point clustering on arrays: hard k-means and soft fuzzy c-means.
 
-The public functions take and return points (n, 2), centroids (k, 2) and
-memberships (n, k) whose rows sum to 1. They and the runners share one kernel,
+The runners take points (n, 2) and return centroids (k, 2) and, for FCM,
+memberships (n, k) whose rows sum to 1. Both run on one kernel,
 ``_Workspace``: points transposed once to (2, 1, n), centroids (2, k), and
 distances, weights and memberships indexed (k, n), allocated once per run, so
 a step is a fixed sequence of ``out=`` ufunc calls. Below k = 8 the buffers lie
@@ -32,20 +32,7 @@ k < 8 and pairwise from 8, as ``(n, k).sum(axis=1)`` adds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .model import check_range
-
-
-@dataclass
-class HardPartition:
-    """Result of a k-means run over a fixed point set."""
-
-    assignment: np.ndarray  # (n,) cluster index per point
-    centroids: np.ndarray  # (k, 2)
-    iterations: int
 
 
 class FcmUnderflow(ValueError):
@@ -54,26 +41,6 @@ class FcmUnderflow(ValueError):
     the fuzzifier m is too close to 1, and it or its sum over the centroids
     overflows to inf when the point lies within about 1e-154 m of a centroid
     (for m = 2)."""
-
-
-@dataclass(frozen=True)
-class FcmParams:
-    """Fuzzy c-means knobs. The fuzzifier m must be strictly > 1."""
-
-    k: int
-    m: float = 2.0
-    tol: float = 1e-4
-    max_iter: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        check_range("fuzzifier m", self.m, 1.0, strict=True)
-        if not self.tol > 0:  # an infinite tol stops after the first pair
-            raise ValueError("tol must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 class _Workspace:
@@ -177,21 +144,11 @@ def kmeans_init(points: np.ndarray, energy: np.ndarray, k: int) -> np.ndarray:
     return points[np.argsort(-energy, kind="stable")[:k]]
 
 
-def kmeans_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Map each point to its nearest centroid (ties: lowest centroid index)."""
-    return _Workspace(points, len(centroids), centroids).distances().argmin(axis=0)
-
-
-def kmeans_update(points: np.ndarray, assignment: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    """Recompute centroids as cluster means; an empty cluster keeps its previous centroid."""
-    ws = _Workspace(points, len(previous), previous)
-    ws.kmeans_update(assignment)
-    return ws.c.T.copy()
-
-
-def kmeans_run(points: np.ndarray, init: np.ndarray, max_iter: int = 100) -> HardPartition:
+def kmeans_run(points: np.ndarray, init: np.ndarray,
+               max_iter: int = 100) -> tuple[np.ndarray, np.ndarray, int]:
     """Lloyd iteration from the k centroids in ``init`` until the assignment
-    stops changing (or max_iter)."""
+    stops changing (or max_iter). Returns the last assignment (a centroid
+    index per point), the centroids updated from it and the update steps taken."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     ws = _Workspace(points, len(init), init)
@@ -203,8 +160,7 @@ def kmeans_run(points: np.ndarray, init: np.ndarray, max_iter: int = 100) -> Har
         moved = ws.kmeans_update(assignment)
         prev_assignment = assignment
         iterations += 1
-    return HardPartition(assignment=prev_assignment, centroids=ws.c.T.copy(),
-                         iterations=iterations)
+    return prev_assignment, ws.c.T.copy(), iterations
 
 
 # --- fuzzy c-means ------------------------------------------------------------
@@ -225,43 +181,31 @@ def fcm_init(n: int, k: int, seed: int) -> np.ndarray:
     return u / sums
 
 
-def fcm_centroids(points: np.ndarray, u: np.ndarray, m: float) -> np.ndarray:
-    """Membership-weighted centroids; an all-zero column falls back to the global mean."""
-    return _Workspace(points, u.shape[1]).fcm_centroids(u.T, m).T.copy()
+def fcm_run(points: np.ndarray, k: int, seed: int, m: float = 2.0, tol: float = 1e-4,
+            max_iter: int = 100) -> tuple[np.ndarray, np.ndarray, int]:
+    """Alternate centroid and membership updates, from ``fcm_init``'s
+    memberships for ``seed``, until the memberships settle.
 
-
-def fcm_memberships(points: np.ndarray, centroids: np.ndarray, m: float) -> np.ndarray:
-    """Inverse-distance memberships with exponent 2/(m-1). A point exactly on one or more
-    centroids splits its membership equally among them (the limit of the update rule)."""
-    if not m > 1.0:
-        raise ValueError("fuzzifier m must be > 1")
-    ws = _Workspace(points, len(centroids), centroids, memberships=1)
-    return ws.fcm_memberships(-2.0 / (m - 1.0), ws.u[0]).T.copy()
-
-
-def fcm_run(points: np.ndarray, params: FcmParams) -> tuple[np.ndarray, np.ndarray, int]:
-    """Alternate centroid and membership updates until the memberships settle.
-
-    Convergence is max |u_new - u_old| < params.tol; iteration count is the
-    number of centroids+memberships pairs performed. Returns the memberships,
-    the centroids and that count; raises FcmUnderflow if a membership row
-    ends as NaN or all zeros.
+    Convergence is max |u_new - u_old| < tol; iteration count is the number of
+    centroids+memberships pairs performed. Returns the memberships, the
+    centroids and that count; raises FcmUnderflow if a membership row ends as
+    NaN or all zeros. ``FuzzyFormation`` checks m, tol and max_iter.
     """
     if len(points) == 0:
         raise ValueError("at least one point required")
-    ws = _Workspace(points, params.k, memberships=2)
+    ws = _Workspace(points, k, memberships=2)
     u, u_new = ws.u
-    u[...] = fcm_init(len(points), params.k, params.seed).T
-    p = -2.0 / (params.m - 1.0)
+    u[...] = fcm_init(len(points), k, seed).T
+    p = -2.0 / (m - 1.0)
     change = ws.work[1]  # free once the distances are taken
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        for iterations in range(1, params.max_iter + 1):
-            ws.fcm_centroids(u, params.m)
+        for iterations in range(1, max_iter + 1):
+            ws.fcm_centroids(u, m)
             ws.fcm_memberships(p, u_new)
             np.subtract(u_new, u, out=change)
             delta = np.maximum.reduce(np.abs(change, out=change), axis=None)
             u, u_new = u_new, u
-            if delta < params.tol:
+            if delta < tol:
                 break
     # a NaN row is 0/0 or inf/inf; a row of zeros is finite weights over a
     # sum that overflowed. Either way its max is not above 0
@@ -271,9 +215,9 @@ def fcm_run(points: np.ndarray, params: FcmParams) -> tuple[np.ndarray, np.ndarr
         if np.isinf(ws.tot[bad]).any():
             raise FcmUnderflow(
                 f"a point lies {ws.distances()[:, bad].min():.3g} m from a centroid: "
-                f"the sum of d ** (-2/(m-1)) overflows with m={params.m!r}, so the "
+                f"the sum of d ** (-2/(m-1)) overflows with m={m!r}, so the "
                 "memberships are divided by inf")
-        raise FcmUnderflow(f"fuzzifier m={params.m!r} is too close to 1: "
+        raise FcmUnderflow(f"fuzzifier m={m!r} is too close to 1: "
                            "the memberships underflow to 0/0")
     return u.T.copy(), ws.c.T.copy(), iterations
 

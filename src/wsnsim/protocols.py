@@ -26,7 +26,7 @@ from typing import ClassVar
 import numpy as np
 
 from .model import NEVER_CLUSTER_HEAD, check_range, hypot, squared_distances
-from .partitioning import FcmParams, defuzzify, fcm_run, kmeans_init, kmeans_run
+from .partitioning import defuzzify, fcm_run, kmeans_init, kmeans_run
 
 
 @dataclass
@@ -119,6 +119,42 @@ class EecsParams:
         if not 0 < self.head_fraction <= 1:
             raise ValueError("head_fraction must be in (0, 1]")
         check_range("ch_separation", self.ch_separation, 0.0)
+
+
+@dataclass(frozen=True)
+class KmeansFormation:
+    """Centroid formation with k-means; k=None means 5% of the alive count."""
+
+    name: ClassVar[str] = "kmeans"
+    k: int | None = None
+    max_iter: int = 100
+
+    def __post_init__(self):
+        if self.k is not None and self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+
+
+@dataclass(frozen=True)
+class FuzzyFormation:
+    """Centroid formation with fuzzy c-means; k=None means 5% of the alive
+    count. The fuzzifier m must be strictly > 1."""
+
+    name: ClassVar[str] = "fuzzy"
+    k: int | None = None
+    m: float = 2.0
+    tol: float = 1e-4
+    max_iter: int = 100
+
+    def __post_init__(self):
+        if self.k is not None and self.k < 1:
+            raise ValueError("k must be >= 1")
+        check_range("fuzzifier m", self.m, 1.0, strict=True)
+        if not self.tol > 0:  # an infinite tol stops after the first pair
+            raise ValueError("tol must be > 0")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
 
 
 _BLOCK = 2**16  # the one element budget: heed_geometry's row blocks, EECS's store
@@ -285,6 +321,15 @@ def _head_mask(rows: np.ndarray, heads: set[int]) -> np.ndarray:
     return mask
 
 
+def _join(heads: np.ndarray, members: np.ndarray, choice: np.ndarray) -> ClusterSet:
+    """One cluster per row of ``heads``; each row of ``members`` joins
+    ``heads[choice[i]]``, so a cluster keeps its members in ``members``' order."""
+    clusters = [Cluster(head=h) for h in heads.tolist()]
+    for row, j in zip(members.tolist(), choice.tolist()):
+        clusters[j].members.append(row)
+    return ClusterSet(clusters=clusters)
+
+
 def form_clusters_nearest(geom: Geometry, ch_rows: set[int]) -> ClusterSet:
     """Attach every non-head alive node to its nearest head (ties: lowest head row)."""
     if not ch_rows:
@@ -292,11 +337,8 @@ def form_clusters_nearest(geom: Geometry, ch_rows: set[int]) -> ClusterSet:
     rows = geom.alive()
     is_head = _head_mask(rows, ch_rows)
     # rows are ascending, so argmin's first minimum is the lowest head row
-    clusters = [Cluster(head=h) for h in rows[is_head].tolist()]
-    nearest = geom.nearest(rows[~is_head], rows[is_head])
-    for row, j in zip(rows[~is_head].tolist(), nearest.tolist()):
-        clusters[j].members.append(row)
-    return ClusterSet(clusters=clusters)
+    heads, members = rows[is_head], rows[~is_head]
+    return _join(heads, members, geom.nearest(members, heads))
 
 
 def enforce_ch_separation(geom: Geometry, ch_rows: set[int], min_dist: float) -> set[int]:
@@ -409,11 +451,9 @@ def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[Cluster
     far = np.flatnonzero(~reach.any(axis=0))
     d = squared_distances(geom.pos[rows[far]], geom.pos[rows[head_idx]])
     best[far] = np.sqrt(d, out=d).argmin(axis=1)
-    clusters = [Cluster(head=h) for h in rows[head_idx].tolist()]
-    for row, j in zip(rows.tolist(), best.tolist()):
-        if row not in heads:
-            clusters[j].members.append(row)
-    return ClusterSet(clusters=clusters), iterations
+    plain = np.ones(n, dtype=bool)
+    plain[head_idx] = False
+    return _join(rows[head_idx], rows[plain], best[plain]), iterations
 
 
 # --- candidate suppression with sink-aware sizing (EECS) ------------------------
@@ -460,15 +500,14 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
         heads = enforce_ch_separation(geom, heads, params.ch_separation)
     # rows are ascending, so every argmin below breaks ties on the lowest head row
     is_head = _head_mask(rows, heads)
-    head_rows = rows[is_head]
-    clusters = [Cluster(head=h) for h in head_rows.tolist()]
+    head_rows, members = rows[is_head], rows[~is_head]
 
     bs_dist = geom.bs_dist[head_rows]
     d_bs_min = bs_dist.min()
     bs_span = bs_dist.max() - d_bs_min
     bs_term = (bs_dist - d_bs_min) / bs_span if bs_span > 0 else np.zeros(len(head_rows))
 
-    dists = geom.head_distances(rows[~is_head], head_rows)
+    dists = geom.head_distances(members, head_rows)
     # heads compete for a node only within its join radius; a node with no
     # head that close simply attaches to the nearest one
     reach = dists <= params.join_radius
@@ -477,9 +516,7 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
     cost = params.w * member_term + (1.0 - params.w) * bs_term
     best = np.where(reach.any(axis=1), np.where(reach, cost, np.inf).argmin(axis=1),
                     dists.argmin(axis=1))
-    for row, j in zip(rows[~is_head].tolist(), best.tolist()):
-        clusters[j].members.append(row)
-    return ClusterSet(clusters=clusters)
+    return _join(head_rows, members, best)
 
 
 # --- centroid-based formation (k-means / fuzzy c-means) -------------------------
@@ -511,14 +548,17 @@ def kmeans_form_clusters(geom: Geometry, k: int, max_iter: int = 100) -> tuple[C
     rows = geom.alive()
     pts = geom.pos[rows]
     init = kmeans_init(pts, geom.energy[rows], k)
-    part = kmeans_run(pts, init, max_iter=max_iter)
-    return _centroid_cluster_set(geom, rows, part.assignment, part.centroids), part.iterations
+    assignment, centroids, iterations = kmeans_run(pts, init, max_iter=max_iter)
+    return _centroid_cluster_set(geom, rows, assignment, centroids), iterations
 
 
-def fuzzy_form_clusters(geom: Geometry, fcm: FcmParams) -> tuple[ClusterSet, int]:
-    """Cluster alive nodes with fuzzy c-means, defuzzify, head each cluster by energy."""
+def fuzzy_form_clusters(geom: Geometry, params: FuzzyFormation, k: int,
+                        seed: int) -> tuple[ClusterSet, int]:
+    """Cluster alive nodes into k with fuzzy c-means seeded by ``seed``,
+    defuzzify, head each cluster by energy; ``params.k`` is not read."""
     rows = geom.alive()
-    if fcm.k > len(rows):
-        raise ValueError(f"k={fcm.k} exceeds alive node count {len(rows)}")
-    u, centroids, iterations = fcm_run(geom.pos[rows], fcm)
+    if k > len(rows):
+        raise ValueError(f"k={k} exceeds alive node count {len(rows)}")
+    u, centroids, iterations = fcm_run(geom.pos[rows], k, seed, params.m, params.tol,
+                                       params.max_iter)
     return _centroid_cluster_set(geom, rows, defuzzify(u), centroids), iterations

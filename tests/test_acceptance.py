@@ -25,16 +25,7 @@ from wsnsim.engine import (
     sweep_iterations,
 )
 from wsnsim.model import NetworkConfig, deploy_nodes
-from wsnsim.partitioning import (
-    FcmParams,
-    defuzzify,
-    fcm_memberships,
-    fcm_run,
-    kmeans_assign,
-    kmeans_init,
-    kmeans_run,
-    kmeans_update,
-)
+from wsnsim.partitioning import _Workspace, defuzzify, fcm_run, kmeans_init, kmeans_run
 from wsnsim.protocols import (
     Geometry,
     eecs_form_clusters,
@@ -158,9 +149,7 @@ class TestCriterion4IterationTrend:
             NetworkConfig(seed=42),
             grid=list(range(10, 101, 10)),
             seeds=list(range(10)),
-            fcm_m=2.0,
-            fcm_tol=1e-4,
-            max_iter=100,
+            fuzzy=FuzzyFormation(m=2.0, tol=1e-4, max_iter=100),
         )
         elapsed = time.monotonic() - start
         claim_wins = sum(1 for _, km, fz, _ in rows if fz <= km)
@@ -273,7 +262,8 @@ class TestCriterion7NumericalProperties:
                 )
             else:
                 centroids = np.array([rng.uniform(0, 100, 2) for _ in range(k)])
-            u = fcm_memberships(points, centroids, m=2.0)
+            # the kernel's membership step at m = 2: d ** -2 over its row sum
+            u = _Workspace(points, k, centroids).fcm_memberships(-2.0, np.empty((k, n))).T
             if np.any(np.abs(u.sum(axis=1) - 1.0) > 1e-9):
                 violations += 1
             if np.any(u < 0) or np.any(u > 1):
@@ -340,7 +330,7 @@ class TestCriterion7NumericalProperties:
                 heed_form_clusters(geom, HeedParams(), np.random.default_rng(seed))[0],
                 eecs_form_clusters(geom, EecsParams(), np.random.default_rng(seed)),
                 kmeans_form_clusters(geom, k)[0],
-                fuzzy_form_clusters(geom, FcmParams(k=k, seed=seed))[0],
+                fuzzy_form_clusters(geom, FuzzyFormation(), k, seed)[0],
             ]
             for cs in cluster_sets:
                 checked += 1
@@ -380,16 +370,18 @@ def hard_objective(pts: np.ndarray, assignment: np.ndarray) -> float:
     return float(obj)
 
 
-def kmeans_objectives(pts: np.ndarray, init: np.ndarray, part) -> list[float]:
-    """The objective after each of ``part``'s Lloyd steps, replayed from
-    ``init``; the replay must end where ``kmeans_run`` ended."""
-    centroids, history = init, []
-    for _ in range(part.iterations):
-        assignment = kmeans_assign(pts, centroids)
-        centroids = kmeans_update(pts, assignment, centroids)
-        history.append(hard_objective(pts, assignment))
-    assert np.array_equal(assignment, part.assignment)
-    assert np.array_equal(centroids, part.centroids)
+def kmeans_objectives(pts: np.ndarray, init: np.ndarray, run) -> list[float]:
+    """The objective after each Lloyd step of ``run``, a ``kmeans_run`` from
+    ``init``: step t's assignment is that of the run capped at t steps. The
+    last replay must end where ``run`` ended, to the centroid bits."""
+    assignment, centroids, iterations = run
+    history = []
+    for t in range(1, iterations + 1):
+        replay = kmeans_run(pts, init, max_iter=t)
+        history.append(hard_objective(pts, replay[0]))
+    assert replay[2] == iterations
+    assert np.array_equal(replay[0], assignment)
+    assert replay[1].tobytes() == centroids.tobytes()
     return history
 
 
@@ -402,8 +394,8 @@ class TestCriterion8OracleEquivalence:
             pts = rng.uniform(0, 100, (n, 2))
             best, mask = brute_force_best_split(pts)
             init = np.array([pts[mask].mean(axis=0), pts[~mask].mean(axis=0)])
-            part = kmeans_run(pts, init)
-            if hard_objective(pts, part.assignment) > best * (1 + 1e-6) + 1e-9:
+            assignment, _, _ = kmeans_run(pts, init)
+            if hard_objective(pts, assignment) > best * (1 + 1e-6) + 1e-9:
                 failures += 1
         report("8a kmeans oracle", failures == 0, "500 instances of <=12 points")
         assert failures == 0
@@ -425,7 +417,7 @@ class TestCriterion8OracleEquivalence:
             if len(pts) < 2:
                 continue
             best, _ = brute_force_best_split(pts)
-            u, _, _ = fcm_run(pts, FcmParams(k=2, m=2.0, seed=trial))
+            u, _, _ = fcm_run(pts, 2, trial, m=2.0)
             got = hard_objective(pts, defuzzify(u))
             if got > best * (1 + 1e-6) + 1e-9:
                 failures += 1

@@ -282,6 +282,11 @@ class TestHelpers:
         with pytest.raises(ValueError, match="repeats"):
             sweep_iterations(NetworkConfig(n_nodes=30, seed=1), grid=[5, 5], seeds=[1])
 
+    def test_sweep_iterations_rejects_no_seeds(self):
+        # the means would divide by a seed count of 0
+        with pytest.raises(ValueError, match="seeds"):
+            sweep_iterations(NetworkConfig(n_nodes=20), grid=[3], seeds=[])
+
     def test_kmeans_k_clamped_as_network_dies(self):
         # a shrinking network must not raise once alive < k
         config = NetworkConfig(n_nodes=12, initial_energy=0.01, seed=43)

@@ -14,7 +14,7 @@ import io
 import pytest
 
 from wsnsim.cli import main
-from wsnsim.engine import sweep_iterations
+from wsnsim.engine import FuzzyFormation, sweep_iterations
 from wsnsim.model import NetworkConfig
 
 ALL = ["--protocol", "leach", "--protocol", "heed", "--protocol", "eecs",
@@ -119,5 +119,5 @@ def test_cli_output_bytes(case, tmp_path):
 @pytest.mark.parametrize("index", range(len(SWEEPS)))
 def test_sweep_iterations_values(index):
     (config, grid, seeds, max_iter), expected = SWEEPS[index]
-    rows = sweep_iterations(config, grid=grid, seeds=seeds, max_iter=max_iter)
+    rows = sweep_iterations(config, grid, seeds, FuzzyFormation(max_iter=max_iter))
     assert [tuple(row[:3]) for row in rows] == expected

@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import json
 
 import pytest
 
@@ -19,7 +21,7 @@ from wsnsim.metrics import (
     result_to_dict,
     summarize,
 )
-from wsnsim.model import NetworkConfig
+from wsnsim.model import NetworkConfig, RadioModel
 
 
 def make_result(protocol="leach", deliveries=(5, 5, 3, 0), alive=(10, 8, 4, 0),
@@ -211,6 +213,28 @@ class TestExports:
         export_json(res, path)
         loaded = load_result_json(path)
         assert result_to_dict(loaded) == result_to_dict(res)
+
+    def test_json_round_trip_every_config_field(self, tmp_path):
+        radio = RadioModel(e_elec=40e-9, e_amp=120e-12, e_da=4e-9, data_bits=3000,
+                           header_bits=150)
+        config = NetworkConfig(n_nodes=12, arena=(80.0, 60.0), bs_pos=(40.0, 130.0),
+                               initial_energy=0.3, radio=radio, seed=7)
+        for value, default in ((config, NetworkConfig()), (radio, RadioModel())):
+            for f in dataclasses.fields(value):
+                assert getattr(value, f.name) != getattr(default, f.name), f.name
+        res = run_simulation(config, LeachParams(), 15)
+        path = tmp_path / "r.json"
+        export_json(res, path)
+        assert json.loads(path.read_text())["config"] == {
+            "n_nodes": 12, "arena": [80.0, 60.0], "bs_pos": [40.0, 130.0],
+            "initial_energy": 0.3, "seed": 7,
+            "radio": {"e_elec": 40e-9, "e_amp": 120e-12, "e_da": 4e-9, "data_bits": 3000,
+                      "header_bits": 150}}
+        loaded = load_result_json(path)
+        assert result_to_dict(loaded) == result_to_dict(res)
+        assert loaded.config == config
+        assert type(loaded.config.arena) is tuple and type(loaded.config.bs_pos) is tuple
+        assert type(loaded.config.radio) is RadioModel
 
     def test_json_config_echo(self, tmp_path):
         config = NetworkConfig(n_nodes=12, initial_energy=0.25, seed=9)

@@ -11,20 +11,15 @@ from wsnsim import partitioning
 from wsnsim.engine import KmeansFormation, run_simulation
 from wsnsim.model import NetworkConfig, deploy_nodes
 from wsnsim.partitioning import (
-    FcmParams,
     FcmUnderflow,
     defuzzify,
-    fcm_centroids,
     fcm_init,
-    fcm_memberships,
     fcm_run,
-    kmeans_assign,
     kmeans_init,
     kmeans_run,
-    kmeans_update,
     _Workspace,
 )
-from wsnsim.protocols import Geometry, kmeans_form_clusters
+from wsnsim.protocols import FuzzyFormation, Geometry, kmeans_form_clusters
 
 
 def pts(*coords):
@@ -163,15 +158,20 @@ class TestArrayStepsMatchLoops:
     @given(points_and_assignment())
     def test_kmeans_update(self, case):
         points, assignment, previous = case
-        got = kmeans_update(points, assignment, previous)
-        assert np.array_equal(got, kmeans_update_loop(points, assignment, previous))
+        ws = _Workspace(points, len(previous), previous)
+        moved = ws.kmeans_update(assignment)
+        expected = kmeans_update_loop(points, assignment, previous)
+        assert np.array_equal(ws.c.T, expected)
+        if moved is not None:  # from k = 8: the centroids whose value changed
+            assert moved.tolist() == np.flatnonzero((expected != previous).any(axis=1)).tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(points_and_centroids())
     def test_kmeans_assign(self, case):
         points, centroids = case
         expected = distances_loop(points, centroids).argmin(axis=1)
-        assert np.array_equal(kmeans_assign(points, centroids), expected)
+        got = _Workspace(points, len(centroids), centroids).distances().argmin(axis=0)
+        assert np.array_equal(got, expected)
 
     @settings(max_examples=300, deadline=None)
     @given(points_and_memberships(), fuzzifiers)
@@ -180,7 +180,7 @@ class TestArrayStepsMatchLoops:
     @example((pts(*[(1.0, 2.0)] * 12), np.array([[1.0]] + [[2.0**-27]] * 11)), 2.0)
     def test_fcm_centroids(self, case, m):
         points, u = case
-        got = fcm_centroids(points, u, m)
+        got = _Workspace(points, u.shape[1]).fcm_centroids(u.T, m).T
         assert np.array_equal(got, fcm_centroids_loop(points, u, m))
 
     @settings(max_examples=300, deadline=None)
@@ -188,14 +188,16 @@ class TestArrayStepsMatchLoops:
     def test_fcm_memberships(self, case, m):
         points, centroids = case
         # a distance of ~1e-160 overflows d**-2 on both sides alike
+        k, n = len(centroids), len(points)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = fcm_memberships(points, centroids, m)
+            ws = _Workspace(points, k, centroids)
+            got = ws.fcm_memberships(-2.0 / (m - 1.0), np.empty((k, n))).T
             expected = fcm_memberships_loop(points, centroids, m)
         assert np.array_equal(got, expected, equal_nan=True)
 
     def test_previous_centroids_are_not_modified(self):
         previous = pts((9, 9), (7, 7))
-        kmeans_update(pts((3, 4)), np.array([0]), previous)
+        _Workspace(pts((3, 4)), 2, previous).kmeans_update(np.array([0]))
         assert previous.tolist() == [[9, 9], [7, 7]]
 
 
@@ -274,33 +276,36 @@ class TestKmeansInit:
         assert [(c.head, c.members) for c in cs.clusters] == [(1, []), (2, [])]
 
 
+# one Lloyd step: kmeans_run capped at one step returns the assignment to the
+# initial centroids and the centroids updated from it
 class TestKmeansAssign:
     def test_tie_goes_to_lower_index(self):
-        assert kmeans_assign(pts((0.5, 0)), pts((0, 0), (1, 0))).tolist() == [0]
+        assert kmeans_run(pts((0.5, 0)), pts((0, 0), (1, 0)), 1)[0].tolist() == [0]
 
     def test_single_centroid(self):
-        assert kmeans_assign(pts((0, 0), (9, 9)), pts((4, 4))).tolist() == [0, 0]
+        assert kmeans_run(pts((0, 0), (9, 9)), pts((4, 4)), 1)[0].tolist() == [0, 0]
 
     def test_nearest_by_inspection(self):
-        a = kmeans_assign(pts((0, 0), (10, 0)), pts((1, 0), (9, 0)))
-        assert a.tolist() == [0, 1]
+        assignment, _, _ = kmeans_run(pts((0, 0), (10, 0)), pts((1, 0), (9, 0)), 1)
+        assert assignment.tolist() == [0, 1]
 
     def test_empty_centroids(self):
-        with pytest.raises(ValueError):
-            kmeans_assign(pts((0, 0)), pts())
+        with pytest.raises(ValueError, match="at least one centroid"):
+            kmeans_run(pts((0, 0)), pts())
 
 
 class TestKmeansUpdate:
     def test_mean(self):
-        cents = kmeans_update(pts((0, 0), (2, 0)), np.array([0, 0]), pts((9, 9)))
+        _, cents, _ = kmeans_run(pts((0, 0), (2, 0)), pts((9, 9)), 1)
         assert cents.tolist() == [[1, 0]]
 
+    # (3, 4) lies 5 from both centroids, so it joins centroid 0 and 1 is empty
     def test_singleton(self):
-        cents = kmeans_update(pts((3, 4)), np.array([0]), pts((0, 0), (7, 7)))
+        _, cents, _ = kmeans_run(pts((3, 4)), pts((0, 0), (7, 7)), 1)
         assert cents[0].tolist() == [3, 4]
 
     def test_empty_cluster_keeps_previous(self):
-        cents = kmeans_update(pts((3, 4)), np.array([0]), pts((0, 0), (7, 7)))
+        _, cents, _ = kmeans_run(pts((3, 4)), pts((0, 0), (7, 7)), 1)
         assert cents[1].tolist() == [7, 7]
 
 
@@ -308,23 +313,23 @@ class TestKmeansRun:
     def test_unit_square_from_bottom_corners(self):
         # energies steer the max-energy init onto the two bottom corners
         points = pts((0, 0), (1, 0), (0, 1), (1, 1))
-        part = kmeans_from_energy(points, [4, 3, 2, 1], 2)
-        assert part.iterations <= 2
-        assert {tuple(c) for c in part.centroids.tolist()} == {(0.0, 0.5), (1.0, 0.5)}
+        assignment, centroids, iterations = kmeans_from_energy(points, [4, 3, 2, 1], 2)
+        assert iterations <= 2
+        assert {tuple(c) for c in centroids.tolist()} == {(0.0, 0.5), (1.0, 0.5)}
         best, _ = brute_force_two_partition(points)
-        assert hard_objective(points, part.assignment) == pytest.approx(best, rel=1e-12)
+        assert hard_objective(points, assignment) == pytest.approx(best, rel=1e-12)
 
     def test_k1_single_iteration_global_mean(self):
-        part = kmeans_from_energy(pts((0, 0), (2, 0), (4, 6)), [1, 1, 1], 1)
-        assert part.iterations == 1
-        assert part.centroids.tolist() == [[2.0, 2.0]]
+        _, centroids, iterations = kmeans_from_energy(pts((0, 0), (2, 0), (4, 6)), [1, 1, 1], 1)
+        assert iterations == 1
+        assert centroids.tolist() == [[2.0, 2.0]]
 
     def test_k_equals_n_zero_objective(self):
         points = pts((0, 0), (5, 0), (0, 5), (7, 7))
-        part = kmeans_from_energy(points, [1] * 4, 4)
-        assert hard_objective(points, part.assignment) == pytest.approx(0.0, abs=1e-12)
+        assignment, _, _ = kmeans_from_energy(points, [1] * 4, 4)
+        assert hard_objective(points, assignment) == pytest.approx(0.0, abs=1e-12)
         # each point owns its own centroid per the brute-force argument
-        assert sorted(part.assignment.tolist()) == [0, 1, 2, 3]
+        assert sorted(assignment.tolist()) == [0, 1, 2, 3]
 
     def test_objective_non_increasing(self):
         rng = np.random.default_rng(7)
@@ -333,16 +338,16 @@ class TestKmeansRun:
             k = int(rng.integers(1, min(n, 6)))
             points = pts(*[tuple(rng.uniform(0, 100, 2)) for _ in range(n)])
             energy = rng.uniform(0.1, 1.0, n)
-            part = kmeans_from_energy(points, energy, k)
+            assignment, _, _ = kmeans_from_energy(points, energy, k)
             assignments, _ = kmeans_updates(points, energy, k, max_iter=100)
-            assert np.array_equal(assignments[-1], part.assignment)
+            assert np.array_equal(assignments[-1], assignment)
             history = [hard_objective(points, a) for a in assignments]
             for a, b in zip(history, history[1:]):
                 assert b <= a + 1e-9
 
     def test_explicit_init_override(self):
-        part = kmeans_run(pts((0, 0), (1, 0), (0, 1), (1, 1)), pts((0, 0), (1, 0)))
-        assert {tuple(c) for c in part.centroids.tolist()} == {(0.0, 0.5), (1.0, 0.5)}
+        _, centroids, _ = kmeans_run(pts((0, 0), (1, 0), (0, 1), (1, 1)), pts((0, 0), (1, 0)))
+        assert {tuple(c) for c in centroids.tolist()} == {(0.0, 0.5), (1.0, 0.5)}
 
     def test_rejects_zero_iteration_cap(self):
         with pytest.raises(ValueError, match="max_iter"):
@@ -354,13 +359,14 @@ class TestKmeansRun:
         points, energy, _ = criterion4_cell(0)
         assignments, centroids = kmeans_updates(points, energy, k, max_iter)
         steps, assignment = len(assignments), assignments[-1]
-        part = kmeans_from_energy(points, energy, k, max_iter=max_iter)
-        assert part.iterations == steps
-        assert np.array_equal(part.assignment, assignment)
-        assert np.array_equal(part.centroids, centroids)
+        got_assignment, got_centroids, iterations = kmeans_from_energy(points, energy, k,
+                                                                       max_iter=max_iter)
+        assert iterations == steps
+        assert np.array_equal(got_assignment, assignment)
+        assert np.array_equal(got_centroids, centroids)
         if steps < max_iter:
             # stopped by the rule: the final centroids reproduce the assignment
-            assert np.array_equal(kmeans_assign(points, part.centroids), part.assignment)
+            assert np.array_equal(kmeans_run(points, centroids, 1)[0], assignment)
 
     def test_oracle_equivalence_small_instances(self):
         # from the optimal partition's centroids, the run must attain the
@@ -371,8 +377,8 @@ class TestKmeansRun:
             points = pts(*[tuple(rng.uniform(0, 100, 2)) for _ in range(n)])
             best, mask = brute_force_two_partition(points)
             init = np.array([points[mask].mean(axis=0), points[~mask].mean(axis=0)])
-            part = kmeans_run(points, init)
-            assert hard_objective(points, part.assignment) <= best * (1 + 1e-6) + 1e-9
+            assignment, _, _ = kmeans_run(points, init)
+            assert hard_objective(points, assignment) <= best * (1 + 1e-6) + 1e-9
 
 
 # seeds whose 4k random points (see reuse_network) empty a cluster that had
@@ -412,10 +418,11 @@ class TestMovedCentroidReuse:
             return exact(self, moved)
 
         monkeypatch.setattr(_Workspace, "distances", distances)
-        part = kmeans_from_energy(points, energy, k, max_iter=max_iter)
-        assert part.iterations == len(assignments)
-        assert np.array_equal(part.assignment, assignments[-1])
-        assert part.centroids.tobytes() == centroids.tobytes()
+        assignment, got_centroids, iterations = kmeans_from_energy(points, energy, k,
+                                                                   max_iter=max_iter)
+        assert iterations == len(assignments)
+        assert np.array_equal(assignment, assignments[-1])
+        assert got_centroids.tobytes() == centroids.tobytes()
         if max_iter < 100:
             return
         # the networks hold what they are meant to, and the partial rows ran
@@ -461,11 +468,11 @@ class TestMovedCentroidReuse:
         plane = 50 * len(points) * 8
         tracemalloc.start()
         try:
-            part = kmeans_run(points, init)
+            _, _, iterations = kmeans_run(points, init)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert part.iterations > 2
+        assert iterations > 2
         assert peak < 3.5 * plane
 
 
@@ -484,45 +491,52 @@ class TestFcmInit:
             fcm_init(0, 2, seed=0)
 
 
+# the kernel's FCM steps: memberships and weights indexed (k, n), and at
+# m = 2 a membership step takes the exponent -2/(m-1) = -2
 class TestFcmCentroids:
     def test_equal_memberships_give_global_mean(self):
-        cents = fcm_centroids(pts((0, 0), (2, 0), (4, 6)), np.full((3, 2), 0.5), m=2.0)
+        ws = _Workspace(pts((0, 0), (2, 0), (4, 6)), 2)
+        cents = ws.fcm_centroids(np.full((2, 3), 0.5), 2.0).T
         assert cents.tolist() == [[2.0, 2.0], [2.0, 2.0]]
 
     def test_one_hot_recovers_point(self):
-        cents = fcm_centroids(pts((3, 4), (8, 8)), np.array([[1.0, 0.0], [0.0, 1.0]]), m=2.0)
+        cents = _Workspace(pts((3, 4), (8, 8)), 2).fcm_centroids(np.eye(2), 2.0).T
         assert cents.tolist() == [[3, 4], [8, 8]]
 
     def test_hand_evaluated_weighted_mean(self):
         # 1-D points {0, 2}, memberships to cluster j {0.9, 0.1}, m=2:
         # (0.81*0 + 0.01*2) / 0.82 = 0.024390...
         u = np.array([[0.9, 0.1], [0.1, 0.9]])
-        cents = fcm_centroids(pts((0, 0), (2, 0)), u, m=2.0)
+        cents = _Workspace(pts((0, 0), (2, 0)), 2).fcm_centroids(u.T, 2.0).T
         assert cents[0, 0] == pytest.approx(0.02 / 0.82, rel=1e-12)
         assert cents[0, 1] == 0.0
 
     def test_zero_column_falls_back_to_mean(self):
         u = np.array([[1.0, 0.0], [1.0, 0.0]])
-        cents = fcm_centroids(pts((0, 0), (4, 0)), u, m=2.0)
+        cents = _Workspace(pts((0, 0), (4, 0)), 2).fcm_centroids(u.T, 2.0).T
         assert cents[1].tolist() == [2.0, 0.0]
 
 
 class TestFcmMemberships:
     def test_coincident_point_gets_full_membership(self):
-        u = fcm_memberships(pts((1, 3)), pts((1, 3), (9, 9)), m=2.0)
+        ws = _Workspace(pts((1, 3)), 2, pts((1, 3), (9, 9)))
+        u = ws.fcm_memberships(-2.0, np.empty((2, 1))).T
         assert u.tolist() == [[1.0, 0.0]]
 
     def test_coincident_with_two_centroids_splits(self):
-        u = fcm_memberships(pts((1, 3)), pts((1, 3), (1, 3), (9, 9)), m=2.0)
+        ws = _Workspace(pts((1, 3)), 3, pts((1, 3), (1, 3), (9, 9)))
+        u = ws.fcm_memberships(-2.0, np.empty((3, 1))).T
         assert u.tolist() == [[0.5, 0.5, 0.0]]
 
     def test_equidistant_splits_evenly(self):
-        u = fcm_memberships(pts((0.5, 0)), pts((0, 0), (1, 0)), m=2.0)
+        ws = _Workspace(pts((0.5, 0)), 2, pts((0, 0), (1, 0)))
+        u = ws.fcm_memberships(-2.0, np.empty((2, 1))).T
         assert u[0] == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_hand_evaluated_inverse_square(self):
         # x=0 with centroids at 1 and 3, m=2: u = (0.9, 0.1)
-        u = fcm_memberships(pts((0, 0)), pts((1, 0), (3, 0)), m=2.0)
+        ws = _Workspace(pts((0, 0)), 2, pts((1, 0), (3, 0)))
+        u = ws.fcm_memberships(-2.0, np.empty((2, 1))).T
         assert u[0] == pytest.approx([0.9, 0.1], rel=1e-12)
 
     def test_rows_sum_to_one_randomized(self):
@@ -532,7 +546,8 @@ class TestFcmMemberships:
             k = int(rng.integers(1, 6))
             points = pts(*[rng.uniform(0, 100, 2) for _ in range(n)])
             cents = pts(*[rng.uniform(0, 100, 2) for _ in range(k)])
-            assert_memberships(fcm_memberships(points, cents, m=2.0))
+            u = _Workspace(points, k, cents).fcm_memberships(-2.0, np.empty((k, n))).T
+            assert_memberships(u)
 
     def test_nearest_centroid_gets_strict_row_max(self):
         rng = np.random.default_rng(17)
@@ -543,25 +558,26 @@ class TestFcmMemberships:
             order = sorted(range(4), key=lambda j: d[j])
             if math.isclose(d[order[0]], d[order[1]]):
                 continue
-            u = fcm_memberships(points, cents, m=2.0)
+            u = _Workspace(points, 4, cents).fcm_memberships(-2.0, np.empty((4, 1))).T
             assert u[0].argmax() == order[0]
             assert u[0][order[0]] > max(v for j, v in enumerate(u[0]) if j != order[0])
 
     def test_invalid_fuzzifier(self):
-        with pytest.raises(ValueError):
-            fcm_memberships(pts((0, 0)), pts((1, 1)), m=1.0)
+        # the exponent -2/(m-1) needs m > 1; FuzzyFormation checks it
+        with pytest.raises(ValueError, match="fuzzifier m"):
+            FuzzyFormation(m=1.0)
 
 
 class TestFcmRun:
     def test_k1_converges_immediately(self):
-        u, cents, iterations = fcm_run(pts((0, 0), (2, 0), (4, 6)), FcmParams(k=1, seed=0))
+        u, cents, iterations = fcm_run(pts((0, 0), (2, 0), (4, 6)), 1, 0)
         assert iterations == 1
         assert cents.tolist() == [[2.0, 2.0]]
         assert np.all(u == 1.0)
 
     def test_infinite_tol_single_iteration(self):
         points = pts((0, 0), (5, 5), (9, 0))
-        _, _, iterations = fcm_run(points, FcmParams(k=2, tol=math.inf, seed=1))
+        _, _, iterations = fcm_run(points, 2, 1, tol=math.inf)
         assert iterations == 1
 
     def test_fuzzifier_near_one_raises(self):
@@ -569,8 +585,8 @@ class TestFcmRun:
         # each row is 0/0; m = 1.5 (exponent -4) is fine on the same points
         points = pts((0, 0), (30, 5), (60, 60), (90, 10))
         with pytest.raises(FcmUnderflow, match="fuzzifier m=1.001"):
-            fcm_run(points, FcmParams(k=2, m=1.001, seed=0))
-        u, _, _ = fcm_run(points, FcmParams(k=2, m=1.5, seed=0))
+            fcm_run(points, 2, 0, m=1.001)
+        u, _, _ = fcm_run(points, 2, 0, m=1.5)
         assert not np.isnan(u).any()
 
     def test_point_next_to_a_centroid_overflows(self):
@@ -578,7 +594,7 @@ class TestFcmRun:
         # is inf/inf; the message names the distance, not the fuzzifier
         points = pts((0, 0), (3, 1), (1, 4), (4, 4)) * 1e-160
         with pytest.raises(FcmUnderflow, match="from a centroid.*overflows with m=2.0"):
-            fcm_run(points, FcmParams(k=2, seed=0))
+            fcm_run(points, 2, 0)
 
     def test_all_zero_membership_row_raises(self):
         # finite weights whose sum overflows make a row of x/inf = 0, not
@@ -586,7 +602,7 @@ class TestFcmRun:
         for seed in range(800):
             points = np.random.default_rng(seed).uniform(0, 3e-154, (6, 2))
             try:
-                u, _, _ = fcm_run(points, FcmParams(k=2, seed=seed, max_iter=5))
+                u, _, _ = fcm_run(points, 2, seed, max_iter=5)
             except FcmUnderflow:
                 continue
             assert (u.max(axis=1) > 0).all()
@@ -596,12 +612,12 @@ class TestFcmRun:
         # their sum overflows: the message names the distance, not the fuzzifier
         points = np.random.default_rng(12).uniform(0, 3e-154, (6, 2))
         with pytest.raises(FcmUnderflow, match="from a centroid: the sum .* overflows with m=2.0"):
-            fcm_run(points, FcmParams(k=2, seed=12, max_iter=5))
+            fcm_run(points, 2, 12, max_iter=5)
 
     def test_deterministic_per_seed(self):
         points = pts(*[(float(i), float(i % 3)) for i in range(9)])
-        r1 = fcm_run(points, FcmParams(k=3, seed=21))
-        r2 = fcm_run(points, FcmParams(k=3, seed=21))
+        r1 = fcm_run(points, 3, 21)
+        r2 = fcm_run(points, 3, 21)
         assert np.array_equal(r1[0], r2[0])
         assert r1[2] == r2[2]
 
@@ -613,16 +629,16 @@ class TestFcmRun:
             blob1 = [rng.normal(0, 1.5, 2) for _ in range(n1)]
             blob2 = [rng.normal(40, 1.5, 2) for _ in range(n2)]
             points = pts(*blob1, *blob2)
-            u, _, _ = fcm_run(points, FcmParams(k=2, seed=trial))
+            u, _, _ = fcm_run(points, 2, trial)
             best, _ = brute_force_two_partition(points)
             assert hard_objective(points, defuzzify(u)) == pytest.approx(best, rel=1e-6)
 
     @pytest.mark.parametrize("k, max_iter", [(10, 100), (50, 100), (10, 5)])
     def test_count_is_first_pair_below_tol(self, k, max_iter):
         points, _, rng = criterion4_cell(0)
-        params = FcmParams(k=k, max_iter=max_iter, seed=int(rng.integers(0, 2**63)))
-        pairs, u, centroids = fcm_pairs(points, fcm_init(len(points), k, params.seed), params)
-        got_u, got_centroids, iterations = fcm_run(points, params)
+        params, seed = FuzzyFormation(max_iter=max_iter), int(rng.integers(0, 2**63))
+        pairs, u, centroids = fcm_pairs(points, fcm_init(len(points), k, seed), params)
+        got_u, got_centroids, iterations = fcm_run(points, k, seed, max_iter=max_iter)
         assert iterations == pairs
         assert np.array_equal(got_u, u)
         assert np.array_equal(got_centroids, centroids)
@@ -633,12 +649,12 @@ class TestFcmRun:
         # pairs the gap underflows and the centroid lands exactly on its
         # point, whose memberships then take the equal-split rule
         points = pts((0, 0), (100, 0), (0, 100))
-        params = FcmParams(k=3, tol=1e-300, seed=0)
-        u0 = fcm_init(3, 3, params.seed)
+        params = FuzzyFormation(tol=1e-300)
+        u0 = fcm_init(3, 3, 0)
         assert distances_loop(points, fcm_centroids_loop(points, u0, params.m)).all()
         pairs, u, centroids = fcm_pairs(points, u0, params)
         assert not distances_loop(points, centroids).all()
-        got_u, got_centroids, iterations = fcm_run(points, params)
+        got_u, got_centroids, iterations = fcm_run(points, 3, 0, tol=1e-300)
         assert (iterations, got_u.tobytes(), got_centroids.tobytes()) == (
             pairs, u.tobytes(), centroids.tobytes())
 
@@ -648,9 +664,8 @@ class TestFcmRun:
         # bytes match, sign of zero included
         points = pts((-0.0, -3.0), (-0.0, -0.0), (-0.0, -12.5), (-0.0, -1.0), (-0.0, -7.0))
         for k, m in ((1, 2.0), (2, 2.0), (3, 3.0)):
-            params = FcmParams(k=k, m=m, seed=k)
-            pairs, u, centroids = fcm_pairs(points, fcm_init(5, k, params.seed), params)
-            got_u, got_centroids, iterations = fcm_run(points, params)
+            pairs, u, centroids = fcm_pairs(points, fcm_init(5, k, k), FuzzyFormation(m=m))
+            got_u, got_centroids, iterations = fcm_run(points, k, k, m=m)
             assert (iterations, got_u.tobytes(), got_centroids.tobytes()) == (
                 pairs, u.tobytes(), centroids.tobytes())
             assert not np.signbit(got_centroids[:, 0]).any()
@@ -658,7 +673,7 @@ class TestFcmRun:
     def test_membership_rows_stay_normalized(self):
         rng = np.random.default_rng(29)
         points = pts(*[rng.uniform(0, 50, 2) for _ in range(30)])
-        u, _, _ = fcm_run(points, FcmParams(k=4, seed=3))
+        u, _, _ = fcm_run(points, 4, 3)
         assert_memberships(u)
 
 
@@ -668,18 +683,21 @@ class TestCriterion4Unreachable:
         # begins at the memberships of k-means' converged centroids. It still
         # needs more pairs than k-means took in every cell with k < n; at
         # k = n every point is its own centroid and both stop after one pair.
-        params = FcmParams(k=1, m=2.0, tol=1e-4, max_iter=100)  # k is unused here
+        params = FuzzyFormation(m=2.0, tol=1e-4, max_iter=100)
         not_slower = []
         for seed in CRITERION4_SEEDS:
             points, energy, _ = criterion4_cell(seed)
             for k in CRITERION4_GRID:
-                part = kmeans_from_energy(points, energy, k, max_iter=params.max_iter)
-                u0 = fcm_memberships(points, part.centroids, params.m)
+                _, centroids, steps = kmeans_from_energy(points, energy, k,
+                                                         max_iter=params.max_iter)
+                # the kernel's membership step, exponent -2/(m-1)
+                ws = _Workspace(points, k, centroids)
+                u0 = ws.fcm_memberships(-2.0 / (params.m - 1.0), np.empty((k, len(points)))).T
                 pairs, _, _ = fcm_pairs(points, u0, params)
                 if k == len(points):
-                    assert (pairs, part.iterations) == (1, 1), seed
-                elif pairs <= part.iterations:
-                    not_slower.append((seed, k, pairs, part.iterations))
+                    assert (pairs, steps) == (1, 1), seed
+                elif pairs <= steps:
+                    not_slower.append((seed, k, pairs, steps))
         assert not not_slower, f"(seed, k, fcm pairs, kmeans iterations): {not_slower}"
 
 

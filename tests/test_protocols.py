@@ -7,11 +7,13 @@ import pytest
 
 from wsnsim.engine import SimState, run_round, run_simulation
 from wsnsim.model import NEVER_CLUSTER_HEAD, NetworkConfig, deploy_nodes, euclidean_distance
-from wsnsim.partitioning import FcmParams
+from wsnsim.cli import main
 from wsnsim.protocols import (
     EecsParams,
+    FuzzyFormation,
     Geometry,
     HeedParams,
+    KmeansFormation,
     LeachParams,
     eecs_form_clusters,
     enforce_ch_separation,
@@ -471,11 +473,11 @@ class TestCentroidFormations:
         coords = [(i * 3 % 40, i * 7 % 40) for i in range(20)]
         cs, iterations = kmeans_form_clusters(geom(coords), 3)
         points = np.array(coords, dtype=float)
-        assert iterations == kmeans_run(points, kmeans_init(points, np.ones(20), 3)).iterations
+        assert iterations == kmeans_run(points, kmeans_init(points, np.ones(20), 3))[2]
 
     def test_fuzzy_k1_max_energy_head(self):
         g = geom([(0, 0), (5, 5), (9, 0)], [0.2, 0.9, 0.4])
-        cs, iterations = fuzzy_form_clusters(g, FcmParams(k=1, seed=0))
+        cs, iterations = fuzzy_form_clusters(g, FuzzyFormation(), 1, 0)
         assert cs.clusters[0].head == 1
         assert iterations == 1
 
@@ -485,19 +487,19 @@ class TestCentroidFormations:
         blob2 = [(float(x) + 50, float(y)) for x, y in rng.normal(0, 1.0, (6, 2))]
         energies = [0.1, 0.9, 0.2, 0.3, 0.4, 0.5, 0.6, 0.2, 0.95, 0.3, 0.1, 0.2]
         g = geom(blob1 + blob2, energies)
-        cs, _ = fuzzy_form_clusters(g, FcmParams(k=2, seed=1))
+        cs, _ = fuzzy_form_clusters(g, FuzzyFormation(), 2, 1)
         heads = {c.head for c in cs.clusters}
         assert heads == {1, 8}  # max energy within each blob
         check_partition(cs, g)
 
     def test_fuzzy_equal_energy_tie_break(self):
         # equal energies: head is the member nearest its cluster centroid
-        cs, _ = fuzzy_form_clusters(geom([(0, 0), (2, 0), (1, 0)]), FcmParams(k=1, seed=0))
+        cs, _ = fuzzy_form_clusters(geom([(0, 0), (2, 0), (1, 0)]), FuzzyFormation(), 1, 0)
         assert cs.clusters[0].head == 2  # centroid (1,0) is row 2's position
         # the distance only breaks ties on the most energy: row 2 is the
         # nearest to the centroid (1.125, 0), row 3 the nearest of the richest
         g = geom([(0, 0), (2, 0), (1, 0), (1.5, 0)], [0.5, 0.5, 0.4, 0.5])
-        cs, _ = fuzzy_form_clusters(g, FcmParams(k=1, seed=0))
+        cs, _ = fuzzy_form_clusters(g, FuzzyFormation(), 1, 0)
         assert cs.clusters[0].head == 3
 
     def test_k_above_alive_count_rejected(self):
@@ -505,7 +507,29 @@ class TestCentroidFormations:
         with pytest.raises(ValueError):
             kmeans_form_clusters(g, 3)
         with pytest.raises(ValueError):
-            fuzzy_form_clusters(g, FcmParams(k=3, seed=0))
+            fuzzy_form_clusters(g, FuzzyFormation(), 3, 0)
+
+    # the CLI prints each message after "error: ", except for k = 0, which
+    # its own range check refuses first ("k=0 outside 1..n_nodes=100 (k)")
+    @pytest.mark.parametrize("cls, values, message, flags", [
+        (FuzzyFormation, dict(k=0), "k must be >= 1", None),
+        (FuzzyFormation, dict(m=1.0), "fuzzifier m must be finite and > 1, got 1.0",
+         ["--fcm-m", "1.0"]),
+        (FuzzyFormation, dict(m=float("inf")), "fuzzifier m must be finite and > 1, got inf",
+         ["--fcm-m", "inf"]),
+        (FuzzyFormation, dict(tol=0.0), "tol must be > 0", ["--fcm-tol", "0"]),
+        (FuzzyFormation, dict(max_iter=0), "max_iter must be >= 1", ["--fcm-max-iter", "0"]),
+        (KmeansFormation, dict(k=0), "k must be >= 1", None),
+        (KmeansFormation, dict(max_iter=0), "max_iter must be >= 1", ["--fcm-max-iter", "0"]),
+    ])
+    def test_bad_params_rejected(self, cls, values, message, flags, tmp_path, capsys):
+        with pytest.raises(ValueError) as exc:
+            cls(**values)
+        assert str(exc.value) == message
+        if flags:
+            argv = ["run", "--protocol", cls.name, *flags, "--out", str(tmp_path / "o")]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_partitions_randomized(self):
         rng = np.random.default_rng(47)
@@ -516,7 +540,7 @@ class TestCentroidFormations:
                      list(rng.uniform(0.01, 1.0, n)))
             cs1, _ = kmeans_form_clusters(g, k)
             check_partition(cs1, g)
-            cs2, _ = fuzzy_form_clusters(g, FcmParams(k=k, seed=int(rng.integers(2**32))))
+            cs2, _ = fuzzy_form_clusters(g, FuzzyFormation(), k, int(rng.integers(2**32)))
             check_partition(cs2, g)
 
 
