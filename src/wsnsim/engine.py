@@ -113,7 +113,7 @@ def _kmeans(state: SimState, protocol: KmeansFormation) -> tuple[ClusterSet, int
 def _fuzzy(state: SimState, protocol: FuzzyFormation) -> tuple[ClusterSet, int]:
     k = _cluster_count(state.geometry, protocol.k)
     seed = int(state.rng.integers(0, 2**63))
-    return fuzzy_form_clusters(state.geometry, protocol, k, seed)
+    return fuzzy_form_clusters(state.geometry, protocol, k, seed, state.rng)
 
 
 # params type -> its round's formation. The formations call the protocols'
@@ -289,7 +289,7 @@ def sweep_iterations(
         geom = Geometry(deploy_nodes(config, rng), config.bs_pos, config.initial_energy)
         for k in grid:
             _, km_iters = kmeans_form_clusters(geom, k, max_iter=fuzzy.max_iter)
-            _, fz_iters = fuzzy_form_clusters(geom, fuzzy, k, int(rng.integers(0, 2**63)))
+            _, fz_iters = fuzzy_form_clusters(geom, fuzzy, k, int(rng.integers(0, 2**63)), rng)
             per_cell[k][0].append(km_iters)
             per_cell[k][1].append(fz_iters)
     return [

@@ -19,6 +19,7 @@ generator state; ties always resolve to the lowest row or index.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -157,7 +158,7 @@ class FuzzyFormation:
             raise ValueError("max_iter must be >= 1")
 
 
-_BLOCK = 2**16  # the one element budget: heed_geometry's row blocks, EECS's store
+_BLOCK = 2**16  # the one element budget: heed_geometry's row blocks, EECS's store, FCM's batch
 
 
 class Geometry:
@@ -169,7 +170,8 @@ class Geometry:
     ``NEVER_CLUSTER_HEAD``) change as the run goes; a row is alive exactly
     while its energy is > 0. HEED's neighbor mask and costs depend on the
     alive set as well, so ``heed`` keeps them for the set it last saw.
-    ``head_distances`` keeps each EECS head's exact distances to every row.
+    ``head_distances`` keeps each EECS head's exact distances to every row,
+    and ``fcm`` the coming rounds' FCM runs for the alive set it last saw.
     """
 
     def __init__(self, pos, bs: tuple[float, float], energy):
@@ -186,6 +188,9 @@ class Geometry:
         self._near = np.empty((min(n, _BLOCK // max(n, 1)), n))  # one row per stored head
         self._slot = np.full(n, -1)  # each head's row in _near, -1 if not stored
         self._stored = 0
+        self._fcm_key: tuple | None = None
+        self._fcm_ahead: dict = {}  # seed -> fcm_run's result for it, under _fcm_key
+        self._fcm_batch = 1
 
     def alive(self) -> np.ndarray:
         """The rows of the alive nodes, ascending; ValueError if there are none."""
@@ -224,6 +229,35 @@ class Geometry:
         if len(spill):
             out[spill] = self.distances(rows, heads[spill]).T
         return out.T
+
+    def fcm(self, rows: np.ndarray, params: FuzzyFormation, k: int, seed: int,
+            rng: np.random.Generator) -> tuple:
+        """``fcm_run(pos[rows], k, [seed], ...)[0]``, bit for bit.
+
+        ``rng`` is the generator ``seed`` was drawn from; its next draws are
+        the coming fuzzy rounds' seeds as long as nothing else draws from it.
+        A round with no kept run for its seed runs it beside the next B - 1
+        seeds, read from a copy of ``rng``, and keeps their results under
+        (rows, k, params). B doubles each time the kept runs are used up,
+        capped so that fcm_run's four planes and the memberships it returns,
+        five k x n arrays per run, hold at most ``_BLOCK`` elements. It
+        restarts at 1 on a miss: a changed alive set or k (a death), or a
+        seed the batch did not foresee."""
+        key = (rows.tobytes(), k, params)
+        if key == self._fcm_key and seed in self._fcm_ahead:
+            return self._fcm_ahead.pop(seed)
+        if key == self._fcm_key and not self._fcm_ahead:  # every kept run was used
+            cap = max(1, _BLOCK // (5 * k * len(rows)))
+            self._fcm_batch = min(2 * self._fcm_batch, cap)
+        else:  # the kept runs belong to the old key
+            self._fcm_key, self._fcm_ahead, self._fcm_batch = key, {}, 1
+        seeds = [seed]
+        if self._fcm_batch > 1:
+            seeds += copy.deepcopy(rng).integers(0, 2**63, size=self._fcm_batch - 1).tolist()
+        runs = fcm_run(self.pos[rows], k, seeds, params.m, params.tol, params.max_iter)
+        # a look-ahead run that failed is left out, to fail again in its own round
+        self._fcm_ahead = {s: run for s, run in zip(seeds[1:], runs[1:]) if run is not None}
+        return runs[0]
 
     def nearest(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """``distances(rows, cols).argmin(axis=1)``, bit for bit, mostly without
@@ -552,13 +586,13 @@ def kmeans_form_clusters(geom: Geometry, k: int, max_iter: int = 100) -> tuple[C
     return _centroid_cluster_set(geom, rows, assignment, centroids), iterations
 
 
-def fuzzy_form_clusters(geom: Geometry, params: FuzzyFormation, k: int,
-                        seed: int) -> tuple[ClusterSet, int]:
-    """Cluster alive nodes into k with fuzzy c-means seeded by ``seed``,
-    defuzzify, head each cluster by energy; ``params.k`` is not read."""
+def fuzzy_form_clusters(geom: Geometry, params: FuzzyFormation, k: int, seed: int,
+                        rng: np.random.Generator) -> tuple[ClusterSet, int]:
+    """Cluster alive nodes into k with fuzzy c-means seeded by ``seed``, the
+    last draw from ``rng``, defuzzify, head each cluster by energy;
+    ``params.k`` is not read. ``Geometry.fcm`` looks ahead in ``rng``."""
     rows = geom.alive()
     if k > len(rows):
         raise ValueError(f"k={k} exceeds alive node count {len(rows)}")
-    u, centroids, iterations = fcm_run(geom.pos[rows], k, seed, params.m, params.tol,
-                                       params.max_iter)
+    u, centroids, iterations = geom.fcm(rows, params, k, seed, rng)
     return _centroid_cluster_set(geom, rows, defuzzify(u), centroids), iterations

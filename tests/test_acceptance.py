@@ -263,7 +263,7 @@ class TestCriterion7NumericalProperties:
             else:
                 centroids = np.array([rng.uniform(0, 100, 2) for _ in range(k)])
             # the kernel's membership step at m = 2: d ** -2 over its row sum
-            u = _Workspace(points, k, centroids).fcm_memberships(-2.0, np.empty((k, n))).T
+            u = _Workspace(points, k, centroids).fcm_memberships(-2.0, np.empty((1, k, n)))[0].T
             if np.any(np.abs(u.sum(axis=1) - 1.0) > 1e-9):
                 violations += 1
             if np.any(u < 0) or np.any(u > 1):
@@ -330,7 +330,7 @@ class TestCriterion7NumericalProperties:
                 heed_form_clusters(geom, HeedParams(), np.random.default_rng(seed))[0],
                 eecs_form_clusters(geom, EecsParams(), np.random.default_rng(seed)),
                 kmeans_form_clusters(geom, k)[0],
-                fuzzy_form_clusters(geom, FuzzyFormation(), k, seed)[0],
+                fuzzy_form_clusters(geom, FuzzyFormation(), k, seed, np.random.default_rng(seed))[0],
             ]
             for cs in cluster_sets:
                 checked += 1
@@ -417,7 +417,7 @@ class TestCriterion8OracleEquivalence:
             if len(pts) < 2:
                 continue
             best, _ = brute_force_best_split(pts)
-            u, _, _ = fcm_run(pts, 2, trial, m=2.0)
+            u, _, _ = fcm_run(pts, 2, [trial], m=2.0)[0]
             got = hard_objective(pts, defuzzify(u))
             if got > best * (1 + 1e-6) + 1e-9:
                 failures += 1

@@ -1,9 +1,11 @@
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
 import wsnsim.engine
+import wsnsim.protocols
 from wsnsim.engine import (
     PROTOCOLS,
     EecsParams,
@@ -19,7 +21,8 @@ from wsnsim.engine import (
 )
 from wsnsim.metrics import result_to_dict
 from wsnsim.model import NetworkConfig, RadioModel, deploy_nodes
-from wsnsim.protocols import Cluster, ClusterSet, Geometry
+from wsnsim.partitioning import FcmUnderflow, defuzzify, fcm_run
+from wsnsim.protocols import Cluster, ClusterSet, Geometry, _centroid_cluster_set
 
 # powers of two make every charge and subtraction exact in binary floating
 # point, so the death-at-exactly-zero boundary is deterministic
@@ -292,3 +295,107 @@ class TestHelpers:
         config = NetworkConfig(n_nodes=12, initial_energy=0.01, seed=43)
         res = run_simulation(config, KmeansFormation(k=10), max_rounds=2000)
         assert res.last_death_round is not None
+
+
+def look_ahead_state(seed: int = 3) -> SimState:
+    """A paper-scenario state whose generator deployed the nodes, as in
+    ``run_simulation``."""
+    config = NetworkConfig(seed=seed)
+    rng = np.random.default_rng(config.seed)
+    geom = Geometry(deploy_nodes(config, rng), config.bs_pos, config.initial_energy)
+    return SimState(geometry=geom, config=config, rng=rng)
+
+
+def record_fcm_batches(monkeypatch) -> list:
+    """Make every fcm_run call append its seeds to the returned list."""
+    batches, run = [], wsnsim.protocols.fcm_run
+
+    def recording(points, k, seeds, *args):
+        batches.append(list(seeds))
+        return run(points, k, seeds, *args)
+
+    monkeypatch.setattr(wsnsim.protocols, "fcm_run", recording)
+    return batches
+
+
+def next_seed(state: SimState) -> int:
+    return int(copy.deepcopy(state.rng).integers(0, 2**63))
+
+
+def fresh_fuzzy_round(state: SimState, params: FuzzyFormation) -> tuple:
+    """The coming fuzzy round's (clusters, iterations) from one fresh fcm_run
+    over the alive set, with no kept runs."""
+    geom = state.geometry
+    rows = geom.alive()
+    k = wsnsim.engine._cluster_count(geom, params.k)
+    u, centroids, iterations = fcm_run(geom.pos[rows], k, [next_seed(state)], params.m,
+                                       params.tol, params.max_iter)[0]
+    return _centroid_cluster_set(geom, rows, defuzzify(u), centroids), iterations
+
+
+class TestFuzzyLookAhead:
+    """A fuzzy round may run the coming rounds' seeds in one batch; its
+    clusters, and the generator, are what one run per round gives."""
+
+    def test_generator_draws_one_seed_per_round(self, monkeypatch):
+        batches = record_fcm_batches(monkeypatch)
+        state = look_ahead_state()
+        reference = np.random.default_rng(state.config.seed)
+        deploy_nodes(state.config, reference)
+        for _ in range(12):
+            run_round(state, FuzzyFormation())
+            reference.integers(0, 2**63)
+            assert state.rng.bit_generator.state == reference.bit_generator.state
+        assert [len(b) for b in batches] == [1, 2, 4, 8]  # rounds 0, 1, 3 and 7
+
+    def test_node_killed_between_rounds(self, monkeypatch):
+        batches = record_fcm_batches(monkeypatch)
+        formed = record_cluster_sets(monkeypatch)
+        state, params = look_ahead_state(), FuzzyFormation()
+        for _ in range(4):  # round 3 runs rounds 4-6 too
+            run_round(state, params)
+        seed, calls = next_seed(state), len(batches)
+        assert seed in batches[-1][1:]
+        state.geometry.energy[int(state.geometry.alive()[7])] = 0.0
+        for _ in range(3):
+            expected = fresh_fuzzy_round(state, params)
+            run_round(state, params)
+            assert formed[-1] == expected
+        assert batches[calls][0] == seed  # the kept run for the old alive set was not used
+
+    def test_other_protocol_round_only_misses(self, monkeypatch):
+        batches = record_fcm_batches(monkeypatch)
+        formed = record_cluster_sets(monkeypatch)
+        state, fuzzy = look_ahead_state(), FuzzyFormation()
+        for protocol in [fuzzy] * 5 + [LeachParams()] + [fuzzy] * 4:
+            if protocol is fuzzy:
+                expected, seed = fresh_fuzzy_round(state, fuzzy), next_seed(state)
+                foreseen = seed in batches[-1][1:] if batches else False
+            run_round(state, protocol)
+            if protocol is fuzzy:
+                assert formed[-1] == expected
+                assert foreseen != (batches[-1][0] == seed)
+        # round 3 ran rounds 4-6, but LEACH drew from the generator in round 5:
+        # round 6 misses and runs alone, round 7 runs rounds 7-8 and round 9 runs 9-12
+        assert [len(b) for b in batches] == [1, 2, 4, 1, 2, 4]
+
+    def test_failed_miss_keeps_no_stale_run(self, monkeypatch):
+        state, params = look_ahead_state(), FuzzyFormation()
+        for _ in range(2):  # round 1 runs round 2 too
+            run_round(state, params)
+        geom, seed = state.geometry, next_seed(state)
+        k = wsnsim.engine._cluster_count(geom, params.k)
+        geom.energy[int(geom.alive()[7])] = 0.0
+        rows, run = geom.alive(), wsnsim.protocols.fcm_run
+
+        def underflow(*args):
+            raise FcmUnderflow("the memberships underflow to 0/0")
+
+        monkeypatch.setattr(wsnsim.protocols, "fcm_run", underflow)
+        with pytest.raises(FcmUnderflow):  # a miss on the new alive set, failed
+            geom.fcm(rows, params, k, 1, state.rng)
+        monkeypatch.setattr(wsnsim.protocols, "fcm_run", run)
+        # the run kept for the old alive set is not read as the new set's
+        expected = fcm_run(geom.pos[rows], k, [seed], params.m, params.tol, params.max_iter)[0]
+        got = geom.fcm(rows, params, k, seed, state.rng)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))

@@ -32,6 +32,10 @@ CASES = {
     "run-centroid-k7": ["run", "--protocol", "kmeans", "--protocol", "fuzzy",
                         "--seed", "4", "--seed", "9", "--k", "7", "--fcm-m", "1.5",
                         "--rounds", "150", "--thin", "10"],
+    # full lifetimes at k = 8: FCM and k-means lay their buffers along the
+    # centroids, until fewer than 8 nodes are alive and k falls to 2
+    "run-centroid-k8": ["run", "--protocol", "kmeans", "--protocol", "fuzzy",
+                        "--k", "8", "--seed", "5"],
     "run-table1-seed3": ["run", "--preset", "table1", *ALL, "--seed", "3"],
     "compare-trio": ["compare", "--protocol", "leach", "--protocol", "heed",
                      "--protocol", "eecs", "--seed", "1", "--seed", "3",
@@ -56,6 +60,12 @@ DIGESTS = {'compare-trio': {'<stdout>': '3c40fe8929b47b9ce7444e460e2f7a2e349d533
                      'kmeans_seed4.json': '6fd10a39815f76bfcbd6a41026e52e22b789946586f30a3d00f834e0ec3f44c3',
                      'kmeans_seed9.json': '51a84962a517de71d3dd6ee83065414c30c9f56d088a9d5f1490ef6c7eff1aff',
                      'summary.csv': 'fb955146aa2c9d4df18b6588a0060e6f996a408259fb367a0ca34599080ff07e'},
+ 'run-centroid-k8': {'<stdout>': '64c5a7984d6b9fa03b3ef22a8f9de9de931d6b1796447ee5c4ff1eb0d1ca3db9',
+                     'alive_series.csv': '4889cea9f7884ccfef4c94bcf837c62939320d40f92021f45567471b55395c99',
+                     'bs_series.csv': '3875c65460f920a3418ca7dd7b189e274d0471ba8c328322d7e0bc9c2ef3ec77',
+                     'fuzzy_seed5.json': '8c282bb63601dbbfaf19f6ffcffecc540d764120cd9ad3aa3abf4b46768c15aa',
+                     'kmeans_seed5.json': '772cf59142c24adeffa4113a882320d81c6dca36ad9a8463ac763098a7401238',
+                     'summary.csv': '195c4f9393588ec225be06b1fa02feb328b9dc88223113233a7cf348a76a20ef'},
  'run-eecs-seed2': {'<stdout>': '1debabccaa4d793d9a3c73bceb06a6dc407ec19767d0821bdce1d09fa9f190fa',
                     'alive_series.csv': 'b49e173cbf4f8e5aac14bfdc9c7ba605391b55c6918018ffbc9c4b70bd33ebae',
                     'bs_series.csv': '5643434a2457a2fd9f9264dc0aa7fc362a4465f600a0bb8793c74164b675d3e8',

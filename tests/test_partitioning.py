@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wsnsim import partitioning
+from wsnsim import partitioning, protocols
 from wsnsim.engine import KmeansFormation, run_simulation
 from wsnsim.model import NetworkConfig, deploy_nodes
 from wsnsim.partitioning import (
@@ -19,12 +19,25 @@ from wsnsim.partitioning import (
     kmeans_run,
     _Workspace,
 )
-from wsnsim.protocols import FuzzyFormation, Geometry, kmeans_form_clusters
+from wsnsim.protocols import FuzzyFormation, Geometry, fuzzy_form_clusters, kmeans_form_clusters
 
 
 def pts(*coords):
     """An (n, 2) float array of the given (x, y) pairs."""
     return np.array(coords, dtype=float).reshape(-1, 2)
+
+
+def memberships(points, centroids, p):
+    """The kernel's membership step with exponent p for one run, indexed (n, k)."""
+    k, n = len(centroids), len(points)
+    return _Workspace(points, k, centroids).fcm_memberships(p, np.empty((1, k, n)))[0].T
+
+
+def weighted_centroids(points, u, m):
+    """The kernel's centroid step for one run from memberships u (n, k), as (k, 2)."""
+    ws = _Workspace(points, u.shape[1], fuzzy=True)
+    ws.u[0, 0] = u.T
+    return ws.fcm_centroids(0, m)[:, 0].T
 
 
 def kmeans_from_energy(points, energy, k, max_iter=100):
@@ -161,7 +174,7 @@ class TestArrayStepsMatchLoops:
         ws = _Workspace(points, len(previous), previous)
         moved = ws.kmeans_update(assignment)
         expected = kmeans_update_loop(points, assignment, previous)
-        assert np.array_equal(ws.c.T, expected)
+        assert np.array_equal(ws.c[:, 0].T, expected)
         if moved is not None:  # from k = 8: the centroids whose value changed
             assert moved.tolist() == np.flatnonzero((expected != previous).any(axis=1)).tolist()
 
@@ -170,7 +183,7 @@ class TestArrayStepsMatchLoops:
     def test_kmeans_assign(self, case):
         points, centroids = case
         expected = distances_loop(points, centroids).argmin(axis=1)
-        got = _Workspace(points, len(centroids), centroids).distances().argmin(axis=0)
+        got = _Workspace(points, len(centroids), centroids).distances()[0].argmin(axis=0)
         assert np.array_equal(got, expected)
 
     @settings(max_examples=300, deadline=None)
@@ -180,7 +193,7 @@ class TestArrayStepsMatchLoops:
     @example((pts(*[(1.0, 2.0)] * 12), np.array([[1.0]] + [[2.0**-27]] * 11)), 2.0)
     def test_fcm_centroids(self, case, m):
         points, u = case
-        got = _Workspace(points, u.shape[1]).fcm_centroids(u.T, m).T
+        got = weighted_centroids(points, u, m)
         assert np.array_equal(got, fcm_centroids_loop(points, u, m))
 
     @settings(max_examples=300, deadline=None)
@@ -188,10 +201,8 @@ class TestArrayStepsMatchLoops:
     def test_fcm_memberships(self, case, m):
         points, centroids = case
         # a distance of ~1e-160 overflows d**-2 on both sides alike
-        k, n = len(centroids), len(points)
         with np.errstate(over="ignore", invalid="ignore"):
-            ws = _Workspace(points, k, centroids)
-            got = ws.fcm_memberships(-2.0 / (m - 1.0), np.empty((k, n))).T
+            got = memberships(points, centroids, -2.0 / (m - 1.0))
             expected = fcm_memberships_loop(points, centroids, m)
         assert np.array_equal(got, expected, equal_nan=True)
 
@@ -452,7 +463,7 @@ class TestMovedCentroidReuse:
                 return getattr(np, name)
 
             def sqrt(self, x, *args, **kwargs):  # one call per distance block
-                rows[0] += len(x)
+                rows[0] += x.size // x.shape[-1]
                 return np.sqrt(x, *args, **kwargs)
 
         monkeypatch.setattr(partitioning, "np", CountingNumpy())
@@ -495,48 +506,43 @@ class TestFcmInit:
 # m = 2 a membership step takes the exponent -2/(m-1) = -2
 class TestFcmCentroids:
     def test_equal_memberships_give_global_mean(self):
-        ws = _Workspace(pts((0, 0), (2, 0), (4, 6)), 2)
-        cents = ws.fcm_centroids(np.full((2, 3), 0.5), 2.0).T
+        cents = weighted_centroids(pts((0, 0), (2, 0), (4, 6)), np.full((3, 2), 0.5), 2.0)
         assert cents.tolist() == [[2.0, 2.0], [2.0, 2.0]]
 
     def test_one_hot_recovers_point(self):
-        cents = _Workspace(pts((3, 4), (8, 8)), 2).fcm_centroids(np.eye(2), 2.0).T
+        cents = weighted_centroids(pts((3, 4), (8, 8)), np.eye(2), 2.0)
         assert cents.tolist() == [[3, 4], [8, 8]]
 
     def test_hand_evaluated_weighted_mean(self):
         # 1-D points {0, 2}, memberships to cluster j {0.9, 0.1}, m=2:
         # (0.81*0 + 0.01*2) / 0.82 = 0.024390...
         u = np.array([[0.9, 0.1], [0.1, 0.9]])
-        cents = _Workspace(pts((0, 0), (2, 0)), 2).fcm_centroids(u.T, 2.0).T
+        cents = weighted_centroids(pts((0, 0), (2, 0)), u, 2.0)
         assert cents[0, 0] == pytest.approx(0.02 / 0.82, rel=1e-12)
         assert cents[0, 1] == 0.0
 
     def test_zero_column_falls_back_to_mean(self):
         u = np.array([[1.0, 0.0], [1.0, 0.0]])
-        cents = _Workspace(pts((0, 0), (4, 0)), 2).fcm_centroids(u.T, 2.0).T
+        cents = weighted_centroids(pts((0, 0), (4, 0)), u, 2.0)
         assert cents[1].tolist() == [2.0, 0.0]
 
 
 class TestFcmMemberships:
     def test_coincident_point_gets_full_membership(self):
-        ws = _Workspace(pts((1, 3)), 2, pts((1, 3), (9, 9)))
-        u = ws.fcm_memberships(-2.0, np.empty((2, 1))).T
+        u = memberships(pts((1, 3)), pts((1, 3), (9, 9)), -2.0)
         assert u.tolist() == [[1.0, 0.0]]
 
     def test_coincident_with_two_centroids_splits(self):
-        ws = _Workspace(pts((1, 3)), 3, pts((1, 3), (1, 3), (9, 9)))
-        u = ws.fcm_memberships(-2.0, np.empty((3, 1))).T
+        u = memberships(pts((1, 3)), pts((1, 3), (1, 3), (9, 9)), -2.0)
         assert u.tolist() == [[0.5, 0.5, 0.0]]
 
     def test_equidistant_splits_evenly(self):
-        ws = _Workspace(pts((0.5, 0)), 2, pts((0, 0), (1, 0)))
-        u = ws.fcm_memberships(-2.0, np.empty((2, 1))).T
+        u = memberships(pts((0.5, 0)), pts((0, 0), (1, 0)), -2.0)
         assert u[0] == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_hand_evaluated_inverse_square(self):
         # x=0 with centroids at 1 and 3, m=2: u = (0.9, 0.1)
-        ws = _Workspace(pts((0, 0)), 2, pts((1, 0), (3, 0)))
-        u = ws.fcm_memberships(-2.0, np.empty((2, 1))).T
+        u = memberships(pts((0, 0)), pts((1, 0), (3, 0)), -2.0)
         assert u[0] == pytest.approx([0.9, 0.1], rel=1e-12)
 
     def test_rows_sum_to_one_randomized(self):
@@ -546,7 +552,7 @@ class TestFcmMemberships:
             k = int(rng.integers(1, 6))
             points = pts(*[rng.uniform(0, 100, 2) for _ in range(n)])
             cents = pts(*[rng.uniform(0, 100, 2) for _ in range(k)])
-            u = _Workspace(points, k, cents).fcm_memberships(-2.0, np.empty((k, n))).T
+            u = memberships(points, cents, -2.0)
             assert_memberships(u)
 
     def test_nearest_centroid_gets_strict_row_max(self):
@@ -558,7 +564,7 @@ class TestFcmMemberships:
             order = sorted(range(4), key=lambda j: d[j])
             if math.isclose(d[order[0]], d[order[1]]):
                 continue
-            u = _Workspace(points, 4, cents).fcm_memberships(-2.0, np.empty((4, 1))).T
+            u = memberships(points, cents, -2.0)
             assert u[0].argmax() == order[0]
             assert u[0][order[0]] > max(v for j, v in enumerate(u[0]) if j != order[0])
 
@@ -570,14 +576,14 @@ class TestFcmMemberships:
 
 class TestFcmRun:
     def test_k1_converges_immediately(self):
-        u, cents, iterations = fcm_run(pts((0, 0), (2, 0), (4, 6)), 1, 0)
+        u, cents, iterations = fcm_run(pts((0, 0), (2, 0), (4, 6)), 1, [0])[0]
         assert iterations == 1
         assert cents.tolist() == [[2.0, 2.0]]
         assert np.all(u == 1.0)
 
     def test_infinite_tol_single_iteration(self):
         points = pts((0, 0), (5, 5), (9, 0))
-        _, _, iterations = fcm_run(points, 2, 1, tol=math.inf)
+        _, _, iterations = fcm_run(points, 2, [1], tol=math.inf)[0]
         assert iterations == 1
 
     def test_fuzzifier_near_one_raises(self):
@@ -585,8 +591,8 @@ class TestFcmRun:
         # each row is 0/0; m = 1.5 (exponent -4) is fine on the same points
         points = pts((0, 0), (30, 5), (60, 60), (90, 10))
         with pytest.raises(FcmUnderflow, match="fuzzifier m=1.001"):
-            fcm_run(points, 2, 0, m=1.001)
-        u, _, _ = fcm_run(points, 2, 0, m=1.5)
+            fcm_run(points, 2, [0], m=1.001)
+        u, _, _ = fcm_run(points, 2, [0], m=1.5)[0]
         assert not np.isnan(u).any()
 
     def test_point_next_to_a_centroid_overflows(self):
@@ -594,7 +600,7 @@ class TestFcmRun:
         # is inf/inf; the message names the distance, not the fuzzifier
         points = pts((0, 0), (3, 1), (1, 4), (4, 4)) * 1e-160
         with pytest.raises(FcmUnderflow, match="from a centroid.*overflows with m=2.0"):
-            fcm_run(points, 2, 0)
+            fcm_run(points, 2, [0])
 
     def test_all_zero_membership_row_raises(self):
         # finite weights whose sum overflows make a row of x/inf = 0, not
@@ -602,7 +608,7 @@ class TestFcmRun:
         for seed in range(800):
             points = np.random.default_rng(seed).uniform(0, 3e-154, (6, 2))
             try:
-                u, _, _ = fcm_run(points, 2, seed, max_iter=5)
+                u, _, _ = fcm_run(points, 2, [seed], max_iter=5)[0]
             except FcmUnderflow:
                 continue
             assert (u.max(axis=1) > 0).all()
@@ -612,12 +618,12 @@ class TestFcmRun:
         # their sum overflows: the message names the distance, not the fuzzifier
         points = np.random.default_rng(12).uniform(0, 3e-154, (6, 2))
         with pytest.raises(FcmUnderflow, match="from a centroid: the sum .* overflows with m=2.0"):
-            fcm_run(points, 2, 12, max_iter=5)
+            fcm_run(points, 2, [12], max_iter=5)
 
     def test_deterministic_per_seed(self):
         points = pts(*[(float(i), float(i % 3)) for i in range(9)])
-        r1 = fcm_run(points, 3, 21)
-        r2 = fcm_run(points, 3, 21)
+        r1 = fcm_run(points, 3, [21])[0]
+        r2 = fcm_run(points, 3, [21])[0]
         assert np.array_equal(r1[0], r2[0])
         assert r1[2] == r2[2]
 
@@ -629,7 +635,7 @@ class TestFcmRun:
             blob1 = [rng.normal(0, 1.5, 2) for _ in range(n1)]
             blob2 = [rng.normal(40, 1.5, 2) for _ in range(n2)]
             points = pts(*blob1, *blob2)
-            u, _, _ = fcm_run(points, 2, trial)
+            u, _, _ = fcm_run(points, 2, [trial])[0]
             best, _ = brute_force_two_partition(points)
             assert hard_objective(points, defuzzify(u)) == pytest.approx(best, rel=1e-6)
 
@@ -638,7 +644,7 @@ class TestFcmRun:
         points, _, rng = criterion4_cell(0)
         params, seed = FuzzyFormation(max_iter=max_iter), int(rng.integers(0, 2**63))
         pairs, u, centroids = fcm_pairs(points, fcm_init(len(points), k, seed), params)
-        got_u, got_centroids, iterations = fcm_run(points, k, seed, max_iter=max_iter)
+        got_u, got_centroids, iterations = fcm_run(points, k, [seed], max_iter=max_iter)[0]
         assert iterations == pairs
         assert np.array_equal(got_u, u)
         assert np.array_equal(got_centroids, centroids)
@@ -654,7 +660,7 @@ class TestFcmRun:
         assert distances_loop(points, fcm_centroids_loop(points, u0, params.m)).all()
         pairs, u, centroids = fcm_pairs(points, u0, params)
         assert not distances_loop(points, centroids).all()
-        got_u, got_centroids, iterations = fcm_run(points, 3, 0, tol=1e-300)
+        got_u, got_centroids, iterations = fcm_run(points, 3, [0], tol=1e-300)[0]
         assert (iterations, got_u.tobytes(), got_centroids.tobytes()) == (
             pairs, u.tobytes(), centroids.tobytes())
 
@@ -665,7 +671,7 @@ class TestFcmRun:
         points = pts((-0.0, -3.0), (-0.0, -0.0), (-0.0, -12.5), (-0.0, -1.0), (-0.0, -7.0))
         for k, m in ((1, 2.0), (2, 2.0), (3, 3.0)):
             pairs, u, centroids = fcm_pairs(points, fcm_init(5, k, k), FuzzyFormation(m=m))
-            got_u, got_centroids, iterations = fcm_run(points, k, k, m=m)
+            got_u, got_centroids, iterations = fcm_run(points, k, [k], m=m)[0]
             assert (iterations, got_u.tobytes(), got_centroids.tobytes()) == (
                 pairs, u.tobytes(), centroids.tobytes())
             assert not np.signbit(got_centroids[:, 0]).any()
@@ -673,8 +679,99 @@ class TestFcmRun:
     def test_membership_rows_stay_normalized(self):
         rng = np.random.default_rng(29)
         points = pts(*[rng.uniform(0, 50, 2) for _ in range(30)])
-        u, _, _ = fcm_run(points, 4, 3)
+        u, _, _ = fcm_run(points, 4, [3])[0]
         assert_memberships(u)
+
+
+class TestFcmBatch:
+    """Runs side by side in one batch give, bit for bit, what each gives alone
+    and what the loop oracles give: memberships, centroids and pair counts."""
+
+    @staticmethod
+    def assert_batch_is_its_runs(points, k, seeds, params):
+        batch = fcm_run(points, k, seeds, params.m, params.tol, params.max_iter)
+        counts = []
+        for seed, got in zip(seeds, batch):
+            pairs, u, centroids = fcm_pairs(points, fcm_init(len(points), k, seed), params)
+            alone = fcm_run(points, k, [seed], params.m, params.tol, params.max_iter)[0]
+            for run in (got, alone):
+                assert (run[2], run[0].tobytes(), run[1].tobytes()) == (
+                    pairs, u.tobytes(), centroids.tobytes()), seed
+            counts.append(pairs)
+        return counts
+
+    # k = 1 sums its weight column pairwise; k = 8 and 12 lie along the centroids;
+    # at k = 1 and 3 the weight sums move from the reduce over the points to
+    # the accumulate along them once fewer than 8 // k runs are left
+    @pytest.mark.parametrize("k, max_iter", [(1, 100), (3, 59), (8, 90), (12, 55)])
+    def test_runs_leave_at_different_pairs(self, k, max_iter):
+        points, _, rng = criterion4_cell(0)
+        seeds = [int(s) for s in rng.integers(0, 2**63, size=8)]
+        counts = self.assert_batch_is_its_runs(points[:40], k, seeds,
+                                               FuzzyFormation(max_iter=max_iter))
+        if k > 1:  # the batch shrank several times, and a run stopped at the cap
+            assert len(set(counts)) > 3 and max_iter in counts, counts
+
+    def test_coincident_point_in_one_run(self):
+        # with tol=1e-300 seed 2's centroids land on their points by pair 6,
+        # whose memberships then take the equal-split rule, while seed 0's
+        # stay off every point
+        points = pts((0, 0), (100, 0), (0, 100))
+        params = FuzzyFormation(tol=1e-300, max_iter=6)
+        assert self.assert_batch_is_its_runs(points, 3, [0, 2], params) == [6, 6]
+        (_, apart, _), (_, landed, _) = fcm_run(points, 3, [0, 2], tol=1e-300, max_iter=6)
+        assert sorted(landed.tolist()) == sorted(points.tolist())
+        assert distances_loop(points, apart).all()
+
+    def test_failed_look_ahead_run_is_none(self):
+        # seed 12's run overflows (see TestFcmRun) and seed 30's does not: a
+        # failed run behind the first seed comes back as None, and the first
+        # seed's raises as it does alone
+        points = np.random.default_rng(12).uniform(0, 3e-154, (6, 2))
+        with pytest.raises(FcmUnderflow, match="from a centroid: the sum .* overflows"):
+            fcm_run(points, 2, [12, 30], max_iter=5)
+        runs = fcm_run(points, 2, [30, 12], max_iter=5)
+        assert runs[1] is None
+        alone = fcm_run(points, 2, [30], max_iter=5)[0]
+        assert [a.tobytes() for a in runs[0][:2]] == [a.tobytes() for a in alone[:2]]
+
+    def test_full_batch_memory_at_n_100(self, monkeypatch):
+        # a full batch's four (runs, k, n) planes and the memberships it
+        # returns take 26 * 5 * 500 * 8 = 520 kB at n = 100, k = 5; the batch
+        # grows 1, 2, 4, 8, 16 and then holds _BLOCK // (5 * k * n) = 26 runs
+        batches, run = [], fcm_run
+
+        def traced(points, k, seeds, *args):
+            tracemalloc.start()
+            try:
+                out = run(points, k, seeds, *args)
+                batches.append((len(seeds), tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+            return out
+
+        monkeypatch.setattr(protocols, "fcm_run", traced)
+        points, energy, rng = criterion4_cell(1)
+        geom = Geometry(points, (50.0, 175.0), energy)
+        for _ in range(40):
+            fuzzy_form_clusters(geom, FuzzyFormation(), 5, int(rng.integers(0, 2**63)), rng)
+        assert [size for size, _ in batches] == [1, 2, 4, 8, 16, 26]
+        assert batches[-1][1] < 2**20
+
+    def test_batch_holds_one_run_at_n_1000(self, monkeypatch):
+        # one run's five k x n arrays at k = 50 already exceed _BLOCK
+        sizes = []
+
+        def stub(points, k, seeds, *args):
+            sizes.append(len(seeds))
+            return [(np.full((len(points), k), 1.0 / k), np.zeros((k, 2)), 1)] * len(seeds)
+
+        monkeypatch.setattr(protocols, "fcm_run", stub)
+        points = deploy_nodes(NetworkConfig(n_nodes=1000, seed=1))
+        geom, rng = Geometry(points, (50.0, 175.0), 0.5), np.random.default_rng(1)
+        for _ in range(6):
+            fuzzy_form_clusters(geom, FuzzyFormation(), 50, int(rng.integers(0, 2**63)), rng)
+        assert sizes == [1] * 6
 
 
 class TestCriterion4Unreachable:
@@ -691,8 +788,7 @@ class TestCriterion4Unreachable:
                 _, centroids, steps = kmeans_from_energy(points, energy, k,
                                                          max_iter=params.max_iter)
                 # the kernel's membership step, exponent -2/(m-1)
-                ws = _Workspace(points, k, centroids)
-                u0 = ws.fcm_memberships(-2.0 / (params.m - 1.0), np.empty((k, len(points)))).T
+                u0 = memberships(points, centroids, -2.0 / (params.m - 1.0))
                 pairs, _, _ = fcm_pairs(points, u0, params)
                 if k == len(points):
                     assert (pairs, steps) == (1, 1), seed
