@@ -185,53 +185,80 @@ def run_round(state: SimState, protocol) -> tuple[SimState, RoundReport]:
                 energy[row] = 0.0
                 deaths += 1
 
-    # -- each cluster's alive members and their distances to its head, for
-    # the join and the data message; a member's energy changes only through
-    # its own charges, so the members alive now are the ones that join
-    joined = []
-    for head, cluster in zip(head_rows, cluster_set.clusters):
-        hx, hy = xy[head]
-        links = []
-        for member in sorted(cluster.members):
-            if energy[member] > 0.0:
-                mx, my = xy[member]
-                links.append((member, math.hypot(mx - hx, my - hy)))
-        joined.append((head, links))
-
-    # -- setup: join messages to the head, then steady state: member data,
-    # head aggregation and uplink. In each exchange an alive member sends at
+    # -- setup: join messages to the head. An alive member sends at
     # elec + amp*d*d and, if it survives while its head is alive, the head
     # pays elec to receive; only the cluster's head and members are charged
-    # in its exchange, so the head's energy is held in ``left_head``
+    # in its exchange, so the head's energy is held in ``left_head``. The
+    # distance d is read from the head's row of the geometry's table, or
+    # computed where there is none (n > 256). A member that survives keeps
+    # its d in ``links``: its energy changes only through its own charges,
+    # so it is still alive when its data message is due
+    table = geom.table
+    joined = []
+    for head, cluster in zip(head_rows, cluster_set.clusters):
+        if table is None:
+            hx, hy = xy[head]
+        else:
+            dist = table[head]
+        left_head = energy[head]
+        links = []
+        for member in sorted(cluster.members):
+            left = energy[member]
+            if left > 0.0:
+                if table is None:
+                    mx, my = xy[member]
+                    d = math.hypot(mx - hx, my - hy)
+                else:
+                    d = dist[member]
+                cost = elec_header + amp_header * d * d
+                charged += cost
+                if left > cost:
+                    energy[member] = left - cost
+                    links.append((member, d))
+                    if left_head > 0.0:
+                        charged += elec_header
+                        if left_head > elec_header:
+                            left_head -= elec_header
+                        else:
+                            clamped += elec_header - left_head
+                            left_head = 0.0
+                            deaths += 1
+                else:
+                    clamped += cost - left
+                    energy[member] = 0.0
+                    deaths += 1
+        energy[head] = left_head
+        joined.append((head, links))
+
+    # -- steady state: each member in ``links`` sends its data as it sent its
+    # join, then the head aggregates and uplinks
     delivered = 0
-    for elec, amp, steady in ((elec_header, amp_header, False), (elec_data, amp_data, True)):
-        for head, links in joined:
-            left_head = energy[head]
-            received = 0
-            for member, d in links:
-                left = energy[member]
-                if left > 0.0:
-                    cost = elec + amp * d * d
-                    charged += cost
-                    if left > cost:
-                        energy[member] = left - cost
-                        if left_head > 0.0:
-                            charged += elec
-                            if left_head > elec:
-                                left_head -= elec
-                                received += 1
-                            else:
-                                clamped += elec - left_head
-                                left_head = 0.0
-                                deaths += 1
+    for head, links in joined:
+        left_head = energy[head]
+        received = 0
+        for member, d in links:
+            left = energy[member]
+            cost = elec_data + amp_data * d * d
+            charged += cost
+            if left > cost:
+                energy[member] = left - cost
+                if left_head > 0.0:
+                    charged += elec_data
+                    if left_head > elec_data:
+                        left_head -= elec_data
+                        received += 1
                     else:
-                        clamped += cost - left
-                        energy[member] = 0.0
+                        clamped += elec_data - left_head
+                        left_head = 0.0
                         deaths += 1
-            energy[head] = left_head
-            if steady and left_head > 0.0 and pay(head, da_data * (received + 1)):
-                d = bs_dist[head]
-                delivered += pay(head, elec_data + amp_data * d * d)
+            else:
+                clamped += cost - left
+                energy[member] = 0.0
+                deaths += 1
+        energy[head] = left_head
+        if left_head > 0.0 and pay(head, da_data * (received + 1)):
+            d = bs_dist[head]
+            delivered += pay(head, elec_data + amp_data * d * d)
 
     for orphan in sorted(cluster_set.orphans):
         if energy[orphan] > 0.0:

@@ -158,7 +158,8 @@ class FuzzyFormation:
             raise ValueError("max_iter must be >= 1")
 
 
-_BLOCK = 2**16  # the one element budget: heed_geometry's row blocks, EECS's store, FCM's batch
+_BLOCK = 2**16  # the one element budget: heed_geometry's row blocks, EECS's store
+# (the distance table when it holds every row), FCM's batch
 
 
 class Geometry:
@@ -172,6 +173,15 @@ class Geometry:
     alive set as well, so ``heed`` keeps them for the set it last saw.
     ``head_distances`` keeps each EECS head's exact distances to every row,
     and ``fcm`` the coming rounds' FCM runs for the alive set it last saw.
+
+    When n * n <= ``_BLOCK`` (n <= 256) the store has a row for every node
+    and is filled at deployment; ``table`` then holds its rows as Python
+    lists, ``table[h][m]`` being ``euclidean_distance`` from row m to row h
+    bit for bit. ``nearest`` (LEACH's join), the greedy thinning of EECS's
+    suppression and of head separation, and ``engine.run_round``'s ledger
+    read it instead of computing distances, and ``head_distances`` only reads
+    the store. Above that size ``table`` is None: each of them computes its
+    distances, and the store fills as heads appear.
     """
 
     def __init__(self, pos, bs: tuple[float, float], energy):
@@ -185,9 +195,18 @@ class Geometry:
         self._heed_key: tuple | None = None
         self._heed: tuple = ()
         n = len(self.pos)
-        self._near = np.empty((min(n, _BLOCK // max(n, 1)), n))  # one row per stored head
+        # one row per stored head; with the table, each node's at its own row
+        self._near = np.empty((min(n, _BLOCK // max(n, 1)), n))
         self._slot = np.full(n, -1)  # each head's row in _near, -1 if not stored
         self._stored = 0
+        self.table: list[list[float]] | None = None
+        if len(self._near) == n:
+            # sqrt(n) rows at a time, so that hypot's temporaries stay a small
+            # share of what the table keeps
+            every, step = np.arange(n), max(1, math.isqrt(n))
+            for s in range(0, n, step):
+                self._near[s:s + step] = self.distances(every, every[s:s + step]).T
+            self.table = self._near.tolist()
         self._fcm_key: tuple | None = None
         self._fcm_ahead: dict = {}  # seed -> fcm_run's result for it, under _fcm_key
         self._fcm_batch = 1
@@ -209,10 +228,13 @@ class Geometry:
         return hypot(a[:, 0, None] - b[:, 0], a[:, 1, None] - b[:, 1])
 
     def head_distances(self, rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
-        """``distances(rows, heads)``, bit for bit. Heads not yet stored take
-        one ``distances`` block over all n rows, kept for the run while
-        ``_BLOCK`` elements last; a head past them gets only ``rows``, again in
-        each round it heads. Nodes never move, so no death makes a stored row stale."""
+        """``distances(rows, heads)``, bit for bit, read from the table when
+        there is one. Otherwise heads not yet stored take one ``distances``
+        block over all n rows, kept for the run while ``_BLOCK`` elements last;
+        a head past them gets only ``rows``, again in each round it heads.
+        Nodes never move, so no death makes a stored row stale."""
+        if self.table is not None:
+            return self._near[heads[:, None], rows].T
         slot = self._slot[heads]
         old, new = np.flatnonzero(slot >= 0), np.flatnonzero(slot < 0)
         room = len(self._near) - self._stored
@@ -263,7 +285,8 @@ class Geometry:
         """``distances(rows, cols).argmin(axis=1)``, bit for bit, mostly without
         computing the exact distances.
 
-        The argmin runs on d2 = dx*dx + dy*dy. A row's answer stands only when
+        With the table, the argmin runs on the stored exact distances. Without
+        it, the argmin runs on d2 = dx*dx + dy*dy. A row's answer stands only when
         its second-smallest d2 exceeds the smallest by a relative 1e-12, the
         smallest is above 1e-290 and the second is finite. fl(d2) and
         ``hypot`` each lie within a few ulps of the true values, so a gap
@@ -271,6 +294,8 @@ class Geometry:
         row (a tie, a coincident or underflowing pair) takes the argmin of the
         exact distances.
         """
+        if self.table is not None:
+            return self._near[cols[:, None], rows].argmin(axis=0)
         d2 = squared_distances(self.pos[rows], self.pos[cols])
         best = d2.argmin(axis=1)
         if d2.shape[1] < 2:
@@ -375,21 +400,45 @@ def form_clusters_nearest(geom: Geometry, ch_rows: set[int]) -> ClusterSet:
     return _join(heads, members, geom.nearest(members, heads))
 
 
+def _thin(geom: Geometry, order: np.ndarray, radius: float, quota: int) -> set[int]:
+    """Greedy thinning: take the rows of ``order`` in turn, drop any closer
+    than ``radius`` to a row already kept, and stop once ``quota`` are kept.
+    The distances come from ``geom.table`` when it exists, else from
+    ``math.hypot`` (``euclidean_distance``, inlined). The two are bit-equal:
+    the table's row of ``row`` holds the distances to it, not from it, but
+    fl(a - b) is -fl(b - a) and hypot is even in each argument."""
+    table, xy = geom.table, geom.xy
+    kept: list[int] = []
+    kept_xy: list[list[float]] = []  # their positions, when there is no table
+    for row in order.tolist():
+        if len(kept) >= quota:
+            break
+        if table is not None:
+            d = table[row]
+            for k in kept:
+                if d[k] < radius:
+                    break
+            else:
+                kept.append(row)
+            continue
+        x, y = xy[row]
+        for kx, ky in kept_xy:
+            if math.hypot(x - kx, y - ky) < radius:
+                break
+        else:
+            kept.append(row)
+            kept_xy.append(xy[row])
+    return set(kept)
+
+
 def enforce_ch_separation(geom: Geometry, ch_rows: set[int], min_dist: float) -> set[int]:
     """Greedy thinning: keep heads in descending-energy order (ties: lowest
     row), drop any within min_dist of an already kept head. Always keeps at
     least one."""
     if not ch_rows:
         raise ValueError("ch_rows must not be empty")
-    rows = geom.by_energy(np.array(sorted(ch_rows), dtype=int))
-    kept: list[tuple[float, float]] = []  # the kept heads' positions
-    heads: set[int] = set()
-    for (x, y), head in zip(geom.pos[rows].tolist(), rows.tolist()):
-        # euclidean_distance, inlined
-        if all(math.hypot(x - kx, y - ky) >= min_dist for kx, ky in kept):
-            kept.append((x, y))
-            heads.add(head)
-    return heads
+    return _thin(geom, geom.by_energy(np.array(sorted(ch_rows), dtype=int)), min_dist,
+                 len(ch_rows))
 
 
 # --- iterative residual-energy election (HEED) ---------------------------------
@@ -517,19 +566,10 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
     if not len(candidates):
         candidates = geom.by_energy(rows)[:1]
 
-    quota = head_quota(len(rows), params.head_fraction)
-    radius = params.suppress_radius
-    heads: set[int] = set()
-    kept: list[tuple[float, float]] = []  # the heads' positions
-    for (x, y), cand in zip(geom.pos[candidates].tolist(), candidates.tolist()):
-        if len(kept) >= quota:
-            break
-        for kx, ky in kept:  # euclidean_distance, inlined
-            if math.hypot(x - kx, y - ky) <= radius:
-                break
-        else:
-            kept.append((x, y))
-            heads.add(cand)
+    # a weaker candidate at exactly suppress_radius yields as well, so the
+    # scan drops those closer than the next float above it
+    heads = _thin(geom, candidates, math.nextafter(params.suppress_radius, math.inf),
+                  head_quota(len(rows), params.head_fraction))
     if params.ch_separation > 0:
         heads = enforce_ch_separation(geom, heads, params.ch_separation)
     # rows are ascending, so every argmin below breaks ties on the lowest head row

@@ -14,6 +14,8 @@ tie-breaks check the formations' lowest-row ones.
 
 import copy
 import math
+import tracemalloc
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,7 @@ from wsnsim.engine import (
     SimulationComplete,
     _form_clusters,
     run_round,
+    run_simulation,
 )
 from wsnsim.model import (
     NEVER_CLUSTER_HEAD,
@@ -335,19 +338,47 @@ def shape(cluster_set):
 
 NETWORKS = [(seed, grid, sep) for seed in range(40) for grid in (False, True)
             for sep in (0.0, 15.0)]
-# from seed 100 on, HEED's networks have 350 to 600 nodes, enough alive ones
-# for heed_geometry to build them in two row blocks or more
-HEED_NETWORKS = NETWORKS + [(seed, grid, sep) for seed in range(100, 103)
-                            for grid in (False, True) for sep in (0.0, 15.0)]
+# from seed 100 on, the networks have 350 to 600 nodes: past Geometry's
+# distance table (n > 256), and enough alive ones for heed_geometry to build
+# them in two row blocks or more
+LARGE_NETWORKS = NETWORKS + [(seed, grid, sep) for seed in range(100, 103)
+                             for grid in (False, True) for sep in (0.0, 15.0)]
 
 
-def heed_network(rng, seed, grid, n_max):
+def sized_network(rng, seed, grid, n_max):
     if seed < 100:
         return random_network(rng, int(rng.integers(1, n_max)), grid)
     nodes = random_network(rng, int(rng.integers(350, 600)), grid)
     alive = len(alive_of(nodes))
     assert alive > protocols._BLOCK // alive  # two row blocks or more
     return nodes
+
+
+def eecs_formations(rng, seed, nodes, sep):
+    """Build the Geometry of ``nodes``, then run 30 EECS formations on it with
+    parameters drawn from ``rng``, each checked against the oracle, and yield
+    each formation's ClusterSet. Between formations heads drain faster than
+    members, and a few nodes die outright."""
+    params = EecsParams(p=float(rng.uniform(0.05, 1.0)), w=float(rng.choice([0.0, 0.5, 1.0])),
+                        suppress_radius=float(rng.uniform(0, 40)),
+                        join_radius=float(rng.uniform(5, 60)),
+                        head_fraction=float(rng.uniform(0.02, 0.3)), ch_separation=sep)
+    bs = (50.0, float(rng.choice([50.0, 175.0])))
+    a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    geom, ids = geometry_of(nodes, bs)
+
+    def formations():
+        for _ in range(30):
+            got = eecs_form_clusters(geom, params, a)
+            assert shape(ids_of(got, ids)) == shape(oracle_eecs_form_clusters(nodes, bs, params, b))
+            yield got
+            for row, node in enumerate(nodes):
+                node.energy *= float(rng.uniform(0.5, 0.8) if row in got.heads
+                                     else rng.uniform(0.9, 1.0)) * (rng.random() > 0.03)
+            assert alive_of(nodes)
+            geom.energy[:] = [n.energy for n in nodes]
+
+    return formations()
 
 
 class TestFormationsMatchScalarOracles:
@@ -371,10 +402,10 @@ class TestFormationsMatchScalarOracles:
         assert shape(ids_of(form_clusters_nearest(geom, heads), ids)) == shape(
             oracle_form_clusters_nearest(nodes, {ids[h] for h in heads}))
 
-    @pytest.mark.parametrize("seed,grid,sep", HEED_NETWORKS)
+    @pytest.mark.parametrize("seed,grid,sep", LARGE_NETWORKS)
     def test_heed(self, seed, grid, sep):
         rng = np.random.default_rng(seed)
-        nodes = heed_network(rng, seed, grid, 90)
+        nodes = sized_network(rng, seed, grid, 90)
         params = HeedParams(cluster_radius=float(rng.uniform(5, 40)),
                             announce_waves=int(rng.integers(1, 5)), ch_separation=sep)
         a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
@@ -385,10 +416,12 @@ class TestFormationsMatchScalarOracles:
         assert shape(ids_of(got, ids)) == shape(expected)
         assert a.random() == b.random()
 
-    @pytest.mark.parametrize("seed,grid,sep", NETWORKS)
+    @pytest.mark.parametrize("seed,grid,sep", LARGE_NETWORKS)
     def test_eecs(self, seed, grid, sep):
+        # the suppression and separation scans read the distance table, and
+        # from seed 100 on compute their distances
         rng = np.random.default_rng(seed)
-        nodes = random_network(rng, int(rng.integers(1, 90)), grid)
+        nodes = sized_network(rng, seed, grid, 90)
         params = EecsParams(p=float(rng.uniform(0.05, 1.0)), w=float(rng.choice([0.0, 0.5, 1.0])),
                             suppress_radius=float(rng.uniform(0, 40)),
                             join_radius=float(rng.uniform(5, 60)),
@@ -400,34 +433,56 @@ class TestFormationsMatchScalarOracles:
         assert shape(ids_of(got, ids)) == shape(oracle_eecs_form_clusters(nodes, bs, params, b))
         assert a.random() == b.random()
 
+    @pytest.mark.parametrize("seed,n", [(s, n) for s in range(10) for n in (90, 400)])
+    def test_eecs_suppression_at_exactly_the_radius(self, seed, n):
+        # on the 5 m grid many candidates lie exactly suppress_radius from a
+        # stronger one, and yield to it: through the table at n <= 256, through
+        # math.hypot above
+        rng = np.random.default_rng(seed)
+        nodes = random_network(rng, int(rng.integers(n // 3, n)), grid=True)
+        params = EecsParams(p=float(rng.uniform(0.3, 1.0)),
+                            suppress_radius=5.0 * float(rng.integers(1, 5)),
+                            head_fraction=float(rng.uniform(0.1, 0.3)))
+        a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        geom, ids = geometry_of(nodes)
+        got = eecs_form_clusters(geom, params, a)
+        assert shape(ids_of(got, ids)) == shape(oracle_eecs_form_clusters(nodes, BS, params, b))
+        assert (geom.table is None) == (len(nodes) > 256)
+
     @pytest.mark.parametrize("seed,grid,sep", [c for c in NETWORKS if c[0] < 8])
     def test_eecs_warm_store(self, monkeypatch, seed, grid, sep):
-        # one Geometry through 30 formations: a head that heads again reads its
-        # stored distances, computed before later deaths
+        # one Geometry through 30 formations: at n <= 256 every distance is
+        # computed at deployment, before later deaths, and only read after
         rng = np.random.default_rng(seed)
         nodes = sorted(random_network(rng, int(rng.integers(20, 90)), grid), key=lambda n: n.id)
-        params = EecsParams(p=float(rng.uniform(0.05, 1.0)), w=float(rng.choice([0.0, 0.5, 1.0])),
-                            suppress_radius=float(rng.uniform(0, 40)),
-                            join_radius=float(rng.uniform(5, 60)),
-                            head_fraction=float(rng.uniform(0.02, 0.3)), ch_separation=sep)
-        bs = (50.0, float(rng.choice([50.0, 175.0])))
-        a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        geom, ids = geometry_of(nodes, bs)
-        exact = count_exact_elements(monkeypatch, geom)
-        headed = []
-        for _ in range(30):
-            got = eecs_form_clusters(geom, params, a)
-            assert shape(ids_of(got, ids)) == shape(oracle_eecs_form_clusters(nodes, bs, params, b))
-            headed += got.heads
-            # heads drain faster than members, and a few nodes die outright
-            for row, node in enumerate(nodes):
-                node.energy *= float(rng.uniform(0.5, 0.8) if row in got.heads
-                                     else rng.uniform(0.9, 1.0)) * (rng.random() > 0.03)
-            assert alive_of(nodes)
-            geom.energy[:] = [n.energy for n in nodes]
-        # each head's distances to all n rows were computed once, and read
-        # again whenever it headed again
-        assert exact[0] == len(nodes) * len(set(headed)) < len(nodes) * len(headed)
+        exact = count_exact_elements(monkeypatch)
+        formations = eecs_formations(rng, seed, nodes, sep)
+        assert exact[0] == len(nodes) ** 2
+        assert len(list(formations)) == 30
+        assert exact[0] == len(nodes) ** 2
+
+    @pytest.mark.parametrize("seed,grid,sep", [c for c in NETWORKS if c[0] < 2 and not c[1]])
+    def test_eecs_warm_store_past_the_table(self, monkeypatch, seed, grid, sep):
+        # at n > 256 the store starts empty: each new head's distances to all
+        # n rows are computed once while its rows last, and a head past them
+        # computes its members' distances in each round it heads. With 500 to
+        # 600 nodes off the grid, the 109 to 131 rows run out within the 30
+        # formations
+        rng = np.random.default_rng(seed)
+        nodes = sorted(random_network(rng, int(rng.integers(500, 600)), grid), key=lambda n: n.id)
+        exact = count_exact_elements(monkeypatch)
+        formations = eecs_formations(rng, seed, nodes, sep)
+        assert exact[0] == 0
+        room, stored, expected, spilled = protocols._BLOCK // len(nodes), set(), 0, 0
+        for got in formations:
+            new = [h for h in sorted(got.heads) if h not in stored]
+            fit, spill = new[:room - len(stored)], new[room - len(stored):]
+            stored.update(fit)
+            members = sum(len(c.members) for c in got.clusters)
+            expected += len(nodes) * len(fit) + members * len(spill)
+            spilled += len(spill)
+            assert exact[0] == expected
+        assert spilled > 0
 
     @pytest.mark.parametrize("seed,grid", [(s, g) for s in [*range(20), 100, 101]
                                            for g in (False, True)])
@@ -435,7 +490,7 @@ class TestFormationsMatchScalarOracles:
         # the scalar cost was never bit-equal to the array one (math.hypot and
         # sequential sums against sqrt(dx*dx + dy*dy) and pairwise sums)
         rng = np.random.default_rng(seed)
-        nodes = alive_of(heed_network(rng, seed, grid, 60))
+        nodes = alive_of(sized_network(rng, seed, grid, 60))
         radius = float(rng.uniform(5, 40))
         pos = np.array([n.pos for n in nodes])
         _, cost = heed_geometry(pos, radius)
@@ -449,7 +504,7 @@ class TestFormationsMatchScalarOracles:
         # the whole n x n arrays bit for bit: each cost row is still summed
         # over its whole row, in numpy's pairwise order
         rng = np.random.default_rng(seed)
-        nodes = alive_of(heed_network(rng, seed, grid, 90))
+        nodes = alive_of(sized_network(rng, seed, grid, 90))
         pos = np.array([n.pos for n in nodes])
         radius = float(rng.integers(1, 31)) if grid else float(rng.uniform(1, 30))
         _, in_range, cost = oracle_heed_geometry(pos, radius)
@@ -493,15 +548,17 @@ def count_exact_rows(monkeypatch, geom):
     return counted
 
 
-def count_exact_elements(monkeypatch, geom):
-    """Make ``geom.distances`` count the distances it computes."""
+def count_exact_elements(monkeypatch):
+    """Make every Geometry's ``distances`` count the distances it computes,
+    from its deployment on."""
     counted = [0]
+    exact = Geometry.distances
 
-    def distances(rows, cols):
+    def distances(self, rows, cols):
         counted[0] += len(rows) * len(cols)
-        return Geometry.distances(geom, rows, cols)
+        return exact(self, rows, cols)
 
-    monkeypatch.setattr(geom, "distances", distances)
+    monkeypatch.setattr(Geometry, "distances", distances)
     return counted
 
 
@@ -509,19 +566,52 @@ TIE_NETWORKS = [(seed, kind) for seed in range(15)
                 for kind in ("grid", "coincident", "bisector", "tiny")]
 
 
+def join_tie_network(monkeypatch, seed, kind, n_low, n_high):
+    """LEACH's join on a tie network of ``n_low`` to ``n_high`` nodes, checked
+    against the oracle; returns its Geometry and the exact distance rows and
+    d2 blocks the join computed."""
+    rng = np.random.default_rng(seed)
+    nodes = tie_network(rng, int(rng.integers(n_low, n_high)), kind)
+    heads = {n.id for n in nodes[:len(nodes) // 4]} if kind == "bisector" else (
+        {n.id for n in nodes if rng.random() < 0.2} or {nodes[0].id})
+    geom, ids = geometry_of(nodes)
+    exact = count_exact_rows(monkeypatch, geom)
+    d2 = count_calls(monkeypatch, protocols, "squared_distances")
+    got = form_clusters_nearest(geom, {ids.index(h) for h in heads})
+    assert shape(ids_of(got, ids)) == shape(oracle_form_clusters_nearest(nodes, heads))
+    return geom, len(heads), exact[0], d2[0]
+
+
+def count_calls(monkeypatch, module, name):
+    """Make ``module.name`` count its calls."""
+    counted = [0]
+    fn = getattr(module, name)
+
+    def counting(*args):
+        counted[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return counted
+
+
 class TestCertifiedJoin:
     @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
+    def test_tie_networks_match_oracle_through_the_table(self, monkeypatch, seed, kind):
+        # at n <= 256 the join takes the argmin of the distances stored at
+        # deployment: no d2, no certificate, no exact rows
+        geom, _, exact, d2 = join_tie_network(monkeypatch, seed, kind, 20, 120)
+        assert geom.table is not None
+        assert exact == d2 == 0
+
+    @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
     def test_tie_networks_match_oracle_through_the_exact_path(self, monkeypatch, seed, kind):
-        rng = np.random.default_rng(seed)
-        nodes = tie_network(rng, int(rng.integers(20, 120)), kind)
-        heads = {n.id for n in nodes[:len(nodes) // 4]} if kind == "bisector" else (
-            {n.id for n in nodes if rng.random() < 0.2} or {nodes[0].id})
-        geom, ids = geometry_of(nodes)
-        exact = count_exact_rows(monkeypatch, geom)
-        got = form_clusters_nearest(geom, {ids.index(h) for h in heads})
-        assert shape(ids_of(got, ids)) == shape(oracle_form_clusters_nearest(nodes, heads))
-        if len(heads) > 1:
-            assert exact[0] > 0
+        # past the table the certificate fails on these networks' rows, which
+        # take the exact distances
+        geom, heads, exact, d2 = join_tie_network(monkeypatch, seed, kind, 257, 401)
+        assert geom.table is None and d2 == 1
+        if heads > 1:
+            assert exact > 0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_blocks_need_no_exact_rows(self, monkeypatch, seed):
@@ -532,6 +622,59 @@ class TestCertifiedJoin:
         got = geom.nearest(rows, cols)
         assert exact[0] == 0
         assert np.array_equal(got, Geometry.distances(geom, rows, cols).argmin(axis=1))
+
+
+# --- the distance table ----------------------------------------------------------
+
+
+class TestDistanceTable:
+    @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
+    def test_rows_equal_math_hypot(self, seed, kind):
+        # table[h][m] is the ledger's math.hypot(mx - hx, my - hy), bit for bit
+        rng = np.random.default_rng(seed)
+        nodes = tie_network(rng, int(rng.integers(20, 120)), kind)
+        geom, _ = geometry_of(nodes)
+        xy = geom.pos.tolist()
+        expected = [[math.hypot(mx - hx, my - hy) for mx, my in xy] for hx, hy in xy]
+        assert np.array(geom.table).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("protocol", [LeachParams(), EecsParams()], ids=["leach", "eecs"])
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_rounds_compute_no_distance_at_paper_scale(self, monkeypatch, protocol, n):
+        # seed 1's lifetime at n = 100 reads every distance from the table: no
+        # math.hypot in the formations or the ledger, no d2 block in LEACH's
+        # join. At n = 300 (20 rounds) there is no table and both are called
+        config = NetworkConfig(n_nodes=n, seed=1)
+        hypots = [0]
+
+        def hypot_counted(*args):
+            hypots[0] += 1
+            return math.hypot(*args)
+
+        shim = types.SimpleNamespace(**{**vars(math), "hypot": hypot_counted})
+        monkeypatch.setattr(wsnsim.engine, "math", shim)
+        monkeypatch.setattr(protocols, "math", shim)
+        d2 = count_calls(monkeypatch, protocols, "squared_distances")
+        result = run_simulation(config, protocol, 10**6 if n == 100 else 20)
+        if n == 100:
+            assert result.last_death_round is not None  # the whole lifetime
+            assert hypots[0] == d2[0] == 0
+        else:
+            assert hypots[0] > 0
+            assert d2[0] == (20 if protocol.name == "leach" else 0)
+
+    def test_build_peak_memory(self):
+        # built sqrt(n) rows at a time, hypot's temporaries add little to the
+        # peak; a one-shot build peaked at 3.1 times what the Geometry keeps
+        pos = np.random.default_rng(1).uniform(0, 100, (256, 2))
+        tracemalloc.start()
+        try:
+            geom = Geometry(pos, BS, 1.0)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert geom.table is not None
+        assert peak <= 1.25 * kept
 
 
 # --- the per-charge ledger ------------------------------------------------------

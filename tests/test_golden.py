@@ -36,6 +36,14 @@ CASES = {
     # centroids, until fewer than 8 nodes are alive and k falls to 2
     "run-centroid-k8": ["run", "--protocol", "kmeans", "--protocol", "fuzzy",
                         "--k", "8", "--seed", "5"],
+    # full lifetimes at n = 300, past the size rule of Geometry's distance
+    # table (n * n <= _BLOCK): LEACH's certified join, EECS's store filled
+    # as heads appear and spilling when it is full, the ledger's math.hypot
+    # and HEED's geometry in two row blocks, through deaths; recorded from
+    # the code before the table
+    "run-leach-n300": ["run", "--protocol", "leach", "--nodes", "300", "--seed", "1"],
+    "run-heed-n300": ["run", "--protocol", "heed", "--nodes", "300", "--seed", "1"],
+    "run-eecs-n300": ["run", "--protocol", "eecs", "--nodes", "300", "--seed", "1"],
     "run-table1-seed3": ["run", "--preset", "table1", *ALL, "--seed", "3"],
     "compare-trio": ["compare", "--protocol", "leach", "--protocol", "heed",
                      "--protocol", "eecs", "--seed", "1", "--seed", "3",
@@ -66,6 +74,11 @@ DIGESTS = {'compare-trio': {'<stdout>': '3c40fe8929b47b9ce7444e460e2f7a2e349d533
                      'fuzzy_seed5.json': '8c282bb63601dbbfaf19f6ffcffecc540d764120cd9ad3aa3abf4b46768c15aa',
                      'kmeans_seed5.json': '772cf59142c24adeffa4113a882320d81c6dca36ad9a8463ac763098a7401238',
                      'summary.csv': '195c4f9393588ec225be06b1fa02feb328b9dc88223113233a7cf348a76a20ef'},
+ 'run-eecs-n300': {'<stdout>': '0b674236bab8e5a8171a5ec41d341f7541d3333feeffe2b02c3a6fccbc4f9cec',
+                   'alive_series.csv': '2734c4e6a42f8f6e69e3b8c156dfe3c90cce1f3813efb7a7c296544425622c91',
+                   'bs_series.csv': '3bcbaf8edf9ba1040c207392ba5f8408b60ebd1c00bccf23d47792887890705f',
+                   'eecs_seed1.json': '589ced8b8fba7174804746a2deaaf19d2ba2341efd2c9b620d82da418dad55f2',
+                   'summary.csv': 'b03d2ba55dd0cd259edd1069c36a640f52f678de8b9ebd0341912975f70f702c'},
  'run-eecs-seed2': {'<stdout>': '1debabccaa4d793d9a3c73bceb06a6dc407ec19767d0821bdce1d09fa9f190fa',
                     'alive_series.csv': 'b49e173cbf4f8e5aac14bfdc9c7ba605391b55c6918018ffbc9c4b70bd33ebae',
                     'bs_series.csv': '5643434a2457a2fd9f9264dc0aa7fc362a4465f600a0bb8793c74164b675d3e8',
@@ -76,6 +89,11 @@ DIGESTS = {'compare-trio': {'<stdout>': '3c40fe8929b47b9ce7444e460e2f7a2e349d533
                      'bs_series.csv': '428a30bc65c412272497fa580882b15aef2248269f87d1a1e8e83969c8214c44',
                      'fuzzy_seed2.json': 'f8faec8135ed0f416ed0504088434beb0889a9de489249929c124bea855f6dda',
                      'summary.csv': '66ef83c46b181a14df1e5d46e699807d7f0e491bb337c60a309e558cbf054117'},
+ 'run-heed-n300': {'<stdout>': '507f7b23fcdcbbe3c18e86a6d2ef88789265447edd4f05618145bfdcd03f5c9b',
+                   'alive_series.csv': '8e846c9eb124e2cbc9cc520950f71244a76242dae9c66d8eba6c63a137f6eff2',
+                   'bs_series.csv': '1c7cb5543ff6d83ebc4b4af9dc4f11011cf7b05ad603c4bd77fb7d1fc9c5ef54',
+                   'heed_seed1.json': '7d0fde2b03e9e3dcccb588ae2c96ad2a3c0f17e733d9271239feb7b5b3b210b4',
+                   'summary.csv': '58db9ba8521ee94617879aaac68aeb8bdb2ad2ba2a0e5a33a716b9bca30885b8'},
  'run-heed-seed2': {'<stdout>': 'f45fe95b4b6abbb16a2c6795a22f77cee72ee38d8ebaf3f9d0dd91ae791fbe1e',
                     'alive_series.csv': '6e14b4765b6da6cd0138987fb244c4aa823c01a655e75afff098e10d06cc2bac',
                     'bs_series.csv': '37383da9511660cb63cf863321a5cb1a1e4e65a08e235bb08dac514df7cf6eeb',
@@ -86,6 +104,11 @@ DIGESTS = {'compare-trio': {'<stdout>': '3c40fe8929b47b9ce7444e460e2f7a2e349d533
                       'bs_series.csv': '72723f7cd656215d6c045716162aeebd1c196d8bf6a75f816b773a4d515f0da9',
                       'kmeans_seed2.json': 'cb480618ad53ccdc60159c2b591bd0fdd212162be213bd54c6a00570eeadded2',
                       'summary.csv': 'b8c2e5a1f3965decf8732969872f7ae21cdf0e16a61c66e866d2db602bec6544'},
+ 'run-leach-n300': {'<stdout>': '29a07dad244a08ae7088f002d9ca4eda777449513a490f57644a090d82e5450d',
+                    'alive_series.csv': 'fb7570e4e6d99bb552e1615951355d5fa516740e6cb2545957d6d8ae218aedf1',
+                    'bs_series.csv': '6b504485faaee3697bc66576011db75a1f25389d5783c934a7718db381117997',
+                    'leach_seed1.json': '608c61e88cf91d58ffc2cc767d1045723ddcd63c8a07d36c69874be4defc8106',
+                    'summary.csv': 'e8cd723d6005cdb0d755961335d15dc2cf8a4056a77a6cc8789553fd9c663cbb'},
  'run-leach-seed2': {'<stdout>': '736dc935d9e4d8e0ad7145f5e91fa6eba9839f2fe8f6b6aeb9c1b3bddc2b86f2',
                      'alive_series.csv': '297807c1f25ec8857f6a3d8dbcf0793f09f11452419b8a01ec23be487188d308',
                      'bs_series.csv': '632de1855b5e17d839514f68b341e09c3eac35b43cdf906ba5cd1704738ec90a',
