@@ -174,8 +174,8 @@ def export_csv(table, destination) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     if isinstance(table, SeriesTable):
         writer.writerow([table.index_label] + list(table.columns))
-        for row in table.rows():
-            writer.writerow([_render(v) for v in row])
+        # the rows hold only numbers, which csv would write unquoted
+        buf.writelines(",".join(map(repr, row)) + "\n" for row in table.rows())
     elif isinstance(table, SummaryStats):
         def section(cls, rows):
             writer.writerow([f.name for f in fields(cls)])
@@ -216,18 +216,45 @@ def result_from_dict(doc: dict) -> ExperimentResult:
     )
 
 
+_JSON = {"sort_keys": True, "indent": 2, "allow_nan": False}
+# one report as json.dumps(doc, **_JSON) writes it in a result's "reports"
+# list: the fields in sorted order, each value by repr, as json writes ints
+# and finite floats
+_REPORT = "    {\n" + ",\n".join(
+    f"      {json.dumps(name)}: %({name})r" for name in sorted(f.name for f in fields(RoundReport))
+) + "\n    }"
+
+
+def _result_json(doc: dict) -> str:
+    """``json.dumps(doc, **_JSON)`` of a ``result_to_dict`` document, bit for
+    bit. ``indent`` keeps json on its pure-Python encoder, so the reports,
+    most of the document, each go through ``_REPORT`` instead; the other
+    values go through json."""
+    reports = doc["reports"]
+    if not all(map(math.isfinite, itertools.chain.from_iterable(map(dict.values, reports)))):
+        return json.dumps(doc, **_JSON)  # which raises json's ValueError
+    parts = []
+    for key in sorted(doc):
+        if key == "reports":
+            text = "[\n" + ",\n".join(_REPORT % r for r in reports) + "\n  ]" if reports else "[]"
+        else:
+            text = json.dumps(doc[key], **_JSON).replace("\n", "\n  ")
+        parts.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(parts) + "\n}"
+
+
 def export_json(payload, destination) -> None:
     """Write an ExperimentResult or SummaryStats as a stable-key JSON document."""
     if isinstance(payload, ExperimentResult):
-        doc = result_to_dict(payload)
+        text = _result_json(result_to_dict(payload))
     elif isinstance(payload, SummaryStats):
-        doc = {
+        text = json.dumps({
             "per_run": [asdict(r) for r in payload.per_run],
             "per_protocol": [asdict(p) for p in payload.per_protocol],
-        }
+        }, **_JSON)
     else:
         raise TypeError(f"cannot export {type(payload).__name__} as JSON")
-    _write_text(destination, json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    _write_text(destination, text + "\n")
 
 
 def load_result_json(source) -> ExperimentResult:

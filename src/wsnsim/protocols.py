@@ -170,18 +170,21 @@ class Geometry:
     ``energy`` (a scalar or one value per row) and ``rounds_since_ch`` (from
     ``NEVER_CLUSTER_HEAD``) change as the run goes; a row is alive exactly
     while its energy is > 0. HEED's neighbor mask and costs depend on the
-    alive set as well, so ``heed`` keeps them for the set it last saw.
+    alive set as well, so ``heed`` keeps them for the set it last saw; at
+    n <= 256 it also keeps the n x n float block of HEED's distances.
     ``head_distances`` keeps each EECS head's exact distances to every row,
     and ``fcm`` the coming rounds' FCM runs for the alive set it last saw.
 
     When n * n <= ``_BLOCK`` (n <= 256) the store has a row for every node
-    and is filled at deployment; ``table`` then holds its rows as Python
-    lists, ``table[h][m]`` being ``euclidean_distance`` from row m to row h
-    bit for bit. ``nearest`` (LEACH's join), the greedy thinning of EECS's
-    suppression and of head separation, and ``engine.run_round``'s ledger
-    read it instead of computing distances, and ``head_distances`` only reads
-    the store. Above that size ``table`` is None: each of them computes its
-    distances, and the store fills as heads appear.
+    and is filled the first time anything reads ``table``, which then holds
+    its rows as Python lists, ``table[h][m]`` being ``euclidean_distance``
+    from row m to row h bit for bit. ``nearest`` (LEACH's join), the greedy
+    thinning of EECS's suppression and of head separation, and
+    ``engine.run_round``'s ledger read it instead of computing distances, and
+    ``head_distances`` only reads the store. A deployment that reads none of
+    them, as in ``engine.sweep_iterations``, builds no table. Above that size
+    ``table`` is None: each of them computes its distances, and the store
+    fills as heads appear.
     """
 
     def __init__(self, pos, bs: tuple[float, float], energy):
@@ -199,17 +202,23 @@ class Geometry:
         self._near = np.empty((min(n, _BLOCK // max(n, 1)), n))
         self._slot = np.full(n, -1)  # each head's row in _near, -1 if not stored
         self._stored = 0
-        self.table: list[list[float]] | None = None
-        if len(self._near) == n:
+        self._table: list[list[float]] | None = None
+        self._fcm_key: tuple | None = None
+        self._fcm_ahead: dict = {}  # seed -> fcm_run's result for it, under _fcm_key
+        self._fcm_batch = 1
+
+    @property
+    def table(self) -> list[list[float]] | None:
+        """The distance table when n <= 256, built on first read; else None."""
+        n = len(self.pos)
+        if self._table is None and len(self._near) == n:
             # sqrt(n) rows at a time, so that hypot's temporaries stay a small
             # share of what the table keeps
             every, step = np.arange(n), max(1, math.isqrt(n))
             for s in range(0, n, step):
                 self._near[s:s + step] = self.distances(every, every[s:s + step]).T
-            self.table = self._near.tolist()
-        self._fcm_key: tuple | None = None
-        self._fcm_ahead: dict = {}  # seed -> fcm_run's result for it, under _fcm_key
-        self._fcm_batch = 1
+            self._table = self._near.tolist()
+        return self._table
 
     def alive(self) -> np.ndarray:
         """The rows of the alive nodes, ascending; ValueError if there are none."""
@@ -310,17 +319,19 @@ class Geometry:
         return best
 
     def heed(self, rows: np.ndarray, radius: float) -> tuple:
-        """``heed_geometry`` over ``rows`` plus each row's rank in (cost, row)
-        order, rebuilt only when the alive rows or the radius change. The
-        arrays are shared between calls and read-only."""
+        """``heed_geometry`` over ``rows`` as (in_range, cost, rank, dist),
+        rank being each row's place in (cost, row) order, rebuilt only when the
+        alive rows or the radius change. The arrays are shared between calls
+        and read-only; dist is None above 256 rows."""
         key = (radius, rows.tobytes())
         if key != self._heed_key:
-            in_range, cost = heed_geometry(self.pos[rows], radius)
+            in_range, cost, dist = heed_geometry(self.pos[rows], radius)
             rank = np.empty(len(rows), dtype=int)
             rank[np.lexsort((rows, cost))] = np.arange(len(rows))
-            for a in (in_range, cost, rank):
-                a.flags.writeable = False
-            self._heed_key, self._heed = key, (in_range, cost, rank)
+            for a in (in_range, cost, rank, dist):
+                if a is not None:
+                    a.flags.writeable = False
+            self._heed_key, self._heed = key, (in_range, cost, rank, dist)
         return self._heed
 
 
@@ -366,17 +377,18 @@ def leach_elect(geom: Geometry, params: LeachParams, r: int, rng) -> set[int]:
     return set(heads.tolist())
 
 
-def _head_mask(rows: np.ndarray, heads: set[int]) -> np.ndarray:
-    """Mask over the ascending alive ``rows`` that marks ``heads``; a head
-    missing from ``rows`` raises ValueError, naming the lowest such head."""
-    want = np.array(sorted(heads), dtype=rows.dtype)
-    at = np.searchsorted(rows, want)
-    hit = at < len(rows)
-    hit[hit] = rows[at[hit]] == want[hit]
-    if not hit.all():
-        raise ValueError(f"cluster head {want[~hit][0]} is not an alive node")
-    mask = np.zeros(len(rows), dtype=bool)
-    mask[at] = True
+def _head_mask(n: int, rows: np.ndarray, heads: set[int]) -> np.ndarray:
+    """Mask over ``rows``, some of the n rows, that marks ``heads``; a head
+    missing from ``rows`` (dead, negative or >= n) raises ValueError, naming
+    the lowest such head."""
+    mark = np.zeros(n, dtype=bool)
+    if heads and 0 <= min(heads) and max(heads) < n:
+        mark[np.fromiter(heads, np.intp, len(heads))] = True
+    mask = mark[rows]
+    if np.count_nonzero(mask) != len(heads):
+        listed = set(rows.tolist())
+        raise ValueError(f"cluster head {min(h for h in heads if h not in listed)} "
+                         "is not an alive node")
     return mask
 
 
@@ -394,7 +406,7 @@ def form_clusters_nearest(geom: Geometry, ch_rows: set[int]) -> ClusterSet:
     if not ch_rows:
         raise ValueError("ch_rows must not be empty")
     rows = geom.alive()
-    is_head = _head_mask(rows, ch_rows)
+    is_head = _head_mask(len(geom.pos), rows, ch_rows)
     # rows are ascending, so argmin's first minimum is the lowest head row
     heads, members = rows[is_head], rows[~is_head]
     return _join(heads, members, geom.nearest(members, heads))
@@ -457,19 +469,23 @@ def heed_announce_prob(params: HeedParams, energy, reference: float):
     return np.minimum(np.maximum(params.c_prob * ratio**2, params.p_min), 1.0)
 
 
-def heed_geometry(pos: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """The within-``radius`` neighbor mask and each candidate's attachment
-    cost, for the (n, 2) positions ``pos``.
+def heed_geometry(pos: np.ndarray, radius: float) -> tuple:
+    """The within-``radius`` neighbor mask, each candidate's attachment cost
+    and the distances, for the (n, 2) positions ``pos``.
 
     The cost is the mean squared distance to the candidate's neighbors, or
     radius^2 without neighbors. Lower is better; ties go to the lower row.
-    Built a block of rows at a time, with no n × n float array; each cost row
-    is still summed over its whole row, in numpy's pairwise order.
+    Built a block of ``_BLOCK`` distances' rows at a time; each cost row is
+    still summed over its whole row, in numpy's pairwise order. At
+    n * n <= ``_BLOCK`` (n <= 256) that is one block, the n x n float array
+    of ``np.sqrt(dx*dx + dy*dy)``, which is returned as the third item; above
+    it no n x n float array exists and the third item is None.
     """
     n = len(pos)
     in_range = np.empty((n, n), dtype=bool)
     total = np.empty(n)
     step = max(1, _BLOCK // max(n, 1))
+    d = None
     for s in range(0, n, step):
         d = np.sqrt(squared_distances(pos[s:s + step], pos))
         block = np.less_equal(d, radius, out=in_range[s:s + step])
@@ -479,7 +495,7 @@ def heed_geometry(pos: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarra
         sq.sum(axis=1, out=total[s:s + step])
     neighbor_counts = in_range.sum(axis=1)
     cost = np.where(neighbor_counts > 0, total / np.maximum(neighbor_counts, 1), radius**2)
-    return in_range, cost
+    return in_range, cost, d if step >= n else None
 
 
 def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[ClusterSet, int]:
@@ -495,16 +511,18 @@ def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[Cluster
     rows = geom.alive()
     n = len(rows)
     # rank encodes the (cost, row) order so a plain argmin resolves ties by row;
-    # in_range is symmetric, so its rows are read in place of its columns
-    in_range, _, rank = geom.heed(rows, params.cluster_radius)
+    # in_range and dist are symmetric, so their rows are read in place of
+    # their columns
+    in_range, _, rank, dist = geom.heed(rows, params.cluster_radius)
 
     energy = geom.energy[rows]
     prob = heed_announce_prob(params, energy, float(energy.max()))
 
-    announced = np.zeros(n, dtype=bool)
-    bound = params.iteration_bound
-    waves = min(params.announce_waves, bound)
-    iterations = 0
+    waves = min(params.announce_waves, params.iteration_bound)
+    # draws lie in [0, 1), so a probability of 1 always announces; in the
+    # first wave no candidate is in anyone's earshot yet
+    announced = rng.random(n) < prob
+    iterations = 1
     while iterations < waves:
         iterations += 1
         # only nodes with no candidate in earshot roll an announcement;
@@ -512,9 +530,8 @@ def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[Cluster
         covered = announced | in_range[announced].any(axis=0)
         if covered.all():
             break
-        # draws lie in [0, 1), so a probability of 1 always announces
-        announced |= ~covered & (rng.random(n) < prob)
         prob = np.minimum(prob * 2.0, 1.0)
+        announced |= ~covered & (rng.random(n) < prob)
     if not announced.any():
         announced[rows.searchsorted(geom.by_energy(rows)[0])] = True  # the richest stands in
 
@@ -532,8 +549,11 @@ def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[Cluster
     reach = in_range[head_idx]  # (heads, n)
     best = np.where(reach, rank[head_idx, None], n).argmin(axis=0)
     far = np.flatnonzero(~reach.any(axis=0))
-    d = squared_distances(geom.pos[rows[far]], geom.pos[rows[head_idx]])
-    best[far] = np.sqrt(d, out=d).argmin(axis=1)
+    if dist is not None:  # fl(a - b)**2 is fl(b - a)**2: the same values
+        best[far] = dist[head_idx[:, None], far].argmin(axis=0)
+    else:
+        d = squared_distances(geom.pos[rows[far]], geom.pos[rows[head_idx]])
+        best[far] = np.sqrt(d, out=d).argmin(axis=1)
     plain = np.ones(n, dtype=bool)
     plain[head_idx] = False
     return _join(rows[head_idx], rows[plain], best[plain]), iterations
@@ -573,7 +593,7 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
     if params.ch_separation > 0:
         heads = enforce_ch_separation(geom, heads, params.ch_separation)
     # rows are ascending, so every argmin below breaks ties on the lowest head row
-    is_head = _head_mask(rows, heads)
+    is_head = _head_mask(len(geom.pos), rows, heads)
     head_rows, members = rows[is_head], rows[~is_head]
 
     bs_dist = geom.bs_dist[head_rows]
@@ -586,10 +606,15 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
     # head that close simply attaches to the nearest one
     reach = dists <= params.join_radius
     d_max = np.where(reach, dists, -np.inf).max(axis=1, keepdims=True)
-    member_term = np.divide(dists, d_max, out=np.zeros_like(dists), where=d_max > 0)
-    cost = params.w * member_term + (1.0 - params.w) * bs_term
-    best = np.where(reach.any(axis=1), np.where(reach, cost, np.inf).argmin(axis=1),
-                    dists.argmin(axis=1))
+    # rare: no head in reach (-inf), or every one at distance 0, whose member
+    # term is 0; dividing by 1 leaves those 0s as they are
+    rare = np.flatnonzero(d_max <= 0)
+    d_max[rare] = 1.0
+    cost = params.w * (dists / d_max) + (1.0 - params.w) * bs_term
+    best = np.where(reach, cost, np.inf).argmin(axis=1)
+    if len(rare):
+        lost = rare[~reach[rare].any(axis=1)]
+        best[lost] = dists[lost].argmin(axis=1)
     return _join(head_rows, members, best)
 
 

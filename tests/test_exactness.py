@@ -38,6 +38,7 @@ from wsnsim.engine import (
     _form_clusters,
     run_round,
     run_simulation,
+    sweep_iterations,
 )
 from wsnsim.model import (
     NEVER_CLUSTER_HEAD,
@@ -46,6 +47,7 @@ from wsnsim.model import (
     euclidean_distance,
     hypot,
     rx_energy,
+    squared_distances,
     tx_energy,
 )
 from wsnsim.protocols import (
@@ -452,12 +454,13 @@ class TestFormationsMatchScalarOracles:
     @pytest.mark.parametrize("seed,grid,sep", [c for c in NETWORKS if c[0] < 8])
     def test_eecs_warm_store(self, monkeypatch, seed, grid, sep):
         # one Geometry through 30 formations: at n <= 256 every distance is
-        # computed at deployment, before later deaths, and only read after
+        # computed when the first formation reads the table, before later
+        # deaths, and only read after
         rng = np.random.default_rng(seed)
         nodes = sorted(random_network(rng, int(rng.integers(20, 90)), grid), key=lambda n: n.id)
         exact = count_exact_elements(monkeypatch)
         formations = eecs_formations(rng, seed, nodes, sep)
-        assert exact[0] == len(nodes) ** 2
+        assert exact[0] == 0
         assert len(list(formations)) == 30
         assert exact[0] == len(nodes) ** 2
 
@@ -493,7 +496,7 @@ class TestFormationsMatchScalarOracles:
         nodes = alive_of(sized_network(rng, seed, grid, 60))
         radius = float(rng.uniform(5, 40))
         pos = np.array([n.pos for n in nodes])
-        _, cost = heed_geometry(pos, radius)
+        _, cost, _ = heed_geometry(pos, radius)
         assert cost.tolist() == pytest.approx(
             [heed_cost(c, nodes, radius) for c in nodes], rel=1e-12)
 
@@ -508,7 +511,7 @@ class TestFormationsMatchScalarOracles:
         pos = np.array([n.pos for n in nodes])
         radius = float(rng.integers(1, 31)) if grid else float(rng.uniform(1, 30))
         _, in_range, cost = oracle_heed_geometry(pos, radius)
-        got_in_range, got_cost = heed_geometry(pos, radius)
+        got_in_range, got_cost, _ = heed_geometry(pos, radius)
         assert np.array_equal(got_in_range, in_range)
         assert got_cost.tobytes() == cost.tobytes()
 
@@ -598,11 +601,15 @@ def count_calls(monkeypatch, module, name):
 class TestCertifiedJoin:
     @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
     def test_tie_networks_match_oracle_through_the_table(self, monkeypatch, seed, kind):
-        # at n <= 256 the join takes the argmin of the distances stored at
-        # deployment: no d2, no certificate, no exact rows
+        # at n <= 256 the join takes the argmin of the stored distances: no
+        # d2, no certificate, and no exact rows but those of the table, which
+        # the join's first read builds, isqrt(n) of its rows at a time over
+        # all n rows
         geom, _, exact, d2 = join_tie_network(monkeypatch, seed, kind, 20, 120)
+        n = len(geom.pos)
         assert geom.table is not None
-        assert exact == d2 == 0
+        assert d2 == 0
+        assert exact == n * len(range(0, n, math.isqrt(n)))
 
     @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
     def test_tie_networks_match_oracle_through_the_exact_path(self, monkeypatch, seed, kind):
@@ -664,17 +671,104 @@ class TestDistanceTable:
             assert d2[0] == (20 if protocol.name == "leach" else 0)
 
     def test_build_peak_memory(self):
-        # built sqrt(n) rows at a time, hypot's temporaries add little to the
-        # peak; a one-shot build peaked at 3.1 times what the Geometry keeps
+        # built sqrt(n) rows at a time on first read, hypot's temporaries add
+        # little to the peak; a one-shot build peaked at 3.1 times what the
+        # Geometry keeps
         pos = np.random.default_rng(1).uniform(0, 100, (256, 2))
         tracemalloc.start()
         try:
             geom = Geometry(pos, BS, 1.0)
+            table = geom.table
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert geom.table is not None
+        assert table is not None
         assert peak <= 1.25 * kept
+
+    def test_a_sweep_builds_no_table(self, monkeypatch):
+        # sweep_iterations deploys a Geometry per seed and runs k-means and
+        # fuzzy c-means on it, which read no distance table
+        exact = count_exact_elements(monkeypatch)
+        sweep_iterations(NetworkConfig(), [2, 5], [1, 2, 3])
+        assert exact[0] == 0
+
+
+# --- HEED's kept distance block ---------------------------------------------------
+
+
+def heed_tie_network(rng, kind, n_low, n_high, sep):
+    """A tie network (``tie_network``) of ``n_low`` to ``n_high`` nodes with
+    drawn energies, and HEED parameters scaled to its arena, with a cluster
+    radius small enough that many nodes are left uncovered."""
+    nodes = tie_network(rng, int(rng.integers(n_low, n_high)), kind)
+    for node in nodes:
+        node.energy = float(rng.uniform(0.01, 1.0))
+    span = {"grid": 5.0, "tiny": 1e-160}.get(kind, 100.0)
+    params = HeedParams(cluster_radius=span * float(rng.uniform(0.03, 0.2)),
+                        announce_waves=int(rng.integers(1, 5)), ch_separation=span * sep)
+    return nodes, params
+
+
+class TestHeedKeptBlock:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_block_equals_sqrt_of_d2(self, seed):
+        # at n <= 256 the kept block is the one heed_geometry builds over the
+        # alive rows, np.sqrt(dx*dx + dy*dy), bit for bit; above it none is kept
+        rng = np.random.default_rng(seed)
+        for n in (int(rng.integers(1, 257)), 256, 257, int(rng.integers(258, 400))):
+            pos = rng.uniform(0, 100, (n + 20, 2))
+            geom = Geometry(pos, BS, 1.0)
+            geom.energy[rng.choice(n + 20, 20, replace=False)] = 0.0
+            rows = geom.alive()
+            dist = geom.heed(rows, 20.0)[3]
+            if n <= 256:
+                expected = np.sqrt(squared_distances(pos[rows], pos[rows]))
+                assert dist.tobytes() == expected.tobytes()
+                assert not dist.flags.writeable
+            else:
+                assert dist is None
+
+    @pytest.mark.parametrize("n_low,n_high", [(20, 257), (257, 401)], ids=["block", "rows"])
+    @pytest.mark.parametrize("sep", [0.0, 0.15])
+    @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
+    def test_tie_networks_match_oracle(self, monkeypatch, seed, kind, sep, n_low, n_high):
+        # the uncovered nodes' nearest head comes from the kept block at
+        # n <= 256, and from distances over their rows above; on these
+        # networks rounding decides many of those ties
+        rng = np.random.default_rng(seed)
+        nodes, params = heed_tie_network(rng, kind, n_low, n_high, sep)
+        geom, ids = geometry_of(nodes)
+        a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        d2 = count_calls(monkeypatch, protocols, "squared_distances")
+        got, it_got = heed_form_clusters(geom, params, a)
+        expected, it_expected = oracle_heed_form_clusters(nodes, params, b)
+        assert it_got == it_expected
+        assert shape(ids_of(got, ids)) == shape(expected)
+        n = len(nodes)
+        # the geometry's row blocks, plus the fallback's own block above n = 256
+        blocks = len(range(0, n, max(1, protocols._BLOCK // n)))
+        assert d2[0] == (1 if n <= 256 else blocks + 1)
+        # each of the cases that read the block leaves members uncovered
+        in_range = geom.heed(geom.alive(), params.cluster_radius)[0]
+        heads = sorted(got.heads)
+        uncovered = [m for c in got.clusters for m in c.members if not in_range[m, heads].any()]
+        assert uncovered or n > 256
+
+    def test_rebuild_peak_memory(self):
+        # a HEED rebuild at n = 256 peaks at what it keeps (the n x n float
+        # block and bool mask) plus one more n x n float block and numpy's
+        # buffers: 2.10 times what it keeps
+        pos = np.random.default_rng(1).uniform(0, 100, (256, 2))
+        geom = Geometry(pos, BS, 1.0)
+        rows = geom.alive()
+        tracemalloc.start()
+        try:
+            kept_arrays = geom.heed(rows, 20.0)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept_arrays[3] is not None
+        assert peak <= 2.25 * kept
 
 
 # --- the per-charge ledger ------------------------------------------------------

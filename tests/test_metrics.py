@@ -1,17 +1,27 @@
+import contextlib
+import csv
 import dataclasses
 import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_golden import CASES
 
+from wsnsim.cli import main
 from wsnsim.engine import (
     EecsParams,
     ExperimentResult,
+    FuzzyFormation,
     LeachParams,
     RoundReport,
     run_simulation,
+    sweep_iterations,
 )
 from wsnsim.metrics import (
+    SeriesTable,
     SummaryStats,
     alive_series,
     bs_series,
@@ -258,3 +268,90 @@ class TestExports:
         path = tmp_path / "s.json"
         export_json(stats, path)
         assert path.read_text().startswith("{")
+
+
+def json_reference(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def csv_reference(table) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([table.index_label, *table.columns])
+    writer.writerows(table.rows())  # csv writes each number as str, repr for a float
+    return buf.getvalue()
+
+
+def exported(export, payload) -> str:
+    buf = io.StringIO()
+    export(payload, buf)
+    return buf.getvalue()
+
+
+INT_FIELDS = [f.name for f in dataclasses.fields(RoundReport) if f.type == "int"]
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(RoundReport) if f.type == "float"]
+counts = st.integers(0, 2**62)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7976931348623157e308])
+reports = st.builds(RoundReport, **{name: counts for name in INT_FIELDS},
+                    **{name: finite_floats for name in FLOAT_FIELDS})
+
+
+class TestFormatter:
+    """export_json writes each report through one format string and export_csv
+    joins a SeriesTable's rows itself; both must equal what json and csv write."""
+
+    @pytest.mark.parametrize("case", sorted(c for c in CASES if CASES[c][0] in ("run", "compare")))
+    def test_golden_result_files_equal_json_dumps(self, case, tmp_path):
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*CASES[case], "--out", str(out)]) == 0
+        files = sorted(out.glob("*.json"))
+        assert files
+        for path in files:
+            text = path.read_text(encoding="utf-8")
+            assert text == json_reference(json.loads(text))
+
+    def test_empty_report_list(self):
+        res = make_result(deliveries=(), alive=(), first=None, last=None)
+        assert exported(export_json, res) == json_reference(result_to_dict(res))
+        assert '"reports": [],' in exported(export_json, res)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(reports, max_size=6))
+    def test_reports_equal_json_dumps(self, drawn):
+        res = make_result()
+        res.reports = drawn
+        assert exported(export_json, res) == json_reference(result_to_dict(res))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(reports, min_size=1, max_size=6), st.data(),
+           st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_floats_raise_as_json_does(self, drawn, data, bad):
+        res = make_result()
+        res.reports = drawn
+        at = data.draw(st.integers(0, len(drawn) - 1))
+        setattr(drawn[at], data.draw(st.sampled_from(FLOAT_FIELDS)), bad)
+        with pytest.raises(ValueError) as expected:
+            json_reference(result_to_dict(res))
+        with pytest.raises(ValueError) as got:
+            exported(export_json, res)
+        assert str(got.value) == str(expected.value)
+
+    def test_sweep_table_equals_csv_writer(self):
+        rows = sweep_iterations(NetworkConfig(n_nodes=20, seed=2), [2, 3, 5], [1, 2],
+                                FuzzyFormation(max_iter=30))
+        ks, kmeans_iters, fuzzy_iters, at_cap = zip(*rows)
+        table = SeriesTable("cluster_count", list(ks), {
+            "kmeans_iterations": kmeans_iters, "fuzzy_iterations": fuzzy_iters,
+            "fuzzy_at_cap": at_cap})
+        assert {type(v) for row in table.rows() for v in row} == {int, float}
+        assert exported(export_csv, table) == csv_reference(table)
+
+    def test_series_equal_csv_writer(self):
+        results = {name: run_simulation(NetworkConfig(n_nodes=20, seed=4), params, 10**6)
+                   for name, params in (("leach", LeachParams()), ("eecs", EecsParams()))}
+        rounds = max(len(r.reports) for r in results.values())
+        for series in (alive_series, bs_series):
+            table = series(results, range(0, rounds + 5, 3))
+            assert exported(export_csv, table) == csv_reference(table)

@@ -180,6 +180,20 @@ class TestFormClustersNearest:
             form_clusters_nearest(g, {0, 1})
         with pytest.raises(ValueError, match="cluster head 3 is not an alive node"):
             form_clusters_nearest(g, {0, 3})  # past the last row
+        with pytest.raises(ValueError, match="cluster head -1 is not an alive node"):
+            form_clusters_nearest(g, {0, -1})  # would index the last row
+
+    @pytest.mark.parametrize("heads,lowest", [
+        ({0, 1, 3, 7}, 1),  # dead, then past the last row
+        ({2, 5, 3, 4}, 4),  # past the last row only
+        ({0, 5, -2, 1}, -2),  # negative, then dead, then past the last row
+        ({1, 2}, 1),  # dead only
+    ])
+    def test_error_names_the_lowest_bad_head(self, heads, lowest):
+        g = geom([(0, 0), (5, 0), (9, 9), (3, 3)])
+        g.energy[1] = 0.0
+        with pytest.raises(ValueError, match=f"^cluster head {lowest} is not an alive node$"):
+            form_clusters_nearest(g, heads)
 
 
 class TestEnforceChSeparation:
@@ -267,11 +281,12 @@ class TestGeometry:
         g = geom(rng.uniform(0, 100, (30, 2)))
         for rows, radius in [(np.arange(20), 20.0), (np.arange(10, 30), 20.0),
                              (np.arange(10, 30), 35.0), (np.arange(10, 30), 35.0)]:
-            in_range, cost = heed_geometry(g.pos[rows], radius)
+            in_range, cost, dist = heed_geometry(g.pos[rows], radius)
             got = g.heed(rows, radius)
             assert np.array_equal(got[0], in_range)
             assert np.array_equal(got[1], cost)
             assert got[2].tolist() == np.argsort(np.lexsort((rows, cost))).tolist()
+            assert np.array_equal(got[3], dist)
 
     @pytest.mark.parametrize("sep", [0.0, 15.0])
     @pytest.mark.parametrize("seed", range(4))
