@@ -316,6 +316,14 @@ def _make_out_dir(spec: RunSpec) -> Path:
     return spec.out_dir
 
 
+def _export(export, payload, path: Path) -> None:
+    """``export(payload, path)``; an OSError becomes a CliError naming the path."""
+    try:
+        export(payload, path)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_run(spec: RunSpec, command: str = "run") -> dict:
     spec.validate()
     spec.refuse_unread(command, spec.protocols)
@@ -325,16 +333,16 @@ def cmd_run(spec: RunSpec, command: str = "run") -> dict:
     out = _make_out_dir(spec)
     if "json" in spec.formats:
         for (name, seed), res in sorted(results.items()):
-            export_json(res, out / f"{name}_seed{seed}.json")
+            _export(export_json, res, out / f"{name}_seed{seed}.json")
     if "csv" in spec.formats:
         horizon = max((len(r.reports) for r in results.values()), default=0)
         sample = list(range(0, horizon, spec.thin))
         # series averaged per protocol would hide seed variance; emit the
         # first seed's series plus the cross-seed summary
         per_protocol = {name: results[(name, spec.seeds[0])] for name in spec.protocols}
-        export_csv(alive_series(per_protocol, sample), out / "alive_series.csv")
-        export_csv(bs_series(per_protocol, sample), out / "bs_series.csv")
-        export_csv(summarize(results), out / "summary.csv")
+        _export(export_csv, alive_series(per_protocol, sample), out / "alive_series.csv")
+        _export(export_csv, bs_series(per_protocol, sample), out / "bs_series.csv")
+        _export(export_csv, summarize(results), out / "summary.csv")
     for (name, seed), res in sorted(results.items()):
         first = res.first_death_round if res.first_death_round is not None else "-"
         print(f"{name} seed={seed} first_death={first} "
@@ -371,7 +379,7 @@ def cmd_sweep(spec: RunSpec) -> None:
     # the fuzzy parameters; their max_iter caps k-means too (fcm_max_iter)
     rows = sweep_iterations(base_config, spec.grid, spec.seeds, spec.protocol("fuzzy"))
     ks, kmeans_iters, fuzzy_iters, at_cap = zip(*rows)
-    export_csv(SeriesTable("cluster_count", list(ks), {
+    _export(export_csv, SeriesTable("cluster_count", list(ks), {
         "kmeans_iterations": kmeans_iters, "fuzzy_iterations": fuzzy_iters,
         "fuzzy_at_cap": at_cap}), _make_out_dir(spec) / "iteration_sweep.csv")
     for k, km, fz, capped in rows:

@@ -4,8 +4,7 @@ A round has two phases. Setup: the protocol forms clusters, heads advertise
 at full (arena-diagonal) range, everyone pays to receive the adverts, members
 pay to send join messages and heads pay to receive them. Steady state: each
 member sends one data message to its head, the head receives, aggregates and
-forwards a single message to the base station; orphans send their data
-straight to the base station.
+forwards a single message to the base station.
 
 A message counts at the base station only if its sender is still alive after
 paying the full transmission cost. Nodes that die mid-round take no further
@@ -259,11 +258,6 @@ def run_round(state: SimState, protocol) -> tuple[SimState, RoundReport]:
         if left_head > 0.0 and pay(head, da_data * (received + 1)):
             d = bs_dist[head]
             delivered += pay(head, elec_data + amp_data * d * d)
-
-    for orphan in sorted(cluster_set.orphans):
-        if energy[orphan] > 0.0:
-            d = bs_dist[orphan]
-            delivered += pay(orphan, elec_data + amp_data * d * d)
 
     geom.energy[:] = energy
     geom.rounds_since_ch += 1

@@ -1,10 +1,10 @@
 """Cluster formation strategies.
 
 Each strategy maps the current alive-node set (plus its parameters and the
-round's randomness) to a ClusterSet: who heads a cluster, who belongs to it,
-and who is left to transmit straight to the base station. Strategies read
-positions and distances from a ``Geometry``, built once per deployment since
-nodes never move, and name each node by its row there: its deployment index.
+round's randomness) to a ClusterSet: who heads a cluster and who belongs to
+it, every alive node being one or the other. Strategies read positions and
+distances from a ``Geometry``, built once per deployment since nodes never
+move, and name each node by its row there: its deployment index.
 Five strategies are implemented:
 
 * probabilistic rotation election with nearest-head clustering (LEACH style)
@@ -38,28 +38,14 @@ class Cluster:
 
 @dataclass
 class ClusterSet:
-    """One round's partition of the alive nodes."""
+    """One round's partition of the alive nodes: each is a head or a member
+    of exactly one cluster."""
 
     clusters: list[Cluster] = field(default_factory=list)
-    orphans: list[int] = field(default_factory=list)  # transmit directly to the BS
 
     @property
     def heads(self) -> list[int]:
         return [c.head for c in self.clusters]
-
-    def validate(self, alive_rows: set[int]) -> None:
-        """Check the exactly-once partition invariant over the alive nodes."""
-        seen: list[int] = []
-        for c in self.clusters:
-            if c.head in c.members:
-                raise ValueError(f"head {c.head} listed among its own members")
-            seen.append(c.head)
-            seen.extend(c.members)
-        seen.extend(self.orphans)
-        if len(seen) != len(set(seen)):
-            raise ValueError("a node appears more than once in the cluster set")
-        if set(seen) != alive_rows:
-            raise ValueError("cluster set does not cover the alive nodes exactly")
 
 
 @dataclass(frozen=True)
@@ -158,8 +144,8 @@ class FuzzyFormation:
             raise ValueError("max_iter must be >= 1")
 
 
-_BLOCK = 2**16  # the one element budget: heed_geometry's row blocks, EECS's store
-# (the distance table when it holds every row), FCM's batch
+_BLOCK = 2**16  # the one element budget: heed_geometry's row blocks, the distance
+# table (built only when it fits), FCM's batch
 
 
 class Geometry:
@@ -172,19 +158,17 @@ class Geometry:
     while its energy is > 0. HEED's neighbor mask and costs depend on the
     alive set as well, so ``heed`` keeps them for the set it last saw; at
     n <= 256 it also keeps the n x n float block of HEED's distances.
-    ``head_distances`` keeps each EECS head's exact distances to every row,
-    and ``fcm`` the coming rounds' FCM runs for the alive set it last saw.
+    ``fcm`` keeps the coming rounds' FCM runs for the alive set it last saw.
 
-    When n * n <= ``_BLOCK`` (n <= 256) the store has a row for every node
-    and is filled the first time anything reads ``table``, which then holds
-    its rows as Python lists, ``table[h][m]`` being ``euclidean_distance``
-    from row m to row h bit for bit. ``nearest`` (LEACH's join), the greedy
-    thinning of EECS's suppression and of head separation, and
-    ``engine.run_round``'s ledger read it instead of computing distances, and
-    ``head_distances`` only reads the store. A deployment that reads none of
-    them, as in ``engine.sweep_iterations``, builds no table. Above that size
-    ``table`` is None: each of them computes its distances, and the store
-    fills as heads appear.
+    When n * n <= ``_BLOCK`` (n <= 256), the first read of ``table`` builds
+    the n x n array of every pair's exact distance and returns its rows as
+    Python lists, ``table[h][m]`` being ``euclidean_distance`` from row m to
+    row h bit for bit. ``nearest`` (LEACH's join), ``head_distances``
+    (EECS's join), the greedy thinning of EECS's suppression and of head
+    separation, and ``engine.run_round``'s ledger read it instead of
+    computing distances. A deployment that reads none of them, as in
+    ``engine.sweep_iterations``, builds no table. Above that size ``table``
+    is None and each of them computes its distances.
     """
 
     def __init__(self, pos, bs: tuple[float, float], energy):
@@ -197,11 +181,7 @@ class Geometry:
         self.rounds_since_ch = np.full(len(self.pos), NEVER_CLUSTER_HEAD, dtype=np.int64)
         self._heed_key: tuple | None = None
         self._heed: tuple = ()
-        n = len(self.pos)
-        # one row per stored head; with the table, each node's at its own row
-        self._near = np.empty((min(n, _BLOCK // max(n, 1)), n))
-        self._slot = np.full(n, -1)  # each head's row in _near, -1 if not stored
-        self._stored = 0
+        self._near: np.ndarray | None = None  # the table as an array
         self._table: list[list[float]] | None = None
         self._fcm_key: tuple | None = None
         self._fcm_ahead: dict = {}  # seed -> fcm_run's result for it, under _fcm_key
@@ -211,7 +191,8 @@ class Geometry:
     def table(self) -> list[list[float]] | None:
         """The distance table when n <= 256, built on first read; else None."""
         n = len(self.pos)
-        if self._table is None and len(self._near) == n:
+        if self._table is None and n * n <= _BLOCK:
+            self._near = np.empty((n, n))
             # sqrt(n) rows at a time, so that hypot's temporaries stay a small
             # share of what the table keeps
             every, step = np.arange(n), max(1, math.isqrt(n))
@@ -238,28 +219,10 @@ class Geometry:
 
     def head_distances(self, rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
         """``distances(rows, heads)``, bit for bit, read from the table when
-        there is one. Otherwise heads not yet stored take one ``distances``
-        block over all n rows, kept for the run while ``_BLOCK`` elements last;
-        a head past them gets only ``rows``, again in each round it heads.
-        Nodes never move, so no death makes a stored row stale."""
+        there is one."""
         if self.table is not None:
             return self._near[heads[:, None], rows].T
-        slot = self._slot[heads]
-        old, new = np.flatnonzero(slot >= 0), np.flatnonzero(slot < 0)
-        room = len(self._near) - self._stored
-        fit, spill = new[:room], new[room:]
-        out = np.empty((len(heads), len(rows)))
-        out[old] = self._near[slot[old, None], rows]
-        if len(fit):
-            block = self.distances(np.arange(len(self.pos)), heads[fit]).T
-            out[fit] = block[:, rows]
-            end = self._stored + len(fit)
-            self._near[self._stored:end] = block
-            self._slot[heads[fit]] = np.arange(self._stored, end)
-            self._stored = end
-        if len(spill):
-            out[spill] = self.distances(rows, heads[spill]).T
-        return out.T
+        return self.distances(rows, heads)
 
     def fcm(self, rows: np.ndarray, params: FuzzyFormation, k: int, seed: int,
             rng: np.random.Generator) -> tuple:

@@ -37,6 +37,8 @@ from wsnsim.protocols import (
     form_clusters_nearest,
 )
 
+from test_protocols import validate
+
 SEEDS = list(range(30))
 BS = (50, 175)
 
@@ -335,7 +337,7 @@ class TestCriterion7NumericalProperties:
             for cs in cluster_sets:
                 checked += 1
                 try:
-                    cs.validate(alive_rows)
+                    validate(cs, alive_rows)
                 except ValueError:
                     violations += 1
         report("7d partition invariant", violations == 0,

@@ -49,6 +49,17 @@ class TestRun:
         assert doc["config"]["seed"] == 2
         assert len(doc["reports"]) == 10
 
+    @pytest.mark.parametrize("name", ["leach_seed1.json", "summary.csv"])
+    def test_unwritable_result_file_is_a_one_line_error(self, name, tmp_path, capsys):
+        # a directory where a result file goes: open raises IsADirectoryError
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        code = run_cli(["run", "--protocol", "leach", "--nodes", "10", "--rounds", "2",
+                        "--out", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out / name}: ") and err.count("\n") == 1
+
 
 class TestIterationCaps:
     @pytest.mark.parametrize("args", [
@@ -379,6 +390,16 @@ class TestSweep:
         assert code == 0
         lines = (out / "iteration_sweep.csv").read_text().splitlines()
         assert len(lines) == 2
+
+    def test_unwritable_csv_is_a_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "iteration_sweep.csv").mkdir(parents=True)
+        code = run_cli(["sweep", "--grid", "2,3", "--seed", "1", "--nodes", "10",
+                        "--out", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out / 'iteration_sweep.csv'}: ")
+        assert err.count("\n") == 1
 
     def test_grid_value_beyond_nodes_rejected(self, tmp_path, capsys):
         code = run_cli(["sweep", "--grid", "50", "--seed", "1", "--nodes", "10",

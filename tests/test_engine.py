@@ -22,7 +22,9 @@ from wsnsim.engine import (
 from wsnsim.metrics import result_to_dict
 from wsnsim.model import NetworkConfig, RadioModel, deploy_nodes
 from wsnsim.partitioning import FcmUnderflow, defuzzify, fcm_run
-from wsnsim.protocols import Cluster, ClusterSet, Geometry, _centroid_cluster_set
+from wsnsim.protocols import Geometry, _centroid_cluster_set
+
+from test_protocols import validate
 
 # powers of two make every charge and subtraction exact in binary floating
 # point, so the death-at-exactly-zero boundary is deterministic
@@ -115,15 +117,6 @@ class TestRunRound:
         assert report.ch_count == 1
         assert report.bs_messages_delivered == 1
 
-    def test_orphans_transmit_directly(self, monkeypatch):
-        config = NetworkConfig(n_nodes=2, seed=0)
-        state = SimState(geometry=Geometry([(10, 10), (90, 90)], config.bs_pos, 0.5),
-                         config=config)
-        cs = ClusterSet(clusters=[Cluster(head=0, members=[])], orphans=[1])
-        monkeypatch.setattr(wsnsim.engine, "_form_clusters", lambda s, p: (cs, 0))
-        state, report = run_round(state, LeachParams())
-        assert report.bs_messages_delivered == 2  # head's aggregate + orphan
-
     def test_round_report_bookkeeping(self):
         config = NetworkConfig(seed=11)
         state = deployed_state(config)
@@ -147,7 +140,7 @@ class TestRunRound:
             state, report = run_round(state, LeachParams())
             cluster_set = formed[-1][0]
             assert cluster_set.heads  # at least the fallback head
-            cluster_set.validate(alive_rows)  # the dead rows take no part
+            validate(cluster_set, alive_rows)  # the dead rows take no part
             assert_heads_reset(geom, cluster_set, before)
             assert report.alive_after == state.alive_count()
             if r == 0:
@@ -201,7 +194,7 @@ class TestRunRound:
             before = geom.rounds_since_ch.copy()
             state, report = run_round(state, protocol)
             # only the rows alive at the round's start take part in it
-            formed[-1][0].validate(alive_rows)
+            validate(formed[-1][0], alive_rows)
             assert report.alive_before == len(alive_rows)
             assert report.alive_after == state.alive_count()
             assert_heads_reset(geom, formed[-1][0], before)

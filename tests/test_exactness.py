@@ -154,7 +154,7 @@ def geometry_of(nodes, bs=BS):
 def ids_of(cluster_set, ids):
     """``cluster_set`` with every row replaced by its node's id."""
     clusters = [Cluster(ids[c.head], [ids[m] for m in c.members]) for c in cluster_set.clusters]
-    return ClusterSet(clusters, [ids[o] for o in cluster_set.orphans])
+    return ClusterSet(clusters)
 
 
 def alive_of(nodes):
@@ -335,7 +335,7 @@ def random_network(rng, n, grid=False):
 
 
 def shape(cluster_set):
-    return [(c.head, c.members) for c in cluster_set.clusters], cluster_set.orphans
+    return [(c.head, c.members) for c in cluster_set.clusters]
 
 
 NETWORKS = [(seed, grid, sep) for seed in range(40) for grid in (False, True)
@@ -466,26 +466,18 @@ class TestFormationsMatchScalarOracles:
 
     @pytest.mark.parametrize("seed,grid,sep", [c for c in NETWORKS if c[0] < 2 and not c[1]])
     def test_eecs_warm_store_past_the_table(self, monkeypatch, seed, grid, sep):
-        # at n > 256 the store starts empty: each new head's distances to all
-        # n rows are computed once while its rows last, and a head past them
-        # computes its members' distances in each round it heads. With 500 to
-        # 600 nodes off the grid, the 109 to 131 rows run out within the 30
-        # formations
+        # at n > 256 there is no table and nothing is kept between rounds:
+        # each formation computes its members' distances to its heads
         rng = np.random.default_rng(seed)
         nodes = sorted(random_network(rng, int(rng.integers(500, 600)), grid), key=lambda n: n.id)
         exact = count_exact_elements(monkeypatch)
         formations = eecs_formations(rng, seed, nodes, sep)
         assert exact[0] == 0
-        room, stored, expected, spilled = protocols._BLOCK // len(nodes), set(), 0, 0
+        expected = 0
         for got in formations:
-            new = [h for h in sorted(got.heads) if h not in stored]
-            fit, spill = new[:room - len(stored)], new[room - len(stored):]
-            stored.update(fit)
             members = sum(len(c.members) for c in got.clusters)
-            expected += len(nodes) * len(fit) + members * len(spill)
-            spilled += len(spill)
+            expected += members * len(got.heads)
             assert exact[0] == expected
-        assert spilled > 0
 
     @pytest.mark.parametrize("seed,grid", [(s, g) for s in [*range(20), 100, 101]
                                            for g in (False, True)])
@@ -857,15 +849,6 @@ def oracle_run_round(state, nodes, protocol, deaths):
             if head.energy > 0:
                 delivered += 1
 
-    for orphan_id in sorted(cluster_set.orphans):
-        orphan = by_id[orphan_id]
-        if orphan.energy <= 0:
-            continue
-        ledger.charge(orphan, tx_energy(
-            radio, radio.data_bits, euclidean_distance(orphan.pos, cfg.bs_pos)), "orphan uplink")
-        if orphan.energy > 0:
-            delivered += 1
-
     for node in nodes:
         node.rounds_since_ch = 0 if node.id in head_ids else node.rounds_since_ch + 1
     state.bs_messages += delivered
@@ -891,7 +874,7 @@ PROTOCOLS = [LeachParams(), HeedParams(), EecsParams(), KmeansFormation(k=3),
 # a head dies receiving a join only from seed 7 on (LEACH's seeds 8 and 9)
 SEEDS = range(10)
 PHASES = {"advert", "advert receive", "join send", "join receive", "data send",
-          "data receive", "aggregation", "uplink", "orphan uplink"}
+          "data receive", "aggregation", "uplink"}
 
 
 def low_energy_lifetime(protocol, seed):
@@ -922,35 +905,14 @@ def low_energy_lifetime(protocol, seed):
     return deaths
 
 
-def leave_orphans(monkeypatch):
-    """Makes the engine's and the oracle's formations leave every member
-    whose row is a multiple of 3 an orphan; no protocol forms orphans."""
-    form = _form_clusters
-
-    def formed(state, protocol):
-        cluster_set, iterations = form(state, protocol)
-        members = [m for c in cluster_set.clusters for m in c.members]
-        clusters = [Cluster(c.head, [m for m in c.members if m % 3]) for c in cluster_set.clusters]
-        return ClusterSet(clusters, [m for m in members if m % 3 == 0]), iterations
-
-    monkeypatch.setattr(wsnsim.engine, "_form_clusters", formed)
-    monkeypatch.setitem(globals(), "_form_clusters", formed)
-
-
 class TestLedgerMatchesPerChargeOracle:
     @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: type(p).__name__)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_low_energy_rounds(self, protocol, seed):
         low_energy_lifetime(protocol, seed)
 
-    def test_orphans(self, monkeypatch):
-        leave_orphans(monkeypatch)
-        assert "orphan uplink" in low_energy_lifetime(LeachParams(), 0)
-
-    def test_every_phase_kills(self, monkeypatch):
+    def test_every_phase_kills(self):
         # across the cases above, each phase's charge kills a node at least once
         deaths = {phase for protocol in PROTOCOLS for seed in SEEDS
                   for phase in low_energy_lifetime(protocol, seed)}
-        leave_orphans(monkeypatch)
-        deaths.update(low_energy_lifetime(LeachParams(), 0))
         assert deaths == PHASES

@@ -37,13 +37,17 @@ CASES = {
     "run-centroid-k8": ["run", "--protocol", "kmeans", "--protocol", "fuzzy",
                         "--k", "8", "--seed", "5"],
     # full lifetimes at n = 300, past the size rule of Geometry's distance
-    # table (n * n <= _BLOCK): LEACH's certified join, EECS's store filled
-    # as heads appear and spilling when it is full, the ledger's math.hypot
+    # table (n * n <= _BLOCK): LEACH's certified join, EECS's join computing
+    # its members' distances to its heads each round, the ledger's math.hypot
     # and HEED's geometry in two row blocks, through deaths; recorded from
     # the code before the table
     "run-leach-n300": ["run", "--protocol", "leach", "--nodes", "300", "--seed", "1"],
     "run-heed-n300": ["run", "--protocol", "heed", "--nodes", "300", "--seed", "1"],
     "run-eecs-n300": ["run", "--protocol", "eecs", "--nodes", "300", "--seed", "1"],
+    # k-means at k = 15 over a full lifetime at n = 300, its moved-centroid
+    # updates and k falling as nodes die; recorded before the orphan ledger
+    # and EECS's head store were deleted
+    "run-kmeans-n300": ["run", "--protocol", "kmeans", "--nodes", "300", "--seed", "1"],
     "run-table1-seed3": ["run", "--preset", "table1", *ALL, "--seed", "3"],
     "compare-trio": ["compare", "--protocol", "leach", "--protocol", "heed",
                      "--protocol", "eecs", "--seed", "1", "--seed", "3",
@@ -104,6 +108,11 @@ DIGESTS = {'compare-trio': {'<stdout>': '3c40fe8929b47b9ce7444e460e2f7a2e349d533
                       'bs_series.csv': '72723f7cd656215d6c045716162aeebd1c196d8bf6a75f816b773a4d515f0da9',
                       'kmeans_seed2.json': 'cb480618ad53ccdc60159c2b591bd0fdd212162be213bd54c6a00570eeadded2',
                       'summary.csv': 'b8c2e5a1f3965decf8732969872f7ae21cdf0e16a61c66e866d2db602bec6544'},
+ 'run-kmeans-n300': {'<stdout>': '8d527614a5cc238dc0a35ba2e46eb3795bf01eb072bc5b6ad3fe636bdcee0d2c',
+                     'alive_series.csv': '91b423db524eabc81dec2c9e5c3088cf82ad363473f114f7daf58c22e81fb3a5',
+                     'bs_series.csv': 'c0f0dde2f41df0eb64a17fc01dcd6375d855ab9cfbe25e920787884aa67d4b44',
+                     'kmeans_seed1.json': '0546d45fc43feed7e48a5dbb97f80bf10c25f45cf3b614fb02170525b14ea934',
+                     'summary.csv': '3915dd22d980edcf4a04b1fed91f0d7e948e14622d9b0a2f86e3fe9461dc5c69'},
  'run-leach-n300': {'<stdout>': '29a07dad244a08ae7088f002d9ca4eda777449513a490f57644a090d82e5450d',
                     'alive_series.csv': 'fb7570e4e6d99bb552e1615951355d5fa516740e6cb2545957d6d8ae218aedf1',
                     'bs_series.csv': '6b504485faaee3697bc66576011db75a1f25389d5783c934a7718db381117997',

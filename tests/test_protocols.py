@@ -65,8 +65,22 @@ def after_round(g, heads):
     g.rounds_since_ch[list(heads)] = 0
 
 
+def validate(cluster_set, alive_rows: set[int]) -> None:
+    """Check the exactly-once partition invariant over the alive nodes."""
+    seen: list[int] = []
+    for c in cluster_set.clusters:
+        if c.head in c.members:
+            raise ValueError(f"head {c.head} listed among its own members")
+        seen.append(c.head)
+        seen.extend(c.members)
+    if len(seen) != len(set(seen)):
+        raise ValueError("a node appears more than once in the cluster set")
+    if set(seen) != alive_rows:
+        raise ValueError("cluster set does not cover the alive nodes exactly")
+
+
 def check_partition(cluster_set, g):
-    cluster_set.validate(set(np.flatnonzero(g.energy > 0).tolist()))
+    validate(cluster_set, set(np.flatnonzero(g.energy > 0).tolist()))
 
 
 class TestLeachThreshold:
@@ -155,7 +169,6 @@ class TestFormClustersNearest:
         cs = form_clusters_nearest(g, {1})
         assert cs.clusters[0].head == 1
         assert sorted(cs.clusters[0].members) == [0, 2]
-        assert cs.orphans == []
         check_partition(cs, g)
 
     def test_tie_goes_to_lower_head_id(self):
@@ -242,7 +255,7 @@ class TestHeedCost:
 
 
 def shape(cluster_set):
-    return [(c.head, c.members) for c in cluster_set.clusters], cluster_set.orphans
+    return [(c.head, c.members) for c in cluster_set.clusters]
 
 
 class TestGeometry:
@@ -321,7 +334,6 @@ class TestHeedFormClusters:
         )
         assert cs.clusters[0].head == 0
         assert cs.clusters[0].members == []
-        assert cs.orphans == []
         assert 1 <= iterations <= 15
 
     def test_partition_and_bound_randomized(self):
@@ -408,7 +420,6 @@ class TestEecsFormClusters:
                 g, EecsParams(), np.random.default_rng(int(rng.integers(2**32))),
             )
             check_partition(cs, g)
-            assert cs.orphans == []
 
     def test_head_quota(self):
         # one helper sizes EECS's head set (head_fraction) and the centroid
@@ -436,10 +447,10 @@ class TestEecsFormClusters:
         run_simulation(NetworkConfig(seed=1), EecsParams(), 3000)
         assert 0 < counted[0] <= 100 * 100
 
-    def test_exact_distances_past_the_store_at_n_1000(self, monkeypatch):
-        # 20 rounds at n = 1000 draw 192 head terms from 184 distinct heads, and
-        # the store holds 65; a head that does not fit takes only the rows of
-        # the nodes that are not heads (185 000 distances over all 1000 rows)
+    def test_exact_distances_past_the_table_at_n_1000(self, monkeypatch):
+        # past the table each round's join computes its members' distances to
+        # its heads and nothing else: 20 rounds at n = 1000 sum members x heads
+        # to 190 148
         counted, exact = [0], Geometry.distances
 
         def distances(self, rows, cols):
@@ -448,25 +459,22 @@ class TestEecsFormClusters:
 
         monkeypatch.setattr(Geometry, "distances", distances)
         run_simulation(NetworkConfig(n_nodes=1000, seed=1), EecsParams(), 20)
-        assert counted[0] == 183_835
+        assert counted[0] == 190_148
 
     def test_peak_memory_at_n_1000(self):
-        # the store of head rows holds at most 2**16 distances (0.5 MB, 65
-        # heads at n = 1000); every head's row kept would take 8 MB
+        # past the table each join computes only its members' distances to its
+        # heads and keeps none: 20 rounds peaked at 1.7 MB, where an n x n
+        # float64 array would take 8 MB
         config = NetworkConfig(n_nodes=1000, seed=1)
         pos, rng = deploy_nodes(config), np.random.default_rng(1)
         tracemalloc.start()
         try:
             g = Geometry(pos, config.bs_pos, config.initial_energy)
-            heads = []
             for _ in range(20):
-                round_heads = eecs_form_clusters(g, EecsParams(), rng).heads
-                g.energy[round_heads] *= 0.5
-                heads += round_heads
+                g.energy[eecs_form_clusters(g, EecsParams(), rng).heads] *= 0.5
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(set(heads)) > 65  # more heads than the store holds
         assert peak < 4 * 2**20
 
 
