@@ -8,6 +8,7 @@ from a flat key=value file (--config); explicit flags win over file values.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
@@ -316,12 +317,17 @@ def _make_out_dir(spec: RunSpec) -> Path:
     return spec.out_dir
 
 
-def _export(export, payload, path: Path) -> None:
-    """``export(payload, path)``; an OSError becomes a CliError naming the path."""
+def _export(export, payload, path: Path, written: list[Path]) -> None:
+    """``export(payload, path)``, then ``path`` joins ``written``. An OSError
+    removes the ``written`` files and becomes a CliError naming the path: a
+    partial result set would pass for a whole one."""
     try:
         export(payload, path)
     except OSError as exc:
+        for done in written:
+            done.unlink(missing_ok=True)
         raise CliError(f"cannot write {path}: {exc}") from exc
+    written.append(path)
 
 
 def cmd_run(spec: RunSpec, command: str = "run") -> dict:
@@ -330,19 +336,19 @@ def cmd_run(spec: RunSpec, command: str = "run") -> dict:
     results = {(name, seed): run_simulation(spec.network_config(seed), spec.protocol(name),
                                             spec.max_rounds)
                for name in spec.protocols for seed in spec.seeds}
-    out = _make_out_dir(spec)
+    out, written = _make_out_dir(spec), []
     if "json" in spec.formats:
         for (name, seed), res in sorted(results.items()):
-            _export(export_json, res, out / f"{name}_seed{seed}.json")
+            _export(export_json, res, out / f"{name}_seed{seed}.json", written)
     if "csv" in spec.formats:
         horizon = max((len(r.reports) for r in results.values()), default=0)
         sample = list(range(0, horizon, spec.thin))
         # series averaged per protocol would hide seed variance; emit the
         # first seed's series plus the cross-seed summary
         per_protocol = {name: results[(name, spec.seeds[0])] for name in spec.protocols}
-        _export(export_csv, alive_series(per_protocol, sample), out / "alive_series.csv")
-        _export(export_csv, bs_series(per_protocol, sample), out / "bs_series.csv")
-        _export(export_csv, summarize(results), out / "summary.csv")
+        _export(export_csv, alive_series(per_protocol, sample), out / "alive_series.csv", written)
+        _export(export_csv, bs_series(per_protocol, sample), out / "bs_series.csv", written)
+        _export(export_csv, summarize(results), out / "summary.csv", written)
     for (name, seed), res in sorted(results.items()):
         first = res.first_death_round if res.first_death_round is not None else "-"
         print(f"{name} seed={seed} first_death={first} "
@@ -381,17 +387,18 @@ def cmd_sweep(spec: RunSpec) -> None:
     ks, kmeans_iters, fuzzy_iters, at_cap = zip(*rows)
     _export(export_csv, SeriesTable("cluster_count", list(ks), {
         "kmeans_iterations": kmeans_iters, "fuzzy_iterations": fuzzy_iters,
-        "fuzzy_at_cap": at_cap}), _make_out_dir(spec) / "iteration_sweep.csv")
+        "fuzzy_at_cap": at_cap}), _make_out_dir(spec) / "iteration_sweep.csv", [])
     for k, km, fz, capped in rows:
         print(f"k={k} kmeans_mean_iters={km:.2f} fuzzy_mean_iters={fz:.2f} "
               f"fuzzy_at_cap={capped}")
 
 
 COMMANDS = {"run": cmd_run, "compare": cmd_compare, "sweep": cmd_sweep}
+_parser = functools.cache(build_parser)  # built on the first call, not on every one
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         COMMANDS[args.command](_spec_from_args(args))
     except (CliError, FcmUnderflow) as exc:

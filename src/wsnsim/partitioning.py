@@ -19,15 +19,18 @@ a partial one.
 
 The run axis serves FCM. ``fcm_run`` takes a sequence of seeds and runs them
 side by side, one run per seed over the same points and k: a pair costs about
-18 numpy calls, whatever the number of runs. A run leaves when it converges or
-reaches max_iter, and the runs still going move to the front; a single run is
-a batch of one. k-means always runs one. The simulator feeds the batch from
-the coming rounds (``Geometry.fcm``): a round's FCM result depends only on the
-alive rows, k and its seed, and the seeds are the run's next draws, so a round
-that finds no kept result runs its own seed plus the next B - 1, read from a
-copy of the generator. B doubles each time the kept results are used up, up
-to the element budget, and restarts at 1 when a death, a new k or another
-draw from the generator makes a round miss.
+15 numpy calls, whatever the number of runs, as it runs unguarded. A point on
+a centroid (inf/inf) or a zero or NaN weight total (0/0) leaves a NaN in its
+run's delta, and only then is the pair redone guarded, from the memberships it
+left unchanged. A run leaves when it converges or reaches max_iter, and the
+runs still going move to the front; a single run is a batch of one. k-means
+always runs one. The simulator feeds the batch from the coming rounds
+(``Geometry.fcm``): a round's FCM result depends only on the alive rows, k and
+its seed, and the seeds are the run's next draws, so a round that finds no
+kept result runs its own seed plus the next B - 1, read from a copy of the
+generator. B doubles each time the kept results are used up, up to the element
+budget, and restarts at 1 when a death, a new k or another draw from the
+generator makes a round miss.
 
 Both runners report how many iterations they took to converge, because the
 simulator compares the two algorithms on exactly that number. One k-means
@@ -39,15 +42,16 @@ keeps every run deterministic for a given seed.
 Each step repeats, bit for bit, the per-cluster loops kept in the tests as
 oracles, and a run in a batch repeats the same run alone. Distances are
 sqrt(dx*dx + dy*dy), not ``np.hypot``. Sums over points run in point order,
-not as ``w.T @ points``: by ``np.bincount`` for k-means, and for FCM in
-three planes' memory, each (runs * k, n) and summed by ``np.add.accumulate``
-plus 0.0 while runs * k < 8, and from there (n, runs * k), points outermost,
-and summed by one reduce over the points, whose inner loops then run over
-runs * k; below 8 those loops are so short that the accumulate costs less.
-Both add from +0.0 in point order, as the oracle's ``(n, 2).sum(axis=0)``
-does (numpy reduces an (n, 1) column pairwise, which FCM repeats at k = 1).
-A membership row's sum over the centroids is a reduce over them: in order
-for k < 8 and pairwise from 8, as ``(n, k).sum(axis=1)`` adds.
+not as ``w.T @ points``: for k-means by one weighted ``np.bincount`` over x's
+and then y's, whose bins are offset by k, and for FCM in three planes' memory,
+each (runs * k, n) and summed by ``np.add.accumulate`` plus 0.0 while
+runs * k < 8, and from there (n, runs * k), points outermost, and summed by
+one reduce over the points, whose inner loops then run over runs * k; below 8
+those loops are so short that the accumulate costs less. Both add from +0.0
+in point order, as the oracle's ``(n, 2).sum(axis=0)`` does (numpy reduces an
+(n, 1) column pairwise, which FCM repeats at k = 1). A membership row's sum
+over the centroids is a reduce over them: in order for k < 8 and pairwise from
+8, as ``(n, k).sum(axis=1)`` adds.
 """
 
 from __future__ import annotations
@@ -95,6 +99,9 @@ class _Workspace:
         self.work, self.u = (buf[1:3], buf[::3]) if fuzzy else (buf, buf[2:])
         self.sums, self.tot = np.empty((3, runs * k)), np.empty((runs, n))
         self.prev = np.empty((2, k))
+        # a Lloyd step's bins, flat and as (2, n): x's by cluster, y's by k + cluster
+        self.bins = np.empty(2 * n, dtype=np.intp)
+        self.bins_xy, self.y_bins = self.bins.reshape(2, n), np.array([[0], [k]])
         self._columns(runs)
 
     def _columns(self, runs: int) -> None:
@@ -160,21 +167,36 @@ class _Workspace:
 
         From k = 8 returns the indices of the centroids whose value changed;
         below it, None: every row is recomputed there."""
-        c = self.c[:, 0]
+        c, k = self.c[:, 0], self.c.shape[2]
         if self.spare is not None:
             np.copyto(self.prev, c)
-        counts = np.bincount(assignment, minlength=c.shape[1])
-        filled = counts > 0
-        for row, x in zip(c, self.pt[:, 0, 0]):
-            row[filled] = np.bincount(assignment, x, len(counts))[filled] / counts[filled]
+        counts = np.bincount(assignment, minlength=k)
+        # the x and y sums in one pass over the points, each bin in point order
+        np.add(assignment, self.y_bins, out=self.bins_xy)
+        sums = np.bincount(self.bins, self.pt_row.reshape(-1), 2 * k).reshape(2, k)
+        if 0 in counts.tolist():
+            filled = counts > 0
+            c[:, filled] = sums[:, filled] / counts[filled]
+        else:
+            np.divide(sums, counts, out=c)
         if self.spare is None:
             return None
         changed = c != self.prev  # -0.0 == 0.0, and both square to 0
         return np.flatnonzero(changed[0] | changed[1])
 
-    def fcm_centroids(self, plane: int, m: float) -> np.ndarray:
+    def fcm_pair(self, plane: int, m: float, p: float, guard: bool) -> list[float]:
+        """One centroids+memberships pair from membership ``plane`` into the
+        other; returns each run's max |u_new - u|, NaN where a guard was due."""
+        u, u_new = self.u[plane], self.u[1 - plane]
+        self.fcm_centroids(plane, m, guard)
+        self.fcm_memberships(p, u_new, guard)
+        change = self.work[1]  # free once the distances are taken
+        np.subtract(u_new, u, out=change)
+        return np.maximum.reduce(np.abs(change, out=change), axis=(1, 2)).tolist()
+
+    def fcm_centroids(self, plane: int, m: float, guard: bool = True) -> np.ndarray:
         """Membership-weighted centroids per run from membership ``plane``;
-        an all-zero weight column takes the mean."""
+        guarded, an all-zero weight column takes the mean."""
         u, (cols, w) = self.u[plane], self.cols[plane]
         np.power(u, m, out=w)  # a square for m = 2
         if self.along_points:  # + 0.0, as a reduce starts from +0.0
@@ -186,17 +208,18 @@ class _Workspace:
         totals = self.totals
         if self.c.shape[2] == 1:  # numpy sums an (n, 1) column pairwise
             totals[:, 0] = np.add.reduce(np.power(u[:, 0], m, out=self.tot), axis=1)
-        if np.minimum.reduce(totals, axis=None) > 0:
+        if not guard:
             return np.divide(self.weighted, totals, out=self.c)
         filled = totals > 0  # not a zero or NaN total
         np.divide(self.weighted, np.where(filled, totals, 1.0), out=self.c)
         self.c[:, ~filled] = self.points.mean(axis=0)[:, None]
         return self.c
 
-    def fcm_memberships(self, p: float, out: np.ndarray) -> np.ndarray:
-        """Memberships d ** p over their sum across the centroids, per run, into out."""
+    def fcm_memberships(self, p: float, out: np.ndarray, guard: bool = True) -> np.ndarray:
+        """Memberships d ** p over their sum across the centroids, per run,
+        into out; guarded, a point on a centroid splits equally among those."""
         w = self.distances()
-        if coincident := np.count_nonzero(w) < w.size:  # a point on a centroid
+        if coincident := guard and np.count_nonzero(w) < w.size:  # a point on a centroid
             zero = w == 0.0
             runs, at = np.nonzero(zero.any(axis=1))  # each such point's run and column
             hits = zero[runs, :, at]
@@ -232,8 +255,8 @@ def kmeans_run(points: np.ndarray, init: np.ndarray,
     ws = _Workspace(points, len(init), init)
     prev_assignment, iterations, moved = None, 0, None
     while iterations < max_iter:
-        assignment = ws.distances(moved)[0].argmin(axis=0)
-        if prev_assignment is not None and np.array_equal(assignment, prev_assignment):
+        assignment = ws.distances(moved)[0].T.argmin(axis=1)
+        if prev_assignment is not None and assignment.tobytes() == prev_assignment.tobytes():
             break
         moved = ws.kmeans_update(assignment)
         prev_assignment = assignment
@@ -281,21 +304,19 @@ def fcm_run(points: np.ndarray, k: int, seeds: Sequence[int], m: float = 2.0,
     p = -2.0 / (m - 1.0)
     results: list[tuple | None] = [None] * len(seeds)
     going, cur = np.arange(len(seeds)), 0  # each run's seed index; the plane of u
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
         for iterations in range(1, max_iter + 1):
-            u, u_new = ws.u[cur], ws.u[1 - cur]
-            ws.fcm_centroids(cur, m)
-            ws.fcm_memberships(p, u_new)
-            change = ws.work[1]  # free once the distances are taken
-            np.subtract(u_new, u, out=change)
-            delta = np.maximum.reduce(np.abs(change, out=change), axis=(1, 2))
+            delta = ws.fcm_pair(cur, m, p, guard=False)
+            if True in [d != d for d in delta]:  # not list equality: nan is nan
+                delta = ws.fcm_pair(cur, m, p, guard=True)
             cur = 1 - cur
-            done = [d < tol for d in delta.tolist()]  # a NaN delta never converges
+            done = [d < tol for d in delta]  # a NaN delta never converges
             if True not in done and iterations < max_iter:
                 continue
             done = np.array(done) | (iterations == max_iter)
             for j in np.flatnonzero(done).tolist():
-                results[going[j]] = _fcm_result(ws, j, u_new[j], going[j] == 0, m, iterations)
+                results[going[j]] = _fcm_result(ws, j, ws.u[cur][j], going[j] == 0, m,
+                                                iterations)
             going = going[~done]
             if not len(going):
                 break

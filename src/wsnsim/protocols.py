@@ -589,19 +589,23 @@ def _centroid_cluster_set(
 ) -> ClusterSet:
     """Group ``rows`` by ``assignment``; each group's head has the most
     energy, ties going to the nearest to its centroid, then the lowest row."""
-    row, energy = rows.tolist(), geom.energy[rows].tolist()
-    pos = geom.pos[rows].tolist()
-    groups: list[list[int]] = [[] for _ in centroids]
-    for i, j in enumerate(assignment.tolist()):
-        groups[j].append(i)
+    energy = geom.energy[rows]
+    # indices by group, the richest and then the lowest first; rows by group
+    order = np.lexsort((-energy, assignment)).tolist()
+    grouped = rows[np.argsort(assignment, kind="stable")].tolist()
+    ends = np.bincount(assignment, minlength=len(centroids)).cumsum().tolist()
+    row, energy, xy = rows.tolist(), energy.tolist(), geom.xy
     clusters: list[Cluster] = []
-    for group, (cx, cy) in zip(groups, centroids.tolist()):
-        if not group:
+    for start, end, (cx, cy) in zip([0, *ends], ends, centroids.tolist()):
+        if start == end:
             continue
-        top = max(energy[i] for i in group)  # only its ties need the distance
-        head = min((i for i in group if energy[i] == top),
-                   key=lambda i: (math.hypot(pos[i][0] - cx, pos[i][1] - cy), i))
-        clusters.append(Cluster(head=row[head], members=[row[i] for i in group if i != head]))
+        head = order[start]
+        if end - start > 1 and energy[order[start + 1]] == (top := energy[head]):  # a tie
+            head = min((math.hypot(xy[row[i]][0] - cx, xy[row[i]][1] - cy), i)
+                       for i in order[start:end] if energy[i] == top)[1]
+        members = grouped[start:end]
+        members.remove(row[head])
+        clusters.append(Cluster(head=row[head], members=members))
     return ClusterSet(clusters=clusters)
 
 

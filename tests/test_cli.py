@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from wsnsim import cli
 from wsnsim.cli import _NUMBER_KEYS, PROTOCOL_KEYS, RunSpec, _spec_from_args, build_parser, main
 from wsnsim.engine import PROTOCOLS
 from wsnsim.model import NetworkConfig, RadioModel
@@ -59,6 +60,45 @@ class TestRun:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: cannot write {out / name}: ") and err.count("\n") == 1
+
+
+    def test_failed_export_removes_the_files_it_wrote(self, tmp_path, capsys):
+        # summary.csv is written last: the result file and the two series
+        # written before it go, and a file the run did not write stays
+        out = tmp_path / "o"
+        (out / "summary.csv").mkdir(parents=True)
+        (out / "notes.txt").write_text("kept\n")
+        code = run_cli(["run", "--protocol", "leach", "--nodes", "10", "--rounds", "2",
+                        "--out", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "summary.csv"]
+
+
+class TestParserOncePerProcess:
+    # main builds its parser on the first call and reuses it: a call must
+    # write and print what it does with a parser of its own
+    ARGVS = (["run", "--protocol", "kmeans", "--k", "3", "--nodes", "20", "--rounds", "5",
+              "--seed", "2", "--seed", "4"],
+             ["run", "--protocol", "leach", "--nodes", "15", "--rounds", "4", "--format", "json"])
+
+    def outputs(self, out, capsys, fresh):
+        got = []
+        for i, argv in enumerate(self.ARGVS):
+            if fresh:
+                cli._parser.cache_clear()
+            code = main([*argv, "--out", str(out / str(i))])
+            files = {p.name: p.read_bytes() for p in sorted((out / str(i)).iterdir())}
+            got.append((code, capsys.readouterr(), files))
+        return got
+
+    def test_reused_parser_gives_the_bytes_of_fresh_ones(self, tmp_path, capsys):
+        cli._parser.cache_clear()
+        reused = self.outputs(tmp_path / "a", capsys, fresh=False)
+        assert cli._parser.cache_info().misses == 1
+        assert reused == self.outputs(tmp_path / "b", capsys, fresh=True)
+        assert build_parser() is not build_parser()
 
 
 class TestIterationCaps:

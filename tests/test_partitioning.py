@@ -206,6 +206,26 @@ class TestArrayStepsMatchLoops:
             expected = fcm_memberships_loop(points, centroids, m)
         assert np.array_equal(got, expected, equal_nan=True)
 
+    # below k = 8 every centroid is recomputed; from 8 the step also returns
+    # the ones that moved. With every cluster filled the means take one divide
+    @pytest.mark.parametrize("k", [3, 8, 12])
+    @pytest.mark.parametrize("empty", [True, False])
+    def test_kmeans_update_with_an_empty_cluster(self, k, empty):
+        rng = np.random.default_rng(k)
+        points = rng.uniform(0, 100, (40, 2))
+        labels = k - 1 if empty else k  # cluster k - 1 gets no point when empty
+        assignment = rng.permutation(np.arange(40) % labels)
+        previous = rng.uniform(0, 100, (k, 2))
+        previous[0] = points[assignment == 0].mean(axis=0)  # a centroid that stays
+        ws = _Workspace(points, k, previous)
+        moved = ws.kmeans_update(assignment)
+        expected = kmeans_update_loop(points, assignment, previous)
+        assert ws.c[:, 0].T.tobytes() == expected.tobytes()
+        if k < 8:
+            assert moved is None
+        else:
+            assert moved.tolist() == list(range(1, labels))
+
     def test_previous_centroids_are_not_modified(self):
         previous = pts((9, 9), (7, 7))
         _Workspace(pts((3, 4)), 2, previous).kmeans_update(np.array([0]))
@@ -722,6 +742,35 @@ class TestFcmBatch:
         (_, apart, _), (_, landed, _) = fcm_run(points, 3, [0, 2], tol=1e-300, max_iter=6)
         assert sorted(landed.tolist()) == sorted(points.tolist())
         assert distances_loop(points, apart).all()
+
+    def test_guarded_pairs_beside_ordinary_runs(self, monkeypatch):
+        # seed 1 starts with column 0 on point 0 alone, so centroid 0 lands on
+        # that point in the first pair (inf/inf); seed 2 starts with column 2
+        # all zero, so its weight total is 0 (0/0). Each leaves a NaN in its
+        # run's delta, and that pair is redone guarded for the whole batch
+        points, k = criterion4_cell(0)[0][:30], 3
+        inits = {seed: fcm_init(30, k, seed) for seed in (5, 6, 7)}
+        on_point, zero_column = fcm_init(30, k, 1), fcm_init(30, k, 2)
+        on_point[:, 0], on_point[0], zero_column[:, 2] = 0.0, (1.0, 0.0, 0.0), 0.0
+        for seed, u in ((1, on_point), (2, zero_column)):
+            inits[seed] = u / u.sum(axis=1, keepdims=True)
+        monkeypatch.setattr(partitioning, "fcm_init", lambda n, k, seed: inits[seed])
+        guards, pair = [], _Workspace.fcm_pair
+
+        def recording(self, plane, m, p, guard):
+            guards.append(guard)
+            return pair(self, plane, m, p, guard)
+
+        monkeypatch.setattr(_Workspace, "fcm_pair", recording)
+        seeds, params = [5, 1, 6, 2, 7], FuzzyFormation()
+        batch = fcm_run(points, k, seeds)
+        assert guards[:2] == [False, True] and guards.count(True) < guards.count(False)
+        for seed, got in zip(seeds, batch):
+            pairs, u, centroids = fcm_pairs(points, inits[seed], params)
+            alone = fcm_run(points, k, [seed])[0]
+            for run in (got, alone):
+                assert (run[2], run[0].tobytes(), run[1].tobytes()) == (
+                    pairs, u.tobytes(), centroids.tobytes()), seed
 
     def test_failed_look_ahead_run_is_none(self):
         # seed 12's run overflows (see TestFcmRun) and seed 30's does not: a

@@ -1,9 +1,12 @@
 import collections
 import copy
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsnsim.engine import SimState, run_round, run_simulation
 from wsnsim.model import NEVER_CLUSTER_HEAD, NetworkConfig, deploy_nodes, euclidean_distance
@@ -11,10 +14,13 @@ from wsnsim.cli import main
 from wsnsim.protocols import (
     EecsParams,
     FuzzyFormation,
+    Cluster,
+    ClusterSet,
     Geometry,
     HeedParams,
     KmeansFormation,
     LeachParams,
+    _centroid_cluster_set,
     eecs_form_clusters,
     enforce_ch_separation,
     form_clusters_nearest,
@@ -566,6 +572,82 @@ class TestCentroidFormations:
             check_partition(cs1, g)
             cs2, _ = fuzzy_form_clusters(g, FuzzyFormation(), k, int(rng.integers(2**32)), rng)
             check_partition(cs2, g)
+
+
+def centroid_cluster_set_loop(geom, rows, assignment, centroids):
+    """The oracle of ``_centroid_cluster_set``: one list per group, in row
+    order; the head has the most energy, ties going to the nearest to the
+    centroid (math.hypot), then the lowest row."""
+    row, energy = rows.tolist(), geom.energy[rows].tolist()
+    pos = geom.pos[rows].tolist()
+    groups = [[] for _ in centroids]
+    for i, j in enumerate(assignment.tolist()):
+        groups[j].append(i)
+    clusters = []
+    for group, (cx, cy) in zip(groups, centroids.tolist()):
+        if not group:
+            continue
+        top = max(energy[i] for i in group)
+        head = min((i for i in group if energy[i] == top),
+                   key=lambda i: (math.hypot(pos[i][0] - cx, pos[i][1] - cy), i))
+        clusters.append(Cluster(head=row[head], members=[row[i] for i in group if i != head]))
+    return ClusterSet(clusters=clusters)
+
+
+@st.composite
+def centroid_groups(draw):
+    """A geometry, its alive rows, an assignment of them to k groups and the
+    k centroids. Energies from three values and points and centroids on a
+    small grid make equal top energies at equal and unequal distances
+    common; k up to 12 above the rows leaves groups empty."""
+    n = draw(st.integers(1, 30))
+    grid = st.integers(0, 4).map(float)
+    coords = draw(st.lists(st.tuples(grid, grid), min_size=n, max_size=n))
+    energies = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n))
+    g = geom(coords, energies)
+    rows = np.flatnonzero(g.energy > 0)
+    if not len(rows):
+        rows = np.arange(n)
+    k = draw(st.integers(1, 12))
+    assignment = np.array(draw(st.lists(st.integers(0, k - 1), min_size=len(rows),
+                                        max_size=len(rows))), dtype=np.intp)
+    centroids = np.array(draw(st.lists(st.tuples(grid, grid), min_size=k, max_size=k)),
+                         dtype=float).reshape(k, 2)
+    return g, rows, assignment, centroids
+
+
+class TestCentroidClusterSet:
+    """Heads and members by one sort of the groups agree with the per-group loop."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(centroid_groups())
+    def test_matches_loop(self, case):
+        assert shape(_centroid_cluster_set(*case)) == shape(centroid_cluster_set_loop(*case))
+
+    @pytest.mark.parametrize("k", [3, 8, 12])
+    def test_ties_empty_groups_and_drawn_energies(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(30):
+            n = int(rng.integers(k, 60))
+            g = geom(rng.integers(0, 6, (n, 2)), rng.choice([0.1, 0.2, 0.3], n))
+            rows = np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+            assignment = rng.integers(0, k - 1, len(rows))  # group k - 1 stays empty
+            centroids = rng.integers(0, 6, (k, 2)).astype(float)
+            got = _centroid_cluster_set(g, rows, assignment, centroids)
+            assert shape(got) == shape(centroid_cluster_set_loop(g, rows, assignment,
+                                                                 centroids))
+            assert len(got.clusters) == len(set(assignment.tolist())) < k
+
+    def test_tie_by_distance_then_row(self):
+        # rows 0, 1 and 3 share the top energy; row 3 and row 1 lie 1 m from
+        # the centroid (1, 1) and row 0 about 1.4 m: row 1, the lower, heads.
+        # Row 2 lies on the centroid but has less energy
+        g = geom([(0, 0), (1, 0), (1, 1), (2, 1)], [0.5, 0.5, 0.4, 0.5])
+        rows, assignment = np.arange(4), np.zeros(4, dtype=np.intp)
+        cs = _centroid_cluster_set(g, rows, assignment, np.array([[1.0, 1.0]]))
+        assert shape(cs) == [(1, [0, 2, 3])]
+        cs = _centroid_cluster_set(g, rows, assignment, np.array([[2.0, 1.0]]))
+        assert shape(cs) == [(3, [0, 1, 2])]
 
 
 class TestDeterminism:
