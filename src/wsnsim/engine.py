@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import NetworkConfig, aggregate_energy, deploy_nodes, rx_energy, tx_energy
+from .model import NetworkConfig, deploy_nodes
 from .protocols import (
     ClusterSet,
     EecsParams,
@@ -82,13 +82,12 @@ class ExperimentResult:
     total_bs_messages: int
 
 
-def _cluster_count(geom: Geometry, k: int | None) -> int:
-    alive = len(geom.alive())
+def _cluster_count(alive: int, k: int | None) -> int:
     k = k if k is not None else head_quota(alive, 0.05)
     return min(k, alive)  # never more clusters than alive nodes as the network dies
 
 
-def _leach(state: SimState, protocol: LeachParams) -> tuple[ClusterSet, int]:
+def _leach(state: SimState, protocol: LeachParams, alive: int) -> tuple[ClusterSet, int]:
     geom = state.geometry
     heads = leach_elect(geom, protocol, state.round, state.rng)
     if protocol.ch_separation > 0:
@@ -96,35 +95,36 @@ def _leach(state: SimState, protocol: LeachParams) -> tuple[ClusterSet, int]:
     return form_clusters_nearest(geom, heads), 0
 
 
-def _heed(state: SimState, protocol: HeedParams) -> tuple[ClusterSet, int]:
+def _heed(state: SimState, protocol: HeedParams, alive: int) -> tuple[ClusterSet, int]:
     return heed_form_clusters(state.geometry, protocol, state.rng)[0], 0
 
 
-def _eecs(state: SimState, protocol: EecsParams) -> tuple[ClusterSet, int]:
+def _eecs(state: SimState, protocol: EecsParams, alive: int) -> tuple[ClusterSet, int]:
     return eecs_form_clusters(state.geometry, protocol, state.rng), 0
 
 
-def _kmeans(state: SimState, protocol: KmeansFormation) -> tuple[ClusterSet, int]:
-    k = _cluster_count(state.geometry, protocol.k)
+def _kmeans(state: SimState, protocol: KmeansFormation, alive: int) -> tuple[ClusterSet, int]:
+    k = _cluster_count(alive, protocol.k)
     return kmeans_form_clusters(state.geometry, k, max_iter=protocol.max_iter)
 
 
-def _fuzzy(state: SimState, protocol: FuzzyFormation) -> tuple[ClusterSet, int]:
-    k = _cluster_count(state.geometry, protocol.k)
+def _fuzzy(state: SimState, protocol: FuzzyFormation, alive: int) -> tuple[ClusterSet, int]:
+    k = _cluster_count(alive, protocol.k)
     seed = int(state.rng.integers(0, 2**63))
     return fuzzy_form_clusters(state.geometry, protocol, k, seed, state.rng)
 
 
-# params type -> its round's formation. The formations call the protocols'
-# functions through this module's globals, where a wrapper installed as
+# params type -> its round's formation, given the state, the params and the
+# alive count run_round took. The formations call the protocols' functions
+# through this module's globals, where a wrapper installed as
 # ``wsnsim.engine.leach_elect`` (or any other) intercepts every call.
 FORMATIONS = {LeachParams: _leach, HeedParams: _heed, EecsParams: _eecs,
               KmeansFormation: _kmeans, FuzzyFormation: _fuzzy}
 PROTOCOLS = {cls.name: cls for cls in FORMATIONS}
 
 
-def _form_clusters(state: SimState, protocol) -> tuple[ClusterSet, int]:
-    return FORMATIONS[type(protocol)](state, protocol)
+def _form_clusters(state: SimState, protocol, alive: int) -> tuple[ClusterSet, int]:
+    return FORMATIONS[type(protocol)](state, protocol, alive)
 
 
 def run_round(state: SimState, protocol) -> tuple[SimState, RoundReport]:
@@ -133,58 +133,64 @@ def run_round(state: SimState, protocol) -> tuple[SimState, RoundReport]:
     if alive_before == 0:
         raise SimulationComplete(f"no alive nodes at round {state.round}")
 
-    cfg = state.config
-    radio = cfg.radio
     geom = state.geometry
-    cluster_set, clustering_iterations = _form_clusters(state, protocol)
+    cluster_set, clustering_iterations = _form_clusters(state, protocol, alive_before)
     # the ledger charges rows of Python lists
     head_rows, xy, bs_dist = cluster_set.heads, geom.xy, geom.bs_d
     energy = geom.energy.tolist()
-    # the per-bit products hoisted, in tx_energy's association;
-    # aggregate_energy(radio, b, n) is (e_da * b) * n
-    elec_header = rx_energy(radio, radio.header_bits)
-    amp_header = radio.e_amp * radio.header_bits
-    elec_data = rx_energy(radio, radio.data_bits)
-    amp_data = radio.e_amp * radio.data_bits
-    da_data = aggregate_energy(radio, radio.data_bits, 1)
-    charged = clamped = 0.0
-    deaths = 0
+    elec_header, amp_header, elec_data, amp_data, da_data, advert_cost = (
+        state.config.message_costs)
+    charged, clamped, deaths = 0.0, 0.0, 0
 
-    # Every charge, in pay or written out in the per-node loops below, has
-    # pay's body and is made in pay's order: it is levied in full, a node
-    # left with nothing keeps 0 and dies, and the unpaid part counts as
-    # clamped. Only alive nodes are charged, so each death is counted once.
-    def pay(row: int, cost: float) -> bool:
-        """Charge ``cost`` to ``row``; True iff the node survives."""
-        nonlocal charged, clamped, deaths
-        charged += cost
-        left = energy[row]
-        if left > cost:
-            energy[row] = left - cost
-            return True
-        clamped += cost - left
-        energy[row] = 0.0
-        deaths += 1
-        return False
+    # Every charge below has one body, and the charges come in the order of
+    # one call per charge: a charge is levied in full, a node left with
+    # nothing keeps 0 and dies, and the unpaid part counts as clamped. Only
+    # alive nodes are charged, so each death is counted once.
 
-    # -- setup: head advertisements, heard network-wide; a head that
-    # delivered one hears only the others' (a charge of 0 changes nothing)
-    advert_cost = tx_energy(radio, radio.header_bits, cfg.diagonal)
-    delivered_adverts = {h for h in sorted(head_rows) if pay(h, advert_cost)}
+    # -- setup: head advertisements in row order, delivered if the head survives
+    delivered_adverts = []
+    for head in sorted(head_rows):
+        left = energy[head]
+        charged += advert_cost
+        if left > advert_cost:
+            energy[head] = left - advert_cost
+            delivered_adverts.append(head)
+        else:
+            clamped += advert_cost - left
+            energy[head] = 0.0
+            deaths += 1
+
+    # -- setup: every alive node hears the delivered adverts, in row order. A
+    # head that delivered one hears only the others' (a charge of 0 changes
+    # nothing), so the rows run in stretches between the delivered heads
     hear_all = len(delivered_adverts) * elec_header
     hear_others = (len(delivered_adverts) - 1) * elec_header
-    for row, left in enumerate(energy):  # in row order
-        if left > 0.0:
-            cost = hear_others if row in delivered_adverts else hear_all
-            charged += cost
-            if left > cost:
-                energy[row] = left - cost
-            else:
-                clamped += cost - left
-                energy[row] = 0.0
-                deaths += 1
+    start = 0
+    for head in [*delivered_adverts, len(energy)]:
+        for row in range(start, head):
+            left = energy[row]
+            if left > 0.0:
+                charged += hear_all
+                if left > hear_all:
+                    energy[row] = left - hear_all
+                else:
+                    clamped += hear_all - left
+                    energy[row] = 0.0
+                    deaths += 1
+        if head == len(energy):
+            break
+        left = energy[head]  # alive: it kept some energy after its advert
+        charged += hear_others
+        if left > hear_others:
+            energy[head] = left - hear_others
+        else:
+            clamped += hear_others - left
+            energy[head] = 0.0
+            deaths += 1
+        start = head + 1
 
-    # -- setup: join messages to the head. An alive member sends at
+    # -- setup: join messages to the head, over each cluster's members in
+    # row order (ClusterSet keeps them ascending). An alive member sends at
     # elec + amp*d*d and, if it survives while its head is alive, the head
     # pays elec to receive; only the cluster's head and members are charged
     # in its exchange, so the head's energy is held in ``left_head``. The
@@ -201,7 +207,7 @@ def run_round(state: SimState, protocol) -> tuple[SimState, RoundReport]:
             dist = table[head]
         left_head = energy[head]
         links = []
-        for member in sorted(cluster.members):
+        for member in cluster.members:
             left = energy[member]
             if left > 0.0:
                 if table is None:
@@ -230,7 +236,8 @@ def run_round(state: SimState, protocol) -> tuple[SimState, RoundReport]:
         joined.append((head, links))
 
     # -- steady state: each member in ``links`` sends its data as it sent its
-    # join, then the head aggregates and uplinks
+    # join; then an alive head aggregates its signals and its own and, if it
+    # survives that, uplinks to the base station
     delivered = 0
     for head, links in joined:
         left_head = energy[head]
@@ -254,10 +261,26 @@ def run_round(state: SimState, protocol) -> tuple[SimState, RoundReport]:
                 clamped += cost - left
                 energy[member] = 0.0
                 deaths += 1
+        if left_head > 0.0:
+            cost = da_data * (received + 1)
+            charged += cost
+            if left_head > cost:
+                left_head -= cost
+                d = bs_dist[head]
+                cost = elec_data + amp_data * d * d
+                charged += cost
+                if left_head > cost:
+                    left_head -= cost
+                    delivered += 1
+                else:
+                    clamped += cost - left_head
+                    left_head = 0.0
+                    deaths += 1
+            else:
+                clamped += cost - left_head
+                left_head = 0.0
+                deaths += 1
         energy[head] = left_head
-        if left_head > 0.0 and pay(head, da_data * (received + 1)):
-            d = bs_dist[head]
-            delivered += pay(head, elec_data + amp_data * d * d)
 
     geom.energy[:] = energy
     geom.rounds_since_ch += 1

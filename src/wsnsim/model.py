@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +92,16 @@ class NetworkConfig:
     def diagonal(self) -> float:
         """Arena diagonal, the broadcast range that reaches every node."""
         return math.hypot(self.arena[0], self.arena[1])
+
+    @cached_property
+    def message_costs(self) -> tuple[float, ...]:
+        """The ledger's costs, once per config: elec and amp for a header,
+        elec and amp for a data message, one signal's aggregation and an
+        advert across the diagonal, in the model's functions' association."""
+        r = self.radio
+        return (rx_energy(r, r.header_bits), r.e_amp * r.header_bits,
+                rx_energy(r, r.data_bits), r.e_amp * r.data_bits,
+                aggregate_energy(r, r.data_bits, 1), tx_energy(r, r.header_bits, self.diagonal))
 
 
 def euclidean_distance(a: tuple[float, float], b: tuple[float, float]) -> float:

@@ -39,7 +39,8 @@ class Cluster:
 @dataclass
 class ClusterSet:
     """One round's partition of the alive nodes: each is a head or a member
-    of exactly one cluster."""
+    of exactly one cluster. Each cluster's members are in ascending row
+    order, the order in which ``engine.run_round`` charges them."""
 
     clusters: list[Cluster] = field(default_factory=list)
 
@@ -358,10 +359,11 @@ def _head_mask(n: int, rows: np.ndarray, heads: set[int]) -> np.ndarray:
 def _join(heads: np.ndarray, members: np.ndarray, choice: np.ndarray) -> ClusterSet:
     """One cluster per row of ``heads``; each row of ``members`` joins
     ``heads[choice[i]]``, so a cluster keeps its members in ``members``' order."""
-    clusters = [Cluster(head=h) for h in heads.tolist()]
+    lists: list[list[int]] = [[] for _ in range(len(heads))]
+    append = [m.append for m in lists]
     for row, j in zip(members.tolist(), choice.tolist()):
-        clusters[j].members.append(row)
-    return ClusterSet(clusters=clusters)
+        append[j](row)
+    return ClusterSet(clusters=[Cluster(h, m) for h, m in zip(heads.tolist(), lists)])
 
 
 def form_clusters_nearest(geom: Geometry, ch_rows: set[int]) -> ClusterSet:
@@ -510,11 +512,13 @@ def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[Cluster
     # the lowest-rank head in range, else the nearest head (ties: lowest row,
     # as head_idx is ascending)
     reach = in_range[head_idx]  # (heads, n)
-    best = np.where(reach, rank[head_idx, None], n).argmin(axis=0)
-    far = np.flatnonzero(~reach.any(axis=0))
-    if dist is not None:  # fl(a - b)**2 is fl(b - a)**2: the same values
-        best[far] = dist[head_idx[:, None], far].argmin(axis=0)
+    if dist is not None:
+        # one argmin: the ranks, shifted below -n, sort before every distance;
+        # dist is symmetric (fl(a - b)**2 is fl(b - a)**2): rows serve as columns
+        best = np.where(reach, rank[head_idx, None] - 2.0 * n, dist[head_idx]).argmin(axis=0)
     else:
+        best = np.where(reach, rank[head_idx, None], n).argmin(axis=0)
+        far = np.flatnonzero(~reach.any(axis=0))
         d = squared_distances(geom.pos[rows[far]], geom.pos[rows[head_idx]])
         best[far] = np.sqrt(d, out=d).argmin(axis=1)
     plain = np.ones(n, dtype=bool)
@@ -560,8 +564,9 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
     head_rows, members = rows[is_head], rows[~is_head]
 
     bs_dist = geom.bs_dist[head_rows]
-    d_bs_min = bs_dist.min()
-    bs_span = bs_dist.max() - d_bs_min
+    listed = bs_dist.tolist()  # a short list, where Python's min and max are cheaper
+    d_bs_min = min(listed)
+    bs_span = max(listed) - d_bs_min
     bs_term = (bs_dist - d_bs_min) / bs_span if bs_span > 0 else np.zeros(len(head_rows))
 
     dists = geom.head_distances(members, head_rows)

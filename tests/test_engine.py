@@ -69,8 +69,8 @@ def record_cluster_sets(monkeypatch) -> list:
     formed = []
     form = wsnsim.engine._form_clusters
 
-    def recording(state, protocol):
-        formed.append(form(state, protocol))
+    def recording(state, protocol, alive):
+        formed.append(form(state, protocol, alive))
         return formed[-1]
 
     monkeypatch.setattr(wsnsim.engine, "_form_clusters", recording)
@@ -174,7 +174,7 @@ class TestRunRound:
         ids=lambda p: type(p).__name__,
     )
     def test_alive_after_equals_a_recount(self, monkeypatch, protocol):
-        # the report carries alive_before minus the deaths pay() saw; energies
+        # the report carries alive_before minus the deaths the ledger counted; energies
         # of a few rounds' worth make nodes die part-way through rounds
         rng = np.random.default_rng(29)
         config = NetworkConfig(n_nodes=40, seed=29)
@@ -261,8 +261,7 @@ class TestHelpers:
     def test_default_cluster_count(self):
         # with k=None the centroid formations ask for 5% of the alive nodes, at least one
         for alive, k in [(100, 5), (1, 1), (101, 6)]:
-            geom = Geometry(np.zeros((alive, 2)), (0.0, 0.0), 0.5)
-            assert wsnsim.engine._cluster_count(geom, None) == k
+            assert wsnsim.engine._cluster_count(alive, None) == k
 
     def test_sweep_iterations_shape(self):
         rows = sweep_iterations(
@@ -282,6 +281,24 @@ class TestHelpers:
         # the means would divide by a seed count of 0
         with pytest.raises(ValueError, match="seeds"):
             sweep_iterations(NetworkConfig(n_nodes=20), grid=[3], seeds=[])
+
+    @pytest.mark.parametrize("protocol", [KmeansFormation(), FuzzyFormation()],
+                             ids=["kmeans", "fuzzy"])
+    def test_centroid_round_reads_the_alive_rows_once(self, monkeypatch, protocol):
+        # k comes from the alive count run_round took, so only the formation
+        # itself asks the geometry for the alive rows
+        calls, alive = [], Geometry.alive
+
+        def counted(geom):
+            calls.append(1)
+            return alive(geom)
+
+        monkeypatch.setattr(Geometry, "alive", counted)
+        state = look_ahead_state()
+        state.geometry.energy[::7] = 0.0
+        for expected in range(1, 6):
+            run_round(state, protocol)
+            assert len(calls) == expected
 
     def test_kmeans_k_clamped_as_network_dies(self):
         # a shrinking network must not raise once alive < k
@@ -320,7 +337,7 @@ def fresh_fuzzy_round(state: SimState, params: FuzzyFormation) -> tuple:
     over the alive set, with no kept runs."""
     geom = state.geometry
     rows = geom.alive()
-    k = wsnsim.engine._cluster_count(geom, params.k)
+    k = wsnsim.engine._cluster_count(len(rows), params.k)
     u, centroids, iterations = fcm_run(geom.pos[rows], k, [next_seed(state)], params.m,
                                        params.tol, params.max_iter)[0]
     return _centroid_cluster_set(geom, rows, defuzzify(u), centroids), iterations
@@ -377,7 +394,7 @@ class TestFuzzyLookAhead:
         for _ in range(2):  # round 1 runs round 2 too
             run_round(state, params)
         geom, seed = state.geometry, next_seed(state)
-        k = wsnsim.engine._cluster_count(geom, params.k)
+        k = wsnsim.engine._cluster_count(len(geom.alive()), params.k)
         geom.energy[int(geom.alive()[7])] = 0.0
         rows, run = geom.alive(), wsnsim.protocols.fcm_run
 

@@ -796,7 +796,7 @@ def oracle_run_round(state, nodes, protocol, deaths):
     by_id = {n.id: n for n in nodes}
     state.geometry.energy[:] = [n.energy for n in nodes]
     state.geometry.rounds_since_ch[:] = [n.rounds_since_ch for n in nodes]
-    cluster_set, clustering_iterations = _form_clusters(state, protocol)
+    cluster_set, clustering_iterations = _form_clusters(state, protocol, alive_before)
     head_ids = set(cluster_set.heads)
     ledger = Ledger(deaths)
 
@@ -877,16 +877,16 @@ PHASES = {"advert", "advert receive", "join send", "join receive", "data send",
           "data receive", "aggregation", "uplink"}
 
 
-def low_energy_lifetime(protocol, seed):
-    """Runs the engine and the oracle side by side over one lifetime on
-    energies of a few rounds' worth, spread so that heads and members die
-    part-way through a round; asserts every round equal and returns the
-    phases of the oracle's deaths."""
+def low_energy_lifetime(protocol, seed, n_nodes=40):
+    """Runs the engine and the oracle side by side over one lifetime of
+    ``n_nodes`` nodes on energies of a few rounds' worth, spread so that heads
+    and members die part-way through a round; asserts every round equal and
+    returns the phases of the oracle's deaths."""
     rng = np.random.default_rng(seed)
-    config = NetworkConfig(n_nodes=40, seed=seed,
+    config = NetworkConfig(n_nodes=n_nodes, seed=seed,
                            bs_pos=(50.0, float(rng.choice([50.0, 175.0]))))
     nodes = [OracleNode(id=i, pos=tuple(rng.uniform(0, 100, 2).tolist()),
-                        energy=float(rng.uniform(1e-5, 3e-3))) for i in range(40)]
+                        energy=float(rng.uniform(1e-5, 3e-3))) for i in range(n_nodes)]
     new = SimState(geometry=geometry_of(nodes, config.bs_pos)[0], config=config,
                    rng=np.random.default_rng(seed))
     old = SimState(geometry=geometry_of(nodes, config.bs_pos)[0], config=config,
@@ -915,4 +915,26 @@ class TestLedgerMatchesPerChargeOracle:
         # across the cases above, each phase's charge kills a node at least once
         deaths = {phase for protocol in PROTOCOLS for seed in SEEDS
                   for phase in low_energy_lifetime(protocol, seed)}
+        assert deaths == PHASES
+
+
+PAST_THE_TABLE = [LeachParams(), HeedParams(), EecsParams(), KmeansFormation()]
+
+
+class TestLedgerPastTheTable:
+    """At n = 300 there is no distance table, so the ledger computes each
+    member's distance with math.hypot; the oracle charges one cost per call,
+    with euclidean_distance, over sorted members."""
+
+    def test_no_table(self):
+        assert Geometry(np.zeros((300, 2)), BS, 1.0).table is None
+
+    @pytest.mark.parametrize("protocol", PAST_THE_TABLE, ids=lambda p: type(p).__name__)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_low_energy_rounds(self, protocol, seed):
+        low_energy_lifetime(protocol, seed, n_nodes=300)
+
+    def test_every_phase_kills(self):
+        deaths = {phase for protocol in PAST_THE_TABLE for seed in range(5)
+                  for phase in low_energy_lifetime(protocol, seed, n_nodes=300)}
         assert deaths == PHASES

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wsnsim.engine
 from wsnsim.engine import SimState, run_round, run_simulation
 from wsnsim.model import NEVER_CLUSTER_HEAD, NetworkConfig, deploy_nodes, euclidean_distance
 from wsnsim.cli import main
@@ -648,6 +649,39 @@ class TestCentroidClusterSet:
         assert shape(cs) == [(1, [0, 2, 3])]
         cs = _centroid_cluster_set(g, rows, assignment, np.array([[2.0, 1.0]]))
         assert shape(cs) == [(3, [0, 1, 2])]
+
+
+@st.composite
+def deployments_with_deaths(draw):
+    """A round's state: a drawn deployment of up to 256 nodes (the distance
+    table's size) or of 257-320 (past it), with drawn energies, dead rows
+    and rotation counters, and the generator its formation draws from."""
+    n = draw(st.one_of(st.integers(2, 256), st.integers(257, 320)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = Geometry(rng.uniform(0, 100, (n, 2)), (50.0, 175.0), rng.uniform(0.01, 0.5, n))
+    g.energy[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    g.energy[int(rng.integers(n))] = 0.25  # at least one alive
+    g.rounds_since_ch[:] = rng.integers(0, 25, n)
+    return SimState(geometry=g, config=NetworkConfig(n_nodes=n), round=draw(st.integers(0, 40)),
+                    rng=rng)
+
+
+class TestMembersAscending:
+    """``engine.run_round`` charges each cluster's members in list order, so
+    every formation lists them in ascending row order."""
+
+    @pytest.mark.parametrize("protocol", [
+        LeachParams(), LeachParams(ch_separation=15.0), HeedParams(), EecsParams(),
+        KmeansFormation(), FuzzyFormation(max_iter=30)],
+        ids=["leach", "leach-separated", "heed", "eecs", "kmeans", "fuzzy"])
+    @settings(max_examples=40, deadline=None)
+    @given(state=deployments_with_deaths())
+    def test_every_formation(self, protocol, state):
+        alive = state.alive_count()
+        cluster_set, _ = wsnsim.engine._form_clusters(state, protocol, alive)
+        check_partition(cluster_set, state.geometry)
+        for cluster in cluster_set.clusters:
+            assert all(a < b for a, b in zip(cluster.members, cluster.members[1:]))
 
 
 class TestDeterminism:
