@@ -236,8 +236,11 @@ def _apply_config_values(spec: RunSpec, values: dict[str, str]) -> None:
 
 
 def _parse_ints(text: str, key: str, sep: str = ",") -> list[int]:
+    fields = text.split(sep)
+    if any(not v.strip() for v in fields):  # 2,,3 or ,2 or 2:6::2
+        raise CliError(f"empty field in {key}: {text!r}")
     try:
-        return [int(v) for v in text.replace(sep, " ").split()]
+        return [int(v) for v in fields]
     except ValueError as exc:
         raise CliError(f"invalid integer in {key}: {text!r}") from exc
 

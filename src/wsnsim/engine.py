@@ -89,10 +89,11 @@ def _cluster_count(alive: int, k: int | None) -> int:
 
 def _leach(state: SimState, protocol: LeachParams, alive: int) -> tuple[ClusterSet, int]:
     geom = state.geometry
-    heads = leach_elect(geom, protocol, state.round, state.rng)
+    rows = geom.alive()  # once for the election and the join
+    heads = leach_elect(geom, protocol, state.round, state.rng, rows)
     if protocol.ch_separation > 0:
         heads = enforce_ch_separation(geom, heads, protocol.ch_separation)
-    return form_clusters_nearest(geom, heads), 0
+    return form_clusters_nearest(geom, heads, rows), 0
 
 
 def _heed(state: SimState, protocol: HeedParams, alive: int) -> tuple[ClusterSet, int]:

@@ -146,7 +146,8 @@ class _Workspace:
         Given the centroids that ``moved`` since the last call (one run only),
         at most half of them, only their rows are computed, in dy's plane,
         and the other rows are kept: the same elementwise sequence gives the
-        same bits."""
+        same bits. From k = 8 the block first takes the centroids, which are
+        then subtracted from the points in place: a faster point - centroid."""
         d = self.work[0]
         k, n = d.shape[1:]
         partial = moved is not None and 2 * len(moved) <= k
@@ -154,7 +155,11 @@ class _Workspace:
             dxy = self.spare[:2 * len(moved) * n].reshape(2, 1, len(moved), n)
         else:
             dxy, moved = self.work[:2], slice(None)
-        np.subtract(self.pt, self.c[:, :, moved, None], out=dxy)
+        c = self.c[:, :, moved, None]
+        if self.spare is not None:
+            np.copyto(dxy, c)
+            c = dxy
+        np.subtract(self.pt, c, out=dxy)
         np.multiply(dxy, dxy, out=dxy)
         np.add(dxy[0], dxy[1], out=dxy[0])
         np.sqrt(dxy[0], out=dxy[0])

@@ -149,6 +149,12 @@ _BLOCK = 2**16  # the one element budget: heed_geometry's row blocks, the distan
 # table (built only when it fits), FCM's batch
 
 
+def _apart(low, high):
+    """Whether ``high`` exceeds ``low`` by a relative 1e-12, the certified joins' margin:
+    far more than the few ulps between values from d2 = dx*dx + dy*dy and from ``hypot``."""
+    return high > low * (1.0 + 1e-12)
+
+
 class Geometry:
     """A run's node state, one row per node; a node's row is its deployment index.
 
@@ -164,12 +170,12 @@ class Geometry:
     When n * n <= ``_BLOCK`` (n <= 256), the first read of ``table`` builds
     the n x n array of every pair's exact distance and returns its rows as
     Python lists, ``table[h][m]`` being ``euclidean_distance`` from row m to
-    row h bit for bit. ``nearest`` (LEACH's join), ``head_distances``
-    (EECS's join), the greedy thinning of EECS's suppression and of head
-    separation, and ``engine.run_round``'s ledger read it instead of
-    computing distances. A deployment that reads none of them, as in
-    ``engine.sweep_iterations``, builds no table. Above that size ``table``
-    is None and each of them computes its distances.
+    row h bit for bit. ``nearest`` (LEACH's join), EECS's join, the greedy
+    thinning of EECS's suppression and of head separation, and
+    ``engine.run_round``'s ledger read it instead of computing distances. A
+    deployment that reads none of them, as in ``engine.sweep_iterations``,
+    builds no table. Above that size ``table`` is None and each computes its
+    distances (the joins exact ones only where d2 leaves the choice uncertain).
     """
 
     def __init__(self, pos, bs: tuple[float, float], energy):
@@ -217,13 +223,6 @@ class Geometry:
         """(len(rows), len(cols)) block of ``euclidean_distance`` values."""
         a, b = self.pos[rows], self.pos[cols]
         return hypot(a[:, 0, None] - b[:, 0], a[:, 1, None] - b[:, 1])
-
-    def head_distances(self, rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
-        """``distances(rows, heads)``, bit for bit, read from the table when
-        there is one."""
-        if self.table is not None:
-            return self._near[heads[:, None], rows].T
-        return self.distances(rows, heads)
 
     def fcm(self, rows: np.ndarray, params: FuzzyFormation, k: int, seed: int,
             rng: np.random.Generator) -> tuple:
@@ -277,7 +276,7 @@ class Geometry:
         first = d2[at, best]
         d2[at, best] = np.inf
         second = d2.min(axis=1)
-        unsure = ~((second > first * (1.0 + 1e-12)) & (first > 1e-290) & np.isfinite(second))
+        unsure = ~(_apart(first, second) & (first > 1e-290) & np.isfinite(second))
         if unsure.any():
             best[unsure] = self.distances(rows[unsure], cols).argmin(axis=1)
         return best
@@ -319,7 +318,7 @@ def leach_threshold(p: float, r: int) -> float:
     return min(1.0, p / denom)
 
 
-def leach_elect(geom: Geometry, params: LeachParams, r: int, rng) -> set[int]:
+def leach_elect(geom: Geometry, params: LeachParams, r: int, rng, rows=None) -> set[int]:
     """Per-node threshold election; guarantees at least one head via fallback.
 
     A node is in the election set iff it has not served since the current
@@ -329,9 +328,9 @@ def leach_elect(geom: Geometry, params: LeachParams, r: int, rng) -> set[int]:
     over the period. Every alive node draws once (in row order) so the random
     stream does not depend on eligibility. If nobody self-elects, the alive
     node with the most energy (ties: lowest row) stands in as head for the
-    round. Returns the heads' rows.
+    round. Returns the heads' rows. ``rows``, if given, are ``geom.alive()``.
     """
-    rows = geom.alive()
+    rows = geom.alive() if rows is None else rows
     t = leach_threshold(params.p, r)
     period_pos = r % rotation_period(params.p)
     draws = rng.random(len(rows))
@@ -366,11 +365,11 @@ def _join(heads: np.ndarray, members: np.ndarray, choice: np.ndarray) -> Cluster
     return ClusterSet(clusters=[Cluster(h, m) for h, m in zip(heads.tolist(), lists)])
 
 
-def form_clusters_nearest(geom: Geometry, ch_rows: set[int]) -> ClusterSet:
-    """Attach every non-head alive node to its nearest head (ties: lowest head row)."""
+def form_clusters_nearest(geom: Geometry, ch_rows: set[int], rows=None) -> ClusterSet:
+    """Join each non-head alive node (of ``rows`` if given) to its nearest head, lowest on ties."""
     if not ch_rows:
         raise ValueError("ch_rows must not be empty")
-    rows = geom.alive()
+    rows = geom.alive() if rows is None else rows
     is_head = _head_mask(len(geom.pos), rows, ch_rows)
     # rows are ascending, so argmin's first minimum is the lowest head row
     heads, members = rows[is_head], rows[~is_head]
@@ -441,10 +440,11 @@ def heed_geometry(pos: np.ndarray, radius: float) -> tuple:
     The cost is the mean squared distance to the candidate's neighbors, or
     radius^2 without neighbors. Lower is better; ties go to the lower row.
     Built a block of ``_BLOCK`` distances' rows at a time; each cost row is
-    still summed over its whole row, in numpy's pairwise order. At
-    n * n <= ``_BLOCK`` (n <= 256) that is one block, the n x n float array
-    of ``np.sqrt(dx*dx + dy*dy)``, which is returned as the third item; above
-    it no n x n float array exists and the third item is None.
+    still summed over its whole row, in numpy's pairwise order, of d*d times
+    the mask (the +0.0 or d*d of an ``np.where``). At n * n <= ``_BLOCK``
+    (n <= 256) that is one block, the n x n float array of
+    ``np.sqrt(dx*dx + dy*dy)``, which is returned as the third item; above it
+    no n x n float array exists and the third item is None.
     """
     n = len(pos)
     in_range = np.empty((n, n), dtype=bool)
@@ -452,11 +452,11 @@ def heed_geometry(pos: np.ndarray, radius: float) -> tuple:
     step = max(1, _BLOCK // max(n, 1))
     d = None
     for s in range(0, n, step):
-        d = np.sqrt(squared_distances(pos[s:s + step], pos))
+        d = np.sqrt(sq := squared_distances(pos[s:s + step], pos))
         block = np.less_equal(d, radius, out=in_range[s:s + step])
         np.fill_diagonal(block[:, s:], False)  # no node is its own neighbor
-        sq = np.where(block, d, 0.0)
-        sq *= sq
+        np.multiply(d, d, out=sq)
+        np.multiply(sq, block, out=sq)
         sq.sum(axis=1, out=total[s:s + step])
     neighbor_counts = in_range.sum(axis=1)
     cost = np.where(neighbor_counts > 0, total / np.maximum(neighbor_counts, 1), radius**2)
@@ -547,6 +547,10 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
     distance to the base station, so heads far from the sink attract fewer
     members and spend less on receiving and aggregation to offset their
     longer uplink.
+
+    Past the table a member's choice from sqrt(d2) stands where certified: its costs, sums
+    of terms >= 0 each within ulps of the exact ones, keep their order there. Any other
+    member takes its exact distances.
     """
     rows = geom.alive()
     candidates = geom.by_energy(rows[rng.random(len(rows)) < params.p])
@@ -569,21 +573,44 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
     bs_span = max(listed) - d_bs_min
     bs_term = (bs_dist - d_bs_min) / bs_span if bs_span > 0 else np.zeros(len(head_rows))
 
-    dists = geom.head_distances(members, head_rows)
+    if geom.table is not None:
+        best = _eecs_choice(geom._near[head_rows[:, None], members], params, bs_term)[0]
+        return _join(head_rows, members, best)
+    d2 = squared_distances(geom.pos[head_rows], geom.pos[members])
+    best, keys = _eecs_choice(np.sqrt(d2), params, bs_term)
+    # certified: no d2 near underflow or join_radius**2, a head in reach (a key
+    # below 2), and the best key _apart from the second, itself above 1e-290
+    at = np.arange(len(best))
+    first = keys[best, at]
+    keys[best, at] = np.inf
+    second, r2 = keys.min(axis=0), params.join_radius * params.join_radius
+    sure = _apart(first, second) & (first < 2.0) & (second > 1e-290) & (d2.min(axis=0) > 1e-290)
+    unsure = np.flatnonzero(~(sure & (_apart(d2, r2) | _apart(r2, d2)).all(axis=0)))
+    if len(unsure):
+        exact = geom.distances(head_rows, members[unsure])
+        best[unsure] = _eecs_choice(exact, params, bs_term)[0]
+    return _join(head_rows, members, best)
+
+
+def _eecs_choice(dists: np.ndarray, params: EecsParams, bs_term: np.ndarray) -> tuple:
+    """Each member's head index by EECS's cost over (heads, members) ``dists``, and the keys."""
     # heads compete for a node only within its join radius; a node with no
     # head that close simply attaches to the nearest one
     reach = dists <= params.join_radius
-    d_max = np.where(reach, dists, -np.inf).max(axis=1, keepdims=True)
-    # rare: no head in reach (-inf), or every one at distance 0, whose member
-    # term is 0; dividing by 1 leaves those 0s as they are
-    rare = np.flatnonzero(d_max <= 0)
+    # the largest distance in reach, 0 with none (fmax skips the NaN of inf * 0)
+    d_max = np.fmax.reduce(np.multiply(dists, reach), axis=0)
+    # rare: no head in reach, or every one at distance 0, whose member term
+    # is 0; dividing by 1 leaves those 0s as they are
+    rare = np.flatnonzero(~(d_max > 0))
     d_max[rare] = 1.0
-    cost = params.w * (dists / d_max) + (1.0 - params.w) * bs_term
-    best = np.where(reach, cost, np.inf).argmin(axis=1)
+    keys = params.w * (dists / d_max) + (1.0 - params.w) * bs_term[:, None]
+    # a cost in reach is at most 1, so no head out of reach, at 2 or more, wins
+    keys += ~reach * 2.0
+    best = keys.argmin(axis=0)
     if len(rare):
-        lost = rare[~reach[rare].any(axis=1)]
-        best[lost] = dists[lost].argmin(axis=1)
-    return _join(head_rows, members, best)
+        lost = rare[~reach[:, rare].any(axis=0)]
+        best[lost] = dists[:, lost].argmin(axis=0)
+    return best, keys
 
 
 # --- centroid-based formation (k-means / fuzzy c-means) -------------------------

@@ -155,6 +155,13 @@ class TestRejectedInputs:
         (["run", "--protocol", "leach", "--seed", "1", "--seed", "2", "--seed", "1"], "seeds"),
         (["compare", "--protocol", "leach", "--protocol", "leach"], "protocols"),
         (["sweep", "--grid", "5", "--nodes", "30", "--seed", "1", "--seed", "1"], "seeds"),
+        # an empty field is not a separator to skip
+        (["sweep", "--grid", "2,,3", "--nodes", "30"], "empty field in grid"),
+        (["sweep", "--grid", ",2", "--nodes", "30"], "empty field in grid"),
+        (["sweep", "--grid", "2,", "--nodes", "30"], "empty field in grid"),
+        (["sweep", "--grid", "2, ,3", "--nodes", "30"], "empty field in grid"),
+        (["sweep", "--grid", "2:6::2", "--nodes", "30"], "empty field in grid"),
+        (["sweep", "--grid", ":2:6:2", "--nodes", "30"], "empty field in grid"),
     ])
     def test_flag(self, args, field, tmp_path, capsys):
         rounds = [] if args[0] == "sweep" else ["--rounds", "3"]  # a sweep takes no rounds
@@ -173,6 +180,12 @@ class TestRejectedInputs:
         ("run", "formats = csv, xml\n", "formats"),
         ("run", "formats =\n", "formats"),
         ("run", "seeds = 1, 1\n", "seeds"),
+        ("run", "seeds = 1,,2\n", "empty field in seeds"),
+        ("run", "seeds = ,1\n", "empty field in seeds"),
+        ("run", "seeds = 1,\n", "empty field in seeds"),
+        ("run", "seeds =\n", "empty field in seeds"),
+        ("sweep", "grid = 2,,3\n", "empty field in grid"),
+        ("sweep", "grid = 2:6::2\n", "empty field in grid"),
         # an int no float can hold
         pytest.param("run", "data_bits = 1" + "0" * 400 + "\n", "data_bits",
                      id="run-huge-data_bits"),

@@ -300,6 +300,23 @@ class TestHelpers:
             run_round(state, protocol)
             assert len(calls) == expected
 
+    @pytest.mark.parametrize("sep", [0.0, 15.0])
+    def test_leach_round_reads_the_alive_rows_once(self, monkeypatch, sep):
+        # the election and the join share the rows _leach took, with head
+        # separation between them or not
+        calls, alive = [], Geometry.alive
+
+        def counted(geom):
+            calls.append(1)
+            return alive(geom)
+
+        monkeypatch.setattr(Geometry, "alive", counted)
+        state = look_ahead_state()
+        state.geometry.energy[::7] = 0.0
+        for expected in range(1, 6):
+            state, _ = run_round(state, LeachParams(ch_separation=sep))
+            assert len(calls) == expected
+
     def test_kmeans_k_clamped_as_network_dies(self):
         # a shrinking network must not raise once alive < k
         config = NetworkConfig(n_nodes=12, initial_energy=0.01, seed=43)

@@ -359,8 +359,8 @@ def sized_network(rng, seed, grid, n_max):
 def eecs_formations(rng, seed, nodes, sep):
     """Build the Geometry of ``nodes``, then run 30 EECS formations on it with
     parameters drawn from ``rng``, each checked against the oracle, and yield
-    each formation's ClusterSet. Between formations heads drain faster than
-    members, and a few nodes die outright."""
+    each formation's ClusterSet with the Geometry and the parameters. Between
+    formations heads drain faster than members, and a few nodes die outright."""
     params = EecsParams(p=float(rng.uniform(0.05, 1.0)), w=float(rng.choice([0.0, 0.5, 1.0])),
                         suppress_radius=float(rng.uniform(0, 40)),
                         join_radius=float(rng.uniform(5, 60)),
@@ -373,7 +373,7 @@ def eecs_formations(rng, seed, nodes, sep):
         for _ in range(30):
             got = eecs_form_clusters(geom, params, a)
             assert shape(ids_of(got, ids)) == shape(oracle_eecs_form_clusters(nodes, bs, params, b))
-            yield got
+            yield got, geom, params
             for row, node in enumerate(nodes):
                 node.energy *= float(rng.uniform(0.5, 0.8) if row in got.heads
                                      else rng.uniform(0.9, 1.0)) * (rng.random() > 0.03)
@@ -465,19 +465,24 @@ class TestFormationsMatchScalarOracles:
         assert exact[0] == len(nodes) ** 2
 
     @pytest.mark.parametrize("seed,grid,sep", [c for c in NETWORKS if c[0] < 2 and not c[1]])
-    def test_eecs_warm_store_past_the_table(self, monkeypatch, seed, grid, sep):
+    def test_eecs_exact_rows_past_the_table(self, monkeypatch, seed, grid, sep):
         # at n > 256 there is no table and nothing is kept between rounds:
-        # each formation computes its members' distances to its heads
+        # each formation chooses from sqrt(d2) and computes exact distances,
+        # to all its heads, only for the members the certificate cannot
+        # settle. Those include every member in no head's join radius, and
+        # none whose choice is clear by far more than the margin
         rng = np.random.default_rng(seed)
         nodes = sorted(random_network(rng, int(rng.integers(500, 600)), grid), key=lambda n: n.id)
-        exact = count_exact_elements(monkeypatch)
+        calls = record_exact_calls(monkeypatch)
         formations = eecs_formations(rng, seed, nodes, sep)
-        assert exact[0] == 0
-        expected = 0
-        for got in formations:
-            members = sum(len(c.members) for c in got.clusters)
-            expected += members * len(got.heads)
-            assert exact[0] == expected
+        assert not calls
+        for got, geom, params in formations:
+            lost, clear = eecs_member_margins(geom, got, params)
+            taken = [m for _, cols in calls for m in cols.tolist()]
+            assert all(rows.tolist() == sorted(got.heads) for rows, _ in calls)
+            assert len(taken) == len(set(taken))
+            assert lost <= set(taken) and not clear & set(taken)
+            calls.clear()
 
     @pytest.mark.parametrize("seed,grid", [(s, g) for s in [*range(20), 100, 101]
                                            for g in (False, True)])
@@ -557,6 +562,44 @@ def count_exact_elements(monkeypatch):
     return counted
 
 
+def record_exact_calls(monkeypatch):
+    """Make every Geometry's ``distances`` record the (rows, cols) it is asked for."""
+    calls = []
+    exact = Geometry.distances
+
+    def distances(self, rows, cols):
+        calls.append((rows, cols))
+        return exact(self, rows, cols)
+
+    monkeypatch.setattr(Geometry, "distances", distances)
+    return calls
+
+
+def eecs_member_margins(geom, got, params):
+    """The members of EECS's ``got`` in no head's join radius, and those
+    whose choice is clear by a relative 1e-9 (every exact distance that far
+    from join_radius and above 1e-100, the best cost that far below the
+    second and the second above 1e-280), each a set of rows, from the exact
+    distances. The certified join must send the first to the exact
+    distances, and not the second."""
+    heads = np.array(sorted(got.heads))
+    members = np.array(sorted(m for c in got.clusters for m in c.members), dtype=int)
+    a, b = geom.pos[members], geom.pos[heads]
+    d = hypot(a[:, 0, None] - b[:, 0], a[:, 1, None] - b[:, 1])
+    radius, w = params.join_radius, params.w
+    reach = d <= radius
+    bs = geom.bs_dist[heads]
+    span = bs.max() - bs.min()
+    bs_term = (bs - bs.min()) / span if span > 0 else np.zeros(len(heads))
+    d_max = np.where(reach, d, 0.0).max(axis=1, keepdims=True)
+    cost = np.where(reach, w * (d / np.where(d_max > 0, d_max, 1.0)) + (1 - w) * bs_term, np.inf)
+    cost = np.sort(np.hstack([cost, np.full((len(members), 1), np.inf)]), axis=1)
+    lost = ~reach.any(axis=1)
+    clear = (~lost & (np.abs(d - radius) > 1e-9 * radius).all(axis=1) & (d.min(axis=1) > 1e-100)
+             & (cost[:, 1] > cost[:, 0] * (1 + 1e-9)) & (cost[:, 1] > 1e-280))
+    return set(members[lost].tolist()), set(members[clear].tolist())
+
+
 TIE_NETWORKS = [(seed, kind) for seed in range(15)
                 for kind in ("grid", "coincident", "bisector", "tiny")]
 
@@ -623,6 +666,102 @@ class TestCertifiedJoin:
         assert np.array_equal(got, Geometry.distances(geom, rows, cols).argmin(axis=1))
 
 
+def eecs_tie_network(rng, kind, sep):
+    """A tie network (``tie_network``) of 257 to 600 nodes, past the table,
+    with drawn energies, EECS parameters scaled to its arena and a base
+    station above it. On bisector networks the ends are the heads, every
+    node is in reach of all of them and w = 1, so the costs order the heads
+    as the distances do, and rounding decides the nearer end."""
+    nodes = tie_network(rng, int(rng.integers(257, 601)), kind)
+    for node in nodes:
+        node.energy = float(rng.uniform(0.01, 1.0))
+    span = {"grid": 5.0, "tiny": 1e-160}.get(kind, 100.0)
+    w = float(rng.choice([0.0, 0.5, 1.0]))
+    if kind == "bisector":  # the ends come first; they elect, in full
+        ends = max(2, len(nodes) // 4)
+        for node in nodes[:ends]:
+            node.energy += 1.0
+        params = EecsParams(p=1.0, w=1.0, suppress_radius=0.0, join_radius=3 * span,
+                            head_fraction=(ends - 0.5) / len(nodes), ch_separation=span * sep)
+    else:
+        params = EecsParams(p=float(rng.uniform(0.05, 1.0)), w=w,
+                            suppress_radius=span * float(rng.uniform(0, 0.4)),
+                            join_radius=span * float(rng.uniform(0.05, 0.6)),
+                            head_fraction=float(rng.uniform(0.02, 0.15)), ch_separation=span * sep)
+    return nodes, params, (span / 2, span * 1.75)
+
+
+def eecs_fallback(monkeypatch, nodes, params, bs, seed):
+    """EECS on ``nodes``, checked against the oracle; returns the result, in
+    ids, and the ids of the members whose exact distances the join computed."""
+    geom, ids = geometry_of(nodes, bs)
+    calls = record_exact_calls(monkeypatch)
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = ids_of(eecs_form_clusters(geom, params, a), ids)
+    assert shape(got) == shape(oracle_eecs_form_clusters(nodes, bs, params, b))
+    assert a.random() == b.random()
+    assert geom.table is None
+    assert all(rows.tolist() == sorted(ids.index(h) for h in got.heads) for rows, _ in calls)
+    return got, {ids[m] for _, cols in calls for m in cols.tolist()}
+
+
+class TestCertifiedEecsJoin:
+    # past the table EECS chooses from sqrt(d2) and sends to the exact
+    # distances each member that the certificate cannot settle
+
+    @pytest.mark.parametrize("sep", [0.0, 0.2])
+    @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
+    def test_tie_networks_match_oracle(self, monkeypatch, seed, kind, sep):
+        rng = np.random.default_rng(seed)
+        nodes, params, bs = eecs_tie_network(rng, kind, sep)
+        got, fallback = eecs_fallback(monkeypatch, nodes, params, bs, seed + 1)
+        members = {m for c in got.clusters for m in c.members}
+        if kind == "tiny":  # every d2 underflows
+            assert fallback == members
+        elif kind in ("grid", "coincident"):  # members on top of their heads, at least
+            assert fallback
+
+    def hand_network(self, rng, *cases):
+        """Heads 0 (at (100, 100)) and 1 (at (160, 100)) elect, the richest
+        nodes; the ``cases`` are members at given points, and 300 more lie
+        within 45 m of one head. The base station lies on the heads'
+        bisector, so their sink terms are equal."""
+        angle, radius = rng.uniform(0, 2 * math.pi, 300), rng.uniform(1.0, 45.0, 300)
+        near = np.column_stack((100.0 + 60.0 * rng.integers(0, 2, 300) + radius * np.cos(angle),
+                                100.0 + radius * np.sin(angle)))
+        points = [(100.0, 100.0), (160.0, 100.0), *cases, *near.tolist()]
+        nodes = [OracleNode(id=i, pos=tuple(p), energy=0.5) for i, p in enumerate(points)]
+        nodes[0].energy, nodes[1].energy = 1.0, 0.9
+        params = EecsParams(p=1.0, w=1.0, suppress_radius=30.0, join_radius=50.0,
+                            head_fraction=1.5 / len(nodes))
+        return nodes, params, (130.0, 1000.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_hand_cases_take_the_exact_distances(self, monkeypatch, seed):
+        # member 2 lies exactly join_radius from head 0 (offset (-30, -40));
+        # member 3 at the same distance from both heads; member 4 on head 0;
+        # member 5 in no head's reach
+        cases = [(70.0, 60.0), (130.0, 110.0), (100.0, 100.0), (400.0, 400.0)]
+        nodes, params, bs = self.hand_network(np.random.default_rng(seed), *cases)
+        got, fallback = eecs_fallback(monkeypatch, nodes, params, bs, seed)
+        assert sorted(got.heads) == [0, 1]
+        by_head = {c.head: c.members for c in got.clusters}
+        assert {2, 3, 4} <= set(by_head[0])  # in reach, the tie to the lower row
+        assert 5 in by_head[1]  # nearer to head 1, out of reach of both
+        # all four take the exact distances; the others' choices are clear
+        # by far more than the margin
+        assert fallback == {2, 3, 4, 5}
+
+    @pytest.mark.parametrize("offset", [(30.0, 40.0), (-30.0, 40.0), (40.0, -30.0), (0.0, -50.0)])
+    def test_member_exactly_at_join_radius(self, monkeypatch, offset):
+        # d2 = 2500 = join_radius**2 exactly: no margin settles it, whichever
+        # way sqrt(d2) and hypot round
+        nodes, params, bs = self.hand_network(np.random.default_rng(7),
+                                              (100.0 + offset[0], 100.0 + offset[1]))
+        got, fallback = eecs_fallback(monkeypatch, nodes, params, bs, 7)
+        assert 2 in fallback
+
+
 # --- the distance table ----------------------------------------------------------
 
 
@@ -642,7 +781,8 @@ class TestDistanceTable:
     def test_rounds_compute_no_distance_at_paper_scale(self, monkeypatch, protocol, n):
         # seed 1's lifetime at n = 100 reads every distance from the table: no
         # math.hypot in the formations or the ledger, no d2 block in LEACH's
-        # join. At n = 300 (20 rounds) there is no table and both are called
+        # or EECS's join. At n = 300 (20 rounds) there is no table and both
+        # are called, each join building one d2 block per round
         config = NetworkConfig(n_nodes=n, seed=1)
         hypots = [0]
 
@@ -660,7 +800,7 @@ class TestDistanceTable:
             assert hypots[0] == d2[0] == 0
         else:
             assert hypots[0] > 0
-            assert d2[0] == (20 if protocol.name == "leach" else 0)
+            assert d2[0] == 20
 
     def test_build_peak_memory(self):
         # built sqrt(n) rows at a time on first read, hypot's temporaries add
@@ -748,8 +888,8 @@ class TestHeedKeptBlock:
 
     def test_rebuild_peak_memory(self):
         # a HEED rebuild at n = 256 peaks at what it keeps (the n x n float
-        # block and bool mask) plus one more n x n float block and numpy's
-        # buffers: 2.10 times what it keeps
+        # block and bool mask) plus the d2 block and numpy's buffers: 1.99
+        # times what it keeps (2.10 when np.where built a third block)
         pos = np.random.default_rng(1).uniform(0, 100, (256, 2))
         geom = Geometry(pos, BS, 1.0)
         rows = geom.alive()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsnsim.engine
+import wsnsim.protocols
 from wsnsim.engine import SimState, run_round, run_simulation
 from wsnsim.model import NEVER_CLUSTER_HEAD, NetworkConfig, deploy_nodes, euclidean_distance
 from wsnsim.cli import main
@@ -455,18 +456,27 @@ class TestEecsFormClusters:
         assert 0 < counted[0] <= 100 * 100
 
     def test_exact_distances_past_the_table_at_n_1000(self, monkeypatch):
-        # past the table each round's join computes its members' distances to
-        # its heads and nothing else: 20 rounds at n = 1000 sum members x heads
-        # to 190 148
+        # past the table each round's join chooses from one d2 block and
+        # computes exact distances only for the members its certificate
+        # cannot settle: none in 20 rounds at n = 1000 (when every member's
+        # were computed, 190 148 distances for seed 1 and 194 068 for seed 101)
         counted, exact = [0], Geometry.distances
+        blocks, d2 = [0], wsnsim.protocols.squared_distances
 
         def distances(self, rows, cols):
             counted[0] += len(rows) * len(cols)
             return exact(self, rows, cols)
 
+        def squared_distances(a, b):
+            blocks[0] += 1
+            return d2(a, b)
+
         monkeypatch.setattr(Geometry, "distances", distances)
-        run_simulation(NetworkConfig(n_nodes=1000, seed=1), EecsParams(), 20)
-        assert counted[0] == 190_148
+        monkeypatch.setattr(wsnsim.protocols, "squared_distances", squared_distances)
+        for seed in (1, 101):
+            run_simulation(NetworkConfig(n_nodes=1000, seed=seed), EecsParams(), 20)
+        assert counted[0] == 0
+        assert blocks[0] == 40
 
     def test_peak_memory_at_n_1000(self):
         # past the table each join computes only its members' distances to its
