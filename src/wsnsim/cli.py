@@ -181,7 +181,7 @@ def _read_config_file(path: Path) -> dict[str, str]:
     first_line: dict[str, int] = {}
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -404,8 +404,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         COMMANDS[args.command](_spec_from_args(args))
-    except (CliError, FcmUnderflow) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, FcmUnderflow, MemoryError) as exc:  # numpy's MemoryError names the array
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     return 0
 

@@ -112,7 +112,7 @@ def euclidean_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) block of dx*dx + dy*dy between the rows of two (n, 2)
     arrays, built in place in that order. Its square root is bit-equal to
-    ``np.sqrt(dx * dx + dy * dy)``, not to ``hypot``. Each block first takes
+    ``np.sqrt(dx * dx + dy * dy)``, not to ``math.hypot``. Each block first takes
     b's coordinates, which are then subtracted from a's in place, a scalar per
     row: the broadcast a - b, bit for bit, and faster from about 60 x 60."""
     d2, dy = np.empty((len(a), len(b))), np.empty((len(a), len(b)))
@@ -123,65 +123,6 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dy *= dy
     d2 += dy
     return d2
-
-
-_VELTKAMP = 134217729.0  # 2**27 + 1, splits a double into two 26-bit halves
-
-
-def _split(x):
-    t = x * _VELTKAMP
-    hi = t - (t - x)
-    return hi, x - hi
-
-
-def _add(csum, frac, x):
-    """Compensated ``csum + x``: the new sum, and ``frac`` plus its rounding error."""
-    total = csum + x
-    return total, frac + ((csum - total) + x)
-
-
-def hypot(dx, dy) -> np.ndarray:
-    """Elementwise ``math.hypot`` of finite arrays, equal to it bit for bit.
-
-    A step-by-step copy of ``vector_norm`` in CPython 3.10/3.11's
-    ``Modules/mathmodule.c`` for two coordinates: power-of-two scaling from
-    ``frexp``, lossless squares through a Veltkamp/Dekker split, compensated
-    sums, one differential correction, the zero case, and the branch that
-    divides by the larger magnitude when it is below 2**-1023. ``np.hypot``
-    differs in about 6 200 of every 10**6 pairs; tests/test_exactness.py pins this.
-    """
-    dx, dy = np.asarray(dx, dtype=float), np.asarray(dy, dtype=float)
-    big = np.maximum(np.abs(dx), np.abs(dy))
-    e = np.frexp(big)[1]
-    tiny = e < -1023  # ldexp(1.0, -e) would overflow
-    special = tiny | (big == 0.0)
-    rare = bool(special.any())
-    scale = np.ldexp(1.0, np.where(tiny, 0, -e) if rare else -e)
-    csum, frac1, frac2, frac3 = 1.0, 0.0, 0.0, 0.0
-    for v in (dx, dy):
-        hi, lo = _split(v * scale)
-        csum, frac1 = _add(csum, frac1, hi * hi)
-        csum, frac2 = _add(csum, frac2, 2.0 * hi * lo)
-        frac3 = frac3 + lo * lo
-    h = np.sqrt(csum - 1.0 + (frac1 + frac2 + frac3))
-    if rare:
-        h = np.where(special, 1.0, h)  # placeholder, so the correction stays finite
-    hi, lo = _split(h)
-    csum, frac1 = _add(csum, frac1, -hi * hi)
-    csum, frac2 = _add(csum, frac2, -2.0 * hi * lo)
-    csum, frac3 = _add(csum, frac3, -lo * lo)
-    out = (h + (csum - 1.0 + (frac1 + frac2 + frac3)) / (2.0 * h)) / scale
-    if rare:
-        out = np.where(big == 0.0, 0.0, out)  # as for a node's distance to itself
-    if rare and tiny.any():  # most special blocks hold zeros only
-        csum, frac1 = 1.0, 0.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            for v in (dx, dy):
-                x = v / big
-                csum, frac1 = _add(csum, frac1, x * x)
-            small = big * np.sqrt(csum - 1.0 + frac1)
-        out = np.where(tiny, small, out)
-    return out
 
 
 def deploy_nodes(config: NetworkConfig, rng: np.random.Generator | None = None) -> np.ndarray:

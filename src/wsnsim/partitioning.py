@@ -41,17 +41,18 @@ keeps every run deterministic for a given seed.
 
 Each step repeats, bit for bit, the per-cluster loops kept in the tests as
 oracles, and a run in a batch repeats the same run alone. Distances are
-sqrt(dx*dx + dy*dy), not ``np.hypot``. Sums over points run in point order,
-not as ``w.T @ points``: for k-means by one weighted ``np.bincount`` over x's
-and then y's, whose bins are offset by k, and for FCM in three planes' memory,
-each (runs * k, n) and summed by ``np.add.accumulate`` plus 0.0 while
-runs * k < 8, and from there (n, runs * k), points outermost, and summed by
-one reduce over the points, whose inner loops then run over runs * k; below 8
-those loops are so short that the accumulate costs less. Both add from +0.0
-in point order, as the oracle's ``(n, 2).sum(axis=0)`` does (numpy reduces an
-(n, 1) column pairwise, which FCM repeats at k = 1). A membership row's sum
-over the centroids is a reduce over them: in order for k < 8 and pairwise from
-8, as ``(n, k).sum(axis=1)`` adds.
+sqrt(dx*dx + dy*dy), not the ledger's ``math.hypot``. Sums over points run
+in point order, not as ``w.T @ points``: for k-means by one weighted
+``np.bincount`` over x's and then y's, whose bins are offset by k, and for
+FCM in three planes' memory, each (runs * k, n) and summed by
+``np.add.accumulate`` plus 0.0 while runs * k < 8, and from there
+(n, runs * k), points outermost, and summed by one reduce over the points,
+whose inner loops then run over runs * k; below 8 those loops are so short
+that the accumulate costs less. Both add from +0.0 in point order, as the
+oracle's ``(n, 2).sum(axis=0)`` does (numpy reduces an (n, 1) column pairwise,
+which FCM repeats at k = 1). A membership row's sum over the centroids is a
+reduce over them: in order for k < 8 and pairwise from 8, as
+``(n, k).sum(axis=1)`` adds.
 """
 
 from __future__ import annotations

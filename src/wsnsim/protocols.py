@@ -26,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .model import NEVER_CLUSTER_HEAD, check_range, hypot, squared_distances
+from .model import NEVER_CLUSTER_HEAD, check_range, squared_distances
 from .partitioning import defuzzify, fcm_run, kmeans_init, kmeans_run
 
 
@@ -151,7 +151,8 @@ _BLOCK = 2**16  # the one element budget: heed_geometry's row blocks, the distan
 
 def _apart(low, high):
     """Whether ``high`` exceeds ``low`` by a relative 1e-12, the certified joins' margin:
-    far more than the few ulps between values from d2 = dx*dx + dy*dy and from ``hypot``."""
+    far more than the few ulps between values from d2 = dx*dx + dy*dy and from
+    ``math.hypot``."""
     return high > low * (1.0 + 1e-12)
 
 
@@ -167,11 +168,14 @@ class Geometry:
     n <= 256 it also keeps the n x n float block of HEED's distances.
     ``fcm`` keeps the coming rounds' FCM runs for the alive set it last saw.
 
-    When n * n <= ``_BLOCK`` (n <= 256), the first read of ``table`` builds
-    the n x n array of every pair's exact distance and returns its rows as
-    Python lists, ``table[h][m]`` being ``euclidean_distance`` from row m to
-    row h bit for bit. ``nearest`` (LEACH's join), EECS's join, the greedy
-    thinning of EECS's suppression and of head separation, and
+    Every exact distance is the ledger's ``math.hypot``: ``bs_dist`` (and
+    ``bs_d``, its Python floats), ``distances`` and the table. When n * n <=
+    ``_BLOCK`` (n <= 256), the first read of ``table`` builds the n x n array
+    of every pair's distance and returns its rows as Python lists.
+    ``table[h][m]`` is ``math.hypot(hx - mx, hy - my)``, bit-equal to the
+    ledger's ``math.hypot(mx - hx, my - hy)``: fl(a - b) is -fl(b - a) and
+    hypot is even in each argument. ``nearest`` (LEACH's join), EECS's join,
+    the greedy thinning of EECS's suppression and of head separation, and
     ``engine.run_round``'s ledger read it instead of computing distances. A
     deployment that reads none of them, as in ``engine.sweep_iterations``,
     builds no table. Above that size ``table`` is None and each computes its
@@ -180,10 +184,11 @@ class Geometry:
 
     def __init__(self, pos, bs: tuple[float, float], energy):
         self.pos = np.array(pos, dtype=float).reshape(-1, 2)
-        self.bs_dist = hypot(self.pos[:, 0] - bs[0], self.pos[:, 1] - bs[1])
         # for the scalar ledger: the positions and sink distances as Python floats
         self.xy = self.pos.tolist()
-        self.bs_d = self.bs_dist.tolist()
+        bx, by = bs
+        self.bs_d = [math.hypot(x - bx, y - by) for x, y in self.xy]
+        self.bs_dist = np.array(self.bs_d)
         self.energy = np.full(len(self.pos), energy, dtype=float)
         self.rounds_since_ch = np.full(len(self.pos), NEVER_CLUSTER_HEAD, dtype=np.int64)
         self._heed_key: tuple | None = None
@@ -196,15 +201,12 @@ class Geometry:
 
     @property
     def table(self) -> list[list[float]] | None:
-        """The distance table when n <= 256, built on first read; else None."""
+        """The distance table when n <= 256, built on first read by one
+        ``distances`` call over every row; else None."""
         n = len(self.pos)
         if self._table is None and n * n <= _BLOCK:
-            self._near = np.empty((n, n))
-            # sqrt(n) rows at a time, so that hypot's temporaries stay a small
-            # share of what the table keeps
-            every, step = np.arange(n), max(1, math.isqrt(n))
-            for s in range(0, n, step):
-                self._near[s:s + step] = self.distances(every, every[s:s + step]).T
+            every = np.arange(n)
+            self._near = self.distances(every, every)
             self._table = self._near.tolist()
         return self._table
 
@@ -220,9 +222,12 @@ class Geometry:
         return rows[np.argsort(-self.energy[rows], kind="stable")]
 
     def distances(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """(len(rows), len(cols)) block of ``euclidean_distance`` values."""
-        a, b = self.pos[rows], self.pos[cols]
-        return hypot(a[:, 0, None] - b[:, 0], a[:, 1, None] - b[:, 1])
+        """(len(rows), len(cols)) block of ``math.hypot(ax - bx, ay - by)``, (ax, ay)
+        being a row's position and (bx, by) a column's: ``euclidean_distance``."""
+        xy, hypot = self.xy, math.hypot
+        a, b = [xy[i] for i in rows.tolist()], [xy[j] for j in cols.tolist()]
+        return np.fromiter((hypot(ax - bx, ay - by) for ax, ay in a for bx, by in b), float,
+                           len(a) * len(b)).reshape(len(a), len(b))
 
     def fcm(self, rows: np.ndarray, params: FuzzyFormation, k: int, seed: int,
             rng: np.random.Generator) -> tuple:
@@ -261,7 +266,7 @@ class Geometry:
         it, the argmin runs on d2 = dx*dx + dy*dy. A row's answer stands only when
         its second-smallest d2 exceeds the smallest by a relative 1e-12, the
         smallest is above 1e-290 and the second is finite. fl(d2) and
-        ``hypot`` each lie within a few ulps of the true values, so a gap
+        ``math.hypot`` each lie within a few ulps of the true values, so a gap
         that wide can neither reorder them nor make a rounding tie. Any other
         row (a tie, a coincident or underflowing pair) takes the argmin of the
         exact distances.
@@ -380,9 +385,8 @@ def _thin(geom: Geometry, order: np.ndarray, radius: float, quota: int) -> set[i
     """Greedy thinning: take the rows of ``order`` in turn, drop any closer
     than ``radius`` to a row already kept, and stop once ``quota`` are kept.
     The distances come from ``geom.table`` when it exists, else from
-    ``math.hypot`` (``euclidean_distance``, inlined). The two are bit-equal:
-    the table's row of ``row`` holds the distances to it, not from it, but
-    fl(a - b) is -fl(b - a) and hypot is even in each argument."""
+    ``math.hypot`` (``euclidean_distance``, inlined), the expression that
+    built the table's row of ``row``."""
     table, xy = geom.table, geom.xy
     kept: list[int] = []
     kept_xy: list[list[float]] = []  # their positions, when there is no table

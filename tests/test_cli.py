@@ -75,6 +75,23 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "summary.csv"]
 
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type "
+        "float64", ""], ids=["numpy", "bare"])
+    def test_refused_allocation_is_a_one_line_error(self, message, monkeypatch, tmp_path,
+                                                    capsys):
+        # numpy raises MemoryError for an array it cannot allocate, such as a
+        # deployment of 10**11 nodes; the error line names the array when the
+        # exception does
+        def refuse(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_simulation", refuse)
+        code = run_cli(["run", "--protocol", "leach", "--nodes", "10", "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {message or 'out of memory'}\n"
+
 
 class TestParserOncePerProcess:
     # main builds its parser on the first call and reuses it: a call must
@@ -565,6 +582,14 @@ class TestConfigFile:
                         "--out", tmp_path / "o"])
         assert code != 0
         assert "nonsense" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_a_one_line_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"nodes\xff = 3\n")
+        code = run_cli(["run", "--config", cfg, "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot read config file {cfg}: ") and err.count("\n") == 1
 
     def test_preset_table1(self, tmp_path):
         out = tmp_path / "o"

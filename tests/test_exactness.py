@@ -45,7 +45,6 @@ from wsnsim.model import (
     NetworkConfig,
     aggregate_energy,
     euclidean_distance,
-    hypot,
     rx_energy,
     squared_distances,
     tx_energy,
@@ -79,51 +78,78 @@ def math_hypot(dx, dy):
         return np.vectorize(math.hypot, otypes=[float])(dx, dy)
 
 
+class TestGeometryDistances:
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_every_exact_distance_is_math_hypot(self, data):
+        # nodes and a base station on drawn spots: zeros, subnormal offsets
+        # between them, magnitudes whose differences overflow, the 1e-160 m
+        # arena, and coincident nodes where a spot repeats
+        tiny = st.floats(0.0, 1e-160)
+        spot = st.tuples(coordinate, coordinate) | st.tuples(tiny, tiny)
+        spots = data.draw(st.lists(spot, min_size=1, max_size=5))
+        pos = data.draw(st.lists(st.sampled_from(spots), min_size=1, max_size=8))
+        bs = data.draw(spot)
+        geom = Geometry(pos, bs, 1.0)
+        sink = np.array([euclidean_distance(p, bs) for p in pos])
+        assert np.array(geom.bs_d).tobytes() == geom.bs_dist.tobytes() == sink.tobytes()
+
+        index = st.lists(st.integers(0, len(pos) - 1), max_size=8)
+        rows, cols = (np.array(data.draw(index), dtype=int) for _ in range(2))
+        got = geom.distances(rows, cols)
+        # the ledger's order: rows as heads, columns as members
+        ledger = np.array([[math.hypot(pos[m][0] - pos[h][0], pos[m][1] - pos[h][1])
+                            for m in cols] for h in rows]).reshape(len(rows), len(cols))
+        assert got.shape == ledger.shape
+        assert got.tobytes() == ledger.tobytes()
+        assert got.tobytes() == geom.distances(cols, rows).T.tobytes()
+
+
 class TestHypot:
+    """``Geometry``'s exact distances are ``math.hypot`` of the coordinate
+    differences on the values a numpy path could round differently: zeros,
+    subnormals and magnitudes whose squares overflow."""
+
     @settings(max_examples=500, deadline=None)
     @given(st.data())
     def test_equals_math_hypot_on_broadcast_arrays(self, data):
-        shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3,
-                                                              max_side=4))
-        dx = data.draw(hnp.arrays(float, shapes.input_shapes[0], elements=coordinate))
-        dy = data.draw(hnp.arrays(float, shapes.input_shapes[1], elements=coordinate))
-        with np.errstate(over="ignore"):
-            got = hypot(dx, dy)
+        n = data.draw(st.integers(1, 6))
+        xs, ys = (data.draw(hnp.arrays(float, n, elements=coordinate)) for _ in range(2))
+        bs = (data.draw(coordinate), data.draw(coordinate))
+        geom = Geometry(np.column_stack([xs, ys]), bs, 1.0)
+        every = np.arange(n)
+        with np.errstate(over="ignore"):  # as in Geometry, huge differences overflow to inf
+            dx, dy = xs[:, None] - xs[None, :], ys[:, None] - ys[None, :]
         expected = math_hypot(dx, dy)
-        assert got.shape == expected.shape
-        assert np.array_equal(got, expected)
+        assert geom.distances(every, every).tobytes() == expected.tobytes()
+        assert np.array(geom.table).tobytes() == expected.tobytes()
+        with np.errstate(over="ignore"):
+            sink = math_hypot(xs - bs[0], ys - bs[1])
+        assert geom.bs_dist.tobytes() == sink.tobytes()
 
     @settings(max_examples=500, deadline=None)
     @given(coordinate, coordinate)
     def test_equals_math_hypot_on_scalars(self, dx, dy):
-        with np.errstate(over="ignore"):
-            assert float(hypot(dx, dy)) == math.hypot(dx, dy)
-
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 100.0, 1e5])
-    def test_random_pairs_at_every_scale(self, scale):
-        rng = np.random.default_rng(int(scale * 1000))
-        dx = rng.uniform(-scale, scale, 100_000)
-        dy = rng.uniform(-scale, scale, 100_000)
-        dx[:100] = 0.0
-        assert np.array_equal(hypot(dx, dy), math_hypot(dx, dy))
+        # a node at (dx, dy), one at the origin, and the base station there too
+        geom = Geometry([(dx, dy), (0.0, 0.0)], (0.0, 0.0), 1.0)
+        assert float(geom.distances(np.array([0]), np.array([1]))[0, 0]) == math.hypot(dx, dy)
+        assert geom.bs_d[0] == math.hypot(dx, dy)
 
     def test_subnormal_and_zero_pairs(self):
         rng = np.random.default_rng(5)
         # whole multiples of the smallest subnormal, zeros among them
         dx = rng.integers(-10**6, 10**6, 20_000) * 5e-324
         dy = rng.integers(-10**6, 10**6, 20_000) * 5e-324
-        assert np.array_equal(hypot(dx, dy), math_hypot(dx, dy))
         # below 2**-1023 CPython divides by the larger magnitude; just under
         # 2**-1024 the subnormals keep enough bits for that branch's rounding
-        dx = rng.uniform(-1, 1, 20_000) * 2.0**-1024
-        dy = rng.uniform(-1, 1, 20_000) * dx
-        assert np.array_equal(hypot(dx, dy), math_hypot(dx, dy))
-
-    def test_np_hypot_is_not_exact(self):
-        # the reason for the helper: numpy's own hypot rounds differently
-        rng = np.random.default_rng(0)
-        dx, dy = rng.uniform(-100, 100, (2, 100_000))
-        assert not np.array_equal(np.hypot(dx, dy), math_hypot(dx, dy))
+        ex = rng.uniform(-1, 1, 20_000) * 2.0**-1024
+        ey = rng.uniform(-1, 1, 20_000) * ex
+        for xs, ys in ((dx, dy), (ex, ey)):
+            geom = Geometry(np.column_stack([np.append(xs, 0.0), np.append(ys, 0.0)]),
+                            (0.0, 0.0), 1.0)
+            got = geom.distances(np.arange(len(xs)), np.array([len(xs)]))[:, 0]
+            assert got.tobytes() == math_hypot(xs, ys).tobytes()
+            assert geom.bs_dist[:-1].tobytes() == math_hypot(xs, ys).tobytes()
 
 
 # --- scalar formation oracles ---------------------------------------------------
@@ -585,7 +611,7 @@ def eecs_member_margins(geom, got, params):
     heads = np.array(sorted(got.heads))
     members = np.array(sorted(m for c in got.clusters for m in c.members), dtype=int)
     a, b = geom.pos[members], geom.pos[heads]
-    d = hypot(a[:, 0, None] - b[:, 0], a[:, 1, None] - b[:, 1])
+    d = math_hypot(a[:, 0, None] - b[:, 0], a[:, 1, None] - b[:, 1])
     radius, w = params.join_radius, params.w
     reach = d <= radius
     bs = geom.bs_dist[heads]
@@ -638,13 +664,11 @@ class TestCertifiedJoin:
     def test_tie_networks_match_oracle_through_the_table(self, monkeypatch, seed, kind):
         # at n <= 256 the join takes the argmin of the stored distances: no
         # d2, no certificate, and no exact rows but those of the table, which
-        # the join's first read builds, isqrt(n) of its rows at a time over
-        # all n rows
+        # the join's first read builds in one call over all n rows
         geom, _, exact, d2 = join_tie_network(monkeypatch, seed, kind, 20, 120)
-        n = len(geom.pos)
         assert geom.table is not None
         assert d2 == 0
-        assert exact == n * len(range(0, n, math.isqrt(n)))
+        assert exact == len(geom.pos)
 
     @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
     def test_tie_networks_match_oracle_through_the_exact_path(self, monkeypatch, seed, kind):
@@ -779,10 +803,12 @@ class TestDistanceTable:
     @pytest.mark.parametrize("protocol", [LeachParams(), EecsParams()], ids=["leach", "eecs"])
     @pytest.mark.parametrize("n", [100, 300])
     def test_rounds_compute_no_distance_at_paper_scale(self, monkeypatch, protocol, n):
-        # seed 1's lifetime at n = 100 reads every distance from the table: no
-        # math.hypot in the formations or the ledger, no d2 block in LEACH's
-        # or EECS's join. At n = 300 (20 rounds) there is no table and both
-        # are called, each join building one d2 block per round
+        # seed 1's lifetime at n = 100 calls math.hypot only for the sink
+        # distances and the table, built once, and then reads every distance
+        # from the table: none in the formations or the ledger, no d2 block in
+        # LEACH's or EECS's join. At n = 300 (20 rounds) there is no table and
+        # both are called, the ledger's math.hypot beyond the sink distances
+        # and each join building one d2 block per round
         config = NetworkConfig(n_nodes=n, seed=1)
         hypots = [0]
 
@@ -797,15 +823,16 @@ class TestDistanceTable:
         result = run_simulation(config, protocol, 10**6 if n == 100 else 20)
         if n == 100:
             assert result.last_death_round is not None  # the whole lifetime
-            assert hypots[0] == d2[0] == 0
+            assert hypots[0] == n + n * n
+            assert d2[0] == 0
         else:
-            assert hypots[0] > 0
+            assert hypots[0] > n
             assert d2[0] == 20
 
     def test_build_peak_memory(self):
-        # built sqrt(n) rows at a time on first read, hypot's temporaries add
-        # little to the peak; a one-shot build peaked at 3.1 times what the
-        # Geometry keeps
+        # the first read fills the n x n array straight from math.hypot and
+        # then lists its rows, so the build adds little to what the Geometry
+        # keeps
         pos = np.random.default_rng(1).uniform(0, 100, (256, 2))
         tracemalloc.start()
         try:
