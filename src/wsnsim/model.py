@@ -8,6 +8,7 @@ plus a d^2 amplifier term on the transmit side.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -79,6 +80,10 @@ class NetworkConfig:
         reach = max(self.diagonal, *(math.hypot(x - bx, y - by)
                                      for x in (0.0, self.arena[0]) for y in (0.0, self.arena[1])))
         check_range("n_nodes times the squared range of a message", n * reach * reach)
+        # below the normal range the joins' dx*dx + dy*dy lose their order, and
+        # each member would join the lowest head row
+        w, h = self.arena
+        check_range("the arena's squared diagonal", w * w + h * h, sys.float_info.min)
         # per round, each node sends at most two messages and hears at most n
         # adverts, the heads hear two messages per member and fuse at most n
         # signals in all; the sum of those charges must stay finite

@@ -146,14 +146,7 @@ class FuzzyFormation:
 
 
 _BLOCK = 2**16  # the one element budget: heed_geometry's row blocks, the distance
-# table (built only when it fits), FCM's batch
-
-
-def _apart(low, high):
-    """Whether ``high`` exceeds ``low`` by a relative 1e-12, the certified joins' margin:
-    far more than the few ulps between values from d2 = dx*dx + dy*dy and from
-    ``math.hypot``."""
-    return high > low * (1.0 + 1e-12)
+# table and the join block (each built whole only when it fits), FCM's batch
 
 
 class Geometry:
@@ -163,27 +156,29 @@ class Geometry:
     ``euclidean_distance`` to the (x, y) base station; nodes never move.
     ``energy`` (a scalar or one value per row) and ``rounds_since_ch`` (from
     ``NEVER_CLUSTER_HEAD``) change as the run goes; a row is alive exactly
-    while its energy is > 0. HEED's neighbor mask and costs depend on the
-    alive set as well, so ``heed`` keeps them for the set it last saw; at
-    n <= 256 it also keeps the n x n float block of HEED's distances.
+    while its energy is > 0. HEED's neighbor mask and ranks depend on the
+    alive set as well, so ``heed`` keeps them for the set it last saw.
     ``fcm`` keeps the coming rounds' FCM runs for the alive set it last saw.
 
-    Every exact distance is the ledger's ``math.hypot``: ``bs_dist`` (and
-    ``bs_d``, its Python floats), ``distances`` and the table. When n * n <=
-    ``_BLOCK`` (n <= 256), the first read of ``table`` builds the n x n array
-    of every pair's distance and returns its rows as Python lists.
+    Two distances serve two purposes. Every join (LEACH's, HEED's and EECS's)
+    compares ``block``'s ``np.sqrt(dx*dx + dy*dy)``. Every charge, and the
+    greedy thinning of EECS's suppression and of head separation, takes the
+    ledger's ``math.hypot``: ``bs_dist`` (and ``bs_d``, its Python floats),
+    ``distances`` and the table. When n * n <= ``_BLOCK`` (n <= 256, ``whole``)
+    each is built whole, once, on first use: the first read of ``table``
+    builds the n x n array of every pair's ``math.hypot`` and returns its rows
+    as Python lists, and the first ``block`` builds the n x n join distances.
     ``table[h][m]`` is ``math.hypot(hx - mx, hy - my)``, bit-equal to the
     ledger's ``math.hypot(mx - hx, my - hy)``: fl(a - b) is -fl(b - a) and
-    hypot is even in each argument. ``nearest`` (LEACH's join), EECS's join,
-    the greedy thinning of EECS's suppression and of head separation, and
-    ``engine.run_round``'s ledger read it instead of computing distances. A
-    deployment that reads none of them, as in ``engine.sweep_iterations``,
-    builds no table. Above that size ``table`` is None and each computes its
-    distances (the joins exact ones only where d2 leaves the choice uncertain).
+    hypot is even in each argument. ``_thin`` and ``engine.run_round``'s
+    ledger read it instead of computing distances. A deployment that reads
+    neither, as in ``engine.sweep_iterations``, builds neither. Above that
+    size ``table`` is None and each computes its distances.
     """
 
     def __init__(self, pos, bs: tuple[float, float], energy):
         self.pos = np.array(pos, dtype=float).reshape(-1, 2)
+        self.whole = len(self.pos) ** 2 <= _BLOCK
         # for the scalar ledger: the positions and sink distances as Python floats
         self.xy = self.pos.tolist()
         bx, by = bs
@@ -193,7 +188,7 @@ class Geometry:
         self.rounds_since_ch = np.full(len(self.pos), NEVER_CLUSTER_HEAD, dtype=np.int64)
         self._heed_key: tuple | None = None
         self._heed: tuple = ()
-        self._near: np.ndarray | None = None  # the table as an array
+        self._block: np.ndarray | None = None
         self._table: list[list[float]] | None = None
         self._fcm_key: tuple | None = None
         self._fcm_ahead: dict = {}  # seed -> fcm_run's result for it, under _fcm_key
@@ -203,12 +198,23 @@ class Geometry:
     def table(self) -> list[list[float]] | None:
         """The distance table when n <= 256, built on first read by one
         ``distances`` call over every row; else None."""
-        n = len(self.pos)
-        if self._table is None and n * n <= _BLOCK:
-            every = np.arange(n)
-            self._near = self.distances(every, every)
-            self._table = self._near.tolist()
+        if self._table is None and self.whole:
+            every = np.arange(len(self.pos))
+            self._table = self.distances(every, every).tolist()
         return self._table
+
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """(len(rows), len(cols)) block of the join distance
+        ``np.sqrt(dx*dx + dy*dy)``, the square root of ``squared_distances``:
+        gathered from the n x n block when n <= 256, else computed. Each
+        element is the same arithmetic on the same two positions, so both give
+        the same bits, and ``block(cols, rows)`` is its transpose (fl(a - b)**2
+        is fl(b - a)**2)."""
+        if not self.whole:
+            return np.sqrt(squared_distances(self.pos[rows], self.pos[cols]))
+        if self._block is None:
+            self._block = np.sqrt(squared_distances(self.pos, self.pos))
+        return self._block[rows[:, None], cols]
 
     def alive(self) -> np.ndarray:
         """The rows of the alive nodes, ascending; ValueError if there are none."""
@@ -258,48 +264,18 @@ class Geometry:
         self._fcm_ahead = {s: run for s, run in zip(seeds[1:], runs[1:]) if run is not None}
         return runs[0]
 
-    def nearest(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """``distances(rows, cols).argmin(axis=1)``, bit for bit, mostly without
-        computing the exact distances.
-
-        With the table, the argmin runs on the stored exact distances. Without
-        it, the argmin runs on d2 = dx*dx + dy*dy. A row's answer stands only when
-        its second-smallest d2 exceeds the smallest by a relative 1e-12, the
-        smallest is above 1e-290 and the second is finite. fl(d2) and
-        ``math.hypot`` each lie within a few ulps of the true values, so a gap
-        that wide can neither reorder them nor make a rounding tie. Any other
-        row (a tie, a coincident or underflowing pair) takes the argmin of the
-        exact distances.
-        """
-        if self.table is not None:
-            return self._near[cols[:, None], rows].argmin(axis=0)
-        d2 = squared_distances(self.pos[rows], self.pos[cols])
-        best = d2.argmin(axis=1)
-        if d2.shape[1] < 2:
-            return best
-        at = np.arange(len(best))
-        first = d2[at, best]
-        d2[at, best] = np.inf
-        second = d2.min(axis=1)
-        unsure = ~(_apart(first, second) & (first > 1e-290) & np.isfinite(second))
-        if unsure.any():
-            best[unsure] = self.distances(rows[unsure], cols).argmin(axis=1)
-        return best
-
     def heed(self, rows: np.ndarray, radius: float) -> tuple:
-        """``heed_geometry`` over ``rows`` as (in_range, cost, rank, dist),
-        rank being each row's place in (cost, row) order, rebuilt only when the
-        alive rows or the radius change. The arrays are shared between calls
-        and read-only; dist is None above 256 rows."""
+        """``heed_geometry``'s mask over ``rows`` and each row's rank, its place
+        in (cost, row) order, as (in_range, rank), rebuilt only when the alive
+        rows or the radius change. The arrays are shared between calls and
+        read-only."""
         key = (radius, rows.tobytes())
         if key != self._heed_key:
-            in_range, cost, dist = heed_geometry(self.pos[rows], radius)
+            in_range, cost = heed_geometry(self.pos[rows], radius)
             rank = np.empty(len(rows), dtype=int)
             rank[np.lexsort((rows, cost))] = np.arange(len(rows))
-            for a in (in_range, cost, rank, dist):
-                if a is not None:
-                    a.flags.writeable = False
-            self._heed_key, self._heed = key, (in_range, cost, rank, dist)
+            in_range.flags.writeable = rank.flags.writeable = False
+            self._heed_key, self._heed = key, (in_range, rank)
         return self._heed
 
 
@@ -378,7 +354,7 @@ def form_clusters_nearest(geom: Geometry, ch_rows: set[int], rows=None) -> Clust
     is_head = _head_mask(len(geom.pos), rows, ch_rows)
     # rows are ascending, so argmin's first minimum is the lowest head row
     heads, members = rows[is_head], rows[~is_head]
-    return _join(heads, members, geom.nearest(members, heads))
+    return _join(heads, members, geom.block(heads, members).argmin(axis=0))
 
 
 def _thin(geom: Geometry, order: np.ndarray, radius: float, quota: int) -> set[int]:
@@ -438,23 +414,20 @@ def heed_announce_prob(params: HeedParams, energy, reference: float):
 
 
 def heed_geometry(pos: np.ndarray, radius: float) -> tuple:
-    """The within-``radius`` neighbor mask, each candidate's attachment cost
-    and the distances, for the (n, 2) positions ``pos``.
+    """The within-``radius`` neighbor mask and each candidate's attachment
+    cost, for the (n, 2) positions ``pos``.
 
     The cost is the mean squared distance to the candidate's neighbors, or
     radius^2 without neighbors. Lower is better; ties go to the lower row.
-    Built a block of ``_BLOCK`` distances' rows at a time; each cost row is
-    still summed over its whole row, in numpy's pairwise order, of d*d times
-    the mask (the +0.0 or d*d of an ``np.where``). At n * n <= ``_BLOCK``
-    (n <= 256) that is one block, the n x n float array of
-    ``np.sqrt(dx*dx + dy*dy)``, which is returned as the third item; above it
-    no n x n float array exists and the third item is None.
+    Built a block of ``_BLOCK`` distances' rows at a time, each distance
+    ``np.sqrt(dx*dx + dy*dy)``; each cost row is still summed over its whole
+    row, in numpy's pairwise order, of d*d times the mask (the +0.0 or d*d of
+    an ``np.where``).
     """
     n = len(pos)
     in_range = np.empty((n, n), dtype=bool)
     total = np.empty(n)
     step = max(1, _BLOCK // max(n, 1))
-    d = None
     for s in range(0, n, step):
         d = np.sqrt(sq := squared_distances(pos[s:s + step], pos))
         block = np.less_equal(d, radius, out=in_range[s:s + step])
@@ -464,7 +437,7 @@ def heed_geometry(pos: np.ndarray, radius: float) -> tuple:
         sq.sum(axis=1, out=total[s:s + step])
     neighbor_counts = in_range.sum(axis=1)
     cost = np.where(neighbor_counts > 0, total / np.maximum(neighbor_counts, 1), radius**2)
-    return in_range, cost, d if step >= n else None
+    return in_range, cost
 
 
 def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[ClusterSet, int]:
@@ -480,9 +453,8 @@ def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[Cluster
     rows = geom.alive()
     n = len(rows)
     # rank encodes the (cost, row) order so a plain argmin resolves ties by row;
-    # in_range and dist are symmetric, so their rows are read in place of
-    # their columns
-    in_range, _, rank, dist = geom.heed(rows, params.cluster_radius)
+    # in_range is symmetric, so its rows are read in place of its columns
+    in_range, rank = geom.heed(rows, params.cluster_radius)
 
     energy = geom.energy[rows]
     prob = heed_announce_prob(params, energy, float(energy.max()))
@@ -516,15 +488,14 @@ def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[Cluster
     # the lowest-rank head in range, else the nearest head (ties: lowest row,
     # as head_idx is ascending)
     reach = in_range[head_idx]  # (heads, n)
-    if dist is not None:
-        # one argmin: the ranks, shifted below -n, sort before every distance;
-        # dist is symmetric (fl(a - b)**2 is fl(b - a)**2): rows serve as columns
-        best = np.where(reach, rank[head_idx, None] - 2.0 * n, dist[head_idx]).argmin(axis=0)
-    else:
+    if geom.whole:
+        # one argmin: the ranks, shifted below -n, sort before every distance
+        best = np.where(reach, rank[head_idx, None] - 2.0 * n,
+                        geom.block(rows[head_idx], rows)).argmin(axis=0)
+    else:  # only the uncovered nodes need distances, not a heads x n block
         best = np.where(reach, rank[head_idx, None], n).argmin(axis=0)
         far = np.flatnonzero(~reach.any(axis=0))
-        d = squared_distances(geom.pos[rows[far]], geom.pos[rows[head_idx]])
-        best[far] = np.sqrt(d, out=d).argmin(axis=1)
+        best[far] = geom.block(rows[head_idx], rows[far]).argmin(axis=0)
     plain = np.ones(n, dtype=bool)
     plain[head_idx] = False
     return _join(rows[head_idx], rows[plain], best[plain]), iterations
@@ -550,11 +521,8 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
     Plain nodes then weigh their distance to a head against that head's
     distance to the base station, so heads far from the sink attract fewer
     members and spend less on receiving and aggregation to offset their
-    longer uplink.
-
-    Past the table a member's choice from sqrt(d2) stands where certified: its costs, sums
-    of terms >= 0 each within ulps of the exact ones, keep their order there. Any other
-    member takes its exact distances.
+    longer uplink. The join compares ``Geometry.block``'s distances; the
+    suppression scan, like the ledger, takes ``math.hypot``'s.
     """
     rows = geom.alive()
     candidates = geom.by_energy(rows[rng.random(len(rows)) < params.p])
@@ -577,27 +545,7 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
     bs_span = max(listed) - d_bs_min
     bs_term = (bs_dist - d_bs_min) / bs_span if bs_span > 0 else np.zeros(len(head_rows))
 
-    if geom.table is not None:
-        best = _eecs_choice(geom._near[head_rows[:, None], members], params, bs_term)[0]
-        return _join(head_rows, members, best)
-    d2 = squared_distances(geom.pos[head_rows], geom.pos[members])
-    best, keys = _eecs_choice(np.sqrt(d2), params, bs_term)
-    # certified: no d2 near underflow or join_radius**2, a head in reach (a key
-    # below 2), and the best key _apart from the second, itself above 1e-290
-    at = np.arange(len(best))
-    first = keys[best, at]
-    keys[best, at] = np.inf
-    second, r2 = keys.min(axis=0), params.join_radius * params.join_radius
-    sure = _apart(first, second) & (first < 2.0) & (second > 1e-290) & (d2.min(axis=0) > 1e-290)
-    unsure = np.flatnonzero(~(sure & (_apart(d2, r2) | _apart(r2, d2)).all(axis=0)))
-    if len(unsure):
-        exact = geom.distances(head_rows, members[unsure])
-        best[unsure] = _eecs_choice(exact, params, bs_term)[0]
-    return _join(head_rows, members, best)
-
-
-def _eecs_choice(dists: np.ndarray, params: EecsParams, bs_term: np.ndarray) -> tuple:
-    """Each member's head index by EECS's cost over (heads, members) ``dists``, and the keys."""
+    dists = geom.block(head_rows, members)
     # heads compete for a node only within its join radius; a node with no
     # head that close simply attaches to the nearest one
     reach = dists <= params.join_radius
@@ -614,7 +562,7 @@ def _eecs_choice(dists: np.ndarray, params: EecsParams, bs_term: np.ndarray) -> 
     if len(rare):
         lost = rare[~reach[:, rare].any(axis=0)]
         best[lost] = dists[:, lost].argmin(axis=0)
-    return best, keys
+    return _join(head_rows, members, best)
 
 
 # --- centroid-based formation (k-means / fuzzy c-means) -------------------------

@@ -151,9 +151,10 @@ class TestRejectedInputs:
         (["sweep", "--grid", "5,5", "--nodes", "30"], "grid"),
         (["run", "--protocol", "fuzzy", "--fcm-m", "1.001", "--seed", "1"], "fuzzifier m"),
         (["sweep", "--grid", "5", "--fcm-m", "1.001", "--nodes", "30"], "fuzzifier m"),
-        # nodes within about 1e-154 m of a centroid overflow d ** -2 instead
+        # an arena whose squared distances leave the normal range (FCM's
+        # overflow at this scale is tested in test_partitioning.py)
         (["run", "--protocol", "fuzzy", "--width", "1e-160", "--height", "1e-160",
-          "--bs-x", "0", "--bs-y", "0", "--seed", "1"], "from a centroid"),
+          "--bs-x", "0", "--bs-y", "0", "--seed", "1"], "squared diagonal"),
         # an int no float can hold
         (["run", "--protocol", "leach", "--seed", "1" + "0" * 400], "seed"),
         # squared distances that overflow: to the base station, across the

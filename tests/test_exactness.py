@@ -14,8 +14,10 @@ tie-breaks check the formations' lowest-row ones.
 
 import copy
 import math
+import sys
 import tracemalloc
 import types
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +105,31 @@ class TestGeometryDistances:
         assert got.shape == ledger.shape
         assert got.tobytes() == ledger.tobytes()
         assert got.tobytes() == geom.distances(cols, rows).T.tobytes()
+        # the table is these distances over every row; reading it builds no
+        # join block, whose numpy arithmetic would warn on these magnitudes
+        every = np.arange(len(pos))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert geom.table == geom.distances(every, every).tolist()
+        assert geom._block is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_join_block_is_sqrt_of_d2(self, n, seed):
+        # gathered from the n x n block at n = 256, computed at 257: the same
+        # bits, np.sqrt of squared_distances, and each block is the transpose
+        # of its mirror, on alive subsets and on drawn rows and columns
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(0, 100, (n, 2))
+        geom = Geometry(pos, BS, 1.0)
+        geom.energy[rng.choice(n, 20, replace=False)] = 0.0
+        alive = geom.alive()
+        for r, c in [(alive, alive), (rng.choice(alive, 30), rng.choice(n, 90)),
+                     (alive[:1], alive), (alive, alive[:0])]:
+            got = geom.block(r, c)
+            assert got.tobytes() == np.sqrt(squared_distances(pos[r], pos[c])).tobytes()
+            assert got.tobytes() == geom.block(c, r).T.tobytes()
+        assert (geom._block is not None) == (n <= 256)
 
 
 class TestHypot:
@@ -201,6 +228,13 @@ def oracle_leach_elect(nodes, params, r, rng):
     return heads
 
 
+def join_distance(a, b):
+    """The joins' distance between two (x, y) points, ``math.sqrt(dx*dx + dy*dy)``;
+    the charges and the suppression scan take ``euclidean_distance``."""
+    dx, dy = a[0] - b[0], a[1] - b[1]
+    return math.sqrt(dx * dx + dy * dy)
+
+
 def oracle_form_clusters_nearest(nodes, ch_ids):
     alive = alive_of(nodes)
     by_id = {n.id: n for n in alive}
@@ -210,7 +244,7 @@ def oracle_form_clusters_nearest(nodes, ch_ids):
     for node in sorted(alive, key=lambda n: n.id):
         if node.id in ch_ids:
             continue
-        best = min(heads, key=lambda h: (euclidean_distance(node.pos, by_id[h].pos), h))
+        best = min(heads, key=lambda h: (join_distance(node.pos, by_id[h].pos), h))
         clusters[best].members.append(node.id)
     return ClusterSet(clusters=[clusters[h] for h in heads])
 
@@ -328,7 +362,7 @@ def oracle_eecs_form_clusters(nodes, bs, params, rng):
     for node in alive:
         if node.id in heads:
             continue
-        dists = {h.id: euclidean_distance(node.pos, h.pos) for h in kept}
+        dists = {h.id: join_distance(node.pos, h.pos) for h in kept}
         reachable = [h for h in kept if dists[h.id] <= params.join_radius]
         if not reachable:
             best = min(kept, key=lambda h: (dists[h.id], h.id))
@@ -493,22 +527,16 @@ class TestFormationsMatchScalarOracles:
     @pytest.mark.parametrize("seed,grid,sep", [c for c in NETWORKS if c[0] < 2 and not c[1]])
     def test_eecs_exact_rows_past_the_table(self, monkeypatch, seed, grid, sep):
         # at n > 256 there is no table and nothing is kept between rounds:
-        # each formation chooses from sqrt(d2) and computes exact distances,
-        # to all its heads, only for the members the certificate cannot
-        # settle. Those include every member in no head's join radius, and
-        # none whose choice is clear by far more than the margin
+        # each formation computes one d2 block, its join's, over its heads and
+        # members, and no exact distance (the suppression scan calls
+        # math.hypot itself)
         rng = np.random.default_rng(seed)
         nodes = sorted(random_network(rng, int(rng.integers(500, 600)), grid), key=lambda n: n.id)
         calls = record_exact_calls(monkeypatch)
-        formations = eecs_formations(rng, seed, nodes, sep)
-        assert not calls
-        for got, geom, params in formations:
-            lost, clear = eecs_member_margins(geom, got, params)
-            taken = [m for _, cols in calls for m in cols.tolist()]
-            assert all(rows.tolist() == sorted(got.heads) for rows, _ in calls)
-            assert len(taken) == len(set(taken))
-            assert lost <= set(taken) and not clear & set(taken)
-            calls.clear()
+        d2 = count_calls(monkeypatch, protocols, "squared_distances")
+        for i, (_, geom, _) in enumerate(eecs_formations(rng, seed, nodes, sep), 1):
+            assert geom.table is None and not calls
+            assert d2[0] == i
 
     @pytest.mark.parametrize("seed,grid", [(s, g) for s in [*range(20), 100, 101]
                                            for g in (False, True)])
@@ -519,7 +547,7 @@ class TestFormationsMatchScalarOracles:
         nodes = alive_of(sized_network(rng, seed, grid, 60))
         radius = float(rng.uniform(5, 40))
         pos = np.array([n.pos for n in nodes])
-        _, cost, _ = heed_geometry(pos, radius)
+        _, cost = heed_geometry(pos, radius)
         assert cost.tolist() == pytest.approx(
             [heed_cost(c, nodes, radius) for c in nodes], rel=1e-12)
 
@@ -534,19 +562,19 @@ class TestFormationsMatchScalarOracles:
         pos = np.array([n.pos for n in nodes])
         radius = float(rng.integers(1, 31)) if grid else float(rng.uniform(1, 30))
         _, in_range, cost = oracle_heed_geometry(pos, radius)
-        got_in_range, got_cost, _ = heed_geometry(pos, radius)
+        got_in_range, got_cost = heed_geometry(pos, radius)
         assert np.array_equal(got_in_range, in_range)
         assert got_cost.tobytes() == cost.tobytes()
 
 
-# --- the certified nearest-head join ---------------------------------------------
+# --- the joins on tie networks ---------------------------------------------------
 
 
 def tie_network(rng, n, kind):
-    """Alive nodes whose distances defeat the d2 certificate: exact ties on an
+    """Alive nodes whose join distances tie or nearly tie: exact ties on an
     integer grid, coincident nodes, nodes on the bisectors of node pairs
     (where rounding decides the nearer end), or a 1e-160 m arena where every
-    d2 underflows to 0 while the exact distances still differ."""
+    d2 is subnormal or 0 (one that ``NetworkConfig`` refuses)."""
     if kind == "grid":
         xy = rng.integers(0, 6, (n, 2)) * 1.0
     elif kind == "coincident":
@@ -601,39 +629,14 @@ def record_exact_calls(monkeypatch):
     return calls
 
 
-def eecs_member_margins(geom, got, params):
-    """The members of EECS's ``got`` in no head's join radius, and those
-    whose choice is clear by a relative 1e-9 (every exact distance that far
-    from join_radius and above 1e-100, the best cost that far below the
-    second and the second above 1e-280), each a set of rows, from the exact
-    distances. The certified join must send the first to the exact
-    distances, and not the second."""
-    heads = np.array(sorted(got.heads))
-    members = np.array(sorted(m for c in got.clusters for m in c.members), dtype=int)
-    a, b = geom.pos[members], geom.pos[heads]
-    d = math_hypot(a[:, 0, None] - b[:, 0], a[:, 1, None] - b[:, 1])
-    radius, w = params.join_radius, params.w
-    reach = d <= radius
-    bs = geom.bs_dist[heads]
-    span = bs.max() - bs.min()
-    bs_term = (bs - bs.min()) / span if span > 0 else np.zeros(len(heads))
-    d_max = np.where(reach, d, 0.0).max(axis=1, keepdims=True)
-    cost = np.where(reach, w * (d / np.where(d_max > 0, d_max, 1.0)) + (1 - w) * bs_term, np.inf)
-    cost = np.sort(np.hstack([cost, np.full((len(members), 1), np.inf)]), axis=1)
-    lost = ~reach.any(axis=1)
-    clear = (~lost & (np.abs(d - radius) > 1e-9 * radius).all(axis=1) & (d.min(axis=1) > 1e-100)
-             & (cost[:, 1] > cost[:, 0] * (1 + 1e-9)) & (cost[:, 1] > 1e-280))
-    return set(members[lost].tolist()), set(members[clear].tolist())
-
-
 TIE_NETWORKS = [(seed, kind) for seed in range(15)
                 for kind in ("grid", "coincident", "bisector", "tiny")]
 
 
 def join_tie_network(monkeypatch, seed, kind, n_low, n_high):
     """LEACH's join on a tie network of ``n_low`` to ``n_high`` nodes, checked
-    against the oracle; returns its Geometry and the exact distance rows and
-    d2 blocks the join computed."""
+    against the oracle; returns its Geometry, its head count and the exact
+    distance rows and d2 blocks the join computed."""
     rng = np.random.default_rng(seed)
     nodes = tie_network(rng, int(rng.integers(n_low, n_high)), kind)
     heads = {n.id for n in nodes[:len(nodes) // 4]} if kind == "bisector" else (
@@ -660,34 +663,39 @@ def count_calls(monkeypatch, module, name):
 
 
 class TestCertifiedJoin:
+    """LEACH's join: the argmin over heads of ``Geometry.block``, checked
+    against the oracle's ``math.sqrt(dx*dx + dy*dy)`` where rounding decides."""
+
     @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
     def test_tie_networks_match_oracle_through_the_table(self, monkeypatch, seed, kind):
-        # at n <= 256 the join takes the argmin of the stored distances: no
-        # d2, no certificate, and no exact rows but those of the table, which
-        # the join's first read builds in one call over all n rows
+        # at n <= 256 the join gathers from the n x n block, built in one d2
+        # call; it reads no exact distance, so builds no table
         geom, _, exact, d2 = join_tie_network(monkeypatch, seed, kind, 20, 120)
-        assert geom.table is not None
-        assert d2 == 0
-        assert exact == len(geom.pos)
+        assert geom.whole
+        assert d2 == 1
+        assert exact == 0
 
     @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
     def test_tie_networks_match_oracle_through_the_exact_path(self, monkeypatch, seed, kind):
-        # past the table the certificate fails on these networks' rows, which
-        # take the exact distances
-        geom, heads, exact, d2 = join_tie_network(monkeypatch, seed, kind, 257, 401)
+        # past the table the join computes its heads x members block, in one
+        # d2 call, and still no exact distance
+        geom, _, exact, d2 = join_tie_network(monkeypatch, seed, kind, 257, 401)
         assert geom.table is None and d2 == 1
-        if heads > 1:
-            assert exact > 0
+        assert exact == 0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_blocks_need_no_exact_rows(self, monkeypatch, seed):
+        # on random positions no two heads lie within ulps of a member, so the
+        # join chooses the heads math.hypot would
         rng = np.random.default_rng(seed)
         geom = Geometry(rng.uniform(0, 100, (1000, 2)), BS, 1.0)
         rows, cols = np.arange(950), np.arange(950, 1000)
         exact = count_exact_rows(monkeypatch, geom)
-        got = geom.nearest(rows, cols)
+        got = form_clusters_nearest(geom, set(cols.tolist()))
         assert exact[0] == 0
-        assert np.array_equal(got, Geometry.distances(geom, rows, cols).argmin(axis=1))
+        nearest = Geometry.distances(geom, rows, cols).argmin(axis=1)
+        assert [c.members for c in got.clusters] == [rows[nearest == j].tolist()
+                                                     for j in range(len(cols))]
 
 
 def eecs_tie_network(rng, kind, sep):
@@ -715,9 +723,10 @@ def eecs_tie_network(rng, kind, sep):
     return nodes, params, (span / 2, span * 1.75)
 
 
-def eecs_fallback(monkeypatch, nodes, params, bs, seed):
-    """EECS on ``nodes``, checked against the oracle; returns the result, in
-    ids, and the ids of the members whose exact distances the join computed."""
+def eecs_past_the_table(monkeypatch, nodes, params, bs, seed):
+    """EECS on ``nodes``, past the table, checked against the oracle, with no
+    exact distance computed; returns the result, in ids, the Geometry and
+    the ids in row order."""
     geom, ids = geometry_of(nodes, bs)
     calls = record_exact_calls(monkeypatch)
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -725,25 +734,24 @@ def eecs_fallback(monkeypatch, nodes, params, bs, seed):
     assert shape(got) == shape(oracle_eecs_form_clusters(nodes, bs, params, b))
     assert a.random() == b.random()
     assert geom.table is None
-    assert all(rows.tolist() == sorted(ids.index(h) for h in got.heads) for rows, _ in calls)
-    return got, {ids[m] for _, cols in calls for m in cols.tolist()}
+    assert not calls
+    return got, geom, ids
 
 
 class TestCertifiedEecsJoin:
-    # past the table EECS chooses from sqrt(d2) and sends to the exact
-    # distances each member that the certificate cannot settle
+    """EECS's join past the table: its costs over ``Geometry.block``, checked
+    against the oracle's ``math.sqrt(dx*dx + dy*dy)`` where rounding or an
+    exact tie decides."""
 
     @pytest.mark.parametrize("sep", [0.0, 0.2])
     @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
     def test_tie_networks_match_oracle(self, monkeypatch, seed, kind, sep):
         rng = np.random.default_rng(seed)
         nodes, params, bs = eecs_tie_network(rng, kind, sep)
-        got, fallback = eecs_fallback(monkeypatch, nodes, params, bs, seed + 1)
-        members = {m for c in got.clusters for m in c.members}
-        if kind == "tiny":  # every d2 underflows
-            assert fallback == members
-        elif kind in ("grid", "coincident"):  # members on top of their heads, at least
-            assert fallback
+        got, geom, ids = eecs_past_the_table(monkeypatch, nodes, params, bs, seed + 1)
+        if kind == "tiny":  # every d2 is subnormal or 0, below what NetworkConfig allows
+            pos = geom.pos[[ids.index(m) for c in got.clusters for m in (c.head, *c.members)]]
+            assert (squared_distances(pos, pos) < sys.float_info.min).all()
 
     def hand_network(self, rng, *cases):
         """Heads 0 (at (100, 100)) and 1 (at (160, 100)) elect, the richest
@@ -767,23 +775,24 @@ class TestCertifiedEecsJoin:
         # member 5 in no head's reach
         cases = [(70.0, 60.0), (130.0, 110.0), (100.0, 100.0), (400.0, 400.0)]
         nodes, params, bs = self.hand_network(np.random.default_rng(seed), *cases)
-        got, fallback = eecs_fallback(monkeypatch, nodes, params, bs, seed)
+        got, geom, _ = eecs_past_the_table(monkeypatch, nodes, params, bs, seed)
         assert sorted(got.heads) == [0, 1]
         by_head = {c.head: c.members for c in got.clusters}
         assert {2, 3, 4} <= set(by_head[0])  # in reach, the tie to the lower row
         assert 5 in by_head[1]  # nearer to head 1, out of reach of both
-        # all four take the exact distances; the others' choices are clear
-        # by far more than the margin
-        assert fallback == {2, 3, 4, 5}
+        # the block holds the exact distances of the first three: the radius,
+        # a tie and 0
+        d = geom.block(np.array([0, 1]), np.array([2, 3, 4]))
+        assert d[0, 0] == params.join_radius and d[0, 1] == d[1, 1] and d[0, 2] == 0.0
 
     @pytest.mark.parametrize("offset", [(30.0, 40.0), (-30.0, 40.0), (40.0, -30.0), (0.0, -50.0)])
     def test_member_exactly_at_join_radius(self, monkeypatch, offset):
-        # d2 = 2500 = join_radius**2 exactly: no margin settles it, whichever
-        # way sqrt(d2) and hypot round
+        # d2 = 2500 = join_radius**2 exactly, whose sqrt is exactly 50: the
+        # member is in head 0's reach
         nodes, params, bs = self.hand_network(np.random.default_rng(7),
                                               (100.0 + offset[0], 100.0 + offset[1]))
-        got, fallback = eecs_fallback(monkeypatch, nodes, params, bs, 7)
-        assert 2 in fallback
+        _, geom, _ = eecs_past_the_table(monkeypatch, nodes, params, bs, 7)
+        assert geom.block(np.array([0]), np.array([2]))[0, 0] == params.join_radius
 
 
 # --- the distance table ----------------------------------------------------------
@@ -805,10 +814,11 @@ class TestDistanceTable:
     def test_rounds_compute_no_distance_at_paper_scale(self, monkeypatch, protocol, n):
         # seed 1's lifetime at n = 100 calls math.hypot only for the sink
         # distances and the table, built once, and then reads every distance
-        # from the table: none in the formations or the ledger, no d2 block in
-        # LEACH's or EECS's join. At n = 300 (20 rounds) there is no table and
-        # both are called, the ledger's math.hypot beyond the sink distances
-        # and each join building one d2 block per round
+        # from the table: none in the formations or the ledger. LEACH's or
+        # EECS's join builds one d2 block, the n x n join distances, in its
+        # first round. At n = 300 (20 rounds) there is no table and both are
+        # called, the ledger's math.hypot beyond the sink distances and each
+        # join building one d2 block per round
         config = NetworkConfig(n_nodes=n, seed=1)
         hypots = [0]
 
@@ -824,7 +834,7 @@ class TestDistanceTable:
         if n == 100:
             assert result.last_death_round is not None  # the whole lifetime
             assert hypots[0] == n + n * n
-            assert d2[0] == 0
+            assert d2[0] == 1
         else:
             assert hypots[0] > n
             assert d2[0] == 20
@@ -852,7 +862,7 @@ class TestDistanceTable:
         assert exact[0] == 0
 
 
-# --- HEED's kept distance block ---------------------------------------------------
+# --- HEED's join distances -------------------------------------------------------
 
 
 def heed_tie_network(rng, kind, n_low, n_high, sep):
@@ -871,28 +881,33 @@ def heed_tie_network(rng, kind, n_low, n_high, sep):
 class TestHeedKeptBlock:
     @pytest.mark.parametrize("seed", range(6))
     def test_block_equals_sqrt_of_d2(self, seed):
-        # at n <= 256 the kept block is the one heed_geometry builds over the
-        # alive rows, np.sqrt(dx*dx + dy*dy), bit for bit; above it none is kept
+        # HEED keeps its mask and ranks, no float block: its join reads
+        # Geometry.block, at n <= 256 the n x n np.sqrt(dx*dx + dy*dy) built
+        # by the first formation and kept by the Geometry across formations
+        # and deaths, above it none
         rng = np.random.default_rng(seed)
-        for n in (int(rng.integers(1, 257)), 256, 257, int(rng.integers(258, 400))):
-            pos = rng.uniform(0, 100, (n + 20, 2))
+        for n in (int(rng.integers(21, 257)), 256, 257, int(rng.integers(258, 400))):
+            pos = rng.uniform(0, 100, (n, 2))
             geom = Geometry(pos, BS, 1.0)
-            geom.energy[rng.choice(n + 20, 20, replace=False)] = 0.0
-            rows = geom.alive()
-            dist = geom.heed(rows, 20.0)[3]
+            blocks = []
+            for _ in range(2):
+                geom.energy[rng.choice(n, 10, replace=False)] = 0.0
+                rows = geom.alive()
+                assert [a.dtype.kind for a in geom.heed(rows, 20.0)] == ["b", "i"]
+                heed_form_clusters(geom, HeedParams(), rng)
+                blocks.append(geom._block)
             if n <= 256:
-                expected = np.sqrt(squared_distances(pos[rows], pos[rows]))
-                assert dist.tobytes() == expected.tobytes()
-                assert not dist.flags.writeable
+                assert blocks[0] is blocks[1]
+                assert blocks[0].tobytes() == np.sqrt(squared_distances(pos, pos)).tobytes()
             else:
-                assert dist is None
+                assert blocks == [None, None]
 
     @pytest.mark.parametrize("n_low,n_high", [(20, 257), (257, 401)], ids=["block", "rows"])
     @pytest.mark.parametrize("sep", [0.0, 0.15])
     @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
     def test_tie_networks_match_oracle(self, monkeypatch, seed, kind, sep, n_low, n_high):
-        # the uncovered nodes' nearest head comes from the kept block at
-        # n <= 256, and from distances over their rows above; on these
+        # the uncovered nodes' nearest head comes from Geometry.block, the
+        # n x n block at n <= 256 and one over their rows above; on these
         # networks rounding decides many of those ties
         rng = np.random.default_rng(seed)
         nodes, params = heed_tie_network(rng, kind, n_low, n_high, sep)
@@ -904,9 +919,10 @@ class TestHeedKeptBlock:
         assert it_got == it_expected
         assert shape(ids_of(got, ids)) == shape(expected)
         n = len(nodes)
-        # the geometry's row blocks, plus the fallback's own block above n = 256
+        # the geometry's row blocks, plus the join's block: the n x n one at
+        # n <= 256, the uncovered rows' above
         blocks = len(range(0, n, max(1, protocols._BLOCK // n)))
-        assert d2[0] == (1 if n <= 256 else blocks + 1)
+        assert d2[0] == blocks + 1
         # each of the cases that read the block leaves members uncovered
         in_range = geom.heed(geom.alive(), params.cluster_radius)[0]
         heads = sorted(got.heads)
@@ -914,9 +930,9 @@ class TestHeedKeptBlock:
         assert uncovered or n > 256
 
     def test_rebuild_peak_memory(self):
-        # a HEED rebuild at n = 256 peaks at what it keeps (the n x n float
-        # block and bool mask) plus the d2 block and numpy's buffers: 1.99
-        # times what it keeps (2.10 when np.where built a third block)
+        # a HEED rebuild at n = 256 keeps the bool mask and the ranks (71 352
+        # bytes); it peaks while one row block's d2 and distances, two n x n
+        # float arrays, exist beside the mask: 1 192 502 bytes, the bound
         pos = np.random.default_rng(1).uniform(0, 100, (256, 2))
         geom = Geometry(pos, BS, 1.0)
         rows = geom.alive()
@@ -926,8 +942,9 @@ class TestHeedKeptBlock:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert kept_arrays[3] is not None
-        assert peak <= 2.25 * kept
+        assert len(kept_arrays) == 2
+        assert kept < 2 * 256 * 256
+        assert peak <= 1_192_502
 
 
 # --- the per-charge ledger ------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -210,6 +211,17 @@ class TestDeploy:
     def test_config_rejects_overflowing_distances_and_charges(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             NetworkConfig(**kwargs)
+
+    def test_config_refuses_an_arena_whose_squared_diagonal_is_subnormal(self):
+        # no two nodes lie farther apart than the diagonal, so below the
+        # normal range every join's dx*dx + dy*dy would lose its order
+        side = 2.0**-511  # side * side is sys.float_info.min, exactly
+        NetworkConfig(arena=(side, 5e-324))
+        NetworkConfig(arena=(5e-324, side))
+        for arena in [(math.nextafter(side, 0.0), 5e-324), (1e-160, 1e-160)]:
+            with pytest.raises(ValueError, match="squared diagonal must be finite and >= "
+                               f"{sys.float_info.min:g}"):
+                NetworkConfig(arena=arena)
 
     def test_far_but_finite_scenario_charges_finite_energy(self):
         config = NetworkConfig(n_nodes=30, bs_pos=(50.0, 1e150), seed=2)
