@@ -146,7 +146,7 @@ class FuzzyFormation:
 
 
 _BLOCK = 2**16  # the one element budget: heed_geometry's row blocks, the distance
-# table and the join block (each built whole only when it fits), FCM's batch
+# table and the join block (each built, n x n, only when it fits), FCM's batch
 
 
 class Geometry:
@@ -163,17 +163,16 @@ class Geometry:
     Two distances serve two purposes. Every join (LEACH's, HEED's and EECS's)
     compares ``block``'s ``np.sqrt(dx*dx + dy*dy)``. Every charge, and the
     greedy thinning of EECS's suppression and of head separation, takes the
-    ledger's ``math.hypot``: ``bs_dist`` (and ``bs_d``, its Python floats),
-    ``distances`` and the table. When n * n <= ``_BLOCK`` (n <= 256, ``whole``)
-    each is built whole, once, on first use: the first read of ``table``
-    builds the n x n array of every pair's ``math.hypot`` and returns its rows
-    as Python lists, and the first ``block`` builds the n x n join distances.
-    ``table[h][m]`` is ``math.hypot(hx - mx, hy - my)``, bit-equal to the
-    ledger's ``math.hypot(mx - hx, my - hy)``: fl(a - b) is -fl(b - a) and
-    hypot is even in each argument. ``_thin`` and ``engine.run_round``'s
-    ledger read it instead of computing distances. A deployment that reads
-    neither, as in ``engine.sweep_iterations``, builds neither. Above that
-    size ``table`` is None and each computes its distances.
+    ledger's ``math.hypot``: ``bs_dist`` (and ``bs_d``, its Python floats)
+    and the table. When n * n <= ``_BLOCK`` (n <= 256, ``whole``) each is
+    built whole, once, on first use: the first read of ``table`` lists every
+    pair's ``math.hypot``, row by row, and the first ``block`` builds the
+    n x n join distances. ``table[h][m]`` is ``math.hypot(hx - mx, hy - my)``,
+    bit-equal to the ledger's ``math.hypot(mx - hx, my - hy)``: fl(a - b) is
+    -fl(b - a) and hypot is even in each argument. ``_thin`` and
+    ``engine.run_round``'s ledger read it instead of computing distances. A
+    deployment that reads neither, as in ``engine.sweep_iterations``, builds
+    neither. Above that size ``table`` is None and each computes its distances.
     """
 
     def __init__(self, pos, bs: tuple[float, float], energy):
@@ -196,11 +195,11 @@ class Geometry:
 
     @property
     def table(self) -> list[list[float]] | None:
-        """The distance table when n <= 256, built on first read by one
-        ``distances`` call over every row; else None."""
+        """The distance table when n <= 256, built on first read; else None.
+        Row h holds ``math.hypot(hx - x, hy - y)`` for every row's (x, y)."""
         if self._table is None and self.whole:
-            every = np.arange(len(self.pos))
-            self._table = self.distances(every, every).tolist()
+            xy = self.xy
+            self._table = [[math.hypot(hx - x, hy - y) for x, y in xy] for hx, hy in xy]
         return self._table
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -226,14 +225,6 @@ class Geometry:
     def by_energy(self, rows: np.ndarray) -> np.ndarray:
         """The ascending ``rows``, most energy first; ties keep the lowest row first."""
         return rows[np.argsort(-self.energy[rows], kind="stable")]
-
-    def distances(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """(len(rows), len(cols)) block of ``math.hypot(ax - bx, ay - by)``, (ax, ay)
-        being a row's position and (bx, by) a column's: ``euclidean_distance``."""
-        xy, hypot = self.xy, math.hypot
-        a, b = [xy[i] for i in rows.tolist()], [xy[j] for j in cols.tolist()]
-        return np.fromiter((hypot(ax - bx, ay - by) for ax, ay in a for bx, by in b), float,
-                           len(a) * len(b)).reshape(len(a), len(b))
 
     def fcm(self, rows: np.ndarray, params: FuzzyFormation, k: int, seed: int,
             rng: np.random.Generator) -> tuple:
@@ -486,16 +477,11 @@ def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[Cluster
         head_idx = np.searchsorted(rows, sorted(heads))
 
     # the lowest-rank head in range, else the nearest head (ties: lowest row,
-    # as head_idx is ascending)
+    # as head_idx is ascending); only the uncovered nodes need distances
     reach = in_range[head_idx]  # (heads, n)
-    if geom.whole:
-        # one argmin: the ranks, shifted below -n, sort before every distance
-        best = np.where(reach, rank[head_idx, None] - 2.0 * n,
-                        geom.block(rows[head_idx], rows)).argmin(axis=0)
-    else:  # only the uncovered nodes need distances, not a heads x n block
-        best = np.where(reach, rank[head_idx, None], n).argmin(axis=0)
-        far = np.flatnonzero(~reach.any(axis=0))
-        best[far] = geom.block(rows[head_idx], rows[far]).argmin(axis=0)
+    best = np.where(reach, rank[head_idx, None], n).argmin(axis=0)
+    far = np.flatnonzero(~reach.any(axis=0))
+    best[far] = geom.block(rows[head_idx], rows[far]).argmin(axis=0)
     plain = np.ones(n, dtype=bool)
     plain[head_idx] = False
     return _join(rows[head_idx], rows[plain], best[plain]), iterations

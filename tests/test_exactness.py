@@ -12,6 +12,7 @@ of the results back to ids through that order, so the oracles' lowest-id
 tie-breaks check the formations' lowest-row ones.
 """
 
+import collections
 import copy
 import math
 import sys
@@ -96,22 +97,21 @@ class TestGeometryDistances:
         sink = np.array([euclidean_distance(p, bs) for p in pos])
         assert np.array(geom.bs_d).tobytes() == geom.bs_dist.tobytes() == sink.tobytes()
 
+        # reading the table builds no join block, whose numpy arithmetic
+        # would warn on these magnitudes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = geom.table
+        assert geom._block is None
         index = st.lists(st.integers(0, len(pos) - 1), max_size=8)
-        rows, cols = (np.array(data.draw(index), dtype=int) for _ in range(2))
-        got = geom.distances(rows, cols)
+        rows, cols = (data.draw(index) for _ in range(2))
+        got = np.array([[table[h][m] for m in cols] for h in rows]).reshape(len(rows), len(cols))
         # the ledger's order: rows as heads, columns as members
         ledger = np.array([[math.hypot(pos[m][0] - pos[h][0], pos[m][1] - pos[h][1])
                             for m in cols] for h in rows]).reshape(len(rows), len(cols))
-        assert got.shape == ledger.shape
         assert got.tobytes() == ledger.tobytes()
-        assert got.tobytes() == geom.distances(cols, rows).T.tobytes()
-        # the table is these distances over every row; reading it builds no
-        # join block, whose numpy arithmetic would warn on these magnitudes
-        every = np.arange(len(pos))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert geom.table == geom.distances(every, every).tolist()
-        assert geom._block is None
+        mirror = np.array([[table[m][h] for h in rows] for m in cols]).reshape(len(cols), len(rows))
+        assert got.tobytes() == mirror.T.tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("n", [256, 257])
@@ -133,9 +133,10 @@ class TestGeometryDistances:
 
 
 class TestHypot:
-    """``Geometry``'s exact distances are ``math.hypot`` of the coordinate
-    differences on the values a numpy path could round differently: zeros,
-    subnormals and magnitudes whose squares overflow."""
+    """``Geometry``'s exact distances, the table and ``bs_d``, are the ledger's
+    ``math.hypot`` of the coordinate differences on the values a numpy path
+    could round differently: zeros, subnormals and magnitudes whose squares
+    overflow."""
 
     @settings(max_examples=500, deadline=None)
     @given(st.data())
@@ -144,11 +145,10 @@ class TestHypot:
         xs, ys = (data.draw(hnp.arrays(float, n, elements=coordinate)) for _ in range(2))
         bs = (data.draw(coordinate), data.draw(coordinate))
         geom = Geometry(np.column_stack([xs, ys]), bs, 1.0)
-        every = np.arange(n)
         with np.errstate(over="ignore"):  # as in Geometry, huge differences overflow to inf
-            dx, dy = xs[:, None] - xs[None, :], ys[:, None] - ys[None, :]
+            # the ledger's order: rows as heads, columns as members
+            dx, dy = xs[None, :] - xs[:, None], ys[None, :] - ys[:, None]
         expected = math_hypot(dx, dy)
-        assert geom.distances(every, every).tobytes() == expected.tobytes()
         assert np.array(geom.table).tobytes() == expected.tobytes()
         with np.errstate(over="ignore"):
             sink = math_hypot(xs - bs[0], ys - bs[1])
@@ -159,7 +159,7 @@ class TestHypot:
     def test_equals_math_hypot_on_scalars(self, dx, dy):
         # a node at (dx, dy), one at the origin, and the base station there too
         geom = Geometry([(dx, dy), (0.0, 0.0)], (0.0, 0.0), 1.0)
-        assert float(geom.distances(np.array([0]), np.array([1]))[0, 0]) == math.hypot(dx, dy)
+        assert geom.table[1][0] == geom.table[0][1] == math.hypot(dx, dy)
         assert geom.bs_d[0] == math.hypot(dx, dy)
 
     def test_subnormal_and_zero_pairs(self):
@@ -172,11 +172,14 @@ class TestHypot:
         ex = rng.uniform(-1, 1, 20_000) * 2.0**-1024
         ey = rng.uniform(-1, 1, 20_000) * ex
         for xs, ys in ((dx, dy), (ex, ey)):
-            geom = Geometry(np.column_stack([np.append(xs, 0.0), np.append(ys, 0.0)]),
-                            (0.0, 0.0), 1.0)
-            got = geom.distances(np.arange(len(xs)), np.array([len(xs)]))[:, 0]
-            assert got.tobytes() == math_hypot(xs, ys).tobytes()
-            assert geom.bs_dist[:-1].tobytes() == math_hypot(xs, ys).tobytes()
+            geom = Geometry(np.column_stack([xs, ys]), (0.0, 0.0), 1.0)
+            assert geom.bs_dist.tobytes() == math_hypot(xs, ys).tobytes()
+            # the table exists at n <= 256: the origin's row, 255 nodes at a time
+            got = []
+            for s in range(0, len(xs), 255):
+                part = np.column_stack([xs[s:s + 255], ys[s:s + 255]])
+                got += Geometry(np.vstack([part, [0.0, 0.0]]), (0.0, 0.0), 1.0).table[-1][:-1]
+            assert np.array(got).tobytes() == math_hypot(xs, ys).tobytes()
 
 
 # --- scalar formation oracles ---------------------------------------------------
@@ -518,24 +521,24 @@ class TestFormationsMatchScalarOracles:
         # deaths, and only read after
         rng = np.random.default_rng(seed)
         nodes = sorted(random_network(rng, int(rng.integers(20, 90)), grid), key=lambda n: n.id)
-        exact = count_exact_elements(monkeypatch)
+        exact = count_hypot(monkeypatch)
         formations = eecs_formations(rng, seed, nodes, sep)
-        assert exact[0] == 0
+        assert exact.total() == len(nodes)  # the sink distances
         assert len(list(formations)) == 30
-        assert exact[0] == len(nodes) ** 2
+        assert exact.total() == len(nodes) + len(nodes) ** 2
 
     @pytest.mark.parametrize("seed,grid,sep", [c for c in NETWORKS if c[0] < 2 and not c[1]])
     def test_eecs_exact_rows_past_the_table(self, monkeypatch, seed, grid, sep):
         # at n > 256 there is no table and nothing is kept between rounds:
         # each formation computes one d2 block, its join's, over its heads and
-        # members, and no exact distance (the suppression scan calls
-        # math.hypot itself)
+        # members, and no exact distance but the suppression scan's
         rng = np.random.default_rng(seed)
         nodes = sorted(random_network(rng, int(rng.integers(500, 600)), grid), key=lambda n: n.id)
-        calls = record_exact_calls(monkeypatch)
+        formations = eecs_formations(rng, seed, nodes, sep)
+        calls = count_hypot(monkeypatch)
         d2 = count_calls(monkeypatch, protocols, "squared_distances")
-        for i, (_, geom, _) in enumerate(eecs_formations(rng, seed, nodes, sep), 1):
-            assert geom.table is None and not calls
+        for i, (_, geom, _) in enumerate(formations, 1):
+            assert geom.table is None and set(calls) <= {"_thin"}
             assert d2[0] == i
 
     @pytest.mark.parametrize("seed,grid", [(s, g) for s in [*range(20), 100, 101]
@@ -590,42 +593,23 @@ def tie_network(rng, n, kind):
     return [OracleNode(id=int(i), pos=tuple(p), energy=1.0) for i, p in zip(ids, xy.tolist())]
 
 
-def count_exact_rows(monkeypatch, geom):
-    """Make ``geom.distances`` count the rows it is asked for."""
-    counted = [0]
+def count_hypot(monkeypatch):
+    """Make ``math.hypot``, as ``protocols`` and ``engine`` call it, count its
+    calls by the function that makes them (a comprehension's by the function
+    around it): ``__init__`` for the sink distances, ``table``, ``_thin``'s
+    greedy scans and ``run_round``'s ledger past the table."""
+    calls = collections.Counter()
 
-    def distances(rows, cols):
-        counted[0] += len(rows)
-        return Geometry.distances(geom, rows, cols)
+    def hypot(*args):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        calls[frame.f_code.co_name] += 1
+        return math.hypot(*args)
 
-    monkeypatch.setattr(geom, "distances", distances)
-    return counted
-
-
-def count_exact_elements(monkeypatch):
-    """Make every Geometry's ``distances`` count the distances it computes,
-    from its deployment on."""
-    counted = [0]
-    exact = Geometry.distances
-
-    def distances(self, rows, cols):
-        counted[0] += len(rows) * len(cols)
-        return exact(self, rows, cols)
-
-    monkeypatch.setattr(Geometry, "distances", distances)
-    return counted
-
-
-def record_exact_calls(monkeypatch):
-    """Make every Geometry's ``distances`` record the (rows, cols) it is asked for."""
-    calls = []
-    exact = Geometry.distances
-
-    def distances(self, rows, cols):
-        calls.append((rows, cols))
-        return exact(self, rows, cols)
-
-    monkeypatch.setattr(Geometry, "distances", distances)
+    shim = types.SimpleNamespace(**{**vars(math), "hypot": hypot})
+    monkeypatch.setattr(wsnsim.engine, "math", shim)
+    monkeypatch.setattr(protocols, "math", shim)
     return calls
 
 
@@ -635,18 +619,18 @@ TIE_NETWORKS = [(seed, kind) for seed in range(15)
 
 def join_tie_network(monkeypatch, seed, kind, n_low, n_high):
     """LEACH's join on a tie network of ``n_low`` to ``n_high`` nodes, checked
-    against the oracle; returns its Geometry, its head count and the exact
-    distance rows and d2 blocks the join computed."""
+    against the oracle; returns its Geometry, its head count and the
+    ``math.hypot`` calls and d2 blocks the join made."""
     rng = np.random.default_rng(seed)
     nodes = tie_network(rng, int(rng.integers(n_low, n_high)), kind)
     heads = {n.id for n in nodes[:len(nodes) // 4]} if kind == "bisector" else (
         {n.id for n in nodes if rng.random() < 0.2} or {nodes[0].id})
     geom, ids = geometry_of(nodes)
-    exact = count_exact_rows(monkeypatch, geom)
+    exact = count_hypot(monkeypatch)
     d2 = count_calls(monkeypatch, protocols, "squared_distances")
     got = form_clusters_nearest(geom, {ids.index(h) for h in heads})
     assert shape(ids_of(got, ids)) == shape(oracle_form_clusters_nearest(nodes, heads))
-    return geom, len(heads), exact[0], d2[0]
+    return geom, len(heads), exact.total(), d2[0]
 
 
 def count_calls(monkeypatch, module, name):
@@ -690,10 +674,13 @@ class TestCertifiedJoin:
         rng = np.random.default_rng(seed)
         geom = Geometry(rng.uniform(0, 100, (1000, 2)), BS, 1.0)
         rows, cols = np.arange(950), np.arange(950, 1000)
-        exact = count_exact_rows(monkeypatch, geom)
+        exact = count_hypot(monkeypatch)
         got = form_clusters_nearest(geom, set(cols.tolist()))
-        assert exact[0] == 0
-        nearest = Geometry.distances(geom, rows, cols).argmin(axis=1)
+        assert not exact
+        # the ledger's math.hypot, members as rows and heads as columns
+        pos = geom.pos
+        nearest = math_hypot(pos[rows, 0, None] - pos[cols, 0],
+                             pos[rows, 1, None] - pos[cols, 1]).argmin(axis=1)
         assert [c.members for c in got.clusters] == [rows[nearest == j].tolist()
                                                      for j in range(len(cols))]
 
@@ -725,16 +712,16 @@ def eecs_tie_network(rng, kind, sep):
 
 def eecs_past_the_table(monkeypatch, nodes, params, bs, seed):
     """EECS on ``nodes``, past the table, checked against the oracle, with no
-    exact distance computed; returns the result, in ids, the Geometry and
-    the ids in row order."""
+    exact distance computed but the suppression scan's; returns the result,
+    in ids, the Geometry and the ids in row order."""
     geom, ids = geometry_of(nodes, bs)
-    calls = record_exact_calls(monkeypatch)
+    calls = count_hypot(monkeypatch)
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
     got = ids_of(eecs_form_clusters(geom, params, a), ids)
     assert shape(got) == shape(oracle_eecs_form_clusters(nodes, bs, params, b))
     assert a.random() == b.random()
     assert geom.table is None
-    assert not calls
+    assert set(calls) <= {"_thin"}  # the suppression scan's, and no other
     return got, geom, ids
 
 
@@ -820,29 +807,21 @@ class TestDistanceTable:
         # called, the ledger's math.hypot beyond the sink distances and each
         # join building one d2 block per round
         config = NetworkConfig(n_nodes=n, seed=1)
-        hypots = [0]
-
-        def hypot_counted(*args):
-            hypots[0] += 1
-            return math.hypot(*args)
-
-        shim = types.SimpleNamespace(**{**vars(math), "hypot": hypot_counted})
-        monkeypatch.setattr(wsnsim.engine, "math", shim)
-        monkeypatch.setattr(protocols, "math", shim)
+        hypots = count_hypot(monkeypatch)
         d2 = count_calls(monkeypatch, protocols, "squared_distances")
         result = run_simulation(config, protocol, 10**6 if n == 100 else 20)
         if n == 100:
             assert result.last_death_round is not None  # the whole lifetime
-            assert hypots[0] == n + n * n
+            assert hypots.total() == n + n * n
             assert d2[0] == 1
         else:
-            assert hypots[0] > n
+            assert hypots.total() > n
             assert d2[0] == 20
 
     def test_build_peak_memory(self):
-        # the first read fills the n x n array straight from math.hypot and
-        # then lists its rows, so the build adds little to what the Geometry
-        # keeps
+        # the first read lists math.hypot's rows straight, with no n x n
+        # array in between, so the build adds little to what the Geometry
+        # keeps (1.000x at n = 256; 1.244x when it filled an array first)
         pos = np.random.default_rng(1).uniform(0, 100, (256, 2))
         tracemalloc.start()
         try:
@@ -852,14 +831,15 @@ class TestDistanceTable:
         finally:
             tracemalloc.stop()
         assert table is not None
-        assert peak <= 1.25 * kept
+        assert peak <= 1.05 * kept
 
     def test_a_sweep_builds_no_table(self, monkeypatch):
         # sweep_iterations deploys a Geometry per seed and runs k-means and
         # fuzzy c-means on it, which read no distance table
-        exact = count_exact_elements(monkeypatch)
+        exact = count_hypot(monkeypatch)
         sweep_iterations(NetworkConfig(), [2, 5], [1, 2, 3])
-        assert exact[0] == 0
+        # the sink distances and the centroid formations' energy tie-breaks
+        assert set(exact) == {"__init__", "_centroid_cluster_set"}
 
 
 # --- HEED's join distances -------------------------------------------------------

@@ -37,8 +37,8 @@ CASES = {
     "run-centroid-k8": ["run", "--protocol", "kmeans", "--protocol", "fuzzy",
                         "--k", "8", "--seed", "5"],
     # full lifetimes at n = 300, past the size rule of Geometry's distance
-    # table (n * n <= _BLOCK): LEACH's certified join, EECS's join computing
-    # its members' distances to its heads each round, the ledger's math.hypot
+    # table and join block (n * n <= _BLOCK): each round's joins computing
+    # their Geometry.block over heads and members, the ledger's math.hypot
     # and HEED's geometry in two row blocks, through deaths; recorded from
     # the code before the table
     "run-leach-n300": ["run", "--protocol", "leach", "--nodes", "300", "--seed", "1"],

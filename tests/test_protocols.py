@@ -36,6 +36,8 @@ from wsnsim.protocols import (
     leach_threshold,
 )
 
+from test_exactness import count_calls, count_hypot
+
 
 class ZeroRng:
     """Degenerate generator: every draw is 0, so any positive threshold elects."""
@@ -444,37 +446,22 @@ class TestEecsFormClusters:
         # a paper lifetime draws its 2 708 head terms from the 100 nodes; each
         # head's distances to all n rows are computed once, not every round
         # (250 652 distances when the join computed its block every round)
-        counted, exact = [0], Geometry.distances
-
-        def distances(self, rows, cols):
-            counted[0] += len(rows) * len(cols)
-            return exact(self, rows, cols)
-
-        monkeypatch.setattr(Geometry, "distances", distances)
+        counted = count_hypot(monkeypatch)
         run_simulation(NetworkConfig(seed=1), EecsParams(), 3000)
-        assert 0 < counted[0] <= 100 * 100
+        assert counted.total() == 100 + 100 * 100  # the sink distances and one table
 
     def test_exact_distances_past_the_table_at_n_1000(self, monkeypatch):
         # past the table each round's join chooses from one d2 block and
-        # computes exact distances only for the members its certificate
-        # cannot settle: none in 20 rounds at n = 1000 (when every member's
-        # were computed, 190 148 distances for seed 1 and 194 068 for seed 101)
-        counted, exact = [0], Geometry.distances
-        blocks, d2 = [0], wsnsim.protocols.squared_distances
-
-        def distances(self, rows, cols):
-            counted[0] += len(rows) * len(cols)
-            return exact(self, rows, cols)
-
-        def squared_distances(a, b):
-            blocks[0] += 1
-            return d2(a, b)
-
-        monkeypatch.setattr(Geometry, "distances", distances)
-        monkeypatch.setattr(wsnsim.protocols, "squared_distances", squared_distances)
+        # computes no exact distance in 20 rounds at n = 1000 (when every
+        # member's were computed, 190 148 distances for seed 1 and 194 068
+        # for seed 101)
+        counted = count_hypot(monkeypatch)
+        blocks = count_calls(monkeypatch, wsnsim.protocols, "squared_distances")
         for seed in (1, 101):
             run_simulation(NetworkConfig(n_nodes=1000, seed=seed), EecsParams(), 20)
-        assert counted[0] == 0
+        # the sink distances, the suppression scans and the ledger: none in the join
+        assert set(counted) == {"__init__", "_thin", "run_round"}
+        assert counted["__init__"] == 2 * 1000
         assert blocks[0] == 40
 
     def test_peak_memory_at_n_1000(self):
