@@ -96,6 +96,14 @@ class CliError(Exception):
     """Invalid configuration; the message names the offending field."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise CliError, so that they end
+    in one ``error:`` line like every other refusal; -h still prints help."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 @dataclass
 class RunSpec:
     protocols: list[str]
@@ -258,7 +266,7 @@ def _parse_grid(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wsnsim",
         description="Round-based clustered sensor-network lifetime simulator",
     )
@@ -401,8 +409,8 @@ _parser = functools.cache(build_parser)  # built on the first call, not on every
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         COMMANDS[args.command](_spec_from_args(args))
     except (CliError, FcmUnderflow, MemoryError) as exc:  # numpy's MemoryError names the array
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

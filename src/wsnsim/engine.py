@@ -161,34 +161,22 @@ def run_round(state: SimState, protocol) -> tuple[SimState, RoundReport]:
             energy[head] = 0.0
             deaths += 1
 
-    # -- setup: every alive node hears the delivered adverts, in row order. A
+    # -- setup: every alive node hears the delivered adverts, in row order; a
     # head that delivered one hears only the others' (a charge of 0 changes
-    # nothing), so the rows run in stretches between the delivered heads
-    hear_all = len(delivered_adverts) * elec_header
-    hear_others = (len(delivered_adverts) - 1) * elec_header
-    start = 0
-    for head in [*delivered_adverts, len(energy)]:
-        for row in range(start, head):
-            left = energy[row]
-            if left > 0.0:
-                charged += hear_all
-                if left > hear_all:
-                    energy[row] = left - hear_all
-                else:
-                    clamped += hear_all - left
-                    energy[row] = 0.0
-                    deaths += 1
-        if head == len(energy):
-            break
-        left = energy[head]  # alive: it kept some energy after its advert
-        charged += hear_others
-        if left > hear_others:
-            energy[head] = left - hear_others
-        else:
-            clamped += hear_others - left
-            energy[head] = 0.0
-            deaths += 1
-        start = head + 1
+    # nothing). Each cost is its own product: a difference would round apart
+    hear = [len(delivered_adverts) * elec_header] * len(energy)
+    for head in delivered_adverts:
+        hear[head] = (len(delivered_adverts) - 1) * elec_header
+    for row, cost in enumerate(hear):
+        left = energy[row]
+        if left > 0.0:
+            charged += cost
+            if left > cost:
+                energy[row] = left - cost
+            else:
+                clamped += cost - left
+                energy[row] = 0.0
+                deaths += 1
 
     # -- setup: join messages to the head, over each cluster's members in
     # row order (ClusterSet keeps them ascending). An alive member sends at

@@ -174,8 +174,7 @@ def export_csv(table, destination) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     if isinstance(table, SeriesTable):
         writer.writerow([table.index_label] + list(table.columns))
-        # the rows hold only numbers, which csv would write unquoted
-        buf.writelines(",".join(map(repr, row)) + "\n" for row in table.rows())
+        writer.writerows(table.rows())
     elif isinstance(table, SummaryStats):
         def section(cls, rows):
             writer.writerow([f.name for f in fields(cls)])

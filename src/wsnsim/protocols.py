@@ -331,9 +331,8 @@ def _join(heads: np.ndarray, members: np.ndarray, choice: np.ndarray) -> Cluster
     """One cluster per row of ``heads``; each row of ``members`` joins
     ``heads[choice[i]]``, so a cluster keeps its members in ``members``' order."""
     lists: list[list[int]] = [[] for _ in range(len(heads))]
-    append = [m.append for m in lists]
     for row, j in zip(members.tolist(), choice.tolist()):
-        append[j](row)
+        lists[j].append(row)
     return ClusterSet(clusters=[Cluster(h, m) for h, m in zip(heads.tolist(), lists)])
 
 

@@ -26,6 +26,14 @@ class TestRun:
         printed = capsys.readouterr().out
         assert "leach seed=7" in printed
 
+    @pytest.mark.parametrize("argv", [["-h"], ["run", "-h"], ["sweep", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        # usage errors end in one error: line (TestRejectedInputs); help does not
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: wsnsim")
+
     def test_k_exceeding_nodes_names_field(self, tmp_path, capsys):
         code = run_cli(["run", "--protocol", "kmeans", "--k", "200",
                         "--seed", "1", "--out", tmp_path / "o"])
@@ -180,10 +188,23 @@ class TestRejectedInputs:
         (["sweep", "--grid", "2, ,3", "--nodes", "30"], "empty field in grid"),
         (["sweep", "--grid", "2:6::2", "--nodes", "30"], "empty field in grid"),
         (["sweep", "--grid", ":2:6:2", "--nodes", "30"], "empty field in grid"),
+        # a range without its step, or with a step that never advances
+        (["sweep", "--grid", "1:5", "--nodes", "30"], "grid range must be start:stop:step"),
+        (["sweep", "--grid", "1:5:0", "--nodes", "30"], "grid step must be > 0"),
+        # argparse's own refusals: a value of the wrong type or outside the
+        # choices, an unknown flag, and no command at all
+        (["run", "--protocol", "leach", "--nodes", "x"], "argument --nodes: invalid int"),
+        (["run", "--protocol", "leach", "--format", "xml"], "argument --format: invalid choice"),
+        (["run", "--protocol", "nope"], "argument --protocol: invalid choice"),
+        (["compare", "--protocol", "leach", "--no-such-flag"],
+         "unrecognized arguments: --no-such-flag"),
+        ([], "the following arguments are required: command"),
     ])
     def test_flag(self, args, field, tmp_path, capsys):
-        rounds = [] if args[0] == "sweep" else ["--rounds", "3"]  # a sweep takes no rounds
-        code = run_cli(args + rounds + ["--out", tmp_path / "o"])
+        if args:  # a sweep takes no rounds, and no command takes no flags
+            args = args + ([] if args[0] == "sweep" else ["--rounds", "3"])
+            args += ["--out", tmp_path / "o"]
+        code = run_cli(args)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and field in err
@@ -216,6 +237,9 @@ class TestRejectedInputs:
         # a repeated key would keep only its last value
         pytest.param("run", "n_nodes = 10\nseeds = 1\nn_nodes = 20\n",
                      ":3: n_nodes repeats line 1", id="run-repeated-key"),
+        ("run", "n_nodes = x\n", "invalid integer for n_nodes: 'x'"),
+        ("run", "k = none\n", "invalid integer for k: 'none'"),
+        ("run", "fcm_tol = small\n", "invalid number for fcm_tol: 'small'"),
     ])
     def test_config_file(self, command, text, field, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -242,6 +266,35 @@ class TestRejectedInputs:
         assert err.startswith("error: ") and "protocols" in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,text", [
+        ("run", "protocols = nope\n"),
+        ("compare", "protocols = leach, nope\n"),
+        ("sweep", "protocols = kmeans, nope\ngrid = 3\n"),
+    ])
+    def test_config_file_unknown_protocol(self, command, text, tmp_path, capsys):
+        # the --protocol flag has choices; a config file's names are checked
+        # by RunSpec.protocol
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        code = run_cli([command, "--config", cfg, "--nodes", "20", "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: unknown protocol 'nope' (protocols)\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["run", "--protocol", "leach", "--rounds", "2"],
+        ["sweep", "--grid", "3"],
+    ])
+    def test_out_below_a_regular_file(self, args, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        out = tmp_path / "f" / "o"
+        code = run_cli([*args, "--nodes", "10", "--out", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot create output directory {out}: ")
+        assert len(err.splitlines()) == 1
 
 
 # each protocol key: the protocols whose params it sets, the field, and a
@@ -567,6 +620,14 @@ class TestConfigFile:
         doc = json.loads((out / "leach_seed4.json").read_text())
         assert doc["config"]["n_nodes"] == 20
         assert len(doc["reports"]) == 15
+
+    def test_out_dir_from_file(self, tmp_path):
+        out = tmp_path / "from-file"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"protocols = leach\nn_nodes = 10\nmax_rounds = 2\nout_dir = {out}\n")
+        assert run_cli(["run", "--config", cfg]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "alive_series.csv", "bs_series.csv", "leach_seed1.json", "summary.csv"]
 
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -120,10 +120,7 @@ def run(command, flags, config):
         argv = [command, f"--config={tmp / 'exp.cfg'}", *rounds, "--nodes=20",
                 f"--out={tmp / 'o'}", *flags]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's own usage errors
-                code = exc.code
+            code = main(argv)
         documents = [p.read_text() for p in (tmp / "o").glob("*.json")]
     return code, err.getvalue(), documents
 
@@ -146,6 +143,9 @@ def run(command, flags, config):
 @example(("sweep", ["--grid=3", "--k=5"], ""))
 @example(("run", ["--protocol=leach", "--k=4"], ""))
 @example(("run", ["--protocol=leach", "--format=json", "--thin=3"], ""))
+@example(("run", ["--protocol=leach", "--nodes=x"], ""))
+@example(("run", ["--protocol=nope", "--format=xml"], ""))
+@example(("compare", ["--protocol=leach", "--no-such-flag=1"], ""))
 def test_exit_code_error_line_and_finite_json(invocation):
     command, flags, config = invocation
     code, err, documents = run(command, flags, config)
@@ -162,6 +162,6 @@ def test_exit_code_error_line_and_finite_json(invocation):
             assert set(protocols) in (set(), {"kmeans", "fuzzy"})
     assert "Traceback" not in err
     if code == 2:
-        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
     for text in documents:
         json.loads(text, parse_constant=refuse)

@@ -132,7 +132,7 @@ class TestGeometryDistances:
         assert (geom._block is not None) == (n <= 256)
 
 
-class TestHypot:
+class TestExactDistancesAtExtremes:
     """``Geometry``'s exact distances, the table and ``bs_d``, are the ledger's
     ``math.hypot`` of the coordinate differences on the values a numpy path
     could round differently: zeros, subnormals and magnitudes whose squares
@@ -648,7 +648,10 @@ def count_calls(monkeypatch, module, name):
 
 class TestCertifiedJoin:
     """LEACH's join: the argmin over heads of ``Geometry.block``, checked
-    against the oracle's ``math.sqrt(dx*dx + dy*dy)`` where rounding decides."""
+    against the oracle's ``math.sqrt(dx*dx + dy*dy)`` where rounding decides,
+    through the gathered block and the computed one. (The class
+    keeps the name of the certified join it replaced, and with it its test
+    ids.)"""
 
     @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
     def test_tie_networks_match_oracle_through_the_table(self, monkeypatch, seed, kind):
@@ -728,7 +731,8 @@ def eecs_past_the_table(monkeypatch, nodes, params, bs, seed):
 class TestCertifiedEecsJoin:
     """EECS's join past the table: its costs over ``Geometry.block``, checked
     against the oracle's ``math.sqrt(dx*dx + dy*dy)`` where rounding or an
-    exact tie decides."""
+    exact tie decides. (The class keeps the name of the
+    certified join it replaced, and with it its test ids.)"""
 
     @pytest.mark.parametrize("sep", [0.0, 0.2])
     @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
@@ -859,6 +863,11 @@ def heed_tie_network(rng, kind, n_low, n_high, sep):
 
 
 class TestHeedKeptBlock:
+    """HEED keeps its mask and ranks and no float block: its nearest-head
+    fallback reads ``Geometry.block``, checked against the oracle, and a
+    rebuild's memory is bounded. (The class keeps the name of the float block
+    HEED used to keep, and with it its test ids.)"""
+
     @pytest.mark.parametrize("seed", range(6))
     def test_block_equals_sqrt_of_d2(self, seed):
         # HEED keeps its mask and ranks, no float block: its join reads

@@ -298,8 +298,8 @@ reports = st.builds(RoundReport, **{name: counts for name in INT_FIELDS},
 
 
 class TestFormatter:
-    """export_json writes each report through one format string and export_csv
-    joins a SeriesTable's rows itself; both must equal what json and csv write."""
+    """export_json writes each report through one format string; it, and
+    export_csv's SeriesTable rows, must equal what json and csv write."""
 
     @pytest.mark.parametrize("case", sorted(c for c in CASES if CASES[c][0] in ("run", "compare")))
     def test_golden_result_files_equal_json_dumps(self, case, tmp_path):
