@@ -106,8 +106,8 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunSpec:
-    protocols: list[str]
-    seeds: list[int]
+    protocols: list[str] = field(default_factory=list)
+    seeds: list[int] = field(default_factory=lambda: [1])
     max_rounds: int = 3000
     thin: int = 1
     out_dir: Path = field(default_factory=lambda: Path("out"))
@@ -151,8 +151,6 @@ class RunSpec:
     def validate(self) -> None:
         if not self.protocols:
             raise CliError("at least one protocol required (protocols)")
-        if not self.seeds:
-            raise CliError("at least one seed required (seeds)")
         for key in ("protocols", "seeds", "grid"):  # a repeat would run or weigh twice
             values = getattr(self, key)
             if len(set(values)) != len(values):
@@ -220,29 +218,6 @@ _NUMBER_KEYS = {
 }
 
 
-def _apply_config_values(spec: RunSpec, values: dict[str, str]) -> None:
-    for key, raw in values.items():
-        if key == "protocols":
-            spec.protocols = [p.strip() for p in raw.split(",") if p.strip()]
-        elif key == "seeds":
-            spec.seeds = _parse_ints(raw, "seeds")
-        elif key == "grid":
-            spec.set_value(key, _parse_grid(raw))
-        elif key == "out_dir":
-            spec.out_dir = Path(raw)
-        elif key == "formats":
-            spec.set_value(key, tuple(f.strip() for f in raw.split(",") if f.strip()))
-        elif key in _NUMBER_KEYS:
-            kind = _NUMBER_KEYS[key]
-            try:
-                spec.set_value(key, kind(raw))
-            except ValueError as exc:
-                noun = "integer" if kind is int else "number"
-                raise CliError(f"invalid {noun} for {key}: {raw!r}") from exc
-        else:
-            raise CliError(f"unknown config key {key!r}")
-
-
 def _parse_ints(text: str, key: str, sep: str = ",") -> list[int]:
     fields = text.split(sep)
     if any(not v.strip() for v in fields):  # 2,,3 or ,2 or 2:6::2
@@ -265,6 +240,32 @@ def _parse_grid(text: str) -> list[int]:
     return _parse_ints(text, "grid")
 
 
+def _names(text: str) -> list[str]:
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
+# config keys of another kind -> the reader of a value, which gives what the
+# key's flag gives
+_TEXT_KEYS = {"protocols": _names, "seeds": lambda text: _parse_ints(text, "seeds"),
+              "grid": _parse_grid, "out_dir": Path, "formats": lambda text: tuple(_names(text))}
+# --format's choices -> formats
+_FORMATS = {"csv": ("csv",), "json": ("json",), "both": ("csv", "json")}
+
+
+def _config_value(key: str, raw: str):
+    """The value of config-file key ``key`` given as ``raw``, as its flag gives it."""
+    if key in _TEXT_KEYS:
+        return _TEXT_KEYS[key](raw)
+    if key not in _NUMBER_KEYS:
+        raise CliError(f"unknown config key {key!r}")
+    kind = _NUMBER_KEYS[key]
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        noun = "integer" if kind is int else "number"
+        raise CliError(f"invalid {noun} for {key}: {raw!r}") from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="wsnsim",
@@ -278,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="flat key=value config file")
         p.add_argument("--preset", choices=sorted(PRESETS),
                        help="geometry preset overriding arena and BS position")
-        p.add_argument("--protocol", action="append", choices=PROTOCOLS,
+        p.add_argument("--protocol", action="append", choices=PROTOCOLS, dest="protocols",
                        help="protocol to run (repeatable)")
-        p.add_argument("--seed", action="append", type=int,
+        p.add_argument("--seed", action="append", type=int, dest="seeds", metavar="SEED",
                        help="RNG seed (repeatable)")
         for key, (flag, _, _) in SCENARIO_KEYS.items():
             if flag:
@@ -288,35 +289,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rounds", type=int, dest="max_rounds")
         p.add_argument("--thin", type=int, help="sample every Nth round in series output")
         p.add_argument("--out", type=Path, dest="out_dir", help="output directory")
-        p.add_argument("--format", choices=("csv", "json", "both"), dest="format")
+        p.add_argument("--format", choices=_FORMATS, dest="formats")
         for key, (owners, attr) in PROTOCOL_KEYS.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=_NUMBER_KEYS[key],
                            help=f"{attr} of {'/'.join(cls.name for cls in owners)}")
-    sub.choices["sweep"].add_argument("--grid", type=str,
+    sub.choices["sweep"].add_argument("--grid", type=_parse_grid,
                                       help="cluster counts, e.g. 10,20,30 or 10:100:10")
     return parser
 
 
 def _spec_from_args(args) -> RunSpec:
-    spec = RunSpec(protocols=[], seeds=[])
+    spec = RunSpec()
     if args.config:
-        _apply_config_values(spec, _read_config_file(args.config))
+        for key, raw in _read_config_file(args.config).items():
+            spec.set_value(key, _config_value(key, raw))
     if args.preset:
         spec.values.update(PRESETS[args.preset])
-    for key in (*_NUMBER_KEYS, "out_dir"):
+    for key in (*_NUMBER_KEYS, *_TEXT_KEYS):
         value = getattr(args, key, None)  # None: no such flag, or not given
         if value is not None:
-            spec.set_value(key, value)
-    if args.protocol:
-        spec.protocols = list(args.protocol)
-    if args.seed:
-        spec.seeds = list(args.seed)
-    if not spec.seeds:
-        spec.seeds = [1]
-    if getattr(args, "format", None):
-        spec.set_value("formats", ("csv", "json") if args.format == "both" else (args.format,))
-    if getattr(args, "grid", None):
-        spec.set_value("grid", _parse_grid(args.grid))
+            spec.set_value(key, _FORMATS[value] if key == "formats" else value)
     return spec
 
 

@@ -1,7 +1,8 @@
 """Evaluation products: alive/delivery series, summary stats, CSV/JSON export.
 
-Exports are deterministic byte streams: protocol columns are sorted, floats
-are rendered with repr (full round-trip precision), and JSON keys are sorted.
+Exports are deterministic byte streams: protocol columns are sorted, JSON keys
+are sorted, and floats are rendered with repr (full round-trip precision). A
+CSV cell is csv.writer's own: an int by str, a float by repr, None as empty.
 """
 
 from __future__ import annotations
@@ -160,14 +161,6 @@ def summarize(results: dict[tuple[str, int], ExperimentResult]) -> SummaryStats:
     return SummaryStats(per_run=per_run, per_protocol=per_protocol)
 
 
-def _render(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def export_csv(table, destination) -> None:
     """Write a SeriesTable or SummaryStats as RFC-4180 CSV (LF endings)."""
     buf = io.StringIO()
@@ -178,7 +171,7 @@ def export_csv(table, destination) -> None:
     elif isinstance(table, SummaryStats):
         def section(cls, rows):
             writer.writerow([f.name for f in fields(cls)])
-            writer.writerows([_render(v) for v in astuple(row)] for row in rows)
+            writer.writerows(map(astuple, rows))  # None as an empty cell
 
         section(RunSummary, table.per_run)
         writer.writerow([])

@@ -1,5 +1,6 @@
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +200,11 @@ class TestRejectedInputs:
         (["compare", "--protocol", "leach", "--no-such-flag"],
          "unrecognized arguments: --no-such-flag"),
         ([], "the following arguments are required: command"),
+        # probabilities outside their ranges
+        (["run", "--protocol", "leach", "--leach-p", "0"], "p must be in (0, 1]"),
+        (["run", "--protocol", "leach", "--leach-p", "1.5"], "p must be in (0, 1]"),
+        (["run", "--protocol", "heed", "--heed-p-min", "0.5", "--heed-c-prob", "0.1"],
+         "require 0 < p_min <= c_prob <= 1"),
     ])
     def test_flag(self, args, field, tmp_path, capsys):
         if args:  # a sweep takes no rounds, and no command takes no flags
@@ -350,7 +356,7 @@ class TestProtocolKeys:
 
     def test_protocol_choices_are_the_protocols(self):
         for parser in self.commands().values():
-            action = next(a for a in parser._actions if a.dest == "protocol")
+            action = next(a for a in parser._actions if "--protocol" in a.option_strings)
             assert list(action.choices) == list(PROTOCOLS)
 
     def test_flag_names_are_kept(self):
@@ -409,6 +415,28 @@ class TestScenarioKeys:
             cfg.write_text(f"{key} = {value}\n")
             argv = ["run", "--config", str(cfg)]
         assert _spec_from_args(build_parser().parse_args(argv)).network_config(1) == expected
+
+    # each non-number key, once by flag and once by config file: the same
+    # RunSpec, with the key given and set to the value
+    @pytest.mark.parametrize("command,flags,text,key,value", [
+        ("run", ["--protocol", "leach", "--protocol", "heed"], "protocols = leach, heed",
+         "protocols", ["leach", "heed"]),
+        ("run", ["--seed", "1", "--seed", "2"], "seeds = 1, 2", "seeds", [1, 2]),
+        ("sweep", ["--grid", "10,20,30"], "grid = 10, 20, 30", "grid", [10, 20, 30]),
+        ("sweep", ["--grid", "10:100:10"], "grid = 10:100:10", "grid", list(range(10, 101, 10))),
+        ("run", ["--out", "results/a"], "out_dir = results/a", "out_dir", Path("results/a")),
+        ("run", ["--format", "both"], "formats = csv, json", "formats", ("csv", "json")),
+        ("run", ["--format", "json"], "formats = json", "formats", ("json",)),
+    ], ids=["protocols", "seeds", "grid-list", "grid-range", "out_dir", "formats-both",
+            "formats-json"])
+    def test_flag_and_file_give_one_spec(self, command, flags, text, key, value, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text + "\n")
+        from_flags = _spec_from_args(build_parser().parse_args([command, *flags]))
+        from_file = _spec_from_args(build_parser().parse_args([command, "--config", str(cfg)]))
+        assert from_flags == from_file
+        assert getattr(from_file, key) == value
+        assert from_file.given == {key}
 
     def test_values_checked_together(self, tmp_path):
         # data_bits = 150 would fail against the default header_bits of 200

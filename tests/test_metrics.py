@@ -1,5 +1,4 @@
 import contextlib
-import csv
 import dataclasses
 import io
 import json
@@ -12,6 +11,7 @@ from test_golden import CASES
 
 from wsnsim.cli import main
 from wsnsim.engine import (
+    PROTOCOLS,
     EecsParams,
     ExperimentResult,
     FuzzyFormation,
@@ -21,6 +21,8 @@ from wsnsim.engine import (
     sweep_iterations,
 )
 from wsnsim.metrics import (
+    ProtocolSummary,
+    RunSummary,
     SeriesTable,
     SummaryStats,
     alive_series,
@@ -224,6 +226,14 @@ class TestExports:
         loaded = load_result_json(path)
         assert result_to_dict(loaded) == result_to_dict(res)
 
+    def test_json_loads_from_an_open_file(self, tmp_path):
+        res = run_simulation(NetworkConfig(n_nodes=12, seed=6), EecsParams(), 15)
+        path = tmp_path / "r.json"
+        export_json(res, path)
+        with open(path, encoding="utf-8") as fh:
+            loaded = load_result_json(fh)
+        assert result_to_dict(loaded) == result_to_dict(res)
+
     def test_json_round_trip_every_config_field(self, tmp_path):
         radio = RadioModel(e_elec=40e-9, e_amp=120e-12, e_da=4e-9, data_bits=3000,
                            header_bits=150)
@@ -275,11 +285,25 @@ def json_reference(doc) -> str:
 
 
 def csv_reference(table) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([table.index_label, *table.columns])
-    writer.writerows(table.rows())  # csv writes each number as str, repr for a float
-    return buf.getvalue()
+    """The CSV of a SeriesTable or SummaryStats by the contract the metrics
+    docstring states, without csv: cells joined by "," and rows ended by LF;
+    an int by str, a float by repr, None as an empty cell. A summary is its
+    per-run section, a blank line, then its per-protocol section, each a
+    header of field names over one row per record. No cell here needs quoting."""
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        return repr(value) if isinstance(value, float) else str(value)
+
+    def section(cls, records):
+        return [[f.name for f in dataclasses.fields(cls)], *map(dataclasses.astuple, records)]
+
+    if isinstance(table, SeriesTable):
+        rows = [[table.index_label, *table.columns], *table.rows()]
+    else:
+        rows = [*section(RunSummary, table.per_run), [],
+                *section(ProtocolSummary, table.per_protocol)]
+    return "".join(",".join(map(cell, row)) + "\n" for row in rows)
 
 
 def exported(export, payload) -> str:
@@ -295,11 +319,21 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_fr
     [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7976931348623157e308])
 reports = st.builds(RoundReport, **{name: counts for name in INT_FIELDS},
                     **{name: finite_floats for name in FLOAT_FIELDS})
+# a summary record's cells, by the annotation of their field: a protocol name,
+# a count, a finite float or the largest one, and None where the field allows it
+SUMMARY_CELLS = {"str": st.sampled_from(list(PROTOCOLS)), "int": counts,
+                 "float": finite_floats | st.just(1.7976931348623157e308)}
+
+
+def summary_records(cls):
+    return st.builds(cls, **{f.name: SUMMARY_CELLS[f.type.removesuffix(" | None")]
+                             | (st.none() if f.type.endswith(" | None") else st.nothing())
+                             for f in dataclasses.fields(cls)})
 
 
 class TestFormatter:
-    """export_json writes each report through one format string; it, and
-    export_csv's SeriesTable rows, must equal what json and csv write."""
+    """export_json writes each report through one format string, and must
+    equal what json writes; export_csv must equal csv_reference."""
 
     @pytest.mark.parametrize("case", sorted(c for c in CASES if CASES[c][0] in ("run", "compare")))
     def test_golden_result_files_equal_json_dumps(self, case, tmp_path):
@@ -355,3 +389,10 @@ class TestFormatter:
         for series in (alive_series, bs_series):
             table = series(results, range(0, rounds + 5, 3))
             assert exported(export_csv, table) == csv_reference(table)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(summary_records(RunSummary), max_size=4),
+           st.lists(summary_records(ProtocolSummary), max_size=4))
+    def test_summary_equals_the_contract(self, per_run, per_protocol):
+        stats = SummaryStats(per_run, per_protocol)
+        assert exported(export_csv, stats) == csv_reference(stats)

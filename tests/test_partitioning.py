@@ -601,6 +601,10 @@ class TestFcmRun:
         assert cents.tolist() == [[2.0, 2.0]]
         assert np.all(u == 1.0)
 
+    def test_no_points_rejected(self):
+        with pytest.raises(ValueError, match="^at least one point required$"):
+            fcm_run(np.empty((0, 2)), 2, [1])
+
     def test_infinite_tol_single_iteration(self):
         points = pts((0, 0), (5, 5), (9, 0))
         _, _, iterations = fcm_run(points, 2, [1], tol=math.inf)[0]

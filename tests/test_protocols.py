@@ -235,6 +235,10 @@ class TestEnforceChSeparation:
         g = geom([(0, 0), (1, 0), (2, 0)])
         assert len(enforce_ch_separation(g, {0, 1, 2}, 1000.0)) == 1
 
+    def test_no_heads_rejected(self):
+        with pytest.raises(ValueError, match="^ch_rows must not be empty$"):
+            enforce_ch_separation(geom([(0, 0), (1, 0)]), set(), 1.0)
+
 
 def heed_costs(coords, radius):
     return heed_geometry(np.array(coords, dtype=float), radius)[1]
@@ -258,6 +262,10 @@ class TestHeedCost:
     def test_announce_prob_floor(self):
         params = HeedParams()
         assert heed_announce_prob(params, 1e-8, 0.5) == pytest.approx(params.p_min)
+
+    def test_announce_prob_needs_a_positive_reference(self):
+        with pytest.raises(ValueError, match="^reference energy must be > 0$"):
+            heed_announce_prob(HeedParams(), [1.0], 0.0)
 
     def test_iteration_bound_value(self):
         # ceil(log2(1/1e-4)) + 1 = 14 + 1
@@ -537,7 +545,8 @@ class TestCentroidFormations:
             fuzzy_form_clusters(g, FuzzyFormation(), 3, 0, np.random.default_rng(0))
 
     # the CLI prints each message after "error: ", except for k = 0, which
-    # its own range check refuses first ("k=0 outside 1..n_nodes=100 (k)")
+    # its own range check refuses first ("k=0 outside 1..n_nodes=100 (k)"),
+    # and for the fields no flag sets (announce_waves, head_fraction)
     @pytest.mark.parametrize("cls, values, message, flags", [
         (FuzzyFormation, dict(k=0), "k must be >= 1", None),
         (FuzzyFormation, dict(m=1.0), "fuzzifier m must be finite and > 1, got 1.0",
@@ -548,6 +557,9 @@ class TestCentroidFormations:
         (FuzzyFormation, dict(max_iter=0), "max_iter must be >= 1", ["--fcm-max-iter", "0"]),
         (KmeansFormation, dict(k=0), "k must be >= 1", None),
         (KmeansFormation, dict(max_iter=0), "max_iter must be >= 1", ["--fcm-max-iter", "0"]),
+        (HeedParams, dict(announce_waves=0), "announce_waves must be >= 1", None),
+        (EecsParams, dict(head_fraction=0.0), "head_fraction must be in (0, 1]", None),
+        (EecsParams, dict(head_fraction=1.5), "head_fraction must be in (0, 1]", None),
     ])
     def test_bad_params_rejected(self, cls, values, message, flags, tmp_path, capsys):
         with pytest.raises(ValueError) as exc:
