@@ -111,8 +111,7 @@ def _kmeans(state: SimState, protocol: KmeansFormation, alive: int) -> tuple[Clu
 
 def _fuzzy(state: SimState, protocol: FuzzyFormation, alive: int) -> tuple[ClusterSet, int]:
     k = _cluster_count(alive, protocol.k)
-    seed = int(state.rng.integers(0, 2**63))
-    return fuzzy_form_clusters(state.geometry, protocol, k, seed, state.rng)
+    return fuzzy_form_clusters(state.geometry, protocol, k, state.rng)
 
 
 # params type -> its round's formation, given the state, the params and the
@@ -306,10 +305,10 @@ def sweep_iterations(
     lower bound. ``fuzzy`` gives m, tol and max_iter, which caps k-means
     too; the grid gives k.
 
-    As in ``run_simulation``, each fuzzy run draws its FCM seed from the
-    generator that deployed the nodes, after deployment. Seeding FCM with the
-    deployment seed itself would make its initial memberships replay the
-    node coordinates.
+    As in ``run_simulation``, each fuzzy formation is given the generator
+    that deployed the nodes and draws its FCM seed from it, after deployment.
+    Seeding FCM with the deployment seed itself would make its initial
+    memberships replay the node coordinates.
     """
     if len(set(grid)) != len(grid):
         raise ValueError(f"grid repeats a cluster count: {grid}")
@@ -322,7 +321,7 @@ def sweep_iterations(
         geom = Geometry(deploy_nodes(config, rng), config.bs_pos, config.initial_energy)
         for k in grid:
             _, km_iters = kmeans_form_clusters(geom, k, max_iter=fuzzy.max_iter)
-            _, fz_iters = fuzzy_form_clusters(geom, fuzzy, k, int(rng.integers(0, 2**63)), rng)
+            _, fz_iters = fuzzy_form_clusters(geom, fuzzy, k, rng)
             per_cell[k][0].append(km_iters)
             per_cell[k][1].append(fz_iters)
     return [

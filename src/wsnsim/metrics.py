@@ -153,8 +153,8 @@ def summarize(results: dict[tuple[str, int], ExperimentResult]) -> SummaryStats:
                 std_first_death=std_first,
                 mean_last_death=mean_last,
                 std_last_death=std_last,
-                mean_total_bs_messages=mean_msgs if mean_msgs is not None else 0.0,
-                std_total_bs_messages=std_msgs if std_msgs is not None else 0.0,
+                mean_total_bs_messages=mean_msgs,
+                std_total_bs_messages=std_msgs,
                 mean_clustering_iterations=_mean_std(iters)[0],
             )
         )

@@ -180,11 +180,7 @@ class _Workspace:
         # the x and y sums in one pass over the points, each bin in point order
         np.add(assignment, self.y_bins, out=self.bins_xy)
         sums = np.bincount(self.bins, self.pt_row.reshape(-1), 2 * k).reshape(2, k)
-        if 0 in counts.tolist():
-            filled = counts > 0
-            c[:, filled] = sums[:, filled] / counts[filled]
-        else:
-            np.divide(sums, counts, out=c)
+        np.divide(sums, counts, out=c, where=counts > 0)
         if self.spare is None:
             return None
         changed = c != self.prev  # -0.0 == 0.0, and both square to 0

@@ -226,19 +226,20 @@ class Geometry:
         """The ascending ``rows``, most energy first; ties keep the lowest row first."""
         return rows[np.argsort(-self.energy[rows], kind="stable")]
 
-    def fcm(self, rows: np.ndarray, params: FuzzyFormation, k: int, seed: int,
+    def fcm(self, rows: np.ndarray, params: FuzzyFormation, k: int,
             rng: np.random.Generator) -> tuple:
-        """``fcm_run(pos[rows], k, [seed], ...)[0]``, bit for bit.
+        """``fcm_run(pos[rows], k, [seed], ...)[0]``, bit for bit, where
+        ``seed`` is the one draw this makes from ``rng``.
 
-        ``rng`` is the generator ``seed`` was drawn from; its next draws are
-        the coming fuzzy rounds' seeds as long as nothing else draws from it.
-        A round with no kept run for its seed runs it beside the next B - 1
-        seeds, read from a copy of ``rng``, and keeps their results under
-        (rows, k, params). B doubles each time the kept runs are used up,
-        capped so that fcm_run's four planes and the memberships it returns,
-        five k x n arrays per run, hold at most ``_BLOCK`` elements. It
-        restarts at 1 on a miss: a changed alive set or k (a death), or a
-        seed the batch did not foresee."""
+        The next draws from ``rng`` are the coming fuzzy rounds' seeds as long
+        as nothing else draws from it. A round with no kept run for its seed
+        runs it beside the next B - 1 seeds, read from a copy of ``rng``, and
+        keeps their results under (rows, k, params). B doubles each time the
+        kept runs are used up, capped so that fcm_run's four planes and the
+        memberships it returns, five k x n arrays per run, hold at most
+        ``_BLOCK`` elements. It restarts at 1 on a miss: a changed alive set
+        or k (a death), or a seed the batch did not foresee."""
+        seed = int(rng.integers(0, 2**63))
         key = (rows.tobytes(), k, params)
         if key == self._fcm_key and seed in self._fcm_ahead:
             return self._fcm_ahead.pop(seed)
@@ -470,9 +471,8 @@ def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[Cluster
     cand = np.flatnonzero(announced)
     rival = np.where(in_range[cand] & announced, rank, n).min(axis=1)
     head_idx = cand[rank[cand] < rival]
-    heads = set(rows[head_idx].tolist())
     if params.ch_separation > 0:
-        heads = enforce_ch_separation(geom, heads, params.ch_separation)
+        heads = enforce_ch_separation(geom, set(rows[head_idx].tolist()), params.ch_separation)
         head_idx = np.searchsorted(rows, sorted(heads))
 
     # the lowest-rank head in range, else the nearest head (ties: lowest row,
@@ -587,13 +587,13 @@ def kmeans_form_clusters(geom: Geometry, k: int, max_iter: int = 100) -> tuple[C
     return _centroid_cluster_set(geom, rows, assignment, centroids), iterations
 
 
-def fuzzy_form_clusters(geom: Geometry, params: FuzzyFormation, k: int, seed: int,
+def fuzzy_form_clusters(geom: Geometry, params: FuzzyFormation, k: int,
                         rng: np.random.Generator) -> tuple[ClusterSet, int]:
-    """Cluster alive nodes into k with fuzzy c-means seeded by ``seed``, the
-    last draw from ``rng``, defuzzify, head each cluster by energy;
-    ``params.k`` is not read. ``Geometry.fcm`` looks ahead in ``rng``."""
+    """Cluster alive nodes into k with fuzzy c-means seeded by one draw from
+    ``rng``, defuzzify, head each cluster by energy; ``params.k`` is not
+    read. ``Geometry.fcm`` draws the seed and looks ahead in ``rng``."""
     rows = geom.alive()
     if k > len(rows):
         raise ValueError(f"k={k} exceeds alive node count {len(rows)}")
-    u, centroids, iterations = geom.fcm(rows, params, k, seed, rng)
+    u, centroids, iterations = geom.fcm(rows, params, k, rng)
     return _centroid_cluster_set(geom, rows, defuzzify(u), centroids), iterations

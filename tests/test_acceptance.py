@@ -332,7 +332,7 @@ class TestCriterion7NumericalProperties:
                 heed_form_clusters(geom, HeedParams(), np.random.default_rng(seed))[0],
                 eecs_form_clusters(geom, EecsParams(), np.random.default_rng(seed)),
                 kmeans_form_clusters(geom, k)[0],
-                fuzzy_form_clusters(geom, FuzzyFormation(), k, seed, np.random.default_rng(seed))[0],
+                fuzzy_form_clusters(geom, FuzzyFormation(), k, np.random.default_rng(seed))[0],
             ]
             for cs in cluster_sets:
                 checked += 1

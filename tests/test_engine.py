@@ -22,7 +22,7 @@ from wsnsim.engine import (
 from wsnsim.metrics import result_to_dict
 from wsnsim.model import NetworkConfig, RadioModel, deploy_nodes
 from wsnsim.partitioning import FcmUnderflow, defuzzify, fcm_run
-from wsnsim.protocols import Geometry, _centroid_cluster_set
+from wsnsim.protocols import Geometry, _centroid_cluster_set, fuzzy_form_clusters
 
 from test_protocols import validate
 
@@ -375,6 +375,22 @@ class TestFuzzyLookAhead:
             assert state.rng.bit_generator.state == reference.bit_generator.state
         assert [len(b) for b in batches] == [1, 2, 4, 8]  # rounds 0, 1, 3 and 7
 
+    def test_formation_draws_its_own_seed(self, monkeypatch):
+        # the library contract under the engine: each call takes one seed
+        # from the generator it is given, whoever made that generator
+        batches = record_fcm_batches(monkeypatch)
+        geom, params = look_ahead_state().geometry, FuzzyFormation()
+        rows = geom.alive()
+        rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(12):
+            got = fuzzy_form_clusters(geom, params, 5, rng)
+            seed = int(reference.integers(0, 2**63))
+            assert rng.bit_generator.state == reference.bit_generator.state
+            u, centroids, iterations = fcm_run(geom.pos[rows], 5, [seed], params.m,
+                                               params.tol, params.max_iter)[0]
+            assert got == (_centroid_cluster_set(geom, rows, defuzzify(u), centroids), iterations)
+        assert [len(b) for b in batches] == [1, 2, 4, 8]
+
     def test_node_killed_between_rounds(self, monkeypatch):
         batches = record_fcm_batches(monkeypatch)
         formed = record_cluster_sets(monkeypatch)
@@ -420,9 +436,9 @@ class TestFuzzyLookAhead:
 
         monkeypatch.setattr(wsnsim.protocols, "fcm_run", underflow)
         with pytest.raises(FcmUnderflow):  # a miss on the new alive set, failed
-            geom.fcm(rows, params, k, 1, state.rng)
+            geom.fcm(rows, params, k, copy.deepcopy(state.rng))
         monkeypatch.setattr(wsnsim.protocols, "fcm_run", run)
         # the run kept for the old alive set is not read as the new set's
         expected = fcm_run(geom.pos[rows], k, [seed], params.m, params.tol, params.max_iter)[0]
-        got = geom.fcm(rows, params, k, seed, state.rng)
+        got = geom.fcm(rows, params, k, state.rng)
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))

@@ -807,7 +807,7 @@ class TestFcmBatch:
         points, energy, rng = criterion4_cell(1)
         geom = Geometry(points, (50.0, 175.0), energy)
         for _ in range(40):
-            fuzzy_form_clusters(geom, FuzzyFormation(), 5, int(rng.integers(0, 2**63)), rng)
+            fuzzy_form_clusters(geom, FuzzyFormation(), 5, rng)
         assert [size for size, _ in batches] == [1, 2, 4, 8, 16, 26]
         assert batches[-1][1] < 2**20
 
@@ -823,7 +823,7 @@ class TestFcmBatch:
         points = deploy_nodes(NetworkConfig(n_nodes=1000, seed=1))
         geom, rng = Geometry(points, (50.0, 175.0), 0.5), np.random.default_rng(1)
         for _ in range(6):
-            fuzzy_form_clusters(geom, FuzzyFormation(), 50, int(rng.integers(0, 2**63)), rng)
+            fuzzy_form_clusters(geom, FuzzyFormation(), 50, rng)
         assert sizes == [1] * 6
 
 

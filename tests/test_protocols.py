@@ -511,7 +511,7 @@ class TestCentroidFormations:
 
     def test_fuzzy_k1_max_energy_head(self):
         g = geom([(0, 0), (5, 5), (9, 0)], [0.2, 0.9, 0.4])
-        cs, iterations = fuzzy_form_clusters(g, FuzzyFormation(), 1, 0, np.random.default_rng(0))
+        cs, iterations = fuzzy_form_clusters(g, FuzzyFormation(), 1, np.random.default_rng(0))
         assert cs.clusters[0].head == 1
         assert iterations == 1
 
@@ -521,20 +521,20 @@ class TestCentroidFormations:
         blob2 = [(float(x) + 50, float(y)) for x, y in rng.normal(0, 1.0, (6, 2))]
         energies = [0.1, 0.9, 0.2, 0.3, 0.4, 0.5, 0.6, 0.2, 0.95, 0.3, 0.1, 0.2]
         g = geom(blob1 + blob2, energies)
-        cs, _ = fuzzy_form_clusters(g, FuzzyFormation(), 2, 1, rng)
+        cs, _ = fuzzy_form_clusters(g, FuzzyFormation(), 2, rng)
         heads = {c.head for c in cs.clusters}
         assert heads == {1, 8}  # max energy within each blob
         check_partition(cs, g)
 
     def test_fuzzy_equal_energy_tie_break(self):
         # equal energies: head is the member nearest its cluster centroid
-        cs, _ = fuzzy_form_clusters(geom([(0, 0), (2, 0), (1, 0)]), FuzzyFormation(), 1, 0,
+        cs, _ = fuzzy_form_clusters(geom([(0, 0), (2, 0), (1, 0)]), FuzzyFormation(), 1,
                                     np.random.default_rng(0))
         assert cs.clusters[0].head == 2  # centroid (1,0) is row 2's position
         # the distance only breaks ties on the most energy: row 2 is the
         # nearest to the centroid (1.125, 0), row 3 the nearest of the richest
         g = geom([(0, 0), (2, 0), (1, 0), (1.5, 0)], [0.5, 0.5, 0.4, 0.5])
-        cs, _ = fuzzy_form_clusters(g, FuzzyFormation(), 1, 0, np.random.default_rng(0))
+        cs, _ = fuzzy_form_clusters(g, FuzzyFormation(), 1, np.random.default_rng(0))
         assert cs.clusters[0].head == 3
 
     def test_k_above_alive_count_rejected(self):
@@ -542,7 +542,7 @@ class TestCentroidFormations:
         with pytest.raises(ValueError):
             kmeans_form_clusters(g, 3)
         with pytest.raises(ValueError):
-            fuzzy_form_clusters(g, FuzzyFormation(), 3, 0, np.random.default_rng(0))
+            fuzzy_form_clusters(g, FuzzyFormation(), 3, np.random.default_rng(0))
 
     # the CLI prints each message after "error: ", except for k = 0, which
     # its own range check refuses first ("k=0 outside 1..n_nodes=100 (k)"),
@@ -579,7 +579,7 @@ class TestCentroidFormations:
                      list(rng.uniform(0.01, 1.0, n)))
             cs1, _ = kmeans_form_clusters(g, k)
             check_partition(cs1, g)
-            cs2, _ = fuzzy_form_clusters(g, FuzzyFormation(), k, int(rng.integers(2**32)), rng)
+            cs2, _ = fuzzy_form_clusters(g, FuzzyFormation(), k, rng)
             check_partition(cs2, g)
 
 
