@@ -116,10 +116,10 @@ def euclidean_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) block of dx*dx + dy*dy between the rows of two (n, 2)
-    arrays, built in place in that order. Its square root is bit-equal to
-    ``np.sqrt(dx * dx + dy * dy)``, not to ``math.hypot``. Each block first takes
-    b's coordinates, which are then subtracted from a's in place, a scalar per
-    row: the broadcast a - b, bit for bit, and faster from about 60 x 60."""
+    arrays, built in place in that order: ``heed_geometry`` reads it as it is,
+    and its square root is ``np.sqrt(dx * dx + dy * dy)``, not ``math.hypot``. Each
+    block first takes b's coordinates, which are then subtracted from a's in place,
+    a scalar per row: the broadcast a - b, bit for bit, and faster from about 60 x 60."""
     d2, dy = np.empty((len(a), len(b))), np.empty((len(a), len(b)))
     d2[...], dy[...] = b[:, 0], b[:, 1]
     np.subtract(a[:, 0, None], d2, out=d2)

@@ -40,8 +40,9 @@ tie-breaks (nearest centroid, argmax membership) go to the lowest index, which
 keeps every run deterministic for a given seed.
 
 Each step repeats, bit for bit, the per-cluster loops kept in the tests as
-oracles, and a run in a batch repeats the same run alone. Distances are
-sqrt(dx*dx + dy*dy), not the ledger's ``math.hypot``. Sums over points run
+oracles, and a run in a batch repeats the same run alone. Both read squared
+distances, dx*dx + dy*dy, and take no square root: k-means assigns by their
+argmin and FCM weighs by d2 ** (-1/(m-1)). Sums over points run
 in point order, not as ``w.T @ points``: for k-means by one weighted
 ``np.bincount`` over x's and then y's, whose bins are offset by k, and for
 FCM in three planes' memory, each (runs * k, n) and summed by
@@ -63,7 +64,7 @@ import numpy as np
 
 
 class FcmUnderflow(ValueError):
-    """Fuzzy memberships came out NaN or all zero: d ** (-2 / (m - 1)) left
+    """Fuzzy memberships came out NaN or all zero: d2 ** (-1 / (m - 1)) left
     the float range for a point. It underflows to 0 for every centroid when
     the fuzzifier m is too close to 1, and it or its sum over the centroids
     overflows to inf when the point lies within about 1e-154 m of a centroid
@@ -142,7 +143,7 @@ class _Workspace:
         self._columns(a)
 
     def distances(self, moved: np.ndarray | None = None) -> np.ndarray:
-        """sqrt(dx*dx + dy*dy) from each centroid (row) to each point, per run.
+        """dx*dx + dy*dy from each centroid (row) to each point, per run.
 
         Given the centroids that ``moved`` since the last call (one run only),
         at most half of them, only their rows are computed, in dy's plane,
@@ -163,7 +164,6 @@ class _Workspace:
         np.subtract(self.pt, c, out=dxy)
         np.multiply(dxy, dxy, out=dxy)
         np.add(dxy[0], dxy[1], out=dxy[0])
-        np.sqrt(dxy[0], out=dxy[0])
         if partial:
             d[:, moved] = dxy[0]
         return d
@@ -218,7 +218,7 @@ class _Workspace:
         return self.c
 
     def fcm_memberships(self, p: float, out: np.ndarray, guard: bool = True) -> np.ndarray:
-        """Memberships d ** p over their sum across the centroids, per run,
+        """Memberships d2 ** p over their sum across the centroids, per run,
         into out; guarded, a point on a centroid splits equally among those."""
         w = self.distances()
         if coincident := guard and np.count_nonzero(w) < w.size:  # a point on a centroid
@@ -303,7 +303,7 @@ def fcm_run(points: np.ndarray, k: int, seeds: Sequence[int], m: float = 2.0,
     ws = _Workspace(points, k, fuzzy=True, runs=len(seeds))
     for u0, seed in zip(ws.u[0], seeds):
         u0[...] = fcm_init(len(points), k, seed).T
-    p = -2.0 / (m - 1.0)
+    p = -1.0 / (m - 1.0)
     results: list[tuple | None] = [None] * len(seeds)
     going, cur = np.arange(len(seeds)), 0  # each run's seed index; the plane of u
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
@@ -340,8 +340,8 @@ def _fcm_result(ws: _Workspace, j: int, u: np.ndarray, first: bool, m: float,
     # the last pair's weight sums show which way they left the float range
     if np.isinf(ws.tot[j, bad]).any():
         raise FcmUnderflow(
-            f"a point lies {ws.distances()[j][:, bad].min():.3g} m from a centroid: "
-            f"the sum of d ** (-2/(m-1)) overflows with m={m!r}, so the "
+            f"a point lies {np.sqrt(ws.distances()[j][:, bad].min()):.3g} m from a centroid: "
+            f"the sum of d2 ** (-1/(m-1)) overflows with m={m!r}, so the "
             "memberships are divided by inf")
     raise FcmUnderflow(f"fuzzifier m={m!r} is too close to 1: "
                        "the memberships underflow to 0/0")

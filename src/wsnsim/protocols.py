@@ -410,20 +410,20 @@ def heed_geometry(pos: np.ndarray, radius: float) -> tuple:
 
     The cost is the mean squared distance to the candidate's neighbors, or
     radius^2 without neighbors. Lower is better; ties go to the lower row.
-    Built a block of ``_BLOCK`` distances' rows at a time, each distance
-    ``np.sqrt(dx*dx + dy*dy)``; each cost row is still summed over its whole
-    row, in numpy's pairwise order, of d*d times the mask (the +0.0 or d*d of
+    Built a block of ``_BLOCK`` distances' rows at a time from
+    ``squared_distances``, with no square root: a pair is in range where
+    d2 <= radius * radius, and each cost row is still summed over its whole
+    row, in numpy's pairwise order, of d2 times the mask (the +0.0 or d2 of
     an ``np.where``).
     """
     n = len(pos)
     in_range = np.empty((n, n), dtype=bool)
     total = np.empty(n)
-    step = max(1, _BLOCK // max(n, 1))
+    step, r2 = max(1, _BLOCK // max(n, 1)), radius * radius
     for s in range(0, n, step):
-        d = np.sqrt(sq := squared_distances(pos[s:s + step], pos))
-        block = np.less_equal(d, radius, out=in_range[s:s + step])
+        sq = squared_distances(pos[s:s + step], pos)
+        block = np.less_equal(sq, r2, out=in_range[s:s + step])
         np.fill_diagonal(block[:, s:], False)  # no node is its own neighbor
-        np.multiply(d, d, out=sq)
         np.multiply(sq, block, out=sq)
         sq.sum(axis=1, out=total[s:s + step])
     neighbor_counts = in_range.sum(axis=1)

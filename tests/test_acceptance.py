@@ -264,8 +264,8 @@ class TestCriterion7NumericalProperties:
                 )
             else:
                 centroids = np.array([rng.uniform(0, 100, 2) for _ in range(k)])
-            # the kernel's membership step at m = 2: d ** -2 over its row sum
-            u = _Workspace(points, k, centroids).fcm_memberships(-2.0, np.empty((1, k, n)))[0].T
+            # the kernel's membership step at m = 2: d2 ** -1 over its row sum
+            u = _Workspace(points, k, centroids).fcm_memberships(-1.0, np.empty((1, k, n)))[0].T
             if np.any(np.abs(u.sum(axis=1) - 1.0) > 1e-9):
                 violations += 1
             if np.any(u < 0) or np.any(u > 1):

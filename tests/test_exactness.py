@@ -277,10 +277,10 @@ def oracle_enforce_ch_separation(ch_ids, nodes, min_dist):
 def oracle_heed_geometry(pos, radius):
     """HEED's distances, neighbor mask and costs from whole n x n arrays."""
     diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    in_range = dist <= radius
+    sq = (diff * diff).sum(axis=2)
+    dist = np.sqrt(sq)
+    in_range = sq <= radius * radius
     np.fill_diagonal(in_range, False)
-    sq = dist * dist
     neighbor_counts = in_range.sum(axis=1)
     cost = np.where(
         neighbor_counts > 0,
@@ -920,8 +920,9 @@ class TestHeedKeptBlock:
 
     def test_rebuild_peak_memory(self):
         # a HEED rebuild at n = 256 keeps the bool mask and the ranks (71 352
-        # bytes); it peaks while one row block's d2 and distances, two n x n
-        # float arrays, exist beside the mask: 1 192 502 bytes, the bound
+        # bytes); it peaks while one row block's d2 and dy planes, the two n x n
+        # float arrays of squared_distances, exist beside the mask: 1 192 502
+        # bytes, the bound
         pos = np.random.default_rng(1).uniform(0, 100, (256, 2))
         geom = Geometry(pos, BS, 1.0)
         rows = geom.alive()

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wsnsim import partitioning, protocols
+from wsnsim import model, partitioning, protocols
 from wsnsim.engine import KmeansFormation, run_simulation
 from wsnsim.model import NetworkConfig, deploy_nodes
 from wsnsim.partitioning import (
@@ -82,9 +82,9 @@ def hard_objective(points: np.ndarray, assignment: np.ndarray) -> float:
 # --- oracles: per-cluster loops the array steps must match bit for bit -------
 
 
-def distances_loop(points, centroids):
+def squared_distances_loop(points, centroids):
     return np.array([
-        [math.sqrt((px - cx) * (px - cx) + (py - cy) * (py - cy))
+        [(px - cx) * (px - cx) + (py - cy) * (py - cy)
          for cx, cy in centroids.tolist()]
         for px, py in points.tolist()
     ]).reshape(len(points), len(centroids))
@@ -113,12 +113,12 @@ def fcm_centroids_loop(points, u, m):
 
 def fcm_memberships_loop(points, centroids, m):
     u = np.empty((len(points), len(centroids)))
-    for i, d in enumerate(distances_loop(points, centroids)):
-        hits = d == 0.0
+    for i, d2 in enumerate(squared_distances_loop(points, centroids)):
+        hits = d2 == 0.0
         if hits.any():
             u[i] = hits / hits.sum()
         else:
-            w = d ** (-2.0 / (m - 1.0))
+            w = d2 ** (-1.0 / (m - 1.0))
             u[i] = w / w.sum()
     return u
 
@@ -182,7 +182,7 @@ class TestArrayStepsMatchLoops:
     @given(points_and_centroids())
     def test_kmeans_assign(self, case):
         points, centroids = case
-        expected = distances_loop(points, centroids).argmin(axis=1)
+        expected = squared_distances_loop(points, centroids).argmin(axis=1)
         got = _Workspace(points, len(centroids), centroids).distances()[0].argmin(axis=0)
         assert np.array_equal(got, expected)
 
@@ -200,9 +200,9 @@ class TestArrayStepsMatchLoops:
     @given(points_and_centroids(), fuzzifiers)
     def test_fcm_memberships(self, case, m):
         points, centroids = case
-        # a distance of ~1e-160 overflows d**-2 on both sides alike
+        # a distance of ~1e-160 overflows d2**-1 on both sides alike
         with np.errstate(over="ignore", invalid="ignore"):
-            got = memberships(points, centroids, -2.0 / (m - 1.0))
+            got = memberships(points, centroids, -1.0 / (m - 1.0))
             expected = fcm_memberships_loop(points, centroids, m)
         assert np.array_equal(got, expected, equal_nan=True)
 
@@ -272,7 +272,7 @@ def kmeans_updates(points, energy, k, max_iter):
     centroids = kmeans_init(points, energy, k)
     assignments = []
     while len(assignments) < max_iter:
-        assignment = distances_loop(points, centroids).argmin(axis=1)
+        assignment = squared_distances_loop(points, centroids).argmin(axis=1)
         if assignments and np.array_equal(assignment, assignments[-1]):
             break
         centroids = kmeans_update_loop(points, assignment, centroids)
@@ -466,8 +466,8 @@ class TestMovedCentroidReuse:
             assert any(((a > 0) & (b == 0)).any() for a, b in zip(counts, counts[1:]))
         if kind == "ties":
             init = kmeans_init(points, energy, k)
-            d = distances_loop(points, init)
-            nearest = [{tuple(c) for c in init[row == row.min()].tolist()} for row in d]
+            d2 = squared_distances_loop(points, init)
+            nearest = [{tuple(c) for c in init[row == row.min()].tolist()} for row in d2]
             assert any(len(s) > 1 for s in nearest)  # equidistant from two places
             assert (counts[0] == 0).any()  # a centroid on a duplicate stays empty
 
@@ -482,9 +482,10 @@ class TestMovedCentroidReuse:
             def __getattr__(self, name):
                 return getattr(np, name)
 
-            def sqrt(self, x, *args, **kwargs):  # one call per distance block
-                rows[0] += x.size // x.shape[-1]
-                return np.sqrt(x, *args, **kwargs)
+            def add(self, x, *args, **kwargs):  # dx*dx + dy*dy, once per distance block
+                if x.dtype.kind == "f":  # not the update's integer bins
+                    rows[0] += x.size // x.shape[-1]
+                return np.add(x, *args, **kwargs)
 
         monkeypatch.setattr(partitioning, "np", CountingNumpy())
         run_simulation(NetworkConfig(n_nodes=1000, seed=1), KmeansFormation(), 20)
@@ -507,6 +508,41 @@ class TestMovedCentroidReuse:
         assert peak < 3.5 * plane
 
 
+class TestNoSquareRoot:
+    """k-means, fuzzy c-means and HEED's geometry read squared distances
+    only: no call of theirs reaches np.sqrt."""
+
+    @pytest.fixture(autouse=True)
+    def no_sqrt(self, monkeypatch):
+        class NoSqrtNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def sqrt(self, *args, **kwargs):
+                raise AssertionError("np.sqrt called")
+
+        for module in (partitioning, protocols, model):
+            monkeypatch.setattr(module, "np", NoSqrtNumpy())
+
+    @pytest.mark.parametrize("k", [5, 50])  # whole blocks; moved rows only
+    def test_kmeans_run(self, k):
+        points = deploy_nodes(NetworkConfig(n_nodes=1000, seed=1))
+        _, _, iterations = kmeans_from_energy(points, np.ones(len(points)), k)
+        assert iterations > 2
+
+    def test_fcm_run(self):
+        points, _, rng = criterion4_cell(0)
+        seeds = [int(s) for s in rng.integers(0, 2**63, size=4)]
+        assert None not in fcm_run(points, 10, seeds)
+        # seed 2's centroids land on their points, which takes the guarded pair
+        assert None not in fcm_run(pts((0, 0), (100, 0), (0, 100)), 3, [0, 2], tol=1e-300)
+
+    def test_heed_geometry(self):
+        pos = np.random.default_rng(3).uniform(0, 100, (300, 2))  # several row blocks
+        in_range, _ = protocols.heed_geometry(pos, 20.0)
+        assert in_range.any()
+
+
 class TestFcmInit:
     def test_rows_sum_to_one(self):
         assert_memberships(fcm_init(17, 4, seed=3))
@@ -523,7 +559,7 @@ class TestFcmInit:
 
 
 # the kernel's FCM steps: memberships and weights indexed (k, n), and at
-# m = 2 a membership step takes the exponent -2/(m-1) = -2
+# m = 2 a membership step takes the squared distances' exponent -1/(m-1) = -1
 class TestFcmCentroids:
     def test_equal_memberships_give_global_mean(self):
         cents = weighted_centroids(pts((0, 0), (2, 0), (4, 6)), np.full((3, 2), 0.5), 2.0)
@@ -549,20 +585,20 @@ class TestFcmCentroids:
 
 class TestFcmMemberships:
     def test_coincident_point_gets_full_membership(self):
-        u = memberships(pts((1, 3)), pts((1, 3), (9, 9)), -2.0)
+        u = memberships(pts((1, 3)), pts((1, 3), (9, 9)), -1.0)
         assert u.tolist() == [[1.0, 0.0]]
 
     def test_coincident_with_two_centroids_splits(self):
-        u = memberships(pts((1, 3)), pts((1, 3), (1, 3), (9, 9)), -2.0)
+        u = memberships(pts((1, 3)), pts((1, 3), (1, 3), (9, 9)), -1.0)
         assert u.tolist() == [[0.5, 0.5, 0.0]]
 
     def test_equidistant_splits_evenly(self):
-        u = memberships(pts((0.5, 0)), pts((0, 0), (1, 0)), -2.0)
+        u = memberships(pts((0.5, 0)), pts((0, 0), (1, 0)), -1.0)
         assert u[0] == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_hand_evaluated_inverse_square(self):
         # x=0 with centroids at 1 and 3, m=2: u = (0.9, 0.1)
-        u = memberships(pts((0, 0)), pts((1, 0), (3, 0)), -2.0)
+        u = memberships(pts((0, 0)), pts((1, 0), (3, 0)), -1.0)
         assert u[0] == pytest.approx([0.9, 0.1], rel=1e-12)
 
     def test_rows_sum_to_one_randomized(self):
@@ -572,7 +608,7 @@ class TestFcmMemberships:
             k = int(rng.integers(1, 6))
             points = pts(*[rng.uniform(0, 100, 2) for _ in range(n)])
             cents = pts(*[rng.uniform(0, 100, 2) for _ in range(k)])
-            u = memberships(points, cents, -2.0)
+            u = memberships(points, cents, -1.0)
             assert_memberships(u)
 
     def test_nearest_centroid_gets_strict_row_max(self):
@@ -584,12 +620,12 @@ class TestFcmMemberships:
             order = sorted(range(4), key=lambda j: d[j])
             if math.isclose(d[order[0]], d[order[1]]):
                 continue
-            u = memberships(points, cents, -2.0)
+            u = memberships(points, cents, -1.0)
             assert u[0].argmax() == order[0]
             assert u[0][order[0]] > max(v for j, v in enumerate(u[0]) if j != order[0])
 
     def test_invalid_fuzzifier(self):
-        # the exponent -2/(m-1) needs m > 1; FuzzyFormation checks it
+        # the exponent -1/(m-1) needs m > 1; FuzzyFormation checks it
         with pytest.raises(ValueError, match="fuzzifier m"):
             FuzzyFormation(m=1.0)
 
@@ -611,8 +647,8 @@ class TestFcmRun:
         assert iterations == 1
 
     def test_fuzzifier_near_one_raises(self):
-        # d ** -2000 underflows to 0 for every distance above about 1.4, so
-        # each row is 0/0; m = 1.5 (exponent -4) is fine on the same points
+        # d2 ** -1000 underflows to 0 for every distance above about 1.4, so
+        # each row is 0/0; m = 1.5 (exponent -2) is fine on the same points
         points = pts((0, 0), (30, 5), (60, 60), (90, 10))
         with pytest.raises(FcmUnderflow, match="fuzzifier m=1.001"):
             fcm_run(points, 2, [0], m=1.001)
@@ -620,7 +656,7 @@ class TestFcmRun:
         assert not np.isnan(u).any()
 
     def test_point_next_to_a_centroid_overflows(self):
-        # at this scale d ** -2 overflows for any m = 2 distance, so each row
+        # at this scale d2 ** -1 overflows for any m = 2 distance, so each row
         # is inf/inf; the message names the distance, not the fuzzifier
         points = pts((0, 0), (3, 1), (1, 4), (4, 4)) * 1e-160
         with pytest.raises(FcmUnderflow, match="from a centroid.*overflows with m=2.0"):
@@ -637,12 +673,27 @@ class TestFcmRun:
                 continue
             assert (u.max(axis=1) > 0).all()
 
-    def test_overflow_is_told_from_the_weight_sum(self):
-        # one row's weights d ** -2 are both about 1.2e308, finite, and only
+    def test_overflow_is_told_from_the_weight_sum(self, monkeypatch):
+        # one row's weights d2 ** -1 are both about 1.2e308, finite, and only
         # their sum overflows: the message names the distance, not the fuzzifier
         points = np.random.default_rng(12).uniform(0, 3e-154, (6, 2))
-        with pytest.raises(FcmUnderflow, match="from a centroid: the sum .* overflows with m=2.0"):
+        blocks, exact = [], _Workspace.distances
+
+        def distances(self, moved=None):
+            d = exact(self, moved)
+            blocks.append(d[0].copy())  # one run: its (k, n) block, before the weights
+            return d
+
+        monkeypatch.setattr(_Workspace, "distances", distances)
+        with pytest.raises(FcmUnderflow, match="from a centroid: the sum .* overflows with m=2.0") as e:
             fcm_run(points, 2, [12], max_iter=5)
+        # the distance named is in metres, the root of the least d2 between a
+        # centroid and a point whose weight sum overflowed, not that d2
+        d2 = blocks[-1]
+        with np.errstate(over="ignore"):
+            bad = np.isinf((d2 ** -1.0).sum(axis=0))
+        told = str(e.value).split()[3]
+        assert told == f"{math.sqrt(d2[:, bad].min()):.3g}" != f"{d2[:, bad].min():.3g}"
 
     def test_deterministic_per_seed(self):
         points = pts(*[(float(i), float(i % 3)) for i in range(9)])
@@ -681,9 +732,9 @@ class TestFcmRun:
         points = pts((0, 0), (100, 0), (0, 100))
         params = FuzzyFormation(tol=1e-300)
         u0 = fcm_init(3, 3, 0)
-        assert distances_loop(points, fcm_centroids_loop(points, u0, params.m)).all()
+        assert squared_distances_loop(points, fcm_centroids_loop(points, u0, params.m)).all()
         pairs, u, centroids = fcm_pairs(points, u0, params)
-        assert not distances_loop(points, centroids).all()
+        assert not squared_distances_loop(points, centroids).all()
         got_u, got_centroids, iterations = fcm_run(points, 3, [0], tol=1e-300)[0]
         assert (iterations, got_u.tobytes(), got_centroids.tobytes()) == (
             pairs, u.tobytes(), centroids.tobytes())
@@ -745,7 +796,7 @@ class TestFcmBatch:
         assert self.assert_batch_is_its_runs(points, 3, [0, 2], params) == [6, 6]
         (_, apart, _), (_, landed, _) = fcm_run(points, 3, [0, 2], tol=1e-300, max_iter=6)
         assert sorted(landed.tolist()) == sorted(points.tolist())
-        assert distances_loop(points, apart).all()
+        assert squared_distances_loop(points, apart).all()
 
     def test_guarded_pairs_beside_ordinary_runs(self, monkeypatch):
         # seed 1 starts with column 0 on point 0 alone, so centroid 0 lands on
@@ -840,8 +891,8 @@ class TestCriterion4Unreachable:
             for k in CRITERION4_GRID:
                 _, centroids, steps = kmeans_from_energy(points, energy, k,
                                                          max_iter=params.max_iter)
-                # the kernel's membership step, exponent -2/(m-1)
-                u0 = memberships(points, centroids, -2.0 / (params.m - 1.0))
+                # the kernel's membership step, exponent -1/(m-1) on d2
+                u0 = memberships(points, centroids, -1.0 / (params.m - 1.0))
                 pairs, _, _ = fcm_pairs(points, u0, params)
                 if k == len(points):
                     assert (pairs, steps) == (1, 1), seed

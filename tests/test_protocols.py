@@ -255,6 +255,16 @@ class TestHeedCost:
         cost = heed_costs([(0, 0), (3, 0), (4, 0)], radius=25.0)[0]
         assert cost == pytest.approx((9 + 16) / 2)
 
+    def test_range_is_squared_distance_within_squared_radius(self):
+        # d2 = 1 + 2**-52, whose sqrt rounds to exactly 1.0: the radius test
+        # on distances would put the pair in range, the one on d2 does not
+        pos = np.array([(0.0, 0.0), (1.0, 2.0**-26)])
+        d2 = 1.0 + 2.0**-52
+        assert math.sqrt(d2) <= 1.0 < d2
+        in_range, cost = heed_geometry(pos, 1.0)
+        assert not in_range.any()
+        assert cost.tolist() == [1.0, 1.0]
+
     def test_announce_prob_full_energy_equals_c_prob(self):
         params = HeedParams()
         assert heed_announce_prob(params, 0.5, 0.5) == pytest.approx(0.05)
