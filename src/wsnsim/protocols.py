@@ -427,7 +427,7 @@ def heed_geometry(pos: np.ndarray, radius: float) -> tuple:
         np.multiply(sq, block, out=sq)
         sq.sum(axis=1, out=total[s:s + step])
     neighbor_counts = in_range.sum(axis=1)
-    cost = np.where(neighbor_counts > 0, total / np.maximum(neighbor_counts, 1), radius**2)
+    cost = np.where(neighbor_counts > 0, total / np.maximum(neighbor_counts, 1), r2)
     return in_range, cost
 
 

@@ -37,7 +37,7 @@ from wsnsim.protocols import (
     form_clusters_nearest,
 )
 
-from test_protocols import validate
+from shared import best_split, hard_objective, validate
 
 SEEDS = list(range(30))
 BS = (50, 175)
@@ -345,33 +345,6 @@ class TestCriterion7NumericalProperties:
         assert violations == 0
 
 
-def brute_force_best_split(pts: np.ndarray):
-    """Optimal 2-partition objective by vectorized enumeration (n <= 12)."""
-    n = len(pts)
-    masks = np.array(
-        [[(bits >> i) & 1 for i in range(n)] for bits in range(1, 2 ** (n - 1))],
-        dtype=bool,
-    )
-    masks = masks[~masks.all(axis=1)]
-    ssq = (pts**2).sum()
-    total = pts.sum(axis=0)
-    s1 = masks.astype(float) @ pts
-    c1 = masks.sum(axis=1).astype(float)
-    c2 = n - c1
-    s2 = total - s1
-    obj = ssq - (s1**2).sum(axis=1) / c1 - (s2**2).sum(axis=1) / c2
-    best = int(obj.argmin())
-    return float(obj[best]), masks[best]
-
-
-def hard_objective(pts: np.ndarray, assignment: np.ndarray) -> float:
-    obj = 0.0
-    for j in np.unique(assignment):
-        part = pts[assignment == j]
-        obj += ((part - part.mean(axis=0)) ** 2).sum()
-    return float(obj)
-
-
 def kmeans_objectives(pts: np.ndarray, init: np.ndarray, run) -> list[float]:
     """The objective after each Lloyd step of ``run``, a ``kmeans_run`` from
     ``init``: step t's assignment is that of the run capped at t steps. The
@@ -394,7 +367,7 @@ class TestCriterion8OracleEquivalence:
         for _ in range(500):
             n = int(rng.integers(2, 13))
             pts = rng.uniform(0, 100, (n, 2))
-            best, mask = brute_force_best_split(pts)
+            best, mask = best_split(pts)
             init = np.array([pts[mask].mean(axis=0), pts[~mask].mean(axis=0)])
             assignment, _, _ = kmeans_run(pts, init)
             if hard_objective(pts, assignment) > best * (1 + 1e-6) + 1e-9:
@@ -418,7 +391,7 @@ class TestCriterion8OracleEquivalence:
             )
             if len(pts) < 2:
                 continue
-            best, _ = brute_force_best_split(pts)
+            best, _ = best_split(pts)
             u, _, _ = fcm_run(pts, 2, [trial], m=2.0)[0]
             got = hard_objective(pts, defuzzify(u))
             if got > best * (1 + 1e-6) + 1e-9:

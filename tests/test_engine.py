@@ -20,38 +20,11 @@ from wsnsim.engine import (
     sweep_iterations,
 )
 from wsnsim.metrics import result_to_dict
-from wsnsim.model import NetworkConfig, RadioModel, deploy_nodes
+from wsnsim.model import NetworkConfig, deploy_nodes
 from wsnsim.partitioning import FcmUnderflow, defuzzify, fcm_run
 from wsnsim.protocols import Geometry, _centroid_cluster_set, fuzzy_form_clusters
 
-from test_protocols import validate
-
-# powers of two make every charge and subtraction exact in binary floating
-# point, so the death-at-exactly-zero boundary is deterministic
-EXACT_RADIO = RadioModel(
-    e_elec=2.0**-20, e_amp=2.0**-34, e_da=2.0**-22, data_bits=4096, header_bits=256
-)
-
-
-def exact_config(initial_energy: float) -> NetworkConfig:
-    # arena diagonal hypot(60, 80) = 100 exactly; BS 100 m above the origin
-    return NetworkConfig(
-        n_nodes=1,
-        arena=(60.0, 80.0),
-        bs_pos=(0.0, 100.0),
-        initial_energy=initial_energy,
-        radio=EXACT_RADIO,
-        seed=0,
-    )
-
-
-def single_node_round_cost() -> float:
-    # advert at the arena diagonal + aggregation of the node's own signal +
-    # data uplink to the BS, all at distance 100
-    advert = EXACT_RADIO.header_bits * (2.0**-20 + 2.0**-34 * 100.0 * 100.0)
-    aggregate = 2.0**-22 * EXACT_RADIO.data_bits
-    uplink = EXACT_RADIO.data_bits * (2.0**-20 + 2.0**-34 * 100.0 * 100.0)
-    return advert + aggregate + uplink
+from shared import one_node_config, one_node_round_cost, validate
 
 
 def fresh_state(config: NetworkConfig, pos=(0.0, 0.0)) -> SimState:
@@ -87,8 +60,8 @@ def assert_heads_reset(geom, cluster_set, before):
 
 class TestRunRoundSingleNode:
     def test_exact_energy_dies_and_message_not_counted(self):
-        cost = single_node_round_cost()
-        state = fresh_state(exact_config(cost))
+        cost = one_node_round_cost()
+        state = fresh_state(one_node_config(cost))
         state, report = run_round(state, LeachParams())
         assert state.geometry.energy[0] == 0.0
         assert state.alive_count() == 0
@@ -97,8 +70,8 @@ class TestRunRoundSingleNode:
         assert state.bs_messages == 0
 
     def test_ten_times_energy_survives_and_delivers(self):
-        cost = single_node_round_cost()
-        state = fresh_state(exact_config(10 * cost))
+        cost = one_node_round_cost()
+        state = fresh_state(one_node_config(10 * cost))
         state, report = run_round(state, LeachParams())
         assert state.alive_count() == 1
         assert report.bs_messages_delivered == 1

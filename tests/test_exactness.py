@@ -1,25 +1,14 @@
-"""Bit-for-bit equality of the array code with the scalar code it replaced.
-
-The scalar versions below are the oracles: the nearest-head join, the LEACH
-election, the EECS and HEED formations and the per-charge ledger as they
-were written before they moved to arrays. Each new version must give the
-same ClusterSet, the same random stream and the same floating-point values,
-compared with ``==``.
-
-The oracles name nodes by ids that are gapped and shuffled (``OracleNode``).
-Each test builds the ``Geometry`` from the nodes in id order and maps the rows
-of the results back to ids through that order, so the oracles' lowest-id
-tie-breaks check the formations' lowest-row ones.
+"""Bit-for-bit equality of the array code with the scalar code it replaced,
+one class per contract: the distances, the joins, the formations, HEED's
+geometry, the work counts of each path, the ledger and the memory bounds.
+The oracles, the network builders and the counting shims are in ``shared``.
 """
 
-import collections
 import copy
 import math
 import sys
 import tracemalloc
-import types
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -27,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import wsnsim.engine
 from wsnsim import protocols
 from wsnsim.engine import (
     EecsParams,
@@ -35,40 +23,42 @@ from wsnsim.engine import (
     HeedParams,
     KmeansFormation,
     LeachParams,
-    RoundReport,
     SimState,
-    SimulationComplete,
-    _form_clusters,
     run_round,
     run_simulation,
     sweep_iterations,
 )
-from wsnsim.model import (
-    NEVER_CLUSTER_HEAD,
-    NetworkConfig,
-    aggregate_energy,
-    euclidean_distance,
-    rx_energy,
-    squared_distances,
-    tx_energy,
-)
+from wsnsim.model import NetworkConfig, euclidean_distance, squared_distances
 from wsnsim.protocols import (
-    Cluster,
-    ClusterSet,
     Geometry,
     eecs_form_clusters,
     enforce_ch_separation,
     form_clusters_nearest,
-    heed_announce_prob,
     heed_form_clusters,
     heed_geometry,
-    head_quota,
     leach_elect,
-    leach_threshold,
-    rotation_period,
 )
 
-# --- math.hypot ----------------------------------------------------------------
+from shared import (
+    BS,
+    TIE_NETWORKS,
+    OracleNode,
+    alive_of,
+    count_calls,
+    count_hypot,
+    geometry_of,
+    heed_cost,
+    ids_of,
+    in_step,
+    oracle_eecs_form_clusters,
+    oracle_enforce_ch_separation,
+    oracle_form_clusters_nearest,
+    oracle_heed_form_clusters,
+    oracle_heed_geometry,
+    oracle_leach_elect,
+    oracle_run_round,
+    tie_network,
+)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -81,7 +71,53 @@ def math_hypot(dx, dy):
         return np.vectorize(math.hypot, otypes=[float])(dx, dy)
 
 
+def random_network(rng, n, grid=False):
+    """Nodes with shuffled, gapped ids, some dead; ``grid`` puts them on
+    integer points so that equal distances (ties) are common."""
+    ids = rng.permutation(3 * n)[:n]
+    nodes = []
+    for i in ids.tolist():
+        xy = rng.integers(0, 12, 2) * 5.0 if grid else rng.uniform(0, 100, 2)
+        energy = float(rng.uniform(0.01, 1.0))
+        alive = rng.random() > 0.15
+        nodes.append(OracleNode(id=i, pos=tuple(xy.tolist()), energy=energy if alive else 0.0))
+    if not alive_of(nodes):
+        nodes[0].energy = 0.5
+    return nodes
+
+
+NETWORKS = [(seed, grid, sep) for seed in range(40) for grid in (False, True)
+            for sep in (0.0, 15.0)]
+# from seed 100 on, the networks have 350 to 600 nodes: past Geometry's
+# distance table (n > 256), and enough alive ones for heed_geometry to build
+# them in two row blocks or more
+LARGE_NETWORKS = NETWORKS + [(seed, grid, sep) for seed in range(100, 103)
+                             for grid in (False, True) for sep in (0.0, 15.0)]
+
+
+def sized_network(rng, seed, grid, n_max):
+    if seed < 100:
+        return random_network(rng, int(rng.integers(1, n_max)), grid)
+    nodes = random_network(rng, int(rng.integers(350, 600)), grid)
+    alive = len(alive_of(nodes))
+    assert alive > protocols._BLOCK // alive  # two row blocks or more
+    return nodes
+
+
+def eecs_params(rng, sep):
+    return EecsParams(p=float(rng.uniform(0.05, 1.0)), w=float(rng.choice([0.0, 0.5, 1.0])),
+                      suppress_radius=float(rng.uniform(0, 40)),
+                      join_radius=float(rng.uniform(5, 60)),
+                      head_fraction=float(rng.uniform(0.02, 0.3)), ch_separation=sep)
+
+
 class TestGeometryDistances:
+    """``Geometry``'s exact distances, the table and ``bs_d``, are the ledger's
+    ``math.hypot`` of the coordinate differences, on the values a numpy path
+    could round differently: zeros, subnormals, magnitudes whose squares
+    overflow and tie networks. Its join distance, ``block``, is
+    ``np.sqrt(squared_distances)``, gathered or computed."""
+
     @settings(max_examples=500, deadline=None)
     @given(st.data())
     def test_every_exact_distance_is_math_hypot(self, data):
@@ -112,31 +148,6 @@ class TestGeometryDistances:
         assert got.tobytes() == ledger.tobytes()
         mirror = np.array([[table[m][h] for h in rows] for m in cols]).reshape(len(cols), len(rows))
         assert got.tobytes() == mirror.T.tobytes()
-
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("n", [256, 257])
-    def test_join_block_is_sqrt_of_d2(self, n, seed):
-        # gathered from the n x n block at n = 256, computed at 257: the same
-        # bits, np.sqrt of squared_distances, and each block is the transpose
-        # of its mirror, on alive subsets and on drawn rows and columns
-        rng = np.random.default_rng(seed)
-        pos = rng.uniform(0, 100, (n, 2))
-        geom = Geometry(pos, BS, 1.0)
-        geom.energy[rng.choice(n, 20, replace=False)] = 0.0
-        alive = geom.alive()
-        for r, c in [(alive, alive), (rng.choice(alive, 30), rng.choice(n, 90)),
-                     (alive[:1], alive), (alive, alive[:0])]:
-            got = geom.block(r, c)
-            assert got.tobytes() == np.sqrt(squared_distances(pos[r], pos[c])).tobytes()
-            assert got.tobytes() == geom.block(c, r).T.tobytes()
-        assert (geom._block is not None) == (n <= 256)
-
-
-class TestExactDistancesAtExtremes:
-    """``Geometry``'s exact distances, the table and ``bs_d``, are the ledger's
-    ``math.hypot`` of the coordinate differences on the values a numpy path
-    could round differently: zeros, subnormals and magnitudes whose squares
-    overflow."""
 
     @settings(max_examples=500, deadline=None)
     @given(st.data())
@@ -181,497 +192,112 @@ class TestExactDistancesAtExtremes:
                 got += Geometry(np.vstack([part, [0.0, 0.0]]), (0.0, 0.0), 1.0).table[-1][:-1]
             assert np.array(got).tobytes() == math_hypot(xs, ys).tobytes()
 
+    @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
+    def test_table_rows_equal_math_hypot(self, seed, kind):
+        # table[h][m] is the ledger's math.hypot(mx - hx, my - hy), bit for bit
+        nodes, _ = tie_network(np.random.default_rng(seed), kind, 20, 120)
+        geom, _ = geometry_of(nodes)
+        xy = geom.pos.tolist()
+        expected = [[math.hypot(mx - hx, my - hy) for mx, my in xy] for hx, hy in xy]
+        assert np.array(geom.table).tobytes() == np.array(expected).tobytes()
 
-# --- scalar formation oracles ---------------------------------------------------
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_join_block_is_sqrt_of_d2(self, n, seed):
+        # gathered from the n x n block at n = 256, computed at 257: the same
+        # bits, np.sqrt of squared_distances, and each block is the transpose
+        # of its mirror, on alive subsets and on drawn rows and columns
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(0, 100, (n, 2))
+        geom = Geometry(pos, BS, 1.0)
+        geom.energy[rng.choice(n, 20, replace=False)] = 0.0
+        alive = geom.alive()
+        for r, c in [(alive, alive), (rng.choice(alive, 30), rng.choice(n, 90)),
+                     (alive[:1], alive), (alive, alive[:0])]:
+            got = geom.block(r, c)
+            assert got.tobytes() == np.sqrt(squared_distances(pos[r], pos[c])).tobytes()
+            assert got.tobytes() == geom.block(c, r).T.tobytes()
+        assert (geom._block is not None) == (n <= 256)
 
-
-BS = (50.0, 175.0)
-
-
-@dataclass
-class OracleNode:
-    """A node as the oracles see it: an id of its own and an (x, y) position."""
-
-    id: int
-    pos: tuple[float, float]
-    energy: float
-    rounds_since_ch: int = NEVER_CLUSTER_HEAD
-
-
-def geometry_of(nodes, bs=BS):
-    """The ``Geometry`` of ``nodes``, one row per node in id order, and the
-    ids in that order: row r holds the node whose id is ``ids[r]``."""
-    nodes = sorted(nodes, key=lambda n: n.id)
-    geom = Geometry([n.pos for n in nodes], bs, [n.energy for n in nodes])
-    geom.rounds_since_ch[:] = [n.rounds_since_ch for n in nodes]
-    return geom, [n.id for n in nodes]
-
-
-def ids_of(cluster_set, ids):
-    """``cluster_set`` with every row replaced by its node's id."""
-    clusters = [Cluster(ids[c.head], [ids[m] for m in c.members]) for c in cluster_set.clusters]
-    return ClusterSet(clusters)
-
-
-def alive_of(nodes):
-    return [n for n in nodes if n.energy > 0]
-
-
-def oracle_leach_elect(nodes, params, r, rng):
-    alive = alive_of(nodes)
-    heads = set()
-    for node in sorted(alive, key=lambda n: n.id):
-        draw = float(rng.random())
-        # eligible iff the node has not served since the period began
-        eligible = node.rounds_since_ch >= r % rotation_period(params.p)
-        if eligible and draw < leach_threshold(params.p, r):
-            heads.add(node.id)
-    if not heads:
-        heads.add(min(alive, key=lambda n: (-n.energy, n.id)).id)
-    return heads
-
-
-def join_distance(a, b):
-    """The joins' distance between two (x, y) points, ``math.sqrt(dx*dx + dy*dy)``;
-    the charges and the suppression scan take ``euclidean_distance``."""
-    dx, dy = a[0] - b[0], a[1] - b[1]
-    return math.sqrt(dx * dx + dy * dy)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_block_kept_across_heed_formations(self, seed):
+        # HEED keeps its mask and ranks, no float block: its join reads
+        # Geometry.block, at n <= 256 the n x n np.sqrt(dx*dx + dy*dy) built
+        # by the first formation and kept by the Geometry across formations
+        # and deaths, above it none
+        rng = np.random.default_rng(seed)
+        for n in (int(rng.integers(21, 257)), 256, 257, int(rng.integers(258, 400))):
+            pos = rng.uniform(0, 100, (n, 2))
+            geom = Geometry(pos, BS, 1.0)
+            blocks = []
+            for _ in range(2):
+                geom.energy[rng.choice(n, 10, replace=False)] = 0.0
+                rows = geom.alive()
+                assert [a.dtype.kind for a in geom.heed(rows, 20.0)] == ["b", "i"]
+                heed_form_clusters(geom, HeedParams(), rng)
+                blocks.append(geom._block)
+            if n <= 256:
+                assert blocks[0] is blocks[1]
+                assert blocks[0].tobytes() == np.sqrt(squared_distances(pos, pos)).tobytes()
+            else:
+                assert blocks == [None, None]
 
 
-def oracle_form_clusters_nearest(nodes, ch_ids):
-    alive = alive_of(nodes)
-    by_id = {n.id: n for n in alive}
-    heads = sorted(ch_ids)
-    clusters = {h: Cluster(head=h) for h in heads}
-    # members in id order, as every formation lists them
-    for node in sorted(alive, key=lambda n: n.id):
-        if node.id in ch_ids:
-            continue
-        best = min(heads, key=lambda h: (join_distance(node.pos, by_id[h].pos), h))
-        clusters[best].members.append(node.id)
-    return ClusterSet(clusters=[clusters[h] for h in heads])
-
-
-def heed_cost(candidate, nodes, radius):
-    """Mean squared distance from ``candidate`` to its alive neighbors within
-    ``radius``; radius^2 for a candidate without neighbors."""
-    sq = [
-        euclidean_distance(candidate.pos, other.pos) ** 2
-        for other in nodes
-        if other.energy > 0 and other.id != candidate.id
-        and euclidean_distance(candidate.pos, other.pos) <= radius
-    ]
-    return sum(sq) / len(sq) if sq else radius * radius
-
-
-def oracle_enforce_ch_separation(ch_ids, nodes, min_dist):
-    by_id = {n.id: n for n in nodes}
-    order = sorted(ch_ids, key=lambda i: (-by_id[i].energy, i))
-    kept = []
-    for cand in order:
-        if all(euclidean_distance(by_id[cand].pos, by_id[k].pos) >= min_dist for k in kept):
-            kept.append(cand)
-    return set(kept)
-
-
-def oracle_heed_geometry(pos, radius):
-    """HEED's distances, neighbor mask and costs from whole n x n arrays."""
-    diff = pos[:, None, :] - pos[None, :, :]
-    sq = (diff * diff).sum(axis=2)
-    dist = np.sqrt(sq)
-    in_range = sq <= radius * radius
-    np.fill_diagonal(in_range, False)
-    neighbor_counts = in_range.sum(axis=1)
-    cost = np.where(
-        neighbor_counts > 0,
-        (sq * in_range).sum(axis=1) / np.maximum(neighbor_counts, 1),
-        radius**2,
-    )
-    return dist, in_range, cost
-
-
-def oracle_heed_form_clusters(nodes, params, rng):
-    alive = sorted(alive_of(nodes), key=lambda n: n.id)
-    n = len(alive)
-    pos = np.array([a.pos for a in alive], dtype=float)
-    ids = np.array([a.id for a in alive])
-    energy = np.array([a.energy for a in alive])
-    dist, in_range, cost = oracle_heed_geometry(pos, params.cluster_radius)
-    prob = heed_announce_prob(params, energy, float(energy.max()))
-    announced = np.zeros(n, dtype=bool)
-    rank = np.empty(n, dtype=int)
-    rank[np.lexsort((ids, cost))] = np.arange(n)
-    waves = min(params.announce_waves, params.iteration_bound)
-    iterations = 0
-    while iterations < waves:
-        iterations += 1
-        covered = announced | (in_range & announced[None, :]).any(axis=1)
-        if covered.all():
-            break
-        draws = rng.random(n)
-        announced |= ~covered & ((prob >= 1.0) | (draws < prob))
-        prob = np.minimum(prob * 2.0, 1.0)
-    if not announced.any():
-        announced[int(np.lexsort((ids, -energy))[0])] = True
-
-    heard = in_range & announced[None, :]
-    heard |= np.diag(announced)
-    final = np.zeros(n, dtype=bool)
-    for i in np.flatnonzero(announced):
-        keys = np.where(heard[i], rank, n)
-        if int(keys.argmin()) == i:
-            final[i] = True
-    head_idx = np.flatnonzero(final)
-    heads = {int(ids[i]) for i in head_idx}
-    if params.ch_separation > 0:
-        heads = oracle_enforce_ch_separation(heads, alive, params.ch_separation)
-        head_idx = np.flatnonzero(np.isin(ids, sorted(heads)))
-
-    clusters = {int(ids[i]): Cluster(head=int(ids[i])) for i in head_idx}
-    for i in range(n):
-        if int(ids[i]) in heads:
-            continue
-        choices = [j for j in head_idx if in_range[i, j]]
-        if choices:
-            best = min(choices, key=lambda j: (cost[j], ids[j]))
-        else:
-            best = min(head_idx, key=lambda j: (dist[i, j], ids[j]))
-        clusters[int(ids[best])].members.append(int(ids[i]))
-    return ClusterSet(clusters=[clusters[h] for h in sorted(clusters)]), iterations
-
-
-def oracle_eecs_form_clusters(nodes, bs, params, rng):
-    alive = sorted(alive_of(nodes), key=lambda n: n.id)
-    draws = {n.id: float(rng.random()) for n in alive}
-    candidates = [n for n in alive if draws[n.id] < params.p]
-    if not candidates:
-        candidates = [min(alive, key=lambda n: (-n.energy, n.id))]
-    quota = head_quota(len(alive), params.head_fraction)
-    kept = []
-    for cand in sorted(candidates, key=lambda n: (-n.energy, n.id)):
-        if len(kept) >= quota:
-            break
-        if all(euclidean_distance(cand.pos, o.pos) > params.suppress_radius for o in kept):
-            kept.append(cand)
-    heads = {n.id for n in kept}
-    if params.ch_separation > 0:
-        heads = oracle_enforce_ch_separation(heads, alive, params.ch_separation)
-        kept = [n for n in kept if n.id in heads]
-
-    bs_dist = {n.id: euclidean_distance(n.pos, bs) for n in kept}
-    d_bs_min = min(bs_dist.values())
-    bs_span = max(bs_dist.values()) - d_bs_min
-    clusters = {h: Cluster(head=h) for h in sorted(heads)}
-    for node in alive:
-        if node.id in heads:
-            continue
-        dists = {h.id: join_distance(node.pos, h.pos) for h in kept}
-        reachable = [h for h in kept if dists[h.id] <= params.join_radius]
-        if not reachable:
-            best = min(kept, key=lambda h: (dists[h.id], h.id))
-        else:
-            d_max = max(dists[h.id] for h in reachable)
-
-            def cost(h):
-                member_term = dists[h.id] / d_max if d_max > 0 else 0.0
-                bs_term = (bs_dist[h.id] - d_bs_min) / bs_span if bs_span > 0 else 0.0
-                return params.w * member_term + (1.0 - params.w) * bs_term
-
-            best = min(reachable, key=lambda h: (cost(h), h.id))
-        clusters[best.id].members.append(node.id)
-    return ClusterSet(clusters=[clusters[h] for h in sorted(clusters)])
-
-
-def random_network(rng, n, grid=False):
-    """Nodes with shuffled, gapped ids, some dead; ``grid`` puts them on
-    integer points so that equal distances (ties) are common."""
-    ids = rng.permutation(3 * n)[:n]
-    nodes = []
-    for i in ids.tolist():
-        xy = rng.integers(0, 12, 2) * 5.0 if grid else rng.uniform(0, 100, 2)
-        energy = float(rng.uniform(0.01, 1.0))
-        alive = rng.random() > 0.15
-        nodes.append(OracleNode(id=i, pos=tuple(xy.tolist()), energy=energy if alive else 0.0))
-    if not alive_of(nodes):
-        nodes[0].energy = 0.5
-    return nodes
-
-
-def shape(cluster_set):
-    return [(c.head, c.members) for c in cluster_set.clusters]
-
-
-NETWORKS = [(seed, grid, sep) for seed in range(40) for grid in (False, True)
-            for sep in (0.0, 15.0)]
-# from seed 100 on, the networks have 350 to 600 nodes: past Geometry's
-# distance table (n > 256), and enough alive ones for heed_geometry to build
-# them in two row blocks or more
-LARGE_NETWORKS = NETWORKS + [(seed, grid, sep) for seed in range(100, 103)
-                             for grid in (False, True) for sep in (0.0, 15.0)]
-
-
-def sized_network(rng, seed, grid, n_max):
-    if seed < 100:
-        return random_network(rng, int(rng.integers(1, n_max)), grid)
-    nodes = random_network(rng, int(rng.integers(350, 600)), grid)
-    alive = len(alive_of(nodes))
-    assert alive > protocols._BLOCK // alive  # two row blocks or more
-    return nodes
-
-
-def eecs_formations(rng, seed, nodes, sep):
-    """Build the Geometry of ``nodes``, then run 30 EECS formations on it with
-    parameters drawn from ``rng``, each checked against the oracle, and yield
-    each formation's ClusterSet with the Geometry and the parameters. Between
-    formations heads drain faster than members, and a few nodes die outright."""
-    params = EecsParams(p=float(rng.uniform(0.05, 1.0)), w=float(rng.choice([0.0, 0.5, 1.0])),
-                        suppress_radius=float(rng.uniform(0, 40)),
-                        join_radius=float(rng.uniform(5, 60)),
-                        head_fraction=float(rng.uniform(0.02, 0.3)), ch_separation=sep)
-    bs = (50.0, float(rng.choice([50.0, 175.0])))
-    a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+def eecs_past_the_table(monkeypatch, nodes, params, bs, seed):
+    """EECS on ``nodes``, past the table, checked against the oracle, with no
+    exact distance computed but the suppression scan's; returns the result,
+    in ids, the Geometry and the ids in row order."""
     geom, ids = geometry_of(nodes, bs)
-
-    def formations():
-        for _ in range(30):
-            got = eecs_form_clusters(geom, params, a)
-            assert shape(ids_of(got, ids)) == shape(oracle_eecs_form_clusters(nodes, bs, params, b))
-            yield got, geom, params
-            for row, node in enumerate(nodes):
-                node.energy *= float(rng.uniform(0.5, 0.8) if row in got.heads
-                                     else rng.uniform(0.9, 1.0)) * (rng.random() > 0.03)
-            assert alive_of(nodes)
-            geom.energy[:] = [n.energy for n in nodes]
-
-    return formations()
+    calls = count_hypot(monkeypatch)
+    got = in_step(seed, ids, lambda rng: eecs_form_clusters(geom, params, rng),
+                  lambda rng: oracle_eecs_form_clusters(nodes, bs, params, rng))
+    assert geom.table is None
+    assert set(calls) <= {"_thin"}  # the suppression scan's, and no other
+    return ids_of(got, ids), geom, ids
 
 
-class TestFormationsMatchScalarOracles:
-    @pytest.mark.parametrize("seed,grid,sep", NETWORKS)
-    def test_leach(self, seed, grid, sep):
+def hand_network(rng, *cases):
+    """Heads 0 (at (100, 100)) and 1 (at (160, 100)) elect, the richest
+    nodes; the ``cases`` are members at given points, and 300 more lie
+    within 45 m of one head. The base station lies on the heads'
+    bisector, so their sink terms are equal."""
+    angle, radius = rng.uniform(0, 2 * math.pi, 300), rng.uniform(1.0, 45.0, 300)
+    near = np.column_stack((100.0 + 60.0 * rng.integers(0, 2, 300) + radius * np.cos(angle),
+                            100.0 + radius * np.sin(angle)))
+    points = [(100.0, 100.0), (160.0, 100.0), *cases, *near.tolist()]
+    nodes = [OracleNode(id=i, pos=tuple(p), energy=0.5) for i, p in enumerate(points)]
+    nodes[0].energy, nodes[1].energy = 1.0, 0.9
+    params = EecsParams(p=1.0, w=1.0, suppress_radius=30.0, join_radius=50.0,
+                        head_fraction=1.5 / len(nodes))
+    return nodes, params, (130.0, 1000.0)
+
+
+class TestJoinsMatchBlock:
+    """Every join compares ``Geometry.block``: the n x n block at n <= 256,
+    one over its heads and members above. Each is checked against the
+    oracles' ``math.sqrt(dx*dx + dy*dy)`` on tie networks, where rounding or
+    an exact tie decides."""
+
+    @pytest.mark.parametrize("n_low,n_high", [(20, 120), (257, 401)], ids=["block", "rows"])
+    @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
+    def test_leach(self, monkeypatch, seed, kind, n_low, n_high):
+        # LEACH's join: the argmin over heads, built in one d2 call; it reads
+        # no exact distance, so builds no table
         rng = np.random.default_rng(seed)
-        nodes = random_network(rng, int(rng.integers(1, 90)), grid)
-        for node in nodes:
-            node.rounds_since_ch = int(rng.integers(0, 25))
-        params = LeachParams(p=float(rng.uniform(0.02, 0.5)))
-        r = int(rng.integers(0, 60))
-        a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        nodes, _ = tie_network(rng, kind, n_low, n_high)
+        heads = {n.id for n in nodes[:len(nodes) // 4]} if kind == "bisector" else (
+            {n.id for n in nodes if rng.random() < 0.2} or {nodes[0].id})
         geom, ids = geometry_of(nodes)
-        heads = leach_elect(geom, params, r, a)
-        assert {ids[h] for h in heads} == oracle_leach_elect(nodes, params, r, b)
-        assert a.random() == b.random()  # the streams stay in step
-        if sep:
-            expected = oracle_enforce_ch_separation({ids[h] for h in heads}, alive_of(nodes), sep)
-            heads = enforce_ch_separation(geom, heads, sep)
-            assert {ids[h] for h in heads} == expected
-        assert shape(ids_of(form_clusters_nearest(geom, heads), ids)) == shape(
-            oracle_form_clusters_nearest(nodes, {ids[h] for h in heads}))
-
-    @pytest.mark.parametrize("seed,grid,sep", LARGE_NETWORKS)
-    def test_heed(self, seed, grid, sep):
-        rng = np.random.default_rng(seed)
-        nodes = sized_network(rng, seed, grid, 90)
-        params = HeedParams(cluster_radius=float(rng.uniform(5, 40)),
-                            announce_waves=int(rng.integers(1, 5)), ch_separation=sep)
-        a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        geom, ids = geometry_of(nodes)
-        got, it_got = heed_form_clusters(geom, params, a)
-        expected, it_expected = oracle_heed_form_clusters(nodes, params, b)
-        assert it_got == it_expected
-        assert shape(ids_of(got, ids)) == shape(expected)
-        assert a.random() == b.random()
-
-    @pytest.mark.parametrize("seed,grid,sep", LARGE_NETWORKS)
-    def test_eecs(self, seed, grid, sep):
-        # the suppression and separation scans read the distance table, and
-        # from seed 100 on compute their distances
-        rng = np.random.default_rng(seed)
-        nodes = sized_network(rng, seed, grid, 90)
-        params = EecsParams(p=float(rng.uniform(0.05, 1.0)), w=float(rng.choice([0.0, 0.5, 1.0])),
-                            suppress_radius=float(rng.uniform(0, 40)),
-                            join_radius=float(rng.uniform(5, 60)),
-                            head_fraction=float(rng.uniform(0.02, 0.3)), ch_separation=sep)
-        bs = (50.0, float(rng.choice([50.0, 175.0])))
-        a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        geom, ids = geometry_of(nodes, bs)
-        got = eecs_form_clusters(geom, params, a)
-        assert shape(ids_of(got, ids)) == shape(oracle_eecs_form_clusters(nodes, bs, params, b))
-        assert a.random() == b.random()
-
-    @pytest.mark.parametrize("seed,n", [(s, n) for s in range(10) for n in (90, 400)])
-    def test_eecs_suppression_at_exactly_the_radius(self, seed, n):
-        # on the 5 m grid many candidates lie exactly suppress_radius from a
-        # stronger one, and yield to it: through the table at n <= 256, through
-        # math.hypot above
-        rng = np.random.default_rng(seed)
-        nodes = random_network(rng, int(rng.integers(n // 3, n)), grid=True)
-        params = EecsParams(p=float(rng.uniform(0.3, 1.0)),
-                            suppress_radius=5.0 * float(rng.integers(1, 5)),
-                            head_fraction=float(rng.uniform(0.1, 0.3)))
-        a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        geom, ids = geometry_of(nodes)
-        got = eecs_form_clusters(geom, params, a)
-        assert shape(ids_of(got, ids)) == shape(oracle_eecs_form_clusters(nodes, BS, params, b))
-        assert (geom.table is None) == (len(nodes) > 256)
-
-    @pytest.mark.parametrize("seed,grid,sep", [c for c in NETWORKS if c[0] < 8])
-    def test_eecs_warm_store(self, monkeypatch, seed, grid, sep):
-        # one Geometry through 30 formations: at n <= 256 every distance is
-        # computed when the first formation reads the table, before later
-        # deaths, and only read after
-        rng = np.random.default_rng(seed)
-        nodes = sorted(random_network(rng, int(rng.integers(20, 90)), grid), key=lambda n: n.id)
         exact = count_hypot(monkeypatch)
-        formations = eecs_formations(rng, seed, nodes, sep)
-        assert exact.total() == len(nodes)  # the sink distances
-        assert len(list(formations)) == 30
-        assert exact.total() == len(nodes) + len(nodes) ** 2
-
-    @pytest.mark.parametrize("seed,grid,sep", [c for c in NETWORKS if c[0] < 2 and not c[1]])
-    def test_eecs_exact_rows_past_the_table(self, monkeypatch, seed, grid, sep):
-        # at n > 256 there is no table and nothing is kept between rounds:
-        # each formation computes one d2 block, its join's, over its heads and
-        # members, and no exact distance but the suppression scan's
-        rng = np.random.default_rng(seed)
-        nodes = sorted(random_network(rng, int(rng.integers(500, 600)), grid), key=lambda n: n.id)
-        formations = eecs_formations(rng, seed, nodes, sep)
-        calls = count_hypot(monkeypatch)
         d2 = count_calls(monkeypatch, protocols, "squared_distances")
-        for i, (_, geom, _) in enumerate(formations, 1):
-            assert geom.table is None and set(calls) <= {"_thin"}
-            assert d2[0] == i
-
-    @pytest.mark.parametrize("seed,grid", [(s, g) for s in [*range(20), 100, 101]
-                                           for g in (False, True)])
-    def test_heed_cost(self, seed, grid):
-        # the scalar cost was never bit-equal to the array one (math.hypot and
-        # sequential sums against sqrt(dx*dx + dy*dy) and pairwise sums)
-        rng = np.random.default_rng(seed)
-        nodes = alive_of(sized_network(rng, seed, grid, 60))
-        radius = float(rng.uniform(5, 40))
-        pos = np.array([n.pos for n in nodes])
-        _, cost = heed_geometry(pos, radius)
-        assert cost.tolist() == pytest.approx(
-            [heed_cost(c, nodes, radius) for c in nodes], rel=1e-12)
-
-    @pytest.mark.parametrize("seed,grid", [(s, g) for s in [*range(10), *range(100, 106)]
-                                           for g in (False, True)])
-    def test_heed_geometry_in_row_blocks(self, seed, grid):
-        # built a row block at a time, the mask and the costs equal those of
-        # the whole n x n arrays bit for bit: each cost row is still summed
-        # over its whole row, in numpy's pairwise order
-        rng = np.random.default_rng(seed)
-        nodes = alive_of(sized_network(rng, seed, grid, 90))
-        pos = np.array([n.pos for n in nodes])
-        radius = float(rng.integers(1, 31)) if grid else float(rng.uniform(1, 30))
-        _, in_range, cost = oracle_heed_geometry(pos, radius)
-        got_in_range, got_cost = heed_geometry(pos, radius)
-        assert np.array_equal(got_in_range, in_range)
-        assert got_cost.tobytes() == cost.tobytes()
-
-
-# --- the joins on tie networks ---------------------------------------------------
-
-
-def tie_network(rng, n, kind):
-    """Alive nodes whose join distances tie or nearly tie: exact ties on an
-    integer grid, coincident nodes, nodes on the bisectors of node pairs
-    (where rounding decides the nearer end), or a 1e-160 m arena where every
-    d2 is subnormal or 0 (one that ``NetworkConfig`` refuses)."""
-    if kind == "grid":
-        xy = rng.integers(0, 6, (n, 2)) * 1.0
-    elif kind == "coincident":
-        xy = rng.uniform(0, 100, (max(1, n // 4), 2))[rng.integers(0, max(1, n // 4), n)]
-    elif kind == "bisector":
-        ends = rng.uniform(0, 100, (max(2, n // 4), 2))
-        a, b = ends[rng.integers(0, len(ends), (2, n - len(ends)))]
-        mid, normal = (a + b) / 2, (b - a)[:, ::-1] * [-1.0, 1.0]
-        xy = np.vstack([ends, mid + rng.uniform(-2, 2, (len(mid), 1)) * normal])
-    else:
-        xy = rng.uniform(0, 1e-160, (n, 2))
-    ids = rng.permutation(3 * n)[:n]
-    return [OracleNode(id=int(i), pos=tuple(p), energy=1.0) for i, p in zip(ids, xy.tolist())]
-
-
-def count_hypot(monkeypatch):
-    """Make ``math.hypot``, as ``protocols`` and ``engine`` call it, count its
-    calls by the function that makes them (a comprehension's by the function
-    around it): ``__init__`` for the sink distances, ``table``, ``_thin``'s
-    greedy scans and ``run_round``'s ledger past the table."""
-    calls = collections.Counter()
-
-    def hypot(*args):
-        frame = sys._getframe(1)
-        while frame.f_code.co_name.startswith("<"):
-            frame = frame.f_back
-        calls[frame.f_code.co_name] += 1
-        return math.hypot(*args)
-
-    shim = types.SimpleNamespace(**{**vars(math), "hypot": hypot})
-    monkeypatch.setattr(wsnsim.engine, "math", shim)
-    monkeypatch.setattr(protocols, "math", shim)
-    return calls
-
-
-TIE_NETWORKS = [(seed, kind) for seed in range(15)
-                for kind in ("grid", "coincident", "bisector", "tiny")]
-
-
-def join_tie_network(monkeypatch, seed, kind, n_low, n_high):
-    """LEACH's join on a tie network of ``n_low`` to ``n_high`` nodes, checked
-    against the oracle; returns its Geometry, its head count and the
-    ``math.hypot`` calls and d2 blocks the join made."""
-    rng = np.random.default_rng(seed)
-    nodes = tie_network(rng, int(rng.integers(n_low, n_high)), kind)
-    heads = {n.id for n in nodes[:len(nodes) // 4]} if kind == "bisector" else (
-        {n.id for n in nodes if rng.random() < 0.2} or {nodes[0].id})
-    geom, ids = geometry_of(nodes)
-    exact = count_hypot(monkeypatch)
-    d2 = count_calls(monkeypatch, protocols, "squared_distances")
-    got = form_clusters_nearest(geom, {ids.index(h) for h in heads})
-    assert shape(ids_of(got, ids)) == shape(oracle_form_clusters_nearest(nodes, heads))
-    return geom, len(heads), exact.total(), d2[0]
-
-
-def count_calls(monkeypatch, module, name):
-    """Make ``module.name`` count its calls."""
-    counted = [0]
-    fn = getattr(module, name)
-
-    def counting(*args):
-        counted[0] += 1
-        return fn(*args)
-
-    monkeypatch.setattr(module, name, counting)
-    return counted
-
-
-class TestCertifiedJoin:
-    """LEACH's join: the argmin over heads of ``Geometry.block``, checked
-    against the oracle's ``math.sqrt(dx*dx + dy*dy)`` where rounding decides,
-    through the gathered block and the computed one. (The class
-    keeps the name of the certified join it replaced, and with it its test
-    ids.)"""
-
-    @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
-    def test_tie_networks_match_oracle_through_the_table(self, monkeypatch, seed, kind):
-        # at n <= 256 the join gathers from the n x n block, built in one d2
-        # call; it reads no exact distance, so builds no table
-        geom, _, exact, d2 = join_tie_network(monkeypatch, seed, kind, 20, 120)
-        assert geom.whole
-        assert d2 == 1
-        assert exact == 0
-
-    @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
-    def test_tie_networks_match_oracle_through_the_exact_path(self, monkeypatch, seed, kind):
-        # past the table the join computes its heads x members block, in one
-        # d2 call, and still no exact distance
-        geom, _, exact, d2 = join_tie_network(monkeypatch, seed, kind, 257, 401)
-        assert geom.table is None and d2 == 1
-        assert exact == 0
+        got = form_clusters_nearest(geom, {ids.index(h) for h in heads})
+        assert ids_of(got, ids) == oracle_form_clusters_nearest(nodes, heads)
+        assert geom.whole if n_low < 256 else geom.table is None
+        assert d2[0] == 1
+        assert exact.total() == 0
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_random_blocks_need_no_exact_rows(self, monkeypatch, seed):
+    def test_leach_on_random_positions(self, monkeypatch, seed):
         # on random positions no two heads lie within ulps of a member, so the
         # join chooses the heads math.hypot would
         rng = np.random.default_rng(seed)
@@ -687,85 +313,41 @@ class TestCertifiedJoin:
         assert [c.members for c in got.clusters] == [rows[nearest == j].tolist()
                                                      for j in range(len(cols))]
 
-
-def eecs_tie_network(rng, kind, sep):
-    """A tie network (``tie_network``) of 257 to 600 nodes, past the table,
-    with drawn energies, EECS parameters scaled to its arena and a base
-    station above it. On bisector networks the ends are the heads, every
-    node is in reach of all of them and w = 1, so the costs order the heads
-    as the distances do, and rounding decides the nearer end."""
-    nodes = tie_network(rng, int(rng.integers(257, 601)), kind)
-    for node in nodes:
-        node.energy = float(rng.uniform(0.01, 1.0))
-    span = {"grid": 5.0, "tiny": 1e-160}.get(kind, 100.0)
-    w = float(rng.choice([0.0, 0.5, 1.0]))
-    if kind == "bisector":  # the ends come first; they elect, in full
-        ends = max(2, len(nodes) // 4)
-        for node in nodes[:ends]:
-            node.energy += 1.0
-        params = EecsParams(p=1.0, w=1.0, suppress_radius=0.0, join_radius=3 * span,
-                            head_fraction=(ends - 0.5) / len(nodes), ch_separation=span * sep)
-    else:
-        params = EecsParams(p=float(rng.uniform(0.05, 1.0)), w=w,
-                            suppress_radius=span * float(rng.uniform(0, 0.4)),
-                            join_radius=span * float(rng.uniform(0.05, 0.6)),
-                            head_fraction=float(rng.uniform(0.02, 0.15)), ch_separation=span * sep)
-    return nodes, params, (span / 2, span * 1.75)
-
-
-def eecs_past_the_table(monkeypatch, nodes, params, bs, seed):
-    """EECS on ``nodes``, past the table, checked against the oracle, with no
-    exact distance computed but the suppression scan's; returns the result,
-    in ids, the Geometry and the ids in row order."""
-    geom, ids = geometry_of(nodes, bs)
-    calls = count_hypot(monkeypatch)
-    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = ids_of(eecs_form_clusters(geom, params, a), ids)
-    assert shape(got) == shape(oracle_eecs_form_clusters(nodes, bs, params, b))
-    assert a.random() == b.random()
-    assert geom.table is None
-    assert set(calls) <= {"_thin"}  # the suppression scan's, and no other
-    return got, geom, ids
-
-
-class TestCertifiedEecsJoin:
-    """EECS's join past the table: its costs over ``Geometry.block``, checked
-    against the oracle's ``math.sqrt(dx*dx + dy*dy)`` where rounding or an
-    exact tie decides. (The class keeps the name of the
-    certified join it replaced, and with it its test ids.)"""
-
     @pytest.mark.parametrize("sep", [0.0, 0.2])
     @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
-    def test_tie_networks_match_oracle(self, monkeypatch, seed, kind, sep):
+    def test_eecs(self, monkeypatch, seed, kind, sep):
+        # 257 to 600 nodes, past the table, and a base station above the
+        # arena. On bisector networks the ends are the heads, every node is in
+        # reach of all of them and w = 1, so the costs order the heads as the
+        # distances do, and rounding decides the nearer end
         rng = np.random.default_rng(seed)
-        nodes, params, bs = eecs_tie_network(rng, kind, sep)
+        nodes, span = tie_network(rng, kind, 257, 601, drawn_energy=True)
+        w = float(rng.choice([0.0, 0.5, 1.0]))
+        if kind == "bisector":  # the ends come first; they elect, in full
+            ends = max(2, len(nodes) // 4)
+            for node in nodes[:ends]:
+                node.energy += 1.0
+            params = EecsParams(p=1.0, w=1.0, suppress_radius=0.0, join_radius=3 * span,
+                                head_fraction=(ends - 0.5) / len(nodes), ch_separation=span * sep)
+        else:
+            params = EecsParams(p=float(rng.uniform(0.05, 1.0)), w=w,
+                                suppress_radius=span * float(rng.uniform(0, 0.4)),
+                                join_radius=span * float(rng.uniform(0.05, 0.6)),
+                                head_fraction=float(rng.uniform(0.02, 0.15)),
+                                ch_separation=span * sep)
+        bs = (span / 2, span * 1.75)
         got, geom, ids = eecs_past_the_table(monkeypatch, nodes, params, bs, seed + 1)
         if kind == "tiny":  # every d2 is subnormal or 0, below what NetworkConfig allows
             pos = geom.pos[[ids.index(m) for c in got.clusters for m in (c.head, *c.members)]]
             assert (squared_distances(pos, pos) < sys.float_info.min).all()
 
-    def hand_network(self, rng, *cases):
-        """Heads 0 (at (100, 100)) and 1 (at (160, 100)) elect, the richest
-        nodes; the ``cases`` are members at given points, and 300 more lie
-        within 45 m of one head. The base station lies on the heads'
-        bisector, so their sink terms are equal."""
-        angle, radius = rng.uniform(0, 2 * math.pi, 300), rng.uniform(1.0, 45.0, 300)
-        near = np.column_stack((100.0 + 60.0 * rng.integers(0, 2, 300) + radius * np.cos(angle),
-                                100.0 + radius * np.sin(angle)))
-        points = [(100.0, 100.0), (160.0, 100.0), *cases, *near.tolist()]
-        nodes = [OracleNode(id=i, pos=tuple(p), energy=0.5) for i, p in enumerate(points)]
-        nodes[0].energy, nodes[1].energy = 1.0, 0.9
-        params = EecsParams(p=1.0, w=1.0, suppress_radius=30.0, join_radius=50.0,
-                            head_fraction=1.5 / len(nodes))
-        return nodes, params, (130.0, 1000.0)
-
     @pytest.mark.parametrize("seed", range(5))
-    def test_hand_cases_take_the_exact_distances(self, monkeypatch, seed):
+    def test_eecs_hand_cases(self, monkeypatch, seed):
         # member 2 lies exactly join_radius from head 0 (offset (-30, -40));
         # member 3 at the same distance from both heads; member 4 on head 0;
         # member 5 in no head's reach
         cases = [(70.0, 60.0), (130.0, 110.0), (100.0, 100.0), (400.0, 400.0)]
-        nodes, params, bs = self.hand_network(np.random.default_rng(seed), *cases)
+        nodes, params, bs = hand_network(np.random.default_rng(seed), *cases)
         got, geom, _ = eecs_past_the_table(monkeypatch, nodes, params, bs, seed)
         assert sorted(got.heads) == [0, 1]
         by_head = {c.head: c.members for c in got.clusters}
@@ -777,28 +359,171 @@ class TestCertifiedEecsJoin:
         assert d[0, 0] == params.join_radius and d[0, 1] == d[1, 1] and d[0, 2] == 0.0
 
     @pytest.mark.parametrize("offset", [(30.0, 40.0), (-30.0, 40.0), (40.0, -30.0), (0.0, -50.0)])
-    def test_member_exactly_at_join_radius(self, monkeypatch, offset):
+    def test_eecs_member_exactly_at_join_radius(self, monkeypatch, offset):
         # d2 = 2500 = join_radius**2 exactly, whose sqrt is exactly 50: the
         # member is in head 0's reach
-        nodes, params, bs = self.hand_network(np.random.default_rng(7),
-                                              (100.0 + offset[0], 100.0 + offset[1]))
+        nodes, params, bs = hand_network(np.random.default_rng(7),
+                                         (100.0 + offset[0], 100.0 + offset[1]))
         _, geom, _ = eecs_past_the_table(monkeypatch, nodes, params, bs, 7)
         assert geom.block(np.array([0]), np.array([2]))[0, 0] == params.join_radius
 
-
-# --- the distance table ----------------------------------------------------------
-
-
-class TestDistanceTable:
+    @pytest.mark.parametrize("n_low,n_high", [(20, 257), (257, 401)], ids=["block", "rows"])
+    @pytest.mark.parametrize("sep", [0.0, 0.15])
     @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
-    def test_rows_equal_math_hypot(self, seed, kind):
-        # table[h][m] is the ledger's math.hypot(mx - hx, my - hy), bit for bit
+    def test_heed_fallback(self, monkeypatch, seed, kind, sep, n_low, n_high):
+        # the uncovered nodes' nearest head comes from Geometry.block, the
+        # n x n block at n <= 256 and one over their rows above; with a
+        # cluster radius this small rounding decides many of those ties
         rng = np.random.default_rng(seed)
-        nodes = tie_network(rng, int(rng.integers(20, 120)), kind)
-        geom, _ = geometry_of(nodes)
-        xy = geom.pos.tolist()
-        expected = [[math.hypot(mx - hx, my - hy) for mx, my in xy] for hx, hy in xy]
-        assert np.array(geom.table).tobytes() == np.array(expected).tobytes()
+        nodes, span = tie_network(rng, kind, n_low, n_high, drawn_energy=True)
+        params = HeedParams(cluster_radius=span * float(rng.uniform(0.03, 0.2)),
+                            announce_waves=int(rng.integers(1, 5)), ch_separation=span * sep)
+        geom, ids = geometry_of(nodes)
+        d2 = count_calls(monkeypatch, protocols, "squared_distances")
+        got, _ = in_step(seed + 1, ids, lambda rng: heed_form_clusters(geom, params, rng),
+                         lambda rng: oracle_heed_form_clusters(nodes, params, rng))
+        n = len(nodes)
+        # the geometry's row blocks, plus the join's block: the n x n one at
+        # n <= 256, the uncovered rows' above
+        blocks = len(range(0, n, max(1, protocols._BLOCK // n)))
+        assert d2[0] == blocks + 1
+        # each of the cases that read the block leaves members uncovered
+        in_range = geom.heed(geom.alive(), params.cluster_radius)[0]
+        heads = sorted(got.heads)
+        uncovered = [m for c in got.clusters for m in c.members if not in_range[m, heads].any()]
+        assert uncovered or n > 256
+
+
+class TestFormationsMatchScalarOracles:
+    """Each formation gives the oracle's cluster set from the same stream,
+    with EECS's suppression and head separation read from the ledger's
+    distances."""
+
+    @pytest.mark.parametrize("seed,grid,sep", NETWORKS)
+    def test_leach(self, seed, grid, sep):
+        rng = np.random.default_rng(seed)
+        nodes = random_network(rng, int(rng.integers(1, 90)), grid)
+        for node in nodes:
+            node.rounds_since_ch = int(rng.integers(0, 25))
+        params = LeachParams(p=float(rng.uniform(0.02, 0.5)))
+        r = int(rng.integers(0, 60))
+        geom, ids = geometry_of(nodes)
+        heads = in_step(seed + 1, ids, lambda rng: leach_elect(geom, params, r, rng),
+                        lambda rng: oracle_leach_elect(nodes, params, r, rng))
+        if sep:
+            expected = oracle_enforce_ch_separation(ids_of(heads, ids), alive_of(nodes), sep)
+            heads = enforce_ch_separation(geom, heads, sep)
+            assert ids_of(heads, ids) == expected
+        assert ids_of(form_clusters_nearest(geom, heads), ids) == oracle_form_clusters_nearest(
+            nodes, ids_of(heads, ids))
+
+    @pytest.mark.parametrize("seed,grid,sep", LARGE_NETWORKS)
+    def test_heed(self, seed, grid, sep):
+        rng = np.random.default_rng(seed)
+        nodes = sized_network(rng, seed, grid, 90)
+        params = HeedParams(cluster_radius=float(rng.uniform(5, 40)),
+                            announce_waves=int(rng.integers(1, 5)), ch_separation=sep)
+        geom, ids = geometry_of(nodes)
+        in_step(seed + 1, ids, lambda rng: heed_form_clusters(geom, params, rng),
+                lambda rng: oracle_heed_form_clusters(nodes, params, rng))
+
+    @pytest.mark.parametrize("seed,grid,sep", LARGE_NETWORKS)
+    def test_eecs(self, seed, grid, sep):
+        # the suppression and separation scans read the distance table, and
+        # from seed 100 on compute their distances
+        rng = np.random.default_rng(seed)
+        nodes = sized_network(rng, seed, grid, 90)
+        params = eecs_params(rng, sep)
+        bs = (50.0, float(rng.choice([50.0, 175.0])))
+        geom, ids = geometry_of(nodes, bs)
+        in_step(seed + 1, ids, lambda rng: eecs_form_clusters(geom, params, rng),
+                lambda rng: oracle_eecs_form_clusters(nodes, bs, params, rng))
+
+    @pytest.mark.parametrize("seed,n", [(s, n) for s in range(10) for n in (90, 400)])
+    def test_eecs_suppression_at_exactly_the_radius(self, seed, n):
+        # on the 5 m grid many candidates lie exactly suppress_radius from a
+        # stronger one, and yield to it: through the table at n <= 256, through
+        # math.hypot above
+        rng = np.random.default_rng(seed)
+        nodes = random_network(rng, int(rng.integers(n // 3, n)), grid=True)
+        params = EecsParams(p=float(rng.uniform(0.3, 1.0)),
+                            suppress_radius=5.0 * float(rng.integers(1, 5)),
+                            head_fraction=float(rng.uniform(0.1, 0.3)))
+        geom, ids = geometry_of(nodes)
+        in_step(seed + 1, ids, lambda rng: eecs_form_clusters(geom, params, rng),
+                lambda rng: oracle_eecs_form_clusters(nodes, BS, params, rng))
+        assert (geom.table is None) == (len(nodes) > 256)
+
+
+class TestHeedGeometry:
+    @pytest.mark.parametrize("seed,grid", [(s, g) for s in [*range(20), 100, 101]
+                                           for g in (False, True)])
+    def test_cost(self, seed, grid):
+        # the scalar cost was never bit-equal to the array one (math.hypot and
+        # sequential sums against sqrt(dx*dx + dy*dy) and pairwise sums)
+        rng = np.random.default_rng(seed)
+        nodes = alive_of(sized_network(rng, seed, grid, 60))
+        radius = float(rng.uniform(5, 40))
+        pos = np.array([n.pos for n in nodes])
+        _, cost = heed_geometry(pos, radius)
+        assert cost.tolist() == pytest.approx(
+            [heed_cost(c, nodes, radius) for c in nodes], rel=1e-12)
+
+    @pytest.mark.parametrize("seed,grid", [(s, g) for s in [*range(10), *range(100, 106)]
+                                           for g in (False, True)])
+    def test_row_blocks(self, seed, grid):
+        # built a row block at a time, the mask and the costs equal those of
+        # the whole n x n arrays bit for bit: each cost row is still summed
+        # over its whole row, in numpy's pairwise order
+        rng = np.random.default_rng(seed)
+        nodes = alive_of(sized_network(rng, seed, grid, 90))
+        pos = np.array([n.pos for n in nodes])
+        radius = float(rng.integers(1, 31)) if grid else float(rng.uniform(1, 30))
+        _, in_range, cost = oracle_heed_geometry(pos, radius)
+        got_in_range, got_cost = heed_geometry(pos, radius)
+        assert np.array_equal(got_in_range, in_range)
+        assert got_cost.tobytes() == cost.tobytes()
+
+    def test_a_lone_node_costs_r_times_r(self):
+        # r * r and r**2 differ in the last bit at this r: a node without
+        # neighbours costs r * r, as a pair exactly r apart does, so the three
+        # tie and rank by row
+        r = 10.142426998871324
+        in_range, cost = heed_geometry(np.array([[0.0, 0.0], [r, 0.0], [500.0, 500.0]]), r)
+        assert in_range.sum(axis=1).tolist() == [1, 1, 0]
+        assert cost.tolist() == [r * r] * 3 == [102.86882542743398] * 3
+        geom = Geometry([(0.0, 0.0), (r, 0.0), (500.0, 500.0)], BS, 1.0)
+        assert geom.heed(geom.alive(), r)[1].tolist() == [0, 1, 2]
+
+
+def eecs_formations(rng, seed, nodes, sep):
+    """Build the Geometry of ``nodes``, then run 30 EECS formations on it with
+    parameters drawn from ``rng``, each checked against the oracle, and yield
+    each formation's ClusterSet with the Geometry and the parameters. Between
+    formations heads drain faster than members, and a few nodes die outright."""
+    params = eecs_params(rng, sep)
+    bs = (50.0, float(rng.choice([50.0, 175.0])))
+    a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    geom, ids = geometry_of(nodes, bs)
+
+    def formations():
+        for _ in range(30):
+            got = eecs_form_clusters(geom, params, a)
+            assert ids_of(got, ids) == oracle_eecs_form_clusters(nodes, bs, params, b)
+            yield got, geom, params
+            for row, node in enumerate(nodes):
+                node.energy *= float(rng.uniform(0.5, 0.8) if row in got.heads
+                                     else rng.uniform(0.9, 1.0)) * (rng.random() > 0.03)
+            assert alive_of(nodes)
+            geom.energy[:] = [n.energy for n in nodes]
+
+    return formations()
+
+
+class TestWorkCounts:
+    """The ``math.hypot`` calls and ``squared_distances`` blocks each path
+    makes. The joins' own counts are pinned beside their oracles in
+    ``TestJoinsMatchBlock``."""
 
     @pytest.mark.parametrize("protocol", [LeachParams(), EecsParams()], ids=["leach", "eecs"])
     @pytest.mark.parametrize("n", [100, 300])
@@ -822,7 +547,113 @@ class TestDistanceTable:
             assert hypots.total() > n
             assert d2[0] == 20
 
-    def test_build_peak_memory(self):
+    def test_a_sweep_builds_no_table(self, monkeypatch):
+        # sweep_iterations deploys a Geometry per seed and runs k-means and
+        # fuzzy c-means on it, which read no distance table
+        exact = count_hypot(monkeypatch)
+        sweep_iterations(NetworkConfig(), [2, 5], [1, 2, 3])
+        # the sink distances and the centroid formations' energy tie-breaks
+        assert set(exact) == {"__init__", "_centroid_cluster_set"}
+
+    @pytest.mark.parametrize("seed,grid,sep", [c for c in NETWORKS if c[0] < 8])
+    def test_eecs_builds_the_table_once(self, monkeypatch, seed, grid, sep):
+        # one Geometry through 30 formations: at n <= 256 every distance is
+        # computed when the first formation reads the table, before later
+        # deaths, and only read after
+        rng = np.random.default_rng(seed)
+        nodes = sorted(random_network(rng, int(rng.integers(20, 90)), grid), key=lambda n: n.id)
+        exact = count_hypot(monkeypatch)
+        formations = eecs_formations(rng, seed, nodes, sep)
+        assert exact.total() == len(nodes)  # the sink distances
+        assert len(list(formations)) == 30
+        assert exact.total() == len(nodes) + len(nodes) ** 2
+
+    @pytest.mark.parametrize("seed,grid,sep", [c for c in NETWORKS if c[0] < 2 and not c[1]])
+    def test_eecs_past_the_table(self, monkeypatch, seed, grid, sep):
+        # at n > 256 there is no table and nothing is kept between rounds:
+        # each formation computes one d2 block, its join's, over its heads and
+        # members, and no exact distance but the suppression scan's
+        rng = np.random.default_rng(seed)
+        nodes = sorted(random_network(rng, int(rng.integers(500, 600)), grid), key=lambda n: n.id)
+        formations = eecs_formations(rng, seed, nodes, sep)
+        calls = count_hypot(monkeypatch)
+        d2 = count_calls(monkeypatch, protocols, "squared_distances")
+        for i, (_, geom, _) in enumerate(formations, 1):
+            assert geom.table is None and set(calls) <= {"_thin"}
+            assert d2[0] == i
+
+
+def node_state(state):
+    geom = state.geometry
+    return list(zip(range(len(geom.energy)), geom.energy.tolist(), geom.rounds_since_ch.tolist()))
+
+
+def low_energy_lifetime(protocol, seed, n_nodes):
+    """Runs the engine and the oracle side by side over one lifetime of
+    ``n_nodes`` nodes on energies of a few rounds' worth, spread so that heads
+    and members die part-way through a round; asserts every round equal and
+    returns the phases of the oracle's deaths."""
+    rng = np.random.default_rng(seed)
+    config = NetworkConfig(n_nodes=n_nodes, seed=seed,
+                           bs_pos=(50.0, float(rng.choice([50.0, 175.0]))))
+    nodes = [OracleNode(id=i, pos=tuple(rng.uniform(0, 100, 2).tolist()),
+                        energy=float(rng.uniform(1e-5, 3e-3))) for i in range(n_nodes)]
+    new, old = (SimState(geometry=geometry_of(nodes, config.bs_pos)[0], config=config,
+                         rng=np.random.default_rng(seed)) for _ in range(2))
+    old_nodes = copy.deepcopy(nodes)
+    deaths = []
+    clamped_rounds = 0
+    while new.alive_count() > 0 and new.round < 60:
+        new, got = run_round(new, protocol)
+        old, expected = oracle_run_round(old, old_nodes, protocol, deaths)
+        assert got == expected
+        assert node_state(new) == [(n.id, n.energy, n.rounds_since_ch) for n in old_nodes]
+        assert new.bs_messages == old.bs_messages
+        clamped_rounds += got.energy_clamped > 0
+    assert clamped_rounds > 0  # the dying paths were taken
+    return deaths
+
+
+# the protocols and seeds of the low-energy lifetimes at each size: at n = 40
+# with the distance table, at n = 300 past it, where the ledger computes each
+# member's distance with math.hypot. At n = 40 a head dies receiving a join
+# only from seed 7 on (LEACH's seeds 8 and 9)
+LIFETIMES = {
+    40: ({"leach": LeachParams(), "heed": HeedParams(), "eecs": EecsParams(),
+          "kmeans": KmeansFormation(k=3), "fuzzy": FuzzyFormation(k=3),
+          "leach-sep": LeachParams(ch_separation=20.0)}, range(10)),
+    300: ({"leach": LeachParams(), "heed": HeedParams(), "eecs": EecsParams(),
+           "kmeans": KmeansFormation()}, range(5)),
+}
+PHASES = {"advert", "advert receive", "join send", "join receive", "data send",
+          "data receive", "aggregation", "uplink"}
+
+
+class TestLedgerMatchesPerChargeOracle:
+    """The ledger charges what the oracle charges, one cost per call with
+    ``euclidean_distance`` over sorted members, and kills whom it kills."""
+
+    def test_no_table_at_n_300(self):
+        assert Geometry(np.zeros((300, 2)), BS, 1.0).table is None
+
+    @pytest.mark.parametrize("n_nodes,protocol,seed", [
+        pytest.param(n, protocol, seed, id=f"{n}-{seed}-{name}")
+        for n, (cases, seeds) in LIFETIMES.items() for seed in seeds
+        for name, protocol in cases.items()])
+    def test_low_energy_rounds(self, n_nodes, protocol, seed):
+        low_energy_lifetime(protocol, seed, n_nodes)
+
+    @pytest.mark.parametrize("n_nodes", LIFETIMES)
+    def test_every_phase_kills(self, n_nodes):
+        # across the cases above, each phase's charge kills a node at least once
+        cases, seeds = LIFETIMES[n_nodes]
+        deaths = {phase for protocol in cases.values() for seed in seeds
+                  for phase in low_energy_lifetime(protocol, seed, n_nodes)}
+        assert deaths == PHASES
+
+
+class TestMemoryBounds:
+    def test_table_build(self):
         # the first read lists math.hypot's rows straight, with no n x n
         # array in between, so the build adds little to what the Geometry
         # keeps (1.000x at n = 256; 1.244x when it filled an array first)
@@ -837,88 +668,7 @@ class TestDistanceTable:
         assert table is not None
         assert peak <= 1.05 * kept
 
-    def test_a_sweep_builds_no_table(self, monkeypatch):
-        # sweep_iterations deploys a Geometry per seed and runs k-means and
-        # fuzzy c-means on it, which read no distance table
-        exact = count_hypot(monkeypatch)
-        sweep_iterations(NetworkConfig(), [2, 5], [1, 2, 3])
-        # the sink distances and the centroid formations' energy tie-breaks
-        assert set(exact) == {"__init__", "_centroid_cluster_set"}
-
-
-# --- HEED's join distances -------------------------------------------------------
-
-
-def heed_tie_network(rng, kind, n_low, n_high, sep):
-    """A tie network (``tie_network``) of ``n_low`` to ``n_high`` nodes with
-    drawn energies, and HEED parameters scaled to its arena, with a cluster
-    radius small enough that many nodes are left uncovered."""
-    nodes = tie_network(rng, int(rng.integers(n_low, n_high)), kind)
-    for node in nodes:
-        node.energy = float(rng.uniform(0.01, 1.0))
-    span = {"grid": 5.0, "tiny": 1e-160}.get(kind, 100.0)
-    params = HeedParams(cluster_radius=span * float(rng.uniform(0.03, 0.2)),
-                        announce_waves=int(rng.integers(1, 5)), ch_separation=span * sep)
-    return nodes, params
-
-
-class TestHeedKeptBlock:
-    """HEED keeps its mask and ranks and no float block: its nearest-head
-    fallback reads ``Geometry.block``, checked against the oracle, and a
-    rebuild's memory is bounded. (The class keeps the name of the float block
-    HEED used to keep, and with it its test ids.)"""
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_block_equals_sqrt_of_d2(self, seed):
-        # HEED keeps its mask and ranks, no float block: its join reads
-        # Geometry.block, at n <= 256 the n x n np.sqrt(dx*dx + dy*dy) built
-        # by the first formation and kept by the Geometry across formations
-        # and deaths, above it none
-        rng = np.random.default_rng(seed)
-        for n in (int(rng.integers(21, 257)), 256, 257, int(rng.integers(258, 400))):
-            pos = rng.uniform(0, 100, (n, 2))
-            geom = Geometry(pos, BS, 1.0)
-            blocks = []
-            for _ in range(2):
-                geom.energy[rng.choice(n, 10, replace=False)] = 0.0
-                rows = geom.alive()
-                assert [a.dtype.kind for a in geom.heed(rows, 20.0)] == ["b", "i"]
-                heed_form_clusters(geom, HeedParams(), rng)
-                blocks.append(geom._block)
-            if n <= 256:
-                assert blocks[0] is blocks[1]
-                assert blocks[0].tobytes() == np.sqrt(squared_distances(pos, pos)).tobytes()
-            else:
-                assert blocks == [None, None]
-
-    @pytest.mark.parametrize("n_low,n_high", [(20, 257), (257, 401)], ids=["block", "rows"])
-    @pytest.mark.parametrize("sep", [0.0, 0.15])
-    @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
-    def test_tie_networks_match_oracle(self, monkeypatch, seed, kind, sep, n_low, n_high):
-        # the uncovered nodes' nearest head comes from Geometry.block, the
-        # n x n block at n <= 256 and one over their rows above; on these
-        # networks rounding decides many of those ties
-        rng = np.random.default_rng(seed)
-        nodes, params = heed_tie_network(rng, kind, n_low, n_high, sep)
-        geom, ids = geometry_of(nodes)
-        a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        d2 = count_calls(monkeypatch, protocols, "squared_distances")
-        got, it_got = heed_form_clusters(geom, params, a)
-        expected, it_expected = oracle_heed_form_clusters(nodes, params, b)
-        assert it_got == it_expected
-        assert shape(ids_of(got, ids)) == shape(expected)
-        n = len(nodes)
-        # the geometry's row blocks, plus the join's block: the n x n one at
-        # n <= 256, the uncovered rows' above
-        blocks = len(range(0, n, max(1, protocols._BLOCK // n)))
-        assert d2[0] == blocks + 1
-        # each of the cases that read the block leaves members uncovered
-        in_range = geom.heed(geom.alive(), params.cluster_radius)[0]
-        heads = sorted(got.heads)
-        uncovered = [m for c in got.clusters for m in c.members if not in_range[m, heads].any()]
-        assert uncovered or n > 256
-
-    def test_rebuild_peak_memory(self):
+    def test_heed_rebuild(self):
         # a HEED rebuild at n = 256 keeps the bool mask and the ranks (71 352
         # bytes); it peaks while one row block's d2 and dy planes, the two n x n
         # float arrays of squared_distances, exist beside the mask: 1 192 502
@@ -935,180 +685,3 @@ class TestHeedKeptBlock:
         assert len(kept_arrays) == 2
         assert kept < 2 * 256 * 256
         assert peak <= 1_192_502
-
-
-# --- the per-charge ledger ------------------------------------------------------
-
-
-class Ledger:
-    def __init__(self, deaths):
-        self.charged = 0.0
-        self.clamped = 0.0
-        self.deaths = deaths  # the phase of each fatal charge
-
-    def charge(self, node, cost, phase):
-        self.charged += cost
-        shortfall = cost - node.energy
-        if shortfall > 0:
-            self.clamped += shortfall
-        remaining = node.energy - cost  # clamped at 0, where the node dies
-        node.energy = remaining if remaining > 0 else 0.0
-        if node.energy == 0.0:  # only alive nodes are charged
-            self.deaths.append(phase)
-
-
-def oracle_run_round(state, nodes, protocol, deaths):
-    """One round charged to ``nodes``, whose ids are the rows of ``state``'s
-    geometry, one charge at a time; ``state`` only forms the clusters, from their energies
-    and counters. The phase of each charge that kills is appended to
-    ``deaths``."""
-    alive_before = len(alive_of(nodes))
-    if alive_before == 0:
-        raise SimulationComplete(f"no alive nodes at round {state.round}")
-    cfg = state.config
-    radio = cfg.radio
-    by_id = {n.id: n for n in nodes}
-    state.geometry.energy[:] = [n.energy for n in nodes]
-    state.geometry.rounds_since_ch[:] = [n.rounds_since_ch for n in nodes]
-    cluster_set, clustering_iterations = _form_clusters(state, protocol, alive_before)
-    head_ids = set(cluster_set.heads)
-    ledger = Ledger(deaths)
-
-    advert_cost = tx_energy(radio, radio.header_bits, cfg.diagonal)
-    delivered_adverts = set()
-    for head_id in sorted(head_ids):
-        head = by_id[head_id]
-        ledger.charge(head, advert_cost, "advert")
-        if head.energy > 0:
-            delivered_adverts.add(head_id)
-    n_adverts = len(delivered_adverts)
-    for node in sorted(nodes, key=lambda n: n.id):
-        if node.energy <= 0:
-            continue
-        heard = n_adverts - (1 if node.id in delivered_adverts else 0)
-        if heard > 0:
-            ledger.charge(node, heard * rx_energy(radio, radio.header_bits), "advert receive")
-
-    for cluster in cluster_set.clusters:
-        head = by_id[cluster.head]
-        for member_id in sorted(cluster.members):
-            member = by_id[member_id]
-            if member.energy <= 0:
-                continue
-            ledger.charge(member, tx_energy(
-                radio, radio.header_bits, euclidean_distance(member.pos, head.pos)), "join send")
-            if member.energy > 0 and head.energy > 0:
-                ledger.charge(head, rx_energy(radio, radio.header_bits), "join receive")
-
-    delivered = 0
-    for cluster in cluster_set.clusters:
-        head = by_id[cluster.head]
-        received = 0
-        for member_id in sorted(cluster.members):
-            member = by_id[member_id]
-            if member.energy <= 0:
-                continue
-            ledger.charge(member, tx_energy(
-                radio, radio.data_bits, euclidean_distance(member.pos, head.pos)), "data send")
-            if member.energy > 0 and head.energy > 0:
-                ledger.charge(head, rx_energy(radio, radio.data_bits), "data receive")
-                if head.energy > 0:
-                    received += 1
-        if head.energy > 0:
-            ledger.charge(head, aggregate_energy(radio, radio.data_bits, received + 1),
-                          "aggregation")
-        if head.energy > 0:
-            ledger.charge(head, tx_energy(
-                radio, radio.data_bits, euclidean_distance(head.pos, cfg.bs_pos)), "uplink")
-            if head.energy > 0:
-                delivered += 1
-
-    for node in nodes:
-        node.rounds_since_ch = 0 if node.id in head_ids else node.rounds_since_ch + 1
-    state.bs_messages += delivered
-    report = RoundReport(
-        round=state.round, alive_before=alive_before, alive_after=len(alive_of(nodes)),
-        ch_count=len(head_ids), bs_messages_delivered=delivered,
-        clustering_iterations=clustering_iterations,
-        energy_charged=ledger.charged, energy_clamped=ledger.clamped,
-    )
-    state.round += 1
-    return state, report
-
-
-def node_state(state):
-    geom = state.geometry
-    return list(zip(range(len(geom.energy)), geom.energy.tolist(), geom.rounds_since_ch.tolist()))
-
-
-PROTOCOLS = [LeachParams(), HeedParams(), EecsParams(), KmeansFormation(k=3),
-             FuzzyFormation(k=3), LeachParams(ch_separation=20.0)]
-
-
-# a head dies receiving a join only from seed 7 on (LEACH's seeds 8 and 9)
-SEEDS = range(10)
-PHASES = {"advert", "advert receive", "join send", "join receive", "data send",
-          "data receive", "aggregation", "uplink"}
-
-
-def low_energy_lifetime(protocol, seed, n_nodes=40):
-    """Runs the engine and the oracle side by side over one lifetime of
-    ``n_nodes`` nodes on energies of a few rounds' worth, spread so that heads
-    and members die part-way through a round; asserts every round equal and
-    returns the phases of the oracle's deaths."""
-    rng = np.random.default_rng(seed)
-    config = NetworkConfig(n_nodes=n_nodes, seed=seed,
-                           bs_pos=(50.0, float(rng.choice([50.0, 175.0]))))
-    nodes = [OracleNode(id=i, pos=tuple(rng.uniform(0, 100, 2).tolist()),
-                        energy=float(rng.uniform(1e-5, 3e-3))) for i in range(n_nodes)]
-    new = SimState(geometry=geometry_of(nodes, config.bs_pos)[0], config=config,
-                   rng=np.random.default_rng(seed))
-    old = SimState(geometry=geometry_of(nodes, config.bs_pos)[0], config=config,
-                   rng=np.random.default_rng(seed))
-    old_nodes = copy.deepcopy(nodes)
-    deaths = []
-    clamped_rounds = 0
-    while new.alive_count() > 0 and new.round < 60:
-        new, got = run_round(new, protocol)
-        old, expected = oracle_run_round(old, old_nodes, protocol, deaths)
-        assert got == expected
-        assert node_state(new) == [(n.id, n.energy, n.rounds_since_ch) for n in old_nodes]
-        assert new.bs_messages == old.bs_messages
-        clamped_rounds += got.energy_clamped > 0
-    assert clamped_rounds > 0  # the dying paths were taken
-    return deaths
-
-
-class TestLedgerMatchesPerChargeOracle:
-    @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: type(p).__name__)
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_low_energy_rounds(self, protocol, seed):
-        low_energy_lifetime(protocol, seed)
-
-    def test_every_phase_kills(self):
-        # across the cases above, each phase's charge kills a node at least once
-        deaths = {phase for protocol in PROTOCOLS for seed in SEEDS
-                  for phase in low_energy_lifetime(protocol, seed)}
-        assert deaths == PHASES
-
-
-PAST_THE_TABLE = [LeachParams(), HeedParams(), EecsParams(), KmeansFormation()]
-
-
-class TestLedgerPastTheTable:
-    """At n = 300 there is no distance table, so the ledger computes each
-    member's distance with math.hypot; the oracle charges one cost per call,
-    with euclidean_distance, over sorted members."""
-
-    def test_no_table(self):
-        assert Geometry(np.zeros((300, 2)), BS, 1.0).table is None
-
-    @pytest.mark.parametrize("protocol", PAST_THE_TABLE, ids=lambda p: type(p).__name__)
-    @pytest.mark.parametrize("seed", range(5))
-    def test_low_energy_rounds(self, protocol, seed):
-        low_energy_lifetime(protocol, seed, n_nodes=300)
-
-    def test_every_phase_kills(self):
-        deaths = {phase for protocol in PAST_THE_TABLE for seed in range(5)
-                  for phase in low_energy_lifetime(protocol, seed, n_nodes=300)}
-        assert deaths == PHASES

@@ -1,8 +1,9 @@
 """Behaviour lock: the bytes the CLI writes and the sweep's values, pinned.
 
-Each case runs ``wsnsim`` in-process and compares the sha256 of every file it
-writes, and of its stdout, against digests recorded from the code as it was
-before k-means and fuzzy c-means moved to array-only code. A refactor must
+Each case (``shared.CASES``, which ``test_metrics`` runs too) runs ``wsnsim``
+in-process and compares the sha256 of every file it writes, and of its
+stdout, against digests recorded from the code as it was before k-means and
+fuzzy c-means moved to array-only code. A refactor must
 leave every digest unchanged; a change that moves an output on purpose
 updates the digest it moves and says which one and why in CHANGES.md.
 """
@@ -17,42 +18,7 @@ from wsnsim.cli import main
 from wsnsim.engine import FuzzyFormation, sweep_iterations
 from wsnsim.model import NetworkConfig
 
-ALL = ["--protocol", "leach", "--protocol", "heed", "--protocol", "eecs",
-       "--protocol", "kmeans", "--protocol", "fuzzy"]
-
-# case id -> wsnsim argv (the output directory is appended)
-CASES = {
-    # full lifetimes on the default scenario, one per protocol
-    "run-leach-seed2": ["run", "--protocol", "leach", "--seed", "2"],
-    "run-heed-seed2": ["run", "--protocol", "heed", "--seed", "2"],
-    "run-eecs-seed2": ["run", "--protocol", "eecs", "--seed", "2"],
-    "run-kmeans-seed2": ["run", "--protocol", "kmeans", "--seed", "2"],
-    "run-fuzzy-seed2": ["run", "--protocol", "fuzzy", "--seed", "2"],
-    # fixed k, another fuzzifier, two seeds and thinned series
-    "run-centroid-k7": ["run", "--protocol", "kmeans", "--protocol", "fuzzy",
-                        "--seed", "4", "--seed", "9", "--k", "7", "--fcm-m", "1.5",
-                        "--rounds", "150", "--thin", "10"],
-    # full lifetimes at k = 8: FCM and k-means lay their buffers along the
-    # centroids, until fewer than 8 nodes are alive and k falls to 2
-    "run-centroid-k8": ["run", "--protocol", "kmeans", "--protocol", "fuzzy",
-                        "--k", "8", "--seed", "5"],
-    # full lifetimes at n = 300, past the size rule of Geometry's distance
-    # table and join block (n * n <= _BLOCK): each round's joins computing
-    # their Geometry.block over heads and members, the ledger's math.hypot
-    # and HEED's geometry in two row blocks, through deaths; recorded from
-    # the code before the table
-    "run-leach-n300": ["run", "--protocol", "leach", "--nodes", "300", "--seed", "1"],
-    "run-heed-n300": ["run", "--protocol", "heed", "--nodes", "300", "--seed", "1"],
-    "run-eecs-n300": ["run", "--protocol", "eecs", "--nodes", "300", "--seed", "1"],
-    # k-means at k = 15 over a full lifetime at n = 300, its moved-centroid
-    # updates and k falling as nodes die; recorded before the orphan ledger
-    # and EECS's head store were deleted
-    "run-kmeans-n300": ["run", "--protocol", "kmeans", "--nodes", "300", "--seed", "1"],
-    "run-table1-seed3": ["run", "--preset", "table1", *ALL, "--seed", "3"],
-    "compare-trio": ["compare", "--protocol", "leach", "--protocol", "heed",
-                     "--protocol", "eecs", "--seed", "1", "--seed", "3",
-                     "--rounds", "500"],
-}
+from shared import CASES
 
 DIGESTS = {'compare-trio': {'<stdout>': '3c40fe8929b47b9ce7444e460e2f7a2e349d5330b8ff061ce16af040ad43d699',
                   'alive_series.csv': '45eae11f02052e94e01125656716b13cd9dc2574fbd667be8ca029b48f02ee1b',

@@ -7,7 +7,6 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_golden import CASES
 
 from wsnsim.cli import main
 from wsnsim.engine import (
@@ -34,6 +33,8 @@ from wsnsim.metrics import (
     summarize,
 )
 from wsnsim.model import NetworkConfig, RadioModel
+
+from shared import CASES
 
 
 def make_result(protocol="leach", deliveries=(5, 5, 3, 0), alive=(10, 8, 4, 0),

@@ -17,24 +17,9 @@ from wsnsim.model import (
 )
 from wsnsim.protocols import Geometry
 
+from shared import EXACT_RADIO, one_node_config, one_node_round_cost
+
 RADIO = RadioModel(e_elec=50e-9, e_amp=100e-12, e_da=5e-9)
-# powers of two make every charge and subtraction exact
-EXACT_RADIO = RadioModel(e_elec=2.0**-20, e_amp=2.0**-34, e_da=2.0**-22,
-                         data_bits=4096, header_bits=256)
-
-
-def one_node_config(energy, radio=RADIO):
-    # arena diagonal hypot(60, 80) = 100; the BS is 100 m from the node at the origin
-    return NetworkConfig(n_nodes=1, arena=(60.0, 80.0), bs_pos=(0.0, 100.0),
-                         initial_energy=energy, radio=radio, seed=0)
-
-
-def one_node_round_cost(radio):
-    """A lone node's round: it advertises at the arena diagonal, aggregates
-    its own signal and uplinks it to the BS, both 100 m away."""
-    return (tx_energy(radio, radio.header_bits, 100.0)
-            + aggregate_energy(radio, radio.data_bits, 1)
-            + tx_energy(radio, radio.data_bits, 100.0))
 
 
 def one_node_round(energy, radio=RADIO):

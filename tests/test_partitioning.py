@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from wsnsim.partitioning import (
     _Workspace,
 )
 from wsnsim.protocols import FuzzyFormation, Geometry, fuzzy_form_clusters, kmeans_form_clusters
+
+from shared import best_split, hard_objective
 
 
 def pts(*coords):
@@ -50,33 +53,6 @@ def assert_memberships(u, tol=1e-9):
     assert u.ndim == 2
     assert not np.any(u < -tol) and not np.any(u > 1 + tol), "membership outside [0, 1]"
     assert not np.any(np.abs(u.sum(axis=1) - 1.0) > tol), "membership row does not sum to 1"
-
-
-def brute_force_two_partition(points):
-    """Best 2-partition objective by exhaustive enumeration (n <= 12)."""
-    n = len(points)
-    best = math.inf
-    best_mask = None
-    for bits in range(1, 2 ** (n - 1)):  # nonempty, label-symmetric halves
-        mask = np.array([(bits >> i) & 1 for i in range(n)], dtype=bool)
-        if mask.all():
-            continue
-        obj = 0.0
-        for part in (points[mask], points[~mask]):
-            centroid = part.mean(axis=0)
-            obj += ((part - centroid) ** 2).sum()
-        if obj < best:
-            best = obj
-            best_mask = mask
-    return best, best_mask
-
-
-def hard_objective(points: np.ndarray, assignment: np.ndarray) -> float:
-    obj = 0.0
-    for j in np.unique(assignment):
-        part = points[assignment == j]
-        obj += ((part - part.mean(axis=0)) ** 2).sum()
-    return float(obj)
 
 
 # --- oracles: per-cluster loops the array steps must match bit for bit -------
@@ -347,7 +323,7 @@ class TestKmeansRun:
         assignment, centroids, iterations = kmeans_from_energy(points, [4, 3, 2, 1], 2)
         assert iterations <= 2
         assert {tuple(c) for c in centroids.tolist()} == {(0.0, 0.5), (1.0, 0.5)}
-        best, _ = brute_force_two_partition(points)
+        best, _ = best_split(points)
         assert hard_objective(points, assignment) == pytest.approx(best, rel=1e-12)
 
     def test_k1_single_iteration_global_mean(self):
@@ -406,7 +382,7 @@ class TestKmeansRun:
         for _ in range(25):
             n = int(rng.integers(2, 13))
             points = pts(*[tuple(rng.uniform(0, 100, 2)) for _ in range(n)])
-            best, mask = brute_force_two_partition(points)
+            best, mask = best_split(points)
             init = np.array([points[mask].mean(axis=0), points[~mask].mean(axis=0)])
             assignment, _, _ = kmeans_run(points, init)
             assert hard_objective(points, assignment) <= best * (1 + 1e-6) + 1e-9
@@ -556,6 +532,27 @@ class TestFcmInit:
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             fcm_init(0, 2, seed=0)
+
+    def test_all_zero_row_takes_equal_memberships(self, monkeypatch):
+        # no seed is known to draw a row of zeros, so the generator is shimmed
+        # to zero row 2 of the seed's draws
+        expected = fcm_init(5, 4, seed=3)
+        keep = np.array([[1.0], [1.0], [0.0], [1.0], [1.0]])
+
+        def zero_row_rng(seed):
+            draws = np.random.default_rng(seed).random
+            return types.SimpleNamespace(random=lambda size: draws(size) * keep)
+
+        class ZeroRowNumpy:
+            random = types.SimpleNamespace(default_rng=zero_row_rng)
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(partitioning, "np", ZeroRowNumpy())
+        got = fcm_init(5, 4, seed=3)
+        assert got[2].tolist() == [0.25] * 4
+        assert got[[0, 1, 3, 4]].tobytes() == expected[[0, 1, 3, 4]].tobytes()
 
 
 # the kernel's FCM steps: memberships and weights indexed (k, n), and at
@@ -711,7 +708,7 @@ class TestFcmRun:
             blob2 = [rng.normal(40, 1.5, 2) for _ in range(n2)]
             points = pts(*blob1, *blob2)
             u, _, _ = fcm_run(points, 2, [trial])[0]
-            best, _ = brute_force_two_partition(points)
+            best, _ = best_split(points)
             assert hard_objective(points, defuzzify(u)) == pytest.approx(best, rel=1e-6)
 
     @pytest.mark.parametrize("k, max_iter", [(10, 100), (50, 100), (10, 5)])

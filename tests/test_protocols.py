@@ -36,7 +36,7 @@ from wsnsim.protocols import (
     leach_threshold,
 )
 
-from test_exactness import count_calls, count_hypot
+from shared import count_calls, count_hypot, validate
 
 
 class ZeroRng:
@@ -73,20 +73,6 @@ def after_round(g, heads):
     """The engine's rotation bookkeeping for one round ``heads`` headed."""
     g.rounds_since_ch += 1
     g.rounds_since_ch[list(heads)] = 0
-
-
-def validate(cluster_set, alive_rows: set[int]) -> None:
-    """Check the exactly-once partition invariant over the alive nodes."""
-    seen: list[int] = []
-    for c in cluster_set.clusters:
-        if c.head in c.members:
-            raise ValueError(f"head {c.head} listed among its own members")
-        seen.append(c.head)
-        seen.extend(c.members)
-    if len(seen) != len(set(seen)):
-        raise ValueError("a node appears more than once in the cluster set")
-    if set(seen) != alive_rows:
-        raise ValueError("cluster set does not cover the alive nodes exactly")
 
 
 def check_partition(cluster_set, g):
