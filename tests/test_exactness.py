@@ -1,7 +1,9 @@
 """Bit-for-bit equality of the array code with the scalar code it replaced,
-one class per contract: the distances, the joins, the formations, HEED's
-geometry, the work counts of each path, the ledger and the memory bounds.
-The oracles, the network builders and the counting shims are in ``shared``.
+in the order of the contracts it pins: the exact distances, the joins
+against ``Geometry.block`` on tie networks, the formations, and the ledger.
+The oracles, the tie-network builder and the counting shims are in
+``shared``. Some classes keep the names of code that was since deleted, and
+with them their test ids; each docstring says what the class pins now.
 """
 
 import copy
@@ -111,12 +113,13 @@ def eecs_params(rng, sep):
                       head_fraction=float(rng.uniform(0.02, 0.3)), ch_separation=sep)
 
 
+# --- the exact distances: math.hypot, and block as np.sqrt of d2 -----------------
+
+
 class TestGeometryDistances:
     """``Geometry``'s exact distances, the table and ``bs_d``, are the ledger's
-    ``math.hypot`` of the coordinate differences, on the values a numpy path
-    could round differently: zeros, subnormals, magnitudes whose squares
-    overflow and tie networks. Its join distance, ``block``, is
-    ``np.sqrt(squared_distances)``, gathered or computed."""
+    ``math.hypot`` of the coordinate differences; its join distance,
+    ``block``, is ``np.sqrt(squared_distances)``, gathered or computed."""
 
     @settings(max_examples=500, deadline=None)
     @given(st.data())
@@ -148,6 +151,30 @@ class TestGeometryDistances:
         assert got.tobytes() == ledger.tobytes()
         mirror = np.array([[table[m][h] for h in rows] for m in cols]).reshape(len(cols), len(rows))
         assert got.tobytes() == mirror.T.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_join_block_is_sqrt_of_d2(self, n, seed):
+        # gathered from the n x n block at n = 256, computed at 257: the same
+        # bits, np.sqrt of squared_distances, and each block is the transpose
+        # of its mirror, on alive subsets and on drawn rows and columns
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(0, 100, (n, 2))
+        geom = Geometry(pos, BS, 1.0)
+        geom.energy[rng.choice(n, 20, replace=False)] = 0.0
+        alive = geom.alive()
+        for r, c in [(alive, alive), (rng.choice(alive, 30), rng.choice(n, 90)),
+                     (alive[:1], alive), (alive, alive[:0])]:
+            got = geom.block(r, c)
+            assert got.tobytes() == np.sqrt(squared_distances(pos[r], pos[c])).tobytes()
+            assert got.tobytes() == geom.block(c, r).T.tobytes()
+        assert (geom._block is not None) == (n <= 256)
+
+
+class TestExactDistancesAtExtremes:
+    """The table and the sink distances are ``math.hypot`` on the values a
+    numpy path could round differently: zeros, subnormals and magnitudes
+    whose squares overflow."""
 
     @settings(max_examples=500, deadline=None)
     @given(st.data())
@@ -192,8 +219,14 @@ class TestGeometryDistances:
                 got += Geometry(np.vstack([part, [0.0, 0.0]]), (0.0, 0.0), 1.0).table[-1][:-1]
             assert np.array(got).tobytes() == math_hypot(xs, ys).tobytes()
 
+
+class TestDistanceTable:
+    """The table's rows are ``math.hypot`` on tie networks; the work counts of
+    a lifetime and of a sweep (``math.hypot`` calls and ``squared_distances``
+    blocks); and the memory bound of the table's build."""
+
     @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
-    def test_table_rows_equal_math_hypot(self, seed, kind):
+    def test_rows_equal_math_hypot(self, seed, kind):
         # table[h][m] is the ledger's math.hypot(mx - hx, my - hy), bit for bit
         nodes, _ = tie_network(np.random.default_rng(seed), kind, 20, 120)
         geom, _ = geometry_of(nodes)
@@ -201,46 +234,106 @@ class TestGeometryDistances:
         expected = [[math.hypot(mx - hx, my - hy) for mx, my in xy] for hx, hy in xy]
         assert np.array(geom.table).tobytes() == np.array(expected).tobytes()
 
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("n", [256, 257])
-    def test_join_block_is_sqrt_of_d2(self, n, seed):
-        # gathered from the n x n block at n = 256, computed at 257: the same
-        # bits, np.sqrt of squared_distances, and each block is the transpose
-        # of its mirror, on alive subsets and on drawn rows and columns
-        rng = np.random.default_rng(seed)
-        pos = rng.uniform(0, 100, (n, 2))
-        geom = Geometry(pos, BS, 1.0)
-        geom.energy[rng.choice(n, 20, replace=False)] = 0.0
-        alive = geom.alive()
-        for r, c in [(alive, alive), (rng.choice(alive, 30), rng.choice(n, 90)),
-                     (alive[:1], alive), (alive, alive[:0])]:
-            got = geom.block(r, c)
-            assert got.tobytes() == np.sqrt(squared_distances(pos[r], pos[c])).tobytes()
-            assert got.tobytes() == geom.block(c, r).T.tobytes()
-        assert (geom._block is not None) == (n <= 256)
+    @pytest.mark.parametrize("protocol", [LeachParams(), EecsParams()], ids=["leach", "eecs"])
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_rounds_compute_no_distance_at_paper_scale(self, monkeypatch, protocol, n):
+        # seed 1's lifetime at n = 100 calls math.hypot only for the sink
+        # distances and the table, built once, and then reads every distance
+        # from the table: none in the formations or the ledger. LEACH's or
+        # EECS's join builds one d2 block, the n x n join distances, in its
+        # first round. At n = 300 (20 rounds) there is no table and both are
+        # called, the ledger's math.hypot beyond the sink distances and each
+        # join building one d2 block per round
+        config = NetworkConfig(n_nodes=n, seed=1)
+        hypots = count_hypot(monkeypatch)
+        d2 = count_calls(monkeypatch, protocols, "squared_distances")
+        result = run_simulation(config, protocol, 10**6 if n == 100 else 20)
+        if n == 100:
+            assert result.last_death_round is not None  # the whole lifetime
+            assert hypots.total() == n + n * n
+            assert d2[0] == 1
+        else:
+            assert hypots.total() > n
+            assert d2[0] == 20
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_block_kept_across_heed_formations(self, seed):
-        # HEED keeps its mask and ranks, no float block: its join reads
-        # Geometry.block, at n <= 256 the n x n np.sqrt(dx*dx + dy*dy) built
-        # by the first formation and kept by the Geometry across formations
-        # and deaths, above it none
-        rng = np.random.default_rng(seed)
-        for n in (int(rng.integers(21, 257)), 256, 257, int(rng.integers(258, 400))):
-            pos = rng.uniform(0, 100, (n, 2))
+    def test_build_peak_memory(self):
+        # the first read lists math.hypot's rows straight, with no n x n
+        # array in between, so the build adds little to what the Geometry
+        # keeps (1.000x at n = 256; 1.244x when it filled an array first)
+        pos = np.random.default_rng(1).uniform(0, 100, (256, 2))
+        tracemalloc.start()
+        try:
             geom = Geometry(pos, BS, 1.0)
-            blocks = []
-            for _ in range(2):
-                geom.energy[rng.choice(n, 10, replace=False)] = 0.0
-                rows = geom.alive()
-                assert [a.dtype.kind for a in geom.heed(rows, 20.0)] == ["b", "i"]
-                heed_form_clusters(geom, HeedParams(), rng)
-                blocks.append(geom._block)
-            if n <= 256:
-                assert blocks[0] is blocks[1]
-                assert blocks[0].tobytes() == np.sqrt(squared_distances(pos, pos)).tobytes()
-            else:
-                assert blocks == [None, None]
+            table = geom.table
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table is not None
+        assert peak <= 1.05 * kept
+
+    def test_a_sweep_builds_no_table(self, monkeypatch):
+        # sweep_iterations deploys a Geometry per seed and runs k-means and
+        # fuzzy c-means on it, which read no distance table
+        exact = count_hypot(monkeypatch)
+        sweep_iterations(NetworkConfig(), [2, 5], [1, 2, 3])
+        # the sink distances and the centroid formations' energy tie-breaks
+        assert set(exact) == {"__init__", "_centroid_cluster_set"}
+
+
+# --- the joins against Geometry.block on tie networks ----------------------------
+
+
+def leach_tie_join(monkeypatch, seed, kind, n_low, n_high):
+    """LEACH's join on a tie network of ``n_low`` to ``n_high`` nodes, checked
+    against the oracle: the argmin over heads, built in one d2 call and with
+    no exact distance. Returns the Geometry."""
+    rng = np.random.default_rng(seed)
+    nodes, _ = tie_network(rng, kind, n_low, n_high)
+    heads = {n.id for n in nodes[:len(nodes) // 4]} if kind == "bisector" else (
+        {n.id for n in nodes if rng.random() < 0.2} or {nodes[0].id})
+    geom, ids = geometry_of(nodes)
+    exact = count_hypot(monkeypatch)
+    d2 = count_calls(monkeypatch, protocols, "squared_distances")
+    got = form_clusters_nearest(geom, {ids.index(h) for h in heads})
+    assert ids_of(got, ids) == oracle_form_clusters_nearest(nodes, heads)
+    assert d2[0] == 1
+    assert exact.total() == 0
+    return geom
+
+
+class TestCertifiedJoin:
+    """LEACH's join: the argmin over heads of ``Geometry.block``, checked
+    against the oracle's ``math.sqrt(dx*dx + dy*dy)`` where rounding decides,
+    through the gathered block and the computed one. (The class keeps the
+    name of the certified join it replaced, and with it its test ids.)"""
+
+    @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
+    def test_tie_networks_match_oracle_through_the_table(self, monkeypatch, seed, kind):
+        # at n <= 256 the join gathers from the n x n block; it reads no
+        # exact distance, so builds no table
+        assert leach_tie_join(monkeypatch, seed, kind, 20, 120).whole
+
+    @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
+    def test_tie_networks_match_oracle_through_the_exact_path(self, monkeypatch, seed, kind):
+        # past the table the join computes its heads x members block
+        assert leach_tie_join(monkeypatch, seed, kind, 257, 401).table is None
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_blocks_need_no_exact_rows(self, monkeypatch, seed):
+        # on random positions no two heads lie within ulps of a member, so the
+        # join chooses the heads math.hypot would
+        rng = np.random.default_rng(seed)
+        geom = Geometry(rng.uniform(0, 100, (1000, 2)), BS, 1.0)
+        rows, cols = np.arange(950), np.arange(950, 1000)
+        exact = count_hypot(monkeypatch)
+        got = form_clusters_nearest(geom, set(cols.tolist()))
+        assert not exact
+        # the ledger's math.hypot, members as rows and heads as columns
+        pos = geom.pos
+        nearest = math_hypot(pos[rows, 0, None] - pos[cols, 0],
+                             pos[rows, 1, None] - pos[cols, 1]).argmin(axis=1)
+        assert [c.members for c in got.clusters] == [rows[nearest == j].tolist()
+                                                     for j in range(len(cols))]
 
 
 def eecs_past_the_table(monkeypatch, nodes, params, bs, seed):
@@ -272,50 +365,15 @@ def hand_network(rng, *cases):
     return nodes, params, (130.0, 1000.0)
 
 
-class TestJoinsMatchBlock:
-    """Every join compares ``Geometry.block``: the n x n block at n <= 256,
-    one over its heads and members above. Each is checked against the
-    oracles' ``math.sqrt(dx*dx + dy*dy)`` on tie networks, where rounding or
-    an exact tie decides."""
-
-    @pytest.mark.parametrize("n_low,n_high", [(20, 120), (257, 401)], ids=["block", "rows"])
-    @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
-    def test_leach(self, monkeypatch, seed, kind, n_low, n_high):
-        # LEACH's join: the argmin over heads, built in one d2 call; it reads
-        # no exact distance, so builds no table
-        rng = np.random.default_rng(seed)
-        nodes, _ = tie_network(rng, kind, n_low, n_high)
-        heads = {n.id for n in nodes[:len(nodes) // 4]} if kind == "bisector" else (
-            {n.id for n in nodes if rng.random() < 0.2} or {nodes[0].id})
-        geom, ids = geometry_of(nodes)
-        exact = count_hypot(monkeypatch)
-        d2 = count_calls(monkeypatch, protocols, "squared_distances")
-        got = form_clusters_nearest(geom, {ids.index(h) for h in heads})
-        assert ids_of(got, ids) == oracle_form_clusters_nearest(nodes, heads)
-        assert geom.whole if n_low < 256 else geom.table is None
-        assert d2[0] == 1
-        assert exact.total() == 0
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_leach_on_random_positions(self, monkeypatch, seed):
-        # on random positions no two heads lie within ulps of a member, so the
-        # join chooses the heads math.hypot would
-        rng = np.random.default_rng(seed)
-        geom = Geometry(rng.uniform(0, 100, (1000, 2)), BS, 1.0)
-        rows, cols = np.arange(950), np.arange(950, 1000)
-        exact = count_hypot(monkeypatch)
-        got = form_clusters_nearest(geom, set(cols.tolist()))
-        assert not exact
-        # the ledger's math.hypot, members as rows and heads as columns
-        pos = geom.pos
-        nearest = math_hypot(pos[rows, 0, None] - pos[cols, 0],
-                             pos[rows, 1, None] - pos[cols, 1]).argmin(axis=1)
-        assert [c.members for c in got.clusters] == [rows[nearest == j].tolist()
-                                                     for j in range(len(cols))]
+class TestCertifiedEecsJoin:
+    """EECS's join past the table: its costs over ``Geometry.block``, checked
+    against the oracle's ``math.sqrt(dx*dx + dy*dy)`` where rounding or an
+    exact tie decides. (The class keeps the name of the certified join it
+    replaced, and with it its test ids.)"""
 
     @pytest.mark.parametrize("sep", [0.0, 0.2])
     @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
-    def test_eecs(self, monkeypatch, seed, kind, sep):
+    def test_tie_networks_match_oracle(self, monkeypatch, seed, kind, sep):
         # 257 to 600 nodes, past the table, and a base station above the
         # arena. On bisector networks the ends are the heads, every node is in
         # reach of all of them and w = 1, so the costs order the heads as the
@@ -342,7 +400,7 @@ class TestJoinsMatchBlock:
             assert (squared_distances(pos, pos) < sys.float_info.min).all()
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_eecs_hand_cases(self, monkeypatch, seed):
+    def test_hand_cases_take_the_exact_distances(self, monkeypatch, seed):
         # member 2 lies exactly join_radius from head 0 (offset (-30, -40));
         # member 3 at the same distance from both heads; member 4 on head 0;
         # member 5 in no head's reach
@@ -359,7 +417,7 @@ class TestJoinsMatchBlock:
         assert d[0, 0] == params.join_radius and d[0, 1] == d[1, 1] and d[0, 2] == 0.0
 
     @pytest.mark.parametrize("offset", [(30.0, 40.0), (-30.0, 40.0), (40.0, -30.0), (0.0, -50.0)])
-    def test_eecs_member_exactly_at_join_radius(self, monkeypatch, offset):
+    def test_member_exactly_at_join_radius(self, monkeypatch, offset):
         # d2 = 2500 = join_radius**2 exactly, whose sqrt is exactly 50: the
         # member is in head 0's reach
         nodes, params, bs = hand_network(np.random.default_rng(7),
@@ -367,10 +425,40 @@ class TestJoinsMatchBlock:
         _, geom, _ = eecs_past_the_table(monkeypatch, nodes, params, bs, 7)
         assert geom.block(np.array([0]), np.array([2]))[0, 0] == params.join_radius
 
+
+class TestHeedKeptBlock:
+    """HEED keeps its mask and ranks and no float block: its nearest-head
+    fallback reads ``Geometry.block``, checked against the oracle, and a
+    rebuild's memory is bounded. (The class keeps the name of the float block
+    HEED used to keep, and with it its test ids.)"""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_block_equals_sqrt_of_d2(self, seed):
+        # HEED keeps its mask and ranks, no float block: its join reads
+        # Geometry.block, at n <= 256 the n x n np.sqrt(dx*dx + dy*dy) built
+        # by the first formation and kept by the Geometry across formations
+        # and deaths, above it none
+        rng = np.random.default_rng(seed)
+        for n in (int(rng.integers(21, 257)), 256, 257, int(rng.integers(258, 400))):
+            pos = rng.uniform(0, 100, (n, 2))
+            geom = Geometry(pos, BS, 1.0)
+            blocks = []
+            for _ in range(2):
+                geom.energy[rng.choice(n, 10, replace=False)] = 0.0
+                rows = geom.alive()
+                assert [a.dtype.kind for a in geom.heed(rows, 20.0)] == ["b", "i"]
+                heed_form_clusters(geom, HeedParams(), rng)
+                blocks.append(geom._block)
+            if n <= 256:
+                assert blocks[0] is blocks[1]
+                assert blocks[0].tobytes() == np.sqrt(squared_distances(pos, pos)).tobytes()
+            else:
+                assert blocks == [None, None]
+
     @pytest.mark.parametrize("n_low,n_high", [(20, 257), (257, 401)], ids=["block", "rows"])
     @pytest.mark.parametrize("sep", [0.0, 0.15])
     @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
-    def test_heed_fallback(self, monkeypatch, seed, kind, sep, n_low, n_high):
+    def test_tie_networks_match_oracle(self, monkeypatch, seed, kind, sep, n_low, n_high):
         # the uncovered nodes' nearest head comes from Geometry.block, the
         # n x n block at n <= 256 and one over their rows above; with a
         # cluster radius this small rounding decides many of those ties
@@ -393,11 +481,57 @@ class TestJoinsMatchBlock:
         uncovered = [m for c in got.clusters for m in c.members if not in_range[m, heads].any()]
         assert uncovered or n > 256
 
+    def test_rebuild_peak_memory(self):
+        # a HEED rebuild at n = 256 keeps the bool mask and the ranks (71 352
+        # bytes); it peaks while one row block's d2 and dy planes, the two n x n
+        # float arrays of squared_distances, exist beside the mask: 1 192 502
+        # bytes, the bound
+        pos = np.random.default_rng(1).uniform(0, 100, (256, 2))
+        geom = Geometry(pos, BS, 1.0)
+        rows = geom.alive()
+        tracemalloc.start()
+        try:
+            kept_arrays = geom.heed(rows, 20.0)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(kept_arrays) == 2
+        assert kept < 2 * 256 * 256
+        assert peak <= 1_192_502
+
+
+# --- the formations against the scalar oracles ----------------------------------
+
+
+def eecs_formations(rng, seed, nodes, sep):
+    """Build the Geometry of ``nodes``, then run 30 EECS formations on it with
+    parameters drawn from ``rng``, each checked against the oracle, and yield
+    each formation's ClusterSet with the Geometry and the parameters. Between
+    formations heads drain faster than members, and a few nodes die outright."""
+    params = eecs_params(rng, sep)
+    bs = (50.0, float(rng.choice([50.0, 175.0])))
+    a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    geom, ids = geometry_of(nodes, bs)
+
+    def formations():
+        for _ in range(30):
+            got = eecs_form_clusters(geom, params, a)
+            assert ids_of(got, ids) == oracle_eecs_form_clusters(nodes, bs, params, b)
+            yield got, geom, params
+            for row, node in enumerate(nodes):
+                node.energy *= float(rng.uniform(0.5, 0.8) if row in got.heads
+                                     else rng.uniform(0.9, 1.0)) * (rng.random() > 0.03)
+            assert alive_of(nodes)
+            geom.energy[:] = [n.energy for n in nodes]
+
+    return formations()
+
 
 class TestFormationsMatchScalarOracles:
     """Each formation gives the oracle's cluster set from the same stream,
     with EECS's suppression and head separation read from the ledger's
-    distances."""
+    distances; EECS's work counts over 30 formations on one Geometry; and
+    HEED's costs and mask against the scalar and whole-array ones."""
 
     @pytest.mark.parametrize("seed,grid,sep", NETWORKS)
     def test_leach(self, seed, grid, sep):
@@ -454,11 +588,37 @@ class TestFormationsMatchScalarOracles:
                 lambda rng: oracle_eecs_form_clusters(nodes, BS, params, rng))
         assert (geom.table is None) == (len(nodes) > 256)
 
+    @pytest.mark.parametrize("seed,grid,sep", [c for c in NETWORKS if c[0] < 8])
+    def test_eecs_warm_store(self, monkeypatch, seed, grid, sep):
+        # one Geometry through 30 formations: at n <= 256 every distance is
+        # computed when the first formation reads the table, before later
+        # deaths, and only read after. (The test keeps the name of the store
+        # of head distances EECS used to keep, and with it its ids.)
+        rng = np.random.default_rng(seed)
+        nodes = sorted(random_network(rng, int(rng.integers(20, 90)), grid), key=lambda n: n.id)
+        exact = count_hypot(monkeypatch)
+        formations = eecs_formations(rng, seed, nodes, sep)
+        assert exact.total() == len(nodes)  # the sink distances
+        assert len(list(formations)) == 30
+        assert exact.total() == len(nodes) + len(nodes) ** 2
 
-class TestHeedGeometry:
+    @pytest.mark.parametrize("seed,grid,sep", [c for c in NETWORKS if c[0] < 2 and not c[1]])
+    def test_eecs_exact_rows_past_the_table(self, monkeypatch, seed, grid, sep):
+        # at n > 256 there is no table and nothing is kept between rounds:
+        # each formation computes one d2 block, its join's, over its heads and
+        # members, and no exact distance but the suppression scan's
+        rng = np.random.default_rng(seed)
+        nodes = sorted(random_network(rng, int(rng.integers(500, 600)), grid), key=lambda n: n.id)
+        formations = eecs_formations(rng, seed, nodes, sep)
+        calls = count_hypot(monkeypatch)
+        d2 = count_calls(monkeypatch, protocols, "squared_distances")
+        for i, (_, geom, _) in enumerate(formations, 1):
+            assert geom.table is None and set(calls) <= {"_thin"}
+            assert d2[0] == i
+
     @pytest.mark.parametrize("seed,grid", [(s, g) for s in [*range(20), 100, 101]
                                            for g in (False, True)])
-    def test_cost(self, seed, grid):
+    def test_heed_cost(self, seed, grid):
         # the scalar cost was never bit-equal to the array one (math.hypot and
         # sequential sums against sqrt(dx*dx + dy*dy) and pairwise sums)
         rng = np.random.default_rng(seed)
@@ -469,9 +629,20 @@ class TestHeedGeometry:
         assert cost.tolist() == pytest.approx(
             [heed_cost(c, nodes, radius) for c in nodes], rel=1e-12)
 
+    def test_heed_cost_of_a_lone_node_is_r_times_r(self):
+        # r * r and r**2 differ in the last bit at this r: a node without
+        # neighbours costs r * r, as a pair exactly r apart does, so the three
+        # tie and rank by row
+        r = 10.142426998871324
+        in_range, cost = heed_geometry(np.array([[0.0, 0.0], [r, 0.0], [500.0, 500.0]]), r)
+        assert in_range.sum(axis=1).tolist() == [1, 1, 0]
+        assert cost.tolist() == [r * r] * 3 == [102.86882542743398] * 3
+        geom = Geometry([(0.0, 0.0), (r, 0.0), (500.0, 500.0)], BS, 1.0)
+        assert geom.heed(geom.alive(), r)[1].tolist() == [0, 1, 2]
+
     @pytest.mark.parametrize("seed,grid", [(s, g) for s in [*range(10), *range(100, 106)]
                                            for g in (False, True)])
-    def test_row_blocks(self, seed, grid):
+    def test_heed_geometry_in_row_blocks(self, seed, grid):
         # built a row block at a time, the mask and the costs equal those of
         # the whole n x n arrays bit for bit: each cost row is still summed
         # over its whole row, in numpy's pairwise order
@@ -484,103 +655,8 @@ class TestHeedGeometry:
         assert np.array_equal(got_in_range, in_range)
         assert got_cost.tobytes() == cost.tobytes()
 
-    def test_a_lone_node_costs_r_times_r(self):
-        # r * r and r**2 differ in the last bit at this r: a node without
-        # neighbours costs r * r, as a pair exactly r apart does, so the three
-        # tie and rank by row
-        r = 10.142426998871324
-        in_range, cost = heed_geometry(np.array([[0.0, 0.0], [r, 0.0], [500.0, 500.0]]), r)
-        assert in_range.sum(axis=1).tolist() == [1, 1, 0]
-        assert cost.tolist() == [r * r] * 3 == [102.86882542743398] * 3
-        geom = Geometry([(0.0, 0.0), (r, 0.0), (500.0, 500.0)], BS, 1.0)
-        assert geom.heed(geom.alive(), r)[1].tolist() == [0, 1, 2]
 
-
-def eecs_formations(rng, seed, nodes, sep):
-    """Build the Geometry of ``nodes``, then run 30 EECS formations on it with
-    parameters drawn from ``rng``, each checked against the oracle, and yield
-    each formation's ClusterSet with the Geometry and the parameters. Between
-    formations heads drain faster than members, and a few nodes die outright."""
-    params = eecs_params(rng, sep)
-    bs = (50.0, float(rng.choice([50.0, 175.0])))
-    a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    geom, ids = geometry_of(nodes, bs)
-
-    def formations():
-        for _ in range(30):
-            got = eecs_form_clusters(geom, params, a)
-            assert ids_of(got, ids) == oracle_eecs_form_clusters(nodes, bs, params, b)
-            yield got, geom, params
-            for row, node in enumerate(nodes):
-                node.energy *= float(rng.uniform(0.5, 0.8) if row in got.heads
-                                     else rng.uniform(0.9, 1.0)) * (rng.random() > 0.03)
-            assert alive_of(nodes)
-            geom.energy[:] = [n.energy for n in nodes]
-
-    return formations()
-
-
-class TestWorkCounts:
-    """The ``math.hypot`` calls and ``squared_distances`` blocks each path
-    makes. The joins' own counts are pinned beside their oracles in
-    ``TestJoinsMatchBlock``."""
-
-    @pytest.mark.parametrize("protocol", [LeachParams(), EecsParams()], ids=["leach", "eecs"])
-    @pytest.mark.parametrize("n", [100, 300])
-    def test_rounds_compute_no_distance_at_paper_scale(self, monkeypatch, protocol, n):
-        # seed 1's lifetime at n = 100 calls math.hypot only for the sink
-        # distances and the table, built once, and then reads every distance
-        # from the table: none in the formations or the ledger. LEACH's or
-        # EECS's join builds one d2 block, the n x n join distances, in its
-        # first round. At n = 300 (20 rounds) there is no table and both are
-        # called, the ledger's math.hypot beyond the sink distances and each
-        # join building one d2 block per round
-        config = NetworkConfig(n_nodes=n, seed=1)
-        hypots = count_hypot(monkeypatch)
-        d2 = count_calls(monkeypatch, protocols, "squared_distances")
-        result = run_simulation(config, protocol, 10**6 if n == 100 else 20)
-        if n == 100:
-            assert result.last_death_round is not None  # the whole lifetime
-            assert hypots.total() == n + n * n
-            assert d2[0] == 1
-        else:
-            assert hypots.total() > n
-            assert d2[0] == 20
-
-    def test_a_sweep_builds_no_table(self, monkeypatch):
-        # sweep_iterations deploys a Geometry per seed and runs k-means and
-        # fuzzy c-means on it, which read no distance table
-        exact = count_hypot(monkeypatch)
-        sweep_iterations(NetworkConfig(), [2, 5], [1, 2, 3])
-        # the sink distances and the centroid formations' energy tie-breaks
-        assert set(exact) == {"__init__", "_centroid_cluster_set"}
-
-    @pytest.mark.parametrize("seed,grid,sep", [c for c in NETWORKS if c[0] < 8])
-    def test_eecs_builds_the_table_once(self, monkeypatch, seed, grid, sep):
-        # one Geometry through 30 formations: at n <= 256 every distance is
-        # computed when the first formation reads the table, before later
-        # deaths, and only read after
-        rng = np.random.default_rng(seed)
-        nodes = sorted(random_network(rng, int(rng.integers(20, 90)), grid), key=lambda n: n.id)
-        exact = count_hypot(monkeypatch)
-        formations = eecs_formations(rng, seed, nodes, sep)
-        assert exact.total() == len(nodes)  # the sink distances
-        assert len(list(formations)) == 30
-        assert exact.total() == len(nodes) + len(nodes) ** 2
-
-    @pytest.mark.parametrize("seed,grid,sep", [c for c in NETWORKS if c[0] < 2 and not c[1]])
-    def test_eecs_past_the_table(self, monkeypatch, seed, grid, sep):
-        # at n > 256 there is no table and nothing is kept between rounds:
-        # each formation computes one d2 block, its join's, over its heads and
-        # members, and no exact distance but the suppression scan's
-        rng = np.random.default_rng(seed)
-        nodes = sorted(random_network(rng, int(rng.integers(500, 600)), grid), key=lambda n: n.id)
-        formations = eecs_formations(rng, seed, nodes, sep)
-        calls = count_hypot(monkeypatch)
-        d2 = count_calls(monkeypatch, protocols, "squared_distances")
-        for i, (_, geom, _) in enumerate(formations, 1):
-            assert geom.table is None and set(calls) <= {"_thin"}
-            assert d2[0] == i
+# --- the ledger against the per-charge oracle ------------------------------------
 
 
 def node_state(state):
@@ -614,74 +690,47 @@ def low_energy_lifetime(protocol, seed, n_nodes):
     return deaths
 
 
-# the protocols and seeds of the low-energy lifetimes at each size: at n = 40
-# with the distance table, at n = 300 past it, where the ledger computes each
-# member's distance with math.hypot. At n = 40 a head dies receiving a join
-# only from seed 7 on (LEACH's seeds 8 and 9)
-LIFETIMES = {
-    40: ({"leach": LeachParams(), "heed": HeedParams(), "eecs": EecsParams(),
-          "kmeans": KmeansFormation(k=3), "fuzzy": FuzzyFormation(k=3),
-          "leach-sep": LeachParams(ch_separation=20.0)}, range(10)),
-    300: ({"leach": LeachParams(), "heed": HeedParams(), "eecs": EecsParams(),
-           "kmeans": KmeansFormation()}, range(5)),
-}
+def phases_killed(cases, seeds, n_nodes):
+    return {phase for protocol in cases for seed in seeds
+            for phase in low_energy_lifetime(protocol, seed, n_nodes)}
+
+
+PROTOCOLS = [LeachParams(), HeedParams(), EecsParams(), KmeansFormation(k=3),
+             FuzzyFormation(k=3), LeachParams(ch_separation=20.0)]
+# a head dies receiving a join only from seed 7 on (LEACH's seeds 8 and 9)
+SEEDS = range(10)
+PAST_THE_TABLE = [LeachParams(), HeedParams(), EecsParams(), KmeansFormation()]
 PHASES = {"advert", "advert receive", "join send", "join receive", "data send",
           "data receive", "aggregation", "uplink"}
 
 
 class TestLedgerMatchesPerChargeOracle:
-    """The ledger charges what the oracle charges, one cost per call with
-    ``euclidean_distance`` over sorted members, and kills whom it kills."""
+    """At n = 40, with the distance table, the ledger charges what the oracle
+    charges, one cost per call with ``euclidean_distance`` over sorted
+    members, and kills whom it kills."""
 
-    def test_no_table_at_n_300(self):
+    @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: type(p).__name__)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_low_energy_rounds(self, protocol, seed):
+        low_energy_lifetime(protocol, seed, 40)
+
+    def test_every_phase_kills(self):
+        # across the cases above, each phase's charge kills a node at least once
+        assert phases_killed(PROTOCOLS, SEEDS, 40) == PHASES
+
+
+class TestLedgerPastTheTable:
+    """As ``TestLedgerMatchesPerChargeOracle``, at n = 300: there is no
+    distance table, so the ledger computes each member's distance with
+    ``math.hypot``."""
+
+    def test_no_table(self):
         assert Geometry(np.zeros((300, 2)), BS, 1.0).table is None
 
-    @pytest.mark.parametrize("n_nodes,protocol,seed", [
-        pytest.param(n, protocol, seed, id=f"{n}-{seed}-{name}")
-        for n, (cases, seeds) in LIFETIMES.items() for seed in seeds
-        for name, protocol in cases.items()])
-    def test_low_energy_rounds(self, n_nodes, protocol, seed):
-        low_energy_lifetime(protocol, seed, n_nodes)
+    @pytest.mark.parametrize("protocol", PAST_THE_TABLE, ids=lambda p: type(p).__name__)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_low_energy_rounds(self, protocol, seed):
+        low_energy_lifetime(protocol, seed, 300)
 
-    @pytest.mark.parametrize("n_nodes", LIFETIMES)
-    def test_every_phase_kills(self, n_nodes):
-        # across the cases above, each phase's charge kills a node at least once
-        cases, seeds = LIFETIMES[n_nodes]
-        deaths = {phase for protocol in cases.values() for seed in seeds
-                  for phase in low_energy_lifetime(protocol, seed, n_nodes)}
-        assert deaths == PHASES
-
-
-class TestMemoryBounds:
-    def test_table_build(self):
-        # the first read lists math.hypot's rows straight, with no n x n
-        # array in between, so the build adds little to what the Geometry
-        # keeps (1.000x at n = 256; 1.244x when it filled an array first)
-        pos = np.random.default_rng(1).uniform(0, 100, (256, 2))
-        tracemalloc.start()
-        try:
-            geom = Geometry(pos, BS, 1.0)
-            table = geom.table
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert table is not None
-        assert peak <= 1.05 * kept
-
-    def test_heed_rebuild(self):
-        # a HEED rebuild at n = 256 keeps the bool mask and the ranks (71 352
-        # bytes); it peaks while one row block's d2 and dy planes, the two n x n
-        # float arrays of squared_distances, exist beside the mask: 1 192 502
-        # bytes, the bound
-        pos = np.random.default_rng(1).uniform(0, 100, (256, 2))
-        geom = Geometry(pos, BS, 1.0)
-        rows = geom.alive()
-        tracemalloc.start()
-        try:
-            kept_arrays = geom.heed(rows, 20.0)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(kept_arrays) == 2
-        assert kept < 2 * 256 * 256
-        assert peak <= 1_192_502
+    def test_every_phase_kills(self):
+        assert phases_killed(PAST_THE_TABLE, range(5), 300) == PHASES
