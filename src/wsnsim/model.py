@@ -116,8 +116,8 @@ def euclidean_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) block of dx*dx + dy*dy between the rows of two (n, 2)
-    arrays, built in place in that order: ``heed_geometry`` reads it as it is,
-    and its square root is ``np.sqrt(dx * dx + dy * dy)``, not ``math.hypot``. Each
+    arrays, built in place in that order: every formation's "nearest" and "in
+    range" read it as it is, and only EECS's cost takes its ``np.sqrt``. Each
     block first takes b's coordinates, which are then subtracted from a's in place,
     a scalar per row: the broadcast a - b, bit for bit, and faster from about 60 x 60."""
     d2, dy = np.empty((len(a), len(b))), np.empty((len(a), len(b)))

@@ -146,7 +146,7 @@ class FuzzyFormation:
 
 
 _BLOCK = 2**16  # the one element budget: heed_geometry's row blocks, the distance
-# table and the join block (each built, n x n, only when it fits), FCM's batch
+# table and the d2 block (each built, n x n, only when it fits), FCM's batch
 
 
 class Geometry:
@@ -160,14 +160,14 @@ class Geometry:
     alive set as well, so ``heed`` keeps them for the set it last saw.
     ``fcm`` keeps the coming rounds' FCM runs for the alive set it last saw.
 
-    Two distances serve two purposes. Every join (LEACH's, HEED's and EECS's)
-    compares ``block``'s ``np.sqrt(dx*dx + dy*dy)``. Every charge, and the
-    greedy thinning of EECS's suppression and of head separation, takes the
-    ledger's ``math.hypot``: ``bs_dist`` (and ``bs_d``, its Python floats)
+    Two distances serve two purposes. Every join's "nearest" and "in range"
+    compare ``block``'s squared distances dx*dx + dy*dy. Every charge, and
+    the greedy thinning of EECS's suppression and of head separation, takes
+    the ledger's ``math.hypot``: ``bs_dist`` (and ``bs_d``, its Python floats)
     and the table. When n * n <= ``_BLOCK`` (n <= 256, ``whole``) each is
     built whole, once, on first use: the first read of ``table`` lists every
     pair's ``math.hypot``, row by row, and the first ``block`` builds the
-    n x n join distances. ``table[h][m]`` is ``math.hypot(hx - mx, hy - my)``,
+    n x n d2 array. ``table[h][m]`` is ``math.hypot(hx - mx, hy - my)``,
     bit-equal to the ledger's ``math.hypot(mx - hx, my - hy)``: fl(a - b) is
     -fl(b - a) and hypot is even in each argument. ``_thin`` and
     ``engine.run_round``'s ledger read it instead of computing distances. A
@@ -203,16 +203,15 @@ class Geometry:
         return self._table
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """(len(rows), len(cols)) block of the join distance
-        ``np.sqrt(dx*dx + dy*dy)``, the square root of ``squared_distances``:
-        gathered from the n x n block when n <= 256, else computed. Each
+        """(len(rows), len(cols)) block of ``squared_distances``, dx*dx +
+        dy*dy: gathered from the n x n block when n <= 256, else computed. Each
         element is the same arithmetic on the same two positions, so both give
         the same bits, and ``block(cols, rows)`` is its transpose (fl(a - b)**2
         is fl(b - a)**2)."""
         if not self.whole:
-            return np.sqrt(squared_distances(self.pos[rows], self.pos[cols]))
+            return squared_distances(self.pos[rows], self.pos[cols])
         if self._block is None:
-            self._block = np.sqrt(squared_distances(self.pos, self.pos))
+            self._block = squared_distances(self.pos, self.pos)
         return self._block[rows[:, None], cols]
 
     def alive(self) -> np.ndarray:
@@ -281,12 +280,13 @@ def rotation_period(p: float) -> int:
 def leach_threshold(p: float, r: int) -> float:
     """Election threshold p / (1 - p * (r mod ceil(1/p))), clamped to [0, 1].
 
-    The clamp makes the end-of-period value exactly 1.0, where every
-    still-eligible node must elect itself.
+    It is exactly 1.0 by rule in a period's last round, where every
+    still-eligible node must elect itself and the quotient can round below 1.
     """
-    rm = r % rotation_period(p)
+    period = rotation_period(p)
+    rm = r % period
     denom = 1.0 - p * rm
-    if denom <= 0.0:
+    if rm == period - 1 or denom <= 0.0:
         return 1.0
     return min(1.0, p / denom)
 
@@ -475,8 +475,8 @@ def heed_form_clusters(geom: Geometry, params: HeedParams, rng) -> tuple[Cluster
         heads = enforce_ch_separation(geom, set(rows[head_idx].tolist()), params.ch_separation)
         head_idx = np.searchsorted(rows, sorted(heads))
 
-    # the lowest-rank head in range, else the nearest head (ties: lowest row,
-    # as head_idx is ascending); only the uncovered nodes need distances
+    # the lowest-rank head in range, else the nearest head by d2 (ties: lowest
+    # row, as head_idx is ascending); only the uncovered nodes need distances
     reach = in_range[head_idx]  # (heads, n)
     best = np.where(reach, rank[head_idx, None], n).argmin(axis=0)
     far = np.flatnonzero(~reach.any(axis=0))
@@ -506,8 +506,9 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
     Plain nodes then weigh their distance to a head against that head's
     distance to the base station, so heads far from the sink attract fewer
     members and spend less on receiving and aggregation to offset their
-    longer uplink. The join compares ``Geometry.block``'s distances; the
-    suppression scan, like the ledger, takes ``math.hypot``'s.
+    longer uplink. A head is in reach where ``Geometry.block``'s d2 <=
+    join_radius * join_radius; only the cost takes the root of d2. The
+    suppression scan, like the ledger, takes ``math.hypot``.
     """
     rows = geom.alive()
     candidates = geom.by_energy(rows[rng.random(len(rows)) < params.p])
@@ -530,10 +531,11 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
     bs_span = max(listed) - d_bs_min
     bs_term = (bs_dist - d_bs_min) / bs_span if bs_span > 0 else np.zeros(len(head_rows))
 
-    dists = geom.block(head_rows, members)
+    d2 = geom.block(head_rows, members)
     # heads compete for a node only within its join radius; a node with no
     # head that close simply attaches to the nearest one
-    reach = dists <= params.join_radius
+    reach = d2 <= params.join_radius * params.join_radius
+    dists = np.sqrt(d2)
     # the largest distance in reach, 0 with none (fmax skips the NaN of inf * 0)
     d_max = np.fmax.reduce(np.multiply(dists, reach), axis=0)
     # rare: no head in reach, or every one at distance 0, whose member term
@@ -546,7 +548,7 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
     best = keys.argmin(axis=0)
     if len(rare):
         lost = rare[~reach[:, rare].any(axis=0)]
-        best[lost] = dists[:, lost].argmin(axis=0)
+        best[lost] = d2[:, lost].argmin(axis=0)
     return _join(head_rows, members, best)
 
 
@@ -556,8 +558,8 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
 def _centroid_cluster_set(
     geom: Geometry, rows: np.ndarray, assignment: np.ndarray, centroids: np.ndarray
 ) -> ClusterSet:
-    """Group ``rows`` by ``assignment``; each group's head has the most
-    energy, ties going to the nearest to its centroid, then the lowest row."""
+    """Group ``rows`` by ``assignment``; each group's head has the most energy,
+    ties going to the least dx*dx + dy*dy to its centroid, then the lowest row."""
     energy = geom.energy[rows]
     # indices by group, the richest and then the lowest first; rows by group
     order = np.lexsort((-energy, assignment)).tolist()
@@ -570,8 +572,9 @@ def _centroid_cluster_set(
             continue
         head = order[start]
         if end - start > 1 and energy[order[start + 1]] == (top := energy[head]):  # a tie
-            head = min((math.hypot(xy[row[i]][0] - cx, xy[row[i]][1] - cy), i)
-                       for i in order[start:end] if energy[i] == top)[1]
+            offsets = [(xy[row[i]][0] - cx, xy[row[i]][1] - cy, i)
+                       for i in order[start:end] if energy[i] == top]
+            head = min((dx * dx + dy * dy, i) for dx, dy, i in offsets)[1]
         members = grouped[start:end]
         members.remove(row[head])
         clusters.append(Cluster(head=row[head], members=members))

@@ -108,11 +108,12 @@ def oracle_leach_elect(nodes, params, r, rng):
     return heads
 
 
-def join_distance(a, b):
-    """The joins' distance between two (x, y) points, ``math.sqrt(dx*dx + dy*dy)``;
-    the charges and the suppression scan take ``euclidean_distance``."""
+def join_d2(a, b):
+    """What the joins compare between two (x, y) points: the squared distance
+    ``dx*dx + dy*dy``, whose ``math.sqrt`` only EECS's cost takes; the
+    charges and the suppression scan take ``euclidean_distance``."""
     dx, dy = a[0] - b[0], a[1] - b[1]
-    return math.sqrt(dx * dx + dy * dy)
+    return dx * dx + dy * dy
 
 
 def oracle_form_clusters_nearest(nodes, ch_ids):
@@ -124,20 +125,18 @@ def oracle_form_clusters_nearest(nodes, ch_ids):
     for node in sorted(alive, key=lambda n: n.id):
         if node.id in ch_ids:
             continue
-        best = min(heads, key=lambda h: (join_distance(node.pos, by_id[h].pos), h))
+        best = min(heads, key=lambda h: (join_d2(node.pos, by_id[h].pos), h))
         clusters[best].members.append(node.id)
     return ClusterSet(clusters=[clusters[h] for h in heads])
 
 
 def heed_cost(candidate, nodes, radius):
-    """Mean squared distance from ``candidate`` to its alive neighbors within
-    ``radius``; radius^2 for a candidate without neighbors."""
-    sq = [
-        euclidean_distance(candidate.pos, other.pos) ** 2
-        for other in nodes
-        if other.energy > 0 and other.id != candidate.id
-        and euclidean_distance(candidate.pos, other.pos) <= radius
-    ]
+    """Mean squared distance from ``candidate`` to its alive neighbors, those
+    whose ``dx*dx + dy*dy`` is within ``radius * radius``, as in the array
+    code; radius^2 for a candidate without neighbors."""
+    others = [join_d2(candidate.pos, other.pos) for other in nodes
+              if other.energy > 0 and other.id != candidate.id]
+    sq = [d2 for d2 in others if d2 <= radius * radius]
     return sum(sq) / len(sq) if sq else radius * radius
 
 
@@ -152,10 +151,10 @@ def oracle_enforce_ch_separation(ch_ids, nodes, min_dist):
 
 
 def oracle_heed_geometry(pos, radius):
-    """HEED's distances, neighbor mask and costs from whole n x n arrays."""
+    """HEED's squared distances, neighbor mask and costs from whole n x n
+    arrays; the squared distances order the fallback's nearest heads."""
     diff = pos[:, None, :] - pos[None, :, :]
     sq = (diff * diff).sum(axis=2)
-    dist = np.sqrt(sq)
     r2 = radius * radius
     in_range = sq <= r2
     np.fill_diagonal(in_range, False)
@@ -165,7 +164,7 @@ def oracle_heed_geometry(pos, radius):
         (sq * in_range).sum(axis=1) / np.maximum(neighbor_counts, 1),
         r2,
     )
-    return dist, in_range, cost
+    return sq, in_range, cost
 
 
 def oracle_heed_form_clusters(nodes, params, rng):
@@ -174,7 +173,7 @@ def oracle_heed_form_clusters(nodes, params, rng):
     pos = np.array([a.pos for a in alive], dtype=float)
     ids = np.array([a.id for a in alive])
     energy = np.array([a.energy for a in alive])
-    dist, in_range, cost = oracle_heed_geometry(pos, params.cluster_radius)
+    d2, in_range, cost = oracle_heed_geometry(pos, params.cluster_radius)
     prob = heed_announce_prob(params, energy, float(energy.max()))
     announced = np.zeros(n, dtype=bool)
     rank = np.empty(n, dtype=int)
@@ -213,7 +212,7 @@ def oracle_heed_form_clusters(nodes, params, rng):
         if choices:
             best = min(choices, key=lambda j: (cost[j], ids[j]))
         else:
-            best = min(head_idx, key=lambda j: (dist[i, j], ids[j]))
+            best = min(head_idx, key=lambda j: (d2[i, j], ids[j]))
         clusters[int(ids[best])].members.append(int(ids[i]))
     return ClusterSet(clusters=[clusters[h] for h in sorted(clusters)]), iterations
 
@@ -243,11 +242,12 @@ def oracle_eecs_form_clusters(nodes, bs, params, rng):
     for node in alive:
         if node.id in heads:
             continue
-        dists = {h.id: join_distance(node.pos, h.pos) for h in kept}
-        reachable = [h for h in kept if dists[h.id] <= params.join_radius]
+        d2 = {h.id: join_d2(node.pos, h.pos) for h in kept}
+        reachable = [h for h in kept if d2[h.id] <= params.join_radius * params.join_radius]
         if not reachable:
-            best = min(kept, key=lambda h: (dists[h.id], h.id))
+            best = min(kept, key=lambda h: (d2[h.id], h.id))
         else:
+            dists = {i: math.sqrt(v) for i, v in d2.items()}
             d_max = max(dists[h.id] for h in reachable)
 
             def cost(h):

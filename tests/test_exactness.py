@@ -7,6 +7,7 @@ with them their test ids; each docstring says what the class pins now.
 """
 
 import copy
+import functools
 import math
 import sys
 import tracemalloc
@@ -113,13 +114,13 @@ def eecs_params(rng, sep):
                       head_fraction=float(rng.uniform(0.02, 0.3)), ch_separation=sep)
 
 
-# --- the exact distances: math.hypot, and block as np.sqrt of d2 -----------------
+# --- the exact distances: math.hypot, and block as d2 ----------------------------
 
 
 class TestGeometryDistances:
     """``Geometry``'s exact distances, the table and ``bs_d``, are the ledger's
-    ``math.hypot`` of the coordinate differences; its join distance,
-    ``block``, is ``np.sqrt(squared_distances)``, gathered or computed."""
+    ``math.hypot`` of the coordinate differences; what the joins compare,
+    ``block``, is ``squared_distances``, gathered or computed."""
 
     @settings(max_examples=500, deadline=None)
     @given(st.data())
@@ -156,8 +157,9 @@ class TestGeometryDistances:
     @pytest.mark.parametrize("n", [256, 257])
     def test_join_block_is_sqrt_of_d2(self, n, seed):
         # gathered from the n x n block at n = 256, computed at 257: the same
-        # bits, np.sqrt of squared_distances, and each block is the transpose
-        # of its mirror, on alive subsets and on drawn rows and columns
+        # bits, squared_distances with no root, and each block is the
+        # transpose of its mirror, on alive subsets and on drawn rows and
+        # columns. (The test keeps the name of the np.sqrt the block took.)
         rng = np.random.default_rng(seed)
         pos = rng.uniform(0, 100, (n, 2))
         geom = Geometry(pos, BS, 1.0)
@@ -166,7 +168,7 @@ class TestGeometryDistances:
         for r, c in [(alive, alive), (rng.choice(alive, 30), rng.choice(n, 90)),
                      (alive[:1], alive), (alive, alive[:0])]:
             got = geom.block(r, c)
-            assert got.tobytes() == np.sqrt(squared_distances(pos[r], pos[c])).tobytes()
+            assert got.tobytes() == squared_distances(pos[r], pos[c]).tobytes()
             assert got.tobytes() == geom.block(c, r).T.tobytes()
         assert (geom._block is not None) == (n <= 256)
 
@@ -240,7 +242,7 @@ class TestDistanceTable:
         # seed 1's lifetime at n = 100 calls math.hypot only for the sink
         # distances and the table, built once, and then reads every distance
         # from the table: none in the formations or the ledger. LEACH's or
-        # EECS's join builds one d2 block, the n x n join distances, in its
+        # EECS's join builds one d2 block, the n x n squared distances, in its
         # first round. At n = 300 (20 rounds) there is no table and both are
         # called, the ledger's math.hypot beyond the sink distances and each
         # join building one d2 block per round
@@ -276,8 +278,9 @@ class TestDistanceTable:
         # fuzzy c-means on it, which read no distance table
         exact = count_hypot(monkeypatch)
         sweep_iterations(NetworkConfig(), [2, 5], [1, 2, 3])
-        # the sink distances and the centroid formations' energy tie-breaks
-        assert set(exact) == {"__init__", "_centroid_cluster_set"}
+        # the sink distances only: the centroid formations break energy ties
+        # on dx*dx + dy*dy
+        assert set(exact) == {"__init__"}
 
 
 # --- the joins against Geometry.block on tie networks ----------------------------
@@ -302,8 +305,8 @@ def leach_tie_join(monkeypatch, seed, kind, n_low, n_high):
 
 
 class TestCertifiedJoin:
-    """LEACH's join: the argmin over heads of ``Geometry.block``, checked
-    against the oracle's ``math.sqrt(dx*dx + dy*dy)`` where rounding decides,
+    """LEACH's join: the argmin over heads of ``Geometry.block``'s d2,
+    checked against the oracle's ``dx*dx + dy*dy`` where rounding decides,
     through the gathered block and the computed one. (The class keeps the
     name of the certified join it replaced, and with it its test ids.)"""
 
@@ -366,10 +369,11 @@ def hand_network(rng, *cases):
 
 
 class TestCertifiedEecsJoin:
-    """EECS's join past the table: its costs over ``Geometry.block``, checked
-    against the oracle's ``math.sqrt(dx*dx + dy*dy)`` where rounding or an
-    exact tie decides. (The class keeps the name of the certified join it
-    replaced, and with it its test ids.)"""
+    """EECS's join past the table: its reach (d2 <= join_radius *
+    join_radius), its nearest-head fallback on ``Geometry.block``'s d2 and
+    its costs over the root of d2, checked against the oracle's ``dx*dx +
+    dy*dy`` where rounding or an exact tie decides. (The class keeps the name
+    of the certified join it replaced, and with it its test ids.)"""
 
     @pytest.mark.parametrize("sep", [0.0, 0.2])
     @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
@@ -411,33 +415,36 @@ class TestCertifiedEecsJoin:
         by_head = {c.head: c.members for c in got.clusters}
         assert {2, 3, 4} <= set(by_head[0])  # in reach, the tie to the lower row
         assert 5 in by_head[1]  # nearer to head 1, out of reach of both
-        # the block holds the exact distances of the first three: the radius,
-        # a tie and 0
-        d = geom.block(np.array([0, 1]), np.array([2, 3, 4]))
-        assert d[0, 0] == params.join_radius and d[0, 1] == d[1, 1] and d[0, 2] == 0.0
+        # the block holds the exact squared distances of the first three: the
+        # radius's square, a tie and 0
+        d2 = geom.block(np.array([0, 1]), np.array([2, 3, 4]))
+        assert d2[0, 0] == params.join_radius * params.join_radius
+        assert d2[0, 1] == d2[1, 1] and d2[0, 2] == 0.0
 
     @pytest.mark.parametrize("offset", [(30.0, 40.0), (-30.0, 40.0), (40.0, -30.0), (0.0, -50.0)])
     def test_member_exactly_at_join_radius(self, monkeypatch, offset):
-        # d2 = 2500 = join_radius**2 exactly, whose sqrt is exactly 50: the
-        # member is in head 0's reach
+        # d2 = 2500 = join_radius * join_radius exactly: the member is in
+        # head 0's reach
         nodes, params, bs = hand_network(np.random.default_rng(7),
                                          (100.0 + offset[0], 100.0 + offset[1]))
         _, geom, _ = eecs_past_the_table(monkeypatch, nodes, params, bs, 7)
-        assert geom.block(np.array([0]), np.array([2]))[0, 0] == params.join_radius
+        d2 = geom.block(np.array([0]), np.array([2]))[0, 0]
+        assert d2 == params.join_radius * params.join_radius == 2500.0
 
 
 class TestHeedKeptBlock:
     """HEED keeps its mask and ranks and no float block: its nearest-head
-    fallback reads ``Geometry.block``, checked against the oracle, and a
-    rebuild's memory is bounded. (The class keeps the name of the float block
-    HEED used to keep, and with it its test ids.)"""
+    fallback takes the least d2 of ``Geometry.block``, checked against the
+    oracle, and a rebuild's memory is bounded. (The class keeps the name of
+    the float block HEED used to keep, and with it its test ids.)"""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_block_equals_sqrt_of_d2(self, seed):
         # HEED keeps its mask and ranks, no float block: its join reads
-        # Geometry.block, at n <= 256 the n x n np.sqrt(dx*dx + dy*dy) built
-        # by the first formation and kept by the Geometry across formations
-        # and deaths, above it none
+        # Geometry.block, at n <= 256 the n x n dx*dx + dy*dy built by the
+        # first formation and kept by the Geometry across formations and
+        # deaths, above it none. (The test keeps the name of the np.sqrt the
+        # block took.)
         rng = np.random.default_rng(seed)
         for n in (int(rng.integers(21, 257)), 256, 257, int(rng.integers(258, 400))):
             pos = rng.uniform(0, 100, (n, 2))
@@ -451,7 +458,7 @@ class TestHeedKeptBlock:
                 blocks.append(geom._block)
             if n <= 256:
                 assert blocks[0] is blocks[1]
-                assert blocks[0].tobytes() == np.sqrt(squared_distances(pos, pos)).tobytes()
+                assert blocks[0].tobytes() == squared_distances(pos, pos).tobytes()
             else:
                 assert blocks == [None, None]
 
@@ -619,8 +626,8 @@ class TestFormationsMatchScalarOracles:
     @pytest.mark.parametrize("seed,grid", [(s, g) for s in [*range(20), 100, 101]
                                            for g in (False, True)])
     def test_heed_cost(self, seed, grid):
-        # the scalar cost was never bit-equal to the array one (math.hypot and
-        # sequential sums against sqrt(dx*dx + dy*dy) and pairwise sums)
+        # both test dx*dx + dy*dy <= r*r and sum dx*dx + dy*dy, but the scalar
+        # cost sums in sequence and the array one in numpy's pairwise order
         rng = np.random.default_rng(seed)
         nodes = alive_of(sized_network(rng, seed, grid, 60))
         radius = float(rng.uniform(5, 40))
@@ -664,11 +671,14 @@ def node_state(state):
     return list(zip(range(len(geom.energy)), geom.energy.tolist(), geom.rounds_since_ch.tolist()))
 
 
+@functools.cache
 def low_energy_lifetime(protocol, seed, n_nodes):
     """Runs the engine and the oracle side by side over one lifetime of
     ``n_nodes`` nodes on energies of a few rounds' worth, spread so that heads
     and members die part-way through a round; asserts every round equal and
-    returns the phases of the oracle's deaths."""
+    returns the phases of the oracle's deaths. Each lifetime runs once per
+    session: ``test_every_phase_kills`` reads the phases of those that
+    ``test_low_energy_rounds`` ran."""
     rng = np.random.default_rng(seed)
     config = NetworkConfig(n_nodes=n_nodes, seed=seed,
                            bs_pos=(50.0, float(rng.choice([50.0, 175.0]))))
@@ -687,7 +697,7 @@ def low_energy_lifetime(protocol, seed, n_nodes):
         assert new.bs_messages == old.bs_messages
         clamped_rounds += got.energy_clamped > 0
     assert clamped_rounds > 0  # the dying paths were taken
-    return deaths
+    return tuple(deaths)
 
 
 def phases_killed(cases, seeds, n_nodes):

@@ -1,20 +1,18 @@
 """Behaviour lock: the bytes the CLI writes and the sweep's values, pinned.
 
-Each case (``shared.CASES``, which ``test_metrics`` runs too) runs ``wsnsim``
-in-process and compares the sha256 of every file it writes, and of its
-stdout, against digests recorded from the code as it was before k-means and
-fuzzy c-means moved to array-only code. A refactor must
-leave every digest unchanged; a change that moves an output on purpose
-updates the digest it moves and says which one and why in CHANGES.md.
+Each case (``shared.CASES``) runs ``wsnsim`` in-process once per session,
+through ``conftest``'s ``golden_run``, whose files ``test_metrics`` reads too.
+This compares the sha256 of every file it writes, and of its stdout, against
+digests recorded from the code as it was before k-means and fuzzy c-means
+moved to array-only code. A refactor must leave every digest unchanged; a
+change that moves an output on purpose updates the digest it moves and says
+which one and why in CHANGES.md.
 """
 
-import contextlib
 import hashlib
-import io
 
 import pytest
 
-from wsnsim.cli import main
 from wsnsim.engine import FuzzyFormation, sweep_iterations
 from wsnsim.model import NetworkConfig
 
@@ -108,20 +106,17 @@ SWEEPS = [
 ]
 
 
-def outputs(argv, out_dir) -> dict[str, str]:
-    """sha256 of stdout and of each file written by ``wsnsim <argv>``."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        assert main([*argv, "--out", str(out_dir)]) == 0
-    digests = {"<stdout>": hashlib.sha256(stdout.getvalue().encode()).hexdigest()}
+def outputs(stdout, out_dir) -> dict[str, str]:
+    """sha256 of a run's ``stdout`` and of each file it wrote to ``out_dir``."""
+    digests = {"<stdout>": hashlib.sha256(stdout.encode()).hexdigest()}
     for path in sorted(out_dir.iterdir()):
         digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_output_bytes(case, tmp_path):
-    assert outputs(CASES[case], tmp_path / "out") == DIGESTS[case]
+def test_cli_output_bytes(case, golden_run):
+    assert outputs(*golden_run(case)) == DIGESTS[case]
 
 
 @pytest.mark.parametrize("index", range(len(SWEEPS)))

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import io
 import json
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsnsim.cli import main
 from wsnsim.engine import (
     PROTOCOLS,
     EecsParams,
@@ -337,11 +335,9 @@ class TestFormatter:
     equal what json writes; export_csv must equal csv_reference."""
 
     @pytest.mark.parametrize("case", sorted(c for c in CASES if CASES[c][0] in ("run", "compare")))
-    def test_golden_result_files_equal_json_dumps(self, case, tmp_path):
-        out = tmp_path / "out"
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main([*CASES[case], "--out", str(out)]) == 0
-        files = sorted(out.glob("*.json"))
+    def test_golden_result_files_equal_json_dumps(self, case, golden_run):
+        # the files of the run whose digests test_golden checks
+        files = sorted(golden_run(case)[1].glob("*.json"))
         assert files
         for path in files:
             text = path.read_text(encoding="utf-8")

@@ -22,7 +22,7 @@ from wsnsim.partitioning import (
 )
 from wsnsim.protocols import FuzzyFormation, Geometry, fuzzy_form_clusters, kmeans_form_clusters
 
-from shared import best_split, hard_objective
+from shared import best_split, count_calls, count_hypot, hard_objective
 
 
 def pts(*coords):
@@ -485,8 +485,9 @@ class TestMovedCentroidReuse:
 
 
 class TestNoSquareRoot:
-    """k-means, fuzzy c-means and HEED's geometry read squared distances
-    only: no call of theirs reaches np.sqrt."""
+    """k-means, fuzzy c-means, HEED's geometry and every formation but EECS,
+    whose cost alone takes a root, read squared distances only: no call of
+    theirs reaches np.sqrt."""
 
     @pytest.fixture(autouse=True)
     def no_sqrt(self, monkeypatch):
@@ -517,6 +518,29 @@ class TestNoSquareRoot:
         pos = np.random.default_rng(3).uniform(0, 100, (300, 2))  # several row blocks
         in_range, _ = protocols.heed_geometry(pos, 20.0)
         assert in_range.any()
+
+    @pytest.mark.parametrize("n", [100, 300])  # the gathered d2 block; computed ones
+    @pytest.mark.parametrize("formation", ["nearest", "heed", "kmeans", "fuzzy"])
+    def test_formation(self, monkeypatch, formation, n):
+        # LEACH's join and HEED's fallback read Geometry.block (HEED's 5 m
+        # radius leaves nodes no head reaches); at equal energies every
+        # centroid head is a tie on dx*dx + dy*dy. None calls math.hypot
+        geom = Geometry(deploy_nodes(NetworkConfig(n_nodes=n, seed=1)), (50.0, 175.0), 1.0)
+        rng = np.random.default_rng(n)
+        hypots = count_hypot(monkeypatch)
+        blocks = count_calls(monkeypatch, Geometry, "block")
+        if formation == "nearest":
+            cs = protocols.form_clusters_nearest(geom, set(range(0, n, 20)))
+        elif formation == "heed":
+            cs, _ = protocols.heed_form_clusters(geom, protocols.HeedParams(cluster_radius=5.0),
+                                                 rng)
+        elif formation == "kmeans":
+            cs, _ = kmeans_form_clusters(geom, 5)
+        else:
+            cs, _ = fuzzy_form_clusters(geom, FuzzyFormation(), 5, rng)
+        assert blocks[0] == (formation in ("nearest", "heed"))
+        assert sum(1 + len(c.members) for c in cs.clusters) == n
+        assert not hypots
 
 
 class TestFcmInit:

@@ -34,6 +34,7 @@ from wsnsim.protocols import (
     kmeans_form_clusters,
     leach_elect,
     leach_threshold,
+    rotation_period,
 )
 
 from shared import count_calls, count_hypot, validate
@@ -52,9 +53,16 @@ class ZeroRng:
 class HighRng:
     """Every draw is just below 1, so only threshold-1 elections fire."""
 
+    value = 1.0 - 1e-12
+
     def random(self, size=None):
-        value = 1.0 - 1e-12
-        return value if size is None else np.full(size, value)
+        return self.value if size is None else np.full(size, self.value)
+
+
+class TopRng(HighRng):
+    """Every draw is the largest that [0, 1) holds, 1 - 2**-53."""
+
+    value = 1.0 - 2.0**-53
 
 
 def geom(coords, energies=1.0, bs=(50, 175)):
@@ -101,6 +109,34 @@ class TestLeachThreshold:
         for p in (0.01, 0.05, 0.3, 1.0):
             for r in range(60):
                 assert 0.0 <= leach_threshold(p, r) <= 1.0
+
+    @pytest.mark.parametrize("p", [0.01, 1 / 3, 0.05])
+    def test_last_round_of_each_period_is_exactly_one(self, p):
+        # the quotient p / (1 - p * (ceil(1/p) - 1)) rounds to
+        # 0.9999999999999991 at p = 0.01 and to 1 - 2**-53 at p = 1/3, not
+        # above the top draw; the period's last round gives 1.0 by rule, so
+        # every eligible node elects itself whatever it draws
+        period = rotation_period(p)
+        for r in (period - 1, 2 * period - 1, 7 * period - 1):
+            assert leach_threshold(p, r) == 1.0
+        heads = leach_elect(geom([(i, 0) for i in range(5)]), LeachParams(p=p), period - 1,
+                            TopRng())
+        assert heads == {0, 1, 2, 3, 4}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-6, 1.0), st.integers(0, 10**6))
+    def test_last_round_of_a_period_is_one_at_drawn_p(self, p, periods):
+        period = rotation_period(p)
+        assert leach_threshold(p, periods * period + period - 1) == 1.0
+        assert 0.0 <= leach_threshold(p, periods * period) <= 1.0
+
+    def test_zero_denominator_returns_one(self):
+        # r mod ceil(1/p) = 2**60 - 2 rounds to 2**60 as a float, so
+        # 1 - p * rm is 0.0 in a round that is not the period's last
+        p, r = 2.0**-60, 2**60 - 2
+        assert r % rotation_period(p) != rotation_period(p) - 1
+        assert 1.0 - p * (r % rotation_period(p)) == 0.0
+        assert 0.0 <= leach_threshold(p, r) <= 1.0  # and no ZeroDivisionError
 
 
 class TestLeachElect:
@@ -177,6 +213,13 @@ class TestFormClustersNearest:
         cs = form_clusters_nearest(geom([(0, 0), (10, 0), (2, 0)]), {0, 1})
         by_head = {c.head: c.members for c in cs.clusters}
         assert by_head[0] == [2]
+
+    def test_nearest_compares_squared_distances(self):
+        # node 0's d2 is 1 + 2**-52 to head 1 and 1 to head 2; both roots
+        # round to 1.0, a tie the lower head would win
+        assert math.sqrt(1.0 + 2.0**-52) == 1.0
+        cs = form_clusters_nearest(geom([(0, 0), (1, 2.0**-26), (1, 0)]), {1, 2})
+        assert {c.head: c.members for c in cs.clusters} == {1: [], 2: [0]}
 
     def test_empty_heads_rejected(self):
         with pytest.raises(ValueError):
@@ -341,6 +384,16 @@ class TestGeometry:
 
 
 class TestHeedFormClusters:
+    def test_fallback_compares_squared_distances(self):
+        # every node announces. Node 4 heads node 3, its cheaper neighbor, and
+        # nodes 1 and 2 have no neighbor, so they head themselves; node 0 hears
+        # node 3 alone, which is no head, and takes the nearest head. Its d2 is
+        # 1 + 2**-52 to node 1 and 1 to node 2, whose roots both round to 1.0
+        g = geom([(0, 0), (-1, 2.0**-26), (1, 0), (0, -0.8), (0, -1.4)])
+        params = HeedParams(c_prob=1.0, cluster_radius=0.9)
+        cs, _ = heed_form_clusters(g, params, np.random.default_rng(0))
+        assert {c.head: c.members for c in cs.clusters} == {1: [], 2: [0], 4: [3]}
+
     def test_single_node_heads_itself(self):
         cs, iterations = heed_form_clusters(
             geom([(5, 5)]), HeedParams(), np.random.default_rng(0)
@@ -422,6 +475,17 @@ class TestEecsFormClusters:
         by_head = {c.head: c.members for c in cs.clusters}
         assert set(by_head) == {0, 1}
         assert by_head[1] == [2]
+
+    def test_reach_compares_squared_distances(self):
+        # heads 0 and 1, the two richest, elect; at w = 0 a node joins the
+        # head in reach nearest the BS, head 0. Node 2 lies d2 = 1 + 2**-52
+        # from head 0, whose root rounds to the join radius, 1.0: out of
+        # reach by d2, so node 2 joins head 1, 0.5 m away
+        g = geom([(0, 0), (1.5, 0.5), (1, 2.0**-26)], [1.0, 0.9, 0.1], bs=(-100, 0))
+        params = EecsParams(p=1.0, w=0.0, suppress_radius=0.0, join_radius=1.0,
+                            head_fraction=0.5)
+        cs = eecs_form_clusters(g, params, np.random.default_rng(0))
+        assert {c.head: c.members for c in cs.clusters} == {0: [], 1: [2]}
 
     def test_partition_randomized(self):
         rng = np.random.default_rng(41)
@@ -581,8 +645,8 @@ class TestCentroidFormations:
 
 def centroid_cluster_set_loop(geom, rows, assignment, centroids):
     """The oracle of ``_centroid_cluster_set``: one list per group, in row
-    order; the head has the most energy, ties going to the nearest to the
-    centroid (math.hypot), then the lowest row."""
+    order; the head has the most energy, ties going to the least squared
+    distance to the centroid, dx*dx + dy*dy, then the lowest row."""
     row, energy = rows.tolist(), geom.energy[rows].tolist()
     pos = geom.pos[rows].tolist()
     groups = [[] for _ in centroids]
@@ -594,7 +658,8 @@ def centroid_cluster_set_loop(geom, rows, assignment, centroids):
             continue
         top = max(energy[i] for i in group)
         head = min((i for i in group if energy[i] == top),
-                   key=lambda i: (math.hypot(pos[i][0] - cx, pos[i][1] - cy), i))
+                   key=lambda i: ((pos[i][0] - cx) * (pos[i][0] - cx)
+                                  + (pos[i][1] - cy) * (pos[i][1] - cy), i))
         clusters.append(Cluster(head=row[head], members=[row[i] for i in group if i != head]))
     return ClusterSet(clusters=clusters)
 
@@ -653,6 +718,16 @@ class TestCentroidClusterSet:
         assert shape(cs) == [(1, [0, 2, 3])]
         cs = _centroid_cluster_set(g, rows, assignment, np.array([[2.0, 1.0]]))
         assert shape(cs) == [(3, [0, 1, 2])]
+
+    def test_tie_compares_squared_distances(self):
+        # from the centroid (0, 0), math.hypot puts rows 0 and 1 both exactly
+        # 1.0 away, a tie the lower row would win; dx*dx + dy*dy is 1 + 2**-52
+        # for row 0 and 1 for row 1, so row 1 heads
+        assert math.hypot(1.0, 2.0**-26) == math.hypot(1.0, 0.0) == 1.0
+        g = geom([(1.0, 2.0**-26), (1.0, 0.0)])
+        cs = _centroid_cluster_set(g, np.arange(2), np.zeros(2, dtype=np.intp),
+                                   np.array([[0.0, 0.0]]))
+        assert shape(cs) == [(1, [0])]
 
 
 @st.composite
