@@ -160,19 +160,21 @@ class Geometry:
     alive set as well, so ``heed`` keeps them for the set it last saw.
     ``fcm`` keeps the coming rounds' FCM runs for the alive set it last saw.
 
-    Two distances serve two purposes. Every join's "nearest" and "in range"
-    compare ``block``'s squared distances dx*dx + dy*dy. Every charge, and
-    the greedy thinning of EECS's suppression and of head separation, takes
-    the ledger's ``math.hypot``: ``bs_dist`` (and ``bs_d``, its Python floats)
-    and the table. When n * n <= ``_BLOCK`` (n <= 256, ``whole``) each is
-    built whole, once, on first use: the first read of ``table`` lists every
-    pair's ``math.hypot``, row by row, and the first ``block`` builds the
-    n x n d2 array. ``table[h][m]`` is ``math.hypot(hx - mx, hy - my)``,
-    bit-equal to the ledger's ``math.hypot(mx - hx, my - hy)``: fl(a - b) is
-    -fl(b - a) and hypot is even in each argument. ``_thin`` and
-    ``engine.run_round``'s ledger read it instead of computing distances. A
-    deployment that reads neither, as in ``engine.sweep_iterations``, builds
-    neither. Above that size ``table`` is None and each computes its distances.
+    Two distances serve two purposes. Every formation's "nearest", "in
+    range" and "closer than" compare squared distances dx*dx + dy*dy: the
+    joins read ``block``'s, and the greedy thinning of EECS's suppression and
+    of head separation (``_thin``) computes the same bits from ``xy``. Every
+    charge takes the ledger's ``math.hypot``: ``bs_dist`` (and ``bs_d``, its
+    Python floats) and the table, which ``engine.run_round``'s ledger alone
+    reads. When n * n <= ``_BLOCK`` (n <= 256, ``whole``) each of ``table``
+    and ``block`` is built whole, once, on first use: the first read of
+    ``table`` lists every pair's ``math.hypot``, row by row, and the first
+    ``block`` builds the n x n d2 array. ``table[h][m]`` is
+    ``math.hypot(hx - mx, hy - my)``, bit-equal to the ledger's
+    ``math.hypot(mx - hx, my - hy)``: fl(a - b) is -fl(b - a) and hypot is
+    even in each argument. A deployment that reads neither, as in
+    ``engine.sweep_iterations``, builds neither. Above that size ``table`` is
+    None and the ledger computes its distances.
     """
 
     def __init__(self, pos, bs: tuple[float, float], energy):
@@ -348,44 +350,36 @@ def form_clusters_nearest(geom: Geometry, ch_rows: set[int], rows=None) -> Clust
     return _join(heads, members, geom.block(heads, members).argmin(axis=0))
 
 
-def _thin(geom: Geometry, order: np.ndarray, radius: float, quota: int) -> set[int]:
-    """Greedy thinning: take the rows of ``order`` in turn, drop any closer
-    than ``radius`` to a row already kept, and stop once ``quota`` are kept.
-    The distances come from ``geom.table`` when it exists, else from
-    ``math.hypot`` (``euclidean_distance``, inlined), the expression that
-    built the table's row of ``row``."""
-    table, xy = geom.table, geom.xy
+def _thin(geom: Geometry, order: np.ndarray, limit: float, quota: int) -> set[int]:
+    """Greedy thinning: take the rows of ``order`` in turn, drop any whose
+    squared distance dx*dx + dy*dy to a row already kept is below ``limit``,
+    and stop once ``quota`` (at least 1) are kept. The squared distances are
+    computed from ``geom.xy``, the same bits as ``Geometry.block``'s."""
+    xy = geom.xy
     kept: list[int] = []
-    kept_xy: list[list[float]] = []  # their positions, when there is no table
+    kept_xy: list[list[float]] = []
     for row in order.tolist():
-        if len(kept) >= quota:
-            break
-        if table is not None:
-            d = table[row]
-            for k in kept:
-                if d[k] < radius:
-                    break
-            else:
-                kept.append(row)
-            continue
         x, y = xy[row]
         for kx, ky in kept_xy:
-            if math.hypot(x - kx, y - ky) < radius:
+            dx, dy = x - kx, y - ky
+            if dx * dx + dy * dy < limit:
                 break
         else:
             kept.append(row)
+            if len(kept) == quota:
+                break
             kept_xy.append(xy[row])
     return set(kept)
 
 
 def enforce_ch_separation(geom: Geometry, ch_rows: set[int], min_dist: float) -> set[int]:
     """Greedy thinning: keep heads in descending-energy order (ties: lowest
-    row), drop any within min_dist of an already kept head. Always keeps at
-    least one."""
+    row), drop any closer than min_dist (>= 0) to an already kept head, where
+    dx*dx + dy*dy < min_dist * min_dist. Always keeps at least one."""
     if not ch_rows:
         raise ValueError("ch_rows must not be empty")
-    return _thin(geom, geom.by_energy(np.array(sorted(ch_rows), dtype=int)), min_dist,
-                 len(ch_rows))
+    return _thin(geom, geom.by_energy(np.array(sorted(ch_rows), dtype=int)),
+                 min_dist * min_dist, len(ch_rows))
 
 
 # --- iterative residual-energy election (HEED) ---------------------------------
@@ -508,7 +502,8 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
     members and spend less on receiving and aggregation to offset their
     longer uplink. A head is in reach where ``Geometry.block``'s d2 <=
     join_radius * join_radius; only the cost takes the root of d2. The
-    suppression scan, like the ledger, takes ``math.hypot``.
+    suppression scan compares the same d2 against suppress_radius *
+    suppress_radius.
     """
     rows = geom.alive()
     candidates = geom.by_energy(rows[rng.random(len(rows)) < params.p])
@@ -516,8 +511,9 @@ def eecs_form_clusters(geom: Geometry, params: EecsParams, rng) -> ClusterSet:
         candidates = geom.by_energy(rows)[:1]
 
     # a weaker candidate at exactly suppress_radius yields as well, so the
-    # scan drops those closer than the next float above it
-    heads = _thin(geom, candidates, math.nextafter(params.suppress_radius, math.inf),
+    # scan drops those whose d2 is below the next float above r * r
+    r = params.suppress_radius
+    heads = _thin(geom, candidates, math.nextafter(r * r, math.inf),
                   head_quota(len(rows), params.head_fraction))
     if params.ch_separation > 0:
         heads = enforce_ch_separation(geom, heads, params.ch_separation)

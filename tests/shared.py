@@ -110,8 +110,9 @@ def oracle_leach_elect(nodes, params, r, rng):
 
 def join_d2(a, b):
     """What the joins compare between two (x, y) points: the squared distance
-    ``dx*dx + dy*dy``, whose ``math.sqrt`` only EECS's cost takes; the
-    charges and the suppression scan take ``euclidean_distance``."""
+    ``dx*dx + dy*dy``, whose ``math.sqrt`` only EECS's cost takes. The
+    suppression and separation scans compare it too; only the charges take
+    ``euclidean_distance``."""
     dx, dy = a[0] - b[0], a[1] - b[1]
     return dx * dx + dy * dy
 
@@ -145,7 +146,7 @@ def oracle_enforce_ch_separation(ch_ids, nodes, min_dist):
     order = sorted(ch_ids, key=lambda i: (-by_id[i].energy, i))
     kept = []
     for cand in order:
-        if all(euclidean_distance(by_id[cand].pos, by_id[k].pos) >= min_dist for k in kept):
+        if all(join_d2(by_id[cand].pos, by_id[k].pos) >= min_dist * min_dist for k in kept):
             kept.append(cand)
     return set(kept)
 
@@ -224,11 +225,11 @@ def oracle_eecs_form_clusters(nodes, bs, params, rng):
     if not candidates:
         candidates = [min(alive, key=lambda n: (-n.energy, n.id))]
     quota = head_quota(len(alive), params.head_fraction)
-    kept = []
+    kept, r = [], params.suppress_radius
     for cand in sorted(candidates, key=lambda n: (-n.energy, n.id)):
         if len(kept) >= quota:
             break
-        if all(euclidean_distance(cand.pos, o.pos) > params.suppress_radius for o in kept):
+        if all(join_d2(cand.pos, o.pos) > r * r for o in kept):
             kept.append(cand)
     heads = {n.id for n in kept}
     if params.ch_separation > 0:
@@ -397,8 +398,8 @@ def tie_network(rng, kind, n_low, n_high, drawn_energy=False):
 def count_hypot(monkeypatch):
     """Make ``math.hypot``, as ``protocols`` and ``engine`` call it, count its
     calls by the function that makes them (a comprehension's by the function
-    around it): ``__init__`` for the sink distances, ``table``, ``_thin``'s
-    greedy scans and ``run_round``'s ledger past the table."""
+    around it): ``__init__`` for the sink distances, ``table`` and
+    ``run_round``'s ledger past the table."""
     calls = collections.Counter()
 
     def hypot(*args):
@@ -491,6 +492,8 @@ def best_split(points: np.ndarray):
 
 ALL = ["--protocol", "leach", "--protocol", "heed", "--protocol", "eecs",
        "--protocol", "kmeans", "--protocol", "fuzzy"]
+SEPARATED = ["--protocol", "leach", "--protocol", "heed", "--protocol", "eecs",
+             "--ch-separation", "35"]
 
 # case id -> wsnsim argv (the output directory is appended)
 CASES = {
@@ -520,6 +523,11 @@ CASES = {
     # updates and k falling as nodes die; recorded before the orphan ledger
     # and EECS's head store were deleted
     "run-kmeans-n300": ["run", "--protocol", "kmeans", "--nodes", "300", "--seed", "1"],
+    # head separation at 35 m, which thins the heads in most rounds, over
+    # full lifetimes at n = 100 and at n = 300; recorded from the code
+    # before the thinning compared squared distances
+    "run-separation-seed2": ["run", *SEPARATED, "--seed", "2"],
+    "run-separation-n300": ["run", *SEPARATED, "--nodes", "300", "--seed", "1"],
     "run-table1-seed3": ["run", "--preset", "table1", *ALL, "--seed", "3"],
     "compare-trio": ["compare", "--protocol", "leach", "--protocol", "heed",
                      "--protocol", "eecs", "--seed", "1", "--seed", "3",

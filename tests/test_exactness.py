@@ -341,14 +341,14 @@ class TestCertifiedJoin:
 
 def eecs_past_the_table(monkeypatch, nodes, params, bs, seed):
     """EECS on ``nodes``, past the table, checked against the oracle, with no
-    exact distance computed but the suppression scan's; returns the result,
-    in ids, the Geometry and the ids in row order."""
+    exact distance computed: the joins and the suppression scan compare d2;
+    returns the result, in ids, the Geometry and the ids in row order."""
     geom, ids = geometry_of(nodes, bs)
     calls = count_hypot(monkeypatch)
     got = in_step(seed, ids, lambda rng: eecs_form_clusters(geom, params, rng),
                   lambda rng: oracle_eecs_form_clusters(nodes, bs, params, rng))
     assert geom.table is None
-    assert set(calls) <= {"_thin"}  # the suppression scan's, and no other
+    assert not calls
     return ids_of(got, ids), geom, ids
 
 
@@ -570,8 +570,8 @@ class TestFormationsMatchScalarOracles:
 
     @pytest.mark.parametrize("seed,grid,sep", LARGE_NETWORKS)
     def test_eecs(self, seed, grid, sep):
-        # the suppression and separation scans read the distance table, and
-        # from seed 100 on compute their distances
+        # the suppression and separation scans compare d2 on one path, below
+        # and (from seed 100 on) above n = 256
         rng = np.random.default_rng(seed)
         nodes = sized_network(rng, seed, grid, 90)
         params = eecs_params(rng, sep)
@@ -583,8 +583,8 @@ class TestFormationsMatchScalarOracles:
     @pytest.mark.parametrize("seed,n", [(s, n) for s in range(10) for n in (90, 400)])
     def test_eecs_suppression_at_exactly_the_radius(self, seed, n):
         # on the 5 m grid many candidates lie exactly suppress_radius from a
-        # stronger one, and yield to it: through the table at n <= 256, through
-        # math.hypot above
+        # stronger one, and yield to it: d2 == r * r is exact on the grid, at
+        # n <= 256 and above
         rng = np.random.default_rng(seed)
         nodes = random_network(rng, int(rng.integers(n // 3, n)), grid=True)
         params = EecsParams(p=float(rng.uniform(0.3, 1.0)),
@@ -597,9 +597,9 @@ class TestFormationsMatchScalarOracles:
 
     @pytest.mark.parametrize("seed,grid,sep", [c for c in NETWORKS if c[0] < 8])
     def test_eecs_warm_store(self, monkeypatch, seed, grid, sep):
-        # one Geometry through 30 formations: at n <= 256 every distance is
-        # computed when the first formation reads the table, before later
-        # deaths, and only read after. (The test keeps the name of the store
+        # one Geometry through 30 formations at n <= 256: the sink distances
+        # are its only math.hypot calls, and no formation builds the table,
+        # which only the ledger reads. (The test keeps the name of the store
         # of head distances EECS used to keep, and with it its ids.)
         rng = np.random.default_rng(seed)
         nodes = sorted(random_network(rng, int(rng.integers(20, 90)), grid), key=lambda n: n.id)
@@ -607,20 +607,20 @@ class TestFormationsMatchScalarOracles:
         formations = eecs_formations(rng, seed, nodes, sep)
         assert exact.total() == len(nodes)  # the sink distances
         assert len(list(formations)) == 30
-        assert exact.total() == len(nodes) + len(nodes) ** 2
+        assert exact == {"__init__": len(nodes)}
 
     @pytest.mark.parametrize("seed,grid,sep", [c for c in NETWORKS if c[0] < 2 and not c[1]])
     def test_eecs_exact_rows_past_the_table(self, monkeypatch, seed, grid, sep):
         # at n > 256 there is no table and nothing is kept between rounds:
         # each formation computes one d2 block, its join's, over its heads and
-        # members, and no exact distance but the suppression scan's
+        # members, and no exact distance: the suppression scan compares d2
         rng = np.random.default_rng(seed)
         nodes = sorted(random_network(rng, int(rng.integers(500, 600)), grid), key=lambda n: n.id)
         formations = eecs_formations(rng, seed, nodes, sep)
         calls = count_hypot(monkeypatch)
         d2 = count_calls(monkeypatch, protocols, "squared_distances")
         for i, (_, geom, _) in enumerate(formations, 1):
-            assert geom.table is None and set(calls) <= {"_thin"}
+            assert geom.table is None and not calls
             assert d2[0] == i
 
     @pytest.mark.parametrize("seed,grid", [(s, g) for s in [*range(20), 100, 101]

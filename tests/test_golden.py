@@ -87,6 +87,20 @@ DIGESTS = {'compare-trio': {'<stdout>': '3c40fe8929b47b9ce7444e460e2f7a2e349d533
                      'bs_series.csv': '632de1855b5e17d839514f68b341e09c3eac35b43cdf906ba5cd1704738ec90a',
                      'leach_seed2.json': '0238000b8018feaaae2357ebfa86fb1841f6384ba966b7f613341d163619bdf5',
                      'summary.csv': '979b33001925d5b714e2f79c94c52cf200be9e7888717c0fb03d8d16771f02c9'},
+ 'run-separation-n300': {'<stdout>': 'fbc8096fc8b0e2ee68b769cc4463d764f55681dd6c6eb49bd2780d895a8a2aaa',
+                        'alive_series.csv': 'e196e31155d3a87b02dc9bc084e4d835199ffa0f08f8258dd7353ce2f1398092',
+                        'bs_series.csv': '8cc954d1fbb96be42458cbd12bac171ae6d4f968ea8a267459372dffdb5c0637',
+                        'eecs_seed1.json': '6a053f6fe5f6bcc12a691405d2e0fe10e60f7c1e68aa9226e8d5a0041d52c784',
+                        'heed_seed1.json': '4fbec8d4fa83fd47a12e4c3a62db31ad53136e09cab08a7c798f2eb6071b1eb1',
+                        'leach_seed1.json': '02e32a26b0a37f7f003296ba6c6cfcb7e78fdbef38ac9bc02a51b9407fce476c',
+                        'summary.csv': 'db5f07824dc1b3df9bc78f828d4757d0705d0a8025f17b538cc3e0cd2bafa884'},
+ 'run-separation-seed2': {'<stdout>': '8d2886ae8ce2a8df14a84b0bd860f8c4e63e8b186901f9fc8832a1d6bfb405f8',
+                         'alive_series.csv': '204b8b07eb262f67dc40ca4ae37563fc399d002b6a7c8e89ad2c44559999caa7',
+                         'bs_series.csv': '2ee716d2b016f1c2ba1f83fb453c49b1e199b72d82949afb4dbefe2034b82bbc',
+                         'eecs_seed2.json': '0f7e1811f1d214cd60384b79ef51dd4f832dc912d0a638f13faec75ea920743b',
+                         'heed_seed2.json': '91c60364a03aabc4103ff7b876986555fe79305b7b19660e221afc6ee7b832ff',
+                         'leach_seed2.json': '5b81713590bea73b04081a63fcee424677eeb863395b19d0b5392bc1fe49363e',
+                         'summary.csv': '21e360ece43273644e30073ef72d103c004e9648e6bb93562222be721f3bfb8d'},
  'run-table1-seed3': {'<stdout>': '04c4e987c7d984f2da0260f2b10ca07d490729a7755511561aa222fad7f27048',
                       'alive_series.csv': '5c67550933cf04096d994777296971b03918b331dfc62b2748dff02d89537e3a',
                       'bs_series.csv': 'da86a8c658ebe5bf2ab23a0499cf6fe2bb32f11b6ade721aef1b6d001b6dbfd5',

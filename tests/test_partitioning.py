@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wsnsim import model, partitioning, protocols
-from wsnsim.engine import KmeansFormation, run_simulation
+from wsnsim.engine import FORMATIONS, PROTOCOLS, KmeansFormation, SimState, run_simulation
 from wsnsim.model import NetworkConfig, deploy_nodes
 from wsnsim.partitioning import (
     FcmUnderflow,
@@ -487,7 +487,8 @@ class TestMovedCentroidReuse:
 class TestNoSquareRoot:
     """k-means, fuzzy c-means, HEED's geometry and every formation but EECS,
     whose cost alone takes a root, read squared distances only: no call of
-    theirs reaches np.sqrt."""
+    theirs reaches np.sqrt. No formation, and no greedy thinning (EECS's
+    suppression, head separation), calls math.hypot."""
 
     @pytest.fixture(autouse=True)
     def no_sqrt(self, monkeypatch):
@@ -540,6 +541,35 @@ class TestNoSquareRoot:
             cs, _ = fuzzy_form_clusters(geom, FuzzyFormation(), 5, rng)
         assert blocks[0] == (formation in ("nearest", "heed"))
         assert sum(1 + len(c.members) for c in cs.clusters) == n
+        assert not hypots
+
+    @pytest.mark.parametrize("n", [100, 300])  # below and past the table's size rule
+    @pytest.mark.parametrize("protocol,sep", [("leach", 35.0), ("heed", 35.0),
+                                              ("eecs", 0.0), ("eecs", 35.0)])
+    def test_thinning_formation(self, monkeypatch, protocol, sep, n):
+        # EECS's suppression and head separation compare dx*dx + dy*dy, as the
+        # engine forms them over five rounds: no math.hypot, and no root but
+        # the one EECS's cost takes per formation
+        config = NetworkConfig(n_nodes=n, seed=1)
+        state = SimState(geometry=Geometry(deploy_nodes(config), config.bs_pos, 1.0),
+                         config=config)
+        params = PROTOCOLS[protocol](ch_separation=sep)
+        monkeypatch.setattr(protocols.np, "sqrt", np.sqrt)
+        roots = count_calls(monkeypatch, protocols.np, "sqrt")
+        hypots = count_hypot(monkeypatch)
+        for r in range(5):
+            state.round = r
+            cs, _ = FORMATIONS[type(params)](state, params, n)
+            assert sum(1 + len(c.members) for c in cs.clusters) == n
+        assert roots[0] == 5 * (protocol == "eecs")
+        assert not hypots
+
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_enforce_ch_separation(self, monkeypatch, n):
+        geom = Geometry(deploy_nodes(NetworkConfig(n_nodes=n, seed=1)), (50.0, 175.0), 1.0)
+        hypots = count_hypot(monkeypatch)
+        heads = set(range(0, n, 5))
+        assert len(protocols.enforce_ch_separation(geom, heads, 35.0)) < len(heads)
         assert not hypots
 
 

@@ -1,5 +1,6 @@
 import collections
 import copy
+import dataclasses
 import math
 import tracemalloc
 
@@ -37,7 +38,7 @@ from wsnsim.protocols import (
     rotation_period,
 )
 
-from shared import count_calls, count_hypot, validate
+from shared import TIE_NETWORKS, count_calls, count_hypot, geometry_of, tie_network, validate
 
 
 class ZeroRng:
@@ -264,6 +265,12 @@ class TestEnforceChSeparation:
         g = geom([(0, 0), (1, 0), (2, 0)])
         assert len(enforce_ch_separation(g, {0, 1, 2}, 1000.0)) == 1
 
+    def test_heads_exactly_min_dist_apart_are_kept(self):
+        # "closer than" is d2 < min_dist * min_dist: 35 m along either axis
+        # gives d2 == 35 * 35, which is not
+        g = geom([(0, 0), (35, 0), (0, 35)], [0.9, 0.5, 0.4])
+        assert enforce_ch_separation(g, {0, 1, 2}, 35.0) == {0, 1, 2}
+
     def test_no_heads_rejected(self):
         with pytest.raises(ValueError, match="^ch_rows must not be empty$"):
             enforce_ch_separation(geom([(0, 0), (1, 0)]), set(), 1.0)
@@ -476,6 +483,24 @@ class TestEecsFormClusters:
         assert set(by_head) == {0, 1}
         assert by_head[1] == [2]
 
+    def test_suppression_at_exactly_the_radius(self):
+        # a weaker candidate 30 m away along either axis, d2 == 30 * 30, is
+        # in earshot and yields
+        for weaker in [(30, 0), (0, 30)]:
+            g = geom([(0, 0), weaker], [0.9, 0.4])
+            cs = eecs_form_clusters(g, EecsParams(p=1.0, head_fraction=1.0),
+                                    np.random.default_rng(0))
+            assert {c.head: c.members for c in cs.clusters} == {0: [1]}
+
+    def test_suppression_compares_squared_distances(self):
+        # node 1 lies d2 = 1 + 2**-52 from node 0, whose root, math.hypot's
+        # 1.0, is the suppress radius: out of earshot by d2, so both head
+        assert math.hypot(1, 2.0**-26) == 1.0
+        g = geom([(0, 0), (1, 2.0**-26)], [0.9, 0.4])
+        params = EecsParams(p=1.0, suppress_radius=1.0, head_fraction=1.0)
+        cs = eecs_form_clusters(g, params, np.random.default_rng(0))
+        assert {c.head: c.members for c in cs.clusters} == {0: [], 1: []}
+
     def test_reach_compares_squared_distances(self):
         # heads 0 and 1, the two richest, elect; at w = 0 a node joins the
         # head in reach nearest the BS, head 0. Node 2 lies d2 = 1 + 2**-52
@@ -527,8 +552,9 @@ class TestEecsFormClusters:
         blocks = count_calls(monkeypatch, wsnsim.protocols, "squared_distances")
         for seed in (1, 101):
             run_simulation(NetworkConfig(n_nodes=1000, seed=seed), EecsParams(), 20)
-        # the sink distances, the suppression scans and the ledger: none in the join
-        assert set(counted) == {"__init__", "_thin", "run_round"}
+        # the sink distances and the ledger: none in the join or the
+        # suppression scan, which compare d2
+        assert set(counted) == {"__init__", "run_round"}
         assert counted["__init__"] == 2 * 1000
         assert blocks[0] == 40
 
@@ -547,6 +573,59 @@ class TestEecsFormClusters:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def formed(geom, params, seed):
+    """HEED's or EECS's ClusterSet on ``geom`` from a generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    if isinstance(params, HeedParams):
+        return heed_form_clusters(geom, params, rng)[0]
+    return eecs_form_clusters(geom, params, rng)
+
+
+class TestSeparationWithinTheRadius:
+    """HEED's settled heads are pairwise d2 > cluster_radius * cluster_radius:
+    two candidates in range of each other cannot both rank below the other.
+    EECS's heads are pairwise d2 > suppress_radius * suppress_radius. So head
+    separation at or below that radius keeps every head, and the formation
+    gives the cluster set it gives without it."""
+
+    @staticmethod
+    def check(geom, seed, heed_radius, suppress_radius):
+        """Checks HEED (four waves, so that several candidates settle) and
+        EECS on ``geom``; returns their head counts."""
+        counts = []
+        for params, radius in [(HeedParams(cluster_radius=heed_radius, announce_waves=4),
+                                heed_radius),
+                               (EecsParams(suppress_radius=suppress_radius), suppress_radius)]:
+            cs = formed(geom, params, seed)
+            counts.append(len(cs.clusters))
+            heads = set(cs.heads)
+            rows = np.array(sorted(heads))
+            d2 = geom.block(rows, rows)[~np.eye(len(rows), dtype=bool)]
+            assert (d2 > radius * radius).all()
+            for sep in (radius, radius / 2):
+                assert enforce_ch_separation(geom, heads, sep) == heads
+                assert formed(geom, dataclasses.replace(params, ch_separation=sep), seed) == cs
+        return counts
+
+    @pytest.mark.parametrize("n", [100, 300])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_deployments(self, seed, n):
+        config = NetworkConfig(n_nodes=n, seed=seed)
+        rng = np.random.default_rng(seed)
+        g = Geometry(deploy_nodes(config), config.bs_pos, rng.uniform(0.01, 1.0, n))
+        assert min(self.check(g, seed, 20.0, 30.0)) > 1
+
+    @pytest.mark.parametrize("seed,kind", TIE_NETWORKS)
+    def test_tie_networks(self, seed, kind):
+        # radii at a fifth, two fifths and half the span: on the grid 1, 2
+        # and 2.5 m, the exact distance between many pairs
+        rng = np.random.default_rng(seed)
+        nodes, span = tie_network(rng, kind, 20, 120, drawn_energy=True)
+        g, _ = geometry_of(nodes)
+        heed_radius, suppress_radius = span * rng.choice([0.2, 0.4, 0.5], 2)
+        self.check(g, seed, float(heed_radius), float(suppress_radius))
 
 
 class TestCentroidFormations:
